@@ -334,20 +334,21 @@ class NodeAgent:
             )
         self._check_swarm_change("merge")
 
-    def _merge_deltas(self, deltas: list) -> None:
-        for d in deltas:
+    def _merge_deltas(self, records: list) -> None:
+        """Merge gossiped record dicts (piggybacked deltas or a full view).
+
+        A record the view already dominates would be a no-op, so it is
+        skipped before decoding. Our own record always takes the slow path:
+        refutation must see every claim that we are gone.
+        """
+        dominates = self.view.dominates
+        for d in records:
+            if d["node"] != self.node and dominates(d):
+                continue
             self._merge_member(membership.MemberState.from_dict(d))
 
-    def _merge_view_dicts(self, members: list) -> None:
-        self._merge_deltas(members)
-
-    def _view_summary(self) -> list:
-        return [
-            m.to_dict() for _, m in sorted(self.view.members.items())
-        ]
-
     def _hello_body(self) -> dict:
-        return {"view": self._view_summary(), "digest": self.view.member_set_digest()}
+        return {"view": self.view.summary(), "digest": self.view.member_set_digest()}
 
     def _suspect(self, target: NodeId) -> None:
         current = self.view.members.get(target)
@@ -452,7 +453,7 @@ class NodeAgent:
         peer = peers[(self.round_no // self.cfg.anti_entropy_every) % len(peers)]
         body = {
             "versions": {str(n): list(v) for n, v in self.registry.digest().items()},
-            "view": self._view_summary(),
+            "view": self.view.summary(),
             "catalog": [r.to_dict() for _, r in sorted(self.catalog.records.items())],
         }
         self._send(peer, wire.Message(wire.DIGEST, body))
@@ -494,12 +495,12 @@ class NodeAgent:
         pass
 
     def _handle_hello(self, frm: NodeId, body: dict) -> None:
-        self._merge_view_dicts(body["view"])
+        self._merge_deltas(body["view"])
         if self.view.member_set_digest() != body["digest"]:
-            self._send(frm, wire.Message(wire.HELLO_ACK, {"view": self._view_summary()}))
+            self._send(frm, wire.Message(wire.HELLO_ACK, {"view": self.view.summary()}))
 
     def _handle_hello_ack(self, frm: NodeId, body: dict) -> None:
-        self._merge_view_dicts(body["view"])
+        self._merge_deltas(body["view"])
 
     def _handle_ping(self, frm: NodeId, body: dict) -> None:
         self._send(frm, wire.Message(wire.ACK, {"token": body["token"]}))
@@ -509,7 +510,7 @@ class NodeAgent:
             del self.pending_probes[frm]
 
     def _handle_digest(self, frm: NodeId, body: dict) -> None:
-        self._merge_view_dicts(body["view"])
+        self._merge_deltas(body["view"])
         for rec in body["catalog"]:
             self.catalog.merge(dataplane.CatalogRecord.from_dict(rec))
         remote = {int(n): tuple(v) for n, v in body["versions"].items()}
@@ -517,13 +518,13 @@ class NodeAgent:
         reply = {
             "entries": [e.to_dict() for e in newer_here],
             "want": want,
-            "view": self._view_summary(),
+            "view": self.view.summary(),
             "catalog": [r.to_dict() for _, r in sorted(self.catalog.records.items())],
         }
         self._send(frm, wire.Message(wire.DELTA, reply))
 
     def _handle_delta(self, frm: NodeId, body: dict) -> None:
-        self._merge_view_dicts(body.get("view", []))
+        self._merge_deltas(body.get("view", []))
         for rec in body.get("catalog", []):
             self.catalog.merge(dataplane.CatalogRecord.from_dict(rec))
         for doc in body.get("entries", []):
@@ -613,7 +614,7 @@ class NodeAgent:
             and state.incarnation == data["incarnation"]
             and state.last_update_time == data["since"]
         ):
-            del self.view.members[data["node"]]
+            self.view.remove(data["node"])
             self.gossip_buffer.pop(data["node"], None)
             self.registry.evict(data["node"])
 

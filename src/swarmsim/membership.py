@@ -6,6 +6,17 @@ Alive). Consequently merging is commutative, associative and idempotent, and
 a node declared Dead at incarnation k can only come back with incarnation
 > k (refutation).
 
+The merge order is one key, `merge_key`: a record wins when its key is at
+least the other's. `prefer` and `SwarmView.dominates` both use it, so a
+gossiped record dict can be tested against the current record before it is
+decoded (the Scuttlebutt rule: compare versions before materialising state).
+
+Invariants of `SwarmView`: `members` is written only through `apply` and
+`remove`, each of which bumps `view_version` when the view changes. The
+summary list, digest and alive list are cached per `view_version`, and the
+values returned (like each `MemberState.to_dict()`) are shared with every
+message and trace record that carries them, so they are read-only.
+
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
 """
@@ -13,7 +24,8 @@ pure data logic so it can be property-tested in isolation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import NodeId
 
@@ -26,6 +38,16 @@ LEFT = "left"
 _STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 3}
 
 
+def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
+    """Merge order of one member's records: the larger key wins.
+
+    Higher incarnation first, then the more terminal status. At the same
+    incarnation and status the earliest declaration time wins, so all nodes
+    converge on one timestamp (matters for retention GC).
+    """
+    return (incarnation, _STATUS_RANK[status], -last_update_time)
+
+
 @dataclass(frozen=True)
 class MemberState:
     node: NodeId
@@ -33,7 +55,16 @@ class MemberState:
     incarnation: int
     last_update_time: float  # sim time the current status was declared
 
+    @cached_property
+    def key(self) -> tuple:
+        return merge_key(self.status, self.incarnation, self.last_update_time)
+
     def to_dict(self) -> dict:
+        """The wire form, built once per record and shared: read-only."""
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> dict:
         return {
             "node": self.node,
             "status": self.status,
@@ -52,17 +83,13 @@ class MemberState:
 
 
 def prefer(a: MemberState, b: MemberState) -> MemberState:
-    """The record that wins a merge between two states of the same member."""
+    """The record that wins a merge between two states of the same member.
+
+    On equal keys (the same record) `a` is kept.
+    """
     if a.node != b.node:
         raise ValueError("cannot merge states of different members")
-    if a.incarnation != b.incarnation:
-        return a if a.incarnation > b.incarnation else b
-    ra, rb = _STATUS_RANK[a.status], _STATUS_RANK[b.status]
-    if ra != rb:
-        return a if ra > rb else b
-    # Same incarnation and status: keep the earliest declaration time so all
-    # nodes converge on one timestamp (matters for retention GC).
-    return a if a.last_update_time <= b.last_update_time else b
+    return a if a.key >= b.key else b
 
 
 @dataclass
@@ -72,11 +99,25 @@ class SwarmView:
     self_node: NodeId
     members: dict = field(default_factory=dict)  # NodeId -> MemberState
     view_version: int = 0
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache_version: int = field(default=-1, init=False, repr=False, compare=False)
+
+    def _version_cache(self) -> dict:
+        """Values derived from the view, emptied whenever the view changed."""
+        if self._cache_version != self.view_version:
+            self._cache = {}
+            self._cache_version = self.view_version
+        return self._cache
 
     def alive_nodes(self) -> list:
-        return sorted(
-            n for n, m in self.members.items() if m.status == ALIVE
-        )
+        """Alive members in NodeId order; shared, read-only."""
+        cache = self._version_cache()
+        alive = cache.get("alive")
+        if alive is None:
+            alive = cache["alive"] = sorted(
+                n for n, m in self.members.items() if m.status == ALIVE
+            )
+        return alive
 
     @property
     def swarm_id(self):
@@ -86,35 +127,60 @@ class SwarmView:
 
     def member_set_digest(self) -> str:
         """Stable digest over (node, status, incarnation) triples."""
-        items = sorted(
-            (m.node, m.status, m.incarnation) for m in self.members.values()
+        cache = self._version_cache()
+        digest = cache.get("digest")
+        if digest is None:
+            items = sorted(
+                (m.node, m.status, m.incarnation) for m in self.members.values()
+            )
+            digest = cache["digest"] = hashlib.sha256(
+                repr(items).encode()
+            ).hexdigest()[:16]
+        return digest
+
+    def summary(self) -> list:
+        """Every member's record dict in NodeId order; shared, read-only."""
+        cache = self._version_cache()
+        records = cache.get("summary")
+        if records is None:
+            records = cache["summary"] = [
+                m.to_dict() for _, m in sorted(self.members.items())
+            ]
+        return records
+
+    def dominates(self, record: dict) -> bool:
+        """True when `apply` of this record dict, decoded, would return False.
+
+        Lets gossip skip records the view already holds without decoding them.
+        """
+        current = self.members.get(record["node"])
+        return current is not None and current.key >= merge_key(
+            record["status"], record["incarnation"], record["last_update_time"]
         )
-        h = hashlib.sha256(repr(items).encode())
-        return h.hexdigest()[:16]
 
     def apply(self, incoming: MemberState) -> bool:
         """Merge one member record; returns True when the view changed."""
         current = self.members.get(incoming.node)
-        if current is None:
-            self.members[incoming.node] = incoming
-            self.view_version += 1
-            return True
-        winner = prefer(current, incoming)
-        if winner is not current:
-            self.members[incoming.node] = winner
-            self.view_version += 1
-            return True
-        return False
+        if current is not None and current.key >= incoming.key:
+            return False
+        self.members[incoming.node] = incoming
+        self.view_version += 1
+        return True
+
+    def remove(self, node: NodeId) -> bool:
+        """Drop a member's record (tombstone GC); True when one was held."""
+        if self.members.pop(node, None) is None:
+            return False
+        self.view_version += 1
+        return True
 
 
 def merge_views(a: SwarmView, b: SwarmView) -> SwarmView:
     """Member-wise merge of two views (pure; used directly in tests)."""
     merged = SwarmView(self_node=a.self_node)
-    merged.members = dict(a.members)
-    for state in b.members.values():
-        cur = merged.members.get(state.node)
-        merged.members[state.node] = state if cur is None else prefer(cur, state)
-    merged.view_version = max(a.view_version, b.view_version)
+    for view in (a, b):
+        for state in view.members.values():
+            merged.apply(state)
     return merged
 
 

@@ -9,6 +9,11 @@ hence idempotent, commutative and associative.
 Deliberate deviation from a consensus-backed store: profile data needs
 availability under churn and partitions, not linearizability, so this is a
 leaderless anti-entropy design.
+
+Invariants of `Registry`: `entries` is written only through `local_update`,
+`merge` and `evict`, and each of them clears the cached `content_hash`.
+The hash is rebuilt from every entry's canonical JSON, which a frozen
+`RegistryEntry` computes once.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import NodeId, NodeProfile
 from . import membership
@@ -38,6 +44,11 @@ class RegistryEntry:
             "stamped_time": self.stamped_time,
         }
 
+    @cached_property
+    def canonical_json(self) -> str:
+        """`json.dumps(self.to_dict(), sort_keys=True)`, computed once."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
     @classmethod
     def from_dict(cls, d: dict) -> "RegistryEntry":
         return cls(
@@ -58,6 +69,7 @@ class Registry:
     def __init__(self, owner: NodeId):
         self.owner = owner
         self.entries: dict = {}  # NodeId -> RegistryEntry
+        self._hash = None  # content_hash() until the entries change
 
     def local_update(
         self, profile: NodeProfile, incarnation: int, now: float
@@ -81,6 +93,7 @@ class Registry:
             stamped_time=now,
         )
         self.entries[self.owner] = entry
+        self._hash = None
         return entry
 
     def merge(self, entry: RegistryEntry) -> bool:
@@ -89,6 +102,7 @@ class Registry:
         if current is not None and current.version >= entry.version:
             return False
         self.entries[entry.node] = entry
+        self._hash = None
         return True
 
     def digest(self) -> dict:
@@ -127,11 +141,16 @@ class Registry:
         return out
 
     def evict(self, node: NodeId) -> bool:
-        return self.entries.pop(node, None) is not None
+        if self.entries.pop(node, None) is None:
+            return False
+        self._hash = None
+        return True
 
     def content_hash(self) -> str:
-        doc = json.dumps(
-            [e.to_dict() for _, e in sorted(self.entries.items())],
-            sort_keys=True,
-        )
-        return hashlib.sha256(doc.encode()).hexdigest()[:16]
+        """Digest of `json.dumps(<entries as dicts, by NodeId>, sort_keys=True)`."""
+        if self._hash is None:
+            doc = "[" + ", ".join(
+                e.canonical_json for _, e in sorted(self.entries.items())
+            ) + "]"
+            self._hash = hashlib.sha256(doc.encode()).hexdigest()[:16]
+        return self._hash

@@ -137,10 +137,18 @@ class Scenario:
                 if inp.source not in owners:
                     problems.append(f"{label}: unknown data source {inp.source}")
         for ev in self.events:
+            label = f"event {ev['type']}"
+            if ev["type"] not in _EVENT_TYPES:
+                problems.append(
+                    f"{label}: unknown event type (expected one of "
+                    f"{', '.join(_EVENT_TYPES)})"
+                )
+            elif ev["type"] == "move" and _move_target(ev.get("to")) is None:
+                problems.append(f"{label}: needs `to` as [x, y] or {{x: .., y: ..}}")
             if ev["node"] not in known:
-                problems.append(f"event {ev['type']}: unknown node {ev['node']}")
+                problems.append(f"{label}: unknown node {ev['node']}")
             if not 0 <= ev["at"] <= self.duration:
-                problems.append(f"event {ev['type']}: time outside run window")
+                problems.append(f"{label}: time outside run window")
         for a, b, start, end in self.partitions:
             if not set(a) <= known or not set(b) <= known:
                 problems.append("partition: unknown node ids")
@@ -156,6 +164,14 @@ def _position(raw) -> Position:
         return Position.from_dict(raw)
     x, y = raw
     return Position(float(x), float(y))
+
+
+def _move_target(raw):
+    """A move event's `to` as a Position; None when it is malformed."""
+    try:
+        return _position(raw)
+    except (TypeError, ValueError, KeyError):
+        return None
 
 
 def _battery(raw):
@@ -248,6 +264,8 @@ def override_agent_config(cfg: AgentConfig, overrides: dict) -> AgentConfig:
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    if "duration" not in raw:
+        raise ValueError("duration: required")
     sources = []
     for d in raw.get("data_sources", []):
         replicas = {int(d["owner"])} | {int(r) for r in d.get("replicas", [])}
@@ -308,6 +326,7 @@ _EVENT_KINDS = {
     "leave": simlib.EV_LEAVE,
     "crash": simlib.EV_CRASH,
 }
+_EVENT_TYPES = (*_EVENT_KINDS, "move")
 
 
 def build(scenario: Scenario, seed: int = None, agent_overrides: dict = None):
@@ -347,14 +366,9 @@ def build(scenario: Scenario, seed: int = None, agent_overrides: dict = None):
         )
     for ev in scenario.events:
         if ev["type"] == "move":
-            x, y = ev["to"] if not isinstance(ev["to"], dict) else (
-                ev["to"]["x"],
-                ev["to"]["y"],
-            )
+            to = _position(ev["to"])
             sim.schedule(
-                ev["at"],
-                simlib.EV_MOVE,
-                {"node": ev["node"], "x": float(x), "y": float(y)},
+                ev["at"], simlib.EV_MOVE, {"node": ev["node"], "x": to.x, "y": to.y}
             )
         else:
             sim.schedule(ev["at"], _EVENT_KINDS[ev["type"]], {"node": ev["node"]})

@@ -13,8 +13,10 @@ Criteria (run with `pytest -v -s tests/test_acceptance.py` to see the lines):
 """
 
 import glob
+import hashlib
 import json
 import math
+import os
 import random
 import time
 
@@ -62,8 +64,22 @@ def reference_runs():
 
 # -- A1 ---------------------------------------------------------------------
 
-def test_a1_determinism(reference_runs):
+# sha256 of `write_trace_jsonl` output per shipped scenario at its default
+# seed. A change that claims to keep behaviour must leave these unchanged; a
+# change that alters traces on purpose re-pins them and says why.
+PINNED_TRACE_SHA256 = {
+    "data_locality": "710832d35b3d8c6eeb4605f64ca5d7f7eaf896623d3a81d43270ed62ae9e3863",
+    "heavy_churn": "cc471693475871abf7c2251ecb78c3e6e6fd3372b4c3bb97d2f5cce96fbc0e49",
+    "partition_heal": "c5bcb27374a1a056898b7aee4ae48807a3d7779f25b8bcce4336eec6b03a4941",
+    "steady_state": "e6f459ec3133957ef28a3a3eff507194dadc9e20ea415d35b15d4321b1478555",
+}
+
+
+def test_a1_determinism(reference_runs, tmp_path):
     worst = 0.0
+    assert sorted(PINNED_TRACE_SHA256) == sorted(
+        os.path.basename(p)[: -len(".yaml")] for p in reference_runs
+    ), "every shipped scenario needs a pinned trace hash"
     for path, (sc, first, elapsed) in reference_runs.items():
         worst = max(worst, elapsed)
         again = scen.run(sc)
@@ -73,11 +89,16 @@ def test_a1_determinism(reference_runs):
         m2 = json.dumps(again.report.rows(), sort_keys=True)
         assert t1 == t2, f"{path}: traces differ between identical runs"
         assert m1 == m2, f"{path}: metrics differ between identical runs"
+        name = os.path.basename(path)[: -len(".yaml")]
+        out = tmp_path / f"{name}.jsonl"
+        scen.write_trace_jsonl(first.trace, out)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_TRACE_SHA256[name], f"{path}: trace sha256 changed"
     report(
         "A1 determinism",
         worst < 10.0,
-        f"{len(reference_runs)} scenarios byte-identical on re-run, "
-        f"slowest {worst:.2f}s",
+        f"{len(reference_runs)} scenarios byte-identical on re-run and to their "
+        f"pinned trace sha256, slowest {worst:.2f}s",
     )
 
 

@@ -37,6 +37,18 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_unknown_event_type_fails_validate_and_run_cleanly(tmp_path, capsys):
+    bad = dict(SMALL, events=[{"type": "explode", "node": 1, "at": 1.0}])
+    cfg = write_config(tmp_path, bad)
+    assert main(["validate", cfg]) == 1
+    assert "unknown event type" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario") and "unknown event type" in err
+    assert not out.exists()
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
     assert "error" in capsys.readouterr().err

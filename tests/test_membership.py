@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,3 +144,58 @@ def test_merge_never_regresses(a, b):
     for node, m in a.members.items():
         out = merged.members[node]
         assert (out.incarnation, rank[out.status]) >= (m.incarnation, rank[m.status])
+
+
+# -- pre-decode skip and per-version caches ---------------------------------
+
+# Few distinct values, so equal keys (the same record) come up often.
+records = st.builds(
+    MemberState,
+    node=st.just(2),
+    status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+    incarnation=st.integers(0, 2),
+    last_update_time=st.sampled_from([0.0, 1.0, 2.5]),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.none(), records), records)
+def test_dominates_fires_exactly_when_apply_is_a_noop(current, incoming):
+    view = SwarmView(self_node=1)
+    if current is not None:
+        view.apply(current)
+    wire_form = json.loads(json.dumps(incoming.to_dict()))
+    skipped = view.dominates(wire_form)
+    assert skipped == (not view.apply(MemberState.from_dict(wire_form)))
+
+
+def uncached(view):
+    """Digest, summary and alive list of a fresh view with the same records."""
+    fresh = view_from(view.members.values(), self_node=view.self_node)
+    return fresh.member_set_digest(), fresh.summary(), fresh.alive_nodes()
+
+
+def cached(view):
+    return view.member_set_digest(), view.summary(), view.alive_nodes()
+
+
+def test_view_mutators_refresh_cached_values():
+    view = view_from([ms(node=1), ms(node=2)])
+    before = cached(view)
+    assert not view.apply(ms(node=2))  # no change keeps the shared values
+    assert all(a is b for a, b in zip(cached(view), before))
+    steps = [
+        (lambda: view.apply(ms(node=3)), "digest"),  # new member
+        (lambda: view.apply(ms(node=2, status=SUSPECT, t=4.0)), "digest"),
+        (lambda: view.apply(ms(node=2, status=SUSPECT, t=3.0)), "summary"),
+        (lambda: view.remove(3), "digest"),
+    ]
+    for mutate, what in steps:
+        before = cached(view)
+        assert mutate()
+        after = cached(view)
+        assert after == uncached(view)
+        changed = after[0] != before[0] if what == "digest" else after[1] != before[1]
+        assert changed, what
+    assert not view.remove(3)
+    assert view.alive_nodes() == [1]

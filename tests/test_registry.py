@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -140,3 +142,30 @@ def test_merge_order_independent(vs):
     for e in reversed(entries):
         b.merge(e)
     assert a.entries[2].version == b.entries[2].version == max(vs)
+
+
+def reference_hash(reg):
+    """content_hash as it reads without caching: the whole list dumped."""
+    doc = json.dumps([e.to_dict() for _, e in sorted(reg.entries.items())], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def test_registry_mutators_refresh_content_hash():
+    reg = Registry(owner=1)
+    assert reg.content_hash() == reference_hash(reg)
+    steps = [
+        lambda: reg.merge(entry_for(2, sv=1)),
+        lambda: reg.merge(entry_for(2, sv=2, util=0.5)),
+        lambda: reg.local_update(make_profile(node=1, utilization=0.3), incarnation=0, now=1.0),
+        lambda: reg.local_update(make_profile(node=1, utilization=0.6), incarnation=0, now=2.0),
+        lambda: reg.evict(2),
+    ]
+    for mutate in steps:
+        before = reg.content_hash()
+        assert mutate()
+        assert reg.content_hash() == reference_hash(reg) != before
+    before = reg.content_hash()
+    assert not reg.merge(entry_for(1, sv=0))  # older: not applied
+    assert not reg.evict(2)
+    assert reg.content_hash() == before == reference_hash(reg)
+

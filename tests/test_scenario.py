@@ -57,6 +57,26 @@ def test_overlapping_partition_groups_rejected():
     assert any("groups overlap" in p for p in sc.validate())
 
 
+def test_unknown_event_type_and_move_without_target_rejected():
+    sc = with_extras(events=[
+        {"type": "explode", "node": 1, "at": 5.0},
+        {"type": "move", "node": 2, "at": 6.0},
+        {"type": "move", "node": 2, "at": 7.0, "to": {"x": 3.0}},
+        {"type": "move", "node": 2, "at": 8.0, "to": [3.0, 4.0]},
+        {"type": "move", "node": 2, "at": 9.0, "to": {"x": 3.0, "y": 4.0}},
+    ])
+    problems = sc.validate()
+    assert len(problems) == 3, problems
+    assert "unknown event type" in problems[0]
+    assert all("needs `to`" in p for p in problems[1:])
+
+
+def test_missing_duration_is_a_value_error():
+    raw = {k: v for k, v in BASE.items() if k != "duration"}
+    with pytest.raises(ValueError, match="duration"):
+        scen.parse_scenario(raw)
+
+
 def test_run_refuses_invalid_scenario():
     sc = with_extras(events=[{"type": "crash", "node": 42, "at": 5.0}])
     with pytest.raises(ValueError, match="invalid scenario"):
