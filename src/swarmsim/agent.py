@@ -249,22 +249,31 @@ class NodeAgent:
     def _queue_delta(self, state: membership.MemberState) -> None:
         self.gossip_buffer[state.node] = [state, 0]
 
-    def _pick_deltas(self) -> list:
+    def _pick_deltas(self) -> wire.RecordList:
+        """Our own record, then up to gossip_k - 1 buffered deltas, least
+        transmitted first (ties by NodeId); a delta retires once it has been
+        sent retransmit_limit times.
+
+        Only picked slots are retired: every other slot is below the limit,
+        since slots start at 0 and only picks raise them, unless the limit
+        is <= 0, which retires every slot on every send.
+        """
         self_record = self.view.members.get(self.node) or self._self_state()
         picks = [self_record.to_dict()]
-        order = sorted(self.gossip_buffer.items(), key=lambda kv: (kv[1][1], kv[0]))
-        for node, slot in order:
-            if node == self.node:
-                continue
-            if len(picks) >= self.cfg.gossip_k:
-                break
-            picks.append(slot[0].to_dict())
-            slot[1] += 1
-        for node in [
-            n for n, slot in self.gossip_buffer.items() if slot[1] >= self.cfg.retransmit_limit
-        ]:
-            del self.gossip_buffer[node]
-        return picks
+        buffer = self.gossip_buffer
+        limit = self.cfg.retransmit_limit
+        if self.cfg.gossip_k > 1 and buffer:
+            me = self.node
+            order = sorted([(slot[1], node) for node, slot in buffer.items() if node != me])
+            for sent, node in order[: self.cfg.gossip_k - 1]:
+                slot = buffer[node]
+                picks.append(slot[0].to_dict())
+                slot[1] = sent + 1
+                if sent + 1 >= limit:
+                    del buffer[node]
+        if limit <= 0:
+            buffer.clear()
+        return wire.RecordList(picks)
 
     def _send(self, to: NodeId, msg: wire.Message) -> None:
         msg.deltas = self._pick_deltas()
@@ -346,6 +355,13 @@ class NodeAgent:
             if d["node"] != self.node and dominates(d):
                 continue
             self._merge_member(membership.MemberState.from_dict(d))
+
+    def _merge_catalog(self, records: list) -> None:
+        """Merge gossiped catalog record dicts, skipping held ones undecoded."""
+        holds = self.catalog.holds
+        for d in records:
+            if not holds(d):
+                self.catalog.merge(dataplane.CatalogRecord.from_dict(d))
 
     def _hello_body(self) -> dict:
         return {"view": self.view.summary(), "digest": self.view.member_set_digest()}
@@ -454,7 +470,7 @@ class NodeAgent:
         body = {
             "versions": {str(n): list(v) for n, v in self.registry.digest().items()},
             "view": self.view.summary(),
-            "catalog": [r.to_dict() for _, r in sorted(self.catalog.records.items())],
+            "catalog": self.catalog.summary(),
         }
         self._send(peer, wire.Message(wire.DIGEST, body))
 
@@ -471,28 +487,9 @@ class NodeAgent:
         if not self.alive:
             return
         self._merge_deltas(msg.deltas)
-        handler = {
-            wire.HELLO: self._handle_hello,
-            wire.HELLO_ACK: self._handle_hello_ack,
-            wire.PING: self._handle_ping,
-            wire.ACK: self._handle_ack,
-            wire.LEAVE: self._handle_noop,
-            wire.DIGEST: self._handle_digest,
-            wire.DELTA: self._handle_delta,
-            wire.OFFER: self._handle_offer,
-            wire.ACCEPT: self._handle_accept,
-            wire.REJECT: self._handle_reject,
-            wire.CLAIM: self._handle_claim,
-            wire.CANCEL: self._handle_cancel,
-            wire.NACK: self._handle_nack,
-            wire.DONE: self._handle_done,
-            wire.FAILED: self._handle_failed,
-            wire.QOS_WARN: self._handle_qos_warn,
-        }[msg.kind]
-        handler(frm, msg.body)
-
-    def _handle_noop(self, frm: NodeId, body: dict) -> None:
-        pass
+        handler = _MESSAGE_HANDLERS[msg.kind]
+        if handler is not None:
+            handler(self, frm, msg.body)
 
     def _handle_hello(self, frm: NodeId, body: dict) -> None:
         self._merge_deltas(body["view"])
@@ -511,31 +508,29 @@ class NodeAgent:
 
     def _handle_digest(self, frm: NodeId, body: dict) -> None:
         self._merge_deltas(body["view"])
-        for rec in body["catalog"]:
-            self.catalog.merge(dataplane.CatalogRecord.from_dict(rec))
+        self._merge_catalog(body["catalog"])
         remote = {int(n): tuple(v) for n, v in body["versions"].items()}
         newer_here, want = self.registry.diff(remote)
         reply = {
-            "entries": [e.to_dict() for e in newer_here],
+            "entries": wire.RecordList(e.to_dict() for e in newer_here),
             "want": want,
             "view": self.view.summary(),
-            "catalog": [r.to_dict() for _, r in sorted(self.catalog.records.items())],
+            "catalog": self.catalog.summary(),
         }
         self._send(frm, wire.Message(wire.DELTA, reply))
 
     def _handle_delta(self, frm: NodeId, body: dict) -> None:
         self._merge_deltas(body.get("view", []))
-        for rec in body.get("catalog", []):
-            self.catalog.merge(dataplane.CatalogRecord.from_dict(rec))
+        self._merge_catalog(body.get("catalog", []))
         for doc in body.get("entries", []):
             self.registry.merge(RegistryEntry.from_dict(doc))
         want = body.get("want", [])
         if want:
-            entries = [
+            entries = wire.RecordList(
                 self.registry.entries[n].to_dict()
                 for n in want
                 if n in self.registry.entries
-            ]
+            )
             if entries:
                 self._send(
                     frm, wire.Message(wire.DELTA, {"entries": entries, "want": []})
@@ -584,8 +579,6 @@ class NodeAgent:
             self._on_monitor()
         elif timer_kind == "retry_place":
             self._retry_place(data["task_id"])
-        elif timer_kind == "replicate_done":
-            self._replicate_done(data)
         else:
             raise ValueError(f"unknown timer {timer_kind}")
 
@@ -693,73 +686,6 @@ class NodeAgent:
                 return None
             out.append((inp.size, distance(runner_pos, rep_pos)))
         return out
-
-    def replicate(self, data_id, on_done=None) -> bool:
-        """Pull a copy of `data_id` onto this node; False when unresolvable."""
-        if data_id in self.catalog.records and self.node in self.catalog.records[
-            data_id
-        ].descriptor.replicas:
-            return True  # already a replica, no-op
-        source = self._resolve(data_id, self.node)
-        if source is None or source == self.node:
-            if source is None:
-                self.sim.record(
-                    {
-                        "t": self.sim.now,
-                        "type": "replicate_failed",
-                        "node": self.node,
-                        "data": data_id,
-                    }
-                )
-                return False
-            return True
-        size = self.catalog.records[data_id].descriptor.size
-        dist = distance(
-            self.profile.dyn.position, self._position_of_member(source)
-        )
-        duration = size / self.profile.hw.link_bandwidth + self.sim.net.latency(dist)
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "replicate_start",
-                "node": self.node,
-                "data": data_id,
-                "source": source,
-                "duration": duration,
-            }
-        )
-        self._set_timer(
-            duration,
-            "replicate_done",
-            {"data": data_id, "source": source},
-        )
-        return True
-
-    def _replicate_done(self, data: dict) -> None:
-        source, data_id = data["source"], data["data"]
-        if self.member_status(source) != membership.ALIVE:
-            # Source died mid-transfer: abort and retry from another replica.
-            self.sim.record(
-                {
-                    "t": self.sim.now,
-                    "type": "replicate_abort",
-                    "node": self.node,
-                    "data": data_id,
-                    "source": source,
-                }
-            )
-            self.replicate(data_id)
-            return
-        self.catalog.add_replica(data_id, self.node)
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "replicate_done",
-                "node": self.node,
-                "data": data_id,
-                "source": source,
-            }
-        )
 
     # ------------------------------------------------------------------
     # scheduling: origin side
@@ -1433,3 +1359,25 @@ class NodeAgent:
             self._set_timer(self.cfg.exec_tick, "monitor")
         else:
             self._monitor_armed = False
+
+
+# Message kind -> NodeAgent handler(self, frm, body). LEAVE has none: the
+# Left record it announces travels in the piggybacked deltas.
+_MESSAGE_HANDLERS = {
+    wire.HELLO: NodeAgent._handle_hello,
+    wire.HELLO_ACK: NodeAgent._handle_hello_ack,
+    wire.PING: NodeAgent._handle_ping,
+    wire.ACK: NodeAgent._handle_ack,
+    wire.LEAVE: None,
+    wire.DIGEST: NodeAgent._handle_digest,
+    wire.DELTA: NodeAgent._handle_delta,
+    wire.OFFER: NodeAgent._handle_offer,
+    wire.ACCEPT: NodeAgent._handle_accept,
+    wire.REJECT: NodeAgent._handle_reject,
+    wire.CLAIM: NodeAgent._handle_claim,
+    wire.CANCEL: NodeAgent._handle_cancel,
+    wire.NACK: NodeAgent._handle_nack,
+    wire.DONE: NodeAgent._handle_done,
+    wire.FAILED: NodeAgent._handle_failed,
+    wire.QOS_WARN: NodeAgent._handle_qos_warn,
+}

@@ -10,7 +10,9 @@ removed from state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
+from . import wire
 from .model import DataSourceId, NodeId, Position, distance
 
 
@@ -33,15 +35,20 @@ class CatalogRecord:
     descriptor: DataSourceDescriptor
     announce_seq: int  # owner's announce counter, guards static fields
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> wire.Record:
+        """The wire form, built once per record and shared: read-only."""
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> wire.Record:
         d = self.descriptor
-        return {
+        return wire.Record({
             "id": d.id,
             "owner": d.owner,
             "size": d.size,
             "replicas": sorted(d.replicas),
             "announce_seq": self.announce_seq,
-        }
+        })
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogRecord":
@@ -101,6 +108,23 @@ class Catalog:
             return False
         self.records[merged.descriptor.id] = merged
         return True
+
+    def holds(self, record: dict) -> bool:
+        """True when `merge` of this record dict, decoded, would return False.
+
+        Lets gossip skip records the catalog already holds without decoding
+        them: an announce sequence no newer and no replica not held.
+        """
+        current = self.records.get(record["id"])
+        return (
+            current is not None
+            and record["announce_seq"] <= current.announce_seq
+            and current.descriptor.replicas.issuperset(record["replicas"])
+        )
+
+    def summary(self) -> wire.RecordList:
+        """Every record in DataSourceId order, as gossiped in DIGEST/DELTA."""
+        return wire.RecordList(r.to_dict() for _, r in sorted(self.records.items()))
 
     def add_replica(self, data_id: DataSourceId, node: NodeId) -> CatalogRecord:
         """Record a completed replication (idempotent)."""

@@ -14,8 +14,9 @@ decoded (the Scuttlebutt rule: compare versions before materialising state).
 Invariants of `SwarmView`: `members` is written only through `apply` and
 `remove`, each of which bumps `view_version` when the view changes. The
 summary list, digest and alive list are cached per `view_version`, and the
-values returned (like each `MemberState.to_dict()`) are shared with every
-message and trace record that carries them, so they are read-only.
+values returned are shared with every message and trace record that carries
+them, so they are read-only; the summary and each `MemberState.to_dict()`
+are `wire` record types, which enforce it.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -27,6 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import wire
 from .model import NodeId
 
 ALIVE = "alive"
@@ -59,18 +61,18 @@ class MemberState:
     def key(self) -> tuple:
         return merge_key(self.status, self.incarnation, self.last_update_time)
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> wire.Record:
         """The wire form, built once per record and shared: read-only."""
         return self._dict
 
     @cached_property
-    def _dict(self) -> dict:
-        return {
+    def _dict(self) -> wire.Record:
+        return wire.Record({
             "node": self.node,
             "status": self.status,
             "incarnation": self.incarnation,
             "last_update_time": self.last_update_time,
-        }
+        })
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemberState":
@@ -122,8 +124,10 @@ class SwarmView:
     @property
     def swarm_id(self):
         """Deterministic swarm identity: minimum Alive NodeId in the view."""
-        alive = self.alive_nodes()
-        return alive[0] if alive else self.self_node
+        return min(
+            (n for n, m in self.members.items() if m.status == ALIVE),
+            default=self.self_node,
+        )
 
     def member_set_digest(self) -> str:
         """Stable digest over (node, status, incarnation) triples."""
@@ -138,14 +142,14 @@ class SwarmView:
             ).hexdigest()[:16]
         return digest
 
-    def summary(self) -> list:
-        """Every member's record dict in NodeId order; shared, read-only."""
+    def summary(self) -> wire.RecordList:
+        """Every member's record in NodeId order; shared, read-only."""
         cache = self._version_cache()
         records = cache.get("summary")
         if records is None:
-            records = cache["summary"] = [
+            records = cache["summary"] = wire.RecordList(
                 m.to_dict() for _, m in sorted(self.members.items())
-            ]
+            )
         return records
 
     def dominates(self, record: dict) -> bool:

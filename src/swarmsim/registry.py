@@ -12,19 +12,18 @@ leaderless anti-entropy design.
 
 Invariants of `Registry`: `entries` is written only through `local_update`,
 `merge` and `evict`, and each of them clears the cached `content_hash`.
-The hash is rebuilt from every entry's canonical JSON, which a frozen
-`RegistryEntry` computes once.
+The hash is rebuilt from every entry's canonical JSON, the trace form that
+the entry's read-only `wire.Record` encodes once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 from .model import NodeId, NodeProfile
-from . import membership
+from . import membership, wire
 
 Version = tuple  # (incarnation, status_version), compared lexicographically
 
@@ -36,18 +35,24 @@ class RegistryEntry:
     version: Version
     stamped_time: float
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self) -> wire.Record:
+        """The wire form, built once per entry and shared: read-only."""
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> wire.Record:
+        return wire.Record({
             "node": self.node,
             "profile": self.profile.to_dict(),
             "version": list(self.version),
             "stamped_time": self.stamped_time,
-        }
+        })
 
-    @cached_property
+    @property
     def canonical_json(self) -> str:
-        """`json.dumps(self.to_dict(), sort_keys=True)`, computed once."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """`json.dumps(self.to_dict(), sort_keys=True)`: the record's cached
+        trace JSON, which carries no value `default=str` would touch."""
+        return self._dict.trace_json()
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegistryEntry":

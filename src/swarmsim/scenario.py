@@ -11,12 +11,13 @@ state at a fixed cadence.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
 
 from . import sim as simlib
+from . import wire
 from .agent import AgentConfig, NodeAgent
 from .dataplane import DataSourceDescriptor
 from .metrics import MetricsCollector, MetricsReport
@@ -89,13 +90,14 @@ class Scenario:
     events: list = field(default_factory=list)  # raw event dicts
     partitions: list = field(default_factory=list)  # (a, b, start, end)
     sample_period: float = 1.0
+    parse_problems: list = field(default_factory=list)  # from parse_scenario
 
     def node_ids(self) -> set:
         return {n.node for n in self.nodes}
 
     def validate(self) -> list:
         """Collect every problem as a human-readable string; [] means ok."""
-        problems = []
+        problems = list(self.parse_problems)
         ids = [n.node for n in self.nodes]
         known = set(ids)
         if len(ids) != len(set(ids)):
@@ -180,57 +182,136 @@ def _battery(raw):
     return float(raw)
 
 
-def _node_spec(raw: dict) -> NodeSpec:
+def _ints(raw) -> list:
+    return [int(n) for n in raw]
+
+
+_EXPECTED = {
+    float: "a number",
+    int: "an integer",
+    str: "a string",
+    dict: "a mapping",
+    _position: "[x, y] or {x: .., y: ..}",
+    _battery: "a number or MAINS",
+    _ints: "a list of integers",
+}
+_REQUIRED = object()
+
+
+class _Fields:
+    """Typed reads from one mapping of a scenario file.
+
+    A missing required field, or a value its cast rejects, becomes a problem
+    naming the item and the field and reads as the cast default (None when
+    required), so parsing goes on and `Scenario.validate` lists every
+    problem at once.
+    """
+
+    def __init__(self, raw, label: str, problems: list):
+        self.label = label
+        self.problems = problems
+        self.raw = raw if isinstance(raw, dict) else {}
+        if not isinstance(raw, dict):
+            problems.append(f"{label}: expected a mapping, got {raw!r}")
+
+    def _problem(self, key: str, issue: str) -> None:
+        self.problems.append(f"{self.label}: {key}: {issue}" if self.label else f"{key}: {issue}")
+
+    def __call__(self, key: str, cast, default=_REQUIRED):
+        value = self.raw.get(key, default)
+        if value is _REQUIRED:
+            self._problem(key, "required")
+            return None
+        try:
+            return cast(value)
+        except (TypeError, ValueError, KeyError):
+            self._problem(key, f"expected {_EXPECTED[cast]}, got {value!r}")
+            return None if default is _REQUIRED else cast(default)
+
+    def list(self, key: str) -> list:
+        """An optional list field; anything else is a problem and reads []."""
+        value = self.raw.get(key, [])
+        if isinstance(value, list):
+            return value
+        self._problem(key, f"expected a list, got {value!r}")
+        return []
+
+
+def _node_spec(raw, index: int, problems: list):
+    """The node's spec, or None when it has no usable id."""
+    get = _Fields(raw, f"nodes[{index}]", problems)
+    node = get("id", int)
+    if node is None:
+        return None
+    get.label = f"node {node}"
     return NodeSpec(
-        node=int(raw["id"]),
-        position=_position(raw.get("position", [0.0, 0.0])),
-        cpu_perf_index=float(raw.get("cpu_perf_index", 1.0)),
-        memory=int(raw.get("memory", 1024)),
-        link_bandwidth=float(raw.get("link_bandwidth", 10.0)),
-        os_tag=str(raw.get("os_tag", "linux")),
-        runtimes=tuple(raw.get("runtimes", [])),
-        typologies=tuple(raw.get("typologies", [])),
-        battery=_battery(raw.get("battery", MAINS)),
-        drain_rate=float(raw.get("drain_rate", 0.0)),
-        utilization=float(raw.get("utilization", 0.0)),
-        start_time=float(raw.get("start_time", 0.0)),
+        node=node,
+        position=get("position", _position, [0.0, 0.0]),
+        cpu_perf_index=get("cpu_perf_index", float, 1.0),
+        memory=get("memory", int, 1024),
+        link_bandwidth=get("link_bandwidth", float, 10.0),
+        os_tag=get("os_tag", str, "linux"),
+        runtimes=tuple(get.list("runtimes")),
+        typologies=tuple(get.list("typologies")),
+        battery=get("battery", _battery, MAINS),
+        drain_rate=get("drain_rate", float, 0.0),
+        utilization=get("utilization", float, 0.0),
+        start_time=get("start_time", float, 0.0),
     )
 
 
-def _task_spec(raw: dict, source_sizes: dict) -> tuple:
+def _task_spec(raw, source_sizes: dict, label: str, problems: list):
+    """(arrival, task), or None when a required field is unusable."""
+    get = _Fields(raw, label, problems)
     inputs = []
-    for inp in raw.get("inputs", []):
-        source = int(inp["source"])
-        size = float(inp.get("size", source_sizes.get(source, 0.0)))
-        inputs.append(DataInput(source=source, size=size))
+    for k, inp in enumerate(get.list("inputs")):
+        get_input = _Fields(inp, f"{label}: inputs[{k}]", problems)
+        source = get_input("source", int)
+        if source is not None:
+            size = get_input("size", float, source_sizes.get(source, 0.0))
+            inputs.append(DataInput(source=source, size=size))
+    required = (
+        get("id", int), get("typology", str), get("work", float),
+        get("origin", int), get("at", float),
+    )
+    if None in required:
+        return None
+    task_id, typology, work, origin, at = required
     task = TaskSpec(
-        task_id=int(raw["id"]),
-        typology=str(raw["typology"]),
-        work=float(raw["work"]),
-        memory_demand=int(raw.get("memory", 0)),
+        task_id=task_id,
+        typology=typology,
+        work=work,
+        memory_demand=get("memory", int, 0),
         input_data=tuple(inputs),
         qos=QoSRequirement(
-            deadline=float(raw.get("deadline", 60.0)),
-            min_success_replicas=int(raw.get("min_success_replicas", 1)),
+            deadline=get("deadline", float, 60.0),
+            min_success_replicas=get("min_success_replicas", int, 1),
         ),
-        origin_node=int(raw["origin"]),
+        origin_node=origin,
     )
-    return float(raw["at"]), task
+    return at, task
 
 
-def _generate_tasks(raw: dict, scenario_seed: int, source_sizes: dict) -> list:
+def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list) -> list:
     """Deterministic arrival stream: fixed interval plus seeded jitter."""
-    count = int(raw["count"])
-    start = float(raw.get("start", 0.0))
-    interval = float(raw.get("interval", 1.0))
-    jitter = float(raw.get("jitter", 0.0))
-    origins = [int(n) for n in raw["origins"]]
-    first_id = int(raw.get("first_id", 1000))
+    get = _Fields(raw, "workload", problems)
+    count = get("count", int)
+    start = get("start", float, 0.0)
+    interval = get("interval", float, 1.0)
+    jitter = get("jitter", float, 0.0)
+    origins = get("origins", _ints)
+    first_id = get("first_id", int, 1000)
+    if count is None or not origins:
+        if origins == []:
+            problems.append("workload: origins: empty")
+        return []
+    template = get("template", dict, {})
+    raw = get.raw
     rng = simlib.substream(scenario_seed, "workload")
     out = []
     for i in range(count):
         at = start + i * interval + (jitter * rng.random() if jitter else 0.0)
-        spec = dict(raw.get("template", {}))
+        spec = dict(template)
         spec.setdefault("typology", raw.get("typology", "generic"))
         spec.setdefault("work", raw.get("work", 1.0))
         spec.setdefault("memory", raw.get("memory", 0))
@@ -239,15 +320,47 @@ def _generate_tasks(raw: dict, scenario_seed: int, source_sizes: dict) -> list:
         spec["id"] = first_id + i
         spec["origin"] = origins[i % len(origins)]
         spec["at"] = at
-        out.append(_task_spec(spec, source_sizes))
+        pair = _task_spec(spec, source_sizes, "workload", problems)
+        if pair is None:
+            break  # the same template fails for every task
+        out.append(pair)
     return out
 
 
-def _agent_config(raw: dict) -> AgentConfig:
-    raw = dict(raw or {})
-    sched_raw = raw.pop("scheduler", {})
-    scheduler = SchedulerParams(**sched_raw) if sched_raw else SchedulerParams()
-    return AgentConfig(scheduler=scheduler, **raw)
+def _settings(cls, raw, label: str, problems: list) -> dict:
+    """Keyword arguments for the dataclass `cls` from a mapping: an unknown
+    key, or a non-number for a numeric field, is a problem and dropped."""
+    get = _Fields({} if raw is None else raw, label, problems)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    out = {}
+    for key, value in get.raw.items():
+        if key not in defaults:
+            problems.append(f"{label}: unknown field {key}")
+        elif isinstance(defaults[key], (int, float)) and not isinstance(
+            value, (int, float)
+        ):
+            problems.append(f"{label}: {key}: expected a number, got {value!r}")
+        else:
+            out[key] = value
+    return out
+
+
+def _build_checked(cls, kwargs: dict, label: str, problems: list):
+    """cls(**kwargs), or cls() with a problem when its own checks fail."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        problems.append(f"{label}: {exc}")
+        return cls()
+
+
+def _agent_config(raw, problems: list) -> AgentConfig:
+    kwargs = _settings(AgentConfig, raw, "agent", problems)
+    sched = _settings(SchedulerParams, kwargs.pop("scheduler", None), "agent: scheduler", problems)
+    return AgentConfig(
+        scheduler=_build_checked(SchedulerParams, sched, "agent: scheduler", problems),
+        **kwargs,
+    )
 
 
 def override_agent_config(cfg: AgentConfig, overrides: dict) -> AgentConfig:
@@ -264,58 +377,96 @@ def override_agent_config(cfg: AgentConfig, overrides: dict) -> AgentConfig:
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    """The scenario a raw mapping describes.
+
+    Problems with fields (missing, or of the wrong type) are collected in
+    `Scenario.parse_problems` and reported by `validate`; only a missing
+    `duration` raises here.
+    """
     if "duration" not in raw:
         raise ValueError("duration: required")
+    problems = []
+    get = _Fields(raw, "", problems)
     sources = []
-    for d in raw.get("data_sources", []):
-        replicas = {int(d["owner"])} | {int(r) for r in d.get("replicas", [])}
-        sources.append(
-            DataSourceDescriptor(
-                id=int(d["id"]),
-                owner=int(d["owner"]),
-                size=float(d["size"]),
-                replicas=frozenset(replicas),
+    for i, d in enumerate(get.list("data_sources")):
+        get_source = _Fields(d, f"data_sources[{i}]", problems)
+        source_id = get_source("id", int)
+        if source_id is not None:
+            get_source.label = f"data source {source_id}"
+        owner, size = get_source("owner", int), get_source("size", float)
+        replicas = get_source("replicas", _ints, [])
+        if None in (source_id, owner, size):
+            continue
+        try:
+            sources.append(
+                DataSourceDescriptor(
+                    id=source_id,
+                    owner=owner,
+                    size=size,
+                    replicas=frozenset({owner, *replicas}),
+                )
             )
-        )
+        except ValueError as exc:
+            problems.append(f"{get_source.label}: {exc}")
     source_sizes = {d.id: d.size for d in sources}
-    seed = int(raw.get("seed", 0))
-    tasks = [_task_spec(t, source_sizes) for t in raw.get("tasks", [])]
+    seed = get("seed", int, 0)
+    tasks = []
+    for i, t in enumerate(get.list("tasks")):
+        pair = _task_spec(t, source_sizes, f"tasks[{i}]", problems)
+        if pair is not None:
+            tasks.append(pair)
     if "workload" in raw:
-        tasks.extend(_generate_tasks(raw["workload"], seed, source_sizes))
+        tasks.extend(_generate_tasks(raw["workload"], seed, source_sizes, problems))
     tasks.sort(key=lambda pair: (pair[0], pair[1].task_id))
-    events = [
-        {"type": str(e["type"]), "node": int(e["node"]), "at": float(e["at"]), **(
-            {"to": e["to"]} if "to" in e else {}
-        )}
-        for e in raw.get("events", [])
-    ]
-    partitions = [
-        (
-            [int(n) for n in p["a"]],
-            [int(n) for n in p["b"]],
-            float(p["start"]),
-            float(p["end"]),
+    events = []
+    for i, e in enumerate(get.list("events")):
+        get_event = _Fields(e, f"events[{i}]", problems)
+        event = {
+            "type": get_event("type", str),
+            "node": get_event("node", int),
+            "at": get_event("at", float),
+        }
+        if None not in event.values():
+            if "to" in get_event.raw:
+                event["to"] = get_event.raw["to"]
+            events.append(event)
+    partitions = []
+    for i, p in enumerate(get.list("partitions")):
+        get_part = _Fields(p, f"partitions[{i}]", problems)
+        part = (
+            get_part("a", _ints), get_part("b", _ints),
+            get_part("start", float), get_part("end", float),
         )
-        for p in raw.get("partitions", [])
-    ]
+        if None not in part:
+            partitions.append(part)
+    net = _settings(NetModel, raw.get("net"), "net", problems)
+    nodes = [_node_spec(n, i, problems) for i, n in enumerate(get.list("nodes"))]
     return Scenario(
-        name=str(raw.get("name", "scenario")),
-        duration=float(raw["duration"]),
+        name=get("name", str, "scenario"),
+        # An unreadable duration is reported; inf keeps it out of the
+        # window checks, which would only repeat the problem.
+        duration=get("duration", float, math.inf),
         seed=seed,
-        net=NetModel(**raw.get("net", {})),
-        agent=_agent_config(raw.get("agent", {})),
-        nodes=[_node_spec(n) for n in raw.get("nodes", [])],
+        net=_build_checked(NetModel, net, "net", problems),
+        agent=_agent_config(raw.get("agent"), problems),
+        nodes=[n for n in nodes if n is not None],
         data_sources=sources,
         tasks=tasks,
         events=events,
         partitions=partitions,
-        sample_period=float(raw.get("sample_period", 1.0)),
+        sample_period=get("sample_period", float, 1.0),
+        parse_problems=list(dict.fromkeys(problems)),
     )
+
+
+# libyaml's safe loader where PyYAML was built with it: scanning YAML in
+# Python is most of a scenario's set-up time.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must be a mapping")
     return parse_scenario(raw)
@@ -402,6 +553,8 @@ def run(scenario: Scenario, seed: int = None, agent_overrides: dict = None) -> R
 
 
 def write_trace_jsonl(trace: list, path) -> None:
+    """One `json.dumps(rec, sort_keys=True, default=str)` line per record."""
+    dumps = wire.dumps_trace
     with open(path, "w") as fh:
         for rec in trace:
-            fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
+            fh.write(dumps(rec) + "\n")

@@ -50,21 +50,12 @@ class NetModel:
         return self.base_latency + self.latency_per_meter * dist
 
 
-@dataclass(frozen=True)
-class RngState:
-    """Seed record: all draws come from named substreams of this seed.
-
-    Substreams use Python's Mersenne Twister seeded from a SHA-256 hash of
-    (seed, label), so the draw sequence is identical across runs and
-    platforms.
-    """
-
-    seed: int
-    algorithm: str = "mt19937-sha256-substreams"
-
-
 def substream(seed: int, label: str) -> random.Random:
-    """Independent, reproducible RNG stream for one purpose label."""
+    """Independent, reproducible RNG stream for one purpose label.
+
+    Python's Mersenne Twister seeded from a SHA-256 hash of (seed, label), so
+    the draw sequence is identical across runs and platforms.
+    """
     h = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(h[:8], "big"))
 
@@ -91,9 +82,6 @@ class SimEvent:
     kind: str
     data: dict = field(default_factory=dict)
 
-    def sort_key(self):
-        return (self.time, self.seq)
-
 
 class SimFault(Exception):
     """An agent handler raised; the offending event is attached."""
@@ -115,12 +103,10 @@ class SimNode:
 class Simulator:
     """Event queue, transport and node lifecycle bookkeeping."""
 
-    def __init__(self, seed: int, net: NetModel, trace_timers: bool = False):
+    def __init__(self, seed: int, net: NetModel):
         self.seed = seed
-        self.rng_state = RngState(seed=seed)
         self.net = net
         self.now = 0.0
-        self.trace_timers = trace_timers
         self._queue: list = []
         self._seq = 0
         self._msg_seq = 0
@@ -280,10 +266,6 @@ class Simulator:
             self._deliver(ev)
         elif kind == EV_TIMER:
             node = ev.data["node"]
-            if self.trace_timers:
-                self.record(
-                    {"t": ev.time, "type": "timer", "node": node, "timer": ev.data["timer"]}
-                )
             if self.node_up(node):
                 self.agents[node].on_timer(ev.data["timer"], ev.data["data"])
         elif kind == EV_JOIN:

@@ -5,6 +5,22 @@ carries a (possibly empty) list of piggybacked membership deltas, which is
 how membership information disseminates with the regular traffic. The codec
 is canonical JSON (sorted keys), so encoding is deterministic and traces can
 record the decoded form alongside a short digest.
+
+Gossiped records (member states, registry entries, catalog records) are
+immutable and ride in many messages and trace lines, so each is wrapped once
+in a read-only `Record` that encodes its JSON at most once per form: compact
+for the wire, default separators for traces. Mutating a `Record` or a
+`RecordList` raises, so a cached form can never go stale; values nested in a
+record are shared as well and must not be mutated either.
+
+`encode` and `dumps_trace` splice those cached forms into the output and
+leave everything else to the C encoder with the same settings. The result is
+byte-identical to `json.dumps(..., sort_keys=True)` with the same separators
+(and `default=str` for traces): a `Record`'s cached text is exactly what that
+call emits for the dict, a `RecordList` is emitted as its members' texts
+joined by the item separator, and a dict holding either is emitted key by
+key in sorted order, as the encoder does. A dict with non-string keys is
+left to the encoder whole, since it would sort and convert such keys itself.
 """
 
 from __future__ import annotations
@@ -12,6 +28,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 # Membership / discovery
 HELLO = "HELLO"
@@ -57,6 +74,129 @@ ALL_KINDS = frozenset(
 )
 
 
+_WIRE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_TRACE = json.JSONEncoder(sort_keys=True, default=str)
+
+
+def _encode_fn(encoder: json.JSONEncoder):
+    """`encoder.encode` without its per-call set-up: the C encoder it would
+    build on each call, built once (without the circular-reference check,
+    which only changes the error a cyclic value raises)."""
+    if c_make_encoder is None:
+        return encoder.encode
+    encode = c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator,
+        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+_encode_wire = _encode_fn(_WIRE)
+_encode_trace = _encode_fn(_TRACE)
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is read-only")
+
+
+class Record(dict):
+    """A gossiped record's dict form: read-only, its JSON encoded once per form.
+
+    Built once per frozen record object and shared by every message and
+    trace line that carries it.
+    """
+
+    __slots__ = ("_wire", "_trace")
+
+    def __init__(self, fields: dict):
+        dict.__init__(self, fields)
+        self._wire = self._trace = None
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def wire_json(self) -> str:
+        """`json.dumps(self, sort_keys=True, separators=(",", ":"))`, cached."""
+        text = self._wire
+        if text is None:
+            text = self._wire = _encode_wire(self)
+        return text
+
+    def trace_json(self) -> str:
+        """`json.dumps(self, sort_keys=True, default=str)`, cached."""
+        text = self._trace
+        if text is None:
+            text = self._trace = _encode_trace(self)
+        return text
+
+
+class RecordList(list):
+    """A read-only list of `Record`s, e.g. a view summary or a delta batch.
+
+    Its JSON is its members' cached texts joined on each use; the joined text
+    is not kept, since lists are rebuilt often and would hold it for the run.
+    """
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+
+def _splicer(encoder: json.JSONEncoder, encode, record_json):
+    """JSON text of a value, equal to `encoder.encode(value)`, reusing the
+    cached text of every `Record` and `RecordList` found in it through
+    nested dicts (not through plain lists)."""
+    item_sep, key_sep = encoder.item_separator, encoder.key_separator
+
+    def spliced(d: dict):
+        """The dict's JSON when it holds a record somewhere, else None."""
+        frags = None
+        for key, value in d.items():
+            kind = type(value)
+            if kind is Record:
+                frag = record_json(value)
+            elif kind is RecordList:
+                frag = "[" + item_sep.join([record_json(r) for r in value]) + "]"
+            elif kind is dict:
+                frag = spliced(value)
+                if frag is None:
+                    continue
+            else:
+                continue
+            if frags is None:
+                frags = {}
+            frags[key] = frag
+        if frags is None or not all(type(key) is str for key in d):
+            return None
+        return "{" + item_sep.join([
+            encode_basestring_ascii(key) + key_sep
+            + (frags[key] if key in frags else encode(d[key]))
+            for key in sorted(d)
+        ]) + "}"
+
+    def dumps(value) -> str:
+        kind = type(value)
+        if kind is Record:
+            return record_json(value)
+        if kind is RecordList:
+            return "[" + item_sep.join([record_json(r) for r in value]) + "]"
+        if kind is dict:
+            text = spliced(value)
+            if text is not None:
+                return text
+        return encode(value)
+
+    return dumps
+
+
+_dumps_wire = _splicer(_WIRE, _encode_wire, Record.wire_json)
+
+#: One trace line: `json.dumps(value, sort_keys=True, default=str)`.
+dumps_trace = _splicer(_TRACE, _encode_trace, Record.trace_json)
+
+
 @dataclass
 class Message:
     kind: str
@@ -68,7 +208,7 @@ def encode(msg: Message) -> bytes:
     if msg.kind not in ALL_KINDS:
         raise ValueError(f"unknown message kind: {msg.kind}")
     doc = {"kind": msg.kind, "body": msg.body, "deltas": msg.deltas}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return _dumps_wire(doc).encode()
 
 
 def decode(data: bytes) -> Message:

@@ -74,12 +74,21 @@ PINNED_TRACE_SHA256 = {
     "steady_state": "e6f459ec3133957ef28a3a3eff507194dadc9e20ea415d35b15d4321b1478555",
 }
 
+# sha256 of `MetricsReport.write_csv` output, pinned on the same terms.
+PINNED_METRICS_SHA256 = {
+    "data_locality": "b9011848826459ab3b9613a99d057ac264bcc4141e0712d66f50b7f33b2a669c",
+    "heavy_churn": "1a65dfd2362eca4eb9192ba5053b6068f48746508c57e4bf479bd8674064f41d",
+    "partition_heal": "137517fe87ef96786df131e1d620b02b241c6c7f8d724e37bdcad412ca4bdcf2",
+    "steady_state": "1f9fced0db562ad23425961e171f2d8c258cd0d3b4ba5c7a018334cc4225d702",
+}
+
 
 def test_a1_determinism(reference_runs, tmp_path):
     worst = 0.0
-    assert sorted(PINNED_TRACE_SHA256) == sorted(
-        os.path.basename(p)[: -len(".yaml")] for p in reference_runs
-    ), "every shipped scenario needs a pinned trace hash"
+    shipped = sorted(os.path.basename(p)[: -len(".yaml")] for p in reference_runs)
+    assert sorted(PINNED_TRACE_SHA256) == sorted(PINNED_METRICS_SHA256) == shipped, (
+        "every shipped scenario needs pinned trace and metrics hashes"
+    )
     for path, (sc, first, elapsed) in reference_runs.items():
         worst = max(worst, elapsed)
         again = scen.run(sc)
@@ -94,11 +103,15 @@ def test_a1_determinism(reference_runs, tmp_path):
         scen.write_trace_jsonl(first.trace, out)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == PINNED_TRACE_SHA256[name], f"{path}: trace sha256 changed"
+        csv_out = tmp_path / f"{name}.csv"
+        first.report.write_csv(csv_out)
+        digest = hashlib.sha256(csv_out.read_bytes()).hexdigest()
+        assert digest == PINNED_METRICS_SHA256[name], f"{path}: metrics sha256 changed"
     report(
         "A1 determinism",
         worst < 10.0,
         f"{len(reference_runs)} scenarios byte-identical on re-run and to their "
-        f"pinned trace sha256, slowest {worst:.2f}s",
+        f"pinned trace and metrics sha256, slowest {worst:.2f}s",
     )
 
 

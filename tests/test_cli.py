@@ -49,6 +49,23 @@ def test_unknown_event_type_fails_validate_and_run_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
+    nodes = [{"position": [5, 5]}, dict(SMALL["nodes"][0], cpu_perf_index="fast")]
+    for bad, problem in (
+        (dict(SMALL, nodes=SMALL["nodes"] + nodes[:1]), "nodes[2]: id: required"),
+        (dict(SMALL, nodes=nodes[1:]), "node 1: cpu_perf_index: expected a number"),
+        (dict(SMALL, duration="ten"), "duration: expected a number, got 'ten'"),
+    ):
+        cfg = write_config(tmp_path, bad)
+        assert main(["validate", cfg]) == 1
+        assert f"INVALID: {problem}" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario") and problem in err
+        assert not out.exists()
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
     assert "error" in capsys.readouterr().err

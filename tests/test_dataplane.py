@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from swarmsim.dataplane import (
     Catalog,
@@ -96,3 +97,24 @@ def test_descriptor_survives_owner_death_via_replica():
 def test_record_dict_round_trip():
     rec = CatalogRecord(desc(replicas={3, 4, 9}), announce_seq=4)
     assert CatalogRecord.from_dict(rec.to_dict()) == rec
+
+
+catalog_records = st.builds(
+    lambda data_id, replicas, seq, size: CatalogRecord(
+        desc(data_id=data_id, owner=3, size=size, replicas=replicas | {3}), seq
+    ),
+    st.integers(1, 2),
+    st.frozensets(st.integers(1, 6), max_size=4),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 2.0]),
+)
+
+
+@given(st.lists(catalog_records, max_size=3), catalog_records)
+def test_holds_fires_exactly_when_merge_is_a_noop(held, incoming):
+    cat = Catalog(owner=1)
+    for rec in held:
+        cat.merge(rec)
+    record = incoming.to_dict()
+    expected = cat.holds(record)
+    assert cat.merge(CatalogRecord.from_dict(record)) is not expected

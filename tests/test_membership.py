@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim import membership
+from swarmsim.agent import AgentConfig, NodeAgent
 from swarmsim.membership import (
     ALIVE,
     DEAD,
@@ -199,3 +201,53 @@ def test_view_mutators_refresh_cached_values():
         assert changed, what
     assert not view.remove(3)
     assert view.alive_nodes() == [1]
+
+
+# -- piggyback selection ----------------------------------------------------
+
+def reference_pick_deltas(node, self_record, buffer, cfg):
+    """The selection as first written: sort the whole buffer, then sweep it."""
+    picks = [self_record.to_dict()]
+    order = sorted(buffer.items(), key=lambda kv: (kv[1][1], kv[0]))
+    for n, slot in order:
+        if n == node:
+            continue
+        if len(picks) >= cfg.gossip_k:
+            break
+        picks.append(slot[0].to_dict())
+        slot[1] += 1
+    for n in [n for n, slot in buffer.items() if slot[1] >= cfg.retransmit_limit]:
+        del buffer[n]
+    return picks
+
+
+gossip_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("queue"), st.integers(1, 12), st.integers(0, 3)),
+        st.tuples(st.just("pick")),
+    ),
+    max_size=40,
+)
+
+
+@given(st.integers(-1, 6), st.integers(-1, 5), gossip_ops)
+def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
+    me = 1
+    cfg = AgentConfig(gossip_k=gossip_k, retransmit_limit=retransmit_limit)
+    self_record = ms(node=me)
+    agent = SimpleNamespace(
+        node=me,
+        cfg=cfg,
+        view=SwarmView(self_node=me, members={me: self_record}),
+        gossip_buffer={},
+    )
+    reference = {}
+    for op in ops:
+        if op[0] == "queue":
+            state = ms(node=op[1], inc=op[2])
+            agent.gossip_buffer[state.node] = [state, 0]
+            reference[state.node] = [state, 0]
+        else:
+            picks = NodeAgent._pick_deltas(agent)
+            assert picks == reference_pick_deltas(me, self_record, reference, cfg)
+        assert agent.gossip_buffer == reference

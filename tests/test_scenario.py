@@ -142,3 +142,46 @@ def test_same_seed_same_trace_different_seed_differs():
     t3 = json.dumps(scen.run(sc, seed=6).trace, sort_keys=True)
     assert t1 == t2
     assert t1 != t3
+
+
+def test_node_without_id_and_wrong_field_types_are_problems():
+    raw = dict(BASE, duration="ten", nodes=[
+        {"position": [0, 0]},
+        {"id": 2, "cpu_perf_index": "fast", "battery": "full"},
+        {"id": 3, "memory": 2.5e3},
+    ])
+    sc = scen.parse_scenario(raw)
+    assert sc.validate() == [
+        "nodes[0]: id: required",
+        "node 2: cpu_perf_index: expected a number, got 'fast'",
+        "node 2: battery: expected a number or MAINS, got 'full'",
+        "duration: expected a number, got 'ten'",
+    ]
+    assert [n.node for n in sc.nodes] == [2, 3]
+    with pytest.raises(ValueError, match="invalid scenario: nodes\\[0\\]: id: required"):
+        scen.run(sc)
+
+
+def test_malformed_items_and_settings_are_problems():
+    sc = with_extras(
+        tasks=[{"id": 1, "origin": 1, "at": 1.0, "typology": "generic", "work": "lots"}],
+        workload={"count": 3, "origins": [1], "memory": "big"},
+        events=[{"type": "crash", "node": "x", "at": 1.0}],
+        partitions=[{"a": [1], "b": [2], "start": "soon", "end": 2.0}],
+        data_sources=[{"id": 7, "owner": 1, "size": -1.0}],
+        net={"loss_prob": "high", "jitter": 0.1},
+        agent={"probe_period": "slow", "scheduler": {"w_qos": 0.9}},
+    )
+    assert sc.validate() == [
+        "data source 7: data source size must be positive",
+        "tasks[0]: work: expected a number, got 'lots'",
+        "workload: memory: expected an integer, got 'big'",
+        "events[0]: node: expected an integer, got 'x'",
+        "partitions[0]: start: expected a number, got 'soon'",
+        "net: loss_prob: expected a number, got 'high'",
+        "net: unknown field jitter",
+        "agent: probe_period: expected a number, got 'slow'",
+        "agent: scheduler: score weights must sum to 1, got 1.5",
+    ]
+    assert len(sc.tasks) == 3 and not sc.events and not sc.partitions
+    assert with_extras(nodes=5).validate() == ["nodes: expected a list, got 5"]
