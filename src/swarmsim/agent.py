@@ -3,7 +3,9 @@
 Each node runs one NodeAgent instance. All behavior is event-driven
 (message in / timer in -> state mutation + outgoing messages), and agents
 never touch each other's state except through messages, so the same handlers
-could run on independent real processes.
+could run on independent real processes. Messages dispatch by wire kind
+through `_MESSAGE_HANDLERS` and timers by timer kind through
+`_TIMER_HANDLERS`, both module-level tables.
 
 Protocol summary:
   * membership: round-robin PING/ACK probing with piggybacked deltas
@@ -130,7 +132,7 @@ class NodeAgent:
         self.alive_since = {}  # peer -> local time it became Alive in my view
         self.session_durations = {}  # peer -> list of completed durations
         self.tasks = {}  # TaskId -> _OriginTask
-        self.exec_meta = {}  # TaskId -> dict (executor-side wire context)
+        self.run_specs = {}  # TaskId -> TaskSpec of the run on this node
         self.pending_probes = {}  # target -> token
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{self.epoch}")
@@ -172,18 +174,15 @@ class NodeAgent:
         now = self.sim.now
         self.engine.integrate(now)
         for run in sorted(self.engine.runs.values(), key=lambda r: r.task_id):
-            if run.state in (executor.RUNNING, executor.TRANSFERRING, executor.RESERVED):
+            if run.state in executor.ACTIVE:
                 run.transition(executor.FAILED)
-                self.sim.record(
-                    {
-                        "t": now,
-                        "type": "run_failed",
-                        "node": self.node,
-                        "task": run.task_id,
-                        "attempt": run.attempt,
-                        "cause": "leave",
-                    }
+                self._record(
+                    "run_failed",
+                    task=run.task_id,
+                    attempt=run.attempt,
+                    cause="leave",
                 )
+                # Not `_report`: this node's own tasks leave with it.
                 if run.origin != self.node:
                     self._send(
                         run.origin,
@@ -227,9 +226,7 @@ class NodeAgent:
         new_level = battery_step(battery, self.drain_rate, dt)
         self.profile = self.profile.with_dyn(battery=new_level)
         if new_level <= 0.0:
-            self.sim.record(
-                {"t": self.sim.now, "type": "battery_dead", "node": self.node}
-            )
+            self._record("battery_dead")
             self.sim.crash_node(self.node)
             return
         self._set_timer(self.cfg.battery_tick, "battery", {"dt": dt})
@@ -275,9 +272,23 @@ class NodeAgent:
             buffer.clear()
         return wire.RecordList(picks)
 
+    def _record(self, event: str, **fields) -> None:
+        """Trace one event of this node, stamped with the simulated time."""
+        self.sim.record({"t": self.sim.now, "type": event, "node": self.node, **fields})
+
     def _send(self, to: NodeId, msg: wire.Message) -> None:
         msg.deltas = self._pick_deltas()
         self.sim.send(self.node, to, msg)
+
+    def _send_task(self, to: NodeId, kind: str, task_id, attempt: int) -> None:
+        self._send(to, wire.Message(kind, {"task_id": task_id, "attempt": attempt}))
+
+    def _report(self, origin: NodeId, kind: str, body: dict) -> None:
+        """Executor -> origin: handled in place when this node is the origin."""
+        if origin == self.node:
+            _MESSAGE_HANDLERS[kind](self, self.node, body)
+        else:
+            self._send(origin, wire.Message(kind, body))
 
     def _merge_member(self, state: membership.MemberState) -> None:
         now = self.sim.now
@@ -383,16 +394,12 @@ class NodeAgent:
         sid = self.view.swarm_id
         if sid != self.last_swarm_id:
             kind = "merge" if sid < self.last_swarm_id else "split"
-            self.sim.record(
-                {
-                    "t": self.sim.now,
-                    "type": "swarm_change",
-                    "node": self.node,
-                    "old": self.last_swarm_id,
-                    "new": sid,
-                    "kind": kind,
-                    "reason": reason,
-                }
+            self._record(
+                "swarm_change",
+                old=self.last_swarm_id,
+                new=sid,
+                kind=kind,
+                reason=reason,
             )
             self.last_swarm_id = sid
 
@@ -447,13 +454,24 @@ class NodeAgent:
             {"target": target, "token": token, "misses": misses},
         )
 
-    def _on_liveness(self) -> None:
-        self._ping_executors()
+    def _on_probe_timeout(self, data: dict) -> None:
+        target = data["target"]
+        if self.pending_probes.get(target) != data["token"]:
+            return
+        del self.pending_probes[target]
+        misses = data["misses"] + 1
+        if misses < self.cfg.probe_retries:
+            # Retry before suspecting: one lost PING/ACK must not look like a
+            # crash on a lossy link.
+            self._probe(target, misses=misses)
+        else:
+            self._suspect(target)
 
     def _ping_executors(self) -> None:
         executors = set()
-        for ot in self.tasks.values():
-            if ot.done or ot.failed:
+        for task_id in self.tasks:
+            ot = self._open_task(task_id)
+            if ot is None:
                 continue
             for node in ot.executors.values():
                 if node != self.node and self._is_usable(node):
@@ -545,42 +563,10 @@ class NodeAgent:
             return
         if data.get("epoch", self.epoch) != self.epoch:
             return  # timer from a previous life of this node
-        if timer_kind == "round":
-            self._on_round()
-        elif timer_kind == "liveness":
-            self._on_liveness()
-        elif timer_kind == "probe_timeout":
-            if self.pending_probes.get(data["target"]) == data["token"]:
-                del self.pending_probes[data["target"]]
-                misses = data.get("misses", 0) + 1
-                if misses < self.cfg.probe_retries:
-                    # Retry before suspecting: one lost PING/ACK must not
-                    # look like a crash on a lossy link.
-                    self._probe(data["target"], misses=misses)
-                else:
-                    self._suspect(data["target"])
-        elif timer_kind == "suspect_dead":
-            self._promote_dead(data)
-        elif timer_kind == "member_gc":
-            self._gc_member(data)
-        elif timer_kind == "battery":
-            self.on_battery_tick(data["dt"])
-        elif timer_kind == "task_arrival":
-            self.submit_task(TaskSpec.from_dict(data["task"]))
-        elif timer_kind == "offer_decision":
-            self._decide_offers(data["task_id"], data["attempt"], timed_out=True)
-        elif timer_kind == "reservation_ttl":
-            self._expire_reservation(data["task_id"], data["attempt"])
-        elif timer_kind == "transfer_done":
-            self._transfer_done(data["task_id"], data["attempt"])
-        elif timer_kind == "completion":
-            self._on_completion_timer(data["generation"])
-        elif timer_kind == "monitor":
-            self._on_monitor()
-        elif timer_kind == "retry_place":
-            self._retry_place(data["task_id"])
-        else:
+        handler = _TIMER_HANDLERS.get(timer_kind)
+        if handler is None:
             raise ValueError(f"unknown timer {timer_kind}")
+        handler(self, data)
 
     def _promote_dead(self, data: dict) -> None:
         state = self.view.members.get(data["node"])
@@ -692,40 +678,34 @@ class NodeAgent:
     # ------------------------------------------------------------------
 
     def submit_task(self, task: TaskSpec) -> None:
-        now = self.sim.now
-        self.tasks[task.task_id] = _OriginTask(spec=task, submitted_at=now)
-        self.sim.record(
-            {
-                "t": now,
-                "type": "task_submitted",
-                "node": self.node,
-                "task": task.task_id,
-                "typology": task.typology,
-            }
-        )
+        self.tasks[task.task_id] = _OriginTask(spec=task, submitted_at=self.sim.now)
+        self._record("task_submitted", task=task.task_id, typology=task.typology)
         self._place(task.task_id)
 
-    def _retry_place(self, task_id) -> None:
+    def _open_task(self, task_id):
+        """The origin record of a task neither done nor failed, else None."""
         ot = self.tasks.get(task_id)
-        if ot is not None and not ot.done and not ot.failed and not ot.executors:
+        if ot is None or ot.done or ot.failed:
+            return None
+        return ot
+
+    def _retry_place(self, task_id) -> None:
+        ot = self._open_task(task_id)
+        if ot is not None and not ot.executors:
             self._place(task_id)
 
     def _fail_permanent(self, ot: _OriginTask) -> None:
         ot.failed = True
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "task_failed_permanent",
-                "node": self.node,
-                "task": ot.spec.task_id,
-                "attempts": ot.attempts,
-            }
+        self._record(
+            "task_failed_permanent",
+            task=ot.spec.task_id,
+            attempts=ot.attempts,
         )
 
     def _place(self, task_id, exclude: frozenset = frozenset()) -> None:
         """One placement attempt: local-first, then offers to top-k."""
-        ot = self.tasks[task_id]
-        if ot.done or ot.failed:
+        ot = self._open_task(task_id)
+        if ot is None:
             return
         ot.attempts += 1
         attempt = ot.attempts
@@ -736,42 +716,22 @@ class NodeAgent:
         task = ot.spec
         deadline_remaining = ot.submitted_at + task.qos.deadline - now
         if self.node not in exclude and self._locally_feasible(task, deadline_remaining):
-            self.sim.record(
-                {
-                    "t": now,
-                    "type": "local_admit",
-                    "node": self.node,
-                    "task": task.task_id,
-                    "attempt": attempt,
-                }
-            )
+            self._record("local_admit", task=task.task_id, attempt=attempt)
             ot.executors[attempt] = self.node
             self._reserve_run(task, attempt, ot.submitted_at)
             self._admit_run(task.task_id, attempt)
             return
         scored, decision = self._score_candidates(task, deadline_remaining, exclude)
         chosen = select_top_k(scored, self.cfg.scheduler.top_k)
-        self.sim.record(
-            {
-                "t": now,
-                "type": "sched_decision",
-                "node": self.node,
-                "task": task.task_id,
-                "attempt": attempt,
-                "candidates": decision,
-                "chosen": chosen,
-            }
+        self._record(
+            "sched_decision",
+            task=task.task_id,
+            attempt=attempt,
+            candidates=decision,
+            chosen=chosen,
         )
         if not chosen:
-            self.sim.record(
-                {
-                    "t": now,
-                    "type": "unschedulable",
-                    "node": self.node,
-                    "task": task.task_id,
-                    "attempt": attempt,
-                }
-            )
+            self._record("unschedulable", task=task.task_id, attempt=attempt)
             self._set_timer(
                 self.cfg.retry_delay, "retry_place", {"task_id": task.task_id}
             )
@@ -804,18 +764,18 @@ class NodeAgent:
         remote = self._remote_inputs_for(task, self.node)
         if remote is None:
             return False
-        completion = cognition.predict_completion(
+        own = self.profile.with_dyn(utilization=self.engine.utilization())
+        return self._predict_completion(task, own, remote) <= deadline_remaining
+
+    def _predict_completion(self, task: TaskSpec, profile: NodeProfile, remote) -> float:
+        return cognition.predict_completion(
             task,
-            self._own_profile_snapshot(),
+            profile,
             remote,
             base_latency=self.sim.net.base_latency,
             latency_per_meter=self.sim.net.latency_per_meter,
             min_capacity=self.cfg.min_capacity,
         )
-        return completion <= deadline_remaining
-
-    def _own_profile_snapshot(self) -> NodeProfile:
-        return self.profile.with_dyn(utilization=self.engine.utilization())
 
     def _score_candidates(self, task: TaskSpec, deadline_remaining: float, exclude):
         now = self.sim.now
@@ -833,14 +793,7 @@ class NodeAgent:
             remote = self._remote_inputs_for(task, entry.node)
             if remote is None:
                 continue
-            completion = cognition.predict_completion(
-                task,
-                entry.profile,
-                remote,
-                base_latency=self.sim.net.base_latency,
-                latency_per_meter=self.sim.net.latency_per_meter,
-                min_capacity=self.cfg.min_capacity,
-            )
+            completion = self._predict_completion(task, entry.profile, remote)
             # Horizon is padded with the entry age so stale battery readings
             # are extrapolated to now before looking ahead.
             horizon = completion + max(0.0, now - entry.stamped_time)
@@ -894,15 +847,21 @@ class NodeAgent:
                 return pos
         return None
 
-    def _decide_offers(self, task_id, attempt: int, timed_out: bool = False) -> None:
+    def _offer_round(self, task_id, attempt: int):
+        """The task's offer round for `attempt` while undecided, else None."""
         ot = self.tasks.get(task_id)
-        if ot is None or ot.offer is None:
+        st = ot.offer if ot is not None else None
+        if st is None or st["attempt"] != attempt or st["decided"]:
+            return None
+        return st
+
+    def _decide_offers(self, task_id, attempt: int) -> None:
+        """Close the offer round: on its timer, or once every candidate
+        answered."""
+        st = self._offer_round(task_id, attempt)
+        if st is None:
             return
-        st = ot.offer
-        if st["attempt"] != attempt or st["decided"]:
-            return
-        if not timed_out and st["responded"] != st["sent"]:
-            return
+        ot = self.tasks[task_id]
         st["decided"] = True
         accepts = sorted(st["accepts"])  # (time, node): earliest, then lowest id
         if ot.done or ot.failed:
@@ -911,43 +870,20 @@ class NodeAgent:
             winner = accepts[0][1]
             losers = [n for _, n in accepts[1:]]
             ot.executors[attempt] = winner
-            self.sim.record(
-                {
-                    "t": self.sim.now,
-                    "type": "claim",
-                    "node": self.node,
-                    "task": task_id,
-                    "attempt": attempt,
-                    "executor": winner,
-                }
-            )
-            self._send(
-                winner,
-                wire.Message(wire.CLAIM, {"task_id": task_id, "attempt": attempt}),
-            )
+            self._record("claim", task=task_id, attempt=attempt, executor=winner)
+            self._send_task(winner, wire.CLAIM, task_id, attempt)
         else:
             losers = []
             self._place(task_id)
         for loser in losers:
-            self._send(
-                loser,
-                wire.Message(wire.CANCEL, {"task_id": task_id, "attempt": attempt}),
-            )
+            self._send_task(loser, wire.CANCEL, task_id, attempt)
 
     def _handle_accept(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        st = ot.offer if ot is not None else None
-        if (
-            st is None
-            or st["attempt"] != attempt
-            or st["decided"]
-            or frm not in st["sent"]
-        ):
+        st = self._offer_round(task_id, attempt)
+        if st is None or frm not in st["sent"]:
             # Late or stale acceptance: release the candidate's reservation.
-            self._send(
-                frm, wire.Message(wire.CANCEL, {"task_id": task_id, "attempt": attempt})
-            )
+            self._send_task(frm, wire.CANCEL, task_id, attempt)
             return
         st["responded"].add(frm)
         st["accepts"].append((self.sim.now, frm))
@@ -956,9 +892,8 @@ class NodeAgent:
 
     def _handle_reject(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        st = ot.offer if ot is not None else None
-        if st is None or st["attempt"] != attempt or st["decided"]:
+        st = self._offer_round(task_id, attempt)
+        if st is None:
             return
         st["responded"].add(frm)
         if st["responded"] == st["sent"]:
@@ -966,8 +901,8 @@ class NodeAgent:
 
     def _handle_nack(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        if ot is None or ot.done or ot.failed:
+        ot = self._open_task(task_id)
+        if ot is None:
             return
         if ot.executors.get(attempt) == frm:
             del ot.executors[attempt]
@@ -984,35 +919,26 @@ class NodeAgent:
             return  # exactly-once completion accounting
         ot.done = True
         latency = self.sim.now - ot.submitted_at
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "task_done",
-                "node": self.node,
-                "task": task_id,
-                "attempt": attempt,
-                "executor": frm,
-                "latency": latency,
-                "deadline_violation": latency > ot.spec.qos.deadline,
-            }
+        self._record(
+            "task_done",
+            task=task_id,
+            attempt=attempt,
+            executor=frm,
+            latency=latency,
+            deadline_violation=latency > ot.spec.qos.deadline,
         )
         ot.executors.pop(attempt, None)
         for other_attempt, node in sorted(ot.executors.items()):
             if node == self.node:
                 self._cancel_local(task_id, other_attempt)
             else:
-                self._send(
-                    node,
-                    wire.Message(
-                        wire.CANCEL, {"task_id": task_id, "attempt": other_attempt}
-                    ),
-                )
+                self._send_task(node, wire.CANCEL, task_id, other_attempt)
         ot.executors.clear()
 
     def _handle_failed(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        if ot is None or ot.done or ot.failed:
+        ot = self._open_task(task_id)
+        if ot is None:
             return
         if ot.executors.get(attempt) == frm:
             del ot.executors[attempt]
@@ -1021,8 +947,8 @@ class NodeAgent:
 
     def _handle_qos_warn(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        if ot is None or ot.done or ot.failed:
+        ot = self._open_task(task_id)
+        if ot is None:
             return
         if attempt in ot.warned_attempts:
             return
@@ -1035,23 +961,15 @@ class NodeAgent:
     def _on_member_unavailable(self, peer: NodeId) -> None:
         """Membership reports Dead/Left: re-place our tasks that ran there."""
         for task_id in sorted(self.tasks):
-            ot = self.tasks[task_id]
-            if ot.done or ot.failed:
+            ot = self._open_task(task_id)
+            if ot is None:
                 continue
             dead_attempts = [a for a, n in ot.executors.items() if n == peer]
             if not dead_attempts:
                 continue
             for attempt in dead_attempts:
                 del ot.executors[attempt]
-            self.sim.record(
-                {
-                    "t": self.sim.now,
-                    "type": "replace_on_death",
-                    "node": self.node,
-                    "task": task_id,
-                    "dead": peer,
-                }
-            )
+            self._record("replace_on_death", task=task_id, dead=peer)
             if not ot.executors:
                 self._place(task_id, exclude=frozenset({peer}))
 
@@ -1064,46 +982,16 @@ class NodeAgent:
         attempt = body["attempt"]
         submitted_at = body["submitted_at"]
         existing = self.engine.runs.get(task.task_id)
-        if existing is not None and existing.state in (
-            executor.RESERVED,
-            executor.TRANSFERRING,
-            executor.RUNNING,
-        ):
+        if existing is not None and existing.state in executor.ACTIVE:
             kind = wire.ACCEPT if existing.attempt == attempt else wire.REJECT
-            self._send(
-                frm, wire.Message(kind, {"task_id": task.task_id, "attempt": attempt})
-            )
+            self._send_task(frm, kind, task.task_id, attempt)
             return
         deadline_remaining = submitted_at + task.qos.deadline - self.sim.now
-        feasible = (
-            capability_match(task, self.profile)
-            and self.engine.memory_in_use() + task.memory_demand
-            <= self.profile.hw.memory
-            and self._remote_inputs_for(task, self.node) is not None
-        )
-        if feasible:
-            remote = self._remote_inputs_for(task, self.node)
-            completion = cognition.predict_completion(
-                task,
-                self._own_profile_snapshot(),
-                remote,
-                base_latency=self.sim.net.base_latency,
-                latency_per_meter=self.sim.net.latency_per_meter,
-                min_capacity=self.cfg.min_capacity,
-            )
-            feasible = completion <= deadline_remaining
-        if not feasible:
-            self._send(
-                frm,
-                wire.Message(
-                    wire.REJECT, {"task_id": task.task_id, "attempt": attempt}
-                ),
-            )
+        if not self._locally_feasible(task, deadline_remaining):
+            self._send_task(frm, wire.REJECT, task.task_id, attempt)
             return
         self._reserve_run(task, attempt, submitted_at, origin=frm, with_ttl=True)
-        self._send(
-            frm, wire.Message(wire.ACCEPT, {"task_id": task.task_id, "attempt": attempt})
-        )
+        self._send_task(frm, wire.ACCEPT, task.task_id, attempt)
 
     def _reserve_run(
         self,
@@ -1126,16 +1014,12 @@ class NodeAgent:
             deadline=task.qos.deadline,
         )
         self.engine.runs[task.task_id] = run
-        self.exec_meta[task.task_id] = {"task": task}
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "reserve",
-                "node": self.node,
-                "task": task.task_id,
-                "attempt": attempt,
-                "memory": task.memory_demand,
-            }
+        self.run_specs[task.task_id] = task
+        self._record(
+            "reserve",
+            task=task.task_id,
+            attempt=attempt,
+            memory=task.memory_demand,
         )
         if with_ttl:
             self._set_timer(
@@ -1157,17 +1041,13 @@ class NodeAgent:
         self.engine.integrate(self.sim.now)
         run.transition(final_state)
         del self.engine.runs[task_id]
-        self.exec_meta.pop(task_id, None)
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "release",
-                "node": self.node,
-                "task": task_id,
-                "attempt": run.attempt,
-                "memory": run.memory,
-                "reason": reason,
-            }
+        self.run_specs.pop(task_id, None)
+        self._record(
+            "release",
+            task=task_id,
+            attempt=run.attempt,
+            memory=run.memory,
+            reason=reason,
         )
         self._schedule_completion()
         self.publish_profile()
@@ -1176,15 +1056,13 @@ class NodeAgent:
         task_id, attempt = body["task_id"], body["attempt"]
         run = self.engine.runs.get(task_id)
         if run is None or run.state != executor.RESERVED or run.attempt != attempt:
-            self._send(
-                frm, wire.Message(wire.NACK, {"task_id": task_id, "attempt": attempt})
-            )
+            self._send_task(frm, wire.NACK, task_id, attempt)
             return
         self._admit_run(task_id, attempt)
 
     def _admit_run(self, task_id, attempt: int) -> None:
         run = self.engine.runs[task_id]
-        task = self.exec_meta[task_id]["task"]
+        task = self.run_specs[task_id]
         remote = self._remote_inputs_for(task, self.node)
         if remote is None:
             self._fail_run(task_id, "data_unavailable")
@@ -1195,15 +1073,11 @@ class NodeAgent:
         )
         self.engine.integrate(self.sim.now)
         run.transition(executor.TRANSFERRING)
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "run_admitted",
-                "node": self.node,
-                "task": task_id,
-                "attempt": attempt,
-                "transfer_time": transfer_time,
-            }
+        self._record(
+            "run_admitted",
+            task=task_id,
+            attempt=attempt,
+            transfer_time=transfer_time,
         )
         self._set_timer(
             transfer_time,
@@ -1217,16 +1091,7 @@ class NodeAgent:
             return
         self.engine.integrate(self.sim.now)
         run.transition(executor.RUNNING)
-        run.started_at = self.sim.now
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "run_start",
-                "node": self.node,
-                "task": task_id,
-                "attempt": attempt,
-            }
-        )
+        self._record("run_start", task=task_id, attempt=attempt)
         self._schedule_completion()
         self._arm_monitor()
         self.publish_profile()
@@ -1236,24 +1101,11 @@ class NodeAgent:
         if run is None:
             return
         origin, attempt = run.origin, run.attempt
-        self.sim.record(
-            {
-                "t": self.sim.now,
-                "type": "run_failed",
-                "node": self.node,
-                "task": task_id,
-                "attempt": attempt,
-                "cause": cause,
-            }
-        )
+        self._record("run_failed", task=task_id, attempt=attempt, cause=cause)
         self._release_run(task_id, cause, executor.FAILED)
-        msg = wire.Message(
-            wire.FAILED, {"task_id": task_id, "attempt": attempt, "cause": cause}
+        self._report(
+            origin, wire.FAILED, {"task_id": task_id, "attempt": attempt, "cause": cause}
         )
-        if origin == self.node:
-            self._handle_failed(self.node, msg.body)
-        else:
-            self._send(origin, msg)
 
     def _handle_cancel(self, frm: NodeId, body: dict) -> None:
         self._cancel_local(body["task_id"], body["attempt"])
@@ -1262,16 +1114,8 @@ class NodeAgent:
         run = self.engine.runs.get(task_id)
         if run is None or run.attempt != attempt:
             return
-        if run.state in (executor.RESERVED, executor.TRANSFERRING, executor.RUNNING):
-            self.sim.record(
-                {
-                    "t": self.sim.now,
-                    "type": "run_evicted",
-                    "node": self.node,
-                    "task": task_id,
-                    "attempt": attempt,
-                }
-            )
+        if run.state in executor.ACTIVE:
+            self._record("run_evicted", task=task_id, attempt=attempt)
             self._release_run(task_id, "cancel", executor.EVICTED)
 
     def _schedule_completion(self) -> None:
@@ -1294,22 +1138,16 @@ class NodeAgent:
         for run in sorted(self.engine.finished_runs(), key=lambda r: r.task_id):
             run.transition(executor.DONE)
             del self.engine.runs[run.task_id]
-            self.exec_meta.pop(run.task_id, None)
-            self.sim.record(
-                {
-                    "t": self.sim.now,
-                    "type": "run_done",
-                    "node": self.node,
-                    "task": run.task_id,
-                    "attempt": run.attempt,
-                    "progressed": run.progressed,
-                }
+            self.run_specs.pop(run.task_id, None)
+            self._record(
+                "run_done",
+                task=run.task_id,
+                attempt=run.attempt,
+                progressed=run.progressed,
             )
-            body = {"task_id": run.task_id, "attempt": run.attempt}
-            if run.origin == self.node:
-                self._handle_done(self.node, body)
-            else:
-                self._send(run.origin, wire.Message(wire.DONE, body))
+            self._report(
+                run.origin, wire.DONE, {"task_id": run.task_id, "attempt": run.attempt}
+            )
             self.publish_profile()
 
     def _arm_monitor(self) -> None:
@@ -1335,25 +1173,17 @@ class NodeAgent:
             projected = self.engine.projected_finish(run, now)
             if projected > run.deadline_abs:
                 run.qos_warned = True
-                self.sim.record(
-                    {
-                        "t": now,
-                        "type": "qos_warn",
-                        "node": self.node,
-                        "task": run.task_id,
-                        "attempt": run.attempt,
-                        "projected": projected,
-                    }
+                self._record(
+                    "qos_warn",
+                    task=run.task_id,
+                    attempt=run.attempt,
+                    projected=projected,
                 )
-                body = {
-                    "task_id": run.task_id,
-                    "attempt": run.attempt,
-                    "projected": projected,
-                }
-                if run.origin == self.node:
-                    self._handle_qos_warn(self.node, body)
-                else:
-                    self._send(run.origin, wire.Message(wire.QOS_WARN, body))
+                self._report(
+                    run.origin,
+                    wire.QOS_WARN,
+                    {"task_id": run.task_id, "attempt": run.attempt, "projected": projected},
+                )
         self._schedule_completion()
         if self.engine.active_count() > 0:
             self._set_timer(self.cfg.exec_tick, "monitor")
@@ -1380,4 +1210,23 @@ _MESSAGE_HANDLERS = {
     wire.DONE: NodeAgent._handle_done,
     wire.FAILED: NodeAgent._handle_failed,
     wire.QOS_WARN: NodeAgent._handle_qos_warn,
+}
+
+
+# Timer kind -> handler(agent, data). `battery` looks `on_battery_tick` up on
+# the agent at call time, so a replacement patched onto the class still runs.
+_TIMER_HANDLERS = {
+    "round": lambda a, d: a._on_round(),
+    "liveness": lambda a, d: a._ping_executors(),
+    "probe_timeout": NodeAgent._on_probe_timeout,
+    "suspect_dead": NodeAgent._promote_dead,
+    "member_gc": NodeAgent._gc_member,
+    "battery": lambda a, d: a.on_battery_tick(d["dt"]),
+    "task_arrival": lambda a, d: a.submit_task(TaskSpec.from_dict(d["task"])),
+    "offer_decision": lambda a, d: a._decide_offers(d["task_id"], d["attempt"]),
+    "reservation_ttl": lambda a, d: a._expire_reservation(d["task_id"], d["attempt"]),
+    "transfer_done": lambda a, d: a._transfer_done(d["task_id"], d["attempt"]),
+    "completion": lambda a, d: a._on_completion_timer(d["generation"]),
+    "monitor": lambda a, d: a._on_monitor(),
+    "retry_place": lambda a, d: a._retry_place(d["task_id"]),
 }

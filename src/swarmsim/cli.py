@@ -45,6 +45,9 @@ def _cmd_compare(args) -> int:
         print("variants file must map name -> agent overrides", file=sys.stderr)
         return 2
     seeds = [int(s) for s in args.seeds.split(",")]
+    for name, overrides in variants.items():
+        # Every variant is checked before any of them runs.
+        scen.override_agent_config(sc.agent, overrides, f"variant {name}")
     rows = {}
     for name, overrides in variants.items():
         for seed in seeds:
@@ -63,7 +66,6 @@ def _cmd_compare(args) -> int:
     out_lines = [",".join(header)]
     for (name, seed), report in sorted(rows.items()):
         vals = report.as_dict()
-        vals["failure_rate"] = report.failure_rate()
         line = ",".join([name, str(seed)] + [str(vals.get(m, "")) for m in metrics])
         print(line)
         out_lines.append(line)

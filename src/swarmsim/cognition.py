@@ -28,11 +28,6 @@ class SessionHistory:
     durations: tuple = ()
     current_session_age: float = 0.0
 
-    def with_completed(self, duration: float) -> "SessionHistory":
-        return SessionHistory(
-            durations=self.durations + (duration,), current_session_age=0.0
-        )
-
 
 @dataclass(frozen=True)
 class LoadForecast:

@@ -126,16 +126,6 @@ class Catalog:
         """Every record in DataSourceId order, as gossiped in DIGEST/DELTA."""
         return wire.RecordList(r.to_dict() for _, r in sorted(self.records.items()))
 
-    def add_replica(self, data_id: DataSourceId, node: NodeId) -> CatalogRecord:
-        """Record a completed replication (idempotent)."""
-        rec = self.records[data_id]
-        merged = CatalogRecord(
-            descriptor=replace(rec.descriptor, replicas=rec.descriptor.replicas | {node}),
-            announce_seq=rec.announce_seq,
-        )
-        self.records[data_id] = merged
-        return merged
-
     def live_replicas(self, data_id: DataSourceId, is_alive) -> list:
         rec = self.records.get(data_id)
         if rec is None:

@@ -19,6 +19,7 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 EVICTED = "evicted"
+ACTIVE = (RESERVED, TRANSFERRING, RUNNING)  # a run in these holds its memory
 
 _EDGES = {
     RESERVED: {TRANSFERRING, RUNNING, FAILED, EVICTED},
@@ -43,7 +44,6 @@ class TaskRun:
     origin: NodeId
     submitted_at: float
     deadline: float  # relative to submission
-    started_at: float = -1.0
     progressed: float = 0.0  # integrated work, for conservation checks
     qos_warned: bool = False
 
@@ -70,11 +70,7 @@ class ExecutorEngine:
         return [r for r in self.runs.values() if r.state == RUNNING]
 
     def active_count(self) -> int:
-        return sum(
-            1
-            for r in self.runs.values()
-            if r.state in (RESERVED, TRANSFERRING, RUNNING)
-        )
+        return sum(1 for r in self.runs.values() if r.state in ACTIVE)
 
     def utilization(self) -> float:
         """Fraction of capacity a new arrival would not get: n/(n+1)."""
@@ -82,11 +78,7 @@ class ExecutorEngine:
         return n / (n + 1)
 
     def memory_in_use(self) -> int:
-        return sum(
-            r.memory
-            for r in self.runs.values()
-            if r.state in (RESERVED, TRANSFERRING, RUNNING)
-        )
+        return sum(r.memory for r in self.runs.values() if r.state in ACTIVE)
 
     def integrate(self, now: float) -> None:
         """Advance every Running task to `now` at the current fair share."""

@@ -92,9 +92,6 @@ class Scenario:
     sample_period: float = 1.0
     parse_problems: list = field(default_factory=list)  # from parse_scenario
 
-    def node_ids(self) -> set:
-        return {n.node for n in self.nodes}
-
     def validate(self) -> list:
         """Collect every problem as a human-readable string; [] means ok."""
         problems = list(self.parse_problems)
@@ -345,34 +342,38 @@ def _settings(cls, raw, label: str, problems: list) -> dict:
     return out
 
 
-def _build_checked(cls, kwargs: dict, label: str, problems: list):
-    """cls(**kwargs), or cls() with a problem when its own checks fail."""
+def _build_checked(base, kwargs: dict, label: str, problems: list):
+    """`base` with `kwargs` replaced, or `base` with a problem when the
+    dataclass's own checks fail."""
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except ValueError as exc:
         problems.append(f"{label}: {exc}")
-        return cls()
+        return base
 
 
-def _agent_config(raw, problems: list) -> AgentConfig:
-    kwargs = _settings(AgentConfig, raw, "agent", problems)
-    sched = _settings(SchedulerParams, kwargs.pop("scheduler", None), "agent: scheduler", problems)
-    return AgentConfig(
-        scheduler=_build_checked(SchedulerParams, sched, "agent: scheduler", problems),
+def _agent_config(raw, label: str, problems: list, base: AgentConfig) -> AgentConfig:
+    """`base` with the fields a mapping sets, checked like any settings block;
+    `scheduler` is a nested mapping over `base.scheduler`."""
+    kwargs = _settings(AgentConfig, raw, label, problems)
+    sched_label = f"{label}: scheduler"
+    sched = _settings(SchedulerParams, kwargs.pop("scheduler", None), sched_label, problems)
+    return dataclasses.replace(
+        base,
+        scheduler=_build_checked(base.scheduler, sched, sched_label, problems),
         **kwargs,
     )
 
 
-def override_agent_config(cfg: AgentConfig, overrides: dict) -> AgentConfig:
-    """Apply a flat/nested override dict (used by A/B weight comparisons)."""
-    overrides = dict(overrides or {})
-    sched_over = overrides.pop("scheduler", None)
-    if sched_over:
-        cfg = dataclasses.replace(
-            cfg, scheduler=dataclasses.replace(cfg.scheduler, **sched_over)
-        )
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+def override_agent_config(
+    cfg: AgentConfig, overrides: dict, label: str = "agent overrides"
+) -> AgentConfig:
+    """`cfg` with a flat/nested override mapping applied (used by A/B weight
+    comparisons); a problem with it raises ValueError naming `label`."""
+    problems = []
+    cfg = _agent_config(overrides, label, problems, base=cfg)
+    if problems:
+        raise ValueError("; ".join(problems))
     return cfg
 
 
@@ -447,8 +448,8 @@ def parse_scenario(raw: dict) -> Scenario:
         # window checks, which would only repeat the problem.
         duration=get("duration", float, math.inf),
         seed=seed,
-        net=_build_checked(NetModel, net, "net", problems),
-        agent=_agent_config(raw.get("agent"), problems),
+        net=_build_checked(NetModel(), net, "net", problems),
+        agent=_agent_config(raw.get("agent"), "agent", problems, base=AgentConfig()),
         nodes=[n for n in nodes if n is not None],
         data_sources=sources,
         tasks=tasks,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NodeId, Position, TaskSpec
+from .model import Position, TaskSpec
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ class PlacementScore:
     qos: float
     locality: float
     total: float
-
-
-@dataclass(frozen=True)
-class Assignment:
-    task_id: int
-    node: NodeId
-    attempt: int  # starts at 1, increments on every re-schedule
-    claimed_at: float
 
 
 def compute_score(

@@ -29,7 +29,6 @@ EV_CRASH = "crash"
 EV_TIMER = "timer"
 EV_PARTITION_START = "partition_start"
 EV_PARTITION_END = "partition_end"
-EV_BATTERY_TICK = "battery_tick"
 EV_MOVE = "move"
 
 
@@ -97,7 +96,6 @@ class SimNode:
     node: NodeId
     position: Position
     up: bool = False
-    ever_started: bool = False
 
 
 class Simulator:
@@ -274,7 +272,6 @@ class Simulator:
             if rec.up:
                 return
             rec.up = True
-            rec.ever_started = True
             self.record({"t": ev.time, "type": "join", "node": node})
             self.agents[node].on_start()
         elif kind == EV_LEAVE:
@@ -301,10 +298,6 @@ class Simulator:
             self.record(
                 {"t": ev.time, "type": "partition_end", "a": ev.data["a"], "b": ev.data["b"]}
             )
-        elif kind == EV_BATTERY_TICK:
-            node = ev.data["node"]
-            if self.node_up(node):
-                self.agents[node].on_battery_tick(ev.data["dt"])
         elif kind == EV_MOVE:
             node = ev.data["node"]
             pos = Position(ev.data["x"], ev.data["y"])

@@ -3,6 +3,7 @@ import json
 
 import yaml
 
+from swarmsim import scenario as scen
 from swarmsim.cli import main
 
 SMALL = {
@@ -123,3 +124,21 @@ def test_compare_single_seed_one_row_per_variant(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 2  # header + one row
     assert out[1].startswith("base,3,")
+
+
+def test_compare_bad_variant_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(scen, "run", lambda *a, **kw: runs.append(a))
+    cfg = write_config(tmp_path)
+    variants = tmp_path / "variants.yaml"
+    for bad, problem in (
+        ({"bogus": {"gossip_kk": 3}}, "variant bogus: unknown field gossip_kk"),
+        ({"w": {"probe_period": "fast"}}, "variant w: probe_period: expected a number"),
+        ({"q": {"scheduler": {"w_qos": 0.9}}}, "variant q: scheduler: score weights"),
+    ):
+        variants.write_text(yaml.safe_dump({"a_ok": {}, **bad}))
+        assert main(["compare", cfg, "--variants", str(variants)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and problem in captured.err
+        assert captured.out == ""
+    assert runs == []

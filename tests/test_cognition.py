@@ -139,10 +139,3 @@ def test_survival_is_a_probability(durations, age, horizon):
     h = SessionHistory(durations=tuple(durations), current_session_age=age)
     s = churn_survival(h, horizon)
     assert 0.0 < s <= 1.0
-
-
-def test_session_history_append():
-    h = SessionHistory(durations=(5.0,), current_session_age=9.0)
-    h2 = h.with_completed(9.0)
-    assert h2.durations == (5.0, 9.0)
-    assert h2.current_session_age == 0.0

@@ -37,7 +37,7 @@ def test_announce_owner_only():
 def test_reannounce_bumps_seq_and_keeps_replicas():
     cat = Catalog(owner=3)
     cat.announce(desc(), by=3)
-    cat.add_replica(1, 7)
+    assert cat.merge(CatalogRecord(desc(replicas={3, 7}), announce_seq=1))
     rec = cat.announce(desc(), by=3)
     assert rec.announce_seq == 2
     assert rec.descriptor.replicas == frozenset({3, 7})

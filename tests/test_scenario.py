@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -117,6 +118,15 @@ def test_agent_override_replaces_scheduler_weights():
     assert cfg.scheduler.w_availability == 0.0
     assert cfg.probe_period == 2.0
     assert sc.agent.scheduler.w_availability == 0.4  # original untouched
+    # Overrides pass the checks a scenario's `agent:` block does.
+    for overrides, problem in (
+        ({"gossip_kk": 3}, "variant v: unknown field gossip_kk"),
+        ({"probe_period": "fast"}, "variant v: probe_period: expected a number, got 'fast'"),
+        ({"scheduler": {"w_qos": 0.9}}, "variant v: scheduler: score weights must sum to 1"),
+        ({"scheduler": 5}, "variant v: scheduler: expected a mapping, got 5"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            scen.override_agent_config(sc.agent, overrides, "variant v")
 
 
 def test_run_result_trace_serializes(tmp_path):
