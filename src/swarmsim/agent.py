@@ -3,8 +3,9 @@
 Each node runs one NodeAgent instance. All behavior is event-driven
 (message in / timer in -> state mutation + outgoing messages), and agents
 never touch each other's state except through messages, so the same handlers
-could run on independent real processes. Messages dispatch by wire kind
-through `_MESSAGE_HANDLERS` and timers by timer kind through
+could run on independent real processes. In the simulator, agents do share
+the immutable records those messages carry (see `wire`). Messages dispatch
+by wire kind through `_MESSAGE_HANDLERS` and timers by timer kind through
 `_TIMER_HANDLERS`, both module-level tables.
 
 Protocol summary:
@@ -131,7 +132,8 @@ class NodeAgent:
         self.gossip_buffer = {}  # NodeId -> [MemberState, transmit_count]
         self.alive_since = {}  # peer -> local time it became Alive in my view
         self.session_durations = {}  # peer -> list of completed durations
-        self.tasks = {}  # TaskId -> _OriginTask
+        self.tasks = {}  # TaskId -> _OriginTask, kept once closed (late DONEs)
+        self.open_tasks = {}  # the subset of `tasks` neither done nor failed
         self.run_specs = {}  # TaskId -> TaskSpec of the run on this node
         self.pending_probes = {}  # target -> token
         self._probe_token = 0
@@ -160,7 +162,7 @@ class NodeAgent:
             self.catalog.announce(desc, self.node)
         # Discovery: one-hop broadcast HELLO to physically reachable peers.
         for peer in self.sim.discover(self.node):
-            self._send(peer, wire.Message(wire.HELLO, self._hello_body()))
+            self._send(peer, wire.HELLO, self._hello_body())
         self._set_timer(self.cfg.probe_period, "round")
         if not is_mains(self.profile.dyn.battery) and self.drain_rate > 0:
             self._set_timer(
@@ -184,17 +186,9 @@ class NodeAgent:
                 )
                 # Not `_report`: this node's own tasks leave with it.
                 if run.origin != self.node:
-                    self._send(
-                        run.origin,
-                        wire.Message(
-                            wire.FAILED,
-                            {
-                                "task_id": run.task_id,
-                                "attempt": run.attempt,
-                                "cause": "leave",
-                            },
-                        ),
-                    )
+                    self._send(run.origin, wire.FAILED, {
+                        "task_id": run.task_id, "attempt": run.attempt, "cause": "leave",
+                    })
         left = membership.MemberState(
             node=self.node,
             status=membership.LEFT,
@@ -209,7 +203,7 @@ class NodeAgent:
             if n != self.node
         ][: self.cfg.leave_fanout]
         for peer in peers:
-            self._send(peer, wire.Message(wire.LEAVE, {}))
+            self._send(peer, wire.LEAVE, {})
         self.alive = False
 
     def on_crash(self) -> None:
@@ -276,19 +270,20 @@ class NodeAgent:
         """Trace one event of this node, stamped with the simulated time."""
         self.sim.record({"t": self.sim.now, "type": event, "node": self.node, **fields})
 
-    def _send(self, to: NodeId, msg: wire.Message) -> None:
-        msg.deltas = self._pick_deltas()
-        self.sim.send(self.node, to, msg)
+    def _send(self, to: NodeId, kind: str, body: dict) -> None:
+        """Send one message with our piggybacked deltas. The body is a value
+        from here on: shared with the trace and the receiver, never written."""
+        self.sim.send(self.node, to, wire.Message(kind, body, self._pick_deltas()))
 
     def _send_task(self, to: NodeId, kind: str, task_id, attempt: int) -> None:
-        self._send(to, wire.Message(kind, {"task_id": task_id, "attempt": attempt}))
+        self._send(to, kind, {"task_id": task_id, "attempt": attempt})
 
     def _report(self, origin: NodeId, kind: str, body: dict) -> None:
         """Executor -> origin: handled in place when this node is the origin."""
         if origin == self.node:
             _MESSAGE_HANDLERS[kind](self, self.node, body)
         else:
-            self._send(origin, wire.Message(kind, body))
+            self._send(origin, kind, body)
 
     def _merge_member(self, state: membership.MemberState) -> None:
         now = self.sim.now
@@ -359,20 +354,21 @@ class NodeAgent:
 
         A record the view already dominates would be a no-op, so it is
         skipped before decoding. Our own record always takes the slow path:
-        refutation must see every claim that we are gone.
+        refutation must see every claim that we are gone. A merged record is
+        the sender's own `MemberState` (`wire.adopt`), not a copy.
         """
         dominates = self.view.dominates
         for d in records:
             if d["node"] != self.node and dominates(d):
                 continue
-            self._merge_member(membership.MemberState.from_dict(d))
+            self._merge_member(wire.adopt(d, membership.MemberState.from_dict))
 
     def _merge_catalog(self, records: list) -> None:
         """Merge gossiped catalog record dicts, skipping held ones undecoded."""
         holds = self.catalog.holds
         for d in records:
             if not holds(d):
-                self.catalog.merge(dataplane.CatalogRecord.from_dict(d))
+                self.catalog.merge(wire.adopt(d, dataplane.CatalogRecord.from_dict))
 
     def _hello_body(self) -> dict:
         return {"view": self.view.summary(), "digest": self.view.member_set_digest()}
@@ -417,11 +413,7 @@ class NodeAgent:
     def _on_round(self) -> None:
         now = self.sim.now
         self.round_no += 1
-        targets = sorted(
-            n
-            for n, m in self.view.members.items()
-            if n != self.node and m.status in (membership.ALIVE, membership.SUSPECT)
-        )
+        targets = self.view.probe_targets()
         if targets:
             # Random pick from a per-node stream, not synchronized
             # round-robin: lockstep schedules leave the same member unprobed
@@ -447,7 +439,7 @@ class NodeAgent:
         self._probe_token += 1
         token = self._probe_token
         self.pending_probes[target] = token
-        self._send(target, wire.Message(wire.PING, {"token": token}))
+        self._send(target, wire.PING, {"token": token})
         self._set_timer(
             self.cfg.probe_timeout,
             "probe_timeout",
@@ -469,10 +461,7 @@ class NodeAgent:
 
     def _ping_executors(self) -> None:
         executors = set()
-        for task_id in self.tasks:
-            ot = self._open_task(task_id)
-            if ot is None:
-                continue
+        for ot in self.open_tasks.values():
             for node in ot.executors.values():
                 if node != self.node and self._is_usable(node):
                     executors.add(node)
@@ -486,16 +475,16 @@ class NodeAgent:
             return
         peer = peers[(self.round_no // self.cfg.anti_entropy_every) % len(peers)]
         body = {
-            "versions": {str(n): list(v) for n, v in self.registry.digest().items()},
+            "versions": self.registry.versions(),
             "view": self.view.summary(),
             "catalog": self.catalog.summary(),
         }
-        self._send(peer, wire.Message(wire.DIGEST, body))
+        self._send(peer, wire.DIGEST, body)
 
     def _rediscover(self) -> None:
         for peer in self.sim.discover(self.node):
             if self.member_status(peer) != membership.ALIVE:
-                self._send(peer, wire.Message(wire.HELLO, self._hello_body()))
+                self._send(peer, wire.HELLO, self._hello_body())
 
     # ------------------------------------------------------------------
     # message handling
@@ -512,13 +501,13 @@ class NodeAgent:
     def _handle_hello(self, frm: NodeId, body: dict) -> None:
         self._merge_deltas(body["view"])
         if self.view.member_set_digest() != body["digest"]:
-            self._send(frm, wire.Message(wire.HELLO_ACK, {"view": self.view.summary()}))
+            self._send(frm, wire.HELLO_ACK, {"view": self.view.summary()})
 
     def _handle_hello_ack(self, frm: NodeId, body: dict) -> None:
         self._merge_deltas(body["view"])
 
     def _handle_ping(self, frm: NodeId, body: dict) -> None:
-        self._send(frm, wire.Message(wire.ACK, {"token": body["token"]}))
+        self._send(frm, wire.ACK, {"token": body["token"]})
 
     def _handle_ack(self, frm: NodeId, body: dict) -> None:
         if self.pending_probes.get(frm) == body["token"]:
@@ -535,13 +524,13 @@ class NodeAgent:
             "view": self.view.summary(),
             "catalog": self.catalog.summary(),
         }
-        self._send(frm, wire.Message(wire.DELTA, reply))
+        self._send(frm, wire.DELTA, reply)
 
     def _handle_delta(self, frm: NodeId, body: dict) -> None:
         self._merge_deltas(body.get("view", []))
         self._merge_catalog(body.get("catalog", []))
         for doc in body.get("entries", []):
-            self.registry.merge(RegistryEntry.from_dict(doc))
+            self.registry.merge(wire.adopt(doc, RegistryEntry.from_dict))
         want = body.get("want", [])
         if want:
             entries = wire.RecordList(
@@ -550,9 +539,7 @@ class NodeAgent:
                 if n in self.registry.entries
             )
             if entries:
-                self._send(
-                    frm, wire.Message(wire.DELTA, {"entries": entries, "want": []})
-                )
+                self._send(frm, wire.DELTA, {"entries": entries, "want": []})
 
     # ------------------------------------------------------------------
     # timers
@@ -678,24 +665,19 @@ class NodeAgent:
     # ------------------------------------------------------------------
 
     def submit_task(self, task: TaskSpec) -> None:
-        self.tasks[task.task_id] = _OriginTask(spec=task, submitted_at=self.sim.now)
+        ot = _OriginTask(spec=task, submitted_at=self.sim.now)
+        self.tasks[task.task_id] = self.open_tasks[task.task_id] = ot
         self._record("task_submitted", task=task.task_id, typology=task.typology)
         self._place(task.task_id)
 
-    def _open_task(self, task_id):
-        """The origin record of a task neither done nor failed, else None."""
-        ot = self.tasks.get(task_id)
-        if ot is None or ot.done or ot.failed:
-            return None
-        return ot
-
     def _retry_place(self, task_id) -> None:
-        ot = self._open_task(task_id)
+        ot = self.open_tasks.get(task_id)
         if ot is not None and not ot.executors:
             self._place(task_id)
 
     def _fail_permanent(self, ot: _OriginTask) -> None:
         ot.failed = True
+        del self.open_tasks[ot.spec.task_id]
         self._record(
             "task_failed_permanent",
             task=ot.spec.task_id,
@@ -704,7 +686,7 @@ class NodeAgent:
 
     def _place(self, task_id, exclude: frozenset = frozenset()) -> None:
         """One placement attempt: local-first, then offers to top-k."""
-        ot = self._open_task(task_id)
+        ot = self.open_tasks.get(task_id)
         if ot is None:
             return
         ot.attempts += 1
@@ -749,7 +731,7 @@ class NodeAgent:
             "submitted_at": ot.submitted_at,
         }
         for node in chosen:
-            self._send(node, wire.Message(wire.OFFER, dict(body)))
+            self._send(node, wire.OFFER, body)
         self._set_timer(
             self.cfg.offer_timeout,
             "offer_decision",
@@ -901,7 +883,7 @@ class NodeAgent:
 
     def _handle_nack(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self._open_task(task_id)
+        ot = self.open_tasks.get(task_id)
         if ot is None:
             return
         if ot.executors.get(attempt) == frm:
@@ -918,6 +900,7 @@ class NodeAgent:
             ot.executors.pop(attempt, None)
             return  # exactly-once completion accounting
         ot.done = True
+        del self.open_tasks[task_id]
         latency = self.sim.now - ot.submitted_at
         self._record(
             "task_done",
@@ -937,7 +920,7 @@ class NodeAgent:
 
     def _handle_failed(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self._open_task(task_id)
+        ot = self.open_tasks.get(task_id)
         if ot is None:
             return
         if ot.executors.get(attempt) == frm:
@@ -947,7 +930,7 @@ class NodeAgent:
 
     def _handle_qos_warn(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self._open_task(task_id)
+        ot = self.open_tasks.get(task_id)
         if ot is None:
             return
         if attempt in ot.warned_attempts:
@@ -960,8 +943,8 @@ class NodeAgent:
 
     def _on_member_unavailable(self, peer: NodeId) -> None:
         """Membership reports Dead/Left: re-place our tasks that ran there."""
-        for task_id in sorted(self.tasks):
-            ot = self._open_task(task_id)
+        for task_id in sorted(self.open_tasks):
+            ot = self.open_tasks.get(task_id)
             if ot is None:
                 continue
             dead_attempts = [a for a, n in ot.executors.items() if n == peer]

@@ -47,6 +47,8 @@ def _cmd_compare(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     for name, overrides in variants.items():
         # Every variant is checked before any of them runs.
+        if not isinstance(name, str):
+            raise ValueError(f"variant {name}: name must be a string")
         scen.override_agent_config(sc.agent, overrides, f"variant {name}")
     rows = {}
     for name, overrides in variants.items():

@@ -48,7 +48,7 @@ class CatalogRecord:
             "size": d.size,
             "replicas": sorted(d.replicas),
             "announce_seq": self.announce_seq,
-        })
+        }, self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogRecord":
@@ -113,12 +113,14 @@ class Catalog:
         """True when `merge` of this record dict, decoded, would return False.
 
         Lets gossip skip records the catalog already holds without decoding
-        them: an announce sequence no newer and no replica not held.
+        them: an announce sequence no newer and no replica not held. A record
+        that is the held one's own dict (shared, see `wire`) is held.
         """
         current = self.records.get(record["id"])
-        return (
-            current is not None
-            and record["announce_seq"] <= current.announce_seq
+        if current is None:
+            return False
+        return current._dict is record or (
+            record["announce_seq"] <= current.announce_seq
             and current.descriptor.replicas.issuperset(record["replicas"])
         )
 

@@ -13,10 +13,12 @@ decoded (the Scuttlebutt rule: compare versions before materialising state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
 `remove`, each of which bumps `view_version` when the view changes. The
-summary list, digest and alive list are cached per `view_version`, and the
-values returned are shared with every message and trace record that carries
-them, so they are read-only; the summary and each `MemberState.to_dict()`
-are `wire` record types, which enforce it.
+summary list, digest, alive list and probe targets are cached per
+`view_version`, and the values returned are shared with every message and
+trace record that carries them, so they are read-only; the summary and each
+`MemberState.to_dict()` are `wire` record types, which enforce it. A view
+installs the very `MemberState` a peer gossiped (`wire.adopt`), so views
+that agree hold the same objects.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -72,7 +74,7 @@ class MemberState:
             "status": self.status,
             "incarnation": self.incarnation,
             "last_update_time": self.last_update_time,
-        })
+        }, self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemberState":
@@ -152,13 +154,30 @@ class SwarmView:
             )
         return records
 
+    def probe_targets(self) -> list:
+        """Alive and Suspect members other than ourselves, in NodeId order;
+        shared, read-only."""
+        cache = self._version_cache()
+        targets = cache.get("probe")
+        if targets is None:
+            targets = cache["probe"] = sorted(
+                n
+                for n, m in self.members.items()
+                if n != self.self_node and m.status in (ALIVE, SUSPECT)
+            )
+        return targets
+
     def dominates(self, record: dict) -> bool:
         """True when `apply` of this record dict, decoded, would return False.
 
-        Lets gossip skip records the view already holds without decoding them.
+        Lets gossip skip records the view already holds without decoding
+        them; a record that is the held one's own dict (shared, see `wire`)
+        is skipped without comparing keys.
         """
         current = self.members.get(record["node"])
-        return current is not None and current.key >= merge_key(
+        if current is None:
+            return False
+        return current._dict is record or current.key >= merge_key(
             record["status"], record["incarnation"], record["last_update_time"]
         )
 

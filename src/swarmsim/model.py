@@ -1,7 +1,8 @@
 """Shared vocabulary types for nodes, tasks, capabilities and QoS.
 
-Everything here is an immutable value object: agents exchange copies, never
-references, so these types are safe to pass between per-node state machines.
+Everything here is an immutable value object, so these types are safe to
+share between per-node state machines: a profile gossiped in a registry entry
+is the same object in every agent that holds the entry.
 """
 
 from __future__ import annotations

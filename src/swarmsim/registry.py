@@ -11,7 +11,8 @@ availability under churn and partitions, not linearizability, so this is a
 leaderless anti-entropy design.
 
 Invariants of `Registry`: `entries` is written only through `local_update`,
-`merge` and `evict`, and each of them clears the cached `content_hash`.
+`merge` and `evict`, and each of them clears the cached `content_hash` and
+`versions`.
 The hash is rebuilt from every entry's canonical JSON, the trace form that
 the entry's read-only `wire.Record` encodes once.
 """
@@ -46,7 +47,7 @@ class RegistryEntry:
             "profile": self.profile.to_dict(),
             "version": list(self.version),
             "stamped_time": self.stamped_time,
-        })
+        }, self)
 
     @property
     def canonical_json(self) -> str:
@@ -75,6 +76,7 @@ class Registry:
         self.owner = owner
         self.entries: dict = {}  # NodeId -> RegistryEntry
         self._hash = None  # content_hash() until the entries change
+        self._versions = None  # versions() until the entries change
 
     def local_update(
         self, profile: NodeProfile, incarnation: int, now: float
@@ -98,7 +100,7 @@ class Registry:
             stamped_time=now,
         )
         self.entries[self.owner] = entry
-        self._hash = None
+        self._hash = self._versions = None
         return entry
 
     def merge(self, entry: RegistryEntry) -> bool:
@@ -107,12 +109,20 @@ class Registry:
         if current is not None and current.version >= entry.version:
             return False
         self.entries[entry.node] = entry
-        self._hash = None
+        self._hash = self._versions = None
         return True
 
     def digest(self) -> dict:
         """NodeId -> version, deterministic summary for anti-entropy."""
         return {node: e.version for node, e in sorted(self.entries.items())}
+
+    def versions(self) -> dict:
+        """`digest()` as DIGEST carries it: {str(node): [incarnation,
+        status_version]}. Cached until the entries change; shared with every
+        message that carries it, so read-only."""
+        if self._versions is None:
+            self._versions = {str(n): list(v) for n, v in self.digest().items()}
+        return self._versions
 
     def diff(self, remote_digest: dict):
         """(entries newer here, node ids newer or only-known remotely)."""
@@ -148,7 +158,7 @@ class Registry:
     def evict(self, node: NodeId) -> bool:
         if self.entries.pop(node, None) is None:
             return False
-        self._hash = None
+        self._hash = self._versions = None
         return True
 
     def content_hash(self) -> str:

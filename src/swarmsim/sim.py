@@ -9,6 +9,12 @@ Message transport is a disk model: a send is dropped when the receiver is out
 of radio range, an active partition window separates the pair, or the
 per-sender loss draw fires. Otherwise delivery happens after an affine
 distance latency.
+
+Each send is encoded once (`wire.encode`) for the byte count and digest the
+trace records; the receiver is handed the sent `wire.Message` itself, not a
+decode of those bytes. A message is a value once sent: neither the sender
+nor any receiver writes to it, and the records in it are shared across
+agents (see `wire`).
 """
 
 from __future__ import annotations
@@ -232,7 +238,7 @@ class Simulator:
         self.schedule(
             delivery,
             EV_MESSAGE,
-            {"from": frm, "to": to, "msg_id": msg_id, "encoded": encoded},
+            {"from": frm, "to": to, "msg_id": msg_id, "msg": msg},
         )
         return "scheduled"
 
@@ -314,7 +320,7 @@ class Simulator:
         if not self.node_up(to):
             self.record({"t": ev.time, "type": "drop", "msg_id": msg_id, "reason": "down"})
             return
-        msg = wire.decode(ev.data["encoded"])
+        msg = ev.data["msg"]
         self.record(
             {
                 "t": ev.time,

@@ -6,12 +6,25 @@ how membership information disseminates with the regular traffic. The codec
 is canonical JSON (sorted keys), so encoding is deterministic and traces can
 record the decoded form alongside a short digest.
 
+A `Message` is a value once sent: neither its sender nor any receiver writes
+to it, its body or anything nested in them. The simulator encodes each sent
+message once, for its byte count and digest, and hands the receiver the
+sent object itself rather than decoding those bytes again. That is sound
+because every body holds JSON-native values only (dicts with string keys,
+lists, str, int, float, bool, None) and records, so the receiver sees what
+`decode` would have produced; `decode` stays as the reference for that
+equivalence.
+
 Gossiped records (member states, registry entries, catalog records) are
 immutable and ride in many messages and trace lines, so each is wrapped once
 in a read-only `Record` that encodes its JSON at most once per form: compact
 for the wire, default separators for traces. Mutating a `Record` or a
 `RecordList` raises, so a cached form can never go stale; values nested in a
-record are shared as well and must not be mutated either.
+record are shared as well and must not be mutated either. A `Record` keeps
+the frozen object it was built from, and a receiver that merges the record
+installs that object (`adopt`), so records are shared across agents, not only
+across the messages of one agent: a swarm that has converged holds one copy
+of each record and encodes its JSON once.
 
 `encode` and `dumps_trace` splice those cached forms into the output and
 leave everything else to the C encoder with the same settings. The result is
@@ -103,15 +116,16 @@ def _read_only(self, *args, **kwargs):
 class Record(dict):
     """A gossiped record's dict form: read-only, its JSON encoded once per form.
 
-    Built once per frozen record object and shared by every message and
-    trace line that carries it.
+    Built once per frozen record object (`source`) and shared by every
+    message and trace line that carries it.
     """
 
-    __slots__ = ("_wire", "_trace")
+    __slots__ = ("_wire", "_trace", "source")
 
-    def __init__(self, fields: dict):
+    def __init__(self, fields: dict, source=None):
         dict.__init__(self, fields)
         self._wire = self._trace = None
+        self.source = source
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
@@ -197,8 +211,18 @@ _dumps_wire = _splicer(_WIRE, _encode_wire, Record.wire_json)
 dumps_trace = _splicer(_TRACE, _encode_trace, Record.trace_json)
 
 
-@dataclass
+def adopt(record: dict, from_dict):
+    """The frozen object a gossiped record dict stands for: the one its
+    `Record` was built from, shared, else `from_dict(record)` (a plain dict,
+    as `decode` returns, or a record built without one)."""
+    source = record.source if type(record) is Record else None
+    return from_dict(record) if source is None else source
+
+
+@dataclass(frozen=True)
 class Message:
+    """One message; a read-only value once built (see the module docstring)."""
+
     kind: str
     body: dict = field(default_factory=dict)
     deltas: list = field(default_factory=list)  # piggybacked membership deltas
@@ -212,6 +236,8 @@ def encode(msg: Message) -> bytes:
 
 
 def decode(data: bytes) -> Message:
+    """The message `data` encodes. Not called on simulated delivery, which
+    hands over the sent object; the reference that path is tested against."""
     doc = json.loads(data.decode())
     kind = doc["kind"]
     if kind not in ALL_KINDS:

@@ -61,3 +61,24 @@ def test_origin_that_runs_its_own_task_reports_done_in_place():
     assert [(r["node"], r["executor"]) for r in done] == [(1, 1)]
     assert not any(r["type"] == "send" and r["kind"] == wire.DONE for r in trace)
     assert result.report.balance_holds()
+
+
+def test_open_tasks_index_is_the_open_subset_of_tasks():
+    sc = scen.load_scenario(ROOT / "scenarios" / "heavy_churn.yaml")
+    sim, agents, _ = scen.build(sc)
+    seen_open = seen_closed = 0
+    t = 0.0
+    while t < sc.duration:
+        t = min(sc.duration, t + 0.25)
+        sim.run_until(t)
+        for a in agents.values():
+            expected = {
+                task_id: ot
+                for task_id, ot in a.tasks.items()
+                if not (ot.done or ot.failed)
+            }
+            assert list(a.open_tasks) == list(expected)
+            assert all(a.open_tasks[k] is ot for k, ot in expected.items())
+            seen_open += len(expected)
+            seen_closed += len(a.tasks) - len(expected)
+    assert seen_open > 0 and seen_closed > 0

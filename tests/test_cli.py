@@ -142,3 +142,15 @@ def test_compare_bad_variant_fails_before_any_run(tmp_path, capsys, monkeypatch)
         assert captured.err.startswith("error: ") and problem in captured.err
         assert captured.out == ""
     assert runs == []
+
+
+def test_compare_non_string_variant_name_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(scen, "run", lambda *a, **kw: runs.append(a))
+    cfg = write_config(tmp_path)
+    variants = tmp_path / "variants.yaml"
+    variants.write_text("{1: {}, b: {}}\n")
+    assert main(["compare", cfg, "--variants", str(variants)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: variant 1: name must be a string\n"
+    assert captured.out == "" and runs == []

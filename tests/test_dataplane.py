@@ -118,3 +118,11 @@ def test_holds_fires_exactly_when_merge_is_a_noop(held, incoming):
     record = incoming.to_dict()
     expected = cat.holds(record)
     assert cat.merge(CatalogRecord.from_dict(record)) is not expected
+
+
+def test_holds_the_held_records_own_dict():
+    cat = Catalog(owner=1)
+    held = CatalogRecord(desc(replicas={3, 4}), announce_seq=2)
+    assert cat.merge(held)
+    assert cat.holds(held.to_dict())
+    assert not cat.holds(CatalogRecord(desc(replicas={3, 5}), announce_seq=1).to_dict())

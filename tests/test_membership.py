@@ -174,11 +174,13 @@ def test_dominates_fires_exactly_when_apply_is_a_noop(current, incoming):
 def uncached(view):
     """Digest, summary and alive list of a fresh view with the same records."""
     fresh = view_from(view.members.values(), self_node=view.self_node)
-    return fresh.member_set_digest(), fresh.summary(), fresh.alive_nodes()
+    return (fresh.member_set_digest(), fresh.summary(), fresh.alive_nodes(),
+            fresh.probe_targets())
 
 
 def cached(view):
-    return view.member_set_digest(), view.summary(), view.alive_nodes()
+    return (view.member_set_digest(), view.summary(), view.alive_nodes(),
+            view.probe_targets())
 
 
 def test_view_mutators_refresh_cached_values():
@@ -201,6 +203,15 @@ def test_view_mutators_refresh_cached_values():
         assert changed, what
     assert not view.remove(3)
     assert view.alive_nodes() == [1]
+    assert view.probe_targets() == [2]  # Suspect is probed; self never is
+
+
+def test_dominates_the_held_records_own_dict():
+    held = ms(node=2, status=SUSPECT, inc=1, t=2.0)
+    view = view_from([held])
+    assert view.dominates(held.to_dict())
+    assert not view.dominates(ms(node=2, status=DEAD, inc=1, t=3.0).to_dict())
+    assert not view.dominates(ms(node=3).to_dict())
 
 
 # -- piggyback selection ----------------------------------------------------

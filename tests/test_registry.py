@@ -169,3 +169,26 @@ def test_registry_mutators_refresh_content_hash():
     assert not reg.evict(2)
     assert reg.content_hash() == before == reference_hash(reg)
 
+
+def test_registry_mutators_refresh_versions():
+    """`versions()` is `digest()` in wire form, cached until entries change."""
+    reg = Registry(owner=1)
+
+    def reference():
+        return {str(n): list(v) for n, v in reg.digest().items()}
+
+    assert reg.versions() == reference() == {}
+    steps = [
+        lambda: reg.merge(entry_for(2, sv=1)),
+        lambda: reg.merge(entry_for(2, sv=2, util=0.5)),
+        lambda: reg.local_update(make_profile(node=1, utilization=0.3), incarnation=0, now=1.0),
+        lambda: reg.evict(2),
+    ]
+    for mutate in steps:
+        before = reg.versions()
+        assert mutate()
+        assert reg.versions() == reference() != before
+    before = reg.versions()
+    assert not reg.merge(entry_for(1, sv=0))  # older: not applied
+    assert not reg.evict(2)
+    assert reg.versions() is before

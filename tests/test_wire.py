@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -165,3 +166,19 @@ def test_gossiped_records_are_built_once_and_read_only():
         assert type(obj).from_dict(json.loads(rec.wire_json())) == obj
         with pytest.raises(TypeError, match="read-only"):
             rec["node"] = 9
+
+
+def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
+    state = MemberState(node=2, status="alive", incarnation=1, last_update_time=0.5)
+    rec = state.to_dict()
+    assert rec.source is state
+    assert wire.adopt(rec, MemberState.from_dict) is state
+    plain = json.loads(rec.wire_json())
+    rebuilt = wire.adopt(plain, MemberState.from_dict)
+    assert rebuilt == state and rebuilt is not state
+
+
+def test_messages_are_read_only_values():
+    msg = wire.Message(wire.PING, {"token": 1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        msg.deltas = []
