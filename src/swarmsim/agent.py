@@ -12,9 +12,15 @@ Protocol summary:
   * membership: round-robin PING/ACK probing with piggybacked deltas
     (Suspect on timeout, Dead after t_dead, incarnation refutation),
     HELLO/HELLO-ACK discovery on start and periodic re-discovery to heal
-    partitions and merge swarms;
-  * registry + data catalog: periodic digest-first anti-entropy with a
-    round-robin peer, carrying full membership views for fast convergence;
+    partitions and merge swarms, each to at most JOIN_FANOUT peers drawn
+    from a per-life random stream;
+  * anti-entropy (Scuttlebutt-style, digest first): every other round a
+    round-robin peer gets a DIGEST of version maps for the view, the data
+    catalog and the registry; it answers with one DELTA holding the records
+    the maps lack and `want_*` lists of what it lacks, and the wanted
+    records follow in one more DELTA. An exchange with nothing to carry
+    sends nothing after the DIGEST. HELLO carries the view's map and
+    HELLO-ACK answers it the same way;
   * scheduling: local-first admission, then OFFER to the top-k scored
     candidates, origin-side arbitration (earliest ACCEPT, NodeId tie-break),
     CLAIM/CANCEL, NACK-driven retry, re-placement on executor death and
@@ -42,6 +48,11 @@ from .model import (
 from .registry import Registry, RegistryEntry
 from .scheduler import SchedulerParams, compute_score, data_centroid, select_top_k
 from .sim import Simulator, battery_step, substream
+
+# HELLOs per join and per re-discovery round. Bounded, so a node joining N
+# reachable peers costs O(1) messages, not O(N) (SWIM's bounded
+# dissemination); the rest of the swarm learns of it by gossip.
+JOIN_FANOUT = 3
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,7 @@ class NodeAgent:
         self.pending_probes = {}  # target -> token
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{self.epoch}")
+        self._join_rng = None  # this life's join stream, made on first draw
         self.round_no = 0
         self.last_swarm_id = self.node
         self._monitor_armed = False
@@ -160,9 +172,8 @@ class NodeAgent:
         self.publish_profile(force=True)
         for desc in self.owned_sources:
             self.catalog.announce(desc, self.node)
-        # Discovery: one-hop broadcast HELLO to physically reachable peers.
-        for peer in self.sim.discover(self.node):
-            self._send(peer, wire.HELLO, self._hello_body())
+        # Discovery: HELLO a few physically reachable peers.
+        self._hello_some(self.sim.discover(self.node))
         self._set_timer(self.cfg.probe_period, "round")
         if not is_mains(self.profile.dyn.battery) and self.drain_rate > 0:
             self._set_timer(
@@ -301,12 +312,9 @@ class NodeAgent:
                 self._queue_delta(self._self_state())
                 self.publish_profile(force=True)
             return
-        if (
-            state.status in (membership.DEAD, membership.LEFT)
-            and state.last_update_time + self.cfg.retention <= now
+        if membership.expired(
+            state.status, state.last_update_time, now, self.cfg.retention
         ):
-            # Expired tombstone: every holder GC'd it at the same declared
-            # time; re-admitting a stale copy would restart its gossip.
             return
         before = self.view.members.get(state.node)
         if not self.view.apply(state):
@@ -350,7 +358,8 @@ class NodeAgent:
         self._check_swarm_change("merge")
 
     def _merge_deltas(self, records: list) -> None:
-        """Merge gossiped record dicts (piggybacked deltas or a full view).
+        """Merge gossiped member record dicts (piggybacked deltas, or the
+        records a DELTA or HELLO-ACK carries).
 
         A record the view already dominates would be a no-op, so it is
         skipped before decoding. Our own record always takes the slow path:
@@ -363,15 +372,37 @@ class NodeAgent:
                 continue
             self._merge_member(wire.adopt(d, membership.MemberState.from_dict))
 
-    def _merge_catalog(self, records: list) -> None:
-        """Merge gossiped catalog record dicts, skipping held ones undecoded."""
-        holds = self.catalog.holds
-        for d in records:
-            if not holds(d):
-                self.catalog.merge(wire.adopt(d, dataplane.CatalogRecord.from_dict))
+    def _hello_some(self, peers: list) -> None:
+        """HELLO at most JOIN_FANOUT of `peers`, drawn from this life's own
+        stream: not the lowest ids, which every node would pick alike."""
+        if len(peers) > JOIN_FANOUT:
+            if self._join_rng is None:
+                self._join_rng = substream(self.sim.seed, f"join-{self.node}-{self.epoch}")
+            peers = sorted(self._join_rng.sample(peers, JOIN_FANOUT))
+        for peer in peers:
+            self._send(peer, wire.HELLO, {"view": self.view.version_map()})
 
-    def _hello_body(self) -> dict:
-        return {"view": self.view.summary(), "digest": self.view.member_set_digest()}
+    def _reconcile(self, body: dict) -> dict:
+        """The answer to a peer's version maps (a HELLO's view map, or a
+        DIGEST's view, catalog and registry maps): under each map's key our
+        records the map lacks, under `want_<key>` the ids whose record there
+        holds something ours lacks. Empty parts are left out, so an empty
+        answer means the two sides hold the same."""
+        diffs = (
+            ("view", lambda m: self.view.diff(m, self.sim.now, self.cfg.retention)),
+            ("catalog", self.catalog.diff),
+            ("registry", self.registry.diff),
+        )
+        reply = {}
+        for key, diff in diffs:
+            if key not in body:
+                continue
+            push, want = diff(body[key])
+            if push:
+                reply[key] = wire.RecordList(r.to_dict() for r in push)
+            if want:
+                reply["want_" + key] = want
+        return reply
 
     def _suspect(self, target: NodeId) -> None:
         current = self.view.members.get(target)
@@ -475,16 +506,20 @@ class NodeAgent:
             return
         peer = peers[(self.round_no // self.cfg.anti_entropy_every) % len(peers)]
         body = {
-            "versions": self.registry.versions(),
-            "view": self.view.summary(),
-            "catalog": self.catalog.summary(),
+            "view": self.view.version_map(),
+            "catalog": self.catalog.version_map(),
+            "registry": self.registry.version_map(),
         }
         self._send(peer, wire.DIGEST, body)
 
     def _rediscover(self) -> None:
-        for peer in self.sim.discover(self.node):
-            if self.member_status(peer) != membership.ALIVE:
-                self._send(peer, wire.HELLO, self._hello_body())
+        """HELLO a few reachable peers the view lacks or does not hold Alive:
+        heals partitions and merges swarms."""
+        self._hello_some([
+            peer
+            for peer in self.sim.discover(self.node)
+            if self.member_status(peer) != membership.ALIVE
+        ])
 
     # ------------------------------------------------------------------
     # message handling
@@ -499,12 +534,9 @@ class NodeAgent:
             handler(self, frm, msg.body)
 
     def _handle_hello(self, frm: NodeId, body: dict) -> None:
-        self._merge_deltas(body["view"])
-        if self.view.member_set_digest() != body["digest"]:
-            self._send(frm, wire.HELLO_ACK, {"view": self.view.summary()})
-
-    def _handle_hello_ack(self, frm: NodeId, body: dict) -> None:
-        self._merge_deltas(body["view"])
+        reply = self._reconcile(body)
+        if reply:
+            self._send(frm, wire.HELLO_ACK, reply)
 
     def _handle_ping(self, frm: NodeId, body: dict) -> None:
         self._send(frm, wire.ACK, {"token": body["token"]})
@@ -514,32 +546,30 @@ class NodeAgent:
             del self.pending_probes[frm]
 
     def _handle_digest(self, frm: NodeId, body: dict) -> None:
-        self._merge_deltas(body["view"])
-        self._merge_catalog(body["catalog"])
-        remote = {int(n): tuple(v) for n, v in body["versions"].items()}
-        newer_here, want = self.registry.diff(remote)
-        reply = {
-            "entries": wire.RecordList(e.to_dict() for e in newer_here),
-            "want": want,
-            "view": self.view.summary(),
-            "catalog": self.catalog.summary(),
-        }
-        self._send(frm, wire.DELTA, reply)
+        reply = self._reconcile(body)
+        if reply:
+            self._send(frm, wire.DELTA, reply)
 
     def _handle_delta(self, frm: NodeId, body: dict) -> None:
-        self._merge_deltas(body.get("view", []))
-        self._merge_catalog(body.get("catalog", []))
-        for doc in body.get("entries", []):
+        """Merge the records of a DELTA or HELLO-ACK, then send the records
+        its `want_*` lists ask for in one more DELTA. A wanted tombstone that
+        expired in between is dropped by the receiver's merge."""
+        self._merge_deltas(body.get("view", ()))
+        for doc in body.get("catalog", ()):
+            self.catalog.merge(wire.adopt(doc, dataplane.CatalogRecord.from_dict))
+        for doc in body.get("registry", ()):
             self.registry.merge(wire.adopt(doc, RegistryEntry.from_dict))
-        want = body.get("want", [])
-        if want:
-            entries = wire.RecordList(
-                self.registry.entries[n].to_dict()
-                for n in want
-                if n in self.registry.entries
-            )
-            if entries:
-                self._send(frm, wire.DELTA, {"entries": entries, "want": []})
+        reply = {}
+        for key, held in (
+            ("view", self.view.members),
+            ("catalog", self.catalog.records),
+            ("registry", self.registry.entries),
+        ):
+            wanted = [held[i].to_dict() for i in body.get("want_" + key, ()) if i in held]
+            if wanted:
+                reply[key] = wire.RecordList(wanted)
+        if reply:
+            self._send(frm, wire.DELTA, reply)
 
     # ------------------------------------------------------------------
     # timers
@@ -1175,10 +1205,11 @@ class NodeAgent:
 
 
 # Message kind -> NodeAgent handler(self, frm, body). LEAVE has none: the
-# Left record it announces travels in the piggybacked deltas.
+# Left record it announces travels in the piggybacked deltas. A HELLO-ACK is
+# a DELTA answering a HELLO.
 _MESSAGE_HANDLERS = {
     wire.HELLO: NodeAgent._handle_hello,
-    wire.HELLO_ACK: NodeAgent._handle_hello_ack,
+    wire.HELLO_ACK: NodeAgent._handle_delta,
     wire.PING: NodeAgent._handle_ping,
     wire.ACK: NodeAgent._handle_ack,
     wire.LEAVE: None,

@@ -5,6 +5,12 @@ the same eventual-consistency class with no extra protocol. Static descriptor
 fields are LWW by the owner's announce sequence; the replica set merges as a
 grow-only union, with dead replicas filtered out at read time rather than
 removed from state.
+
+A DIGEST carries the catalog's version map, one `[id, announce_seq,
+replicas]` entry per record: the sequence stands for the static fields and
+the sorted replica list for the set, so two records with equal entries are
+equal. `Catalog.records` is written only through `announce` and `merge`,
+each of which drops the cached map when it changes a record.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ class CatalogRecord:
             "announce_seq": self.announce_seq,
         }, self)
 
+    @cached_property
+    def version_entry(self) -> list:
+        """[id, announce_seq, sorted replicas]: this record in a version map.
+        Built once per record and shared: read-only."""
+        return [self.descriptor.id, self.announce_seq, sorted(self.descriptor.replicas)]
+
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogRecord":
         return cls(
@@ -63,6 +75,12 @@ class CatalogRecord:
         )
 
 
+def _entry_newer(a: list, b: list) -> bool:
+    """Version map entries of one source: True when merging `a` into a
+    holder of `b` would change it (a newer announce or a replica not held)."""
+    return a[1] > b[1] or not set(a[2]).issubset(b[2])
+
+
 class NotOwnerError(Exception):
     """announce() attempted by a node that does not own the source."""
 
@@ -73,6 +91,7 @@ class Catalog:
     def __init__(self, owner: NodeId):
         self.owner = owner
         self.records: dict = {}  # DataSourceId -> CatalogRecord
+        self._map = None  # version_map() until a record changes
 
     def announce(self, descriptor: DataSourceDescriptor, by: NodeId) -> CatalogRecord:
         if by != descriptor.owner:
@@ -87,6 +106,7 @@ class Catalog:
             )
         rec = CatalogRecord(descriptor=descriptor, announce_seq=seq)
         self.records[descriptor.id] = rec
+        self._map = None
         return rec
 
     def merge(self, incoming: CatalogRecord) -> bool:
@@ -94,6 +114,7 @@ class Catalog:
         current = self.records.get(incoming.descriptor.id)
         if current is None:
             self.records[incoming.descriptor.id] = incoming
+            self._map = None
             return True
         union = current.descriptor.replicas | incoming.descriptor.replicas
         if incoming.announce_seq > current.announce_seq:
@@ -107,26 +128,23 @@ class Catalog:
         if merged == current:
             return False
         self.records[merged.descriptor.id] = merged
+        self._map = None
         return True
 
-    def holds(self, record: dict) -> bool:
-        """True when `merge` of this record dict, decoded, would return False.
+    def version_map(self) -> list:
+        """Every record's `version_entry` in DataSourceId order, as DIGEST
+        carries it. Cached until a record changes; shared, read-only."""
+        if self._map is None:
+            self._map = [r.version_entry for _, r in sorted(self.records.items())]
+        return self._map
 
-        Lets gossip skip records the catalog already holds without decoding
-        them: an announce sequence no newer and no replica not held. A record
-        that is the held one's own dict (shared, see `wire`) is held.
-        """
-        current = self.records.get(record["id"])
-        if current is None:
-            return False
-        return current._dict is record or (
-            record["announce_seq"] <= current.announce_seq
-            and current.descriptor.replicas.issuperset(record["replicas"])
+    def diff(self, remote: list) -> tuple:
+        """(our records a peer's version map lacks, source ids whose record
+        there holds something ours lacks). One source can be in both."""
+        push, want = wire.diff_versions(
+            self.version_map(), remote, _entry_newer, lambda e: True
         )
-
-    def summary(self) -> wire.RecordList:
-        """Every record in DataSourceId order, as gossiped in DIGEST/DELTA."""
-        return wire.RecordList(r.to_dict() for _, r in sorted(self.records.items()))
+        return [self.records[i] for i in push], want
 
     def live_replicas(self, data_id: DataSourceId, is_alive) -> list:
         rec = self.records.get(data_id)

@@ -7,18 +7,22 @@ a node declared Dead at incarnation k can only come back with incarnation
 > k (refutation).
 
 The merge order is one key, `merge_key`: a record wins when its key is at
-least the other's. `prefer` and `SwarmView.dominates` both use it, so a
-gossiped record dict can be tested against the current record before it is
-decoded (the Scuttlebutt rule: compare versions before materialising state).
+least the other's. `prefer`, `SwarmView.dominates` and `SwarmView.diff` all
+use it, so a gossiped record dict, or a peer's version map entry, can be
+tested against the current record before anything is decoded (the
+Scuttlebutt rule: compare versions before materialising state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
-`remove`, each of which bumps `view_version` when the view changes. The
-summary list, digest, alive list and probe targets are cached per
+`remove`, each of which bumps `view_version` when the view changes and keeps
+the set of Alive members in step, so the sorted alive list (and the swarm
+id, its first element) is one sort per version, not a scan of the view. The
+version map, digest, alive list and probe targets are cached per
 `view_version`, and the values returned are shared with every message and
-trace record that carries them, so they are read-only; the summary and each
-`MemberState.to_dict()` are `wire` record types, which enforce it. A view
+trace record that carries them, so they are read-only. So are the map's
+entries, each cached once per `MemberState` (`version_entry`), and each
+`MemberState.to_dict()`, a `wire` record type, which enforces it. A view
 installs the very `MemberState` a peer gossiped (`wire.adopt`), so views
-that agree hold the same objects.
+that agree hold the same objects, and their version maps the same entries.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -52,6 +56,18 @@ def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
     return (incarnation, _STATUS_RANK[status], -last_update_time)
 
 
+def expired(status: str, last_update_time: float, now: float, retention: float) -> bool:
+    """True for a Dead or Left record past its retention: every holder
+    collects it at that same declared time, so it is neither merged nor
+    gossiped again (re-admitting a stale copy would restart its gossip)."""
+    return status in (DEAD, LEFT) and last_update_time + retention <= now
+
+
+def _entry_newer(a: list, b: list) -> bool:
+    """Version map entries of one member: True when `a` wins a merge."""
+    return merge_key(a[2], a[1], a[3]) > merge_key(b[2], b[1], b[3])
+
+
 @dataclass(frozen=True)
 class MemberState:
     node: NodeId
@@ -75,6 +91,12 @@ class MemberState:
             "incarnation": self.incarnation,
             "last_update_time": self.last_update_time,
         }, self)
+
+    @cached_property
+    def version_entry(self) -> list:
+        """[node, incarnation, status, last_update_time]: this record in a
+        version map. Built once per record and shared: read-only."""
+        return [self.node, self.incarnation, self.status, self.last_update_time]
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemberState":
@@ -105,6 +127,10 @@ class SwarmView:
     view_version: int = 0
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cache_version: int = field(default=-1, init=False, repr=False, compare=False)
+    _alive: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._alive.update(n for n, m in self.members.items() if m.status == ALIVE)
 
     def _version_cache(self) -> dict:
         """Values derived from the view, emptied whenever the view changed."""
@@ -118,18 +144,14 @@ class SwarmView:
         cache = self._version_cache()
         alive = cache.get("alive")
         if alive is None:
-            alive = cache["alive"] = sorted(
-                n for n, m in self.members.items() if m.status == ALIVE
-            )
+            alive = cache["alive"] = sorted(self._alive)
         return alive
 
     @property
     def swarm_id(self):
         """Deterministic swarm identity: minimum Alive NodeId in the view."""
-        return min(
-            (n for n, m in self.members.items() if m.status == ALIVE),
-            default=self.self_node,
-        )
+        alive = self.alive_nodes()
+        return alive[0] if alive else self.self_node
 
     def member_set_digest(self) -> str:
         """Stable digest over (node, status, incarnation) triples."""
@@ -144,15 +166,32 @@ class SwarmView:
             ).hexdigest()[:16]
         return digest
 
-    def summary(self) -> wire.RecordList:
-        """Every member's record in NodeId order; shared, read-only."""
+    def version_map(self) -> list:
+        """Every member's `version_entry` in NodeId order, as HELLO and
+        DIGEST carry it; shared, read-only."""
         cache = self._version_cache()
-        records = cache.get("summary")
-        if records is None:
-            records = cache["summary"] = wire.RecordList(
-                m.to_dict() for _, m in sorted(self.members.items())
-            )
-        return records
+        entries = cache.get("map")
+        if entries is None:
+            entries = cache["map"] = [
+                m.version_entry for _, m in sorted(self.members.items())
+            ]
+        return entries
+
+    def diff(self, remote: list, now: float, retention: float) -> tuple:
+        """(our records a peer's version map lacks, nodes whose record there
+        we lack), against the peer's map.
+
+        Expired tombstones are neither pushed nor wanted. Our own record is
+        compared like any other, so a peer's newer record of us is wanted
+        and refutation sees it once it arrives.
+        """
+        push, want = wire.diff_versions(
+            self.version_map(),
+            remote,
+            _entry_newer,
+            lambda e: not expired(e[2], e[3], now, retention),
+        )
+        return [self.members[n] for n in push], want
 
     def probe_targets(self) -> list:
         """Alive and Suspect members other than ourselves, in NodeId order;
@@ -187,6 +226,10 @@ class SwarmView:
         if current is not None and current.key >= incoming.key:
             return False
         self.members[incoming.node] = incoming
+        if incoming.status == ALIVE:
+            self._alive.add(incoming.node)
+        else:
+            self._alive.discard(incoming.node)
         self.view_version += 1
         return True
 
@@ -194,6 +237,7 @@ class SwarmView:
         """Drop a member's record (tombstone GC); True when one was held."""
         if self.members.pop(node, None) is None:
             return False
+        self._alive.discard(node)
         self.view_version += 1
         return True
 

@@ -121,13 +121,11 @@ class DynamicStatus:
 class CapabilityAdvertisement:
     node: NodeId
     task_typologies: frozenset = frozenset()
-    data_sources: frozenset = frozenset()
 
     def to_dict(self) -> dict:
         return {
             "node": self.node,
             "task_typologies": sorted(self.task_typologies),
-            "data_sources": sorted(self.data_sources),
         }
 
     @classmethod
@@ -135,7 +133,6 @@ class CapabilityAdvertisement:
         return cls(
             node=int(d["node"]),
             task_typologies=frozenset(d.get("task_typologies", [])),
-            data_sources=frozenset(d.get("data_sources", [])),
         )
 
 

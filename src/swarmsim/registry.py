@@ -12,9 +12,9 @@ leaderless anti-entropy design.
 
 Invariants of `Registry`: `entries` is written only through `local_update`,
 `merge` and `evict`, and each of them clears the cached `content_hash` and
-`versions`.
-The hash is rebuilt from every entry's canonical JSON, the trace form that
-the entry's read-only `wire.Record` encodes once.
+`version_map`. The hash is rebuilt from every entry's canonical JSON, the
+trace form that the entry's read-only `wire.Record` encodes once; the map
+from every entry's `version_entry`, built once per entry and shared.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ class RegistryEntry:
             "stamped_time": self.stamped_time,
         }, self)
 
+    @cached_property
+    def version_entry(self) -> list:
+        """[node, incarnation, status_version]: this entry in a version map.
+        Built once per entry and shared: read-only."""
+        return [self.node, *self.version]
+
     @property
     def canonical_json(self) -> str:
         """`json.dumps(self.to_dict(), sort_keys=True)`: the record's cached
@@ -76,7 +82,7 @@ class Registry:
         self.owner = owner
         self.entries: dict = {}  # NodeId -> RegistryEntry
         self._hash = None  # content_hash() until the entries change
-        self._versions = None  # versions() until the entries change
+        self._map = None  # version_map() until the entries change
 
     def local_update(
         self, profile: NodeProfile, incarnation: int, now: float
@@ -100,7 +106,7 @@ class Registry:
             stamped_time=now,
         )
         self.entries[self.owner] = entry
-        self._hash = self._versions = None
+        self._hash = self._map = None
         return entry
 
     def merge(self, entry: RegistryEntry) -> bool:
@@ -109,34 +115,28 @@ class Registry:
         if current is not None and current.version >= entry.version:
             return False
         self.entries[entry.node] = entry
-        self._hash = self._versions = None
+        self._hash = self._map = None
         return True
 
     def digest(self) -> dict:
-        """NodeId -> version, deterministic summary for anti-entropy."""
+        """NodeId -> version in NodeId order: `version_map()` as a dict."""
         return {node: e.version for node, e in sorted(self.entries.items())}
 
-    def versions(self) -> dict:
-        """`digest()` as DIGEST carries it: {str(node): [incarnation,
-        status_version]}. Cached until the entries change; shared with every
+    def version_map(self) -> list:
+        """`digest()` as DIGEST carries it: every entry's `version_entry` in
+        NodeId order. Cached until the entries change; shared with every
         message that carries it, so read-only."""
-        if self._versions is None:
-            self._versions = {str(n): list(v) for n, v in self.digest().items()}
-        return self._versions
+        if self._map is None:
+            self._map = [e.version_entry for _, e in sorted(self.entries.items())]
+        return self._map
 
-    def diff(self, remote_digest: dict):
-        """(entries newer here, node ids newer or only-known remotely)."""
-        newer_here = []
-        for node, entry in sorted(self.entries.items()):
-            rv = remote_digest.get(node)
-            if rv is None or tuple(rv) < entry.version:
-                newer_here.append(entry)
-        want = []
-        for node, rv in sorted(remote_digest.items()):
-            mine = self.entries.get(node)
-            if mine is None or mine.version < tuple(rv):
-                want.append(node)
-        return newer_here, want
+    def diff(self, remote: list):
+        """(entries newer here, node ids newer or only-known remotely),
+        against a peer's version map."""
+        push, want = wire.diff_versions(
+            self.version_map(), remote, lambda a, b: a[1:] > b[1:], lambda e: True
+        )
+        return [self.entries[n] for n in push], want
 
     def query(self, predicate, status_of) -> list:
         """Entries of not-Dead/Left members matching the predicate.
@@ -158,7 +158,7 @@ class Registry:
     def evict(self, node: NodeId) -> bool:
         if self.entries.pop(node, None) is None:
             return False
-        self._hash = self._versions = None
+        self._hash = self._map = None
         return True
 
     def content_hash(self) -> str:

@@ -15,6 +15,17 @@ lists, str, int, float, bool, None) and records, so the receiver sees what
 `decode` would have produced; `decode` stays as the reference for that
 equivalence.
 
+Gossip is digest first (Scuttlebutt). HELLO and DIGEST carry version maps,
+not records: a version map is a list of small entries sorted by id, one per
+record, enough to tell which side's record wins (`diff_versions`). The
+answer, a HELLO-ACK or DELTA, carries only the records the map lacks, under
+the map's key (`view`, `catalog`, `registry`), and the ids whose record the
+answering side lacks, under `want_<key>`; the wanted records follow in one
+more DELTA. A part with nothing in it is left out, and an answer with no
+parts is not sent. Like records, each entry is built once per record and
+shared by every map that holds it, so maps of agents that agree compare
+equal entry by entry without a walk.
+
 Gossiped records (member states, registry entries, catalog records) are
 immutable and ride in many messages and trace lines, so each is wrapped once
 in a read-only `Record` that encodes its JSON at most once per form: compact
@@ -44,15 +55,15 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 # Membership / discovery
-HELLO = "HELLO"
-HELLO_ACK = "HELLO-ACK"
+HELLO = "HELLO"  # {view: version map}
+HELLO_ACK = "HELLO-ACK"  # as DELTA: records the HELLO's map lacks, want_view
 PING = "PING"
 ACK = "ACK"
 LEAVE = "LEAVE"
 
-# Registry anti-entropy
-DIGEST = "DIGEST"
-DELTA = "DELTA"
+# Anti-entropy of the view, the data catalog and the registry
+DIGEST = "DIGEST"  # {view, catalog, registry: version maps}
+DELTA = "DELTA"  # records the maps lack, want_<key> ids; or wanted records
 
 # Scheduling / execution
 OFFER = "OFFER"
@@ -146,7 +157,7 @@ class Record(dict):
 
 
 class RecordList(list):
-    """A read-only list of `Record`s, e.g. a view summary or a delta batch.
+    """A read-only list of `Record`s, e.g. the records of a DELTA.
 
     Its JSON is its members' cached texts joined on each use; the joined text
     is not kept, since lists are rebuilt often and would hold it for the run.
@@ -209,6 +220,43 @@ _dumps_wire = _splicer(_WIRE, _encode_wire, Record.wire_json)
 
 #: One trace line: `json.dumps(value, sort_keys=True, default=str)`.
 dumps_trace = _splicer(_TRACE, _encode_trace, Record.trace_json)
+
+
+def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
+    """Reconcile two version maps: (ids to push, ids to want).
+
+    A version map is a list of entries sorted by id, the id first in each
+    entry. An id is pushed when our entry holds something the peer's lacks
+    (`newer(ours, theirs)`, or the peer has none), and wanted in the other
+    direction; an entry for which `live(entry)` is False is neither pushed
+    nor wanted. An entry that is the peer's own (shared, as records are) is
+    equal without comparing, and so are two maps whose entries all are.
+    """
+    if mine == theirs:
+        return [], []
+    push, want = [], []
+    i = j = 0
+    n, m = len(mine), len(theirs)
+    while i < n or j < m:
+        a = mine[i] if i < n else None
+        b = theirs[j] if j < m else None
+        if b is None or (a is not None and a[0] < b[0]):
+            if live(a):
+                push.append(a[0])
+            i += 1
+        elif a is None or b[0] < a[0]:
+            if live(b):
+                want.append(b[0])
+            j += 1
+        else:
+            if a is not b:
+                if live(a) and newer(a, b):
+                    push.append(a[0])
+                if live(b) and newer(b, a):
+                    want.append(b[0])
+            i += 1
+            j += 1
+    return push, want
 
 
 def adopt(record: dict, from_dict):

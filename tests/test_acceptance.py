@@ -68,18 +68,18 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "710832d35b3d8c6eeb4605f64ca5d7f7eaf896623d3a81d43270ed62ae9e3863",
-    "heavy_churn": "cc471693475871abf7c2251ecb78c3e6e6fd3372b4c3bb97d2f5cce96fbc0e49",
-    "partition_heal": "c5bcb27374a1a056898b7aee4ae48807a3d7779f25b8bcce4336eec6b03a4941",
-    "steady_state": "e6f459ec3133957ef28a3a3eff507194dadc9e20ea415d35b15d4321b1478555",
+    "data_locality": "338d2c60977642006ceeb4ae979b2b605c8131087efb50c5957c2c09a540fe67",
+    "heavy_churn": "f50fae0283fdc99ef866d81165f50749297b5bf1f4909d6344ee025b8b0bbc83",
+    "partition_heal": "b5d59a4937ddd6b5f39bc04f32d3e7d1a8bea0a717d0b68ed68075eff86d508a",
+    "steady_state": "e225695b1e96f010f78442caff1e2d83ae9c487db128aff5494c1d0da155b911",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.
 PINNED_METRICS_SHA256 = {
-    "data_locality": "b9011848826459ab3b9613a99d057ac264bcc4141e0712d66f50b7f33b2a669c",
-    "heavy_churn": "1a65dfd2362eca4eb9192ba5053b6068f48746508c57e4bf479bd8674064f41d",
-    "partition_heal": "137517fe87ef96786df131e1d620b02b241c6c7f8d724e37bdcad412ca4bdcf2",
-    "steady_state": "1f9fced0db562ad23425961e171f2d8c258cd0d3b4ba5c7a018334cc4225d702",
+    "data_locality": "b4f051622bea9f7f84cc6ccfb0bdc9afe50f5011cd38d9763ee9967884adb746",
+    "heavy_churn": "0812193d83307ab263122e570aca38ff63c52bf8f49817f119adf7305cdcc649",
+    "partition_heal": "6fbcd0013327aaa278df2f130ae9849d32796d69e723e1bc6694b1194239a3ce",
+    "steady_state": "2b4ef50c458bb1e80299683e3be81964a201c7364d3bba6104f2cd6927767698",
 }
 
 

@@ -82,3 +82,58 @@ def test_open_tasks_index_is_the_open_subset_of_tasks():
             seen_open += len(expected)
             seen_closed += len(a.tasks) - len(expected)
     assert seen_open > 0 and seen_closed > 0
+
+
+def _grid(n: int, seed: int = 3) -> dict:
+    """n nodes on a lossless 4-wide grid, all joining at t=0."""
+    return {
+        "name": f"grid{n}",
+        "duration": 30.0,
+        "seed": seed,
+        "nodes": [
+            {"id": i, "position": [(i % 4) * 10, (i // 4) * 10], "typologies": ["generic"]}
+            for i in range(1, n + 1)
+        ],
+    }
+
+
+def test_digest_between_agents_in_sync_is_not_answered():
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(4)))
+    sim.run_until(20.2)  # converged, and between rounds
+    a = agents[1]
+    for other in agents.values():
+        assert other.view.version_map() == a.view.version_map()
+        assert other.catalog.version_map() == a.catalog.version_map()
+        assert other.registry.version_map() == a.registry.version_map()
+    mark = len(sim.trace)
+    a._anti_entropy_round()
+    sim.run_until(20.25)
+    sends = [r for r in sim.trace[mark:] if r["type"] == "send"]
+    peer = sends[0]["to"]
+    assert [(r["from"], r["to"], r["kind"]) for r in sends] == [(1, peer, wire.DIGEST)]
+    assert any(r["type"] == "deliver" and r["msg_id"] == sends[0]["msg_id"]
+               for r in sim.trace[mark:])
+
+
+def _start_hellos(seed: int) -> dict:
+    """node -> the peers it sends HELLO at t=0, when all join at once."""
+    sim, _, _ = scen.build(scen.parse_scenario(_grid(12, seed)))
+    sim.run_until(0.0)
+    hellos = {}
+    for r in sim.trace:
+        if r["type"] == "send" and r["kind"] == wire.HELLO:
+            hellos.setdefault(r["from"], []).append(r["to"])
+    return hellos
+
+
+def test_join_sends_at_most_join_fanout_hellos_with_seeded_picks():
+    hellos = _start_hellos(seed=3)
+    # Node k finds the k - 1 nodes that joined before it reachable.
+    assert sorted(hellos) == list(range(2, 13))
+    for node, peers in hellos.items():
+        assert len(peers) == min(node - 1, agent.JOIN_FANOUT)
+        assert all(peer < node for peer in peers)
+    assert _start_hellos(seed=3) == hellos
+    # Drawn, not the lowest ids: joins spread over the swarm.
+    targets = {peer for peers in hellos.values() for peer in peers}
+    assert len(targets) > agent.JOIN_FANOUT

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,30 +101,46 @@ def test_record_dict_round_trip():
     assert CatalogRecord.from_dict(rec.to_dict()) == rec
 
 
-catalog_records = st.builds(
-    lambda data_id, replicas, seq, size: CatalogRecord(
-        desc(data_id=data_id, owner=3, size=size, replicas=replicas | {3}), seq
+# Statics derive from (id, announce_seq): the owner's sequence stands for them.
+exchange_records = st.builds(
+    lambda data_id, seq, replicas: CatalogRecord(
+        desc(data_id=data_id, owner=3, size=float(data_id + seq), replicas=replicas | {3}),
+        seq,
     ),
-    st.integers(1, 2),
-    st.frozensets(st.integers(1, 6), max_size=4),
     st.integers(1, 3),
-    st.sampled_from([1.0, 2.0]),
+    st.integers(1, 3),
+    st.frozensets(st.integers(3, 6), max_size=3),
 )
 
 
-@given(st.lists(catalog_records, max_size=3), catalog_records)
-def test_holds_fires_exactly_when_merge_is_a_noop(held, incoming):
-    cat = Catalog(owner=1)
-    for rec in held:
-        cat.merge(rec)
-    record = incoming.to_dict()
-    expected = cat.holds(record)
-    assert cat.merge(CatalogRecord.from_dict(record)) is not expected
+@given(st.lists(exchange_records, max_size=5), st.lists(exchange_records, max_size=5))
+def test_digest_exchange_leaves_both_catalogs_at_the_union(xs, ys):
+    """`a` answers `b`'s version map (as decoded off the wire): `b` merges
+    what `a` pushes, then `a` merges `b`'s records for what it wants. Both
+    end at the merge of every record either held; then nothing is left to
+    exchange. A source can be pushed and wanted at once (a newer announce
+    on one side, a replica only the other holds)."""
+    a, b, union = Catalog(1), Catalog(2), Catalog(0)
+    for rec in xs:
+        a.merge(rec)
+    for rec in ys:
+        b.merge(rec)
+    for rec in xs + ys:
+        union.merge(rec)
+    push, want = a.diff(json.loads(json.dumps(b.version_map())))
+    for rec in push:
+        assert b.merge(rec)
+    for data_id in want:
+        a.merge(b.records[data_id])
+    assert a.records == b.records == union.records
+    assert a.diff(b.version_map()) == ([], [])
 
 
-def test_holds_the_held_records_own_dict():
-    cat = Catalog(owner=1)
-    held = CatalogRecord(desc(replicas={3, 4}), announce_seq=2)
-    assert cat.merge(held)
-    assert cat.holds(held.to_dict())
-    assert not cat.holds(CatalogRecord(desc(replicas={3, 5}), announce_seq=1).to_dict())
+def test_version_map_tells_replica_sets_apart():
+    one = CatalogRecord(desc(replicas={1, 2}, owner=1), announce_seq=1)
+    other = CatalogRecord(desc(replicas={1, 3}, owner=1), announce_seq=1)
+    assert one.version_entry == [1, 1, [1, 2]] != other.version_entry
+    a, b = Catalog(1), Catalog(2)
+    a.merge(one)
+    b.merge(other)
+    assert a.diff(b.version_map()) == ([one], [1])

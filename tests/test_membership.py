@@ -172,14 +172,16 @@ def test_dominates_fires_exactly_when_apply_is_a_noop(current, incoming):
 
 
 def uncached(view):
-    """Digest, summary and alive list of a fresh view with the same records."""
+    """Digest, version map and probe targets of a fresh view with the same
+    records, and the alive list as a scan of the view finds it."""
     fresh = view_from(view.members.values(), self_node=view.self_node)
-    return (fresh.member_set_digest(), fresh.summary(), fresh.alive_nodes(),
+    alive = sorted(n for n, m in view.members.items() if m.status == ALIVE)
+    return (fresh.member_set_digest(), fresh.version_map(), alive,
             fresh.probe_targets())
 
 
 def cached(view):
-    return (view.member_set_digest(), view.summary(), view.alive_nodes(),
+    return (view.member_set_digest(), view.version_map(), view.alive_nodes(),
             view.probe_targets())
 
 
@@ -191,7 +193,7 @@ def test_view_mutators_refresh_cached_values():
     steps = [
         (lambda: view.apply(ms(node=3)), "digest"),  # new member
         (lambda: view.apply(ms(node=2, status=SUSPECT, t=4.0)), "digest"),
-        (lambda: view.apply(ms(node=2, status=SUSPECT, t=3.0)), "summary"),
+        (lambda: view.apply(ms(node=2, status=SUSPECT, t=3.0)), "version map"),
         (lambda: view.remove(3), "digest"),
     ]
     for mutate, what in steps:
@@ -212,6 +214,62 @@ def test_dominates_the_held_records_own_dict():
     assert view.dominates(held.to_dict())
     assert not view.dominates(ms(node=2, status=DEAD, inc=1, t=3.0).to_dict())
     assert not view.dominates(ms(node=3).to_dict())
+
+
+# -- digest-first exchange ---------------------------------------------------
+
+NOW, RETENTION = 31.0, 30.0  # Dead/Left records declared at t <= 1.0 expired
+
+# Few distinct values, so equal keys and expired tombstones come up often.
+exchange_states = st.builds(
+    MemberState,
+    node=st.integers(1, 5),
+    status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+    incarnation=st.integers(0, 2),
+    last_update_time=st.sampled_from([0.0, 1.0, 5.0, 20.0]),
+)
+exchange_views = st.lists(exchange_states, max_size=8).map(view_from)
+
+
+def is_expired(state):
+    return membership.expired(state.status, state.last_update_time, NOW, RETENTION)
+
+
+def without_expired(view):
+    return view_from(
+        (m for m in view.members.values() if not is_expired(m)), view.self_node
+    )
+
+
+@settings(max_examples=500)
+@given(exchange_views, exchange_views)
+def test_digest_exchange_leaves_both_views_at_the_merge(a, b):
+    """`a` answers `b`'s version map (as decoded off the wire): `b` applies
+    what `a` pushes, then `a` applies `b`'s records for what it wants. Each
+    side ends at `merge_views` of itself and the other side without its
+    expired tombstones, which neither leg carries; then nothing is left to
+    exchange."""
+    a_expected = canon(merge_views(a, without_expired(b)))
+    b_expected = canon(merge_views(without_expired(a), b))
+    push, want = a.diff(json.loads(json.dumps(b.version_map())), NOW, RETENTION)
+    assert not any(is_expired(m) for m in push)
+    assert not any(is_expired(b.members[n]) for n in want)
+    for state in push:
+        assert b.apply(state)
+    for node in want:
+        assert a.apply(b.members[node])
+    assert canon(a) == a_expected and canon(b) == b_expected
+    assert a.diff(b.version_map(), NOW, RETENTION) == ([], [])
+
+
+def test_version_map_entries_are_shared_per_record():
+    held = ms(node=2, status=SUSPECT, inc=1, t=2.0)
+    a, b = view_from([ms(node=1), held]), view_from([held], self_node=2)
+    assert a.version_map()[1] is b.version_map()[0] is held.version_entry
+    assert held.version_entry == [2, 1, SUSPECT, 2.0]
+    # Shared entries are equal without a walk; our own newer record is pushed.
+    assert a.diff(a.version_map(), NOW, RETENTION) == ([], [])
+    assert a.diff(b.version_map(), NOW, RETENTION) == ([a.members[1]], [])
 
 
 # -- piggyback selection ----------------------------------------------------

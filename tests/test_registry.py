@@ -49,7 +49,7 @@ def test_diff_symmetry():
     a.merge(entry_for(4, sv=1))
     b.merge(entry_for(4, sv=2))
     b.merge(entry_for(5, sv=1))
-    newer_here, want = a.diff(b.digest())
+    newer_here, want = a.diff(b.version_map())
     assert [e.node for e in newer_here] == [3]
     assert want == [4, 5]
 
@@ -60,10 +60,10 @@ def test_two_way_exchange_converges():
     for node in range(3, 12):
         e = entry_for(node, inc=rng.randrange(2), sv=rng.randrange(1, 6))
         (a if rng.random() < 0.5 else b).merge(e)
-    for_b, want = a.diff(b.digest())
+    for_b, want = a.diff(b.version_map())
     for e in for_b:
         b.merge(e)
-    for_a, _ = b.diff(a.digest())
+    for_a, _ = b.diff(a.version_map())
     for e in for_a:
         a.merge(e)
     # third leg: b sends what a asked for
@@ -84,7 +84,7 @@ def test_ring_propagation_within_n_rounds():
         rounds += 1
         for i in range(n):  # each node pushes newer entries to its successor
             nxt = regs[(i + 1) % n]
-            newer, _ = regs[i].diff(nxt.digest())
+            newer, _ = regs[i].diff(nxt.version_map())
             for e in newer:
                 nxt.merge(e)
         assert rounds <= n, "flood exceeded ring diameter bound"
@@ -171,13 +171,13 @@ def test_registry_mutators_refresh_content_hash():
 
 
 def test_registry_mutators_refresh_versions():
-    """`versions()` is `digest()` in wire form, cached until entries change."""
+    """`version_map()` is `digest()` in wire form, cached until entries change."""
     reg = Registry(owner=1)
 
     def reference():
-        return {str(n): list(v) for n, v in reg.digest().items()}
+        return [[n, *v] for n, v in reg.digest().items()]
 
-    assert reg.versions() == reference() == {}
+    assert reg.version_map() == reference() == []
     steps = [
         lambda: reg.merge(entry_for(2, sv=1)),
         lambda: reg.merge(entry_for(2, sv=2, util=0.5)),
@@ -185,10 +185,10 @@ def test_registry_mutators_refresh_versions():
         lambda: reg.evict(2),
     ]
     for mutate in steps:
-        before = reg.versions()
+        before = reg.version_map()
         assert mutate()
-        assert reg.versions() == reference() != before
-    before = reg.versions()
+        assert reg.version_map() == reference() != before
+    before = reg.version_map()
     assert not reg.merge(entry_for(1, sv=0))  # older: not applied
     assert not reg.evict(2)
-    assert reg.versions() is before
+    assert reg.version_map() is before
