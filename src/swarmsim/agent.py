@@ -20,7 +20,9 @@ Protocol summary:
     the maps lack and `want_*` lists of what it lacks, and the wanted
     records follow in one more DELTA. An exchange with nothing to carry
     sends nothing after the DIGEST. HELLO carries the view's map and
-    HELLO-ACK answers it the same way;
+    HELLO-ACK answers it the same way. Each life starts its rounds at a
+    random phase, so a peer answers DIGESTs spread over the period and
+    passes on what it wanted from earlier ones;
   * scheduling: local-first admission, then OFFER to the top-k scored
     candidates, origin-side arbitration (earliest ACCEPT, NodeId tie-break),
     CLAIM/CANCEL, NACK-driven retry, re-placement on executor death and
@@ -149,7 +151,6 @@ class NodeAgent:
         self.pending_probes = {}  # target -> token
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{self.epoch}")
-        self._join_rng = None  # this life's join stream, made on first draw
         self.round_no = 0
         self.last_swarm_id = self.node
         self._monitor_armed = False
@@ -164,6 +165,8 @@ class NodeAgent:
             # dominate anything gossip still carries from the previous one.
             self.incarnation += 1
         self._reset_state()
+        # This life's own draws: HELLO picks and the phase of its rounds.
+        self._life_rng = substream(self.sim.seed, f"life-{self.node}-{self.epoch}")
         self.profile = self.base_profile.with_dyn(
             battery=self.initial_battery, position=self.sim.position_of(self.node)
         )
@@ -174,7 +177,12 @@ class NodeAgent:
             self.catalog.announce(desc, self.node)
         # Discovery: HELLO a few physically reachable peers.
         self._hello_some(self.sim.discover(self.node))
-        self._set_timer(self.cfg.probe_period, "round")
+        # The first round comes after a random part of a period, so nodes
+        # started together do not run their rounds in lockstep. In lockstep
+        # every DIGEST of a round reaches its peer within one latency, before
+        # any record that peer wanted from an earlier one has arrived, and a
+        # record then spreads by about one node per round.
+        self._set_timer(self.cfg.probe_period * (1.0 - self._life_rng.random()), "round")
         if not is_mains(self.profile.dyn.battery) and self.drain_rate > 0:
             self._set_timer(
                 self.cfg.battery_tick,
@@ -310,7 +318,9 @@ class NodeAgent:
                 self._self_declared_at = now
                 self.view.apply(self._self_state())
                 self._queue_delta(self._self_state())
-                self.publish_profile(force=True)
+                # The profile is unchanged, so the registry entry stands (a
+                # query reads liveness from the view). Republishing it would
+                # put one more change on the slower anti-entropy path.
             return
         if membership.expired(
             state.status, state.last_update_time, now, self.cfg.retention
@@ -376,18 +386,17 @@ class NodeAgent:
         """HELLO at most JOIN_FANOUT of `peers`, drawn from this life's own
         stream: not the lowest ids, which every node would pick alike."""
         if len(peers) > JOIN_FANOUT:
-            if self._join_rng is None:
-                self._join_rng = substream(self.sim.seed, f"join-{self.node}-{self.epoch}")
-            peers = sorted(self._join_rng.sample(peers, JOIN_FANOUT))
+            peers = sorted(self._life_rng.sample(peers, JOIN_FANOUT))
         for peer in peers:
             self._send(peer, wire.HELLO, {"view": self.view.version_map()})
 
-    def _reconcile(self, body: dict) -> dict:
-        """The answer to a peer's version maps (a HELLO's view map, or a
-        DIGEST's view, catalog and registry maps): under each map's key our
-        records the map lacks, under `want_<key>` the ids whose record there
-        holds something ours lacks. Empty parts are left out, so an empty
-        answer means the two sides hold the same."""
+    def _reconcile(self, frm: NodeId, body: dict, reply_kind: str) -> None:
+        """Answer a peer's version maps (a HELLO's view map, or a DIGEST's
+        view, catalog and registry maps) with a `reply_kind` message: under
+        each map's key our records the map lacks, under `want_<key>` the ids
+        whose record there holds something ours lacks. Empty parts are left
+        out, and an empty answer, the two sides holding the same, is not
+        sent."""
         diffs = (
             ("view", lambda m: self.view.diff(m, self.sim.now, self.cfg.retention)),
             ("catalog", self.catalog.diff),
@@ -402,7 +411,8 @@ class NodeAgent:
                 reply[key] = wire.RecordList(r.to_dict() for r in push)
             if want:
                 reply["want_" + key] = want
-        return reply
+        if reply:
+            self._send(frm, reply_kind, reply)
 
     def _suspect(self, target: NodeId) -> None:
         current = self.view.members.get(target)
@@ -533,22 +543,12 @@ class NodeAgent:
         if handler is not None:
             handler(self, frm, msg.body)
 
-    def _handle_hello(self, frm: NodeId, body: dict) -> None:
-        reply = self._reconcile(body)
-        if reply:
-            self._send(frm, wire.HELLO_ACK, reply)
-
     def _handle_ping(self, frm: NodeId, body: dict) -> None:
         self._send(frm, wire.ACK, {"token": body["token"]})
 
     def _handle_ack(self, frm: NodeId, body: dict) -> None:
         if self.pending_probes.get(frm) == body["token"]:
             del self.pending_probes[frm]
-
-    def _handle_digest(self, frm: NodeId, body: dict) -> None:
-        reply = self._reconcile(body)
-        if reply:
-            self._send(frm, wire.DELTA, reply)
 
     def _handle_delta(self, frm: NodeId, body: dict) -> None:
         """Merge the records of a DELTA or HELLO-ACK, then send the records
@@ -1205,15 +1205,15 @@ class NodeAgent:
 
 
 # Message kind -> NodeAgent handler(self, frm, body). LEAVE has none: the
-# Left record it announces travels in the piggybacked deltas. A HELLO-ACK is
-# a DELTA answering a HELLO.
+# Left record it announces travels in the piggybacked deltas. HELLO and
+# DIGEST are answered alike; a HELLO-ACK is a DELTA answering a HELLO.
 _MESSAGE_HANDLERS = {
-    wire.HELLO: NodeAgent._handle_hello,
+    wire.HELLO: lambda a, frm, body: a._reconcile(frm, body, wire.HELLO_ACK),
     wire.HELLO_ACK: NodeAgent._handle_delta,
     wire.PING: NodeAgent._handle_ping,
     wire.ACK: NodeAgent._handle_ack,
     wire.LEAVE: None,
-    wire.DIGEST: NodeAgent._handle_digest,
+    wire.DIGEST: lambda a, frm, body: a._reconcile(frm, body, wire.DELTA),
     wire.DELTA: NodeAgent._handle_delta,
     wire.OFFER: NodeAgent._handle_offer,
     wire.ACCEPT: NodeAgent._handle_accept,

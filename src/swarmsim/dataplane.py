@@ -141,9 +141,7 @@ class Catalog:
     def diff(self, remote: list) -> tuple:
         """(our records a peer's version map lacks, source ids whose record
         there holds something ours lacks). One source can be in both."""
-        push, want = wire.diff_versions(
-            self.version_map(), remote, _entry_newer, lambda e: True
-        )
+        push, want = wire.diff_versions(self.version_map(), remote, _entry_newer)
         return [self.records[i] for i in push], want
 
     def live_replicas(self, data_id: DataSourceId, is_alive) -> list:

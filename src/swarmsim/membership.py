@@ -13,12 +13,11 @@ tested against the current record before anything is decoded (the
 Scuttlebutt rule: compare versions before materialising state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
-`remove`, each of which bumps `view_version` when the view changes and keeps
-the set of Alive members in step, so the sorted alive list (and the swarm
-id, its first element) is one sort per version, not a scan of the view. The
-version map, digest, alive list and probe targets are cached per
-`view_version`, and the values returned are shared with every message and
-trace record that carries them, so they are read-only. So are the map's
+`remove`, each of which bumps `view_version` when the view changes. The
+version map, digest, alive list (whose first element is the swarm id) and
+probe targets are cached per `view_version`, and the values returned are
+shared with every message and trace record that carries them, so they are
+read-only. So are the map's
 entries, each cached once per `MemberState` (`version_entry`), and each
 `MemberState.to_dict()`, a `wire` record type, which enforces it. A view
 installs the very `MemberState` a peer gossiped (`wire.adopt`), so views
@@ -127,10 +126,6 @@ class SwarmView:
     view_version: int = 0
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cache_version: int = field(default=-1, init=False, repr=False, compare=False)
-    _alive: set = field(default_factory=set, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._alive.update(n for n, m in self.members.items() if m.status == ALIVE)
 
     def _version_cache(self) -> dict:
         """Values derived from the view, emptied whenever the view changed."""
@@ -144,7 +139,9 @@ class SwarmView:
         cache = self._version_cache()
         alive = cache.get("alive")
         if alive is None:
-            alive = cache["alive"] = sorted(self._alive)
+            alive = cache["alive"] = sorted(
+                n for n, m in self.members.items() if m.status == ALIVE
+            )
         return alive
 
     @property
@@ -226,10 +223,6 @@ class SwarmView:
         if current is not None and current.key >= incoming.key:
             return False
         self.members[incoming.node] = incoming
-        if incoming.status == ALIVE:
-            self._alive.add(incoming.node)
-        else:
-            self._alive.discard(incoming.node)
         self.view_version += 1
         return True
 
@@ -237,7 +230,6 @@ class SwarmView:
         """Drop a member's record (tombstone GC); True when one was held."""
         if self.members.pop(node, None) is None:
             return False
-        self._alive.discard(node)
         self.view_version += 1
         return True
 

@@ -134,7 +134,7 @@ class Registry:
         """(entries newer here, node ids newer or only-known remotely),
         against a peer's version map."""
         push, want = wire.diff_versions(
-            self.version_map(), remote, lambda a, b: a[1:] > b[1:], lambda e: True
+            self.version_map(), remote, lambda a, b: a[1:] > b[1:]
         )
         return [self.entries[n] for n in push], want
 

@@ -222,7 +222,7 @@ _dumps_wire = _splicer(_WIRE, _encode_wire, Record.wire_json)
 dumps_trace = _splicer(_TRACE, _encode_trace, Record.trace_json)
 
 
-def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
+def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> tuple:
     """Reconcile two version maps: (ids to push, ids to want).
 
     A version map is a list of entries sorted by id, the id first in each

@@ -68,18 +68,18 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "338d2c60977642006ceeb4ae979b2b605c8131087efb50c5957c2c09a540fe67",
-    "heavy_churn": "f50fae0283fdc99ef866d81165f50749297b5bf1f4909d6344ee025b8b0bbc83",
-    "partition_heal": "b5d59a4937ddd6b5f39bc04f32d3e7d1a8bea0a717d0b68ed68075eff86d508a",
-    "steady_state": "e225695b1e96f010f78442caff1e2d83ae9c487db128aff5494c1d0da155b911",
+    "data_locality": "ef1dbe8ca204595a002f9f19c1e73d115612acf529f649a40fef39311d1defa7",
+    "heavy_churn": "444b240434d10078d50d3bbe7ec75ffaebcf421eb241f71e849790a290a17309",
+    "partition_heal": "c9397e7a507800420b422d51e0954df743b59d0a74245dae1d1cbef93e67c758",
+    "steady_state": "59a8b63b19f120ed78a22e1e14a4f6f25645a664481cfabe552afdaec1ab69be",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.
 PINNED_METRICS_SHA256 = {
-    "data_locality": "b4f051622bea9f7f84cc6ccfb0bdc9afe50f5011cd38d9763ee9967884adb746",
-    "heavy_churn": "0812193d83307ab263122e570aca38ff63c52bf8f49817f119adf7305cdcc649",
-    "partition_heal": "6fbcd0013327aaa278df2f130ae9849d32796d69e723e1bc6694b1194239a3ce",
-    "steady_state": "2b4ef50c458bb1e80299683e3be81964a201c7364d3bba6104f2cd6927767698",
+    "data_locality": "02bb21a34174f894edadccf9df3b5d719131a8efa15ee76dea1fc399fca6be73",
+    "heavy_churn": "63c20f5df76517525250484cfa5da7631c39896604642112a1f16ba78bdd11d1",
+    "partition_heal": "c68893fa4d11f12dddc2e3d553f64c336b7191b18ac5e0231962f41e6a2a2aac",
+    "steady_state": "c31ef79157cb4a5829ca4f69a4d9912e801d98cf074a50e74aa846ebcc335efc",
 }
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmsim import agent, wire
+from swarmsim import agent, membership, wire
 from swarmsim import scenario as scen
 from swarmsim.sim import SimFault
 
@@ -99,7 +99,7 @@ def _grid(n: int, seed: int = 3) -> dict:
 
 def test_digest_between_agents_in_sync_is_not_answered():
     sim, agents, _ = scen.build(scen.parse_scenario(_grid(4)))
-    sim.run_until(20.2)  # converged, and between rounds
+    sim.run_until(20.2)  # converged
     a = agents[1]
     for other in agents.values():
         assert other.view.version_map() == a.view.version_map()
@@ -109,10 +109,13 @@ def test_digest_between_agents_in_sync_is_not_answered():
     a._anti_entropy_round()
     sim.run_until(20.25)
     sends = [r for r in sim.trace[mark:] if r["type"] == "send"]
-    peer = sends[0]["to"]
-    assert [(r["from"], r["to"], r["kind"]) for r in sends] == [(1, peer, wire.DIGEST)]
-    assert any(r["type"] == "deliver" and r["msg_id"] == sends[0]["msg_id"]
+    digests = [r for r in sends if r["from"] == 1 and r["kind"] == wire.DIGEST]
+    assert len(digests) == 1
+    assert any(r["type"] == "deliver" and r["msg_id"] == digests[0]["msg_id"]
                for r in sim.trace[mark:])
+    # Other nodes' rounds run at their own phases: their probes may fall in
+    # the window, but no exchange in it carries records.
+    assert not any(r["kind"] in (wire.DELTA, wire.HELLO_ACK) for r in sends)
 
 
 def _start_hellos(seed: int) -> dict:
@@ -137,3 +140,53 @@ def test_join_sends_at_most_join_fanout_hellos_with_seeded_picks():
     # Drawn, not the lowest ids: joins spread over the swarm.
     targets = {peer for peers in hellos.values() for peer in peers}
     assert len(targets) > agent.JOIN_FANOUT
+
+
+def _first_rounds(seed: int) -> dict:
+    """node -> the 10 ms step in which its first round ran, all joining at t=0."""
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(12, seed)))
+    first = {}
+    for step in range(1, 101):
+        sim.run_until(step / 100)
+        for node, a in agents.items():
+            if a.round_no and node not in first:
+                first[node] = step
+    return first
+
+
+def test_nodes_started_together_do_not_run_rounds_in_lockstep():
+    first = _first_rounds(seed=3)
+    # Every first round falls within one probe period of the start ...
+    assert sorted(first) == list(range(1, 13))
+    # ... at a phase of its own, drawn from the node's stream for this life.
+    assert len(set(first.values())) > 6
+    assert _first_rounds(seed=3) == first
+
+
+def test_hello_is_answered_by_hello_ack_with_the_records_its_map_lacks():
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(2)))
+    sim.run_until(0.1)
+    sends = [r for r in sim.trace if r["type"] == "send"]
+    # Node 2 joins after node 1 and HELLOs it; the HELLO's piggybacked
+    # deltas already carry node 2's record, so only node 1's goes back.
+    assert [(r["from"], r["to"], r["kind"]) for r in sends[:2]] == [
+        (2, 1, wire.HELLO), (1, 2, wire.HELLO_ACK),
+    ]
+    assert [d["node"] for d in sends[1]["body"]["view"]] == [1]
+    assert "want_view" not in sends[1]["body"]
+    assert sorted(agents[2].view.members) == [1, 2]
+
+
+def test_refutation_bumps_the_incarnation_and_leaves_the_registry_entry():
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(4)))
+    sim.run_until(10.0)
+    a = agents[2]
+    entry, inc = a.registry.entries[2], a.incarnation
+    a._merge_member(membership.MemberState(
+        node=2, status=membership.SUSPECT, incarnation=inc, last_update_time=sim.now,
+    ))
+    assert a.incarnation == inc + 1
+    assert a.view.members[2].status == membership.ALIVE
+    assert a.view.members[2].incarnation == inc + 1
+    # The profile did not change, so neither does the entry peers hold.
+    assert a.registry.entries[2] is entry
