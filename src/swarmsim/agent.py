@@ -33,6 +33,7 @@ Protocol summary:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from . import cognition, dataplane, executor, membership, wire
@@ -143,6 +144,8 @@ class NodeAgent:
             alpha=self.cfg.forecast_alpha,
         )
         self.gossip_buffer = {}  # NodeId -> [MemberState, transmit_count]
+        # Tier c: the sorted ids in `gossip_buffer` sent c times so far.
+        self._gossip_tiers = [[] for _ in range(max(1, self.cfg.retransmit_limit))]
         self.alive_since = {}  # peer -> local time it became Alive in my view
         self.session_durations = {}  # peer -> list of completed durations
         self.tasks = {}  # TaskId -> _OriginTask, kept once closed (late DONEs)
@@ -215,7 +218,6 @@ class NodeAgent:
             last_update_time=now,
         )
         self.view.apply(left)
-        self._queue_delta(left)
         peers = [
             n
             for n in self.view.alive_nodes()
@@ -257,32 +259,63 @@ class NodeAgent:
         )
 
     def _queue_delta(self, state: membership.MemberState) -> None:
-        self.gossip_buffer[state.node] = [state, 0]
+        """(Re)start gossiping a peer's record, at transmit count 0. Our own
+        record is never queued: it rides first in every message anyway."""
+        slot = self.gossip_buffer.get(state.node)
+        if slot is None:
+            self.gossip_buffer[state.node] = [state, 0]
+        else:
+            self._untier(state.node, slot[1])
+            slot[0], slot[1] = state, 0
+        insort(self._gossip_tiers[0], state.node)
+
+    def _untier(self, node: NodeId, sent: int) -> None:
+        tier = self._gossip_tiers[sent]
+        del tier[bisect_left(tier, node)]
 
     def _pick_deltas(self) -> wire.RecordList:
         """Our own record, then up to gossip_k - 1 buffered deltas, least
         transmitted first (ties by NodeId); a delta retires once it has been
         sent retransmit_limit times.
 
-        Only picked slots are retired: every other slot is below the limit,
+        The picks are the front ids of the lowest non-empty tiers, so the
+        Python work is per picked slot, not a sort of the buffer. Only
+        picked slots are retired: every other slot is below the limit,
         since slots start at 0 and only picks raise them, unless the limit
         is <= 0, which retires every slot on every send.
         """
         self_record = self.view.members.get(self.node) or self._self_state()
         picks = [self_record.to_dict()]
         buffer = self.gossip_buffer
+        tiers = self._gossip_tiers
         limit = self.cfg.retransmit_limit
-        if self.cfg.gossip_k > 1 and buffer:
-            me = self.node
-            order = sorted([(slot[1], node) for node, slot in buffer.items() if node != me])
-            for sent, node in order[: self.cfg.gossip_k - 1]:
-                slot = buffer[node]
-                picks.append(slot[0].to_dict())
-                slot[1] = sent + 1
-                if sent + 1 >= limit:
-                    del buffer[node]
+        want = self.cfg.gossip_k - 1
+        if want > 0 and buffer:
+            moves = []  # (transmit count after this send, ids), in pick order
+            for sent, tier in enumerate(tiers):
+                if tier:
+                    chosen = tier[:want]
+                    del tier[:want]
+                    moves.append((sent + 1, chosen))
+                    want -= len(chosen)
+                    if not want:
+                        break
+            # Re-tiered only now, so no slot is picked twice in one send.
+            for sent, chosen in moves:
+                if sent < limit:
+                    for node in chosen:
+                        slot = buffer[node]
+                        picks.append(slot[0].to_dict())
+                        slot[1] = sent
+                    tier = tiers[sent]
+                    tier += chosen
+                    tier.sort()  # two sorted runs: one linear merge
+                else:
+                    for node in chosen:
+                        picks.append(buffer.pop(node)[0].to_dict())
         if limit <= 0:
             buffer.clear()
+            tiers[0].clear()
         return wire.RecordList(picks)
 
     def _record(self, event: str, **fields) -> None:
@@ -317,7 +350,6 @@ class NodeAgent:
                 self.incarnation = state.incarnation + 1
                 self._self_declared_at = now
                 self.view.apply(self._self_state())
-                self._queue_delta(self._self_state())
                 # The profile is unchanged, so the registry entry stands (a
                 # query reads liveness from the view). Republishing it would
                 # put one more change on the slower anti-entropy path.
@@ -365,7 +397,8 @@ class NodeAgent:
                     "since": after.last_update_time,
                 },
             )
-        self._check_swarm_change("merge")
+        if state.node <= self.last_swarm_id:
+            self._check_swarm_change("merge")
 
     def _merge_deltas(self, records: list) -> None:
         """Merge gossiped member record dicts (piggybacked deltas, or the
@@ -428,6 +461,13 @@ class NodeAgent:
         )
 
     def _check_swarm_change(self, reason: str) -> None:
+        """Trace a change of the swarm id (the minimum Alive id) and keep it
+        in `last_swarm_id`. `_merge_member` calls this only for a member id
+        up to `last_swarm_id`, which is exact: while we run, our own record
+        is Alive (a claim otherwise is refuted, never applied), so the
+        minimum exists and is at most our id, and no larger id can become it
+        or stop being it. GC removes only Dead and Left records.
+        """
         sid = self.view.swarm_id
         if sid != self.last_swarm_id:
             kind = "merge" if sid < self.last_swarm_id else "split"
@@ -611,7 +651,9 @@ class NodeAgent:
             and state.last_update_time == data["since"]
         ):
             self.view.remove(data["node"])
-            self.gossip_buffer.pop(data["node"], None)
+            slot = self.gossip_buffer.pop(data["node"], None)
+            if slot is not None:
+                self._untier(data["node"], slot[1])
             self.registry.evict(data["node"])
 
     # ------------------------------------------------------------------

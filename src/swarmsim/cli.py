@@ -24,8 +24,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     sc = scen.load_scenario(args.config)
-    result = scen.run(sc, seed=args.seed)
+    sc.check()
+    # The output directory is made before the run, so a bad --out fails fast.
     os.makedirs(args.out, exist_ok=True)
+    result = scen.run(sc, seed=args.seed)
     scen.write_trace_jsonl(result.trace, os.path.join(args.out, "trace.jsonl"))
     result.report.write_csv(os.path.join(args.out, "metrics.csv"))
     for name, value in result.report.rows():
@@ -44,12 +46,19 @@ def _cmd_compare(args) -> int:
     if not isinstance(variants, dict) or not variants:
         print("variants file must map name -> agent overrides", file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--seeds: expected comma-separated integers, got {args.seeds!r}"
+        ) from None
     for name, overrides in variants.items():
         # Every variant is checked before any of them runs.
         if not isinstance(name, str):
             raise ValueError(f"variant {name}: name must be a string")
         scen.override_agent_config(sc.agent, overrides, f"variant {name}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     rows = {}
     for name, overrides in variants.items():
         for seed in seeds:
@@ -72,7 +81,6 @@ def _cmd_compare(args) -> int:
         print(line)
         out_lines.append(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "compare.csv"), "w") as fh:
             fh.write("\n".join(out_lines) + "\n")
     return 0
@@ -104,7 +112,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

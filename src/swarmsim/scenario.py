@@ -92,6 +92,12 @@ class Scenario:
     sample_period: float = 1.0
     parse_problems: list = field(default_factory=list)  # from parse_scenario
 
+    def check(self) -> None:
+        """Raise ValueError naming every problem `validate` finds."""
+        problems = self.validate()
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(problems))
+
     def validate(self) -> list:
         """Collect every problem as a human-readable string; [] means ok."""
         problems = list(self.parse_problems)
@@ -541,9 +547,7 @@ class RunResult:
 
 
 def run(scenario: Scenario, seed: int = None, agent_overrides: dict = None) -> RunResult:
-    problems = scenario.validate()
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    scenario.check()
     sim, agents, collector = build(scenario, seed=seed, agent_overrides=agent_overrides)
     t = 0.0
     while t < scenario.duration:

@@ -42,9 +42,13 @@ leave everything else to the C encoder with the same settings. The result is
 byte-identical to `json.dumps(..., sort_keys=True)` with the same separators
 (and `default=str` for traces): a `Record`'s cached text is exactly what that
 call emits for the dict, a `RecordList` is emitted as its members' texts
-joined by the item separator, and a dict holding either is emitted key by
-key in sorted order, as the encoder does. A dict with non-string keys is
-left to the encoder whole, since it would sort and convert such keys itself.
+joined by the item separator, and a dict holding either is emitted in
+sorted key order, as the encoder does: each record's cached text under its
+key, and each run of consecutive keys without a record in one encoder call,
+as that run's own dict with its braces cut off. A dict with non-string keys
+is left to the encoder whole, since it would sort and convert such keys
+itself. `encode` writes a message's three keys in their sorted order
+itself rather than building the dict that holds them.
 """
 
 from __future__ import annotations
@@ -195,11 +199,18 @@ def _splicer(encoder: json.JSONEncoder, encode, record_json):
             frags[key] = frag
         if frags is None or not all(type(key) is str for key in d):
             return None
-        return "{" + item_sep.join([
-            encode_basestring_ascii(key) + key_sep
-            + (frags[key] if key in frags else encode(d[key]))
-            for key in sorted(d)
-        ]) + "}"
+        parts, plain = [], {}
+        for key in sorted(d):
+            if key in frags:
+                if plain:
+                    parts.append(encode(plain)[1:-1])
+                    plain = {}
+                parts.append(encode_basestring_ascii(key) + key_sep + frags[key])
+            else:
+                plain[key] = d[key]
+        if plain:
+            parts.append(encode(plain)[1:-1])
+        return "{" + item_sep.join(parts) + "}"
 
     def dumps(value) -> str:
         kind = type(value)
@@ -277,10 +288,14 @@ class Message:
 
 
 def encode(msg: Message) -> bytes:
+    """`{"body", "deltas", "kind"}` in that (sorted) key order, compact."""
     if msg.kind not in ALL_KINDS:
         raise ValueError(f"unknown message kind: {msg.kind}")
-    doc = {"kind": msg.kind, "body": msg.body, "deltas": msg.deltas}
-    return _dumps_wire(doc).encode()
+    return (
+        '{"body":' + _dumps_wire(msg.body)
+        + ',"deltas":' + _dumps_wire(msg.deltas)
+        + ',"kind":' + encode_basestring_ascii(msg.kind) + "}"
+    ).encode()
 
 
 def decode(data: bytes) -> Message:

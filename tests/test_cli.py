@@ -154,3 +154,60 @@ def test_compare_non_string_variant_name_fails_before_any_run(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.err == "error: variant 1: name must be a string\n"
     assert captured.out == "" and runs == []
+
+
+def test_run_out_that_is_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(scen, "run", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["run", write_config(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and runs == []
+    assert out.read_text() == "keep me\n"
+
+
+def test_run_of_a_directory_is_an_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_out_that_is_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(scen, "run", lambda *a, **kw: runs.append(a))
+    variants = tmp_path / "variants.yaml"
+    variants.write_text(yaml.safe_dump({"base": {}}))
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["compare", write_config(tmp_path), "--variants", str(variants),
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and runs == []
+
+
+def test_compare_bad_seeds_names_the_option(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(scen, "run", lambda *a, **kw: runs.append(a))
+    variants = tmp_path / "variants.yaml"
+    variants.write_text(yaml.safe_dump({"base": {}}))
+    for seeds in ("1,x", "", "1,,2"):
+        code = main(["compare", write_config(tmp_path), "--variants", str(variants),
+                     "--seeds", seeds, "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --seeds: expected comma-separated integers, got {seeds!r}\n"
+        )
+        assert captured.out == ""
+    assert runs == [] and not (tmp_path / "cmp").exists()
+
+
+def test_compare_variants_file_that_is_a_directory_is_an_error(tmp_path, capsys):
+    code = main(["compare", write_config(tmp_path), "--variants", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,10 +1,10 @@
 import json
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim import membership
+from swarmsim import scenario as scen
 from swarmsim.agent import AgentConfig, NodeAgent
 from swarmsim.membership import (
     ALIVE,
@@ -290,9 +290,21 @@ def reference_pick_deltas(node, self_record, buffer, cfg):
     return picks
 
 
+def running_agent(node=1, **cfg):
+    """A started agent of a one-node simulation (nothing else runs)."""
+    raw = {"name": "one", "duration": 1.0,
+           "nodes": [{"id": node, "position": [0, 0], "typologies": ["generic"]}]}
+    sim, agents, _ = scen.build(scen.parse_scenario(raw))
+    agent = NodeAgent(sim, AgentConfig(**cfg), agents[node].base_profile)
+    sim.register_agent(node, agent)
+    agent.on_start()
+    return agent
+
+
 gossip_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("queue"), st.integers(1, 12), st.integers(0, 3)),
+        st.tuples(st.just("queue"), st.integers(2, 12), st.integers(0, 3)),
+        st.tuples(st.just("gc"), st.integers(2, 12)),
         st.tuples(st.just("pick")),
     ),
     max_size=40,
@@ -301,22 +313,52 @@ gossip_ops = st.lists(
 
 @given(st.integers(-1, 6), st.integers(-1, 5), gossip_ops)
 def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
+    """Slots are queued and collected as a running agent does it: a merged
+    peer record is queued, and GC of its tombstone drops the slot. Our own
+    record is never queued (it rides first in every message)."""
     me = 1
-    cfg = AgentConfig(gossip_k=gossip_k, retransmit_limit=retransmit_limit)
-    self_record = ms(node=me)
-    agent = SimpleNamespace(
-        node=me,
-        cfg=cfg,
-        view=SwarmView(self_node=me, members={me: self_record}),
-        gossip_buffer={},
-    )
+    agent = running_agent(me, gossip_k=gossip_k, retransmit_limit=retransmit_limit)
+    self_record = agent.view.members[me]
     reference = {}
     for op in ops:
         if op[0] == "queue":
-            state = ms(node=op[1], inc=op[2])
-            agent.gossip_buffer[state.node] = [state, 0]
+            state = ms(node=op[1], status=DEAD, inc=op[2])
+            agent.view.apply(state)
+            agent._queue_delta(state)
             reference[state.node] = [state, 0]
+        elif op[0] == "gc":
+            state = agent.view.members.get(op[1])
+            if state is not None:
+                agent._gc_member({"node": state.node, "status": state.status,
+                                  "incarnation": state.incarnation,
+                                  "since": state.last_update_time})
+                reference.pop(state.node, None)
         else:
-            picks = NodeAgent._pick_deltas(agent)
-            assert picks == reference_pick_deltas(me, self_record, reference, cfg)
+            picks = agent._pick_deltas()
+            assert picks == reference_pick_deltas(me, self_record, reference, agent.cfg)
         assert agent.gossip_buffer == reference
+        assert [sorted(n for n, slot in reference.items() if slot[1] == sent)
+                for sent in range(len(agent._gossip_tiers))] == agent._gossip_tiers
+
+
+swarm_records = st.lists(
+    st.tuples(
+        st.integers(-3, 3),  # id, relative to the current swarm id
+        st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+        st.integers(0, 3),
+        st.sampled_from([0.0, 0.25, 0.5]),
+    ),
+    max_size=30,
+)
+
+
+@given(swarm_records)
+def test_swarm_id_is_tracked_across_merges(records):
+    """`_merge_member` re-reads the swarm id only for ids up to the last
+    one; what it remembers is still the view's swarm id after every merge."""
+    agent = running_agent(5)
+    assert agent.last_swarm_id == agent.view.swarm_id == 5
+    for offset, status, inc, t in records:
+        node = max(1, agent.last_swarm_id + offset)
+        agent._merge_member(ms(node=node, status=status, inc=inc, t=t))
+        assert agent.last_swarm_id == agent.view.swarm_id
