@@ -1,0 +1,157 @@
+"""Anti-entropy of one agent (Scuttlebutt-style, digest first; van Renesse
+et al., LADIS 2008), and the lookups that read its registry and catalog.
+
+Every other round a round-robin peer gets a DIGEST of version maps for the
+view, the data catalog and the registry; it answers with one DELTA holding
+the records the maps lack and `want_*` lists of what it lacks, and the
+wanted records follow in one more DELTA. An exchange with nothing to carry
+sends nothing after the DIGEST. HELLO carries the view's map and HELLO-ACK
+answers it the same way. Each life starts its rounds at a random phase, so a
+peer answers DIGESTs spread over the period and passes on what it wanted
+from earlier ones.
+"""
+
+from __future__ import annotations
+
+from . import dataplane, wire
+from .membership import ALIVE
+from .model import NodeId, Position, TaskSpec, distance, is_mains
+from .registry import Registry, RegistryEntry
+
+
+class AntiEntropy:
+    """One life's registry and data catalog."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.sim = agent.sim
+        self.node = agent.node
+        self.registry = Registry(agent.node)
+        self.catalog = dataplane.Catalog(agent.node)
+
+    def send_digest(self, round_no: int) -> None:
+        """DIGEST this round's peer: the Alive peers taken in turn."""
+        peers = [n for n in self.agent.view.alive_nodes() if n != self.node]
+        if not peers:
+            return
+        peer = peers[(round_no // self.agent.cfg.anti_entropy_every) % len(peers)]
+        body = {
+            "view": self.agent.view.version_map(),
+            "catalog": self.catalog.version_map(),
+            "registry": self.registry.version_map(),
+        }
+        self.agent.send(peer, wire.DIGEST, body)
+
+    def reconcile(self, frm: NodeId, body: dict, reply_kind: str) -> None:
+        """Answer a peer's version maps (a HELLO's view map, or a DIGEST's
+        view, catalog and registry maps) with a `reply_kind` message: under
+        each map's key our records the map lacks, under `want_<key>` the ids
+        whose record there holds something ours lacks. Empty parts are left
+        out, and an empty answer, the two sides holding the same, is not
+        sent."""
+        diffs = (
+            ("view", lambda m: self.agent.view.diff(m, self.sim.now, self.agent.cfg.retention)),
+            ("catalog", self.catalog.diff),
+            ("registry", self.registry.diff),
+        )
+        reply = {}
+        for key, diff in diffs:
+            if key not in body:
+                continue
+            push, want = diff(body[key])
+            if push:
+                reply[key] = wire.RecordList(r.to_dict() for r in push)
+            if want:
+                reply["want_" + key] = want
+        if reply:
+            self.agent.send(frm, reply_kind, reply)
+
+    def handle_delta(self, frm: NodeId, body: dict) -> None:
+        """Merge the records of a DELTA or HELLO-ACK, then send the records
+        its `want_*` lists ask for in one more DELTA. A wanted tombstone that
+        expired in between is dropped by the receiver's merge."""
+        self.agent.gossip.merge_deltas(body.get("view", ()))
+        for doc in body.get("catalog", ()):
+            self.catalog.merge(wire.adopt(doc, dataplane.CatalogRecord.from_dict))
+        for doc in body.get("registry", ()):
+            self.registry.merge(wire.adopt(doc, RegistryEntry.from_dict))
+        reply = {}
+        for key, held in (
+            ("view", self.agent.view.members),
+            ("catalog", self.catalog.records),
+            ("registry", self.registry.entries),
+        ):
+            wanted = [held[i].to_dict() for i in body.get("want_" + key, ()) if i in held]
+            if wanted:
+                reply[key] = wire.RecordList(wanted)
+        if reply:
+            self.agent.send(frm, wire.DELTA, reply)
+
+    def publish_profile(self, force: bool = False) -> None:
+        """Install our current profile in the registry when it changed (or
+        when forced); an unchanged one keeps its status_version."""
+        agent = self.agent
+        current = self.registry.entries.get(self.node)
+        dyn = agent.profile.dyn
+        candidate = agent.profile.with_dyn(
+            utilization=round(agent.execution.forecast.ewma_utilization, 6),
+            battery=dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4),
+            scheduled_task_ids=tuple(sorted(agent.engine.runs)),
+            # Compared with the held profile at its own version.
+            status_version=(dyn if current is None else current.profile.dyn).status_version,
+        )
+        if force or current is None or candidate != current.profile:
+            self.registry.local_update(candidate, agent.incarnation, self.sim.now)
+
+    # ------------------------------------------------------------------
+    # lookups
+    # ------------------------------------------------------------------
+
+    def position_of(self, node: NodeId):
+        """A member's position as its registry entry has it, or None. Our
+        own entry is republished on every move, so it holds ours too."""
+        entry = self.registry.entries.get(node)
+        return entry.profile.dyn.position if entry is not None else None
+
+    def _resolve(self, data_id, reader: NodeId):
+        status_of = self.agent.gossip.member_status
+
+        def pos(n):
+            p = self.position_of(n)
+            # Unknown positions sort last but stay eligible.
+            return p if p is not None else Position(1e12, 1e12)
+
+        def alive(n):
+            # Our own record is Alive while we run, so we count too.
+            return status_of(n) == ALIVE and (n == reader or self.position_of(n) is not None)
+
+        return self.catalog.resolve(data_id, reader, pos, alive)
+
+    def remote_inputs_for(self, task: TaskSpec, runner: NodeId):
+        """[(size, distance)] for inputs not local to `runner`; None when an
+        input has no live resolvable replica."""
+        out = []
+        runner_pos = self.position_of(runner)
+        for inp in task.input_data:
+            replica = self._resolve(inp.source, runner)
+            if replica is None:
+                return None
+            if replica == runner:
+                continue
+            rep_pos = self.position_of(replica)
+            if runner_pos is None or rep_pos is None:
+                return None
+            out.append((inp.size, distance(runner_pos, rep_pos)))
+        return out
+
+    def source_position(self, source_id):
+        """Where a data source is: its owner's position, else its first
+        replica's with a known one, else None."""
+        rec = self.catalog.records.get(source_id)
+        if rec is None:
+            return None
+        for node in (rec.descriptor.owner, *sorted(rec.descriptor.replicas)):
+            pos = self.position_of(node)
+            if pos is not None:
+                return pos
+        return None

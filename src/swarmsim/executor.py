@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import NodeId, TaskId
+from .model import NodeId, TaskId, TaskSpec
 
 RESERVED = "reserved"
 TRANSFERRING = "transferring"
@@ -46,6 +46,7 @@ class TaskRun:
     deadline: float  # relative to submission
     progressed: float = 0.0  # integrated work, for conservation checks
     qos_warned: bool = False
+    spec: TaskSpec = None  # the task this run executes
 
     @property
     def deadline_abs(self) -> float:

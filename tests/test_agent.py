@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmsim import agent, membership, wire
+from swarmsim import agent, gossip, membership, wire
 from swarmsim import scenario as scen
 from swarmsim.sim import SimFault
 
@@ -106,7 +106,7 @@ def test_digest_between_agents_in_sync_is_not_answered():
         assert other.catalog.version_map() == a.catalog.version_map()
         assert other.registry.version_map() == a.registry.version_map()
     mark = len(sim.trace)
-    a._anti_entropy_round()
+    a.antientropy.send_digest(a.round_no)
     sim.run_until(20.25)
     sends = [r for r in sim.trace[mark:] if r["type"] == "send"]
     digests = [r for r in sends if r["from"] == 1 and r["kind"] == wire.DIGEST]
@@ -134,12 +134,12 @@ def test_join_sends_at_most_join_fanout_hellos_with_seeded_picks():
     # Node k finds the k - 1 nodes that joined before it reachable.
     assert sorted(hellos) == list(range(2, 13))
     for node, peers in hellos.items():
-        assert len(peers) == min(node - 1, agent.JOIN_FANOUT)
+        assert len(peers) == min(node - 1, gossip.JOIN_FANOUT)
         assert all(peer < node for peer in peers)
     assert _start_hellos(seed=3) == hellos
     # Drawn, not the lowest ids: joins spread over the swarm.
     targets = {peer for peers in hellos.values() for peer in peers}
-    assert len(targets) > agent.JOIN_FANOUT
+    assert len(targets) > gossip.JOIN_FANOUT
 
 
 def _first_rounds(seed: int) -> dict:
@@ -182,7 +182,7 @@ def test_refutation_bumps_the_incarnation_and_leaves_the_registry_entry():
     sim.run_until(10.0)
     a = agents[2]
     entry, inc = a.registry.entries[2], a.incarnation
-    a._merge_member(membership.MemberState(
+    a.gossip._merge_member(membership.MemberState(
         node=2, status=membership.SUSPECT, incarnation=inc, last_update_time=sim.now,
     ))
     assert a.incarnation == inc + 1

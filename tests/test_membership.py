@@ -324,21 +324,21 @@ def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
         if op[0] == "queue":
             state = ms(node=op[1], status=DEAD, inc=op[2])
             agent.view.apply(state)
-            agent._queue_delta(state)
+            agent.gossip._queue_delta(state)
             reference[state.node] = [state, 0]
         elif op[0] == "gc":
             state = agent.view.members.get(op[1])
             if state is not None:
-                agent._gc_member({"node": state.node, "status": state.status,
+                agent.gossip.gc_member({"node": state.node, "status": state.status,
                                   "incarnation": state.incarnation,
                                   "since": state.last_update_time})
                 reference.pop(state.node, None)
         else:
-            picks = agent._pick_deltas()
+            picks = agent.gossip.pick_deltas()
             assert picks == reference_pick_deltas(me, self_record, reference, agent.cfg)
-        assert agent.gossip_buffer == reference
+        assert agent.gossip._buffer == reference
         assert [sorted(n for n, slot in reference.items() if slot[1] == sent)
-                for sent in range(len(agent._gossip_tiers))] == agent._gossip_tiers
+                for sent in range(len(agent.gossip._tiers))] == agent.gossip._tiers
 
 
 swarm_records = st.lists(
@@ -357,8 +357,8 @@ def test_swarm_id_is_tracked_across_merges(records):
     """`_merge_member` re-reads the swarm id only for ids up to the last
     one; what it remembers is still the view's swarm id after every merge."""
     agent = running_agent(5)
-    assert agent.last_swarm_id == agent.view.swarm_id == 5
+    assert agent.gossip.last_swarm_id == agent.view.swarm_id == 5
     for offset, status, inc, t in records:
-        node = max(1, agent.last_swarm_id + offset)
-        agent._merge_member(ms(node=node, status=status, inc=inc, t=t))
-        assert agent.last_swarm_id == agent.view.swarm_id
+        node = max(1, agent.gossip.last_swarm_id + offset)
+        agent.gossip._merge_member(ms(node=node, status=status, inc=inc, t=t))
+        assert agent.gossip.last_swarm_id == agent.view.swarm_id
