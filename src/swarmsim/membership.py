@@ -6,11 +6,11 @@ Alive). Consequently merging is commutative, associative and idempotent, and
 a node declared Dead at incarnation k can only come back with incarnation
 > k (refutation).
 
-The merge order is one key, `merge_key`: a record wins when its key is at
-least the other's. `prefer`, `SwarmView.dominates` and `SwarmView.diff` all
-use it, so a gossiped record dict, or a peer's version map entry, can be
-tested against the current record before anything is decoded (the
-Scuttlebutt rule: compare versions before materialising state).
+The merge order is one key, `merge_key`: a held record yields only to a
+record with a larger key. `SwarmView.apply`, `dominates` and `diff` all use
+it, so a gossiped record dict, or a peer's version map entry, can be tested
+against the current record before anything is decoded (the Scuttlebutt
+rule: compare versions before materialising state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
 `remove`, each of which bumps `view_version` when the view changes. The
@@ -105,16 +105,6 @@ class MemberState:
             incarnation=int(d["incarnation"]),
             last_update_time=float(d["last_update_time"]),
         )
-
-
-def prefer(a: MemberState, b: MemberState) -> MemberState:
-    """The record that wins a merge between two states of the same member.
-
-    On equal keys (the same record) `a` is kept.
-    """
-    if a.node != b.node:
-        raise ValueError("cannot merge states of different members")
-    return a if a.key >= b.key else b
 
 
 @dataclass

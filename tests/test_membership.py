@@ -1,6 +1,5 @@
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim import membership
@@ -14,7 +13,6 @@ from swarmsim.membership import (
     MemberState,
     SwarmView,
     merge_views,
-    prefer,
     split_condition,
 )
 
@@ -23,28 +21,33 @@ def ms(node=1, status=ALIVE, inc=0, t=0.0):
     return MemberState(node=node, status=status, incarnation=inc, last_update_time=t)
 
 
+def applied(*records):
+    """The record a view holds for node 1 after applying `records` in order."""
+    view = SwarmView(self_node=9)
+    for r in records:
+        view.apply(r)
+    return view.members[1]
+
+
 def test_higher_incarnation_wins_regardless_of_status():
     dead = ms(status=DEAD, inc=1)
     alive = ms(status=ALIVE, inc=2)
-    assert prefer(dead, alive) is alive
-    assert prefer(alive, dead) is alive
+    assert applied(dead, alive) is alive
+    assert applied(alive, dead) is alive
 
 
 def test_status_precedence_at_equal_incarnation():
     # Left > Dead > Suspect > Alive
     order = [ALIVE, SUSPECT, DEAD, LEFT]
     for lo, hi in zip(order, order[1:]):
-        assert prefer(ms(status=lo), ms(status=hi)).status == hi
+        assert applied(ms(status=lo), ms(status=hi)).status == hi
+        assert applied(ms(status=hi), ms(status=lo)).status == hi
 
 
 def test_equal_records_keep_earliest_timestamp():
     a, b = ms(status=DEAD, t=5.0), ms(status=DEAD, t=3.0)
-    assert prefer(a, b).last_update_time == 3.0
-
-
-def test_prefer_rejects_different_members():
-    with pytest.raises(ValueError):
-        prefer(ms(node=1), ms(node=2))
+    assert applied(a, b).last_update_time == 3.0
+    assert applied(b, a).last_update_time == 3.0
 
 
 def test_no_resurrection_without_new_incarnation():

@@ -2,14 +2,19 @@
 
 A definition whose name appears nowhere in `src/` or `bench/` except at its
 own definition is dead: nothing calls it, patches it or dispatches to it.
-Tests do not count as users, so a name kept alive only by its own test is
-dead too. Dunder methods are called by the language and are not checked.
+Names count where code names them and inside string literals (a name a
+table or a patcher looks up by string), not in comments or docstrings,
+which only talk about code. Tests do not count as users, so a name kept
+alive only by its own test is dead too. Dunder methods are called by the
+language and are not checked.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +24,12 @@ ALLOWED = {
     "merge_views": "reference join of two views that A8 checks the "
     "semilattice laws on; the agent merges record by record instead",
 }
+
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Token types whose text is string literal content (f-string pieces are
+# tokens of their own from Python 3.12 on).
+_STRING_TYPES = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
 
 def _definitions(package: Path) -> dict:
@@ -31,17 +42,42 @@ def _definitions(package: Path) -> dict:
     return out
 
 
+def _docstring_starts(tree: ast.AST) -> set:
+    """(line, column) where each module, class or function docstring starts."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                out.add((first.value.lineno, first.value.col_offset))
+    return out
+
+
+def named_words(text: str) -> list:
+    """Every name in Python source `text`: names in code, and words inside
+    string literals other than docstrings. Comments are skipped."""
+    docstrings = _docstring_starts(ast.parse(text))
+    words = []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            words.append(tok.string)
+        elif tok.type in _STRING_TYPES and tok.start not in docstrings:
+            words.extend(WORD.findall(tok.string))
+    return words
+
+
 def unnamed_definitions(root: Path = ROOT) -> list:
     """Sorted names defined in src/swarmsim/ and named only at a definition."""
     defs = _definitions(root / "src" / "swarmsim")
-    text = "\n".join(
-        path.read_text()
-        for top in ("src", "bench")
-        for path in sorted((root / top).rglob("*.py"))
-    )
     words: dict = {}
-    for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text):
-        words[word] = words.get(word, 0) + 1
+    for top in ("src", "bench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for word in named_words(path.read_text()):
+                words[word] = words.get(word, 0) + 1
     return sorted(
         name
         for name, count in defs.items()
@@ -53,3 +89,18 @@ def unnamed_definitions(root: Path = ROOT) -> list:
 def test_every_definition_is_named_outside_itself():
     # Equality, not inclusion: an allowed name that gained a user drops out.
     assert unnamed_definitions() == sorted(ALLOWED)
+
+
+def test_comments_and_docstrings_do_not_count_as_users():
+    source = '''"""Module docstring naming helper."""
+
+def helper():
+    """helper docstring."""
+    # a comment naming helper
+    return TABLE["helper"]  # looked up by string
+'''
+    words = named_words(source)
+    # Once at the def, once in the string literal; not in the docstrings
+    # or the comments.
+    assert words.count("helper") == 2
+    assert "comment" not in words and "docstring" not in words
