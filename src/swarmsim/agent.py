@@ -55,6 +55,22 @@ class AgentConfig:
     forecast_alpha: float = 0.3
     min_capacity: float = cognition.MIN_CAPACITY_FRACTION
 
+    def __post_init__(self):
+        # A period of 0 re-arms its timer at the same instant forever, a
+        # round count of 0 divides by zero, and a negative delay schedules
+        # into the past. Each test fails on NaN.
+        for names, low, strict in (
+            (("probe_period", "battery_tick", "exec_tick"), 0, True),
+            (("anti_entropy_every", "rediscover_every", "status_refresh_every"), 1, False),
+            (("probe_timeout", "t_dead", "t_split", "retention", "reservation_ttl",
+              "offer_timeout", "retry_delay"), 0, False),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not (value > low if strict else value >= low):
+                    rule = ">" if strict else ">="
+                    raise ValueError(f"{name} must be {rule} {low}, got {value!r}")
+
 
 @dataclass
 class _OriginTask:

@@ -107,6 +107,8 @@ class Scenario:
             problems.append("nodes: duplicate node ids")
         if self.duration <= 0:
             problems.append("duration: must be positive")
+        if not self.sample_period > 0:
+            problems.append("sample_period: must be positive")
         for spec in self.nodes:
             for issue in validate_profile(spec.profile()):
                 problems.append(f"node {spec.node}: {issue}")
@@ -364,11 +366,8 @@ def _agent_config(raw, label: str, problems: list, base: AgentConfig) -> AgentCo
     kwargs = _settings(AgentConfig, raw, label, problems)
     sched_label = f"{label}: scheduler"
     sched = _settings(SchedulerParams, kwargs.pop("scheduler", None), sched_label, problems)
-    return dataclasses.replace(
-        base,
-        scheduler=_build_checked(base.scheduler, sched, sched_label, problems),
-        **kwargs,
-    )
+    kwargs["scheduler"] = _build_checked(base.scheduler, sched, sched_label, problems)
+    return _build_checked(base, kwargs, label, problems)
 
 
 def override_agent_config(

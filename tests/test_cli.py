@@ -1,6 +1,8 @@
 import csv
 import json
+from pathlib import Path
 
+import pytest
 import yaml
 
 from swarmsim import scenario as scen
@@ -211,3 +213,54 @@ def test_compare_variants_file_that_is_a_directory_is_an_error(tmp_path, capsys)
     code = main(["compare", write_config(tmp_path), "--variants", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+PARTITION_HEAL = Path(__file__).resolve().parents[1] / "scenarios" / "partition_heal.yaml"
+
+# Settings that `validate` once passed although a run with them hangs (a
+# zero period re-arms its timer at the same instant forever) or dies in the
+# simulator (a negative delay, a zero round count).
+DEGENERATE = [
+    (None, "sample_period", 0, "sample_period: must be positive"),
+    (None, "sample_period", -1, "sample_period: must be positive"),
+    ("agent", "probe_period", 0, "agent: probe_period must be > 0, got 0"),
+    ("agent", "probe_period", -1, "agent: probe_period must be > 0, got -1"),
+    ("agent", "exec_tick", 0, "agent: exec_tick must be > 0, got 0"),
+    ("agent", "battery_tick", 0, "agent: battery_tick must be > 0, got 0"),
+    ("agent", "offer_timeout", -1, "agent: offer_timeout must be >= 0, got -1"),
+    ("agent", "anti_entropy_every", 0, "agent: anti_entropy_every must be >= 1, got 0"),
+    ("agent", "rediscover_every", 0, "agent: rediscover_every must be >= 1, got 0"),
+    ("agent", "status_refresh_every", 0, "agent: status_refresh_every must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value,problem", DEGENERATE, ids=[f"{k}={v}" for _, k, v, _ in DEGENERATE]
+)
+def test_degenerate_setting_fails_validate_run_and_compare_cleanly(
+    tmp_path, capsys, monkeypatch, section, key, value, problem
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a degenerate scenario must not be built")
+
+    monkeypatch.setattr(scen, "build", no_build)
+    raw = yaml.safe_load(PARTITION_HEAL.read_text())
+    target = raw.setdefault(section, {}) if section else raw
+    target[key] = value
+    cfg = write_config(tmp_path, raw)
+    assert main(["validate", cfg]) == 1
+    assert f"INVALID: {problem}\n" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario") and problem in err
+    assert not out.exists()
+    variants = tmp_path / "variants.yaml"
+    variants.write_text(yaml.safe_dump({"base": {}}))
+    assert main(["compare", cfg, "--variants", str(variants)]) == 2
+    assert problem in capsys.readouterr().err
+    if section == "agent":
+        variants.write_text(yaml.safe_dump({"bad": {key: value}}))
+        valid = write_config(tmp_path, yaml.safe_load(PARTITION_HEAL.read_text()), "ok.yaml")
+        assert main(["compare", valid, "--variants", str(variants)]) == 2
+        assert problem.replace("agent:", "variant bad:") in capsys.readouterr().err
