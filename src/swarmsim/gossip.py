@@ -41,13 +41,13 @@ class Gossip:
         self.pending_probes = {}  # target -> token
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{agent.epoch}")
-        # This life's own draws: HELLO picks and the phase of its rounds.
-        self.life_rng = substream(self.sim.seed, f"life-{self.node}-{agent.epoch}")
         self.last_swarm_id = self.node
 
     def join(self) -> None:
         """Declare ourselves Alive for this life, then HELLO a few
         physically reachable peers."""
+        # This life's own draws: HELLO picks and the phase of its rounds.
+        self.life_rng = substream(self.sim.seed, f"life-{self.node}-{self.agent.epoch}")
         self.view.apply(MemberState(
             node=self.node,
             status=ALIVE,
