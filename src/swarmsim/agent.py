@@ -70,6 +70,16 @@ class AgentConfig:
                 if not (value > low if strict else value >= low):
                     rule = ">" if strict else ">="
                     raise ValueError(f"{name} must be {rule} {low}, got {value!r}")
+        # A reservation that expires before the origin's offer round ends
+        # is gone when its CLAIM arrives, so no remote run is ever admitted.
+        if not self.reservation_ttl > self.offer_timeout:
+            raise ValueError(
+                f"reservation_ttl must be > offer_timeout ({self.offer_timeout!r}), "
+                f"got {self.reservation_ttl!r}"
+            )
+        # The load forecast is an EWMA; outside [0, 1] it diverges or swings.
+        if not 0 <= self.forecast_alpha <= 1:
+            raise ValueError(f"forecast_alpha must be in [0, 1], got {self.forecast_alpha!r}")
 
 
 @dataclass

@@ -12,9 +12,9 @@ leaderless anti-entropy design.
 
 Invariants of `Registry`: `entries` is written only through `local_update`,
 `merge` and `evict`, and each of them clears the cached `content_hash` and
-`version_map`. The hash is rebuilt from every entry's canonical JSON, the
-trace form that the entry's read-only `wire.Record` encodes once; the map
-from every entry's `version_entry`, built once per entry and shared.
+`version_map`. The hash is rebuilt from every entry's wire JSON, which the
+entry's read-only `wire.Record` encodes once; the map from every entry's
+`version_entry`, built once per entry and shared.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ class RegistryEntry:
         """[node, incarnation, status_version]: this entry in a version map.
         Built once per entry and shared: read-only."""
         return [self.node, *self.version]
-
-    @property
-    def canonical_json(self) -> str:
-        """`json.dumps(self.to_dict(), sort_keys=True)`: the record's cached
-        trace JSON, which carries no value `default=str` would touch."""
-        return self._dict.trace_json()
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegistryEntry":
@@ -162,10 +156,12 @@ class Registry:
         return True
 
     def content_hash(self) -> str:
-        """Digest of `json.dumps(<entries as dicts, by NodeId>, sort_keys=True)`."""
+        """Digest of the entries' compact wire JSON, as a list by NodeId:
+        `json.dumps(<entries as dicts>, sort_keys=True, separators=(",", ":"))`.
+        Compared for equality only (convergence checks)."""
         if self._hash is None:
-            doc = "[" + ", ".join(
-                e.canonical_json for _, e in sorted(self.entries.items())
+            doc = "[" + ",".join(
+                e._dict.wire_json() for _, e in sorted(self.entries.items())
             ) + "]"
             self._hash = hashlib.sha256(doc.encode()).hexdigest()[:16]
         return self._hash

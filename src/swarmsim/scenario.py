@@ -11,6 +11,7 @@ state at a fixed cadence.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -558,7 +559,7 @@ def run(scenario: Scenario, seed: int = None, agent_overrides: dict = None) -> R
 
 def write_trace_jsonl(trace: list, path) -> None:
     """One `json.dumps(rec, sort_keys=True, default=str)` line per record."""
-    dumps = wire.dumps_trace
+    dumps = wire.encode_fn(json.JSONEncoder(sort_keys=True, default=str))
     with open(path, "w") as fh:
         for rec in trace:
             fh.write(dumps(rec) + "\n")

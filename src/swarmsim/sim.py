@@ -14,7 +14,9 @@ Each send is encoded once (`wire.encode`) for the byte count and digest the
 trace records; the receiver is handed the sent `wire.Message` itself, not a
 decode of those bytes. A message is a value once sent: neither the sender
 nor any receiver writes to it, and the records in it are shared across
-agents (see `wire`).
+agents (see `wire`). A `send` record keeps the body only for OFFER, whose
+task and attempt the trace-level scheduling checks read; any other body is
+known by its digest and byte size alone.
 """
 
 from __future__ import annotations
@@ -209,18 +211,19 @@ class Simulator:
         encoded = wire.encode(msg)
         msg_id = self._msg_seq
         self._msg_seq = msg_id + 1
-        self.record(
-            {
-                "t": self.now,
-                "type": "send",
-                "from": frm,
-                "to": to,
-                "msg_id": msg_id,
-                "kind": msg.kind,
-                "digest": wire.digest(encoded),
-                "body": msg.body,
-            }
-        )
+        rec = {
+            "t": self.now,
+            "type": "send",
+            "from": frm,
+            "to": to,
+            "msg_id": msg_id,
+            "kind": msg.kind,
+            "digest": wire.digest(encoded),
+            "bytes": len(encoded),
+        }
+        if msg.kind == wire.OFFER:
+            rec["body"] = msg.body
+        self.record(rec)
         reason = None
         if not self.in_range(frm, to):
             reason = "range"

@@ -3,8 +3,8 @@
 Messages are a kind tag plus a JSON-compatible body; every message also
 carries a (possibly empty) list of piggybacked membership deltas, which is
 how membership information disseminates with the regular traffic. The codec
-is canonical JSON (sorted keys), so encoding is deterministic and traces can
-record the decoded form alongside a short digest.
+is canonical JSON (sorted keys), so encoding is deterministic and a short
+digest of the bytes identifies a message.
 
 A `Message` is a value once sent: neither its sender nor any receiver writes
 to it, its body or anything nested in them. The simulator encodes each sent
@@ -27,28 +27,26 @@ shared by every map that holds it, so maps of agents that agree compare
 equal entry by entry without a walk.
 
 Gossiped records (member states, registry entries, catalog records) are
-immutable and ride in many messages and trace lines, so each is wrapped once
-in a read-only `Record` that encodes its JSON at most once per form: compact
-for the wire, default separators for traces. Mutating a `Record` or a
-`RecordList` raises, so a cached form can never go stale; values nested in a
-record are shared as well and must not be mutated either. A `Record` keeps
+immutable and ride in many messages, so each is wrapped once in a read-only
+`Record` that encodes its compact JSON at most once. Mutating a `Record` or a
+`RecordList` raises, so the cached text can never go stale; values nested in
+a record are shared as well and must not be mutated either. A `Record` keeps
 the frozen object it was built from, and a receiver that merges the record
 installs that object (`adopt`), so records are shared across agents, not only
 across the messages of one agent: a swarm that has converged holds one copy
 of each record and encodes its JSON once.
 
-`encode` and `dumps_trace` splice those cached forms into the output and
-leave everything else to the C encoder with the same settings. The result is
-byte-identical to `json.dumps(..., sort_keys=True)` with the same separators
-(and `default=str` for traces): a `Record`'s cached text is exactly what that
-call emits for the dict, a `RecordList` is emitted as its members' texts
-joined by the item separator, and a dict holding either is emitted in
-sorted key order, as the encoder does: each record's cached text under its
-key, and each run of consecutive keys without a record in one encoder call,
-as that run's own dict with its braces cut off. A dict with non-string keys
-is left to the encoder whole, since it would sort and convert such keys
-itself. `encode` writes a message's three keys in their sorted order
-itself rather than building the dict that holds them.
+`encode` splices those cached texts into the output and leaves everything
+else to the C encoder with the same settings. The result is byte-identical
+to `json.dumps(..., sort_keys=True, separators=(",", ":"))`: a `Record`'s
+cached text is exactly what that call emits for the dict, a `RecordList` is
+emitted as its members' texts joined by commas, and a dict holding either is
+emitted in sorted key order, as the encoder does: each record's cached text
+under its key, and each run of consecutive keys without a record in one
+encoder call, as that run's own dict with its braces cut off. A dict with
+non-string keys is left to the encoder whole, since it would sort and
+convert such keys itself. `encode` writes a message's three keys in their
+sorted order itself rather than building the dict that holds them.
 """
 
 from __future__ import annotations
@@ -102,11 +100,7 @@ ALL_KINDS = frozenset(
 )
 
 
-_WIRE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_TRACE = json.JSONEncoder(sort_keys=True, default=str)
-
-
-def _encode_fn(encoder: json.JSONEncoder):
+def encode_fn(encoder: json.JSONEncoder):
     """`encoder.encode` without its per-call set-up: the C encoder it would
     build on each call, built once (without the circular-reference check,
     which only changes the error a cyclic value raises)."""
@@ -120,8 +114,7 @@ def _encode_fn(encoder: json.JSONEncoder):
     return lambda value: "".join(encode(value, 0))
 
 
-_encode_wire = _encode_fn(_WIRE)
-_encode_trace = _encode_fn(_TRACE)
+_encode_wire = encode_fn(json.JSONEncoder(sort_keys=True, separators=(",", ":")))
 
 
 def _read_only(self, *args, **kwargs):
@@ -129,17 +122,17 @@ def _read_only(self, *args, **kwargs):
 
 
 class Record(dict):
-    """A gossiped record's dict form: read-only, its JSON encoded once per form.
+    """A gossiped record's dict form: read-only, its JSON encoded once.
 
     Built once per frozen record object (`source`) and shared by every
-    message and trace line that carries it.
+    message that carries it.
     """
 
-    __slots__ = ("_wire", "_trace", "source")
+    __slots__ = ("_wire", "source")
 
     def __init__(self, fields: dict, source=None):
         dict.__init__(self, fields)
-        self._wire = self._trace = None
+        self._wire = None
         self.source = source
 
     __setitem__ = __delitem__ = __ior__ = _read_only
@@ -150,13 +143,6 @@ class Record(dict):
         text = self._wire
         if text is None:
             text = self._wire = _encode_wire(self)
-        return text
-
-    def trace_json(self) -> str:
-        """`json.dumps(self, sort_keys=True, default=str)`, cached."""
-        text = self._trace
-        if text is None:
-            text = self._trace = _encode_trace(self)
         return text
 
 
@@ -173,64 +159,59 @@ class RecordList(list):
     append = clear = extend = insert = pop = remove = reverse = sort = _read_only
 
 
-def _splicer(encoder: json.JSONEncoder, encode, record_json):
-    """JSON text of a value, equal to `encoder.encode(value)`, reusing the
-    cached text of every `Record` and `RecordList` found in it through
-    nested dicts (not through plain lists)."""
-    item_sep, key_sep = encoder.item_separator, encoder.key_separator
+def _records_json(records) -> str:
+    """A `RecordList`'s wire JSON: its members' cached texts, joined."""
+    return "[" + ",".join([r.wire_json() for r in records]) + "]"
 
-    def spliced(d: dict):
-        """The dict's JSON when it holds a record somewhere, else None."""
-        frags = None
-        for key, value in d.items():
-            kind = type(value)
-            if kind is Record:
-                frag = record_json(value)
-            elif kind is RecordList:
-                frag = "[" + item_sep.join([record_json(r) for r in value]) + "]"
-            elif kind is dict:
-                frag = spliced(value)
-                if frag is None:
-                    continue
-            else:
-                continue
-            if frags is None:
-                frags = {}
-            frags[key] = frag
-        if frags is None or not all(type(key) is str for key in d):
-            return None
-        parts, plain = [], {}
-        for key in sorted(d):
-            if key in frags:
-                if plain:
-                    parts.append(encode(plain)[1:-1])
-                    plain = {}
-                parts.append(encode_basestring_ascii(key) + key_sep + frags[key])
-            else:
-                plain[key] = d[key]
-        if plain:
-            parts.append(encode(plain)[1:-1])
-        return "{" + item_sep.join(parts) + "}"
 
-    def dumps(value) -> str:
+def _spliced(d: dict):
+    """The dict's wire JSON when it holds a record somewhere, else None."""
+    frags = None
+    for key, value in d.items():
         kind = type(value)
         if kind is Record:
-            return record_json(value)
-        if kind is RecordList:
-            return "[" + item_sep.join([record_json(r) for r in value]) + "]"
-        if kind is dict:
-            text = spliced(value)
-            if text is not None:
-                return text
-        return encode(value)
+            frag = value.wire_json()
+        elif kind is RecordList:
+            frag = _records_json(value)
+        elif kind is dict:
+            frag = _spliced(value)
+            if frag is None:
+                continue
+        else:
+            continue
+        if frags is None:
+            frags = {}
+        frags[key] = frag
+    if frags is None or not all(type(key) is str for key in d):
+        return None
+    parts, plain = [], {}
+    for key in sorted(d):
+        if key in frags:
+            if plain:
+                parts.append(_encode_wire(plain)[1:-1])
+                plain = {}
+            parts.append(encode_basestring_ascii(key) + ":" + frags[key])
+        else:
+            plain[key] = d[key]
+    if plain:
+        parts.append(_encode_wire(plain)[1:-1])
+    return "{" + ",".join(parts) + "}"
 
-    return dumps
 
-
-_dumps_wire = _splicer(_WIRE, _encode_wire, Record.wire_json)
-
-#: One trace line: `json.dumps(value, sort_keys=True, default=str)`.
-dumps_trace = _splicer(_TRACE, _encode_trace, Record.trace_json)
+def _dumps_wire(value) -> str:
+    """Compact wire JSON of a value, equal to `_encode_wire(value)`, reusing
+    the cached text of every `Record` and `RecordList` found in it through
+    nested dicts (not through plain lists)."""
+    kind = type(value)
+    if kind is Record:
+        return value.wire_json()
+    if kind is RecordList:
+        return _records_json(value)
+    if kind is dict:
+        text = _spliced(value)
+        if text is not None:
+            return text
+    return _encode_wire(value)
 
 
 def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> tuple:

@@ -68,10 +68,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "ef1dbe8ca204595a002f9f19c1e73d115612acf529f649a40fef39311d1defa7",
-    "heavy_churn": "444b240434d10078d50d3bbe7ec75ffaebcf421eb241f71e849790a290a17309",
-    "partition_heal": "c9397e7a507800420b422d51e0954df743b59d0a74245dae1d1cbef93e67c758",
-    "steady_state": "59a8b63b19f120ed78a22e1e14a4f6f25645a664481cfabe552afdaec1ab69be",
+    "data_locality": "5588ff807f9afcb6df154337ff97efd782220dd92962a3ffdda5b45c48a1f9bc",
+    "heavy_churn": "d9a7b0ddb8a3531b18b03cfe893cc02650bb511ede758f4471e75f8b0f93198d",
+    "partition_heal": "a3b380b09ca49cef58577af35f147f76d689ac82ff1ad76943764ba1017be7a8",
+    "steady_state": "b746c891a8418f396965b48469bf8a0bf7aa543f6e06ad28cef39de2e60a6bb0",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

@@ -7,7 +7,7 @@ import pytest
 
 from swarmsim import agent, gossip, membership, wire
 from swarmsim import scenario as scen
-from swarmsim.sim import SimFault
+from swarmsim.sim import SimFault, Simulator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -163,17 +163,25 @@ def test_nodes_started_together_do_not_run_rounds_in_lockstep():
     assert _first_rounds(seed=3) == first
 
 
-def test_hello_is_answered_by_hello_ack_with_the_records_its_map_lacks():
+def test_hello_is_answered_by_hello_ack_with_the_records_its_map_lacks(monkeypatch):
+    sends = []  # (from, to, message) as sent
+    send = Simulator.send
+
+    def recording_send(self, frm, to, msg):
+        sends.append((frm, to, msg))
+        return send(self, frm, to, msg)
+
+    monkeypatch.setattr(Simulator, "send", recording_send)
     sim, agents, _ = scen.build(scen.parse_scenario(_grid(2)))
     sim.run_until(0.1)
-    sends = [r for r in sim.trace if r["type"] == "send"]
     # Node 2 joins after node 1 and HELLOs it; the HELLO's piggybacked
     # deltas already carry node 2's record, so only node 1's goes back.
-    assert [(r["from"], r["to"], r["kind"]) for r in sends[:2]] == [
+    assert [(frm, to, msg.kind) for frm, to, msg in sends[:2]] == [
         (2, 1, wire.HELLO), (1, 2, wire.HELLO_ACK),
     ]
-    assert [d["node"] for d in sends[1]["body"]["view"]] == [1]
-    assert "want_view" not in sends[1]["body"]
+    ack = sends[1][2]
+    assert [d["node"] for d in ack.body["view"]] == [1]
+    assert "want_view" not in ack.body
     assert sorted(agents[2].view.members) == [1, 2]
 
 

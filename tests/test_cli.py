@@ -218,8 +218,10 @@ def test_compare_variants_file_that_is_a_directory_is_an_error(tmp_path, capsys)
 PARTITION_HEAL = Path(__file__).resolve().parents[1] / "scenarios" / "partition_heal.yaml"
 
 # Settings that `validate` once passed although a run with them hangs (a
-# zero period re-arms its timer at the same instant forever) or dies in the
-# simulator (a negative delay, a zero round count).
+# zero period re-arms its timer at the same instant forever), dies in the
+# simulator (a negative delay, a zero round count) or runs to a meaningless
+# result (a reservation that outlives no offer round, a load forecast that
+# diverges).
 DEGENERATE = [
     (None, "sample_period", 0, "sample_period: must be positive"),
     (None, "sample_period", -1, "sample_period: must be positive"),
@@ -231,6 +233,16 @@ DEGENERATE = [
     ("agent", "anti_entropy_every", 0, "agent: anti_entropy_every must be >= 1, got 0"),
     ("agent", "rediscover_every", 0, "agent: rediscover_every must be >= 1, got 0"),
     ("agent", "status_refresh_every", 0, "agent: status_refresh_every must be >= 1, got 0"),
+    # Valid alone, but every reservation expires before its CLAIM arrives.
+    ("agent", "reservation_ttl", 0,
+     "agent: reservation_ttl must be > offer_timeout (0.25), got 0"),
+    ("agent", "reservation_ttl", 0.25,
+     "agent: reservation_ttl must be > offer_timeout (0.25), got 0.25"),
+    # The load forecast diverges (or swings) outside [0, 1].
+    ("agent", "forecast_alpha", -1, "agent: forecast_alpha must be in [0, 1], got -1"),
+    ("agent", "forecast_alpha", 2, "agent: forecast_alpha must be in [0, 1], got 2"),
+    ("agent", "forecast_alpha", float("nan"),
+     "agent: forecast_alpha must be in [0, 1], got nan"),
 ]
 
 

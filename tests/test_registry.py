@@ -146,7 +146,11 @@ def test_merge_order_independent(vs):
 
 def reference_hash(reg):
     """content_hash as it reads without caching: the whole list dumped."""
-    doc = json.dumps([e.to_dict() for _, e in sorted(reg.entries.items())], sort_keys=True)
+    doc = json.dumps(
+        [e.to_dict() for _, e in sorted(reg.entries.items())],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
