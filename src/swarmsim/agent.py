@@ -296,7 +296,7 @@ class NodeAgent:
             return
         now = self.sim.now
         task = ot.spec
-        deadline_remaining = ot.submitted_at + task.qos.deadline - now
+        deadline_remaining = ot.submitted_at + task.deadline - now
         if self.node not in exclude and self.execution.feasible(task, deadline_remaining):
             self.record("local_admit", task=task.task_id, attempt=attempt)
             ot.executors[attempt] = self.node
@@ -477,7 +477,7 @@ class NodeAgent:
             attempt=attempt,
             executor=frm,
             latency=latency,
-            deadline_violation=latency > ot.spec.qos.deadline,
+            deadline_violation=latency > ot.spec.deadline,
         )
         ot.executors.pop(attempt, None)
         for other_attempt, node in sorted(ot.executors.items()):

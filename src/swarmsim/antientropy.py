@@ -89,7 +89,7 @@ class AntiEntropy:
 
     def publish_profile(self, force: bool = False) -> None:
         """Install our current profile in the registry when it changed (or
-        when forced); an unchanged one keeps its status_version."""
+        when forced); an unchanged one keeps its version."""
         agent = self.agent
         current = self.registry.entries.get(self.node)
         dyn = agent.profile.dyn
@@ -97,8 +97,6 @@ class AntiEntropy:
             utilization=round(agent.execution.forecast.ewma_utilization, 6),
             battery=dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4),
             scheduled_task_ids=tuple(sorted(agent.engine.runs)),
-            # Compared with the held profile at its own version.
-            status_version=(dyn if current is None else current.profile.dyn).status_version,
         )
         if force or current is None or candidate != current.profile:
             self.registry.local_update(candidate, agent.incarnation, self.sim.now)

@@ -75,7 +75,7 @@ class Execution:
             kind = wire.ACCEPT if existing.attempt == attempt else wire.REJECT
             self.agent.send_task(frm, kind, task.task_id, attempt)
             return
-        deadline_remaining = submitted_at + task.qos.deadline - self.sim.now
+        deadline_remaining = submitted_at + task.deadline - self.sim.now
         if not self.feasible(task, deadline_remaining):
             self.agent.send_task(frm, wire.REJECT, task.task_id, attempt)
             return
@@ -94,7 +94,7 @@ class Execution:
             memory=task.memory_demand,
             origin=origin,
             submitted_at=submitted_at,
-            deadline=task.qos.deadline,
+            deadline=task.deadline,
             spec=task,
         )
         self.agent.record(

@@ -1,4 +1,8 @@
-"""Shared vocabulary types for nodes, tasks, capabilities and QoS.
+"""Shared vocabulary types for nodes and tasks.
+
+A node's profile is its hardware, its dynamic status and the task
+typologies it runs; a task names its typology, work, memory, inputs and
+deadline.
 
 Everything here is an immutable value object, so these types are safe to
 share between per-node state machines: a profile gossiped in a registry entry
@@ -8,7 +12,7 @@ is the same object in every agent that holds the entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Final, Union
 
 NodeId = int
@@ -68,31 +72,11 @@ class StaticHardwareProfile:
 
 
 @dataclass(frozen=True)
-class StaticSoftwareProfile:
-    os_tag: str
-    supported_runtimes: frozenset = frozenset()
-
-    def to_dict(self) -> dict:
-        return {
-            "os_tag": self.os_tag,
-            "supported_runtimes": sorted(self.supported_runtimes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StaticSoftwareProfile":
-        return cls(
-            os_tag=str(d["os_tag"]),
-            supported_runtimes=frozenset(d.get("supported_runtimes", [])),
-        )
-
-
-@dataclass(frozen=True)
 class DynamicStatus:
     utilization: float  # [0, 1]
     battery: BatteryLevel  # [0, 1] or MAINS
     position: Position
     scheduled_task_ids: tuple = ()
-    status_version: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -100,7 +84,6 @@ class DynamicStatus:
             "battery": self.battery,
             "position": self.position.to_dict(),
             "scheduled_task_ids": list(self.scheduled_task_ids),
-            "status_version": self.status_version,
         }
 
     @classmethod
@@ -113,45 +96,6 @@ class DynamicStatus:
             battery=battery,
             position=Position.from_dict(d["position"]),
             scheduled_task_ids=tuple(d.get("scheduled_task_ids", [])),
-            status_version=int(d.get("status_version", 0)),
-        )
-
-
-@dataclass(frozen=True)
-class CapabilityAdvertisement:
-    node: NodeId
-    task_typologies: frozenset = frozenset()
-
-    def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "task_typologies": sorted(self.task_typologies),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CapabilityAdvertisement":
-        return cls(
-            node=int(d["node"]),
-            task_typologies=frozenset(d.get("task_typologies", [])),
-        )
-
-
-@dataclass(frozen=True)
-class QoSRequirement:
-    deadline: float  # seconds from submission
-    min_success_replicas: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "deadline": self.deadline,
-            "min_success_replicas": self.min_success_replicas,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QoSRequirement":
-        return cls(
-            deadline=float(d["deadline"]),
-            min_success_replicas=int(d.get("min_success_replicas", 1)),
         )
 
 
@@ -177,7 +121,7 @@ class TaskSpec:
     work: float  # work-units
     memory_demand: int  # MiB
     input_data: tuple = ()  # tuple of DataInput
-    qos: QoSRequirement = QoSRequirement(deadline=60.0)
+    deadline: float = 60.0  # seconds from submission
     origin_node: NodeId = 0
 
     def to_dict(self) -> dict:
@@ -187,7 +131,7 @@ class TaskSpec:
             "work": self.work,
             "memory_demand": self.memory_demand,
             "input_data": [i.to_dict() for i in self.input_data],
-            "qos": self.qos.to_dict(),
+            "deadline": self.deadline,
             "origin_node": self.origin_node,
         }
 
@@ -199,7 +143,7 @@ class TaskSpec:
             work=float(d["work"]),
             memory_demand=int(d["memory_demand"]),
             input_data=tuple(DataInput.from_dict(i) for i in d.get("input_data", [])),
-            qos=QoSRequirement.from_dict(d["qos"]),
+            deadline=float(d["deadline"]),
             origin_node=int(d["origin_node"]),
         )
 
@@ -208,9 +152,8 @@ class TaskSpec:
 class NodeProfile:
     node: NodeId
     hw: StaticHardwareProfile
-    sw: StaticSoftwareProfile
     dyn: DynamicStatus
-    adv: CapabilityAdvertisement
+    typologies: frozenset  # task typologies this node runs
 
     def with_dyn(self, **changes) -> "NodeProfile":
         return replace(self, dyn=replace(self.dyn, **changes))
@@ -219,9 +162,8 @@ class NodeProfile:
         return {
             "node": self.node,
             "hw": self.hw.to_dict(),
-            "sw": self.sw.to_dict(),
             "dyn": self.dyn.to_dict(),
-            "adv": self.adv.to_dict(),
+            "typologies": sorted(self.typologies),
         }
 
     @classmethod
@@ -229,19 +171,18 @@ class NodeProfile:
         return cls(
             node=int(d["node"]),
             hw=StaticHardwareProfile.from_dict(d["hw"]),
-            sw=StaticSoftwareProfile.from_dict(d["sw"]),
             dyn=DynamicStatus.from_dict(d["dyn"]),
-            adv=CapabilityAdvertisement.from_dict(d["adv"]),
+            typologies=frozenset(d["typologies"]),
         )
 
 
 def capability_match(task: TaskSpec, profile: NodeProfile) -> bool:
     """Can this node run this task at all?
 
-    Checks typology advertisement, memory capacity and that the node is not
+    Checks the node's typologies, memory capacity and that the node is not
     battery-dead. Total function: never raises on validated inputs.
     """
-    if task.typology not in profile.adv.task_typologies:
+    if task.typology not in profile.typologies:
         return False
     if task.memory_demand > profile.hw.memory:
         return False
@@ -266,9 +207,6 @@ def validate_profile(profile: NodeProfile) -> list:
     if not (hw.link_bandwidth > 0):
         violations.append("hw.link_bandwidth not positive")
 
-    if not profile.sw.os_tag:
-        violations.append("sw.os_tag empty")
-
     dyn = profile.dyn
     if not (0.0 <= dyn.utilization <= 1.0):
         violations.append("dyn.utilization out of [0,1]")
@@ -277,16 +215,9 @@ def validate_profile(profile: NodeProfile) -> list:
             violations.append("dyn.battery out of [0,1]")
     if not (math.isfinite(dyn.position.x) and math.isfinite(dyn.position.y)):
         violations.append("dyn.position not finite")
-    if dyn.status_version < 0:
-        violations.append("dyn.status_version negative")
 
-    adv = profile.adv
-    if adv.node != profile.node:
-        violations.append("adv.node differs from node")
-    for label in adv.task_typologies:
-        if not label:
-            violations.append("adv.task_typologies contains empty label")
-            break
+    if not all(profile.typologies):
+        violations.append("typologies contains empty label")
 
     return violations
 
@@ -300,10 +231,8 @@ def validate_task(task: TaskSpec) -> list:
         violations.append("memory_demand negative")
     if not task.typology:
         violations.append("typology empty")
-    if not (task.qos.deadline > 0):
-        violations.append("qos.deadline not positive")
-    if task.qos.min_success_replicas < 1:
-        violations.append("qos.min_success_replicas < 1")
+    if not (task.deadline > 0):
+        violations.append("deadline not positive")
     for inp in task.input_data:
         if not (inp.size > 0):
             violations.append("input_data size not positive")

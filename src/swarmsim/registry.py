@@ -3,8 +3,9 @@
 Each entry is versioned by the lexicographic pair (incarnation,
 status_version), tying profile freshness to membership incarnation: after a
 crash-rejoin the node's incarnation rises, so zombie profiles from the old
-life can never supersede fresh ones. Per entry the merge is an LWW register,
-hence idempotent, commutative and associative.
+life can never supersede fresh ones. The status_version lives only in the
+entry's version, not in the profile it stamps. Per entry the merge is an LWW
+register, hence idempotent, commutative and associative.
 
 Deliberate deviation from a consensus-backed store: profile data needs
 availability under churn and partitions, not linearizability, so this is a
@@ -43,7 +44,6 @@ class RegistryEntry:
     @cached_property
     def _dict(self) -> wire.Record:
         return wire.Record({
-            "node": self.node,
             "profile": self.profile.to_dict(),
             "version": list(self.version),
             "stamped_time": self.stamped_time,
@@ -58,7 +58,7 @@ class RegistryEntry:
     @classmethod
     def from_dict(cls, d: dict) -> "RegistryEntry":
         return cls(
-            node=int(d["node"]),
+            node=int(d["profile"]["node"]),
             profile=NodeProfile.from_dict(d["profile"]),
             version=tuple(d["version"]),
             stamped_time=float(d["stamped_time"]),
@@ -91,11 +91,10 @@ class Registry:
                 f"node {self.owner} cannot locally update profile of {profile.node}"
             )
         prev = self.entries.get(self.owner)
-        prev_sv = prev.version[1] if prev is not None else profile.dyn.status_version
-        new_profile = profile.with_dyn(status_version=prev_sv + 1)
+        prev_sv = prev.version[1] if prev is not None else 0
         entry = RegistryEntry(
             node=self.owner,
-            profile=new_profile,
+            profile=profile,
             version=(incarnation, prev_sv + 1),
             stamped_time=now,
         )

@@ -1,6 +1,6 @@
 """Scenario files: YAML description of a swarm run, loader, builder, runner.
 
-A scenario names the nodes (hardware, software, energy, position), the
+A scenario names the nodes (hardware, task typologies, energy, position), the
 network model, optional churn/mobility/partition events, data sources and a
 workload (explicit task list and/or a generated arrival stream). The builder
 turns it into a wired Simulator plus one NodeAgent per node; the runner
@@ -24,14 +24,11 @@ from .dataplane import DataSourceDescriptor
 from .metrics import MetricsCollector, MetricsReport
 from .model import (
     MAINS,
-    CapabilityAdvertisement,
     DataInput,
     DynamicStatus,
     NodeProfile,
     Position,
-    QoSRequirement,
     StaticHardwareProfile,
-    StaticSoftwareProfile,
     TaskSpec,
     is_mains,
     validate_profile,
@@ -48,8 +45,6 @@ class NodeSpec:
     cpu_perf_index: float = 1.0
     memory: int = 1024
     link_bandwidth: float = 10.0
-    os_tag: str = "linux"
-    runtimes: tuple = ()
     typologies: tuple = ()
     battery: object = MAINS
     drain_rate: float = 0.0
@@ -64,17 +59,12 @@ class NodeSpec:
                 memory=self.memory,
                 link_bandwidth=self.link_bandwidth,
             ),
-            sw=StaticSoftwareProfile(
-                os_tag=self.os_tag, supported_runtimes=frozenset(self.runtimes)
-            ),
             dyn=DynamicStatus(
                 utilization=self.utilization,
                 battery=self.battery,
                 position=self.position,
             ),
-            adv=CapabilityAdvertisement(
-                node=self.node, task_typologies=frozenset(self.typologies)
-            ),
+            typologies=frozenset(self.typologies),
         )
 
 
@@ -210,21 +200,28 @@ class _Fields:
     A missing required field, or a value its cast rejects, becomes a problem
     naming the item and the field and reads as the cast default (None when
     required), so parsing goes on and `Scenario.validate` lists every
-    problem at once.
+    problem at once. `finish`, called after the last read, makes every key
+    no read asked for a problem too.
     """
 
     def __init__(self, raw, label: str, problems: list):
         self.label = label
         self.problems = problems
         self.raw = raw if isinstance(raw, dict) else {}
+        self.read = set()
         if not isinstance(raw, dict):
             problems.append(f"{label}: expected a mapping, got {raw!r}")
 
     def _problem(self, key: str, issue: str) -> None:
         self.problems.append(f"{self.label}: {key}: {issue}" if self.label else f"{key}: {issue}")
 
+    def take(self, key: str, default=None):
+        """An optional field's raw value, left for a later reader to check."""
+        self.read.add(key)
+        return self.raw.get(key, default)
+
     def __call__(self, key: str, cast, default=_REQUIRED):
-        value = self.raw.get(key, default)
+        value = self.take(key, default)
         if value is _REQUIRED:
             self._problem(key, "required")
             return None
@@ -236,34 +233,40 @@ class _Fields:
 
     def list(self, key: str) -> list:
         """An optional list field; anything else is a problem and reads []."""
-        value = self.raw.get(key, [])
+        value = self.take(key, [])
         if isinstance(value, list):
             return value
         self._problem(key, f"expected a list, got {value!r}")
         return []
+
+    def finish(self) -> None:
+        """Report each key of the mapping that no read asked for."""
+        prefix = f"{self.label}: " if self.label else ""
+        for key in self.raw:
+            if key not in self.read:
+                self.problems.append(f"{prefix}unknown field {key}")
 
 
 def _node_spec(raw, index: int, problems: list):
     """The node's spec, or None when it has no usable id."""
     get = _Fields(raw, f"nodes[{index}]", problems)
     node = get("id", int)
-    if node is None:
-        return None
-    get.label = f"node {node}"
-    return NodeSpec(
+    if node is not None:
+        get.label = f"node {node}"
+    spec = NodeSpec(
         node=node,
         position=get("position", _position, [0.0, 0.0]),
         cpu_perf_index=get("cpu_perf_index", float, 1.0),
         memory=get("memory", int, 1024),
         link_bandwidth=get("link_bandwidth", float, 10.0),
-        os_tag=get("os_tag", str, "linux"),
-        runtimes=tuple(get.list("runtimes")),
         typologies=tuple(get.list("typologies")),
         battery=get("battery", _battery, MAINS),
         drain_rate=get("drain_rate", float, 0.0),
         utilization=get("utilization", float, 0.0),
         start_time=get("start_time", float, 0.0),
     )
+    get.finish()
+    return None if node is None else spec
 
 
 def _task_spec(raw, source_sizes: dict, label: str, problems: list):
@@ -273,13 +276,16 @@ def _task_spec(raw, source_sizes: dict, label: str, problems: list):
     for k, inp in enumerate(get.list("inputs")):
         get_input = _Fields(inp, f"{label}: inputs[{k}]", problems)
         source = get_input("source", int)
+        size = get_input("size", float, source_sizes.get(source, 0.0))
+        get_input.finish()
         if source is not None:
-            size = get_input("size", float, source_sizes.get(source, 0.0))
             inputs.append(DataInput(source=source, size=size))
     required = (
         get("id", int), get("typology", str), get("work", float),
         get("origin", int), get("at", float),
     )
+    memory, deadline = get("memory", int, 0), get("deadline", float, 60.0)
+    get.finish()
     if None in required:
         return None
     task_id, typology, work, origin, at = required
@@ -287,12 +293,9 @@ def _task_spec(raw, source_sizes: dict, label: str, problems: list):
         task_id=task_id,
         typology=typology,
         work=work,
-        memory_demand=get("memory", int, 0),
+        memory_demand=memory,
         input_data=tuple(inputs),
-        qos=QoSRequirement(
-            deadline=get("deadline", float, 60.0),
-            min_success_replicas=get("min_success_replicas", int, 1),
-        ),
+        deadline=deadline,
         origin_node=origin,
     )
     return at, task
@@ -307,22 +310,29 @@ def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list)
     jitter = get("jitter", float, 0.0)
     origins = get("origins", _ints)
     first_id = get("first_id", int, 1000)
+    template = get("template", dict, {})
+    for key in ("id", "origin", "at"):  # set per task below
+        if key in template:
+            problems.append(f"workload: template: unknown field {key}")
+    # Task fields set on the workload itself; the template's win. Each task
+    # checks them.
+    defaults = {
+        key: get.take(key, default)
+        for key, default in (
+            ("typology", "generic"), ("work", 1.0), ("memory", 0),
+            ("deadline", 60.0), ("inputs", []),
+        )
+    }
+    get.finish()
     if count is None or not origins:
         if origins == []:
             problems.append("workload: origins: empty")
         return []
-    template = get("template", dict, {})
-    raw = get.raw
     rng = simlib.substream(scenario_seed, "workload")
     out = []
     for i in range(count):
         at = start + i * interval + (jitter * rng.random() if jitter else 0.0)
-        spec = dict(template)
-        spec.setdefault("typology", raw.get("typology", "generic"))
-        spec.setdefault("work", raw.get("work", 1.0))
-        spec.setdefault("memory", raw.get("memory", 0))
-        spec.setdefault("deadline", raw.get("deadline", 60.0))
-        spec.setdefault("inputs", raw.get("inputs", []))
+        spec = {**defaults, **template}
         spec["id"] = first_id + i
         spec["origin"] = origins[i % len(origins)]
         spec["at"] = at
@@ -402,6 +412,7 @@ def parse_scenario(raw: dict) -> Scenario:
             get_source.label = f"data source {source_id}"
         owner, size = get_source("owner", int), get_source("size", float)
         replicas = get_source("replicas", _ints, [])
+        get_source.finish()
         if None in (source_id, owner, size):
             continue
         try:
@@ -422,8 +433,9 @@ def parse_scenario(raw: dict) -> Scenario:
         pair = _task_spec(t, source_sizes, f"tasks[{i}]", problems)
         if pair is not None:
             tasks.append(pair)
-    if "workload" in raw:
-        tasks.extend(_generate_tasks(raw["workload"], seed, source_sizes, problems))
+    workload = get.take("workload")
+    if workload is not None:
+        tasks.extend(_generate_tasks(workload, seed, source_sizes, problems))
     tasks.sort(key=lambda pair: (pair[0], pair[1].task_id))
     events = []
     for i, e in enumerate(get.list("events")):
@@ -433,9 +445,11 @@ def parse_scenario(raw: dict) -> Scenario:
             "node": get_event("node", int),
             "at": get_event("at", float),
         }
+        to = get_event.take("to") if event["type"] == "move" else None
+        get_event.finish()
         if None not in event.values():
-            if "to" in get_event.raw:
-                event["to"] = get_event.raw["to"]
+            if to is not None:
+                event["to"] = to
             events.append(event)
     partitions = []
     for i, p in enumerate(get.list("partitions")):
@@ -444,26 +458,29 @@ def parse_scenario(raw: dict) -> Scenario:
             get_part("a", _ints), get_part("b", _ints),
             get_part("start", float), get_part("end", float),
         )
+        get_part.finish()
         if None not in part:
             partitions.append(part)
-    net = _settings(NetModel, raw.get("net"), "net", problems)
+    net = _settings(NetModel, get.take("net"), "net", problems)
     nodes = [_node_spec(n, i, problems) for i, n in enumerate(get.list("nodes"))]
-    return Scenario(
+    scenario = Scenario(
         name=get("name", str, "scenario"),
         # An unreadable duration is reported; inf keeps it out of the
         # window checks, which would only repeat the problem.
         duration=get("duration", float, math.inf),
         seed=seed,
         net=_build_checked(NetModel(), net, "net", problems),
-        agent=_agent_config(raw.get("agent"), "agent", problems, base=AgentConfig()),
+        agent=_agent_config(get.take("agent"), "agent", problems, base=AgentConfig()),
         nodes=[n for n in nodes if n is not None],
         data_sources=sources,
         tasks=tasks,
         events=events,
         partitions=partitions,
         sample_period=get("sample_period", float, 1.0),
-        parse_problems=list(dict.fromkeys(problems)),
     )
+    get.finish()
+    scenario.parse_problems = list(dict.fromkeys(problems))
+    return scenario
 
 
 # libyaml's safe loader where PyYAML was built with it: scanning YAML in

@@ -6,13 +6,10 @@ import pytest
 
 from swarmsim.model import (
     MAINS,
-    CapabilityAdvertisement,
     DynamicStatus,
     NodeProfile,
     Position,
-    QoSRequirement,
     StaticHardwareProfile,
-    StaticSoftwareProfile,
     TaskSpec,
 )
 
@@ -26,23 +23,18 @@ def make_profile(
     battery=MAINS,
     position=(0.0, 0.0),
     typologies=("generic",),
-    status_version=0,
 ):
     return NodeProfile(
         node=node,
         hw=StaticHardwareProfile(
             cpu_perf_index=perf, memory=memory, link_bandwidth=bandwidth
         ),
-        sw=StaticSoftwareProfile(os_tag="linux"),
         dyn=DynamicStatus(
             utilization=utilization,
             battery=battery,
             position=Position(*position),
-            status_version=status_version,
         ),
-        adv=CapabilityAdvertisement(
-            node=node, task_typologies=frozenset(typologies)
-        ),
+        typologies=frozenset(typologies),
     )
 
 
@@ -54,7 +46,7 @@ def make_task(task_id=1, typology="generic", work=1.0, memory=64, deadline=60.0,
         work=work,
         memory_demand=memory,
         input_data=tuple(inputs),
-        qos=QoSRequirement(deadline=deadline),
+        deadline=deadline,
         origin_node=origin,
     )
 

@@ -68,10 +68,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "5588ff807f9afcb6df154337ff97efd782220dd92962a3ffdda5b45c48a1f9bc",
-    "heavy_churn": "d9a7b0ddb8a3531b18b03cfe893cc02650bb511ede758f4471e75f8b0f93198d",
-    "partition_heal": "a3b380b09ca49cef58577af35f147f76d689ac82ff1ad76943764ba1017be7a8",
-    "steady_state": "b746c891a8418f396965b48469bf8a0bf7aa543f6e06ad28cef39de2e60a6bb0",
+    "data_locality": "1d97b8357c28258fa7a0838754c581f484ffd736dddcdf62fd962f6b8dda51c1",
+    "heavy_churn": "60181bd01b648e1ad462472bc2ce594631774b5b76d45c08cf76abde82fcdb41",
+    "partition_heal": "0c5c0832b7cbec0ad8cd7546cc67dd90d1d2ecd84fb05772619b1fd822168094",
+    "steady_state": "6a9acb73e89c702894f913d8149fc96ede30072ad60d0dd75dbbc534aab6458d",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

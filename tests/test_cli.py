@@ -58,6 +58,8 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
         (dict(SMALL, nodes=SMALL["nodes"] + nodes[:1]), "nodes[2]: id: required"),
         (dict(SMALL, nodes=nodes[1:]), "node 1: cpu_perf_index: expected a number"),
         (dict(SMALL, duration="ten"), "duration: expected a number, got 'ten'"),
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], os_tag="linux")]),
+         "node 1: unknown field os_tag"),
     ):
         cfg = write_config(tmp_path, bad)
         assert main(["validate", cfg]) == 1

@@ -41,7 +41,7 @@ def test_validate_task():
     bad = make_task(work=0.0, deadline=-1.0, typology="")
     issues = validate_task(bad)
     assert "work not positive" in issues
-    assert "qos.deadline not positive" in issues
+    assert "deadline not positive" in issues
     assert "typology empty" in issues
     with_bad_input = make_task(inputs=[DataInput(source=1, size=0.0)])
     assert "input_data size not positive" in validate_task(with_bad_input)
@@ -95,7 +95,7 @@ def test_with_dyn_replaces_only_dynamic_fields():
     p = make_profile(utilization=0.1)
     q = p.with_dyn(utilization=0.9)
     assert q.dyn.utilization == 0.9
-    assert q.hw == p.hw and q.adv == p.adv and q.node == p.node
+    assert q.hw == p.hw and q.typologies == p.typologies and q.node == p.node
     assert math.isclose(p.dyn.utilization, 0.1)  # original untouched
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from swarmsim import membership
 from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry
 
-from conftest import make_profile
+from conftest import make_profile, make_task
 
 
 def entry_for(node, inc=0, sv=1, util=0.0, t=0.0):
     return RegistryEntry(
         node=node,
-        profile=make_profile(node=node, utilization=util, status_version=sv),
+        profile=make_profile(node=node, utilization=util),
         version=(inc, sv),
         stamped_time=t,
     )
@@ -196,3 +196,27 @@ def test_registry_mutators_refresh_versions():
     assert not reg.merge(entry_for(1, sv=0))  # older: not applied
     assert not reg.evict(2)
     assert reg.version_map() is before
+
+
+def test_wire_schema_is_flat():
+    entry = entry_for(2)
+    assert set(entry.to_dict()) == {"profile", "version", "stamped_time"}
+    assert set(entry.to_dict()["profile"]) == {"node", "hw", "dyn", "typologies"}
+    task = make_task(deadline=12.5).to_dict()
+    assert task["deadline"] == 12.5 and "qos" not in task
+
+
+@pytest.mark.parametrize("entry", [
+    entry_for(2, inc=1, sv=4, util=0.25, t=3.5),
+    RegistryEntry(
+        node=3,
+        profile=make_profile(node=3, battery=0.5, typologies=("vision", "audio")).with_dyn(
+            scheduled_task_ids=(7, 9)
+        ),
+        version=(0, 1),
+        stamped_time=0.0,
+    ),
+])
+def test_entry_round_trips_through_its_wire_form(entry):
+    assert RegistryEntry.from_dict(entry.to_dict()) == entry
+    assert RegistryEntry.from_dict(json.loads(entry.to_dict().wire_json())) == entry

@@ -174,24 +174,47 @@ def test_node_without_id_and_wrong_field_types_are_problems():
 
 def test_malformed_items_and_settings_are_problems():
     sc = with_extras(
-        tasks=[{"id": 1, "origin": 1, "at": 1.0, "typology": "generic", "work": "lots"}],
-        workload={"count": 3, "origins": [1], "memory": "big"},
-        events=[{"type": "crash", "node": "x", "at": 1.0}],
-        partitions=[{"a": [1], "b": [2], "start": "soon", "end": 2.0}],
-        data_sources=[{"id": 7, "owner": 1, "size": -1.0}],
+        # Keys no reader knows: deleted fields (os_tag, runtimes,
+        # min_success_replicas) and one typo per kind of mapping.
+        nodes=[
+            dict(BASE["nodes"][0], os_tag="linux", runtimes=["py3"], cpu_perf_idx=3),
+            BASE["nodes"][1],
+        ],
+        tasks=[{"id": 1, "origin": 1, "at": 1.0, "typology": "generic", "work": "lots",
+                "dedline": 5, "min_success_replicas": 2,
+                "inputs": [{"source": 7, "sise": 1.0}]}],
+        workload={"count": 3, "origins": [1], "memory": "big", "intervall": 2.0,
+                  "template": {"origin": 2}},
+        events=[{"type": "crash", "node": "x", "at": 1.0, "whne": 3, "to": [1, 1]}],
+        partitions=[{"a": [1], "b": [2], "start": "soon", "end": 2.0, "ends": 3.0}],
+        data_sources=[{"id": 7, "owner": 1, "size": -1.0, "replica": [2]}],
         net={"loss_prob": "high", "jitter": 0.1},
         agent={"probe_period": "slow", "scheduler": {"w_qos": 0.9}},
+        sampel_period=2.0,
     )
     assert sc.validate() == [
+        "data source 7: unknown field replica",
         "data source 7: data source size must be positive",
+        "tasks[0]: inputs[0]: unknown field sise",
         "tasks[0]: work: expected a number, got 'lots'",
+        "tasks[0]: unknown field dedline",
+        "tasks[0]: unknown field min_success_replicas",
+        "workload: template: unknown field origin",
+        "workload: unknown field intervall",
         "workload: memory: expected an integer, got 'big'",
         "events[0]: node: expected an integer, got 'x'",
+        "events[0]: unknown field whne",
+        "events[0]: unknown field to",
         "partitions[0]: start: expected a number, got 'soon'",
+        "partitions[0]: unknown field ends",
         "net: loss_prob: expected a number, got 'high'",
         "net: unknown field jitter",
+        "node 1: unknown field os_tag",
+        "node 1: unknown field runtimes",
+        "node 1: unknown field cpu_perf_idx",
         "agent: probe_period: expected a number, got 'slow'",
         "agent: scheduler: score weights must sum to 1, got 1.5",
+        "unknown field sampel_period",
     ]
     assert len(sc.tasks) == 3 and not sc.events and not sc.partitions
     assert with_extras(nodes=5).validate() == ["nodes: expected a list, got 5"]

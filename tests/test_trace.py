@@ -3,10 +3,13 @@
 Each `send` record carries the message's kind, a digest of its encoded
 bytes and their count; only an OFFER also carries its body, which the A4
 scheduling checks read. These tests hold every `send` record of the shipped
-scenarios against the message the simulator was handed.
+scenarios against the message the simulator was handed, and pin what each
+shipped scenario decided apart from the bytes it sent.
 """
 
 import glob
+import hashlib
+import os
 
 import pytest
 
@@ -56,3 +59,38 @@ def test_send_records_carry_the_digest_and_size_of_the_sent_bytes(path, monkeypa
     assert sum(rec["bytes"] for rec in records) == counted["bytes"]
     # Every shipped scenario places tasks remotely, so both cases are met.
     assert offers > 0
+
+
+# sha256 of `write_trace_jsonl` output per shipped scenario at its default
+# seed, with `digest`, `bytes` and OFFER `body` taken out of every `send`
+# record: every event and decision of the run, but not the bytes it sent. A
+# change to the wire schema alone leaves these unchanged; a change that
+# moves any event re-pins them and says why.
+PINNED_DECISION_SHA256 = {
+    "data_locality": "3d70e01515598539565283d7a8a57fd52c9aa687216ecb7e139ea27326bdaabc",
+    "heavy_churn": "063d77515918482e0d8988a53a11078d18e88caa7e5471400c28dfe88f5c414d",
+    "partition_heal": "7bb817ab0a3c04d5511ba0147175fec85f499a62d0627a25a7e103192168fa7a",
+    "steady_state": "10f13298f00f725aa9c0d65d05ea5ccfd15c0f699cbe6103cdce842d4156a068",
+}
+
+WIRE_BYTES_KEYS = ("digest", "bytes", "body")
+
+
+def test_every_shipped_scenario_has_a_decision_pin():
+    names = sorted(os.path.basename(p)[: -len(".yaml")] for p in SCENARIOS)
+    assert sorted(PINNED_DECISION_SHA256) == names
+
+
+@pytest.mark.parametrize("path", SCENARIOS)
+def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
+    result = scen.run(scen.load_scenario(path))
+    decisions = [
+        {k: v for k, v in rec.items() if k not in WIRE_BYTES_KEYS}
+        if rec["type"] == "send" else rec
+        for rec in result.trace
+    ]
+    out = tmp_path / "decisions.jsonl"
+    scen.write_trace_jsonl(decisions, out)
+    name = os.path.basename(path)[: -len(".yaml")]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_DECISION_SHA256[name], f"{path}: an event or decision moved"
