@@ -56,6 +56,13 @@ class AgentConfig:
     min_capacity: float = cognition.MIN_CAPACITY_FRACTION
 
     def __post_init__(self):
+        # A count slices or divides, so a fraction faults mid-run or
+        # silently changes what is counted; a bool is no count either.
+        for name in ("probe_retries", "gossip_k", "retransmit_limit", "leave_fanout",
+                     "anti_entropy_every", "rediscover_every", "status_refresh_every"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # A period of 0 re-arms its timer at the same instant forever, a
         # round count of 0 divides by zero, and a negative delay schedules
         # into the past. Each test fails on NaN.
@@ -80,6 +87,10 @@ class AgentConfig:
         # The load forecast is an EWMA; outside [0, 1] it diverges or swings.
         if not 0 <= self.forecast_alpha <= 1:
             raise ValueError(f"forecast_alpha must be in [0, 1], got {self.forecast_alpha!r}")
+        # The floor of a node's spare capacity: at 0 or NaN a saturated node
+        # predicts no progress, and above 1 more than the whole node.
+        if not 0 < self.min_capacity <= 1:
+            raise ValueError(f"min_capacity must be in (0, 1], got {self.min_capacity!r}")
 
 
 @dataclass

@@ -204,8 +204,8 @@ class Gossip:
             self._check_swarm_change("merge")
 
     def merge_deltas(self, records: list) -> None:
-        """Merge gossiped member record dicts (piggybacked deltas, or the
-        records a DELTA or HELLO-ACK carries).
+        """Merge gossiped member records, each a version entry (piggybacked
+        deltas, or the records a DELTA or HELLO-ACK carries).
 
         A record the view already dominates would be a no-op, so it is
         skipped before decoding. Our own record always takes the slow path:
@@ -214,7 +214,7 @@ class Gossip:
         """
         dominates = self.view.dominates
         for d in records:
-            if d["node"] != self.node and dominates(d):
+            if d[0] != self.node and dominates(d):
                 continue
             self._merge_member(wire.adopt(d, MemberState.from_dict))
 

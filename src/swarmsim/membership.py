@@ -6,22 +6,30 @@ Alive). Consequently merging is commutative, associative and idempotent, and
 a node declared Dead at incarnation k can only come back with incarnation
 > k (refutation).
 
+A member record has one wire form, its version entry
+`[node, incarnation, status, last_update_time]` (SWIM's and Scuttlebutt's
+update tuple). A piggybacked delta, the `view` part of a DELTA or HELLO-ACK
+and an entry of a HELLO's or DIGEST's version map are all that entry; a map
+is just the entries of every member in NodeId order. Each `MemberState`
+builds its entry once (`version_entry`, which `to_dict` returns), as a
+read-only `wire.ListRecord` that encodes its JSON once and remembers the
+state it stands for.
+
 The merge order is one key, `merge_key`: a held record yields only to a
 record with a larger key. `SwarmView.apply`, `dominates` and `diff` all use
-it, so a gossiped record dict, or a peer's version map entry, can be tested
-against the current record before anything is decoded (the Scuttlebutt
-rule: compare versions before materialising state).
+it, so a gossiped entry can be tested against the current record before
+anything is decoded (the Scuttlebutt rule: compare versions before
+materialising state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
 `remove`, each of which bumps `view_version` when the view changes. The
 version map, digest, alive list (whose first element is the swarm id) and
 probe targets are cached per `view_version`, and the values returned are
 shared with every message and trace record that carries them, so they are
-read-only. So are the map's
-entries, each cached once per `MemberState` (`version_entry`), and each
-`MemberState.to_dict()`, a `wire` record type, which enforces it. A view
-installs the very `MemberState` a peer gossiped (`wire.adopt`), so views
-that agree hold the same objects, and their version maps the same entries.
+read-only; the map and its entries are `wire` record types, which enforce
+it. A view installs the very `MemberState` a peer gossiped (`wire.adopt`),
+so views that agree hold the same objects, and their version maps the same
+entries.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -78,32 +86,27 @@ class MemberState:
     def key(self) -> tuple:
         return merge_key(self.status, self.incarnation, self.last_update_time)
 
-    def to_dict(self) -> wire.Record:
-        """The wire form, built once per record and shared: read-only."""
-        return self._dict
+    def to_dict(self) -> wire.ListRecord:
+        """The wire form, `version_entry`: built once, shared, read-only."""
+        return self.version_entry
 
     @cached_property
-    def _dict(self) -> wire.Record:
-        return wire.Record({
-            "node": self.node,
-            "status": self.status,
-            "incarnation": self.incarnation,
-            "last_update_time": self.last_update_time,
-        }, self)
-
-    @cached_property
-    def version_entry(self) -> list:
-        """[node, incarnation, status, last_update_time]: this record in a
-        version map. Built once per record and shared: read-only."""
-        return [self.node, self.incarnation, self.status, self.last_update_time]
+    def version_entry(self) -> wire.ListRecord:
+        """[node, incarnation, status, last_update_time]: this record as
+        every message carries it, piggybacked, in a DELTA or HELLO-ACK, or
+        in a version map."""
+        return wire.ListRecord(
+            [self.node, self.incarnation, self.status, self.last_update_time], self
+        )
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MemberState":
+    def from_dict(cls, entry: list) -> "MemberState":
+        node, incarnation, status, last_update_time = entry
         return cls(
-            node=int(d["node"]),
-            status=str(d["status"]),
-            incarnation=int(d["incarnation"]),
-            last_update_time=float(d["last_update_time"]),
+            node=int(node),
+            status=str(status),
+            incarnation=int(incarnation),
+            last_update_time=float(last_update_time),
         )
 
 
@@ -153,15 +156,15 @@ class SwarmView:
             ).hexdigest()[:16]
         return digest
 
-    def version_map(self) -> list:
+    def version_map(self) -> wire.RecordList:
         """Every member's `version_entry` in NodeId order, as HELLO and
         DIGEST carry it; shared, read-only."""
         cache = self._version_cache()
         entries = cache.get("map")
         if entries is None:
-            entries = cache["map"] = [
+            entries = cache["map"] = wire.RecordList(
                 m.version_entry for _, m in sorted(self.members.items())
-            ]
+            )
         return entries
 
     def diff(self, remote: list, now: float, retention: float) -> tuple:
@@ -193,18 +196,19 @@ class SwarmView:
             )
         return targets
 
-    def dominates(self, record: dict) -> bool:
-        """True when `apply` of this record dict, decoded, would return False.
+    def dominates(self, entry: list) -> bool:
+        """True when `apply` of this version entry, decoded, would return
+        False.
 
         Lets gossip skip records the view already holds without decoding
-        them; a record that is the held one's own dict (shared, see `wire`)
+        them; an entry that is the held record's own (shared, see `wire`)
         is skipped without comparing keys.
         """
-        current = self.members.get(record["node"])
+        current = self.members.get(entry[0])
         if current is None:
             return False
-        return current._dict is record or current.key >= merge_key(
-            record["status"], record["incarnation"], record["last_update_time"]
+        return current.version_entry is entry or current.key >= merge_key(
+            entry[2], entry[1], entry[3]
         )
 
     def apply(self, incoming: MemberState) -> bool:

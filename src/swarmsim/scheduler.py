@@ -28,8 +28,11 @@ class SchedulerParams:
         total = self.w_availability + self.w_qos + self.w_locality
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"score weights must sum to 1, got {total}")
-        if self.top_k < 1 or self.max_attempts < 1:
-            raise ValueError("top_k and max_attempts must be >= 1")
+        for name in ("top_k", "max_attempts"):
+            value = getattr(self, name)
+            # A fraction would fault in the slice that takes the top k.
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

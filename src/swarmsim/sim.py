@@ -22,6 +22,7 @@ known by its digest and byte size alone.
 from __future__ import annotations
 
 import hashlib
+import math
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -48,8 +49,14 @@ class NetModel:
     radio_range: float = 1.0e9  # meters
 
     def __post_init__(self):
-        if self.base_latency < 0 or self.latency_per_meter < 0 or self.radio_range < 0:
-            raise ValueError("net model parameters must be non-negative")
+        # A NaN or infinite latency delivers nothing, and nothing is in
+        # range of a NaN radio range; an infinite range is no limit.
+        for name in ("base_latency", "latency_per_meter"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not self.radio_range >= 0:
+            raise ValueError(f"radio_range must be >= 0, got {self.radio_range!r}")
         if not (0.0 <= self.loss_prob <= 1.0):
             raise ValueError("loss_prob must be in [0,1]")
 

@@ -2,8 +2,10 @@
 
 Messages are a kind tag plus a JSON-compatible body; every message also
 carries a (possibly empty) list of piggybacked membership deltas, which is
-how membership information disseminates with the regular traffic. The codec
-is canonical JSON (sorted keys), so encoding is deterministic and a short
+how membership information disseminates with the regular traffic. A delta is
+a member's version entry `[node, incarnation, status, last_update_time]`,
+the one wire form of a member record (see `membership`). The codec is
+canonical JSON (sorted keys), so encoding is deterministic and a short
 digest of the bytes identifies a message.
 
 A `Message` is a value once sent: neither its sender nor any receiver writes
@@ -24,13 +26,15 @@ answering side lacks, under `want_<key>`; the wanted records follow in one
 more DELTA. A part with nothing in it is left out, and an answer with no
 parts is not sent. Like records, each entry is built once per record and
 shared by every map that holds it, so maps of agents that agree compare
-equal entry by entry without a walk.
+equal entry by entry without a walk. A member's entry and its record are one
+object, so the view's map and the view's records are the same entries.
 
-Gossiped records (member states, registry entries, catalog records) are
-immutable and ride in many messages, so each is wrapped once in a read-only
-`Record` that encodes its compact JSON at most once. Mutating a `Record` or a
+Gossiped records are immutable and ride in many messages, so each is
+wrapped once in a read-only record type that encodes its compact JSON at
+most once: a `ListRecord` for a member (its version entry), a `Record`, a
+dict, for a registry entry or a catalog record. Mutating a record or a
 `RecordList` raises, so the cached text can never go stale; values nested in
-a record are shared as well and must not be mutated either. A `Record` keeps
+a record are shared as well and must not be mutated either. A record keeps
 the frozen object it was built from, and a receiver that merges the record
 installs that object (`adopt`), so records are shared across agents, not only
 across the messages of one agent: a swarm that has converged holds one copy
@@ -38,8 +42,9 @@ of each record and encodes its JSON once.
 
 `encode` splices those cached texts into the output and leaves everything
 else to the C encoder with the same settings. The result is byte-identical
-to `json.dumps(..., sort_keys=True, separators=(",", ":"))`: a `Record`'s
-cached text is exactly what that call emits for the dict, a `RecordList` is
+to `json.dumps(..., sort_keys=True, separators=(",", ":"))`: a record's
+cached text is exactly what that call emits for the dict or list, a
+`RecordList` (the records of a DELTA, or the view's version map) is
 emitted as its members' texts joined by commas, and a dict holding either is
 emitted in sorted key order, as the encoder does: each record's cached text
 under its key, and each run of consecutive keys without a record in one
@@ -121,22 +126,17 @@ def _read_only(self, *args, **kwargs):
     raise TypeError(f"{type(self).__name__} is read-only")
 
 
-class Record(dict):
-    """A gossiped record's dict form: read-only, its JSON encoded once.
+class _Encoded:
+    """A gossiped record: read-only, its JSON encoded at most once, built
+    once per frozen record object (`source`) and shared by every message
+    that carries it."""
 
-    Built once per frozen record object (`source`) and shared by every
-    message that carries it.
-    """
+    __slots__ = ()  # a subclass holds "_wire" and "source"
 
-    __slots__ = ("_wire", "source")
-
-    def __init__(self, fields: dict, source=None):
-        dict.__init__(self, fields)
+    def __init__(self, value, source=None):
+        super().__init__(value)
         self._wire = None
         self.source = source
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
 
     def wire_json(self) -> str:
         """`json.dumps(self, sort_keys=True, separators=(",", ":"))`, cached."""
@@ -146,17 +146,40 @@ class Record(dict):
         return text
 
 
-class RecordList(list):
-    """A read-only list of `Record`s, e.g. the records of a DELTA.
+class Record(_Encoded, dict):
+    """A gossiped record's dict form (a registry entry, a catalog record)."""
+
+    __slots__ = ("_wire", "source")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+class _ReadOnlyList(list):
+    """A list whose mutators raise."""
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+
+class ListRecord(_Encoded, _ReadOnlyList):
+    """A gossiped record's list form: a member's version entry, shared by
+    the view's version map and every message that carries the record."""
+
+    __slots__ = ("_wire", "source")
+
+
+class RecordList(_ReadOnlyList):
+    """A read-only list of records (`Record`s or `ListRecord`s), e.g. the
+    records of a DELTA or a version map.
 
     Its JSON is its members' cached texts joined on each use; the joined text
     is not kept, since lists are rebuilt often and would hold it for the run.
     """
 
     __slots__ = ()
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
 
 
 def _records_json(records) -> str:
@@ -169,7 +192,7 @@ def _spliced(d: dict):
     frags = None
     for key, value in d.items():
         kind = type(value)
-        if kind is Record:
+        if kind is Record or kind is ListRecord:
             frag = value.wire_json()
         elif kind is RecordList:
             frag = _records_json(value)
@@ -200,10 +223,10 @@ def _spliced(d: dict):
 
 def _dumps_wire(value) -> str:
     """Compact wire JSON of a value, equal to `_encode_wire(value)`, reusing
-    the cached text of every `Record` and `RecordList` found in it through
+    the cached text of every record and `RecordList` found in it through
     nested dicts (not through plain lists)."""
     kind = type(value)
-    if kind is Record:
+    if kind is Record or kind is ListRecord:
         return value.wire_json()
     if kind is RecordList:
         return _records_json(value)
@@ -251,11 +274,12 @@ def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> t
     return push, want
 
 
-def adopt(record: dict, from_dict):
-    """The frozen object a gossiped record dict stands for: the one its
-    `Record` was built from, shared, else `from_dict(record)` (a plain dict,
-    as `decode` returns, or a record built without one)."""
-    source = record.source if type(record) is Record else None
+def adopt(record, from_dict):
+    """The frozen object a gossiped record stands for: the one its `Record`
+    or `ListRecord` was built from, shared, else `from_dict(record)` (a plain
+    dict or list, as `decode` returns, or a record built without one)."""
+    kind = type(record)
+    source = record.source if kind is Record or kind is ListRecord else None
     return from_dict(record) if source is None else source
 
 

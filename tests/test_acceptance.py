@@ -68,10 +68,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "1d97b8357c28258fa7a0838754c581f484ffd736dddcdf62fd962f6b8dda51c1",
-    "heavy_churn": "60181bd01b648e1ad462472bc2ce594631774b5b76d45c08cf76abde82fcdb41",
-    "partition_heal": "0c5c0832b7cbec0ad8cd7546cc67dd90d1d2ecd84fb05772619b1fd822168094",
-    "steady_state": "6a9acb73e89c702894f913d8149fc96ede30072ad60d0dd75dbbc534aab6458d",
+    "data_locality": "f47ee4f3a392f66dde5fdcef9650384cfedfcaec59560f4335917509b07efd18",
+    "heavy_churn": "c0d466f594542fa0e8a800804f9cfc7f7a24b6e7bc87fb9118d6026476faf818",
+    "partition_heal": "ade858d1873734ed4511f62aa32dd286510f7fda2d9aebe816f8a949f8a7e959",
+    "steady_state": "b2c256005a1f7c28a2d8225f673c7fd15ed47768dd6de244ecfb945ab76cf744",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

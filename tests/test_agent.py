@@ -180,7 +180,7 @@ def test_hello_is_answered_by_hello_ack_with_the_records_its_map_lacks(monkeypat
         (2, 1, wire.HELLO), (1, 2, wire.HELLO_ACK),
     ]
     ack = sends[1][2]
-    assert [d["node"] for d in ack.body["view"]] == [1]
+    assert [entry[0] for entry in ack.body["view"]] == [1]
     assert "want_view" not in ack.body
     assert sorted(agents[2].view.members) == [1, 2]
 

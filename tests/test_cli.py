@@ -245,6 +245,28 @@ DEGENERATE = [
     ("agent", "forecast_alpha", 2, "agent: forecast_alpha must be in [0, 1], got 2"),
     ("agent", "forecast_alpha", float("nan"),
      "agent: forecast_alpha must be in [0, 1], got nan"),
+    # A fractional count faults in a slice mid-run, or silently counts
+    # something else; a bool is no count either.
+    ("agent", "gossip_k", 2.5, "agent: gossip_k must be an integer, got 2.5"),
+    ("agent", "gossip_k", True, "agent: gossip_k must be an integer, got True"),
+    ("agent", "anti_entropy_every", 1.5,
+     "agent: anti_entropy_every must be an integer, got 1.5"),
+    ("agent", "leave_fanout", 1.5, "agent: leave_fanout must be an integer, got 1.5"),
+    ("agent", "retransmit_limit", 2.5,
+     "agent: retransmit_limit must be an integer, got 2.5"),
+    ("agent", "rediscover_every", 2.5, "agent: rediscover_every must be an integer, got 2.5"),
+    ("agent", "status_refresh_every", 1.5,
+     "agent: status_refresh_every must be an integer, got 1.5"),
+    ("agent", "probe_retries", 1.5, "agent: probe_retries must be an integer, got 1.5"),
+    # NaN latencies deliver nothing, a NaN range reaches no one, and a NaN
+    # or zero capacity floor places no task: each ran to exit 0 regardless.
+    ("net", "base_latency", float("nan"), "net: base_latency must be finite and >= 0, got nan"),
+    ("net", "latency_per_meter", float("inf"),
+     "net: latency_per_meter must be finite and >= 0, got inf"),
+    ("net", "radio_range", float("nan"), "net: radio_range must be >= 0, got nan"),
+    ("agent", "min_capacity", float("nan"), "agent: min_capacity must be in (0, 1], got nan"),
+    ("agent", "min_capacity", 0, "agent: min_capacity must be in (0, 1], got 0"),
+    ("agent", "min_capacity", 1.5, "agent: min_capacity must be in (0, 1], got 1.5"),
 ]
 
 

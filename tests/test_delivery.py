@@ -21,7 +21,7 @@ SCENARIOS = sorted(glob.glob("scenarios/*.yaml"))
 
 # The containers a delivered value may use where `decode` gives dict or list.
 DICTS = (dict, wire.Record)
-LISTS = (list, wire.RecordList)
+LISTS = (list, wire.ListRecord, wire.RecordList)
 
 
 def assert_decoded_form(value, decoded, path="msg"):

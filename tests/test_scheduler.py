@@ -63,6 +63,13 @@ def test_weights_must_sum_to_one():
         SchedulerParams(w_availability=0.5, w_qos=0.5, w_locality=0.5)
 
 
+def test_counts_must_be_integers_of_at_least_one():
+    for name, value in (("top_k", 2.5), ("top_k", True), ("top_k", 0),
+                        ("max_attempts", 1.5), ("max_attempts", 0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
+            SchedulerParams(**{name: value})
+
+
 def test_tie_broken_by_ascending_node_id():
     score = PlacementScore(availability=1, qos=1, locality=1, total=0.9)
     scored = [(7, score), (3, score), (5, score)]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from swarmsim import scenario as scen, wire
 from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
-from swarmsim.membership import MemberState
+from swarmsim.membership import ALIVE, DEAD, LEFT, SUSPECT, MemberState, SwarmView
 from swarmsim.registry import RegistryEntry
 
 from conftest import make_profile
@@ -16,7 +16,7 @@ def test_round_trip():
     msg = wire.Message(
         wire.OFFER,
         {"task_id": 3, "attempt": 1, "deadline": 12.5},
-        deltas=[{"node": 2, "status": "alive", "incarnation": 0, "last_update_time": 1.0}],
+        deltas=[[2, 0, "alive", 1.0]],
     )
     again = wire.decode(wire.encode(msg))
     assert again == msg
@@ -72,7 +72,10 @@ plain = st.recursive(
     ),
     max_leaves=8,
 )
-records = st.dictionaries(st.text(max_size=5), plain, max_size=4).map(wire.Record)
+records = st.one_of(
+    st.dictionaries(st.text(max_size=5), plain, max_size=4).map(wire.Record),
+    st.lists(plain, max_size=4).map(wire.ListRecord),
+)
 record_lists = st.lists(records, max_size=4).map(wire.RecordList)
 # Bodies mix records, record lists and plain values, nested in plain dicts
 # (spliced) and in plain lists (left to the encoder).
@@ -118,6 +121,22 @@ def test_trace_lines_with_cached_records_are_byte_identical(trace, tmp_path_fact
     assert path.read_text() == expected
 
 
+LIST_MUTATORS = (
+    lambda batch, item: batch.append(item),
+    lambda batch, item: batch.extend([item]),
+    lambda batch, item: batch.insert(0, item),
+    lambda batch, item: batch.__setitem__(0, item),
+    lambda batch, item: batch.__delitem__(0),
+    lambda batch, item: batch.__iadd__([item]),
+    lambda batch, item: batch.__imul__(2),
+    lambda batch, item: batch.pop(),
+    lambda batch, item: batch.remove(item),
+    lambda batch, item: batch.sort(),
+    lambda batch, item: batch.reverse(),
+    lambda batch, item: batch.clear(),
+)
+
+
 def test_records_and_record_lists_are_read_only():
     rec = wire.Record({"node": 1, "status": "alive"})
     for mutate in (
@@ -134,23 +153,15 @@ def test_records_and_record_lists_are_read_only():
             mutate()
     assert rec == {"node": 1, "status": "alive"}
     assert rec.wire_json() == '{"node":1,"status":"alive"}'
-    batch = wire.RecordList([rec])
-    for mutate in (
-        lambda: batch.append(rec),
-        lambda: batch.extend([rec]),
-        lambda: batch.insert(0, rec),
-        lambda: batch.__setitem__(0, rec),
-        lambda: batch.__delitem__(0),
-        lambda: batch.__iadd__([rec]),
-        lambda: batch.pop(),
-        lambda: batch.remove(rec),
-        lambda: batch.sort(),
-        lambda: batch.reverse(),
-        lambda: batch.clear(),
-    ):
-        with pytest.raises(TypeError, match="read-only"):
-            mutate()
-    assert batch == [rec]
+    entry = wire.ListRecord([1, 0, "alive", 0.0])
+    batch = wire.RecordList([rec, entry])
+    for target, item in ((batch, rec), (entry, 1)):
+        for mutate in LIST_MUTATORS:
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(target, item)
+    assert entry == [1, 0, "alive", 0.0]
+    assert entry.wire_json() == '[1,0,"alive",0.0]'
+    assert batch == [rec, entry]
 
 
 def test_gossiped_records_are_built_once_and_read_only():
@@ -159,12 +170,17 @@ def test_gossiped_records_are_built_once_and_read_only():
     catalog = CatalogRecord(
         DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({2, 5})), 1
     )
-    for obj in (state, entry, catalog):
+    for obj, kind, key in (
+        (state, wire.ListRecord, 0), (entry, wire.Record, "node"), (catalog, wire.Record, "id"),
+    ):
         rec = obj.to_dict()
-        assert isinstance(rec, wire.Record) and obj.to_dict() is rec
+        assert type(rec) is kind and obj.to_dict() is rec
         assert type(obj).from_dict(json.loads(rec.wire_json())) == obj
         with pytest.raises(TypeError, match="read-only"):
-            rec["node"] = 9
+            rec[key] = 9
+    # A member record's one wire form is its version entry, 18 bytes here.
+    assert state.to_dict() is state.version_entry
+    assert state.to_dict().wire_json() == '[2,1,"alive",0.5]'
 
 
 def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
@@ -173,8 +189,70 @@ def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
     assert rec.source is state
     assert wire.adopt(rec, MemberState.from_dict) is state
     plain = json.loads(rec.wire_json())
+    assert type(plain) is list
     rebuilt = wire.adopt(plain, MemberState.from_dict)
     assert rebuilt == state and rebuilt is not state
+
+
+# -- member records: the version entry is the one wire form -----------------
+
+member_states = st.builds(
+    MemberState,
+    node=st.integers(0, 2**31),
+    status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+    incarnation=st.integers(0, 2**31),
+    last_update_time=st.floats(0.0, 1e9, allow_nan=False),
+)
+
+
+@given(st.lists(member_states, max_size=6), st.lists(member_states, max_size=4))
+def test_member_records_survive_the_wire(sent, held):
+    """Member records piggybacked on a PING decode to lists from which
+    `from_dict` rebuilds equal states, and a view tells whether each would
+    change it alike from the sent record and from the decoded list."""
+    msg = wire.Message(wire.PING, {"token": 1}, wire.RecordList(s.to_dict() for s in sent))
+    decoded = wire.decode(wire.encode(msg))
+    assert decoded.deltas == msg.deltas
+    assert all(type(d) is list for d in decoded.deltas)
+    assert [MemberState.from_dict(d) for d in decoded.deltas] == sent
+    view = SwarmView(self_node=-1)
+    for state in held:
+        view.apply(state)
+    for state, plain in zip(sent, decoded.deltas):
+        assert view.dominates(state.to_dict()) == view.dominates(plain)
+
+
+def test_a_members_map_entry_is_its_piggybacked_record():
+    view = SwarmView(self_node=1)
+    for node in (3, 1, 2):
+        view.apply(MemberState(node=node, status=ALIVE, incarnation=0, last_update_time=0.0))
+    picked = view.members[2].to_dict()
+    assert view.version_map()[1] is picked
+    with pytest.raises(TypeError, match="read-only"):
+        picked[1] = 5
+    with pytest.raises(TypeError, match="read-only"):
+        view.version_map().append(picked)
+    assert picked == [2, 0, ALIVE, 0.0]
+
+
+@given(st.lists(member_states, max_size=8))
+def test_version_map_encodes_as_json_dumps_would(states):
+    """The view's map is spliced from its entries' cached texts, and the
+    bytes are those of the encoder run over the plain lists."""
+    view = SwarmView(self_node=0)
+    for state in states:
+        view.apply(state)
+    body = {"view": view.version_map()}
+    plain = {"view": [list(entry) for entry in view.version_map()]}
+    expected = json.dumps(
+        {"body": plain, "deltas": [], "kind": wire.DIGEST},
+        sort_keys=True, separators=(",", ":"),
+    ).encode()
+    assert type(view.version_map()) is wire.RecordList
+    assert wire.encode(wire.Message(wire.DIGEST, body)) == expected
+    assert wire.encode(wire.Message(wire.HELLO, body)) == expected.replace(
+        b'"kind":"DIGEST"', b'"kind":"HELLO"'
+    )
 
 
 def test_messages_are_read_only_values():
