@@ -40,18 +40,17 @@ installs that object (`adopt`), so records are shared across agents, not only
 across the messages of one agent: a swarm that has converged holds one copy
 of each record and encodes its JSON once.
 
-`encode` splices those cached texts into the output and leaves everything
-else to the C encoder with the same settings. The result is byte-identical
-to `json.dumps(..., sort_keys=True, separators=(",", ":"))`: a record's
-cached text is exactly what that call emits for the dict or list, a
-`RecordList` (the records of a DELTA, or the view's version map) is
-emitted as its members' texts joined by commas, and a dict holding either is
-emitted in sorted key order, as the encoder does: each record's cached text
-under its key, and each run of consecutive keys without a record in one
-encoder call, as that run's own dict with its braces cut off. A dict with
-non-string keys is left to the encoder whole, since it would sort and
-convert such keys itself. `encode` writes a message's three keys in their
-sorted order itself rather than building the dict that holds them.
+`encode` splices those cached texts in at one place: a `RecordList` that is
+a top-level value of a body, or the message's deltas, is emitted as its
+records' cached texts joined by commas. That is where records occur in
+traffic: the records of a DELTA or HELLO-ACK under `view`, `catalog` and
+`registry`, the view's version map in a HELLO or DIGEST, and the piggybacked
+deltas. Every other value goes to the C encoder with the same settings, and
+so does a body with a non-string key, whole; the encoder emits a record
+nested anywhere else as the dict or list it is, only without the cache. The
+result is byte-identical to `json.dumps(..., sort_keys=True,
+separators=(",", ":"))` for every input. `encode` writes a message's three
+keys, and a spliced body's keys, in their sorted order itself.
 """
 
 from __future__ import annotations
@@ -187,54 +186,20 @@ def _records_json(records) -> str:
     return "[" + ",".join([r.wire_json() for r in records]) + "]"
 
 
-def _spliced(d: dict):
-    """The dict's wire JSON when it holds a record somewhere, else None."""
-    frags = None
-    for key, value in d.items():
-        kind = type(value)
-        if kind is Record or kind is ListRecord:
-            frag = value.wire_json()
-        elif kind is RecordList:
-            frag = _records_json(value)
-        elif kind is dict:
-            frag = _spliced(value)
-            if frag is None:
-                continue
-        else:
-            continue
-        if frags is None:
-            frags = {}
-        frags[key] = frag
-    if frags is None or not all(type(key) is str for key in d):
-        return None
-    parts, plain = [], {}
-    for key in sorted(d):
-        if key in frags:
-            if plain:
-                parts.append(_encode_wire(plain)[1:-1])
-                plain = {}
-            parts.append(encode_basestring_ascii(key) + ":" + frags[key])
-        else:
-            plain[key] = d[key]
-    if plain:
-        parts.append(_encode_wire(plain)[1:-1])
-    return "{" + ",".join(parts) + "}"
+def _value_json(value) -> str:
+    """A body value's wire JSON: a `RecordList` joined from its records'
+    cached texts, anything else from the C encoder."""
+    return _records_json(value) if type(value) is RecordList else _encode_wire(value)
 
 
-def _dumps_wire(value) -> str:
-    """Compact wire JSON of a value, equal to `_encode_wire(value)`, reusing
-    the cached text of every record and `RecordList` found in it through
-    nested dicts (not through plain lists)."""
-    kind = type(value)
-    if kind is Record or kind is ListRecord:
-        return value.wire_json()
-    if kind is RecordList:
-        return _records_json(value)
-    if kind is dict:
-        text = _spliced(value)
-        if text is not None:
-            return text
-    return _encode_wire(value)
+def _body_json(body: dict) -> str:
+    """A body's wire JSON, equal to `_encode_wire(body)`, each top-level
+    `RecordList` value spliced from its records' cached texts."""
+    if RecordList not in map(type, body.values()) or not all(type(k) is str for k in body):
+        return _encode_wire(body)
+    return "{" + ",".join(
+        encode_basestring_ascii(key) + ":" + _value_json(body[key]) for key in sorted(body)
+    ) + "}"
 
 
 def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> tuple:
@@ -297,8 +262,8 @@ def encode(msg: Message) -> bytes:
     if msg.kind not in ALL_KINDS:
         raise ValueError(f"unknown message kind: {msg.kind}")
     return (
-        '{"body":' + _dumps_wire(msg.body)
-        + ',"deltas":' + _dumps_wire(msg.deltas)
+        '{"body":' + _body_json(msg.body)
+        + ',"deltas":' + _value_json(msg.deltas)
         + ',"kind":' + encode_basestring_ascii(msg.kind) + "}"
     ).encode()
 

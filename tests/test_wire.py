@@ -78,7 +78,8 @@ records = st.one_of(
 )
 record_lists = st.lists(records, max_size=4).map(wire.RecordList)
 # Bodies mix records, record lists and plain values, nested in plain dicts
-# (spliced) and in plain lists (left to the encoder).
+# and lists: a record list at the top level is spliced, the rest is left to
+# the encoder.
 values = st.recursive(
     st.one_of(plain, records, record_lists),
     lambda inner: st.one_of(
