@@ -18,6 +18,7 @@ speculative parallel attempts on QoS warnings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import cognition, membership, wire
@@ -77,6 +78,11 @@ class AgentConfig:
                 if not (value > low if strict else value >= low):
                     rule = ">" if strict else ">="
                     raise ValueError(f"{name} must be {rule} {low}, got {value!r}")
+        # A period re-arms its own timer: an infinite one never fires again.
+        for name in ("probe_period", "battery_tick", "exec_tick"):
+            value = getattr(self, name)
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # A reservation that expires before the origin's offer round ends
         # is gone when its CLAIM arrives, so no remote run is ever admitted.
         if not self.reservation_ttl > self.offer_timeout:
@@ -567,7 +573,7 @@ _TIMER_HANDLERS = {
     "suspect_dead": lambda a, d: a.gossip.promote_dead(d),
     "member_gc": lambda a, d: a.gossip.gc_member(d),
     "battery": lambda a, d: a.on_battery_tick(d["dt"]),
-    "task_arrival": lambda a, d: a.submit_task(TaskSpec.from_dict(d["task"])),
+    "task_arrival": lambda a, d: a.submit_task(d["task"]),
     "offer_decision": lambda a, d: a._decide_offers(d["task_id"], d["attempt"]),
     "reservation_ttl": lambda a, d: a.execution.expire_reservation(d["task_id"], d["attempt"]),
     "transfer_done": lambda a, d: a.execution.transfer_done(d["task_id"], d["attempt"]),

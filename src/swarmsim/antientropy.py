@@ -9,6 +9,11 @@ sends nothing after the DIGEST. HELLO carries the view's map and HELLO-ACK
 answers it the same way. Each life starts its rounds at a random phase, so a
 peer answers DIGESTs spread over the period and passes on what it wanted
 from earlier ones.
+
+An agent's own registry entry gets a new version when the profile it
+publishes changes (load, battery, position) and when the set of runs it
+holds changes (a reserve, a release, a finished run); that set itself is not
+gossiped.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ class AntiEntropy:
         self.node = agent.node
         self.registry = Registry(agent.node)
         self.catalog = dataplane.Catalog(agent.node)
+        self._published_runs = frozenset()  # run keys at the last publish
 
     def send_digest(self, round_no: int) -> None:
         """DIGEST this round's peer: the Alive peers taken in turn."""
@@ -88,18 +94,22 @@ class AntiEntropy:
             self.agent.send(frm, wire.DELTA, reply)
 
     def publish_profile(self, force: bool = False) -> None:
-        """Install our current profile in the registry when it changed (or
-        when forced); an unchanged one keeps its version."""
+        """Install our current profile in the registry when it changed, when
+        the set of runs we hold changed since the last publish (a reserve, a
+        release or a finished run), or when forced; otherwise our entry keeps
+        its version. The run set itself is not gossiped."""
         agent = self.agent
         current = self.registry.entries.get(self.node)
         dyn = agent.profile.dyn
         candidate = agent.profile.with_dyn(
             utilization=round(agent.execution.forecast.ewma_utilization, 6),
             battery=dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4),
-            scheduled_task_ids=tuple(sorted(agent.engine.runs)),
         )
-        if force or current is None or candidate != current.profile:
+        runs = frozenset(agent.engine.runs)
+        changed = current is None or candidate != current.profile
+        if force or changed or runs != self._published_runs:
             self.registry.local_update(candidate, agent.incarnation, self.sim.now)
+            self._published_runs = runs
 
     # ------------------------------------------------------------------
     # lookups

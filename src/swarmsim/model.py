@@ -73,17 +73,19 @@ class StaticHardwareProfile:
 
 @dataclass(frozen=True)
 class DynamicStatus:
+    """What a node publishes about its current state. Its owner republishes
+    it when a field changes and also when the set of runs it holds changes
+    (`AntiEntropy.publish_profile`); that set is not part of the status."""
+
     utilization: float  # [0, 1]
     battery: BatteryLevel  # [0, 1] or MAINS
     position: Position
-    scheduled_task_ids: tuple = ()
 
     def to_dict(self) -> dict:
         return {
             "utilization": self.utilization,
             "battery": self.battery,
             "position": self.position.to_dict(),
-            "scheduled_task_ids": list(self.scheduled_task_ids),
         }
 
     @classmethod
@@ -95,7 +97,6 @@ class DynamicStatus:
             utilization=float(d["utilization"]),
             battery=battery,
             position=Position.from_dict(d["position"]),
-            scheduled_task_ids=tuple(d.get("scheduled_task_ids", [])),
         )
 
 

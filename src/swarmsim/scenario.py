@@ -71,7 +71,7 @@ class NodeSpec:
 @dataclass
 class Scenario:
     name: str
-    duration: float
+    duration: float  # None when unreadable, a problem found by the parse
     seed: int = 0
     net: NetModel = field(default_factory=NetModel)
     agent: AgentConfig = field(default_factory=AgentConfig)
@@ -96,8 +96,15 @@ class Scenario:
         known = set(ids)
         if len(ids) != len(set(ids)):
             problems.append("nodes: duplicate node ids")
-        if self.duration <= 0:
-            problems.append("duration: must be positive")
+        # The run samples up to the duration, so it must be finite. Windows
+        # are checked against a usable duration only: a bad one is one
+        # problem, not one per node, task and event.
+        horizon = math.inf
+        if self.duration is not None:
+            if 0 < self.duration < math.inf:
+                horizon = self.duration
+            else:
+                problems.append("duration: must be positive and finite")
         if not self.sample_period > 0:
             problems.append("sample_period: must be positive")
         for spec in self.nodes:
@@ -105,7 +112,7 @@ class Scenario:
                 problems.append(f"node {spec.node}: {issue}")
             if spec.drain_rate < 0:
                 problems.append(f"node {spec.node}: drain_rate must be >= 0")
-            if spec.start_time < 0 or spec.start_time >= self.duration:
+            if spec.start_time < 0 or spec.start_time >= horizon:
                 problems.append(f"node {spec.node}: start_time outside run window")
         owners = {}
         for desc in self.data_sources:
@@ -127,7 +134,7 @@ class Scenario:
             seen_tasks.add(task.task_id)
             if task.origin_node not in known:
                 problems.append(f"{label}: unknown origin {task.origin_node}")
-            if not 0 <= at <= self.duration:
+            if not 0 <= at <= horizon:
                 problems.append(f"{label}: arrival {at} outside run window")
             for issue in validate_task(task):
                 problems.append(f"{label}: {issue}")
@@ -145,7 +152,7 @@ class Scenario:
                 problems.append(f"{label}: needs `to` as [x, y] or {{x: .., y: ..}}")
             if ev["node"] not in known:
                 problems.append(f"{label}: unknown node {ev['node']}")
-            if not 0 <= ev["at"] <= self.duration:
+            if not 0 <= ev["at"] <= horizon:
                 problems.append(f"{label}: time outside run window")
         for a, b, start, end in self.partitions:
             if not set(a) <= known or not set(b) <= known:
@@ -465,9 +472,7 @@ def parse_scenario(raw: dict) -> Scenario:
     nodes = [_node_spec(n, i, problems) for i, n in enumerate(get.list("nodes"))]
     scenario = Scenario(
         name=get("name", str, "scenario"),
-        # An unreadable duration is reported; inf keeps it out of the
-        # window checks, which would only repeat the problem.
-        duration=get("duration", float, math.inf),
+        duration=get("duration", float),
         seed=seed,
         net=_build_checked(NetModel(), net, "net", problems),
         agent=_agent_config(get.take("agent"), "agent", problems, base=AgentConfig()),
@@ -536,7 +541,7 @@ def build(scenario: Scenario, seed: int = None, agent_overrides: dict = None):
             {
                 "node": task.origin_node,
                 "timer": "task_arrival",
-                "data": {"task": task.to_dict()},
+                "data": {"task": task},
             },
         )
     for ev in scenario.events:

@@ -197,9 +197,9 @@ def _body_json(body: dict) -> str:
     `RecordList` value spliced from its records' cached texts."""
     if RecordList not in map(type, body.values()) or not all(type(k) is str for k in body):
         return _encode_wire(body)
-    return "{" + ",".join(
+    return "{" + ",".join([
         encode_basestring_ascii(key) + ":" + _value_json(body[key]) for key in sorted(body)
-    ) + "}"
+    ]) + "}"
 
 
 def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> tuple:

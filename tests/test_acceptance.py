@@ -68,10 +68,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "f47ee4f3a392f66dde5fdcef9650384cfedfcaec59560f4335917509b07efd18",
-    "heavy_churn": "c0d466f594542fa0e8a800804f9cfc7f7a24b6e7bc87fb9118d6026476faf818",
-    "partition_heal": "ade858d1873734ed4511f62aa32dd286510f7fda2d9aebe816f8a949f8a7e959",
-    "steady_state": "b2c256005a1f7c28a2d8225f673c7fd15ed47768dd6de244ecfb945ab76cf744",
+    "data_locality": "4162ca54858f3c4ebfc71b80ddc7417e0a2c051a0806b007daf23d60062f086e",
+    "heavy_churn": "08539587e5552fd4b82f47ca60a43d4df91582d52c722966d3909057a569f8a9",
+    "partition_heal": "f7b55333cf6401ed17e0de03ef6e8bef448cb0cf845851bc6ddf70c89e5a2b8d",
+    "steady_state": "f9f2a1d40b27639d3208e23624e24f1fea0633a9919e2d3c4d51ccc5f44b63d5",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

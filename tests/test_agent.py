@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from swarmsim import agent, gossip, membership, wire
+from swarmsim import agent, executor, gossip, membership, wire
 from swarmsim import scenario as scen
 from swarmsim.sim import SimFault, Simulator
+
+from conftest import make_task
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -198,3 +200,42 @@ def test_refutation_bumps_the_incarnation_and_leaves_the_registry_entry():
     assert a.view.members[2].incarnation == inc + 1
     # The profile did not change, so neither does the entry peers hold.
     assert a.registry.entries[2] is entry
+
+
+def test_a_change_of_the_run_set_republishes_the_profile():
+    """Reserving, releasing and finishing a run each bump the executor's own
+    registry version while its published utilization and battery stay put;
+    publishing again with nothing changed keeps the version."""
+    sim, agents, _ = scen.build(scen.parse_scenario(dict(PAIR, tasks=[])))
+    sim.run_until(1.0)
+    executor_agent = agents[2]
+    execution = executor_agent.execution
+    entries = executor_agent.registry.entries
+
+    def published():
+        entry = entries[2]
+        return entry.version, entry.profile.dyn.utilization, entry.profile.dyn.battery
+
+    def bumped(before):
+        version, util, battery = published()
+        assert version > before[0] and (util, battery) == before[1:]
+        return version, util, battery
+
+    state = published()
+    executor_agent.antientropy.publish_profile()
+    assert published() == state
+    task = make_task(task_id=7, work=0.5)
+    execution.reserve(task, 1, sim.now, origin=1)
+    state = bumped(state)
+    execution._release(executor_agent.engine.runs[7], "cancel", executor.EVICTED)
+    state = bumped(state)
+    execution.reserve(task, 2, sim.now, origin=1)
+    state = bumped(state)
+    run = executor_agent.engine.runs[7]
+    run.transition(executor.RUNNING)
+    run.remaining_work = 0.0
+    execution.on_completion(executor_agent.engine.generation)
+    assert 7 not in executor_agent.engine.runs
+    state = bumped(state)
+    executor_agent.antientropy.publish_profile()
+    assert published() == state

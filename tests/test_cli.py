@@ -229,6 +229,15 @@ DEGENERATE = [
     (None, "sample_period", -1, "sample_period: must be positive"),
     ("agent", "probe_period", 0, "agent: probe_period must be > 0, got 0"),
     ("agent", "probe_period", -1, "agent: probe_period must be > 0, got -1"),
+    # A period re-arms its own timer, so an infinite one never fires again:
+    # with no probe rounds the run exited 0 with no task done.
+    ("agent", "probe_period", float("inf"), "agent: probe_period must be finite, got inf"),
+    ("agent", "battery_tick", float("inf"), "agent: battery_tick must be finite, got inf"),
+    ("agent", "exec_tick", float("inf"), "agent: exec_tick must be finite, got inf"),
+    # The run samples up to its duration: an infinite one never returned, and
+    # a NaN one passed whenever no task window caught it.
+    (None, "duration", float("inf"), "duration: must be positive and finite"),
+    (None, "duration", float("nan"), "duration: must be positive and finite"),
     ("agent", "exec_tick", 0, "agent: exec_tick must be > 0, got 0"),
     ("agent", "battery_tick", 0, "agent: battery_tick must be > 0, got 0"),
     ("agent", "offer_timeout", -1, "agent: offer_timeout must be >= 0, got -1"),

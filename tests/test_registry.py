@@ -202,6 +202,7 @@ def test_wire_schema_is_flat():
     entry = entry_for(2)
     assert set(entry.to_dict()) == {"profile", "version", "stamped_time"}
     assert set(entry.to_dict()["profile"]) == {"node", "hw", "dyn", "typologies"}
+    assert set(entry.to_dict()["profile"]["dyn"]) == {"utilization", "battery", "position"}
     task = make_task(deadline=12.5).to_dict()
     assert task["deadline"] == 12.5 and "qos" not in task
 
@@ -210,9 +211,7 @@ def test_wire_schema_is_flat():
     entry_for(2, inc=1, sv=4, util=0.25, t=3.5),
     RegistryEntry(
         node=3,
-        profile=make_profile(node=3, battery=0.5, typologies=("vision", "audio")).with_dyn(
-            scheduled_task_ids=(7, 9)
-        ),
+        profile=make_profile(node=3, battery=0.5, typologies=("vision", "audio")),
         version=(0, 1),
         stamped_time=0.0,
     ),

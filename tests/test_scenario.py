@@ -40,6 +40,16 @@ def test_arrival_after_duration_rejected():
     assert any("outside run window" in p for p in sc.validate())
 
 
+@pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan, 0.0])
+def test_a_duration_the_run_cannot_reach_is_one_problem(duration):
+    sc = with_extras(
+        duration=duration,
+        tasks=[{"id": 1, "origin": 1, "at": 5.0, "typology": "generic", "work": 1.0}],
+        events=[{"type": "crash", "node": 2, "at": 5.0}],
+    )
+    assert sc.validate() == ["duration: must be positive and finite"]
+
+
 def test_unknown_churn_node_rejected():
     sc = with_extras(events=[{"type": "crash", "node": 42, "at": 5.0}])
     assert any("unknown node 42" in p for p in sc.validate())

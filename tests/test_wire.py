@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +121,47 @@ def test_trace_lines_with_cached_records_are_byte_identical(trace, tmp_path_fact
     scen.write_trace_jsonl(trace, path)
     expected = "".join(json.dumps(rec, sort_keys=True, default=str) + "\n" for rec in trace)
     assert path.read_text() == expected
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+
+
+def _record_paths(value, path):
+    """Where records sit in `value`, found through dicts and lists."""
+    if isinstance(value, (wire.Record, wire.ListRecord)):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _record_paths(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _record_paths(item, f"{path}[{i}]")
+
+
+def test_sent_records_sit_only_where_encode_splices_them(monkeypatch):
+    """`encode` reuses a record's cached text only inside a `RecordList`
+    that is a top-level body value or the deltas. On every shipped scenario,
+    every record sent sits there and nowhere else, so the cache covers all
+    record traffic."""
+    sent = {"lists": 0, "records": 0}
+    encode = wire.encode
+
+    def checked(msg):
+        for path, value in [(f"{msg.kind}.deltas", msg.deltas)] + [
+            (f"{msg.kind}.body.{key}", value) for key, value in msg.body.items()
+        ]:
+            if type(value) is wire.RecordList:
+                sent["lists"] += 1
+                sent["records"] += len(value)
+                assert all(type(r) in (wire.Record, wire.ListRecord) for r in value), path
+            else:
+                assert not list(_record_paths(value, path))
+        return encode(msg)
+
+    monkeypatch.setattr(wire, "encode", checked)
+    for path in SHIPPED:
+        scen.run(scen.load_scenario(path))
+    assert sent["lists"] > 0 and sent["records"] > 0
 
 
 LIST_MUTATORS = (
