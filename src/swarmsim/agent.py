@@ -18,85 +18,22 @@ speculative parallel attempts on QoS warnings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import cognition, membership, wire
-from .antientropy import AntiEntropy
+from .antientropy import ANTI_ENTROPY_EVERY, STATUS_REFRESH_EVERY, AntiEntropy
 from .cognition import SessionHistory
 from .execution import Execution
-from .gossip import Gossip
+from .gossip import REDISCOVER_EVERY, Gossip
 from .model import NodeId, NodeProfile, Position, TaskSpec, capability_match, distance, is_mains
 from .scheduler import SchedulerParams, compute_score, data_centroid, select_top_k
 from .sim import Simulator, battery_step
 
 
-@dataclass(frozen=True)
-class AgentConfig:
-    """Protocol timing and policy knobs, scenario-configurable."""
-
-    probe_period: float = 1.0  # seconds between probe rounds
-    probe_timeout: float = 0.15  # ack wait per attempt (3x one-hop RTT)
-    probe_retries: int = 3  # consecutive misses before Suspect
-    t_dead: float = 0.6  # Suspect -> Dead promotion delay (4x timeout)
-    t_split: float = 1.5  # unreachable-majority age triggering split
-    retention: float = 30.0  # Dead/Left GC delay
-    gossip_k: int = 8  # piggybacked deltas per message
-    retransmit_limit: int = 12  # times a delta is piggybacked before retiring
-    leave_fanout: int = 3
-    anti_entropy_every: int = 2  # in probe rounds
-    rediscover_every: int = 5  # in probe rounds
-    status_refresh_every: int = 2  # in probe rounds
-    battery_tick: float = 1.0
-    exec_tick: float = 0.1  # monitor period while tasks are active
-    reservation_ttl: float = 0.3  # 2x probe_timeout
-    offer_timeout: float = 0.25  # origin decision wait; < reservation_ttl
-    retry_delay: float = 1.0  # backoff when no candidates exist
-    scheduler: SchedulerParams = field(default_factory=SchedulerParams)
-    forecast_alpha: float = 0.3
-    min_capacity: float = cognition.MIN_CAPACITY_FRACTION
-
-    def __post_init__(self):
-        # A count slices or divides, so a fraction faults mid-run or
-        # silently changes what is counted; a bool is no count either.
-        for name in ("probe_retries", "gossip_k", "retransmit_limit", "leave_fanout",
-                     "anti_entropy_every", "rediscover_every", "status_refresh_every"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        # A period of 0 re-arms its timer at the same instant forever, a
-        # round count of 0 divides by zero, and a negative delay schedules
-        # into the past. Each test fails on NaN.
-        for names, low, strict in (
-            (("probe_period", "battery_tick", "exec_tick"), 0, True),
-            (("anti_entropy_every", "rediscover_every", "status_refresh_every"), 1, False),
-            (("probe_timeout", "t_dead", "t_split", "retention", "reservation_ttl",
-              "offer_timeout", "retry_delay"), 0, False),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if not (value > low if strict else value >= low):
-                    rule = ">" if strict else ">="
-                    raise ValueError(f"{name} must be {rule} {low}, got {value!r}")
-        # A period re-arms its own timer: an infinite one never fires again.
-        for name in ("probe_period", "battery_tick", "exec_tick"):
-            value = getattr(self, name)
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        # A reservation that expires before the origin's offer round ends
-        # is gone when its CLAIM arrives, so no remote run is ever admitted.
-        if not self.reservation_ttl > self.offer_timeout:
-            raise ValueError(
-                f"reservation_ttl must be > offer_timeout ({self.offer_timeout!r}), "
-                f"got {self.reservation_ttl!r}"
-            )
-        # The load forecast is an EWMA; outside [0, 1] it diverges or swings.
-        if not 0 <= self.forecast_alpha <= 1:
-            raise ValueError(f"forecast_alpha must be in [0, 1], got {self.forecast_alpha!r}")
-        # The floor of a node's spare capacity: at 0 or NaN a saturated node
-        # predicts no progress, and above 1 more than the whole node.
-        if not 0 < self.min_capacity <= 1:
-            raise ValueError(f"min_capacity must be in (0, 1], got {self.min_capacity!r}")
+PROBE_PERIOD = 1.0  # seconds between probe rounds
+BATTERY_TICK = 1.0  # seconds between battery drain steps
+OFFER_TIMEOUT = 0.25  # origin decision wait; < execution.RESERVATION_TTL
+RETRY_DELAY = 1.0  # backoff when no candidates exist
 
 
 @dataclass
@@ -118,14 +55,14 @@ class NodeAgent:
     def __init__(
         self,
         sim: Simulator,
-        cfg: AgentConfig,
+        scheduler: SchedulerParams,
         profile: NodeProfile,
         drain_rate: float = 0.0,
         drain_rates: dict = None,
         owned_sources: list = None,
     ):
         self.sim = sim
-        self.cfg = cfg
+        self.scheduler = scheduler
         self.node = profile.node
         self.base_profile = profile
         self.drain_rate = drain_rate
@@ -173,13 +110,9 @@ class NodeAgent:
         # every DIGEST of a round reaches its peer within one latency, before
         # any record that peer wanted from an earlier one has arrived, and a
         # record then spreads by about one node per round.
-        self.set_timer(self.cfg.probe_period * (1.0 - self.gossip.life_rng.random()), "round")
+        self.set_timer(PROBE_PERIOD * (1.0 - self.gossip.life_rng.random()), "round")
         if not is_mains(self.profile.dyn.battery) and self.drain_rate > 0:
-            self.set_timer(
-                self.cfg.battery_tick,
-                "battery",
-                {"dt": self.cfg.battery_tick},
-            )
+            self.set_timer(BATTERY_TICK, "battery", {"dt": BATTERY_TICK})
 
     def on_leave(self) -> None:
         """Graceful departure: fail running tasks, announce Left."""
@@ -204,7 +137,7 @@ class NodeAgent:
             self.record("battery_dead")
             self.sim.crash_node(self.node)
             return
-        self.set_timer(self.cfg.battery_tick, "battery", {"dt": dt})
+        self.set_timer(BATTERY_TICK, "battery", {"dt": dt})
 
     # ------------------------------------------------------------------
     # events in and out
@@ -253,19 +186,19 @@ class NodeAgent:
     def _on_round(self) -> None:
         self.round_no += 1
         self.gossip.probe_random()
-        if self.round_no % self.cfg.anti_entropy_every == 0:
+        if self.round_no % ANTI_ENTROPY_EVERY == 0:
             self.antientropy.send_digest(self.round_no)
-        if self.round_no % self.cfg.rediscover_every == 0:
+        if self.round_no % REDISCOVER_EVERY == 0:
             self.gossip.rediscover()
-        if self.round_no % self.cfg.status_refresh_every == 0:
+        if self.round_no % STATUS_REFRESH_EVERY == 0:
             self.antientropy.publish_profile()
         self.gossip.detect_split()
         # Extra liveness probing of our remote executors at both round start
         # and mid-round, so the failure-detection path for active work beats
         # the round-robin cycle even with probe retries in the budget.
         self._ping_executors()
-        self.set_timer(self.cfg.probe_period / 2, "liveness")
-        self.set_timer(self.cfg.probe_period, "round")
+        self.set_timer(PROBE_PERIOD / 2, "liveness")
+        self.set_timer(PROBE_PERIOD, "round")
 
     def _ping_executors(self) -> None:
         gossip = self.gossip
@@ -302,7 +235,7 @@ class NodeAgent:
             return
         ot.attempts += 1
         attempt = ot.attempts
-        if attempt > self.cfg.scheduler.max_attempts:
+        if attempt > self.scheduler.max_attempts:
             ot.failed = True
             del self.open_tasks[task_id]
             self.record(
@@ -321,7 +254,7 @@ class NodeAgent:
             self.execution.admit(self.node, task.task_id, attempt)
             return
         scored, decision = self._score_candidates(task, deadline_remaining, exclude)
-        chosen = select_top_k(scored, self.cfg.scheduler.top_k)
+        chosen = select_top_k(scored, self.scheduler.top_k)
         self.record(
             "sched_decision",
             task=task.task_id,
@@ -332,7 +265,7 @@ class NodeAgent:
         if not chosen:
             self.record("unschedulable", task=task.task_id, attempt=attempt)
             self.set_timer(
-                self.cfg.retry_delay, "retry_place", {"task_id": task.task_id}
+                RETRY_DELAY, "retry_place", {"task_id": task.task_id}
             )
             return
         ot.offer = {
@@ -349,7 +282,7 @@ class NodeAgent:
         for node in chosen:
             self.send(node, wire.OFFER, body)
         self.set_timer(
-            self.cfg.offer_timeout,
+            OFFER_TIMEOUT,
             "offer_decision",
             {"task_id": task.task_id, "attempt": attempt},
         )
@@ -361,7 +294,6 @@ class NodeAgent:
             remote,
             base_latency=self.sim.net.base_latency,
             latency_per_meter=self.sim.net.latency_per_meter,
-            min_capacity=self.cfg.min_capacity,
         )
 
     def _score_candidates(self, task: TaskSpec, deadline_remaining: float, exclude):
@@ -402,7 +334,7 @@ class NodeAgent:
                 completion,
                 deadline_remaining,
                 dist,
-                self.cfg.scheduler,
+                self.scheduler,
             )
             scored.append((entry.node, score))
             decision.append(
@@ -520,7 +452,7 @@ class NodeAgent:
         if ot is None:
             return
         # A run warns once (`TaskRun.qos_warned`), and an attempt has one run.
-        if ot.attempts >= self.cfg.scheduler.max_attempts:
+        if ot.attempts >= self.scheduler.max_attempts:
             return
         # Speculative parallel attempt on a different node; first DONE wins.
         self._place(task_id, exclude=frozenset({frm}))

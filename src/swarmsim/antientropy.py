@@ -1,11 +1,11 @@
 """Anti-entropy of one agent (Scuttlebutt-style, digest first; van Renesse
 et al., LADIS 2008), and the lookups that read its registry and catalog.
 
-Every other round a round-robin peer gets a DIGEST of version maps for the
-view, the data catalog and the registry; it answers with one DELTA holding
-the records the maps lack and `want_*` lists of what it lacks, and the
-wanted records follow in one more DELTA. An exchange with nothing to carry
-sends nothing after the DIGEST. HELLO carries the view's map and HELLO-ACK
+Every ANTI_ENTROPY_EVERY rounds a round-robin peer gets a DIGEST of version
+maps for the view, the data catalog and the registry; it answers with one
+DELTA holding the records the maps lack and `want_*` lists of what it lacks,
+and the wanted records follow in one more DELTA. An exchange with nothing to
+carry sends nothing after the DIGEST. HELLO carries the view's map and HELLO-ACK
 answers it the same way. Each life starts its rounds at a random phase, so a
 peer answers DIGESTs spread over the period and passes on what it wanted
 from earlier ones.
@@ -19,9 +19,12 @@ gossiped.
 from __future__ import annotations
 
 from . import dataplane, wire
-from .membership import ALIVE
+from .membership import ALIVE, RETENTION
 from .model import NodeId, Position, TaskSpec, distance, is_mains
 from .registry import Registry, RegistryEntry
+
+ANTI_ENTROPY_EVERY = 2  # probe rounds between DIGESTs
+STATUS_REFRESH_EVERY = 2  # probe rounds between profile publish checks
 
 
 class AntiEntropy:
@@ -40,7 +43,7 @@ class AntiEntropy:
         peers = [n for n in self.agent.view.alive_nodes() if n != self.node]
         if not peers:
             return
-        peer = peers[(round_no // self.agent.cfg.anti_entropy_every) % len(peers)]
+        peer = peers[(round_no // ANTI_ENTROPY_EVERY) % len(peers)]
         body = {
             "view": self.agent.view.version_map(),
             "catalog": self.catalog.version_map(),
@@ -56,7 +59,7 @@ class AntiEntropy:
         out, and an empty answer, the two sides holding the same, is not
         sent."""
         diffs = (
-            ("view", lambda m: self.agent.view.diff(m, self.sim.now, self.agent.cfg.retention)),
+            ("view", lambda m: self.agent.view.diff(m, self.sim.now, RETENTION)),
             ("catalog", self.catalog.diff),
             ("registry", self.registry.diff),
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,7 +45,7 @@ def _cmd_compare(args) -> int:
     with open(args.variants) as fh:
         variants = yaml.safe_load(fh)
     if not isinstance(variants, dict) or not variants:
-        print("variants file must map name -> agent overrides", file=sys.stderr)
+        print("variants file must map name -> scheduler settings", file=sys.stderr)
         return 2
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -52,18 +53,22 @@ def _cmd_compare(args) -> int:
         raise ValueError(
             f"--seeds: expected comma-separated integers, got {args.seeds!r}"
         ) from None
-    for name, overrides in variants.items():
+    scenarios = {}
+    for name, settings in variants.items():
         # Every variant is checked before any of them runs.
         if not isinstance(name, str):
             raise ValueError(f"variant {name}: name must be a string")
-        scen.override_agent_config(sc.agent, overrides, f"variant {name}")
+        problems = []
+        params = scen.scheduler_params(sc.scheduler, settings, f"variant {name}", problems)
+        if problems:
+            raise ValueError("; ".join(problems))
+        scenarios[name] = dataclasses.replace(sc, scheduler=params)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     rows = {}
-    for name, overrides in variants.items():
+    for name, variant in scenarios.items():
         for seed in seeds:
-            result = scen.run(sc, seed=seed, agent_overrides=overrides or {})
-            rows[(name, seed)] = result.report
+            rows[(name, seed)] = scen.run(variant, seed=seed).report
     metrics = [
         "tasks_done",
         "tasks_failed_permanent",
@@ -100,7 +105,7 @@ def main(argv=None) -> int:
 
     p_cmp = sub.add_parser("compare", help="run scheduling variants across seeds")
     p_cmp.add_argument("config", help="scenario YAML file")
-    p_cmp.add_argument("--variants", required=True, help="YAML: name -> overrides")
+    p_cmp.add_argument("--variants", required=True, help="YAML: name -> scheduler settings")
     p_cmp.add_argument("--seeds", default="0", help="comma-separated seed list")
     p_cmp.add_argument("--out", default=None, help="optional output directory")
     p_cmp.set_defaults(func=_cmd_compare)

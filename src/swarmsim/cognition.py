@@ -32,7 +32,7 @@ class SessionHistory:
 @dataclass(frozen=True)
 class LoadForecast:
     ewma_utilization: float = 0.0
-    alpha: float = 0.3
+    alpha: float = 0.3  # weight of the newest sample; outside [0, 1] it diverges
 
 
 def churn_survival(history: SessionHistory, horizon: float) -> float:

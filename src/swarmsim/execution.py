@@ -10,6 +10,11 @@ from . import cognition, executor, wire
 from .cognition import LoadForecast
 from .model import NodeId, TaskSpec, capability_match
 
+EXEC_TICK = 0.1  # monitor period while tasks are active
+# 2x gossip.PROBE_TIMEOUT; > agent.OFFER_TIMEOUT, or every reservation expires
+# before the origin's offer round ends and its CLAIM finds nothing.
+RESERVATION_TTL = 0.3
+
 
 class Execution:
     """One life's runs: the engine, the load forecast and the monitor. A run
@@ -18,13 +23,9 @@ class Execution:
     def __init__(self, agent):
         self.agent = agent
         self.sim = agent.sim
-        self.cfg = agent.cfg
         self.node = agent.node
         self.engine = executor.ExecutorEngine(agent.base_profile.hw.cpu_perf_index)
-        self.forecast = LoadForecast(
-            ewma_utilization=agent.base_profile.dyn.utilization,
-            alpha=self.cfg.forecast_alpha,
-        )
+        self.forecast = LoadForecast(ewma_utilization=agent.base_profile.dyn.utilization)
         self._monitor_armed = False
 
     def feasible(self, task: TaskSpec, deadline_remaining: float) -> bool:
@@ -84,7 +85,7 @@ class Execution:
 
     def reserve(self, task: TaskSpec, attempt: int, submitted_at: float, origin: NodeId) -> None:
         """Hold memory for a run; one offered by another origin expires
-        unless claimed within `reservation_ttl`."""
+        unless claimed within RESERVATION_TTL."""
         self.engine.integrate(self.sim.now)
         self.engine.runs[task.task_id] = executor.TaskRun(
             task_id=task.task_id,
@@ -105,7 +106,7 @@ class Execution:
         )
         if origin != self.node:
             self.agent.set_timer(
-                self.cfg.reservation_ttl,
+                RESERVATION_TTL,
                 "reservation_ttl",
                 {"task_id": task.task_id, "attempt": attempt},
             )
@@ -179,7 +180,7 @@ class Execution:
         self._schedule_completion()
         if not self._monitor_armed:
             self._monitor_armed = True
-            self.agent.set_timer(self.cfg.exec_tick, "monitor")
+            self.agent.set_timer(EXEC_TICK, "monitor")
         self.agent.antientropy.publish_profile()
 
     # ------------------------------------------------------------------
@@ -248,6 +249,6 @@ class Execution:
                 )
         self._schedule_completion()
         if self.engine.active_count() > 0:
-            self.agent.set_timer(self.cfg.exec_tick, "monitor")
+            self.agent.set_timer(EXEC_TICK, "monitor")
         else:
             self._monitor_armed = False

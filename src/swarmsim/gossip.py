@@ -1,7 +1,7 @@
 """Membership of one agent (SWIM; Das, Gupta & Motivala, DSN 2002).
 
 PING/ACK probing of a random member per round, with piggybacked deltas
-(Suspect after `probe_retries` misses, Dead after t_dead, incarnation
+(Suspect after PROBE_RETRIES misses, Dead after T_DEAD, incarnation
 refutation); HELLO/HELLO-ACK discovery on start and periodic re-discovery
 to heal partitions and merge swarms, each to at most JOIN_FANOUT peers drawn
 from a per-life random stream; LEAVE; GC of Dead and Left records; and the
@@ -22,6 +22,15 @@ from .sim import substream
 # reachable peers costs O(1) messages, not O(N) (SWIM's bounded
 # dissemination); the rest of the swarm learns of it by gossip.
 JOIN_FANOUT = 3
+LEAVE_FANOUT = 3  # Alive peers told of a graceful leave
+REDISCOVER_EVERY = 5  # probe rounds between re-discovery rounds
+
+PROBE_TIMEOUT = 0.15  # ack wait per attempt (3x one-hop RTT)
+PROBE_RETRIES = 3  # consecutive misses before Suspect
+T_DEAD = 0.6  # Suspect -> Dead promotion delay (4x timeout)
+T_SPLIT = 1.5  # unreachable-majority age triggering split
+GOSSIP_K = 8  # piggybacked deltas per message
+RETRANSMIT_LIMIT = 12  # times a delta is piggybacked before retiring
 
 
 class Gossip:
@@ -30,12 +39,11 @@ class Gossip:
     def __init__(self, agent):
         self.agent = agent
         self.sim = agent.sim
-        self.cfg = agent.cfg
         self.node = agent.node
         self.view = membership.SwarmView(self_node=agent.node)
         self._buffer = {}  # NodeId -> [MemberState, transmit_count]
         # Tier c: the sorted ids in `_buffer` sent c times so far.
-        self._tiers = [[] for _ in range(max(1, self.cfg.retransmit_limit))]
+        self._tiers = [[] for _ in range(RETRANSMIT_LIMIT)]
         self.alive_since = {}  # peer -> local time it became Alive in my view
         self.session_durations = {}  # peer -> list of completed durations
         self.pending_probes = {}  # target -> token
@@ -61,7 +69,7 @@ class Gossip:
         self.view.apply(replace(
             self.view.members[self.node], status=LEFT, last_update_time=self.sim.now
         ))
-        for peer in self.view.alive_nodes()[: self.cfg.leave_fanout]:
+        for peer in self.view.alive_nodes()[:LEAVE_FANOUT]:
             self.agent.send(peer, wire.LEAVE, {})
 
     def member_status(self, node: NodeId):
@@ -88,21 +96,19 @@ class Gossip:
         del tier[bisect_left(tier, node)]
 
     def pick_deltas(self) -> wire.RecordList:
-        """Our own record, then up to gossip_k - 1 buffered deltas, least
+        """Our own record, then up to GOSSIP_K - 1 buffered deltas, least
         transmitted first (ties by NodeId); a delta retires once it has been
-        sent retransmit_limit times.
+        sent RETRANSMIT_LIMIT times.
 
         The picks are the front ids of the lowest non-empty tiers, so the
         Python work is per picked slot, not a sort of the buffer. Only
         picked slots are retired: every other slot is below the limit,
-        since slots start at 0 and only picks raise them, unless the limit
-        is <= 0, which retires every slot on every send.
+        since slots start at 0 and only picks raise them.
         """
         picks = [self.view.members[self.node].to_dict()]
         buffer = self._buffer
         tiers = self._tiers
-        limit = self.cfg.retransmit_limit
-        want = self.cfg.gossip_k - 1
+        want = GOSSIP_K - 1
         if want > 0 and buffer:
             moves = []  # (transmit count after this send, ids), in pick order
             for sent, tier in enumerate(tiers):
@@ -115,7 +121,7 @@ class Gossip:
                         break
             # Re-tiered only now, so no slot is picked twice in one send.
             for sent, chosen in moves:
-                if sent < limit:
+                if sent < RETRANSMIT_LIMIT:
                     for node in chosen:
                         slot = buffer[node]
                         picks.append(slot[0].to_dict())
@@ -126,9 +132,6 @@ class Gossip:
                 else:
                     for node in chosen:
                         picks.append(buffer.pop(node)[0].to_dict())
-        if limit <= 0:
-            buffer.clear()
-            tiers[0].clear()
         return wire.RecordList(picks)
 
     # ------------------------------------------------------------------
@@ -156,9 +159,7 @@ class Gossip:
                 # query reads liveness from the view). Republishing it would
                 # put one more change on the slower anti-entropy path.
             return
-        if membership.expired(
-            state.status, state.last_update_time, now, self.cfg.retention
-        ):
+        if membership.expired(state.status, state.last_update_time, now, membership.RETENTION):
             return
         before = self.view.members.get(state.node)
         if not self.view.apply(state):
@@ -170,7 +171,7 @@ class Gossip:
             self.alive_since[state.node] = now
         if after.status == SUSPECT:
             agent.set_timer(
-                max(0.0, after.last_update_time + self.cfg.t_dead - now),
+                max(0.0, after.last_update_time + T_DEAD - now),
                 "suspect_dead",
                 {
                     "node": after.node,
@@ -191,7 +192,7 @@ class Gossip:
             # match the final record exactly so all holders collect
             # simultaneously.
             agent.set_timer(
-                max(0.0, after.last_update_time + self.cfg.retention - now),
+                max(0.0, after.last_update_time + membership.RETENTION - now),
                 "member_gc",
                 {
                     "node": after.node,
@@ -239,7 +240,7 @@ class Gossip:
             self.last_swarm_id = sid
 
     def detect_split(self) -> None:
-        if membership.split_condition(self.view, self.sim.now, self.cfg.t_split):
+        if membership.split_condition(self.view, self.sim.now, T_SPLIT):
             self._check_swarm_change("split_detect")
 
     # ------------------------------------------------------------------
@@ -281,7 +282,7 @@ class Gossip:
         self.pending_probes[target] = token
         self.agent.send(target, wire.PING, {"token": token})
         self.agent.set_timer(
-            self.cfg.probe_timeout,
+            PROBE_TIMEOUT,
             "probe_timeout",
             {"target": target, "token": token, "misses": misses},
         )
@@ -292,7 +293,7 @@ class Gossip:
             return
         del self.pending_probes[target]
         misses = data["misses"] + 1
-        if misses < self.cfg.probe_retries:
+        if misses < PROBE_RETRIES:
             # Retry before suspecting: one lost PING/ACK must not look like a
             # crash on a lossy link.
             self.probe(target, misses=misses)
@@ -317,7 +318,7 @@ class Gossip:
             and state.last_update_time == data["since"]
         ):
             self._merge_member(replace(
-                state, status=DEAD, last_update_time=data["since"] + self.cfg.t_dead
+                state, status=DEAD, last_update_time=data["since"] + T_DEAD
             ))
 
     def gc_member(self, data: dict) -> None:

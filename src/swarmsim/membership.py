@@ -49,6 +49,8 @@ SUSPECT = "suspect"
 DEAD = "dead"
 LEFT = "left"
 
+RETENTION = 30.0  # seconds a Dead or Left record is kept before GC
+
 #: Precedence at equal incarnation; larger rank wins a merge.
 _STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 3}
 

@@ -19,7 +19,7 @@ import yaml
 
 from . import sim as simlib
 from . import wire
-from .agent import AgentConfig, NodeAgent
+from .agent import NodeAgent
 from .dataplane import DataSourceDescriptor
 from .metrics import MetricsCollector, MetricsReport
 from .model import (
@@ -74,7 +74,7 @@ class Scenario:
     duration: float  # None when unreadable, a problem found by the parse
     seed: int = 0
     net: NetModel = field(default_factory=NetModel)
-    agent: AgentConfig = field(default_factory=AgentConfig)
+    scheduler: SchedulerParams = field(default_factory=SchedulerParams)
     nodes: list = field(default_factory=list)  # NodeSpec
     data_sources: list = field(default_factory=list)  # DataSourceDescriptor
     tasks: list = field(default_factory=list)  # (at, TaskSpec)
@@ -105,8 +105,9 @@ class Scenario:
                 horizon = self.duration
             else:
                 problems.append("duration: must be positive and finite")
-        if not self.sample_period > 0:
-            problems.append("sample_period: must be positive")
+        # An infinite period samples once, at the end.
+        if not 0 < self.sample_period < math.inf:
+            problems.append("sample_period: must be positive and finite")
         for spec in self.nodes:
             for issue in validate_profile(spec.profile()):
                 problems.append(f"node {spec.node}: {issue}")
@@ -378,26 +379,12 @@ def _build_checked(base, kwargs: dict, label: str, problems: list):
         return base
 
 
-def _agent_config(raw, label: str, problems: list, base: AgentConfig) -> AgentConfig:
-    """`base` with the fields a mapping sets, checked like any settings block;
-    `scheduler` is a nested mapping over `base.scheduler`."""
-    kwargs = _settings(AgentConfig, raw, label, problems)
-    sched_label = f"{label}: scheduler"
-    sched = _settings(SchedulerParams, kwargs.pop("scheduler", None), sched_label, problems)
-    kwargs["scheduler"] = _build_checked(base.scheduler, sched, sched_label, problems)
+def scheduler_params(base: SchedulerParams, raw, label: str, problems: list) -> SchedulerParams:
+    """`base` with the fields a scheduler mapping sets: a scenario's
+    `scheduler:` block, or a compare variant. A problem with the mapping
+    goes to `problems`, like any settings block's."""
+    kwargs = _settings(SchedulerParams, raw, label, problems)
     return _build_checked(base, kwargs, label, problems)
-
-
-def override_agent_config(
-    cfg: AgentConfig, overrides: dict, label: str = "agent overrides"
-) -> AgentConfig:
-    """`cfg` with a flat/nested override mapping applied (used by A/B weight
-    comparisons); a problem with it raises ValueError naming `label`."""
-    problems = []
-    cfg = _agent_config(overrides, label, problems, base=cfg)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return cfg
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -475,7 +462,9 @@ def parse_scenario(raw: dict) -> Scenario:
         duration=get("duration", float),
         seed=seed,
         net=_build_checked(NetModel(), net, "net", problems),
-        agent=_agent_config(get.take("agent"), "agent", problems, base=AgentConfig()),
+        scheduler=scheduler_params(
+            SchedulerParams(), get.take("scheduler"), "scheduler", problems
+        ),
         nodes=[n for n in nodes if n is not None],
         data_sources=sources,
         tasks=tasks,
@@ -509,10 +498,9 @@ _EVENT_KINDS = {
 _EVENT_TYPES = (*_EVENT_KINDS, "move")
 
 
-def build(scenario: Scenario, seed: int = None, agent_overrides: dict = None):
+def build(scenario: Scenario, seed: int = None):
     """Wire up a Simulator and its agents; returns (sim, agents, collector)."""
     seed = scenario.seed if seed is None else seed
-    cfg = override_agent_config(scenario.agent, agent_overrides)
     sim = Simulator(seed=seed, net=scenario.net)
     collector = MetricsCollector()
     sim.listeners.append(collector.on_record)
@@ -525,7 +513,7 @@ def build(scenario: Scenario, seed: int = None, agent_overrides: dict = None):
         sim.add_node(spec.node, spec.position)
         agent = NodeAgent(
             sim,
-            cfg,
+            scenario.scheduler,
             spec.profile(),
             drain_rate=spec.drain_rate,
             drain_rates=drain_rates,
@@ -568,9 +556,9 @@ class RunResult:
         return self.sim.trace
 
 
-def run(scenario: Scenario, seed: int = None, agent_overrides: dict = None) -> RunResult:
+def run(scenario: Scenario, seed: int = None) -> RunResult:
     scenario.check()
-    sim, agents, collector = build(scenario, seed=seed, agent_overrides=agent_overrides)
+    sim, agents, collector = build(scenario, seed=seed)
     t = 0.0
     while t < scenario.duration:
         t = min(scenario.duration, t + scenario.sample_period)

@@ -25,6 +25,12 @@ class SchedulerParams:
     locality_scale: float = 100.0  # meters at which locality halves
 
     def __post_init__(self):
+        # The score is a convex sum of criteria in [0, 1], so each weight
+        # lies in [0, 1] and the weights sum to 1.
+        for name in ("w_availability", "w_qos", "w_locality"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         total = self.w_availability + self.w_qos + self.w_locality
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"score weights must sum to 1, got {total}")
@@ -33,6 +39,12 @@ class SchedulerParams:
             # A fraction would fault in the slice that takes the top k.
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # Locality divides by the scale: 0 faults mid-run, and a negative,
+        # NaN or infinite scale turns the criterion meaningless.
+        if not 0 < self.locality_scale < math.inf:
+            raise ValueError(
+                f"locality_scale must be finite and > 0, got {self.locality_scale!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ Criteria (run with `pytest -v -s tests/test_acceptance.py` to see the lines):
   A9 cognition oracles: survival counting, completion formula, ewma bound
 """
 
+import dataclasses
 import glob
 import hashlib
 import json
@@ -22,7 +23,7 @@ import time
 
 import pytest
 
-from swarmsim import membership, scenario as scen
+from swarmsim import agent, gossip, membership, scenario as scen
 from swarmsim.cognition import (
     LoadForecast,
     SessionHistory,
@@ -32,17 +33,14 @@ from swarmsim.cognition import (
 )
 from swarmsim.membership import MemberState, SwarmView, merge_views
 from swarmsim.registry import Registry, RegistryEntry
+from swarmsim.scheduler import SchedulerParams
 
 from conftest import make_profile, make_task
 
 SCENARIOS = sorted(glob.glob("scenarios/*.yaml"))
 
-BLIND_AVAILABILITY = {
-    "scheduler": {"w_availability": 0.0, "w_qos": 2 / 3, "w_locality": 1 / 3}
-}
-BLIND_LOCALITY = {
-    "scheduler": {"w_availability": 0.5, "w_qos": 0.5, "w_locality": 0.0}
-}
+BLIND_AVAILABILITY = SchedulerParams(w_availability=0.0, w_qos=2 / 3, w_locality=1 / 3)
+BLIND_LOCALITY = SchedulerParams(w_availability=0.5, w_qos=0.5, w_locality=0.0)
 
 
 def report(name, ok, detail):
@@ -134,7 +132,7 @@ def _churn_scenario(n):
     bound_rounds = 3 * math.ceil(math.log2(n)) + 5
     sc = scen.parse_scenario({
         "name": f"churn{n}",
-        "duration": churn_end + bound_rounds * 1.0,  # probe_period = 1 s
+        "duration": churn_end + bound_rounds * agent.PROBE_PERIOD,
         "seed": n,
         "net": {"loss_prob": 0.02},
         "nodes": nodes,
@@ -179,7 +177,7 @@ def test_a3_partition_tolerance():
 
     # One identity and converged replicas within 20 probe rounds of the heal.
     sim2, agents2, _ = scen.build(sc)
-    sim2.run_until(end + 20 * sc.agent.probe_period)
+    sim2.run_until(end + 20 * agent.PROBE_PERIOD)
     up = [agents2[n] for n in sorted(agents2) if sim2.node_up(n)]
     ids = {a.view.swarm_id for a in up}
     regs = {a.registry.content_hash() for a in up}
@@ -212,11 +210,11 @@ def test_a4_scheduling_invariants(reference_runs):
     for path, (sc, res, _) in reference_runs.items():
         trace = res.trace
         weights = (
-            sc.agent.scheduler.w_availability,
-            sc.agent.scheduler.w_qos,
-            sc.agent.scheduler.w_locality,
+            sc.scheduler.w_availability,
+            sc.scheduler.w_qos,
+            sc.scheduler.w_locality,
         )
-        k = sc.agent.scheduler.top_k
+        k = sc.scheduler.top_k
 
         # Local-first: an attempt admitted locally must emit no OFFERs.
         local = {(r["task"], r["attempt"]) for r in trace if r["type"] == "local_admit"}
@@ -279,7 +277,7 @@ def test_a5_availability_benefit():
     wins, diffs = 0, []
     for seed in range(20):
         aware = scen.run(sc, seed=seed).report.failure_rate()
-        blind = scen.run(sc, seed=seed, agent_overrides=BLIND_AVAILABILITY)
+        blind = scen.run(dataclasses.replace(sc, scheduler=BLIND_AVAILABILITY), seed=seed)
         blind = blind.report.failure_rate()
         diffs.append(aware - blind)
         wins += aware < blind
@@ -299,7 +297,7 @@ def test_a6_locality_benefit():
     wins, diffs = 0, []
     for seed in range(20):
         aware = scen.run(sc, seed=seed).report.mean_transfer_time
-        blind = scen.run(sc, seed=seed, agent_overrides=BLIND_LOCALITY)
+        blind = scen.run(dataclasses.replace(sc, scheduler=BLIND_LOCALITY), seed=seed)
         blind = blind.report.mean_transfer_time
         diffs.append(aware - blind)
         wins += aware < blind
@@ -341,7 +339,7 @@ def test_a7_self_healing_latency():
         crash_t = next(r["t"] for r in res.trace if r["type"] == "crash")
         claimed = [r for r in res.trace if r["type"] == "claim" and r["attempt"] == 1]
         assert claimed and claimed[0]["executor"] == 2, "setup: wrong executor"
-        budget = sc.agent.t_dead + sc.agent.probe_period
+        budget = gossip.T_DEAD + agent.PROBE_PERIOD
         replaced = [
             r for r in res.trace
             if r["type"] in ("sched_decision", "local_admit", "unschedulable")

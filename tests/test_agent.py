@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmsim import agent, executor, gossip, membership, wire
+from swarmsim import agent, execution, executor, gossip, membership, wire
 from swarmsim import scenario as scen
 from swarmsim.sim import SimFault, Simulator
 
@@ -43,6 +43,12 @@ def test_message_table_covers_every_wire_kind():
 
 def test_timer_table_covers_the_benchmarked_timer_kinds():
     assert sorted(agent._TIMER_HANDLERS) == sorted(_bench_list("TIMER_KINDS"))
+
+
+def test_a_reservation_outlives_its_offer_round():
+    # One that expired before the origin's offer round ends would be gone
+    # when its CLAIM arrives, so no remote run would ever be admitted.
+    assert agent.OFFER_TIMEOUT < execution.RESERVATION_TTL
 
 
 def test_unknown_timer_kind_is_a_sim_fault():

@@ -105,8 +105,8 @@ def test_compare_identical_variants_zero_difference(tmp_path, capsys):
     cfg = write_config(tmp_path)
     variants = tmp_path / "variants.yaml"
     variants.write_text(yaml.safe_dump({
-        "one": {"scheduler": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2}},
-        "two": {"scheduler": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2}},
+        "one": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2},
+        "two": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2},
     }))
     code = main(["compare", cfg, "--variants", str(variants),
                  "--seeds", "1,2", "--out", str(tmp_path / "cmp")])
@@ -136,9 +136,9 @@ def test_compare_bad_variant_fails_before_any_run(tmp_path, capsys, monkeypatch)
     cfg = write_config(tmp_path)
     variants = tmp_path / "variants.yaml"
     for bad, problem in (
-        ({"bogus": {"gossip_kk": 3}}, "variant bogus: unknown field gossip_kk"),
-        ({"w": {"probe_period": "fast"}}, "variant w: probe_period: expected a number"),
-        ({"q": {"scheduler": {"w_qos": 0.9}}}, "variant q: scheduler: score weights"),
+        ({"bogus": {"w_qos_": 3}}, "variant bogus: unknown field w_qos_"),
+        ({"w": {"top_k": "fast"}}, "variant w: top_k: expected a number"),
+        ({"q": {"w_qos": 0.9}}, "variant q: score weights"),
     ):
         variants.write_text(yaml.safe_dump({"a_ok": {}, **bad}))
         assert main(["compare", cfg, "--variants", str(variants)]) == 2
@@ -221,61 +221,52 @@ PARTITION_HEAL = Path(__file__).resolve().parents[1] / "scenarios" / "partition_
 
 # Settings that `validate` once passed although a run with them hangs (a
 # zero period re-arms its timer at the same instant forever), dies in the
-# simulator (a negative delay, a zero round count) or runs to a meaningless
-# result (a reservation that outlives no offer round, a load forecast that
-# diverges).
+# simulator (a division by zero) or runs to a meaningless result.
 DEGENERATE = [
-    (None, "sample_period", 0, "sample_period: must be positive"),
-    (None, "sample_period", -1, "sample_period: must be positive"),
-    ("agent", "probe_period", 0, "agent: probe_period must be > 0, got 0"),
-    ("agent", "probe_period", -1, "agent: probe_period must be > 0, got -1"),
-    # A period re-arms its own timer, so an infinite one never fires again:
-    # with no probe rounds the run exited 0 with no task done.
-    ("agent", "probe_period", float("inf"), "agent: probe_period must be finite, got inf"),
-    ("agent", "battery_tick", float("inf"), "agent: battery_tick must be finite, got inf"),
-    ("agent", "exec_tick", float("inf"), "agent: exec_tick must be finite, got inf"),
+    (None, "sample_period", 0, "sample_period: must be positive and finite"),
+    (None, "sample_period", -1, "sample_period: must be positive and finite"),
+    # An infinite period sampled once, at the end, so utilization read 0.
+    (None, "sample_period", float("inf"), "sample_period: must be positive and finite"),
     # The run samples up to its duration: an infinite one never returned, and
     # a NaN one passed whenever no task window caught it.
     (None, "duration", float("inf"), "duration: must be positive and finite"),
     (None, "duration", float("nan"), "duration: must be positive and finite"),
-    ("agent", "exec_tick", 0, "agent: exec_tick must be > 0, got 0"),
-    ("agent", "battery_tick", 0, "agent: battery_tick must be > 0, got 0"),
-    ("agent", "offer_timeout", -1, "agent: offer_timeout must be >= 0, got -1"),
-    ("agent", "anti_entropy_every", 0, "agent: anti_entropy_every must be >= 1, got 0"),
-    ("agent", "rediscover_every", 0, "agent: rediscover_every must be >= 1, got 0"),
-    ("agent", "status_refresh_every", 0, "agent: status_refresh_every must be >= 1, got 0"),
-    # Valid alone, but every reservation expires before its CLAIM arrives.
-    ("agent", "reservation_ttl", 0,
-     "agent: reservation_ttl must be > offer_timeout (0.25), got 0"),
-    ("agent", "reservation_ttl", 0.25,
-     "agent: reservation_ttl must be > offer_timeout (0.25), got 0.25"),
-    # The load forecast diverges (or swings) outside [0, 1].
-    ("agent", "forecast_alpha", -1, "agent: forecast_alpha must be in [0, 1], got -1"),
-    ("agent", "forecast_alpha", 2, "agent: forecast_alpha must be in [0, 1], got 2"),
-    ("agent", "forecast_alpha", float("nan"),
-     "agent: forecast_alpha must be in [0, 1], got nan"),
-    # A fractional count faults in a slice mid-run, or silently counts
-    # something else; a bool is no count either.
-    ("agent", "gossip_k", 2.5, "agent: gossip_k must be an integer, got 2.5"),
-    ("agent", "gossip_k", True, "agent: gossip_k must be an integer, got True"),
-    ("agent", "anti_entropy_every", 1.5,
-     "agent: anti_entropy_every must be an integer, got 1.5"),
-    ("agent", "leave_fanout", 1.5, "agent: leave_fanout must be an integer, got 1.5"),
-    ("agent", "retransmit_limit", 2.5,
-     "agent: retransmit_limit must be an integer, got 2.5"),
-    ("agent", "rediscover_every", 2.5, "agent: rediscover_every must be an integer, got 2.5"),
-    ("agent", "status_refresh_every", 1.5,
-     "agent: status_refresh_every must be an integer, got 1.5"),
-    ("agent", "probe_retries", 1.5, "agent: probe_retries must be an integer, got 1.5"),
-    # NaN latencies deliver nothing, a NaN range reaches no one, and a NaN
-    # or zero capacity floor places no task: each ran to exit 0 regardless.
+    # NaN latencies deliver nothing, a NaN range reaches no one: each ran to
+    # exit 0 regardless.
     ("net", "base_latency", float("nan"), "net: base_latency must be finite and >= 0, got nan"),
     ("net", "latency_per_meter", float("inf"),
      "net: latency_per_meter must be finite and >= 0, got inf"),
     ("net", "radio_range", float("nan"), "net: radio_range must be >= 0, got nan"),
-    ("agent", "min_capacity", float("nan"), "agent: min_capacity must be in (0, 1], got nan"),
-    ("agent", "min_capacity", 0, "agent: min_capacity must be in (0, 1], got 0"),
-    ("agent", "min_capacity", 1.5, "agent: min_capacity must be in (0, 1], got 1.5"),
+    # Locality divides by its scale: 0 died mid-run with ZeroDivisionError,
+    # and a negative, NaN or infinite scale ran silently.
+    ("scheduler", "locality_scale", 0,
+     "scheduler: locality_scale must be finite and > 0, got 0"),
+    ("scheduler", "locality_scale", -1,
+     "scheduler: locality_scale must be finite and > 0, got -1"),
+    ("scheduler", "locality_scale", float("nan"),
+     "scheduler: locality_scale must be finite and > 0, got nan"),
+    ("scheduler", "locality_scale", float("inf"),
+     "scheduler: locality_scale must be finite and > 0, got inf"),
+    ("scheduler", "w_availability", -0.4,
+     "scheduler: w_availability must be in [0, 1], got -0.4"),
+    ("scheduler", "w_locality", 1.5, "scheduler: w_locality must be in [0, 1], got 1.5"),
+    ("scheduler", "top_k", 0, "scheduler: top_k must be an integer >= 1, got 0"),
+] + [
+    # Protocol timing is fixed: each former `agent:` setting, even the
+    # degenerate values once checked one by one, is now an unknown block.
+    ("agent", key, value, "unknown field agent")
+    for key, value in (
+        ("probe_period", 0), ("probe_period", -1), ("probe_period", float("inf")),
+        ("battery_tick", float("inf")), ("exec_tick", float("inf")),
+        ("exec_tick", 0), ("battery_tick", 0), ("offer_timeout", -1),
+        ("anti_entropy_every", 0), ("rediscover_every", 0), ("status_refresh_every", 0),
+        ("reservation_ttl", 0), ("reservation_ttl", 0.25),
+        ("forecast_alpha", -1), ("forecast_alpha", 2), ("forecast_alpha", float("nan")),
+        ("gossip_k", 2.5), ("gossip_k", True), ("anti_entropy_every", 1.5),
+        ("leave_fanout", 1.5), ("retransmit_limit", 2.5), ("rediscover_every", 2.5),
+        ("status_refresh_every", 1.5), ("probe_retries", 1.5),
+        ("min_capacity", float("nan")), ("min_capacity", 0), ("min_capacity", 1.5),
+    )
 ]
 
 
@@ -304,8 +295,12 @@ def test_degenerate_setting_fails_validate_run_and_compare_cleanly(
     variants.write_text(yaml.safe_dump({"base": {}}))
     assert main(["compare", cfg, "--variants", str(variants)]) == 2
     assert problem in capsys.readouterr().err
-    if section == "agent":
+    if section in ("scheduler", "agent"):
+        # A variant is a scheduler mapping, so a former agent setting is an
+        # unknown field there.
         variants.write_text(yaml.safe_dump({"bad": {key: value}}))
         valid = write_config(tmp_path, yaml.safe_load(PARTITION_HEAL.read_text()), "ok.yaml")
         assert main(["compare", valid, "--variants", str(variants)]) == 2
-        assert problem.replace("agent:", "variant bad:") in capsys.readouterr().err
+        if section == "agent":
+            problem = f"variant bad: unknown field {key}"
+        assert problem.replace("scheduler:", "variant bad:") in capsys.readouterr().err

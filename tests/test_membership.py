@@ -2,9 +2,10 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from swarmsim import membership
+from unittest import mock
+
+from swarmsim import gossip, membership
 from swarmsim import scenario as scen
-from swarmsim.agent import AgentConfig, NodeAgent
 from swarmsim.membership import (
     ALIVE,
     DEAD,
@@ -278,29 +279,28 @@ def test_version_map_entries_are_shared_per_record():
 
 # -- piggyback selection ----------------------------------------------------
 
-def reference_pick_deltas(node, self_record, buffer, cfg):
+def reference_pick_deltas(node, self_record, buffer, gossip_k, retransmit_limit):
     """The selection as first written: sort the whole buffer, then sweep it."""
     picks = [self_record.to_dict()]
     order = sorted(buffer.items(), key=lambda kv: (kv[1][1], kv[0]))
     for n, slot in order:
         if n == node:
             continue
-        if len(picks) >= cfg.gossip_k:
+        if len(picks) >= gossip_k:
             break
         picks.append(slot[0].to_dict())
         slot[1] += 1
-    for n in [n for n, slot in buffer.items() if slot[1] >= cfg.retransmit_limit]:
+    for n in [n for n, slot in buffer.items() if slot[1] >= retransmit_limit]:
         del buffer[n]
     return picks
 
 
-def running_agent(node=1, **cfg):
+def running_agent(node=1):
     """A started agent of a one-node simulation (nothing else runs)."""
     raw = {"name": "one", "duration": 1.0,
            "nodes": [{"id": node, "position": [0, 0], "typologies": ["generic"]}]}
-    sim, agents, _ = scen.build(scen.parse_scenario(raw))
-    agent = NodeAgent(sim, AgentConfig(**cfg), agents[node].base_profile)
-    sim.register_agent(node, agent)
+    _, agents, _ = scen.build(scen.parse_scenario(raw))
+    agent = agents[node]
     agent.on_start()
     return agent
 
@@ -315,34 +315,40 @@ gossip_ops = st.lists(
 )
 
 
-@given(st.integers(-1, 6), st.integers(-1, 5), gossip_ops)
+@given(st.integers(1, 6), st.integers(1, 5), gossip_ops)
 def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
     """Slots are queued and collected as a running agent does it: a merged
     peer record is queued, and GC of its tombstone drops the slot. Our own
     record is never queued (it rides first in every message)."""
-    me = 1
-    agent = running_agent(me, gossip_k=gossip_k, retransmit_limit=retransmit_limit)
-    self_record = agent.view.members[me]
-    reference = {}
-    for op in ops:
-        if op[0] == "queue":
-            state = ms(node=op[1], status=DEAD, inc=op[2])
-            agent.view.apply(state)
-            agent.gossip._queue_delta(state)
-            reference[state.node] = [state, 0]
-        elif op[0] == "gc":
-            state = agent.view.members.get(op[1])
-            if state is not None:
-                agent.gossip.gc_member({"node": state.node, "status": state.status,
-                                  "incarnation": state.incarnation,
-                                  "since": state.last_update_time})
-                reference.pop(state.node, None)
-        else:
-            picks = agent.gossip.pick_deltas()
-            assert picks == reference_pick_deltas(me, self_record, reference, agent.cfg)
-        assert agent.gossip._buffer == reference
-        assert [sorted(n for n, slot in reference.items() if slot[1] == sent)
-                for sent in range(len(agent.gossip._tiers))] == agent.gossip._tiers
+    with (
+        mock.patch.object(gossip, "GOSSIP_K", gossip_k),
+        mock.patch.object(gossip, "RETRANSMIT_LIMIT", retransmit_limit),
+    ):
+        me = 1
+        agent = running_agent(me)
+        self_record = agent.view.members[me]
+        reference = {}
+        for op in ops:
+            if op[0] == "queue":
+                state = ms(node=op[1], status=DEAD, inc=op[2])
+                agent.view.apply(state)
+                agent.gossip._queue_delta(state)
+                reference[state.node] = [state, 0]
+            elif op[0] == "gc":
+                state = agent.view.members.get(op[1])
+                if state is not None:
+                    agent.gossip.gc_member({"node": state.node, "status": state.status,
+                                            "incarnation": state.incarnation,
+                                            "since": state.last_update_time})
+                    reference.pop(state.node, None)
+            else:
+                picks = agent.gossip.pick_deltas()
+                assert picks == reference_pick_deltas(
+                    me, self_record, reference, gossip_k, retransmit_limit
+                )
+            assert agent.gossip._buffer == reference
+            assert [sorted(n for n, slot in reference.items() if slot[1] == sent)
+                    for sent in range(len(agent.gossip._tiers))] == agent.gossip._tiers
 
 
 swarm_records = st.lists(

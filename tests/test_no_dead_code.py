@@ -1,7 +1,9 @@
-"""No function, method or class in `src/swarmsim/` goes unnamed.
+"""No function, method, class or module-level name in `src/swarmsim/` goes
+unnamed.
 
 A definition whose name appears nowhere in `src/` or `bench/` except at its
-own definition is dead: nothing calls it, patches it or dispatches to it.
+own definition is dead: nothing calls it, reads it, patches it or
+dispatches to it.
 Names count where code names them and inside string literals (a name a
 table or a patcher looks up by string), not in comments or docstrings,
 which only talk about code. Tests do not count as users, so a name kept
@@ -32,13 +34,35 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _STRING_TYPES = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
 
+def _bound_names(target: ast.AST) -> list:
+    """The names an assignment target binds: `x`, `x, y`, `[x, *rest]`."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    return []  # an attribute or an item: no new name
+
+
 def _definitions(package: Path) -> dict:
-    """name -> number of times a def or class statement in `package` binds it."""
+    """name -> number of times a def or class statement, or an assignment
+    at module level, in `package` binds it."""
     out: dict = {}
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out[node.name] = out.get(node.name, 0) + 1
+        tree = ast.parse(path.read_text(), str(path))
+        names = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                names += [n for target in node.targets for n in _bound_names(target)]
+            elif isinstance(node, ast.AnnAssign):
+                names += _bound_names(node.target)
+        for name in names:
+            out[name] = out.get(name, 0) + 1
     return out
 
 
@@ -104,3 +128,18 @@ def helper():
     # or the comments.
     assert words.count("helper") == 2
     assert "comment" not in words and "docstring" not in words
+
+
+def test_module_level_assignments_are_definitions(tmp_path):
+    package = tmp_path / "src" / "swarmsim"
+    package.mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    (package / "m.py").write_text(
+        "USED = 1\n"
+        "UNUSED, (PAIR, *REST) = 2, (3, 4)\n"
+        "TABLE = {}\n"
+        "TABLE['k'] = USED\n"  # an item assignment binds no name
+        "class C:\n"
+        "    ATTR = 5\n"  # class level: read as C.ATTR, not checked
+    )
+    assert unnamed_definitions(tmp_path) == ["C", "PAIR", "REST", "UNUSED"]

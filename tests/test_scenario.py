@@ -118,25 +118,29 @@ def test_generated_workload_is_deterministic_and_round_robin():
     assert origins == [1, 2, 1, 2, 1, 2]
 
 
-def test_agent_override_replaces_scheduler_weights():
-    sc = with_extras()
-    cfg = scen.override_agent_config(
-        sc.agent, {"scheduler": {"w_availability": 0.0, "w_qos": 0.5,
-                                 "w_locality": 0.5},
-                   "probe_period": 2.0},
+def test_scheduler_override_replaces_weights():
+    sc = with_extras(scheduler={"top_k": 2})
+    assert sc.scheduler.top_k == 2 and not sc.validate()
+    problems = []
+    params = scen.scheduler_params(
+        sc.scheduler, {"w_availability": 0.0, "w_qos": 0.5, "w_locality": 0.5},
+        "variant v", problems,
     )
-    assert cfg.scheduler.w_availability == 0.0
-    assert cfg.probe_period == 2.0
-    assert sc.agent.scheduler.w_availability == 0.4  # original untouched
-    # Overrides pass the checks a scenario's `agent:` block does.
+    assert problems == []
+    assert (params.w_availability, params.top_k) == (0.0, 2)
+    assert sc.scheduler.w_availability == 0.4  # original untouched
+    # A variant passes the checks a scenario's `scheduler:` block does;
+    # protocol timing is no setting.
     for overrides, problem in (
-        ({"gossip_kk": 3}, "variant v: unknown field gossip_kk"),
-        ({"probe_period": "fast"}, "variant v: probe_period: expected a number, got 'fast'"),
-        ({"scheduler": {"w_qos": 0.9}}, "variant v: scheduler: score weights must sum to 1"),
-        ({"scheduler": 5}, "variant v: scheduler: expected a mapping, got 5"),
+        ({"w_qos_": 3}, "variant v: unknown field w_qos_"),
+        ({"probe_period": 2.0}, "variant v: unknown field probe_period"),
+        ({"top_k": "three"}, "variant v: top_k: expected a number, got 'three'"),
+        ({"w_qos": 0.9}, "variant v: score weights must sum to 1"),
+        (5, "variant v: expected a mapping, got 5"),
     ):
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            scen.override_agent_config(sc.agent, overrides, "variant v")
+        problems = []
+        assert scen.scheduler_params(sc.scheduler, overrides, "variant v", problems) == sc.scheduler
+        assert len(problems) == 1 and problems[0].startswith(problem)
 
 
 def test_run_result_trace_serializes(tmp_path):
@@ -185,7 +189,8 @@ def test_node_without_id_and_wrong_field_types_are_problems():
 def test_malformed_items_and_settings_are_problems():
     sc = with_extras(
         # Keys no reader knows: deleted fields (os_tag, runtimes,
-        # min_success_replicas) and one typo per kind of mapping.
+        # min_success_replicas) and blocks (agent), and one typo per kind
+        # of mapping.
         nodes=[
             dict(BASE["nodes"][0], os_tag="linux", runtimes=["py3"], cpu_perf_idx=3),
             BASE["nodes"][1],
@@ -199,7 +204,8 @@ def test_malformed_items_and_settings_are_problems():
         partitions=[{"a": [1], "b": [2], "start": "soon", "end": 2.0, "ends": 3.0}],
         data_sources=[{"id": 7, "owner": 1, "size": -1.0, "replica": [2]}],
         net={"loss_prob": "high", "jitter": 0.1},
-        agent={"probe_period": "slow", "scheduler": {"w_qos": 0.9}},
+        agent={"probe_period": 2.0},
+        scheduler={"top_k": "three", "w_qos": 0.9},
         sampel_period=2.0,
     )
     assert sc.validate() == [
@@ -222,8 +228,9 @@ def test_malformed_items_and_settings_are_problems():
         "node 1: unknown field os_tag",
         "node 1: unknown field runtimes",
         "node 1: unknown field cpu_perf_idx",
-        "agent: probe_period: expected a number, got 'slow'",
-        "agent: scheduler: score weights must sum to 1, got 1.5",
+        "scheduler: top_k: expected a number, got 'three'",
+        "scheduler: score weights must sum to 1, got 1.5",
+        "unknown field agent",
         "unknown field sampel_period",
     ]
     assert len(sc.tasks) == 3 and not sc.events and not sc.partitions

@@ -63,6 +63,12 @@ def test_weights_must_sum_to_one():
         SchedulerParams(w_availability=0.5, w_qos=0.5, w_locality=0.5)
 
 
+def test_weights_must_each_lie_in_the_unit_interval():
+    # These sum to 1, but the score is a convex sum of its criteria.
+    with pytest.raises(ValueError, match="w_availability must be in \\[0, 1\\], got -0.5"):
+        SchedulerParams(w_availability=-0.5, w_qos=1.0, w_locality=0.5)
+
+
 def test_counts_must_be_integers_of_at_least_one():
     for name, value in (("top_k", 2.5), ("top_k", True), ("top_k", 0),
                         ("max_attempts", 1.5), ("max_attempts", 0)):
