@@ -1,14 +1,18 @@
 """Anti-entropy of one agent (Scuttlebutt-style, digest first; van Renesse
 et al., LADIS 2008), and the lookups that read its registry and catalog.
 
-Every ANTI_ENTROPY_EVERY rounds a round-robin peer gets a DIGEST of version
-maps for the view, the data catalog and the registry; it answers with one
-DELTA holding the records the maps lack and `want_*` lists of what it lacks,
-and the wanted records follow in one more DELTA. An exchange with nothing to
-carry sends nothing after the DIGEST. HELLO carries the view's map and HELLO-ACK
-answers it the same way. Each life starts its rounds at a random phase, so a
-peer answers DIGESTs spread over the period and passes on what it wanted
-from earlier ones.
+Every ANTI_ENTROPY_EVERY rounds a round-robin peer gets a DIGEST holding
+one short hash of each version map: the view's, the data catalog's and the
+registry's (the first level of Dynamo's Merkle exchange; DeCandia et al.,
+SOSP 2007). Where the peer's hash of a part is the same, nothing more is
+sent; where it differs, the peer answers with one DIGEST holding its maps of
+those parts. A map is answered with one DELTA holding the records the map
+lacks and `want_*` lists of what the answering side lacks, and the wanted
+records follow in one more DELTA. So two sides that agree exchange one
+message, and a map travels only for a part that differs. HELLO carries the
+view's map and HELLO-ACK answers it the same way. Each life starts its
+rounds at a random phase, so a peer answers DIGESTs spread over the period
+and passes on what it wanted from earlier ones.
 
 An agent's own registry entry gets a new version when the profile it
 publishes changes (load, battery, position) and when the set of runs it
@@ -45,33 +49,43 @@ class AntiEntropy:
             return
         peer = peers[(round_no // ANTI_ENTROPY_EVERY) % len(peers)]
         body = {
-            "view": self.agent.view.version_map(),
-            "catalog": self.catalog.version_map(),
-            "registry": self.registry.version_map(),
+            "view": self.agent.view.version_hash(),
+            "catalog": self.catalog.version_hash(),
+            "registry": self.registry.version_hash(),
         }
         self.agent.send(peer, wire.DIGEST, body)
 
     def reconcile(self, frm: NodeId, body: dict, reply_kind: str) -> None:
-        """Answer a peer's version maps (a HELLO's view map, or a DIGEST's
-        view, catalog and registry maps) with a `reply_kind` message: under
-        each map's key our records the map lacks, under `want_<key>` the ids
-        whose record there holds something ours lacks. Empty parts are left
-        out, and an empty answer, the two sides holding the same, is not
-        sent."""
-        diffs = (
-            ("view", lambda m: self.agent.view.diff(m, self.sim.now, RETENTION)),
-            ("catalog", self.catalog.diff),
-            ("registry", self.registry.diff),
+        """Answer a peer's HELLO or DIGEST, part by part (`view`, `catalog`,
+        `registry`). A part's hash equal to ours needs nothing; one that
+        differs puts our version map under its key in one DIGEST back. A
+        part's version map is answered with a `reply_kind` message: under
+        the map's key our records it lacks, under `want_<key>` the ids whose
+        record there holds something ours lacks. Empty parts are left out,
+        and an empty answer is not sent. A DIGEST of maps is thus answered
+        by a DELTA, never by another DIGEST."""
+        view = self.agent.view
+        parts = (
+            ("view", view, lambda m: view.diff(m, self.sim.now, RETENTION)),
+            ("catalog", self.catalog, self.catalog.diff),
+            ("registry", self.registry, self.registry.diff),
         )
-        reply = {}
-        for key, diff in diffs:
-            if key not in body:
+        maps, reply = {}, {}
+        for key, owner, diff in parts:
+            theirs = body.get(key)
+            if theirs is None:
                 continue
-            push, want = diff(body[key])
+            if type(theirs) is str:
+                if theirs != owner.version_hash():
+                    maps[key] = owner.version_map()
+                continue
+            push, want = diff(theirs)
             if push:
                 reply[key] = wire.RecordList(r.to_dict() for r in push)
             if want:
                 reply["want_" + key] = want
+        if maps:
+            self.agent.send(frm, wire.DIGEST, maps)
         if reply:
             self.agent.send(frm, reply_kind, reply)
 

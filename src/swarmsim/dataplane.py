@@ -6,11 +6,12 @@ fields are LWW by the owner's announce sequence; the replica set merges as a
 grow-only union, with dead replicas filtered out at read time rather than
 removed from state.
 
-A DIGEST carries the catalog's version map, one `[id, announce_seq,
-replicas]` entry per record: the sequence stands for the static fields and
-the sorted replica list for the set, so two records with equal entries are
-equal. `Catalog.records` is written only through `announce` and `merge`,
-each of which drops the cached map when it changes a record.
+The catalog's version map has one `[id, announce_seq, replicas]` entry per
+record: the sequence stands for the static fields and the sorted replica
+list for the set, so two records with equal entries are equal. A DIGEST
+carries the map's hash, and the map itself only to a peer whose hash
+differs. `Catalog.records` is written only through `announce` and `merge`,
+each of which drops the cached map and hash when it changes a record.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ class Catalog:
         self.owner = owner
         self.records: dict = {}  # DataSourceId -> CatalogRecord
         self._map = None  # version_map() until a record changes
+        self._map_hash = None  # version_hash() until a record changes
 
     def announce(self, descriptor: DataSourceDescriptor, by: NodeId) -> CatalogRecord:
         if by != descriptor.owner:
@@ -106,7 +108,7 @@ class Catalog:
             )
         rec = CatalogRecord(descriptor=descriptor, announce_seq=seq)
         self.records[descriptor.id] = rec
-        self._map = None
+        self._map = self._map_hash = None
         return rec
 
     def merge(self, incoming: CatalogRecord) -> bool:
@@ -114,7 +116,7 @@ class Catalog:
         current = self.records.get(incoming.descriptor.id)
         if current is None:
             self.records[incoming.descriptor.id] = incoming
-            self._map = None
+            self._map = self._map_hash = None
             return True
         union = current.descriptor.replicas | incoming.descriptor.replicas
         if incoming.announce_seq > current.announce_seq:
@@ -128,15 +130,23 @@ class Catalog:
         if merged == current:
             return False
         self.records[merged.descriptor.id] = merged
-        self._map = None
+        self._map = self._map_hash = None
         return True
 
     def version_map(self) -> list:
-        """Every record's `version_entry` in DataSourceId order, as DIGEST
-        carries it. Cached until a record changes; shared, read-only."""
+        """Every record's `version_entry` in DataSourceId order, as a DIGEST
+        that answers a differing hash carries it. Cached until a record
+        changes; shared, read-only."""
         if self._map is None:
             self._map = [r.version_entry for _, r in sorted(self.records.items())]
         return self._map
+
+    def version_hash(self) -> str:
+        """`wire.short_hash` of `version_map()`, as a DIGEST carries it.
+        Cached until a record changes."""
+        if self._map_hash is None:
+            self._map_hash = wire.short_hash(self.version_map())
+        return self._map_hash
 
     def diff(self, remote: list) -> tuple:
         """(our records a peer's version map lacks, source ids whose record

@@ -276,7 +276,12 @@ class Gossip:
         if targets:
             self.probe(targets[self._probe_rng.randrange(len(targets))])
 
-    def probe(self, target: NodeId, misses: int = 0) -> None:
+    def probe(self, target: NodeId, misses: int = 0, incarnation: int = None) -> None:
+        """PING a member and arm the attempt's timeout. The first attempt
+        probes the life the view holds; each retry carries on that
+        incarnation, so the last timeout can suspect only the life probed."""
+        if incarnation is None:
+            incarnation = self.view.members[target].incarnation
         self._probe_token += 1
         token = self._probe_token
         self.pending_probes[target] = token
@@ -284,7 +289,7 @@ class Gossip:
         self.agent.set_timer(
             PROBE_TIMEOUT,
             "probe_timeout",
-            {"target": target, "token": token, "misses": misses},
+            {"target": target, "token": token, "misses": misses, "incarnation": incarnation},
         )
 
     def on_probe_timeout(self, data: dict) -> None:
@@ -296,10 +301,15 @@ class Gossip:
         if misses < PROBE_RETRIES:
             # Retry before suspecting: one lost PING/ACK must not look like a
             # crash on a lossy link.
-            self.probe(target, misses=misses)
+            self.probe(target, misses=misses, incarnation=data["incarnation"])
             return
+        # A new life learned while the probe was out was never probed.
         current = self.view.members.get(target)
-        if current is not None and current.status == ALIVE:
+        if (
+            current is not None
+            and current.status == ALIVE
+            and current.incarnation == data["incarnation"]
+        ):
             self._merge_member(replace(current, status=SUSPECT, last_update_time=self.sim.now))
 
     def handle_ping(self, frm: NodeId, body: dict) -> None:

@@ -10,10 +10,10 @@ A member record has one wire form, its version entry
 `[node, incarnation, status, last_update_time]` (SWIM's and Scuttlebutt's
 update tuple). A piggybacked delta, the `view` part of a DELTA or HELLO-ACK
 and an entry of a HELLO's or DIGEST's version map are all that entry; a map
-is just the entries of every member in NodeId order. Each `MemberState`
-builds its entry once (`version_entry`, which `to_dict` returns), as a
-read-only `wire.ListRecord` that encodes its JSON once and remembers the
-state it stands for.
+is just the entries of every member in NodeId order, and a periodic DIGEST
+carries only the map's hash. Each `MemberState` builds its entry once
+(`version_entry`, which `to_dict` returns), as a read-only `wire.ListRecord`
+that encodes its JSON once and remembers the state it stands for.
 
 The merge order is one key, `merge_key`: a held record yields only to a
 record with a larger key. `SwarmView.apply`, `dominates` and `diff` all use
@@ -23,13 +23,13 @@ materialising state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
 `remove`, each of which bumps `view_version` when the view changes. The
-version map, digest, alive list (whose first element is the swarm id) and
-probe targets are cached per `view_version`, and the values returned are
-shared with every message and trace record that carries them, so they are
-read-only; the map and its entries are `wire` record types, which enforce
-it. A view installs the very `MemberState` a peer gossiped (`wire.adopt`),
-so views that agree hold the same objects, and their version maps the same
-entries.
+version map and its hash, digest, alive list (whose first element is the
+swarm id) and probe targets are cached per `view_version`, and the values
+returned are shared with every message and trace record that carries them,
+so they are read-only; the map and its entries are `wire` record types,
+which enforce it. A view installs the very `MemberState` a peer gossiped
+(`wire.adopt`), so views that agree hold the same objects, and their version
+maps the same entries.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -159,8 +159,8 @@ class SwarmView:
         return digest
 
     def version_map(self) -> wire.RecordList:
-        """Every member's `version_entry` in NodeId order, as HELLO and
-        DIGEST carry it; shared, read-only."""
+        """Every member's `version_entry` in NodeId order, as HELLO and a
+        DIGEST that answers a differing hash carry it; shared, read-only."""
         cache = self._version_cache()
         entries = cache.get("map")
         if entries is None:
@@ -168,6 +168,14 @@ class SwarmView:
                 m.version_entry for _, m in sorted(self.members.items())
             )
         return entries
+
+    def version_hash(self) -> str:
+        """`wire.short_hash` of `version_map()`, as a DIGEST carries it."""
+        cache = self._version_cache()
+        digest = cache.get("map_hash")
+        if digest is None:
+            digest = cache["map_hash"] = wire.short_hash(self.version_map())
+        return digest
 
     def diff(self, remote: list, now: float, retention: float) -> tuple:
         """(our records a peer's version map lacks, nodes whose record there

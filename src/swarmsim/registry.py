@@ -12,15 +12,15 @@ availability under churn and partitions, not linearizability, so this is a
 leaderless anti-entropy design.
 
 Invariants of `Registry`: `entries` is written only through `local_update`,
-`merge` and `evict`, and each of them clears the cached `content_hash` and
-`version_map`. The hash is rebuilt from every entry's wire JSON, which the
-entry's read-only `wire.Record` encodes once; the map from every entry's
-`version_entry`, built once per entry and shared.
+`merge` and `evict`, and each of them clears the cached `content_hash`,
+`version_map` and `version_hash`. The content hash is rebuilt from every
+entry's wire JSON, which the entry's read-only `wire.Record` encodes once;
+the map from every entry's `version_entry`, built once per entry and shared;
+the map's hash, which a DIGEST carries, from the map.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +77,7 @@ class Registry:
         self.entries: dict = {}  # NodeId -> RegistryEntry
         self._hash = None  # content_hash() until the entries change
         self._map = None  # version_map() until the entries change
+        self._map_hash = None  # version_hash() until the entries change
 
     def local_update(
         self, profile: NodeProfile, incarnation: int, now: float
@@ -99,7 +100,7 @@ class Registry:
             stamped_time=now,
         )
         self.entries[self.owner] = entry
-        self._hash = self._map = None
+        self._hash = self._map = self._map_hash = None
         return entry
 
     def merge(self, entry: RegistryEntry) -> bool:
@@ -108,7 +109,7 @@ class Registry:
         if current is not None and current.version >= entry.version:
             return False
         self.entries[entry.node] = entry
-        self._hash = self._map = None
+        self._hash = self._map = self._map_hash = None
         return True
 
     def digest(self) -> dict:
@@ -116,12 +117,20 @@ class Registry:
         return {node: e.version for node, e in sorted(self.entries.items())}
 
     def version_map(self) -> list:
-        """`digest()` as DIGEST carries it: every entry's `version_entry` in
-        NodeId order. Cached until the entries change; shared with every
-        message that carries it, so read-only."""
+        """`digest()` in wire form: every entry's `version_entry` in NodeId
+        order, as a DIGEST that answers a differing hash carries it. Cached
+        until the entries change; shared with every message that carries
+        it, so read-only."""
         if self._map is None:
             self._map = [e.version_entry for _, e in sorted(self.entries.items())]
         return self._map
+
+    def version_hash(self) -> str:
+        """`wire.short_hash` of `version_map()`, as a DIGEST carries it.
+        Cached until the entries change."""
+        if self._map_hash is None:
+            self._map_hash = wire.short_hash(self.version_map())
+        return self._map_hash
 
     def diff(self, remote: list):
         """(entries newer here, node ids newer or only-known remotely),
@@ -151,7 +160,7 @@ class Registry:
     def evict(self, node: NodeId) -> bool:
         if self.entries.pop(node, None) is None:
             return False
-        self._hash = self._map = None
+        self._hash = self._map = self._map_hash = None
         return True
 
     def content_hash(self) -> str:
@@ -159,8 +168,7 @@ class Registry:
         `json.dumps(<entries as dicts>, sort_keys=True, separators=(",", ":"))`.
         Compared for equality only (convergence checks)."""
         if self._hash is None:
-            doc = "[" + ",".join(
-                e._dict.wire_json() for _, e in sorted(self.entries.items())
-            ) + "]"
-            self._hash = hashlib.sha256(doc.encode()).hexdigest()[:16]
+            self._hash = wire.short_hash(
+                wire.RecordList(e._dict for _, e in sorted(self.entries.items()))
+            )
         return self._hash

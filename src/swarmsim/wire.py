@@ -17,11 +17,15 @@ lists, str, int, float, bool, None) and records, so the receiver sees what
 `decode` would have produced; `decode` stays as the reference for that
 equivalence.
 
-Gossip is digest first (Scuttlebutt). HELLO and DIGEST carry version maps,
-not records: a version map is a list of small entries sorted by id, one per
-record, enough to tell which side's record wins (`diff_versions`). The
-answer, a HELLO-ACK or DELTA, carries only the records the map lacks, under
-the map's key (`view`, `catalog`, `registry`), and the ids whose record the
+Gossip is digest first (Scuttlebutt). A version map is a list of small
+entries sorted by id, one per record, enough to tell which side's record
+wins (`diff_versions`). HELLO carries the view's version map. A periodic
+DIGEST carries no map, only one `short_hash` of each part's map (`view`,
+`catalog`, `registry`): a peer whose hash of a part is the same needs
+nothing, and a peer whose hash differs answers with a DIGEST that holds its
+map of that part (the first level of Dynamo's Merkle exchange). A map is
+answered, as a HELLO's is, by a HELLO-ACK or DELTA that carries only the
+records the map lacks, under the map's key, and the ids whose record the
 answering side lacks, under `want_<key>`; the wanted records follow in one
 more DELTA. A part with nothing in it is left out, and an answer with no
 parts is not sent. Like records, each entry is built once per record and
@@ -44,17 +48,19 @@ of each record and encodes its JSON once.
 a top-level value of a body, or the message's deltas, is emitted as its
 records' cached texts joined by commas. That is where records occur in
 traffic: the records of a DELTA or HELLO-ACK under `view`, `catalog` and
-`registry`, the view's version map in a HELLO or DIGEST, and the piggybacked
-deltas. Every other value goes to the C encoder with the same settings, and
-so does a body with a non-string key, whole; the encoder emits a record
-nested anywhere else as the dict or list it is, only without the cache. The
-result is byte-identical to `json.dumps(..., sort_keys=True,
-separators=(",", ":"))` for every input. `encode` writes a message's three
-keys, and a spliced body's keys, in their sorted order itself.
+`registry`, the view's version map in a HELLO or a DIGEST that answers a
+hash, and the piggybacked deltas. Every other value goes to the C encoder
+with the same settings, and so does a body with a non-string key, whole;
+the encoder emits a record nested anywhere else as the dict or list it is,
+only without the cache. The result is byte-identical to `json.dumps(...,
+sort_keys=True, separators=(",", ":"))` for every input. `encode` writes a
+message's three keys, and a spliced body's keys, in their sorted order
+itself.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -68,7 +74,7 @@ ACK = "ACK"
 LEAVE = "LEAVE"
 
 # Anti-entropy of the view, the data catalog and the registry
-DIGEST = "DIGEST"  # {view, catalog, registry: version maps}
+DIGEST = "DIGEST"  # {view, catalog, registry: map hashes}; or the maps that differ
 DELTA = "DELTA"  # records the maps lack, want_<key> ids; or wanted records
 
 # Scheduling / execution
@@ -200,6 +206,13 @@ def _body_json(body: dict) -> str:
     return "{" + ",".join([
         encode_basestring_ascii(key) + ":" + _value_json(body[key]) for key in sorted(body)
     ]) + "}"
+
+
+def short_hash(value) -> str:
+    """16 hex characters of the sha256 of `value`'s wire JSON. Equal values
+    hash equal; compared for equality only (a DIGEST's map hashes, the
+    convergence checks)."""
+    return hashlib.sha256(_value_json(value).encode()).hexdigest()[:16]
 
 
 def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> tuple:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from swarmsim.model import (
@@ -49,6 +52,13 @@ def make_task(task_id=1, typology="generic", work=1.0, memory=64, deadline=60.0,
         deadline=deadline,
         origin_node=origin,
     )
+
+
+def reference_map_hash(version_map) -> str:
+    """A version map's hash as it reads without any cache: 16 hex characters
+    of the sha256 of the map dumped as compact, sorted JSON."""
+    doc = json.dumps(version_map, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
 @pytest.fixture

@@ -66,18 +66,18 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "4162ca54858f3c4ebfc71b80ddc7417e0a2c051a0806b007daf23d60062f086e",
-    "heavy_churn": "08539587e5552fd4b82f47ca60a43d4df91582d52c722966d3909057a569f8a9",
-    "partition_heal": "f7b55333cf6401ed17e0de03ef6e8bef448cb0cf845851bc6ddf70c89e5a2b8d",
-    "steady_state": "f9f2a1d40b27639d3208e23624e24f1fea0633a9919e2d3c4d51ccc5f44b63d5",
+    "data_locality": "d0177ceab4b079efd017442e313687dfc8dee7597d13500c469d5b8238a6343c",
+    "heavy_churn": "551900f65149332da348d30d3741068594f8b9bcf4312010d336687d6078a0c6",
+    "partition_heal": "7f17b272ed14b7780b7c22ed49ef408ff5790fc36628e667b5ecbf6eeca6cb17",
+    "steady_state": "ade760b9172650515ad353584752997a35d3dd890f4d0ed699ead7884ad512c1",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.
 PINNED_METRICS_SHA256 = {
-    "data_locality": "02bb21a34174f894edadccf9df3b5d719131a8efa15ee76dea1fc399fca6be73",
-    "heavy_churn": "63c20f5df76517525250484cfa5da7631c39896604642112a1f16ba78bdd11d1",
-    "partition_heal": "c68893fa4d11f12dddc2e3d553f64c336b7191b18ac5e0231962f41e6a2a2aac",
-    "steady_state": "c31ef79157cb4a5829ca4f69a4d9912e801d98cf074a50e74aa846ebcc335efc",
+    "data_locality": "bd0dda78b50000c1306a3ce82426706f5f371d63d42ce767672a4613e94f3b38",
+    "heavy_churn": "54a3690f4c012efe1a402ceebe1d87d8872a0e154c7a3a794c11b3c21c10f56a",
+    "partition_heal": "351fe72b0a3b679d9c657660795b2c6bde0653b7ccabf40b09c01e9e489ceaf1",
+    "steady_state": "6a5cafae31437d5f71c3191422f55b5ce81753c10386dc5816c699520bbe5f02",
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from swarmsim import agent, execution, executor, gossip, membership, wire
 from swarmsim import scenario as scen
+from swarmsim.dataplane import DataSourceDescriptor
 from swarmsim.sim import SimFault, Simulator
 
 from conftest import make_task
@@ -25,6 +26,20 @@ PAIR = {
          "memory": 64, "deadline": 10.0},
     ],
 }
+
+
+@pytest.fixture
+def sent(monkeypatch) -> list:
+    """(from, to, message) of every send from here on, in order."""
+    sends = []
+    send = Simulator.send
+
+    def recording_send(self, frm, to, msg):
+        sends.append((frm, to, msg))
+        return send(self, frm, to, msg)
+
+    monkeypatch.setattr(Simulator, "send", recording_send)
+    return sends
 
 
 def _bench_list(name: str) -> list:
@@ -105,7 +120,7 @@ def _grid(n: int, seed: int = 3) -> dict:
     }
 
 
-def test_digest_between_agents_in_sync_is_not_answered():
+def test_digest_between_agents_in_sync_is_not_answered(sent):
     sim, agents, _ = scen.build(scen.parse_scenario(_grid(4)))
     sim.run_until(20.2)  # converged
     a = agents[1]
@@ -113,17 +128,131 @@ def test_digest_between_agents_in_sync_is_not_answered():
         assert other.view.version_map() == a.view.version_map()
         assert other.catalog.version_map() == a.catalog.version_map()
         assert other.registry.version_map() == a.registry.version_map()
-    mark = len(sim.trace)
+    mark, first = len(sim.trace), len(sent)
     a.antientropy.send_digest(a.round_no)
     sim.run_until(20.25)
     sends = [r for r in sim.trace[mark:] if r["type"] == "send"]
     digests = [r for r in sends if r["from"] == 1 and r["kind"] == wire.DIGEST]
     assert len(digests) == 1
+    # It holds one hash per version map, not the maps.
+    body = sent[first][2].body
+    assert sent[first][2].kind == wire.DIGEST
+    assert sorted(body) == ["catalog", "registry", "view"]
+    assert all(type(h) is str for h in body.values())
     assert any(r["type"] == "deliver" and r["msg_id"] == digests[0]["msg_id"]
                for r in sim.trace[mark:])
     # Other nodes' rounds run at their own phases: their probes may fall in
     # the window, but no exchange in it carries records.
     assert not any(r["kind"] in (wire.DELTA, wire.HELLO_ACK) for r in sends)
+
+
+def _make_newer(a, part: str) -> None:
+    """Give agent `a` a registry entry or catalog record its peers lack."""
+    if part == "registry":
+        a.antientropy.publish_profile(force=True)
+    else:
+        a.catalog.announce(
+            DataSourceDescriptor(id=99, owner=a.node, size=1.0, replicas=frozenset({a.node})),
+            by=a.node,
+        )
+
+
+@pytest.mark.parametrize("part", ["registry", "catalog"])
+def test_a_differing_part_travels_as_its_map_then_as_a_delta(sent, part):
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(4)))
+    sim.run_until(20.2)  # converged, as in the test above
+    a = agents[1]
+    _make_newer(a, part)
+    first = len(sent)
+    a.antientropy.send_digest(a.round_no)
+    peer = sent[first][1]
+    sim.run_until(20.3)
+    exchange = [
+        (frm, msg.kind, msg.body) for frm, to, msg in sent[first:]
+        if {frm, to} == {1, peer} and msg.kind in (wire.DIGEST, wire.DELTA)
+    ]
+    # Hashes out; the peer's map of the one part that differs back, in one
+    # DIGEST; that map answered by one DELTA with the record, no DIGEST.
+    assert [(frm, kind) for frm, kind, _ in exchange] == [
+        (1, wire.DIGEST), (peer, wire.DIGEST), (1, wire.DELTA),
+    ]
+    reply, delta = exchange[1][2], exchange[2][2]
+    assert list(reply) == [part]
+    assert type(reply[part]) is not str
+    held = getattr(a, part)
+    assert list(delta) == [part]
+    assert [record.source for record in delta[part]] == [
+        held.entries[1] if part == "registry" else held.records[99]
+    ]
+    assert getattr(agents[peer], part).version_map() == held.version_map()
+
+
+def test_a_digest_of_maps_is_answered_by_one_delta(sent):
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(4)))
+    sim.run_until(20.2)
+    a, peer = agents[1], agents[2]
+    _make_newer(a, "registry")
+    first = len(sent)
+    a.send(2, wire.DIGEST, {
+        "view": a.view.version_map(),
+        "catalog": a.catalog.version_map(),
+        "registry": a.registry.version_map(),
+    })
+    sim.run_until(20.3)
+    answers = [msg for frm, to, msg in sent[first:] if (frm, to) == (2, 1)
+               and msg.kind in (wire.DIGEST, wire.DELTA)]
+    assert [(msg.kind, msg.body) for msg in answers] == [
+        (wire.DELTA, {"want_registry": [1]}),
+    ]
+    assert peer.registry.version_map() == a.registry.version_map()
+
+
+def test_a_hash_digest_has_the_same_size_at_any_swarm_size(sent):
+    """The unit form of "DIGEST bytes per node-second flat in N"."""
+    sizes = []
+    for n in (4, 64):
+        first = len(sent)
+        sim, agents, _ = scen.build(scen.parse_scenario(_grid(n)))
+        sim.run_until(8.0)  # every view holds every node
+        assert all(len(a.view.members) == n for a in agents.values())
+        # The last periodic DIGEST: a reply DIGEST holds maps instead.
+        body = [msg.body for _, _, msg in sent[first:] if msg.kind == wire.DIGEST
+                and all(type(v) is str for v in msg.body.values())][-1]
+        sizes.append(len(wire.encode(wire.Message(wire.DIGEST, body))))
+    assert sizes[0] == sizes[1]
+
+
+def test_a_probe_timeout_does_not_suspect_a_life_it_never_probed(monkeypatch):
+    sim, agents, _ = scen.build(scen.parse_scenario(_grid(2)))
+    sim.run_until(5.0)
+    g = agents[1].gossip
+    probed = g.view.members[2]
+    assert probed.status == membership.ALIVE
+    timers = []  # (kind, data) as armed; the run stays at 5.0, so no ACK
+    monkeypatch.setattr(agents[1], "set_timer",
+                        lambda delay, kind, data=None: timers.append((kind, data)))
+
+    def probe_and_miss(learn_first=None):
+        g.probe(2)
+        for _ in range(gossip.PROBE_RETRIES - 1):
+            g.on_probe_timeout(timers[-1][1])  # a miss: PING again
+        if learn_first is not None:
+            g.merge_deltas([learn_first.to_dict()])
+        assert timers[-1][0] == "probe_timeout"
+        g.on_probe_timeout(timers[-1][1])  # the last miss
+
+    # Node 2's next life arrives by gossip while the probes of its old one
+    # are out: the last timeout leaves it Alive.
+    reborn = membership.MemberState(
+        node=2, status=membership.ALIVE,
+        incarnation=probed.incarnation + 1, last_update_time=sim.now,
+    )
+    probe_and_miss(learn_first=reborn)
+    assert g.view.members[2] is reborn
+    # Probes of that life itself that all miss do suspect it.
+    probe_and_miss()
+    assert g.view.members[2].status == membership.SUSPECT
+    assert g.view.members[2].incarnation == reborn.incarnation
 
 
 def _start_hellos(seed: int) -> dict:
@@ -171,23 +300,15 @@ def test_nodes_started_together_do_not_run_rounds_in_lockstep():
     assert _first_rounds(seed=3) == first
 
 
-def test_hello_is_answered_by_hello_ack_with_the_records_its_map_lacks(monkeypatch):
-    sends = []  # (from, to, message) as sent
-    send = Simulator.send
-
-    def recording_send(self, frm, to, msg):
-        sends.append((frm, to, msg))
-        return send(self, frm, to, msg)
-
-    monkeypatch.setattr(Simulator, "send", recording_send)
+def test_hello_is_answered_by_hello_ack_with_the_records_its_map_lacks(sent):
     sim, agents, _ = scen.build(scen.parse_scenario(_grid(2)))
     sim.run_until(0.1)
     # Node 2 joins after node 1 and HELLOs it; the HELLO's piggybacked
     # deltas already carry node 2's record, so only node 1's goes back.
-    assert [(frm, to, msg.kind) for frm, to, msg in sends[:2]] == [
+    assert [(frm, to, msg.kind) for frm, to, msg in sent[:2]] == [
         (2, 1, wire.HELLO), (1, 2, wire.HELLO_ACK),
     ]
-    ack = sends[1][2]
+    ack = sent[1][2]
     assert [entry[0] for entry in ack.body["view"]] == [1]
     assert "want_view" not in ack.body
     assert sorted(agents[2].view.members) == [1, 2]

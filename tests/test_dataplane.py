@@ -11,6 +11,8 @@ from swarmsim.dataplane import (
 )
 from swarmsim.model import Position
 
+from conftest import reference_map_hash
+
 
 def desc(data_id=1, owner=3, size=2.0, replicas=None):
     return DataSourceDescriptor(
@@ -144,3 +146,32 @@ def test_version_map_tells_replica_sets_apart():
     a.merge(one)
     b.merge(other)
     assert a.diff(b.version_map()) == ([one], [1])
+
+
+def test_catalog_mutators_refresh_version_map_and_hash():
+    """`version_map()` and its `version_hash()` are cached until a record
+    changes, and the hash changes exactly when the map does."""
+    cat = Catalog(owner=3)
+
+    def reference():
+        return [
+            [i, r.announce_seq, sorted(r.descriptor.replicas)]
+            for i, r in sorted(cat.records.items())
+        ]
+
+    assert cat.version_hash() == reference_map_hash([])
+    steps = [
+        lambda: cat.announce(desc(data_id=1), by=3),
+        lambda: cat.merge(CatalogRecord(desc(data_id=2, owner=4), 1)),
+        lambda: cat.merge(CatalogRecord(desc(data_id=1, replicas={3, 5}), 1)),
+        lambda: cat.announce(desc(data_id=1, size=4.0), by=3),
+    ]
+    for mutate in steps:
+        before, before_hash = cat.version_map(), cat.version_hash()
+        assert mutate()
+        assert cat.version_map() == reference() != before
+        assert cat.version_hash() == reference_map_hash(reference()) != before_hash
+    before, before_hash = cat.version_map(), cat.version_hash()
+    assert not cat.merge(CatalogRecord(desc(data_id=2, owner=4), 1))  # held
+    assert cat.version_map() is before
+    assert cat.version_hash() == before_hash

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from unittest import mock
 
+from conftest import reference_map_hash
+
 from swarmsim import gossip, membership
 from swarmsim import scenario as scen
 from swarmsim.membership import (
@@ -177,16 +179,17 @@ def test_dominates_fires_exactly_when_apply_is_a_noop(current, incoming):
 
 def uncached(view):
     """Digest, version map and probe targets of a fresh view with the same
-    records, and the alive list as a scan of the view finds it."""
+    records, the alive list as a scan of the view finds it, and the map's
+    hash as it reads without a cache."""
     fresh = view_from(view.members.values(), self_node=view.self_node)
     alive = sorted(n for n, m in view.members.items() if m.status == ALIVE)
     return (fresh.member_set_digest(), fresh.version_map(), alive,
-            fresh.probe_targets())
+            fresh.probe_targets(), reference_map_hash(fresh.version_map()))
 
 
 def cached(view):
     return (view.member_set_digest(), view.version_map(), view.alive_nodes(),
-            view.probe_targets())
+            view.probe_targets(), view.version_hash())
 
 
 def test_view_mutators_refresh_cached_values():
@@ -207,6 +210,8 @@ def test_view_mutators_refresh_cached_values():
         assert after == uncached(view)
         changed = after[0] != before[0] if what == "digest" else after[1] != before[1]
         assert changed, what
+        # The map's hash changes exactly when the map does.
+        assert (after[4] != before[4]) == (after[1] != before[1])
     assert not view.remove(3)
     assert view.alive_nodes() == [1]
     assert view.probe_targets() == [2]  # Suspect is probed; self never is

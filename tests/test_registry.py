@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from swarmsim import membership
 from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry
 
-from conftest import make_profile, make_task
+from conftest import make_profile, make_task, reference_map_hash
 
 
 def entry_for(node, inc=0, sv=1, util=0.0, t=0.0):
@@ -175,13 +175,15 @@ def test_registry_mutators_refresh_content_hash():
 
 
 def test_registry_mutators_refresh_versions():
-    """`version_map()` is `digest()` in wire form, cached until entries change."""
+    """`version_map()` is `digest()` in wire form and `version_hash()` its
+    hash, both cached until entries change."""
     reg = Registry(owner=1)
 
     def reference():
         return [[n, *v] for n, v in reg.digest().items()]
 
     assert reg.version_map() == reference() == []
+    assert reg.version_hash() == reference_map_hash([])
     steps = [
         lambda: reg.merge(entry_for(2, sv=1)),
         lambda: reg.merge(entry_for(2, sv=2, util=0.5)),
@@ -189,13 +191,15 @@ def test_registry_mutators_refresh_versions():
         lambda: reg.evict(2),
     ]
     for mutate in steps:
-        before = reg.version_map()
+        before, before_hash = reg.version_map(), reg.version_hash()
         assert mutate()
         assert reg.version_map() == reference() != before
-    before = reg.version_map()
+        assert reg.version_hash() == reference_map_hash(reference()) != before_hash
+    before, before_hash = reg.version_map(), reg.version_hash()
     assert not reg.merge(entry_for(1, sv=0))  # older: not applied
     assert not reg.evict(2)
     assert reg.version_map() is before
+    assert reg.version_hash() == before_hash
 
 
 def test_wire_schema_is_flat():

@@ -67,10 +67,10 @@ def test_send_records_carry_the_digest_and_size_of_the_sent_bytes(path, monkeypa
 # change to the wire schema alone leaves these unchanged; a change that
 # moves any event re-pins them and says why.
 PINNED_DECISION_SHA256 = {
-    "data_locality": "3d70e01515598539565283d7a8a57fd52c9aa687216ecb7e139ea27326bdaabc",
-    "heavy_churn": "063d77515918482e0d8988a53a11078d18e88caa7e5471400c28dfe88f5c414d",
-    "partition_heal": "7bb817ab0a3c04d5511ba0147175fec85f499a62d0627a25a7e103192168fa7a",
-    "steady_state": "10f13298f00f725aa9c0d65d05ea5ccfd15c0f699cbe6103cdce842d4156a068",
+    "data_locality": "f12fbe70a52549aca886eff7661a932e438afe9cb560ab7ae113793e29ad53ef",
+    "heavy_churn": "24cc55a04167569fbd508e6d75239400f56eae248d1a9a10e43c0779f978ff69",
+    "partition_heal": "80af6b43c4c656697425080b7df40272d134605cc33681a87b34402922152750",
+    "steady_state": "c62e6eb326e21c67398b4d3b0de8fa7807ad94e423f2a59f3c75518f4981a413",
 }
 
 WIRE_BYTES_KEYS = ("digest", "bytes", "body")

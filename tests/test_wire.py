@@ -298,6 +298,38 @@ def test_version_map_encodes_as_json_dumps_would(states):
     )
 
 
+entry_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(0, 5), max_size=3),
+)
+version_maps = st.dictionaries(
+    st.integers(0, 20), st.lists(entry_values, min_size=1, max_size=3), max_size=6
+).map(lambda entries: [[i, *rest] for i, rest in sorted(entries.items())])
+
+
+@given(version_maps, st.data())
+def test_short_hash_tells_version_maps_apart(vmap, data):
+    """Equal maps hash equal, whether plain lists off the wire or spliced
+    records; a map with any one entry changed hashes differently."""
+    digest = wire.short_hash(vmap)
+    assert len(digest) == 16
+    assert wire.short_hash(json.loads(json.dumps(vmap))) == digest
+    assert wire.short_hash(wire.RecordList(wire.ListRecord(e) for e in vmap)) == digest
+    if not vmap:
+        return
+    row = data.draw(st.integers(0, len(vmap) - 1))
+    col = data.draw(st.integers(1, len(vmap[row]) - 1))
+    old = vmap[row][col]
+    new = data.draw(entry_values.filter(
+        lambda v: json.dumps(v) != json.dumps(old)
+    ))
+    changed = [list(e) for e in vmap]
+    changed[row][col] = new
+    assert wire.short_hash(changed) != digest
+
+
 def test_messages_are_read_only_values():
     msg = wire.Message(wire.PING, {"token": 1})
     with pytest.raises(dataclasses.FrozenInstanceError):
