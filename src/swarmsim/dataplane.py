@@ -8,7 +8,9 @@ removed from state.
 
 The catalog's version map has one `[id, announce_seq, replicas]` entry per
 record: the sequence stands for the static fields and the sorted replica
-list for the set, so two records with equal entries are equal. A DIGEST
+list for the set, so two records with equal entries are equal. A record's
+wire form is that entry followed by the static fields,
+`[id, announce_seq, [replicas...], owner, size]`. A DIGEST
 carries the map's hash, and the map itself only to a peer whose hash
 differs. `Catalog.records` is written only through `announce` and `merge`,
 each of which drops the cached map and hash when it changes a record.
@@ -42,37 +44,33 @@ class CatalogRecord:
     descriptor: DataSourceDescriptor
     announce_seq: int  # owner's announce counter, guards static fields
 
-    def to_dict(self) -> wire.Record:
+    def to_dict(self) -> wire.ListRecord:
         """The wire form, built once per record and shared: read-only."""
-        return self._dict
+        return self._record
 
     @cached_property
-    def _dict(self) -> wire.Record:
+    def _record(self) -> wire.ListRecord:
         d = self.descriptor
-        return wire.Record({
-            "id": d.id,
-            "owner": d.owner,
-            "size": d.size,
-            "replicas": sorted(d.replicas),
-            "announce_seq": self.announce_seq,
-        }, self)
+        return wire.ListRecord([*self.version_entry, d.owner, d.size], self)
 
     @cached_property
     def version_entry(self) -> list:
-        """[id, announce_seq, sorted replicas]: this record in a version map.
-        Built once per record and shared: read-only."""
+        """[id, announce_seq, sorted replicas]: this record in a version map,
+        and the first elements of its wire form. Built once per record and
+        shared: read-only."""
         return [self.descriptor.id, self.announce_seq, sorted(self.descriptor.replicas)]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CatalogRecord":
+    def from_dict(cls, d: list) -> "CatalogRecord":
+        data_id, announce_seq, replicas, owner, size = d
         return cls(
             descriptor=DataSourceDescriptor(
-                id=int(d["id"]),
-                owner=int(d["owner"]),
-                size=float(d["size"]),
-                replicas=frozenset(int(r) for r in d["replicas"]),
+                id=int(data_id),
+                owner=int(owner),
+                size=float(size),
+                replicas=frozenset(int(r) for r in replicas),
             ),
-            announce_seq=int(d["announce_seq"]),
+            announce_seq=int(announce_seq),
         )
 
 

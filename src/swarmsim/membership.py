@@ -7,19 +7,23 @@ a node declared Dead at incarnation k can only come back with incarnation
 > k (refutation).
 
 A member record has one wire form, its version entry
-`[node, incarnation, status, last_update_time]` (SWIM's and Scuttlebutt's
-update tuple). A piggybacked delta, the `view` part of a DELTA or HELLO-ACK
-and an entry of a HELLO's or DIGEST's version map are all that entry; a map
-is just the entries of every member in NodeId order, and a periodic DIGEST
-carries only the map's hash. Each `MemberState` builds its entry once
-(`version_entry`, which `to_dict` returns), as a read-only `wire.ListRecord`
-that encodes its JSON once and remembers the state it stands for.
+`[node, incarnation, status rank, last_update_time]` (SWIM's and
+Scuttlebutt's update tuple), where the status goes as its merge rank
+(`_STATUS_RANK`: alive 0, suspect 1, dead 2, left 3). A piggybacked delta,
+the `view` part of a DELTA or HELLO-ACK and an entry of a HELLO's or
+DIGEST's version map are all that entry; a map is just the entries of every
+member in NodeId order, and a periodic DIGEST carries only the map's hash.
+Each `MemberState` builds its entry once (`version_entry`, which `to_dict`
+returns), as a read-only `wire.ListRecord` that encodes its JSON once and
+remembers the state it stands for; `from_dict` maps the rank back to the
+status string, which is what the state, the trace and the metrics hold.
 
 The merge order is one key, `merge_key`: a held record yields only to a
 record with a larger key. `SwarmView.apply`, `dominates` and `diff` all use
-it, so a gossiped entry can be tested against the current record before
-anything is decoded (the Scuttlebutt rule: compare versions before
-materialising state).
+it, and an entry holds its key's elements as they stand (`_entry_key`), so
+a gossiped entry can be tested against the current record before anything
+is decoded (the Scuttlebutt rule: compare versions before materialising
+state).
 
 Invariants of `SwarmView`: `members` is written only through `apply` and
 `remove`, each of which bumps `view_version` when the view changes. The
@@ -51,8 +55,10 @@ LEFT = "left"
 
 RETENTION = 30.0  # seconds a Dead or Left record is kept before GC
 
-#: Precedence at equal incarnation; larger rank wins a merge.
+#: Precedence at equal incarnation; larger rank wins a merge. A member's
+#: wire form carries the rank in place of the status.
 _STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 3}
+_STATUS_OF_RANK = {rank: status for status, rank in _STATUS_RANK.items()}
 
 
 def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
@@ -65,6 +71,12 @@ def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
     return (incarnation, _STATUS_RANK[status], -last_update_time)
 
 
+def _entry_key(entry: list) -> tuple:
+    """`merge_key` of the record a version entry stands for, read straight
+    from the entry."""
+    return (entry[1], entry[2], -entry[3])
+
+
 def expired(status: str, last_update_time: float, now: float, retention: float) -> bool:
     """True for a Dead or Left record past its retention: every holder
     collects it at that same declared time, so it is neither merged nor
@@ -74,7 +86,7 @@ def expired(status: str, last_update_time: float, now: float, retention: float) 
 
 def _entry_newer(a: list, b: list) -> bool:
     """Version map entries of one member: True when `a` wins a merge."""
-    return merge_key(a[2], a[1], a[3]) > merge_key(b[2], b[1], b[3])
+    return _entry_key(a) > _entry_key(b)
 
 
 @dataclass(frozen=True)
@@ -94,19 +106,20 @@ class MemberState:
 
     @cached_property
     def version_entry(self) -> wire.ListRecord:
-        """[node, incarnation, status, last_update_time]: this record as
-        every message carries it, piggybacked, in a DELTA or HELLO-ACK, or
-        in a version map."""
+        """[node, incarnation, status rank, last_update_time]: this record
+        as every message carries it, piggybacked, in a DELTA or HELLO-ACK,
+        or in a version map."""
         return wire.ListRecord(
-            [self.node, self.incarnation, self.status, self.last_update_time], self
+            [self.node, self.incarnation, _STATUS_RANK[self.status], self.last_update_time],
+            self,
         )
 
     @classmethod
     def from_dict(cls, entry: list) -> "MemberState":
-        node, incarnation, status, last_update_time = entry
+        node, incarnation, rank, last_update_time = entry
         return cls(
             node=int(node),
-            status=str(status),
+            status=_STATUS_OF_RANK[rank],
             incarnation=int(incarnation),
             last_update_time=float(last_update_time),
         )
@@ -189,7 +202,7 @@ class SwarmView:
             self.version_map(),
             remote,
             _entry_newer,
-            lambda e: not expired(e[2], e[3], now, retention),
+            lambda e: not expired(_STATUS_OF_RANK[e[2]], e[3], now, retention),
         )
         return [self.members[n] for n in push], want
 
@@ -217,9 +230,7 @@ class SwarmView:
         current = self.members.get(entry[0])
         if current is None:
             return False
-        return current.version_entry is entry or current.key >= merge_key(
-            entry[2], entry[1], entry[3]
-        )
+        return current.version_entry is entry or current.key >= _entry_key(entry)
 
     def apply(self, incoming: MemberState) -> bool:
         """Merge one member record; returns True when the view changed."""

@@ -11,12 +11,18 @@ Deliberate deviation from a consensus-backed store: profile data needs
 availability under churn and partitions, not linearizability, so this is a
 leaderless anti-entropy design.
 
+An entry travels in one positional wire form that begins with its version
+entry: `[node, incarnation, status_version, stamped_time, cpu_perf_index,
+memory, link_bandwidth, utilization, battery, x, y, [typologies...]]`, with
+the typologies sorted. `NodeProfile.to_dict` keeps its keyed form for other
+readers; the registry does not use it.
+
 Invariants of `Registry`: `entries` is written only through `local_update`,
 `merge` and `evict`, and each of them clears the cached `content_hash`,
 `version_map` and `version_hash`. The content hash is rebuilt from every
-entry's wire JSON, which the entry's read-only `wire.Record` encodes once;
-the map from every entry's `version_entry`, built once per entry and shared;
-the map's hash, which a DIGEST carries, from the map.
+entry's wire JSON, which the entry's read-only `wire.ListRecord` encodes
+once; the map from every entry's `version_entry`, built once per entry and
+shared; the map's hash, which a DIGEST carries, from the map.
 """
 
 from __future__ import annotations
@@ -24,7 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import NodeId, NodeProfile
+from .model import (
+    DynamicStatus,
+    NodeId,
+    NodeProfile,
+    Position,
+    StaticHardwareProfile,
+    is_mains,
+)
 from . import membership, wire
 
 Version = tuple  # (incarnation, status_version), compared lexicographically
@@ -37,31 +50,52 @@ class RegistryEntry:
     version: Version
     stamped_time: float
 
-    def to_dict(self) -> wire.Record:
+    def to_dict(self) -> wire.ListRecord:
         """The wire form, built once per entry and shared: read-only."""
-        return self._dict
+        return self._record
 
     @cached_property
-    def _dict(self) -> wire.Record:
-        return wire.Record({
-            "profile": self.profile.to_dict(),
-            "version": list(self.version),
-            "stamped_time": self.stamped_time,
-        }, self)
+    def _record(self) -> wire.ListRecord:
+        p = self.profile
+        hw, dyn = p.hw, p.dyn
+        return wire.ListRecord([
+            *self.version_entry, self.stamped_time,
+            hw.cpu_perf_index, hw.memory, hw.link_bandwidth,
+            dyn.utilization, dyn.battery, dyn.position.x, dyn.position.y,
+            sorted(p.typologies),
+        ], self)
 
     @cached_property
     def version_entry(self) -> list:
-        """[node, incarnation, status_version]: this entry in a version map.
-        Built once per entry and shared: read-only."""
+        """[node, incarnation, status_version]: this entry in a version map,
+        and the first elements of its wire form. Built once per entry and
+        shared: read-only."""
         return [self.node, *self.version]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegistryEntry":
+    def from_dict(cls, d: list) -> "RegistryEntry":
+        (node, incarnation, status_version, stamped_time,
+         cpu_perf_index, memory, link_bandwidth,
+         utilization, battery, x, y, typologies) = d
+        node = int(node)
         return cls(
-            node=int(d["profile"]["node"]),
-            profile=NodeProfile.from_dict(d["profile"]),
-            version=tuple(d["version"]),
-            stamped_time=float(d["stamped_time"]),
+            node=node,
+            profile=NodeProfile(
+                node=node,
+                hw=StaticHardwareProfile(
+                    cpu_perf_index=float(cpu_perf_index),
+                    memory=int(memory),
+                    link_bandwidth=float(link_bandwidth),
+                ),
+                dyn=DynamicStatus(
+                    utilization=float(utilization),
+                    battery=battery if is_mains(battery) else float(battery),
+                    position=Position(float(x), float(y)),
+                ),
+                typologies=frozenset(typologies),
+            ),
+            version=(int(incarnation), int(status_version)),
+            stamped_time=float(stamped_time),
         )
 
 
@@ -165,10 +199,10 @@ class Registry:
 
     def content_hash(self) -> str:
         """Digest of the entries' compact wire JSON, as a list by NodeId:
-        `json.dumps(<entries as dicts>, sort_keys=True, separators=(",", ":"))`.
+        `json.dumps(<entries' wire forms>, sort_keys=True, separators=(",", ":"))`.
         Compared for equality only (convergence checks)."""
         if self._hash is None:
             self._hash = wire.short_hash(
-                wire.RecordList(e._dict for _, e in sorted(self.entries.items()))
+                wire.RecordList(e._record for _, e in sorted(self.entries.items()))
             )
         return self._hash

@@ -186,18 +186,50 @@ def _battery(raw):
     return float(raw)
 
 
+def _int(raw) -> int:
+    """An integer: an int, a float with an integral value (512.0) or a
+    numeric string. A bool, a fraction and a non-finite value raise, rather
+    than reading as 1, a truncation or an overflow."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise TypeError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
+def _str(raw) -> str:
+    """A string as it is; anything else raises rather than reading as its
+    text (a typology 5 would never match a node that lists 5)."""
+    if not isinstance(raw, str):
+        raise TypeError(f"not a string: {raw!r}")
+    return raw
+
+
+def _sequence(raw) -> list:
+    """A list (or tuple) as it is; anything else raises, so a string or a
+    mapping is not read item by item."""
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError(f"not a list: {raw!r}")
+    return raw
+
+
 def _ints(raw) -> list:
-    return [int(n) for n in raw]
+    return [_int(n) for n in _sequence(raw)]
+
+
+def _strs(raw) -> tuple:
+    return tuple(_str(s) for s in _sequence(raw))
 
 
 _EXPECTED = {
     float: "a number",
-    int: "an integer",
-    str: "a string",
+    _int: "an integer",
+    _str: "a string",
     dict: "a mapping",
     _position: "[x, y] or {x: .., y: ..}",
     _battery: "a number or MAINS",
     _ints: "a list of integers",
+    _strs: "a list of strings",
 }
 _REQUIRED = object()
 
@@ -258,16 +290,16 @@ class _Fields:
 def _node_spec(raw, index: int, problems: list):
     """The node's spec, or None when it has no usable id."""
     get = _Fields(raw, f"nodes[{index}]", problems)
-    node = get("id", int)
+    node = get("id", _int)
     if node is not None:
         get.label = f"node {node}"
     spec = NodeSpec(
         node=node,
         position=get("position", _position, [0.0, 0.0]),
         cpu_perf_index=get("cpu_perf_index", float, 1.0),
-        memory=get("memory", int, 1024),
+        memory=get("memory", _int, 1024),
         link_bandwidth=get("link_bandwidth", float, 10.0),
-        typologies=tuple(get.list("typologies")),
+        typologies=get("typologies", _strs, ()),
         battery=get("battery", _battery, MAINS),
         drain_rate=get("drain_rate", float, 0.0),
         utilization=get("utilization", float, 0.0),
@@ -283,16 +315,16 @@ def _task_spec(raw, source_sizes: dict, label: str, problems: list):
     inputs = []
     for k, inp in enumerate(get.list("inputs")):
         get_input = _Fields(inp, f"{label}: inputs[{k}]", problems)
-        source = get_input("source", int)
+        source = get_input("source", _int)
         size = get_input("size", float, source_sizes.get(source, 0.0))
         get_input.finish()
         if source is not None:
             inputs.append(DataInput(source=source, size=size))
     required = (
-        get("id", int), get("typology", str), get("work", float),
-        get("origin", int), get("at", float),
+        get("id", _int), get("typology", _str), get("work", float),
+        get("origin", _int), get("at", float),
     )
-    memory, deadline = get("memory", int, 0), get("deadline", float, 60.0)
+    memory, deadline = get("memory", _int, 0), get("deadline", float, 60.0)
     get.finish()
     if None in required:
         return None
@@ -312,12 +344,12 @@ def _task_spec(raw, source_sizes: dict, label: str, problems: list):
 def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list) -> list:
     """Deterministic arrival stream: fixed interval plus seeded jitter."""
     get = _Fields(raw, "workload", problems)
-    count = get("count", int)
+    count = get("count", _int)
     start = get("start", float, 0.0)
     interval = get("interval", float, 1.0)
     jitter = get("jitter", float, 0.0)
     origins = get("origins", _ints)
-    first_id = get("first_id", int, 1000)
+    first_id = get("first_id", _int, 1000)
     template = get("template", dict, {})
     for key in ("id", "origin", "at"):  # set per task below
         if key in template:
@@ -401,10 +433,10 @@ def parse_scenario(raw: dict) -> Scenario:
     sources = []
     for i, d in enumerate(get.list("data_sources")):
         get_source = _Fields(d, f"data_sources[{i}]", problems)
-        source_id = get_source("id", int)
+        source_id = get_source("id", _int)
         if source_id is not None:
             get_source.label = f"data source {source_id}"
-        owner, size = get_source("owner", int), get_source("size", float)
+        owner, size = get_source("owner", _int), get_source("size", float)
         replicas = get_source("replicas", _ints, [])
         get_source.finish()
         if None in (source_id, owner, size):
@@ -421,7 +453,7 @@ def parse_scenario(raw: dict) -> Scenario:
         except ValueError as exc:
             problems.append(f"{get_source.label}: {exc}")
     source_sizes = {d.id: d.size for d in sources}
-    seed = get("seed", int, 0)
+    seed = get("seed", _int, 0)
     tasks = []
     for i, t in enumerate(get.list("tasks")):
         pair = _task_spec(t, source_sizes, f"tasks[{i}]", problems)
@@ -435,8 +467,8 @@ def parse_scenario(raw: dict) -> Scenario:
     for i, e in enumerate(get.list("events")):
         get_event = _Fields(e, f"events[{i}]", problems)
         event = {
-            "type": get_event("type", str),
-            "node": get_event("node", int),
+            "type": get_event("type", _str),
+            "node": get_event("node", _int),
             "at": get_event("at", float),
         }
         to = get_event.take("to") if event["type"] == "move" else None
@@ -458,7 +490,7 @@ def parse_scenario(raw: dict) -> Scenario:
     net = _settings(NetModel, get.take("net"), "net", problems)
     nodes = [_node_spec(n, i, problems) for i, n in enumerate(get.list("nodes"))]
     scenario = Scenario(
-        name=get("name", str, "scenario"),
+        name=get("name", _str, "scenario"),
         duration=get("duration", float),
         seed=seed,
         net=_build_checked(NetModel(), net, "net", problems),

@@ -3,10 +3,10 @@
 Messages are a kind tag plus a JSON-compatible body; every message also
 carries a (possibly empty) list of piggybacked membership deltas, which is
 how membership information disseminates with the regular traffic. A delta is
-a member's version entry `[node, incarnation, status, last_update_time]`,
-the one wire form of a member record (see `membership`). The codec is
-canonical JSON (sorted keys), so encoding is deterministic and a short
-digest of the bytes identifies a message.
+a member's version entry `[node, incarnation, status rank,
+last_update_time]`, the one wire form of a member record (see
+`membership`). The codec is canonical JSON (sorted keys), so encoding is
+deterministic and a short digest of the bytes identifies a message.
 
 A `Message` is a value once sent: neither its sender nor any receiver writes
 to it, its body or anything nested in them. The simulator encodes each sent
@@ -33,16 +33,27 @@ shared by every map that holds it, so maps of agents that agree compare
 equal entry by entry without a walk. A member's entry and its record are one
 object, so the view's map and the view's records are the same entries.
 
+Every gossiped record has one compact positional wire form, a list that
+begins with the record's version entry, so a map entry is a prefix of the
+record it stands for:
+
+- member: `[node, incarnation, status rank, last_update_time]`, the version
+  entry itself (`membership`);
+- registry entry: `[node, incarnation, status_version, stamped_time,
+  cpu_perf_index, memory, link_bandwidth, utilization, battery, x, y,
+  [typologies...]]` (`registry`);
+- catalog record: `[id, announce_seq, [replicas...], owner, size]`
+  (`dataplane`).
+
 Gossiped records are immutable and ride in many messages, so each is
-wrapped once in a read-only record type that encodes its compact JSON at
-most once: a `ListRecord` for a member (its version entry), a `Record`, a
-dict, for a registry entry or a catalog record. Mutating a record or a
-`RecordList` raises, so the cached text can never go stale; values nested in
-a record are shared as well and must not be mutated either. A record keeps
-the frozen object it was built from, and a receiver that merges the record
-installs that object (`adopt`), so records are shared across agents, not only
-across the messages of one agent: a swarm that has converged holds one copy
-of each record and encodes its JSON once.
+wrapped once in the read-only `ListRecord`, which encodes its compact JSON
+at most once. Mutating a record or a `RecordList` raises, so the cached
+text can never go stale; values nested in a record are shared as well and
+must not be mutated either. A record keeps the frozen object it was built
+from, and a receiver that merges the record installs that object (`adopt`),
+so records are shared across agents, not only across the messages of one
+agent: a swarm that has converged holds one copy of each record and encodes
+its JSON once.
 
 `encode` splices those cached texts in at one place: a `RecordList` that is
 a top-level value of a body, or the message's deltas, is emitted as its
@@ -51,8 +62,8 @@ traffic: the records of a DELTA or HELLO-ACK under `view`, `catalog` and
 `registry`, the view's version map in a HELLO or a DIGEST that answers a
 hash, and the piggybacked deltas. Every other value goes to the C encoder
 with the same settings, and so does a body with a non-string key, whole;
-the encoder emits a record nested anywhere else as the dict or list it is,
-only without the cache. The result is byte-identical to `json.dumps(...,
+the encoder emits a record nested anywhere else as the list it is, only
+without the cache. The result is byte-identical to `json.dumps(...,
 sort_keys=True, separators=(",", ":"))` for every input. `encode` writes a
 message's three keys, and a spliced body's keys, in their sorted order
 itself.
@@ -131,12 +142,22 @@ def _read_only(self, *args, **kwargs):
     raise TypeError(f"{type(self).__name__} is read-only")
 
 
-class _Encoded:
-    """A gossiped record: read-only, its JSON encoded at most once, built
-    once per frozen record object (`source`) and shared by every message
-    that carries it."""
+class _ReadOnlyList(list):
+    """A list whose mutators raise."""
 
-    __slots__ = ()  # a subclass holds "_wire" and "source"
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+
+class ListRecord(_ReadOnlyList):
+    """A gossiped record's wire form, a list that begins with the record's
+    version entry: read-only, its JSON encoded at most once, built once per
+    frozen record object (`source`) and shared by the version map (for a
+    member) and every message that carries it."""
+
+    __slots__ = ("_wire", "source")
 
     def __init__(self, value, source=None):
         super().__init__(value)
@@ -151,34 +172,9 @@ class _Encoded:
         return text
 
 
-class Record(_Encoded, dict):
-    """A gossiped record's dict form (a registry entry, a catalog record)."""
-
-    __slots__ = ("_wire", "source")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
-class _ReadOnlyList(list):
-    """A list whose mutators raise."""
-
-    __slots__ = ()
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
-
-
-class ListRecord(_Encoded, _ReadOnlyList):
-    """A gossiped record's list form: a member's version entry, shared by
-    the view's version map and every message that carries the record."""
-
-    __slots__ = ("_wire", "source")
-
-
 class RecordList(_ReadOnlyList):
-    """A read-only list of records (`Record`s or `ListRecord`s), e.g. the
-    records of a DELTA or a version map.
+    """A read-only list of `ListRecord`s, e.g. the records of a DELTA or a
+    member version map.
 
     Its JSON is its members' cached texts joined on each use; the joined text
     is not kept, since lists are rebuilt often and would hold it for the run.
@@ -253,11 +249,10 @@ def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> t
 
 
 def adopt(record, from_dict):
-    """The frozen object a gossiped record stands for: the one its `Record`
-    or `ListRecord` was built from, shared, else `from_dict(record)` (a plain
-    dict or list, as `decode` returns, or a record built without one)."""
-    kind = type(record)
-    source = record.source if kind is Record or kind is ListRecord else None
+    """The frozen object a gossiped record stands for: the one its
+    `ListRecord` was built from, shared, else `from_dict(record)` (a plain
+    list, as `decode` returns, or a record built without one)."""
+    source = record.source if type(record) is ListRecord else None
     return from_dict(record) if source is None else source
 
 

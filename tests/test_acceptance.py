@@ -66,10 +66,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "d0177ceab4b079efd017442e313687dfc8dee7597d13500c469d5b8238a6343c",
-    "heavy_churn": "551900f65149332da348d30d3741068594f8b9bcf4312010d336687d6078a0c6",
-    "partition_heal": "7f17b272ed14b7780b7c22ed49ef408ff5790fc36628e667b5ecbf6eeca6cb17",
-    "steady_state": "ade760b9172650515ad353584752997a35d3dd890f4d0ed699ead7884ad512c1",
+    "data_locality": "debe3f984105a1bfec4d986f25b44efc8f3ebbedf5a2117e1483752cd14e007e",
+    "heavy_churn": "4bb110d4993281cd40d395cbf052b0e9618c1dd7b3ce28ab30921c3e26d448e8",
+    "partition_heal": "10ae4885a27bf0339c22e84688b6009a9c80ec10902017f3fc382b93256d6d11",
+    "steady_state": "3d8fa032dba7af0feb3a397c1d3d01fcda31bc4dc61d9b1be6f01da188a689c7",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

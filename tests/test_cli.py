@@ -60,6 +60,20 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
         (dict(SMALL, duration="ten"), "duration: expected a number, got 'ten'"),
         (dict(SMALL, nodes=[dict(SMALL["nodes"][0], os_tag="linux")]),
          "node 1: unknown field os_tag"),
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], typologies=["generic", 3])]),
+         "node 1: typologies: expected a list of strings, got ['generic', 3]"),
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], typologies=[{"a": 1}])]),
+         "node 1: typologies: expected a list of strings, got [{'a': 1}]"),
+        (dict(SMALL, tasks=[dict(SMALL["tasks"][0], typology=5)]),
+         "tasks[0]: typology: expected a string, got 5"),
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], memory=512.5)]),
+         "node 1: memory: expected an integer, got 512.5"),
+        (dict(SMALL, tasks=[dict(SMALL["tasks"][0], memory=100.9)]),
+         "tasks[0]: memory: expected an integer, got 100.9"),
+        (dict(SMALL, nodes=[SMALL["nodes"][0], dict(SMALL["nodes"][1], id=1.7)]),
+         "nodes[1]: id: expected an integer, got 1.7"),
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], id=True)]),
+         "nodes[0]: id: expected an integer, got True"),
     ):
         cfg = write_config(tmp_path, bad)
         assert main(["validate", cfg]) == 1

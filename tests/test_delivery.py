@@ -20,16 +20,15 @@ from swarmsim.sim import Simulator
 SCENARIOS = sorted(glob.glob("scenarios/*.yaml"))
 
 # The containers a delivered value may use where `decode` gives dict or list.
-DICTS = (dict, wire.Record)
 LISTS = (list, wire.ListRecord, wire.RecordList)
 
 
 def assert_decoded_form(value, decoded, path="msg"):
     """`value` equals `decoded` with the same kind of container at every
-    level (records count as dicts and lists), string keys, and scalars of
+    level (records count as lists), string keys, and scalars of
     exactly the decoded type (so no tuple, int key or int-for-float)."""
     if type(decoded) is dict:
-        assert type(value) in DICTS, f"{path}: {type(value).__name__}, not a dict"
+        assert type(value) is dict, f"{path}: {type(value).__name__}, not a dict"
         assert all(type(k) is str for k in value), f"{path}: non-string key"
         assert sorted(value) == sorted(decoded), path
         for key in decoded:

@@ -276,7 +276,7 @@ def test_version_map_entries_are_shared_per_record():
     a, b = view_from([ms(node=1), held]), view_from([held], self_node=2)
     assert a.version_map()[1] is b.version_map()[0] is held.version_entry
     assert held.version_entry is held.to_dict()  # the record's one wire form
-    assert held.version_entry == [2, 1, SUSPECT, 2.0]
+    assert held.version_entry == [2, 1, 1, 2.0]  # Suspect goes as its rank
     # Shared entries are equal without a walk; our own newer record is pushed.
     assert a.diff(a.version_map(), NOW, RETENTION) == ([], [])
     assert a.diff(b.version_map(), NOW, RETENTION) == ([a.members[1]], [])

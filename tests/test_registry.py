@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim import membership
+from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
 from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry
 
 from conftest import make_profile, make_task, reference_map_hash
@@ -203,10 +204,37 @@ def test_registry_mutators_refresh_versions():
 
 
 def test_wire_schema_is_flat():
-    entry = entry_for(2)
-    assert set(entry.to_dict()) == {"profile", "version", "stamped_time"}
-    assert set(entry.to_dict()["profile"]) == {"node", "hw", "dyn", "typologies"}
-    assert set(entry.to_dict()["profile"]["dyn"]) == {"utilization", "battery", "position"}
+    """Each gossiped record goes as one flat list that begins with its
+    version entry; an idle MAINS node's registry entry fits in 64 bytes."""
+    entry = RegistryEntry(
+        node=2,
+        profile=make_profile(node=2, position=(40.0, 0.0)),
+        version=(1, 3),
+        stamped_time=7.5,
+    )
+    held = entry.to_dict().wire_json()
+    assert held == '[2,1,3,7.5,1.0,1024,10.0,0.0,"MAINS",40.0,0.0,["generic"]]'
+    assert len(held) <= 64
+    battery = RegistryEntry(
+        node=3,
+        profile=make_profile(node=3, battery=0.5, typologies=("vision", "audio")),
+        version=(0, 1),
+        stamped_time=0.0,
+    )
+    assert battery.to_dict().wire_json() == (
+        '[3,0,1,0.0,1.0,1024,10.0,0.0,0.5,0.0,0.0,["audio","vision"]]'
+    )
+    member = membership.MemberState(
+        node=5, status=membership.DEAD, incarnation=2, last_update_time=1.5
+    )
+    assert member.to_dict().wire_json() == "[5,2,2,1.5]"
+    catalog = CatalogRecord(
+        DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({5, 2})), 3
+    )
+    assert catalog.to_dict().wire_json() == "[4,3,[2,5],2,1.0]"
+    for obj in (entry, battery, member, catalog):
+        rec = obj.to_dict()
+        assert rec[:len(obj.version_entry)] == obj.version_entry
     task = make_task(deadline=12.5).to_dict()
     assert task["deadline"] == 12.5 and "qos" not in task
 

@@ -235,3 +235,35 @@ def test_malformed_items_and_settings_are_problems():
     ]
     assert len(sc.tasks) == 3 and not sc.events and not sc.partitions
     assert with_extras(nodes=5).validate() == ["nodes: expected a list, got 5"]
+    # A typology that is not a string, and an integer field that is a bool,
+    # a fraction or not finite, is a problem, not a crash or a silent cast.
+    node, other = BASE["nodes"]
+    task = {"id": 1, "origin": 1, "at": 1.0, "typology": "generic", "work": 1.0}
+    for extras, problems in (
+        ({"nodes": [dict(node, typologies=["generic", 3]), other]},
+         ["node 1: typologies: expected a list of strings, got ['generic', 3]"]),
+        ({"nodes": [dict(node, typologies=[{"a": 1}]), other]},
+         ["node 1: typologies: expected a list of strings, got [{'a': 1}]"]),
+        ({"tasks": [dict(task, typology=5)]},
+         ["tasks[0]: typology: expected a string, got 5"]),
+        ({"nodes": [dict(node, memory=512.5), other]},
+         ["node 1: memory: expected an integer, got 512.5"]),
+        ({"tasks": [dict(task, memory=100.9)]},
+         ["tasks[0]: memory: expected an integer, got 100.9"]),
+        ({"nodes": [node, dict(other, id=1.7)]},
+         ["nodes[1]: id: expected an integer, got 1.7"]),
+        ({"nodes": [dict(node, id=True), other]},
+         ["nodes[0]: id: expected an integer, got True"]),
+        ({"tasks": [dict(task, id=math.inf, origin=math.nan)]},
+         ["tasks[0]: id: expected an integer, got inf",
+          "tasks[0]: origin: expected an integer, got nan"]),
+        ({"partitions": [{"a": [1], "b": [2, False], "start": 1.0, "end": 2.0}]},
+         ["partitions[0]: b: expected a list of integers, got [2, False]"]),
+    ):
+        assert with_extras(**extras).validate() == problems, extras
+    # An integral float is still an integer.
+    sc = with_extras(nodes=[dict(node, id=1.0, memory=512.0), other],
+                     tasks=[dict(task, id=2.0, origin=1.0, memory=64.0)])
+    assert sc.validate() == []
+    assert (sc.nodes[0].node, sc.nodes[0].memory) == (1, 512)
+    assert type(sc.nodes[0].node) is int and type(sc.tasks[0][1].task_id) is int

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmsim import scenario as scen, wire
+from swarmsim import membership, scenario as scen, wire
 from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
 from swarmsim.membership import ALIVE, DEAD, LEFT, SUSPECT, MemberState, SwarmView
+from swarmsim.model import MAINS
 from swarmsim.registry import RegistryEntry
 
 from conftest import make_profile
@@ -17,7 +18,7 @@ def test_round_trip():
     msg = wire.Message(
         wire.OFFER,
         {"task_id": 3, "attempt": 1, "deadline": 12.5},
-        deltas=[[2, 0, "alive", 1.0]],
+        deltas=[[2, 0, 0, 1.0]],
     )
     again = wire.decode(wire.encode(msg))
     assert again == msg
@@ -73,10 +74,7 @@ plain = st.recursive(
     ),
     max_leaves=8,
 )
-records = st.one_of(
-    st.dictionaries(st.text(max_size=5), plain, max_size=4).map(wire.Record),
-    st.lists(plain, max_size=4).map(wire.ListRecord),
-)
+records = st.lists(plain, max_size=4).map(wire.ListRecord)
 record_lists = st.lists(records, max_size=4).map(wire.RecordList)
 # Bodies mix records, record lists and plain values, nested in plain dicts
 # and lists: a record list at the top level is spliced, the rest is left to
@@ -128,7 +126,7 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yam
 
 def _record_paths(value, path):
     """Where records sit in `value`, found through dicts and lists."""
-    if isinstance(value, (wire.Record, wire.ListRecord)):
+    if isinstance(value, wire.ListRecord):
         yield path
     elif isinstance(value, dict):
         for key, item in value.items():
@@ -153,7 +151,7 @@ def test_sent_records_sit_only_where_encode_splices_them(monkeypatch):
             if type(value) is wire.RecordList:
                 sent["lists"] += 1
                 sent["records"] += len(value)
-                assert all(type(r) in (wire.Record, wire.ListRecord) for r in value), path
+                assert all(type(r) is wire.ListRecord for r in value), path
             else:
                 assert not list(_record_paths(value, path))
         return encode(msg)
@@ -181,29 +179,17 @@ LIST_MUTATORS = (
 
 
 def test_records_and_record_lists_are_read_only():
-    rec = wire.Record({"node": 1, "status": "alive"})
-    for mutate in (
-        lambda: rec.__setitem__("node", 2),
-        lambda: rec.__delitem__("node"),
-        lambda: rec.update(node=2),
-        lambda: rec.setdefault("x", 1),
-        lambda: rec.pop("node"),
-        lambda: rec.popitem(),
-        lambda: rec.clear(),
-        lambda: rec.__ior__({"node": 2}),
-    ):
-        with pytest.raises(TypeError, match="read-only"):
-            mutate()
-    assert rec == {"node": 1, "status": "alive"}
-    assert rec.wire_json() == '{"node":1,"status":"alive"}'
-    entry = wire.ListRecord([1, 0, "alive", 0.0])
+    rec = wire.ListRecord([4, 1, [2, 5], 2, 1.0])
+    entry = wire.ListRecord([1, 0, 0, 0.0])
     batch = wire.RecordList([rec, entry])
-    for target, item in ((batch, rec), (entry, 1)):
+    for target, item in ((batch, rec), (entry, 1), (rec, 4)):
         for mutate in LIST_MUTATORS:
             with pytest.raises(TypeError, match="read-only"):
                 mutate(target, item)
-    assert entry == [1, 0, "alive", 0.0]
-    assert entry.wire_json() == '[1,0,"alive",0.0]'
+    assert rec == [4, 1, [2, 5], 2, 1.0]
+    assert rec.wire_json() == "[4,1,[2,5],2,1.0]"
+    assert entry == [1, 0, 0, 0.0]
+    assert entry.wire_json() == "[1,0,0,0.0]"
     assert batch == [rec, entry]
 
 
@@ -213,17 +199,15 @@ def test_gossiped_records_are_built_once_and_read_only():
     catalog = CatalogRecord(
         DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({2, 5})), 1
     )
-    for obj, kind, key in (
-        (state, wire.ListRecord, 0), (entry, wire.Record, "node"), (catalog, wire.Record, "id"),
-    ):
+    for obj in (state, entry, catalog):
         rec = obj.to_dict()
-        assert type(rec) is kind and obj.to_dict() is rec
+        assert type(rec) is wire.ListRecord and obj.to_dict() is rec
         assert type(obj).from_dict(json.loads(rec.wire_json())) == obj
         with pytest.raises(TypeError, match="read-only"):
-            rec[key] = 9
-    # A member record's one wire form is its version entry, 18 bytes here.
+            rec[0] = 9
+    # A member record's one wire form is its version entry, 11 bytes here.
     assert state.to_dict() is state.version_entry
-    assert state.to_dict().wire_json() == '[2,1,"alive",0.5]'
+    assert state.to_dict().wire_json() == "[2,1,0,0.5]"
 
 
 def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
@@ -265,6 +249,65 @@ def test_member_records_survive_the_wire(sent, held):
         assert view.dominates(state.to_dict()) == view.dominates(plain)
 
 
+finite = st.floats(-1e9, 1e9, allow_nan=False)
+registry_entries = st.builds(
+    lambda node, version, stamped, hw, util, battery, pos, typologies: RegistryEntry(
+        node=node,
+        profile=make_profile(
+            node=node, perf=hw[0], memory=hw[1], bandwidth=hw[2], utilization=util,
+            battery=battery, position=pos, typologies=typologies,
+        ),
+        version=version,
+        stamped_time=stamped,
+    ),
+    st.integers(0, 2**31),
+    st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+    st.floats(0.0, 1e9, allow_nan=False),
+    st.tuples(finite, st.integers(0, 2**40), finite),
+    st.floats(0.0, 1.0),
+    st.one_of(st.just(MAINS), st.floats(0.0, 1.0)),
+    st.tuples(finite, finite),
+    st.frozensets(st.text(max_size=6), max_size=3),
+)
+catalog_records = st.builds(
+    lambda data_id, seq, owner, others, size: CatalogRecord(
+        DataSourceDescriptor(
+            id=data_id, owner=owner, size=size, replicas=frozenset({owner, *others})
+        ),
+        seq,
+    ),
+    st.integers(0, 2**31),
+    st.integers(0, 2**31),
+    st.integers(0, 64),
+    st.frozensets(st.integers(0, 64), max_size=4),
+    st.floats(1e-3, 1e6),
+)
+# One member with few distinct values, so equal keys come up often.
+one_members = st.builds(
+    MemberState,
+    node=st.just(3),
+    status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+    incarnation=st.integers(0, 2),
+    last_update_time=st.sampled_from([0.0, 1.5, 2.0]),
+)
+
+
+@given(st.one_of(member_states, registry_entries, catalog_records), one_members, one_members)
+def test_every_record_survives_the_wire(obj, a, b):
+    """Every gossiped record decodes, off its wire JSON, to an equal object;
+    its wire form begins with its version entry; and two members' encoded
+    entries order as their states' merge keys do."""
+    rec = obj.to_dict()
+    assert type(obj).from_dict(json.loads(rec.wire_json())) == obj
+    entry = obj.version_entry
+    assert rec[:len(entry)] == entry
+    wire_a, wire_b = json.loads(a.to_dict().wire_json()), json.loads(b.to_dict().wire_json())
+    assert membership._entry_newer(wire_a, wire_b) == (
+        membership.merge_key(a.status, a.incarnation, a.last_update_time)
+        > membership.merge_key(b.status, b.incarnation, b.last_update_time)
+    )
+
+
 def test_a_members_map_entry_is_its_piggybacked_record():
     view = SwarmView(self_node=1)
     for node in (3, 1, 2):
@@ -275,7 +318,7 @@ def test_a_members_map_entry_is_its_piggybacked_record():
         picked[1] = 5
     with pytest.raises(TypeError, match="read-only"):
         view.version_map().append(picked)
-    assert picked == [2, 0, ALIVE, 0.0]
+    assert picked == [2, 0, 0, 0.0]
 
 
 @given(st.lists(member_states, max_size=8))
