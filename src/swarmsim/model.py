@@ -36,9 +36,6 @@ class Position:
     x: float
     y: float
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Position":
         return cls(x=float(d["x"]), y=float(d["y"]))
@@ -55,21 +52,6 @@ class StaticHardwareProfile:
     memory: int  # MiB
     link_bandwidth: float  # MiB per second
 
-    def to_dict(self) -> dict:
-        return {
-            "cpu_perf_index": self.cpu_perf_index,
-            "memory": self.memory,
-            "link_bandwidth": self.link_bandwidth,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StaticHardwareProfile":
-        return cls(
-            cpu_perf_index=float(d["cpu_perf_index"]),
-            memory=int(d["memory"]),
-            link_bandwidth=float(d["link_bandwidth"]),
-        )
-
 
 @dataclass(frozen=True)
 class DynamicStatus:
@@ -80,24 +62,6 @@ class DynamicStatus:
     utilization: float  # [0, 1]
     battery: BatteryLevel  # [0, 1] or MAINS
     position: Position
-
-    def to_dict(self) -> dict:
-        return {
-            "utilization": self.utilization,
-            "battery": self.battery,
-            "position": self.position.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DynamicStatus":
-        battery = d["battery"]
-        if not is_mains(battery):
-            battery = float(battery)
-        return cls(
-            utilization=float(d["utilization"]),
-            battery=battery,
-            position=Position.from_dict(d["position"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -159,21 +123,34 @@ class NodeProfile:
     def with_dyn(self, **changes) -> "NodeProfile":
         return replace(self, dyn=replace(self.dyn, **changes))
 
-    def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "hw": self.hw.to_dict(),
-            "dyn": self.dyn.to_dict(),
-            "typologies": sorted(self.typologies),
-        }
+    def to_dict(self) -> list:
+        """The positional wire form: `[node, cpu_perf_index, memory,
+        link_bandwidth, utilization, battery, x, y, [typologies...]]`, with
+        the typologies sorted."""
+        hw, dyn = self.hw, self.dyn
+        return [
+            self.node, hw.cpu_perf_index, hw.memory, hw.link_bandwidth,
+            dyn.utilization, dyn.battery, dyn.position.x, dyn.position.y,
+            sorted(self.typologies),
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NodeProfile":
+    def from_dict(cls, d: list) -> "NodeProfile":
+        (node, cpu_perf_index, memory, link_bandwidth,
+         utilization, battery, x, y, typologies) = d
         return cls(
-            node=int(d["node"]),
-            hw=StaticHardwareProfile.from_dict(d["hw"]),
-            dyn=DynamicStatus.from_dict(d["dyn"]),
-            typologies=frozenset(d["typologies"]),
+            node=int(node),
+            hw=StaticHardwareProfile(
+                cpu_perf_index=float(cpu_perf_index),
+                memory=int(memory),
+                link_bandwidth=float(link_bandwidth),
+            ),
+            dyn=DynamicStatus(
+                utilization=float(utilization),
+                battery=battery if is_mains(battery) else float(battery),
+                position=Position(float(x), float(y)),
+            ),
+            typologies=frozenset(typologies),
         )
 
 

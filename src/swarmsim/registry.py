@@ -14,8 +14,8 @@ leaderless anti-entropy design.
 An entry travels in one positional wire form that begins with its version
 entry: `[node, incarnation, status_version, stamped_time, cpu_perf_index,
 memory, link_bandwidth, utilization, battery, x, y, [typologies...]]`, with
-the typologies sorted. `NodeProfile.to_dict` keeps its keyed form for other
-readers; the registry does not use it.
+the typologies sorted: the version entry and stamped time, then the
+profile's own form (`NodeProfile.to_dict`) after its node id.
 
 Invariants of `Registry`: `entries` is written only through `local_update`,
 `merge` and `evict`, and each of them clears the cached `content_hash`,
@@ -30,14 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import (
-    DynamicStatus,
-    NodeId,
-    NodeProfile,
-    Position,
-    StaticHardwareProfile,
-    is_mains,
-)
+from .model import NodeId, NodeProfile
 from . import membership, wire
 
 Version = tuple  # (incarnation, status_version), compared lexicographically
@@ -56,14 +49,10 @@ class RegistryEntry:
 
     @cached_property
     def _record(self) -> wire.ListRecord:
-        p = self.profile
-        hw, dyn = p.hw, p.dyn
-        return wire.ListRecord([
-            *self.version_entry, self.stamped_time,
-            hw.cpu_perf_index, hw.memory, hw.link_bandwidth,
-            dyn.utilization, dyn.battery, dyn.position.x, dyn.position.y,
-            sorted(p.typologies),
-        ], self)
+        _, *profile = self.profile.to_dict()
+        return wire.ListRecord(
+            [*self.version_entry, self.stamped_time, *profile], self
+        )
 
     @cached_property
     def version_entry(self) -> list:
@@ -74,26 +63,11 @@ class RegistryEntry:
 
     @classmethod
     def from_dict(cls, d: list) -> "RegistryEntry":
-        (node, incarnation, status_version, stamped_time,
-         cpu_perf_index, memory, link_bandwidth,
-         utilization, battery, x, y, typologies) = d
-        node = int(node)
+        node, incarnation, status_version, stamped_time, *profile = d
+        profile = NodeProfile.from_dict([node, *profile])
         return cls(
-            node=node,
-            profile=NodeProfile(
-                node=node,
-                hw=StaticHardwareProfile(
-                    cpu_perf_index=float(cpu_perf_index),
-                    memory=int(memory),
-                    link_bandwidth=float(link_bandwidth),
-                ),
-                dyn=DynamicStatus(
-                    utilization=float(utilization),
-                    battery=battery if is_mains(battery) else float(battery),
-                    position=Position(float(x), float(y)),
-                ),
-                typologies=frozenset(typologies),
-            ),
+            node=profile.node,
+            profile=profile,
             version=(int(incarnation), int(status_version)),
             stamped_time=float(stamped_time),
         )
