@@ -12,8 +12,12 @@ list for the set, so two records with equal entries are equal. A record's
 wire form is that entry followed by the static fields,
 `[id, announce_seq, [replicas...], owner, size]`. A DIGEST
 carries the map's hash, and the map itself only to a peer whose hash
-differs. `Catalog.records` is written only through `announce` and `merge`,
-each of which drops the cached map and hash when it changes a record.
+differs.
+
+Invariants of `Catalog`, a `wire.VersionedMap`: `records` is written only
+through `announce` and `merge`, each of which calls `changed()` when it
+changes a record, which drops the cached map and hash. The catalog's own
+part is its merge rule: LWW static fields, grow-only replicas.
 """
 
 from __future__ import annotations
@@ -54,11 +58,12 @@ class CatalogRecord:
         return wire.ListRecord([*self.version_entry, d.owner, d.size], self)
 
     @cached_property
-    def version_entry(self) -> list:
+    def version_entry(self) -> wire.ListRecord:
         """[id, announce_seq, sorted replicas]: this record in a version map,
         and the first elements of its wire form. Built once per record and
         shared: read-only."""
-        return [self.descriptor.id, self.announce_seq, sorted(self.descriptor.replicas)]
+        d = self.descriptor
+        return wire.ListRecord([d.id, self.announce_seq, sorted(d.replicas)])
 
     @classmethod
     def from_dict(cls, d: list) -> "CatalogRecord":
@@ -84,14 +89,13 @@ class NotOwnerError(Exception):
     """announce() attempted by a node that does not own the source."""
 
 
-class Catalog:
-    """One node's replica of the swarm-wide data index."""
+class Catalog(wire.VersionedMap):
+    """One node's replica of the swarm-wide data index: `records` maps
+    DataSourceId -> CatalogRecord."""
 
     def __init__(self, owner: NodeId):
+        super().__init__()
         self.owner = owner
-        self.records: dict = {}  # DataSourceId -> CatalogRecord
-        self._map = None  # version_map() until a record changes
-        self._map_hash = None  # version_hash() until a record changes
 
     def announce(self, descriptor: DataSourceDescriptor, by: NodeId) -> CatalogRecord:
         if by != descriptor.owner:
@@ -106,7 +110,7 @@ class Catalog:
             )
         rec = CatalogRecord(descriptor=descriptor, announce_seq=seq)
         self.records[descriptor.id] = rec
-        self._map = self._map_hash = None
+        self.changed()
         return rec
 
     def merge(self, incoming: CatalogRecord) -> bool:
@@ -114,7 +118,7 @@ class Catalog:
         current = self.records.get(incoming.descriptor.id)
         if current is None:
             self.records[incoming.descriptor.id] = incoming
-            self._map = self._map_hash = None
+            self.changed()
             return True
         union = current.descriptor.replicas | incoming.descriptor.replicas
         if incoming.announce_seq > current.announce_seq:
@@ -128,29 +132,13 @@ class Catalog:
         if merged == current:
             return False
         self.records[merged.descriptor.id] = merged
-        self._map = self._map_hash = None
+        self.changed()
         return True
-
-    def version_map(self) -> list:
-        """Every record's `version_entry` in DataSourceId order, as a DIGEST
-        that answers a differing hash carries it. Cached until a record
-        changes; shared, read-only."""
-        if self._map is None:
-            self._map = [r.version_entry for _, r in sorted(self.records.items())]
-        return self._map
-
-    def version_hash(self) -> str:
-        """`wire.short_hash` of `version_map()`, as a DIGEST carries it.
-        Cached until a record changes."""
-        if self._map_hash is None:
-            self._map_hash = wire.short_hash(self.version_map())
-        return self._map_hash
 
     def diff(self, remote: list) -> tuple:
         """(our records a peer's version map lacks, source ids whose record
         there holds something ours lacks). One source can be in both."""
-        push, want = wire.diff_versions(self.version_map(), remote, _entry_newer)
-        return [self.records[i] for i in push], want
+        return self.diff_records(remote, _entry_newer)
 
     def live_replicas(self, data_id: DataSourceId, is_alive) -> list:
         rec = self.records.get(data_id)

@@ -25,15 +25,17 @@ a gossiped entry can be tested against the current record before anything
 is decoded (the Scuttlebutt rule: compare versions before materialising
 state).
 
-Invariants of `SwarmView`: `members` is written only through `apply` and
-`remove`, each of which bumps `view_version` when the view changes. The
-version map and its hash, digest, alive list (whose first element is the
-swarm id) and probe targets are cached per `view_version`, and the values
-returned are shared with every message and trace record that carries them,
-so they are read-only; the map and its entries are `wire` record types,
-which enforce it. A view installs the very `MemberState` a peer gossiped
-(`wire.adopt`), so views that agree hold the same objects, and their version
-maps the same entries.
+Invariants of `SwarmView`, a `wire.VersionedMap`: `members` is written
+only through `apply` and `remove`, each of which calls `changed()` when the
+view changes. The version map and its hash, digest, alive list (whose first
+element is the swarm id) and probe targets are cached until then, and the
+values returned are shared with every message and trace record that carries
+them, so they are read-only; the map and its entries are `wire` record
+types, which enforce it. A view installs the very `MemberState` a peer
+gossiped (`wire.adopt`), so views that agree hold the same objects, and
+their version maps the same entries. What the view adds to the map it
+shares with the registry and the catalog is its merge rule (`merge_key`)
+and the tombstone filter of `diff`.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -42,7 +44,7 @@ pure data logic so it can be property-tested in isolation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import wire
@@ -125,32 +127,20 @@ class MemberState:
         )
 
 
-@dataclass
-class SwarmView:
-    """One node's belief about swarm membership."""
+class SwarmView(wire.VersionedMap):
+    """One node's belief about swarm membership: `members` (NodeId ->
+    MemberState) is the map's `records` under the view's own name."""
 
-    self_node: NodeId
-    members: dict = field(default_factory=dict)  # NodeId -> MemberState
-    view_version: int = 0
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cache_version: int = field(default=-1, init=False, repr=False, compare=False)
-
-    def _version_cache(self) -> dict:
-        """Values derived from the view, emptied whenever the view changed."""
-        if self._cache_version != self.view_version:
-            self._cache = {}
-            self._cache_version = self.view_version
-        return self._cache
+    def __init__(self, self_node: NodeId):
+        super().__init__()
+        self.self_node = self_node
+        self.members = self.records
 
     def alive_nodes(self) -> list:
         """Alive members in NodeId order; shared, read-only."""
-        cache = self._version_cache()
-        alive = cache.get("alive")
-        if alive is None:
-            alive = cache["alive"] = sorted(
-                n for n, m in self.members.items() if m.status == ALIVE
-            )
-        return alive
+        return self.cached("alive", lambda: sorted(
+            n for n, m in self.members.items() if m.status == ALIVE
+        ))
 
     @property
     def swarm_id(self):
@@ -160,35 +150,9 @@ class SwarmView:
 
     def member_set_digest(self) -> str:
         """Stable digest over (node, status, incarnation) triples."""
-        cache = self._version_cache()
-        digest = cache.get("digest")
-        if digest is None:
-            items = sorted(
-                (m.node, m.status, m.incarnation) for m in self.members.values()
-            )
-            digest = cache["digest"] = hashlib.sha256(
-                repr(items).encode()
-            ).hexdigest()[:16]
-        return digest
-
-    def version_map(self) -> wire.RecordList:
-        """Every member's `version_entry` in NodeId order, as HELLO and a
-        DIGEST that answers a differing hash carry it; shared, read-only."""
-        cache = self._version_cache()
-        entries = cache.get("map")
-        if entries is None:
-            entries = cache["map"] = wire.RecordList(
-                m.version_entry for _, m in sorted(self.members.items())
-            )
-        return entries
-
-    def version_hash(self) -> str:
-        """`wire.short_hash` of `version_map()`, as a DIGEST carries it."""
-        cache = self._version_cache()
-        digest = cache.get("map_hash")
-        if digest is None:
-            digest = cache["map_hash"] = wire.short_hash(self.version_map())
-        return digest
+        return self.cached("digest", lambda: hashlib.sha256(repr(sorted(
+            (m.node, m.status, m.incarnation) for m in self.members.values()
+        )).encode()).hexdigest()[:16])
 
     def diff(self, remote: list, now: float, retention: float) -> tuple:
         """(our records a peer's version map lacks, nodes whose record there
@@ -198,26 +162,18 @@ class SwarmView:
         compared like any other, so a peer's newer record of us is wanted
         and refutation sees it once it arrives.
         """
-        push, want = wire.diff_versions(
-            self.version_map(),
-            remote,
-            _entry_newer,
-            lambda e: not expired(_STATUS_OF_RANK[e[2]], e[3], now, retention),
-        )
-        return [self.members[n] for n in push], want
+        return self.diff_records(remote, _entry_newer, lambda e: not expired(
+            _STATUS_OF_RANK[e[2]], e[3], now, retention
+        ))
 
     def probe_targets(self) -> list:
         """Alive and Suspect members other than ourselves, in NodeId order;
         shared, read-only."""
-        cache = self._version_cache()
-        targets = cache.get("probe")
-        if targets is None:
-            targets = cache["probe"] = sorted(
-                n
-                for n, m in self.members.items()
-                if n != self.self_node and m.status in (ALIVE, SUSPECT)
-            )
-        return targets
+        return self.cached("probe", lambda: sorted(
+            n
+            for n, m in self.members.items()
+            if n != self.self_node and m.status in (ALIVE, SUSPECT)
+        ))
 
     def dominates(self, entry: list) -> bool:
         """True when `apply` of this version entry, decoded, would return
@@ -238,14 +194,14 @@ class SwarmView:
         if current is not None and current.key >= incoming.key:
             return False
         self.members[incoming.node] = incoming
-        self.view_version += 1
+        self.changed()
         return True
 
     def remove(self, node: NodeId) -> bool:
         """Drop a member's record (tombstone GC); True when one was held."""
         if self.members.pop(node, None) is None:
             return False
-        self.view_version += 1
+        self.changed()
         return True
 
 

@@ -17,12 +17,13 @@ memory, link_bandwidth, utilization, battery, x, y, [typologies...]]`, with
 the typologies sorted: the version entry and stamped time, then the
 profile's own form (`NodeProfile.to_dict`) after its node id.
 
-Invariants of `Registry`: `entries` is written only through `local_update`,
-`merge` and `evict`, and each of them clears the cached `content_hash`,
-`version_map` and `version_hash`. The content hash is rebuilt from every
-entry's wire JSON, which the entry's read-only `wire.ListRecord` encodes
-once; the map from every entry's `version_entry`, built once per entry and
-shared; the map's hash, which a DIGEST carries, from the map.
+Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
+through `local_update`, `merge` and `evict`, and each of them calls
+`changed()` when it changes an entry, which drops the cached
+`content_hash`, `version_map` and `version_hash`. The content hash is
+rebuilt from every entry's wire JSON, which the entry's read-only
+`wire.ListRecord` encodes once. The registry adds to its base only the
+merge rule, last writer wins by version.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ class RegistryEntry:
         )
 
     @cached_property
-    def version_entry(self) -> list:
+    def version_entry(self) -> wire.ListRecord:
         """[node, incarnation, status_version]: this entry in a version map,
         and the first elements of its wire form. Built once per entry and
         shared: read-only."""
-        return [self.node, *self.version]
+        return wire.ListRecord([self.node, *self.version])
 
     @classmethod
     def from_dict(cls, d: list) -> "RegistryEntry":
@@ -77,15 +78,14 @@ class ForeignUpdateError(Exception):
     """Direct local_update for a node other than the registry owner."""
 
 
-class Registry:
-    """One node's replica of the swarm-wide profile store."""
+class Registry(wire.VersionedMap):
+    """One node's replica of the swarm-wide profile store: `entries`
+    (NodeId -> RegistryEntry) is the map's `records` under its own name."""
 
     def __init__(self, owner: NodeId):
+        super().__init__()
         self.owner = owner
-        self.entries: dict = {}  # NodeId -> RegistryEntry
-        self._hash = None  # content_hash() until the entries change
-        self._map = None  # version_map() until the entries change
-        self._map_hash = None  # version_hash() until the entries change
+        self.entries = self.records
 
     def local_update(
         self, profile: NodeProfile, incarnation: int, now: float
@@ -108,7 +108,7 @@ class Registry:
             stamped_time=now,
         )
         self.entries[self.owner] = entry
-        self._hash = self._map = self._map_hash = None
+        self.changed()
         return entry
 
     def merge(self, entry: RegistryEntry) -> bool:
@@ -117,36 +117,17 @@ class Registry:
         if current is not None and current.version >= entry.version:
             return False
         self.entries[entry.node] = entry
-        self._hash = self._map = self._map_hash = None
+        self.changed()
         return True
 
     def digest(self) -> dict:
         """NodeId -> version in NodeId order: `version_map()` as a dict."""
         return {node: e.version for node, e in sorted(self.entries.items())}
 
-    def version_map(self) -> list:
-        """`digest()` in wire form: every entry's `version_entry` in NodeId
-        order, as a DIGEST that answers a differing hash carries it. Cached
-        until the entries change; shared with every message that carries
-        it, so read-only."""
-        if self._map is None:
-            self._map = [e.version_entry for _, e in sorted(self.entries.items())]
-        return self._map
-
-    def version_hash(self) -> str:
-        """`wire.short_hash` of `version_map()`, as a DIGEST carries it.
-        Cached until the entries change."""
-        if self._map_hash is None:
-            self._map_hash = wire.short_hash(self.version_map())
-        return self._map_hash
-
     def diff(self, remote: list):
         """(entries newer here, node ids newer or only-known remotely),
         against a peer's version map."""
-        push, want = wire.diff_versions(
-            self.version_map(), remote, lambda a, b: a[1:] > b[1:]
-        )
-        return [self.entries[n] for n in push], want
+        return self.diff_records(remote, lambda a, b: a[1:] > b[1:])
 
     def query(self, predicate, status_of) -> list:
         """Entries of not-Dead/Left members matching the predicate.
@@ -168,15 +149,13 @@ class Registry:
     def evict(self, node: NodeId) -> bool:
         if self.entries.pop(node, None) is None:
             return False
-        self._hash = self._map = self._map_hash = None
+        self.changed()
         return True
 
     def content_hash(self) -> str:
         """Digest of the entries' compact wire JSON, as a list by NodeId:
         `json.dumps(<entries' wire forms>, sort_keys=True, separators=(",", ":"))`.
         Compared for equality only (convergence checks)."""
-        if self._hash is None:
-            self._hash = wire.short_hash(
-                wire.RecordList(e._record for _, e in sorted(self.entries.items()))
-            )
-        return self._hash
+        return self.cached("content", lambda: wire.short_hash(
+            wire.RecordList(e._record for _, e in sorted(self.entries.items()))
+        ))

@@ -28,10 +28,15 @@ answered, as a HELLO's is, by a HELLO-ACK or DELTA that carries only the
 records the map lacks, under the map's key, and the ids whose record the
 answering side lacks, under `want_<key>`; the wanted records follow in one
 more DELTA. A part with nothing in it is left out, and an answer with no
-parts is not sent. Like records, each entry is built once per record and
-shared by every map that holds it, so maps of agents that agree compare
-equal entry by entry without a walk. A member's entry and its record are one
-object, so the view's map and the view's records are the same entries.
+parts is not sent. Like records, each entry is a `ListRecord` built once per
+record and shared by every map that holds it, so maps of agents that agree
+compare equal entry by entry without a walk. A member's entry and its record
+are one object, so the view's map and the view's records are the same
+entries.
+
+The view, the registry and the catalog are each a `VersionedMap`, which
+owns the map, its hash, the cache they live in and the diff; an owner adds
+only its merge rule, the `newer` test it hands to `diff_records`.
 
 Every gossiped record has one compact positional wire form, a list that
 begins with the record's version entry, so a map entry is a prefix of the
@@ -211,7 +216,7 @@ def short_hash(value) -> str:
     return hashlib.sha256(_value_json(value).encode()).hexdigest()[:16]
 
 
-def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> tuple:
+def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
     """Reconcile two version maps: (ids to push, ids to want).
 
     A version map is a list of entries sorted by id, the id first in each
@@ -246,6 +251,51 @@ def diff_versions(mine: list, theirs: list, newer, live=lambda entry: True) -> t
             i += 1
             j += 1
     return push, want
+
+
+class VersionedMap:
+    """Records by id, reconciled digest first: the base of the view, the
+    registry and the catalog.
+
+    `records` (id -> record, each with a `version_entry`) is written only by
+    the owner's mutators, and each calls `changed()` when it changed a
+    record. Until then the version map, its hash and whatever else the owner
+    builds through `cached` are kept, and shared with every message and
+    trace record that carries them, so they are read-only.
+    """
+
+    def __init__(self):
+        self.records: dict = {}
+        self._cache: dict = {}
+
+    def changed(self) -> None:
+        """Forget every cached value: a record was added, replaced or dropped."""
+        self._cache.clear()
+
+    def cached(self, key: str, build):
+        """`build()`, kept under `key` until the records change."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
+    def version_map(self) -> RecordList:
+        """Every record's `version_entry` in id order, as HELLO (the view's)
+        and a DIGEST that answers a differing hash carry it."""
+        return self.cached("map", lambda: RecordList(
+            r.version_entry for _, r in sorted(self.records.items())
+        ))
+
+    def version_hash(self) -> str:
+        """`short_hash` of `version_map()`, as a periodic DIGEST carries it."""
+        return self.cached("hash", lambda: short_hash(self.version_map()))
+
+    def diff_records(self, remote: list, newer, live=lambda entry: True) -> tuple:
+        """(our records a peer's version map lacks, ids whose record there
+        holds something ours lacks): `diff_versions` of our map against
+        `remote`, the pushed ids looked up. One id can be in both."""
+        push, want = diff_versions(self.version_map(), remote, newer, live)
+        return [self.records[i] for i in push], want
 
 
 def adopt(record, from_dict):

@@ -176,12 +176,12 @@ def test_registry_mutators_refresh_content_hash():
 
 
 def test_registry_mutators_refresh_versions():
-    """`version_map()` is `digest()` in wire form and `version_hash()` its
-    hash, both cached until entries change."""
+    """`version_map()` is every entry's `[node, *version]` in NodeId order
+    and `version_hash()` its hash, both cached until entries change."""
     reg = Registry(owner=1)
 
     def reference():
-        return [[n, *v] for n, v in reg.digest().items()]
+        return [[n, *e.version] for n, e in sorted(reg.entries.items())]
 
     assert reg.version_map() == reference() == []
     assert reg.version_hash() == reference_map_hash([])

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmsim import membership, scenario as scen, wire
-from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
+from swarmsim.dataplane import Catalog, CatalogRecord, DataSourceDescriptor
 from swarmsim.membership import ALIVE, DEAD, LEFT, SUSPECT, MemberState, SwarmView
 from swarmsim.model import MAINS
-from swarmsim.registry import RegistryEntry
+from swarmsim.registry import Registry, RegistryEntry
 
-from conftest import make_profile
+from conftest import make_profile, reference_map_hash
 
 
 def test_round_trip():
@@ -371,6 +371,70 @@ def test_short_hash_tells_version_maps_apart(vmap, data):
     changed = [list(e) for e in vmap]
     changed[row][col] = new
     assert wire.short_hash(changed) != digest
+
+
+# -- versioned maps: the view, the registry and the catalog ------------------
+
+# Few ids and few distinct values per owner, so mutators often hit a held
+# record and often change nothing.
+few = st.integers(0, 3)
+view_steps = st.one_of(
+    st.tuples(st.just("apply"), st.builds(
+        MemberState, node=few, status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+        incarnation=st.integers(0, 2), last_update_time=st.sampled_from([0.0, 1.5]),
+    )),
+    st.tuples(st.just("remove"), few),
+)
+registry_steps = st.one_of(
+    st.tuples(st.just("merge"), st.builds(
+        lambda node, version, util: RegistryEntry(
+            node=node, profile=make_profile(node=node, utilization=util),
+            version=version, stamped_time=0.0,
+        ),
+        few, st.tuples(st.integers(0, 2), st.integers(0, 2)), st.sampled_from([0.0, 0.5]),
+    )),
+    st.tuples(st.just("evict"), few),
+    st.tuples(
+        st.just("local_update"),
+        st.builds(lambda util: make_profile(node=0, utilization=util), st.sampled_from([0.0, 0.5])),
+        st.integers(0, 2),
+        st.sampled_from([1.0, 2.0]),
+    ),
+)
+descriptors = st.builds(
+    lambda data_id, owner, others: DataSourceDescriptor(
+        id=data_id, owner=owner, size=1.0, replicas=frozenset({owner, *others})
+    ),
+    few, few, st.frozensets(few, max_size=2),
+)
+catalog_steps = st.one_of(
+    st.tuples(st.just("merge"), st.builds(CatalogRecord, descriptors, st.integers(1, 3))),
+    st.tuples(st.just("announce"), descriptors.map(
+        lambda d: dataclasses.replace(d, owner=0, replicas=d.replicas | {0})
+    ), st.just(0)),
+)
+
+
+@pytest.mark.parametrize("make, steps", [
+    (lambda: SwarmView(self_node=0), view_steps),
+    (lambda: Registry(owner=0), registry_steps),
+    (lambda: Catalog(owner=0), catalog_steps),
+], ids=["view", "registry", "catalog"])
+@given(data=st.data())
+def test_versioned_maps_cache_what_a_rebuild_gives(make, steps, data):
+    """After any sequence of an owner's mutators, its version map is every
+    record's version entry in id order, built from scratch, and its hash
+    that map's as it reads without a cache; a mutator that changes nothing
+    keeps the cached map object."""
+    owner = make()
+    for name, *args in data.draw(st.lists(steps, max_size=12)):
+        before = owner.version_map()
+        changed = getattr(owner, name)(*args)
+        rebuilt = [list(owner.records[i].version_entry) for i in sorted(owner.records)]
+        assert owner.version_map() == rebuilt
+        assert owner.version_hash() == reference_map_hash(rebuilt)
+        if changed is False:
+            assert owner.version_map() is before
 
 
 def test_messages_are_read_only_values():
