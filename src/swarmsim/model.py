@@ -36,10 +36,6 @@ class Position:
     x: float
     y: float
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Position":
-        return cls(x=float(d["x"]), y=float(d["y"]))
-
 
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance in meters."""

@@ -166,10 +166,8 @@ class Scenario:
 
 
 def _position(raw) -> Position:
-    if isinstance(raw, dict):
-        return Position.from_dict(raw)
-    x, y = raw
-    return Position(float(x), float(y))
+    x, y = (raw["x"], raw["y"]) if isinstance(raw, dict) else raw
+    return Position(_float(x), _float(y))
 
 
 def _move_target(raw):
@@ -183,6 +181,14 @@ def _move_target(raw):
 def _battery(raw):
     if is_mains(raw):
         return MAINS
+    return _float(raw)
+
+
+def _float(raw) -> float:
+    """A number: what `float` reads (an int, a float, a numeric string),
+    except a bool, which would read as 1.0 or 0.0."""
+    if isinstance(raw, bool):
+        raise TypeError(f"not a number: {raw!r}")
     return float(raw)
 
 
@@ -222,7 +228,7 @@ def _strs(raw) -> tuple:
 
 
 _EXPECTED = {
-    float: "a number",
+    _float: "a number",
     _int: "an integer",
     _str: "a string",
     dict: "a mapping",
@@ -296,14 +302,14 @@ def _node_spec(raw, index: int, problems: list):
     spec = NodeSpec(
         node=node,
         position=get("position", _position, [0.0, 0.0]),
-        cpu_perf_index=get("cpu_perf_index", float, 1.0),
+        cpu_perf_index=get("cpu_perf_index", _float, 1.0),
         memory=get("memory", _int, 1024),
-        link_bandwidth=get("link_bandwidth", float, 10.0),
+        link_bandwidth=get("link_bandwidth", _float, 10.0),
         typologies=get("typologies", _strs, ()),
         battery=get("battery", _battery, MAINS),
-        drain_rate=get("drain_rate", float, 0.0),
-        utilization=get("utilization", float, 0.0),
-        start_time=get("start_time", float, 0.0),
+        drain_rate=get("drain_rate", _float, 0.0),
+        utilization=get("utilization", _float, 0.0),
+        start_time=get("start_time", _float, 0.0),
     )
     get.finish()
     return None if node is None else spec
@@ -316,15 +322,15 @@ def _task_spec(raw, source_sizes: dict, label: str, problems: list):
     for k, inp in enumerate(get.list("inputs")):
         get_input = _Fields(inp, f"{label}: inputs[{k}]", problems)
         source = get_input("source", _int)
-        size = get_input("size", float, source_sizes.get(source, 0.0))
+        size = get_input("size", _float, source_sizes.get(source, 0.0))
         get_input.finish()
         if source is not None:
             inputs.append(DataInput(source=source, size=size))
     required = (
-        get("id", _int), get("typology", _str), get("work", float),
-        get("origin", _int), get("at", float),
+        get("id", _int), get("typology", _str), get("work", _float),
+        get("origin", _int), get("at", _float),
     )
-    memory, deadline = get("memory", _int, 0), get("deadline", float, 60.0)
+    memory, deadline = get("memory", _int, 0), get("deadline", _float, 60.0)
     get.finish()
     if None in required:
         return None
@@ -345,9 +351,9 @@ def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list)
     """Deterministic arrival stream: fixed interval plus seeded jitter."""
     get = _Fields(raw, "workload", problems)
     count = get("count", _int)
-    start = get("start", float, 0.0)
-    interval = get("interval", float, 1.0)
-    jitter = get("jitter", float, 0.0)
+    start = get("start", _float, 0.0)
+    interval = get("interval", _float, 1.0)
+    jitter = get("jitter", _float, 0.0)
     origins = get("origins", _ints)
     first_id = get("first_id", _int, 1000)
     template = get("template", dict, {})
@@ -385,15 +391,16 @@ def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list)
 
 def _settings(cls, raw, label: str, problems: list) -> dict:
     """Keyword arguments for the dataclass `cls` from a mapping: an unknown
-    key, or a non-number for a numeric field, is a problem and dropped."""
+    key, or a non-number (a bool included) for a numeric field, is a problem
+    and dropped."""
     get = _Fields({} if raw is None else raw, label, problems)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     out = {}
     for key, value in get.raw.items():
         if key not in defaults:
             problems.append(f"{label}: unknown field {key}")
-        elif isinstance(defaults[key], (int, float)) and not isinstance(
-            value, (int, float)
+        elif isinstance(defaults[key], (int, float)) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
         ):
             problems.append(f"{label}: {key}: expected a number, got {value!r}")
         else:
@@ -436,7 +443,7 @@ def parse_scenario(raw: dict) -> Scenario:
         source_id = get_source("id", _int)
         if source_id is not None:
             get_source.label = f"data source {source_id}"
-        owner, size = get_source("owner", _int), get_source("size", float)
+        owner, size = get_source("owner", _int), get_source("size", _float)
         replicas = get_source("replicas", _ints, [])
         get_source.finish()
         if None in (source_id, owner, size):
@@ -469,7 +476,7 @@ def parse_scenario(raw: dict) -> Scenario:
         event = {
             "type": get_event("type", _str),
             "node": get_event("node", _int),
-            "at": get_event("at", float),
+            "at": get_event("at", _float),
         }
         to = get_event.take("to") if event["type"] == "move" else None
         get_event.finish()
@@ -482,7 +489,7 @@ def parse_scenario(raw: dict) -> Scenario:
         get_part = _Fields(p, f"partitions[{i}]", problems)
         part = (
             get_part("a", _ints), get_part("b", _ints),
-            get_part("start", float), get_part("end", float),
+            get_part("start", _float), get_part("end", _float),
         )
         get_part.finish()
         if None not in part:
@@ -491,7 +498,7 @@ def parse_scenario(raw: dict) -> Scenario:
     nodes = [_node_spec(n, i, problems) for i, n in enumerate(get.list("nodes"))]
     scenario = Scenario(
         name=get("name", _str, "scenario"),
-        duration=get("duration", float),
+        duration=get("duration", _float),
         seed=seed,
         net=_build_checked(NetModel(), net, "net", problems),
         scheduler=scheduler_params(
@@ -502,7 +509,7 @@ def parse_scenario(raw: dict) -> Scenario:
         tasks=tasks,
         events=events,
         partitions=partitions,
-        sample_period=get("sample_period", float, 1.0),
+        sample_period=get("sample_period", _float, 1.0),
     )
     get.finish()
     scenario.parse_problems = list(dict.fromkeys(problems))

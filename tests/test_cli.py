@@ -74,6 +74,8 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
          "nodes[1]: id: expected an integer, got 1.7"),
         (dict(SMALL, nodes=[dict(SMALL["nodes"][0], id=True)]),
          "nodes[0]: id: expected an integer, got True"),
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], cpu_perf_index=True)]),
+         "node 1: cpu_perf_index: expected a number, got True"),
     ):
         cfg = write_config(tmp_path, bad)
         assert main(["validate", cfg]) == 1
@@ -153,6 +155,7 @@ def test_compare_bad_variant_fails_before_any_run(tmp_path, capsys, monkeypatch)
         ({"bogus": {"w_qos_": 3}}, "variant bogus: unknown field w_qos_"),
         ({"w": {"top_k": "fast"}}, "variant w: top_k: expected a number"),
         ({"q": {"w_qos": 0.9}}, "variant q: score weights"),
+        ({"b": {"w_qos": True}}, "variant b: w_qos: expected a number, got True"),
     ):
         variants.write_text(yaml.safe_dump({"a_ok": {}, **bad}))
         assert main(["compare", cfg, "--variants", str(variants)]) == 2

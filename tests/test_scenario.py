@@ -259,9 +259,26 @@ def test_malformed_items_and_settings_are_problems():
           "tasks[0]: origin: expected an integer, got nan"]),
         ({"partitions": [{"a": [1], "b": [2, False], "start": 1.0, "end": 2.0}]},
          ["partitions[0]: b: expected a list of integers, got [2, False]"]),
+        # A bool is not a number either, where a float or a setting is read.
+        ({"nodes": [dict(node, cpu_perf_index=True), other]},
+         ["node 1: cpu_perf_index: expected a number, got True"]),
+        ({"nodes": [dict(node, battery=True), other]},
+         ["node 1: battery: expected a number or MAINS, got True"]),
+        ({"nodes": [dict(node, position={"x": True, "y": 0}), other]},
+         ["node 1: position: expected [x, y] or {x: .., y: ..}, got {'x': True, 'y': 0}"]),
+        ({"net": {"loss_prob": True}},
+         ["net: loss_prob: expected a number, got True"]),
+        ({"scheduler": {"w_availability": True, "w_qos": False, "w_locality": 0}},
+         ["scheduler: w_availability: expected a number, got True",
+          "scheduler: w_qos: expected a number, got False",
+          "scheduler: score weights must sum to 1, got 0.8"]),
     ):
         assert with_extras(**extras).validate() == problems, extras
-    # An integral float is still an integer.
+    # A numeric string is still a number, and an integral float an integer.
+    sc = with_extras(nodes=[dict(node, cpu_perf_index="1.5", position={"x": "2", "y": 0}),
+                            other])
+    assert sc.validate() == []
+    assert (sc.nodes[0].cpu_perf_index, sc.nodes[0].position.x) == (1.5, 2.0)
     sc = with_extras(nodes=[dict(node, id=1.0, memory=512.0), other],
                      tasks=[dict(task, id=2.0, origin=1.0, memory=64.0)])
     assert sc.validate() == []
