@@ -415,18 +415,16 @@ catalog_steps = st.one_of(
 )
 
 
-@pytest.mark.parametrize("make, steps", [
-    (lambda: SwarmView(self_node=0), view_steps),
-    (lambda: Registry(owner=0), registry_steps),
-    (lambda: Catalog(owner=0), catalog_steps),
+@pytest.mark.parametrize("owner_type, steps", [
+    (SwarmView, view_steps), (Registry, registry_steps), (Catalog, catalog_steps),
 ], ids=["view", "registry", "catalog"])
 @given(data=st.data())
-def test_versioned_maps_cache_what_a_rebuild_gives(make, steps, data):
+def test_versioned_maps_cache_what_a_rebuild_gives(owner_type, steps, data):
     """After any sequence of an owner's mutators, its version map is every
     record's version entry in id order, built from scratch, and its hash
     that map's as it reads without a cache; a mutator that changes nothing
     keeps the cached map object."""
-    owner = make()
+    owner = owner_type(0)  # the node whose view, registry or catalog it is
     for name, *args in data.draw(st.lists(steps, max_size=12)):
         before = owner.version_map()
         changed = getattr(owner, name)(*args)
