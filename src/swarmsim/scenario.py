@@ -11,14 +11,12 @@ state at a fixed cadence.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
 import yaml
 
 from . import sim as simlib
-from . import wire
 from .agent import NodeAgent
 from .dataplane import DataSourceDescriptor
 from .metrics import MetricsCollector, MetricsReport
@@ -166,7 +164,13 @@ class Scenario:
 
 
 def _position(raw) -> Position:
-    x, y = (raw["x"], raw["y"]) if isinstance(raw, dict) else raw
+    """A list of two numbers, or a mapping with exactly the keys x and y."""
+    if isinstance(raw, dict) and raw.keys() == {"x", "y"}:
+        x, y = raw["x"], raw["y"]
+    elif isinstance(raw, list):
+        x, y = raw
+    else:
+        raise TypeError(f"not a position: {raw!r}")
     return Position(_float(x), _float(y))
 
 
@@ -591,7 +595,7 @@ class RunResult:
     report: MetricsReport
 
     @property
-    def trace(self) -> list:
+    def trace(self) -> simlib.TraceLog:
         return self.sim.trace
 
 
@@ -606,9 +610,9 @@ def run(scenario: Scenario, seed: int = None) -> RunResult:
     return RunResult(sim=sim, agents=agents, report=collector.report())
 
 
-def write_trace_jsonl(trace: list, path) -> None:
-    """One `json.dumps(rec, sort_keys=True, default=str)` line per record."""
-    dumps = wire.encode_fn(json.JSONEncoder(sort_keys=True, default=str))
-    with open(path, "w") as fh:
-        for rec in trace:
-            fh.write(dumps(rec) + "\n")
+def write_trace_jsonl(trace: simlib.TraceLog, path) -> None:
+    """One `json.dumps(rec, sort_keys=True, default=str)` line per record,
+    as the trace already holds them."""
+    with open(path, "wb") as fh:
+        for chunk in trace.chunks():
+            fh.write(chunk)

@@ -17,14 +17,23 @@ nor any receiver writes to it, and the records in it are shared across
 agents (see `wire`). A `send` record keeps the body only for OFFER, whose
 task and attempt the trace-level scheduling checks read; any other body is
 known by its digest and byte size alone.
+
+The trace (`TraceLog`) is held as compressed JSONL, not as record objects:
+each record is encoded to its trace line as it is recorded, and the lines
+are packed into zlib blocks. A record reads back as its JSON decodes, so a
+value JSON lacks (a frozenset, say) reads back as its `str`, a tuple as a
+list and an integer mapping key as a string. Listeners are handed the
+record itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import heapq
+import json
+import math
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from . import wire
@@ -72,6 +81,51 @@ def substream(seed: int, label: str) -> random.Random:
     """
     h = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(h[:8], "big"))
+
+
+# A trace block is packed once its open bytes reach this size.
+TRACE_BLOCK_BYTES = 1 << 16
+TRACE_ZLIB_LEVEL = 1
+
+
+class TraceLog:
+    """The run's trace records as JSONL bytes, in zlib-compressed blocks.
+
+    `append` encodes a record to its line at once, so no record object
+    outlives the call. Iterating decodes block by block, yielding one dict
+    per line; `chunks` yields the JSONL bytes, which `write_trace_jsonl`
+    copies to the file.
+    """
+
+    def __init__(self):
+        self._dumps = wire.encode_fn(json.JSONEncoder(sort_keys=True, default=str))
+        self._packed: list = []  # compressed full blocks
+        self._open = bytearray()
+        self._count = 0
+
+    def append(self, rec: dict) -> None:
+        block = self._open
+        block += self._dumps(rec).encode()
+        block += b"\n"
+        self._count += 1
+        if len(block) >= TRACE_BLOCK_BYTES:
+            self._packed.append(zlib.compress(block, TRACE_ZLIB_LEVEL))
+            block.clear()
+
+    def __len__(self) -> int:
+        return self._count
+
+    def chunks(self):
+        """The JSONL bytes, one block at a time, in record order."""
+        for packed in self._packed:
+            yield zlib.decompress(packed)
+        yield bytes(self._open)
+
+    def __iter__(self):
+        for chunk in self.chunks():
+            # Trace lines are ASCII and hold no raw newline, so a block's
+            # lines joined by commas are one JSON array.
+            yield from json.loads(b"[" + chunk[:-1].replace(b"\n", b",") + b"]")
 
 
 @dataclass(frozen=True)
@@ -126,7 +180,7 @@ class Simulator:
         self.nodes: dict = {}  # NodeId -> SimNode
         self.agents: dict = {}  # NodeId -> agent (see agent.NodeAgent)
         self.partitions: list = []
-        self.trace: list = []
+        self.trace = TraceLog()
         self.listeners: list = []  # callables invoked per trace record
         self._loss_rngs: dict = {}
 
@@ -260,8 +314,8 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------
 
-    def run_until(self, t_end: float) -> list:
-        """Process all events with time <= t_end; returns the trace list."""
+    def run_until(self, t_end: float) -> None:
+        """Process all events with time <= t_end."""
         while self._queue and self._queue[0][0] <= t_end:
             _, _, ev = heapq.heappop(self._queue)
             self.now = ev.time
@@ -272,7 +326,6 @@ class Simulator:
             except Exception as exc:  # attach the offending event
                 raise SimFault(ev, exc) from exc
         self.now = max(self.now, t_end)
-        return self.trace
 
     def _dispatch(self, ev: SimEvent) -> None:
         kind = ev.kind

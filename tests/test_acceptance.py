@@ -90,15 +90,17 @@ def test_a1_determinism(reference_runs, tmp_path):
     for path, (sc, first, elapsed) in reference_runs.items():
         worst = max(worst, elapsed)
         again = scen.run(sc)
-        t1 = json.dumps(first.trace, sort_keys=True)
-        t2 = json.dumps(again.trace, sort_keys=True)
         m1 = json.dumps(first.report.rows(), sort_keys=True)
         m2 = json.dumps(again.report.rows(), sort_keys=True)
-        assert t1 == t2, f"{path}: traces differ between identical runs"
-        assert m1 == m2, f"{path}: metrics differ between identical runs"
         name = os.path.basename(path)[: -len(".yaml")]
         out = tmp_path / f"{name}.jsonl"
         scen.write_trace_jsonl(first.trace, out)
+        out_again = tmp_path / f"{name}.again.jsonl"
+        scen.write_trace_jsonl(again.trace, out_again)
+        assert out.read_bytes() == out_again.read_bytes(), (
+            f"{path}: traces differ between identical runs"
+        )
+        assert m1 == m2, f"{path}: metrics differ between identical runs"
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == PINNED_TRACE_SHA256[name], f"{path}: trace sha256 changed"
         csv_out = tmp_path / f"{name}.csv"

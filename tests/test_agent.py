@@ -1,6 +1,7 @@
 """NodeAgent dispatch tables and the executor -> origin report."""
 
 import ast
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -131,7 +132,7 @@ def test_digest_between_agents_in_sync_is_not_answered(sent):
     mark, first = len(sim.trace), len(sent)
     a.antientropy.send_digest(a.round_no)
     sim.run_until(20.25)
-    sends = [r for r in sim.trace[mark:] if r["type"] == "send"]
+    sends = [r for r in islice(sim.trace, mark, None) if r["type"] == "send"]
     digests = [r for r in sends if r["from"] == 1 and r["kind"] == wire.DIGEST]
     assert len(digests) == 1
     # It holds one hash per version map, not the maps.
@@ -140,7 +141,7 @@ def test_digest_between_agents_in_sync_is_not_answered(sent):
     assert sorted(body) == ["catalog", "registry", "view"]
     assert all(type(h) is str for h in body.values())
     assert any(r["type"] == "deliver" and r["msg_id"] == digests[0]["msg_id"]
-               for r in sim.trace[mark:])
+               for r in islice(sim.trace, mark, None))
     # Other nodes' rounds run at their own phases: their probes may fall in
     # the window, but no exchange in it carries records.
     assert not any(r["kind"] in (wire.DELTA, wire.HELLO_ACK) for r in sends)

@@ -161,9 +161,9 @@ def test_same_seed_same_trace_different_seed_differs():
         workload={"count": 5, "start": 1.0, "interval": 1.0, "origins": [1],
                   "typology": "generic", "work": 0.5},
     )
-    t1 = json.dumps(scen.run(sc, seed=5).trace, sort_keys=True)
-    t2 = json.dumps(scen.run(sc, seed=5).trace, sort_keys=True)
-    t3 = json.dumps(scen.run(sc, seed=6).trace, sort_keys=True)
+    t1 = list(scen.run(sc, seed=5).trace)
+    t2 = list(scen.run(sc, seed=5).trace)
+    t3 = list(scen.run(sc, seed=6).trace)
     assert t1 == t2
     assert t1 != t3
 
@@ -266,6 +266,14 @@ def test_malformed_items_and_settings_are_problems():
          ["node 1: battery: expected a number or MAINS, got True"]),
         ({"nodes": [dict(node, position={"x": True, "y": 0}), other]},
          ["node 1: position: expected [x, y] or {x: .., y: ..}, got {'x': True, 'y': 0}"]),
+        # A position is two numbers in a list, or exactly x and y: no other
+        # key, and no string, which would unpack into its characters.
+        ({"nodes": [dict(node, position={"x": 1, "y": 0, "z": 5}), other]},
+         ["node 1: position: expected [x, y] or {x: .., y: ..}, got {'x': 1, 'y': 0, 'z': 5}"]),
+        ({"nodes": [dict(node, position="12"), other]},
+         ["node 1: position: expected [x, y] or {x: .., y: ..}, got '12'"]),
+        ({"events": [{"type": "move", "node": 1, "at": 1.0, "to": "34"}]},
+         ["event move: needs `to` as [x, y] or {x: .., y: ..}"]),
         ({"net": {"loss_prob": True}},
          ["net: loss_prob: expected a number, got True"]),
         ({"scheduler": {"w_availability": True, "w_qos": False, "w_locality": 0}},

@@ -45,7 +45,8 @@ def two_node_sim(seed=1, **net):
 
 def test_empty_queue_empty_trace():
     s = Simulator(seed=0, net=NetModel())
-    assert s.run_until(10.0) == []
+    s.run_until(10.0)
+    assert len(s.trace) == 0
     assert s.now == 10.0
 
 

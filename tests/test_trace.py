@@ -14,7 +14,7 @@ import os
 import pytest
 
 from swarmsim import scenario as scen, wire
-from swarmsim.sim import Simulator
+from swarmsim.sim import Simulator, TraceLog
 
 SCENARIOS = sorted(glob.glob("scenarios/*.yaml"))
 
@@ -51,7 +51,7 @@ def test_send_records_carry_the_digest_and_size_of_the_sent_bytes(path, monkeypa
         if msg.kind == wire.OFFER:
             offers += 1
             assert set(rec) == SEND_KEYS | {"body"}
-            assert rec["body"] is msg.body
+            assert rec["body"] == msg.body
         else:
             assert set(rec) == SEND_KEYS, f"{msg.kind} send record keeps {set(rec) - SEND_KEYS}"
     # One encode per send, and the record's sizes add up to what was encoded.
@@ -84,11 +84,11 @@ def test_every_shipped_scenario_has_a_decision_pin():
 @pytest.mark.parametrize("path", SCENARIOS)
 def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
     result = scen.run(scen.load_scenario(path))
-    decisions = [
-        {k: v for k, v in rec.items() if k not in WIRE_BYTES_KEYS}
-        if rec["type"] == "send" else rec
-        for rec in result.trace
-    ]
+    decisions = TraceLog()
+    for rec in result.trace:
+        if rec["type"] == "send":
+            rec = {k: v for k, v in rec.items() if k not in WIRE_BYTES_KEYS}
+        decisions.append(rec)
     out = tmp_path / "decisions.jsonl"
     scen.write_trace_jsonl(decisions, out)
     name = os.path.basename(path)[: -len(".yaml")]

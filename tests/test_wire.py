@@ -10,6 +10,7 @@ from swarmsim.dataplane import Catalog, CatalogRecord, DataSourceDescriptor
 from swarmsim.membership import ALIVE, DEAD, LEFT, SUSPECT, MemberState, SwarmView
 from swarmsim.model import MAINS
 from swarmsim.registry import Registry, RegistryEntry
+from swarmsim.sim import TRACE_BLOCK_BYTES, TraceLog
 
 from conftest import make_profile, reference_map_hash
 
@@ -116,9 +117,48 @@ trace_values = st.one_of(values, st.frozensets(st.integers(), max_size=3))
 ))
 def test_trace_lines_with_cached_records_are_byte_identical(trace, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "trace.jsonl"
-    scen.write_trace_jsonl(trace, path)
+    log = TraceLog()
+    for rec in trace:
+        log.append(rec)
+    scen.write_trace_jsonl(log, path)
     expected = "".join(json.dumps(rec, sort_keys=True, default=str) + "\n" for rec in trace)
     assert path.read_text() == expected
+
+
+def _block_record(i: int) -> dict:
+    """A `send`, an OFFER `send` with its body, or a record holding a frozenset."""
+    if i % 3 == 0:
+        return {"t": i / 8, "type": "send", "from": i % 7, "to": i % 5, "msg_id": i,
+                "kind": wire.PING, "digest": f"{i:016x}", "bytes": 100 + i % 50}
+    if i % 3 == 1:
+        body = {"task": {"id": i, "origin": i % 7, "work": 0.5, "inputs": [[7, 1.5]]},
+                "attempt": 1 + i % 2, "submitted_at": i / 16,
+                "deltas": wire.RecordList([wire.ListRecord([i, 0, 1.0])])}
+        return {"t": i / 8, "type": "send", "from": i % 7, "to": i % 5, "msg_id": i,
+                "kind": wire.OFFER, "digest": f"{i:016x}", "bytes": 300, "body": body}
+    return {"t": i / 8, "type": "partition_start", "a": frozenset({i, i + 1}), "b": [i + 2]}
+
+
+def test_trace_log_across_blocks_writes_and_reads_back_every_line(tmp_path):
+    # Three full blocks and half of a fourth: more than the property above
+    # ever writes, which stays inside the open block.
+    recs, lines, size = [], [], 0
+    while size < 3.5 * TRACE_BLOCK_BYTES:
+        recs.append(_block_record(len(recs)))
+        lines.append(json.dumps(recs[-1], sort_keys=True, default=str) + "\n")
+        size += len(lines[-1])
+    log = TraceLog()
+    for rec in recs:
+        log.append(rec)
+    chunks = list(log.chunks())
+    assert len(chunks) == 4 and 0 < len(chunks[-1]) < TRACE_BLOCK_BYTES
+    path = tmp_path / "trace.jsonl"
+    scen.write_trace_jsonl(log, path)
+    assert path.read_text() == "".join(lines)
+    assert len(log) == len(recs)
+    decoded = [json.loads(line) for line in lines]
+    assert list(log) == decoded
+    assert list(log) == decoded  # a second pass reads the same
 
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
