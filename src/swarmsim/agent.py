@@ -34,6 +34,8 @@ PROBE_PERIOD = 1.0  # seconds between probe rounds
 BATTERY_TICK = 1.0  # seconds between battery drain steps
 OFFER_TIMEOUT = 0.25  # origin decision wait; < execution.RESERVATION_TTL
 RETRY_DELAY = 1.0  # backoff when no candidates exist
+TOP_K = 3  # candidates offered a task per placement attempt
+MAX_ATTEMPTS = 5  # placement attempts before a task fails for good
 
 
 @dataclass
@@ -235,7 +237,7 @@ class NodeAgent:
             return
         ot.attempts += 1
         attempt = ot.attempts
-        if attempt > self.scheduler.max_attempts:
+        if attempt > MAX_ATTEMPTS:
             ot.failed = True
             del self.open_tasks[task_id]
             self.record(
@@ -254,7 +256,7 @@ class NodeAgent:
             self.execution.admit(self.node, task.task_id, attempt)
             return
         scored, decision = self._score_candidates(task, deadline_remaining, exclude)
-        chosen = select_top_k(scored, self.scheduler.top_k)
+        chosen = select_top_k(scored, TOP_K)
         self.record(
             "sched_decision",
             task=task.task_id,
@@ -452,7 +454,7 @@ class NodeAgent:
         if ot is None:
             return
         # A run warns once (`TaskRun.qos_warned`), and an attempt has one run.
-        if ot.attempts >= self.scheduler.max_attempts:
+        if ot.attempts >= MAX_ATTEMPTS:
             return
         # Speculative parallel attempt on a different node; first DONE wins.
         self._place(task_id, exclude=frozenset({frm}))

@@ -71,17 +71,16 @@ def predict_completion(
     remote_inputs,
     base_latency: float = 0.0,
     latency_per_meter: float = 0.0,
-    min_capacity: float = MIN_CAPACITY_FRACTION,
 ) -> float:
     """Estimated seconds until the task would finish on the given node.
 
     remote_inputs: iterable of (size_mib, distance_m) pairs for every input
     whose nearest replica is not on the node itself; local inputs cost
     nothing. Execution time divides work by the node's residual capacity,
-    clamped at `min_capacity` for saturated nodes.
+    clamped at `MIN_CAPACITY_FRACTION` for saturated nodes.
     """
     capacity = profile.hw.cpu_perf_index * max(
-        min_capacity, 1.0 - profile.dyn.utilization
+        MIN_CAPACITY_FRACTION, 1.0 - profile.dyn.utilization
     )
     t_exec = task.work / capacity
     t_transfer = 0.0

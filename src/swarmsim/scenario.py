@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import yaml
 
@@ -78,7 +79,7 @@ class Scenario:
     tasks: list = field(default_factory=list)  # (at, TaskSpec)
     events: list = field(default_factory=list)  # raw event dicts
     partitions: list = field(default_factory=list)  # (a, b, start, end)
-    sample_period: float = 1.0
+    sample_period: ClassVar[float] = 1.0  # seconds between metrics samples
     parse_problems: list = field(default_factory=list)  # from parse_scenario
 
     def check(self) -> None:
@@ -103,15 +104,12 @@ class Scenario:
                 horizon = self.duration
             else:
                 problems.append("duration: must be positive and finite")
-        # An infinite period samples once, at the end.
-        if not 0 < self.sample_period < math.inf:
-            problems.append("sample_period: must be positive and finite")
         for spec in self.nodes:
             for issue in validate_profile(spec.profile()):
                 problems.append(f"node {spec.node}: {issue}")
-            if spec.drain_rate < 0:
-                problems.append(f"node {spec.node}: drain_rate must be >= 0")
-            if spec.start_time < 0 or spec.start_time >= horizon:
+            if not 0 <= spec.drain_rate < math.inf:
+                problems.append(f"node {spec.node}: drain_rate must be finite and >= 0")
+            if not 0 <= spec.start_time < horizon:
                 problems.append(f"node {spec.node}: start_time outside run window")
         owners = {}
         for desc in self.data_sources:
@@ -147,8 +145,12 @@ class Scenario:
                     f"{label}: unknown event type (expected one of "
                     f"{', '.join(_EVENT_TYPES)})"
                 )
-            elif ev["type"] == "move" and _move_target(ev.get("to")) is None:
-                problems.append(f"{label}: needs `to` as [x, y] or {{x: .., y: ..}}")
+            elif ev["type"] == "move":
+                to = _move_target(ev.get("to"))
+                if to is None:
+                    problems.append(f"{label}: needs `to` as [x, y] or {{x: .., y: ..}}")
+                elif not (math.isfinite(to.x) and math.isfinite(to.y)):
+                    problems.append(f"{label}: to: not finite")
             if ev["node"] not in known:
                 problems.append(f"{label}: unknown node {ev['node']}")
             if not 0 <= ev["at"] <= horizon:
@@ -158,6 +160,8 @@ class Scenario:
                 problems.append("partition: unknown node ids")
             if set(a) & set(b):
                 problems.append("partition: groups overlap")
+            if not 0 <= start <= horizon:
+                problems.append("partition: start outside run window")
             if not start < end:
                 problems.append("partition: start must precede end")
         return problems
@@ -513,7 +517,6 @@ def parse_scenario(raw: dict) -> Scenario:
         tasks=tasks,
         events=events,
         partitions=partitions,
-        sample_period=get("sample_period", _float, 1.0),
     )
     get.finish()
     scenario.parse_problems = list(dict.fromkeys(problems))

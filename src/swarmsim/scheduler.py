@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 from .model import Position, TaskSpec
 
+LOCALITY_SCALE = 100.0  # meters at which locality halves
+
 
 @dataclass(frozen=True)
 class SchedulerParams:
     w_availability: float = 0.4
     w_qos: float = 0.4
     w_locality: float = 0.2
-    top_k: int = 3
-    max_attempts: int = 5
-    locality_scale: float = 100.0  # meters at which locality halves
 
     def __post_init__(self):
         # The score is a convex sum of criteria in [0, 1], so each weight
@@ -34,17 +33,6 @@ class SchedulerParams:
         total = self.w_availability + self.w_qos + self.w_locality
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"score weights must sum to 1, got {total}")
-        for name in ("top_k", "max_attempts"):
-            value = getattr(self, name)
-            # A fraction would fault in the slice that takes the top k.
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        # Locality divides by the scale: 0 faults mid-run, and a negative,
-        # NaN or infinite scale turns the criterion meaningless.
-        if not 0 < self.locality_scale < math.inf:
-            raise ValueError(
-                f"locality_scale must be finite and > 0, got {self.locality_scale!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -65,7 +53,7 @@ def compute_score(
     """Weighted sum of the three criteria, each normalized into [0,1]."""
     qos = min(1.0, deadline_remaining / predicted_completion)
     qos = max(0.0, qos)
-    locality = 1.0 / (1.0 + distance_to_centroid / params.locality_scale)
+    locality = 1.0 / (1.0 + distance_to_centroid / LOCALITY_SCALE)
     availability = min(1.0, max(0.0, availability))
     total = (
         params.w_availability * availability

@@ -216,7 +216,7 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, data: dict = None) -> SimEvent:
-        if time < self.now:
+        if not time >= self.now:  # NaN too
             raise ValueError("cannot schedule into the past")
         ev = SimEvent(time=time, seq=self._seq, kind=kind, data=data or {})
         self._seq += 1

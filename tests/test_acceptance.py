@@ -216,7 +216,7 @@ def test_a4_scheduling_invariants(reference_runs):
             sc.scheduler.w_qos,
             sc.scheduler.w_locality,
         )
-        k = sc.scheduler.top_k
+        k = agent.TOP_K
 
         # Local-first: an attempt admitted locally must emit no OFFERs.
         local = {(r["task"], r["attempt"]) for r in trace if r["type"] == "local_admit"}

@@ -76,6 +76,10 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
          "nodes[0]: id: expected an integer, got True"),
         (dict(SMALL, nodes=[dict(SMALL["nodes"][0], cpu_perf_index=True)]),
          "node 1: cpu_perf_index: expected a number, got True"),
+        # Once `run` failed here with "cannot schedule into the past", which
+        # names no item.
+        (dict(SMALL, partitions=[{"a": [1], "b": [2], "start": -5.0, "end": 2.0}]),
+         "partition: start outside run window"),
     ):
         cfg = write_config(tmp_path, bad)
         assert main(["validate", cfg]) == 1
@@ -153,7 +157,7 @@ def test_compare_bad_variant_fails_before_any_run(tmp_path, capsys, monkeypatch)
     variants = tmp_path / "variants.yaml"
     for bad, problem in (
         ({"bogus": {"w_qos_": 3}}, "variant bogus: unknown field w_qos_"),
-        ({"w": {"top_k": "fast"}}, "variant w: top_k: expected a number"),
+        ({"w": {"w_locality": "fast"}}, "variant w: w_locality: expected a number"),
         ({"q": {"w_qos": 0.9}}, "variant q: score weights"),
         ({"b": {"w_qos": True}}, "variant b: w_qos: expected a number, got True"),
     ):
@@ -240,10 +244,6 @@ PARTITION_HEAL = Path(__file__).resolve().parents[1] / "scenarios" / "partition_
 # zero period re-arms its timer at the same instant forever), dies in the
 # simulator (a division by zero) or runs to a meaningless result.
 DEGENERATE = [
-    (None, "sample_period", 0, "sample_period: must be positive and finite"),
-    (None, "sample_period", -1, "sample_period: must be positive and finite"),
-    # An infinite period sampled once, at the end, so utilization read 0.
-    (None, "sample_period", float("inf"), "sample_period: must be positive and finite"),
     # The run samples up to its duration: an infinite one never returned, and
     # a NaN one passed whenever no task window caught it.
     (None, "duration", float("inf"), "duration: must be positive and finite"),
@@ -254,20 +254,13 @@ DEGENERATE = [
     ("net", "latency_per_meter", float("inf"),
      "net: latency_per_meter must be finite and >= 0, got inf"),
     ("net", "radio_range", float("nan"), "net: radio_range must be >= 0, got nan"),
-    # Locality divides by its scale: 0 died mid-run with ZeroDivisionError,
-    # and a negative, NaN or infinite scale ran silently.
-    ("scheduler", "locality_scale", 0,
-     "scheduler: locality_scale must be finite and > 0, got 0"),
-    ("scheduler", "locality_scale", -1,
-     "scheduler: locality_scale must be finite and > 0, got -1"),
-    ("scheduler", "locality_scale", float("nan"),
-     "scheduler: locality_scale must be finite and > 0, got nan"),
-    ("scheduler", "locality_scale", float("inf"),
-     "scheduler: locality_scale must be finite and > 0, got inf"),
     ("scheduler", "w_availability", -0.4,
      "scheduler: w_availability must be in [0, 1], got -0.4"),
     ("scheduler", "w_locality", 1.5, "scheduler: w_locality must be in [0, 1], got 1.5"),
-    ("scheduler", "top_k", 0, "scheduler: top_k must be an integer >= 1, got 0"),
+    # The sample period and top-k are constants now, not settings: a
+    # degenerate value cannot be set, and neither can a sound one.
+    (None, "sample_period", 2.0, "unknown field sample_period"),
+    ("scheduler", "top_k", 2, "scheduler: unknown field top_k"),
 ] + [
     # Protocol timing is fixed: each former `agent:` setting, even the
     # degenerate values once checked one by one, is now an unknown block.

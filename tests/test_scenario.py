@@ -1,10 +1,13 @@
+import copy
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmsim import scenario as scen
+from swarmsim import sim as simlib
 
 
 BASE = {
@@ -119,22 +122,26 @@ def test_generated_workload_is_deterministic_and_round_robin():
 
 
 def test_scheduler_override_replaces_weights():
-    sc = with_extras(scheduler={"top_k": 2})
-    assert sc.scheduler.top_k == 2 and not sc.validate()
+    sc = with_extras(scheduler={"w_availability": 0.2, "w_qos": 0.6})
+    weights = (sc.scheduler.w_availability, sc.scheduler.w_qos, sc.scheduler.w_locality)
+    assert weights == (0.2, 0.6, 0.2) and not sc.validate()
     problems = []
     params = scen.scheduler_params(
-        sc.scheduler, {"w_availability": 0.0, "w_qos": 0.5, "w_locality": 0.5},
-        "variant v", problems,
+        sc.scheduler, {"w_availability": 0.0, "w_qos": 0.8}, "variant v", problems,
     )
     assert problems == []
-    assert (params.w_availability, params.top_k) == (0.0, 2)
-    assert sc.scheduler.w_availability == 0.4  # original untouched
+    assert (params.w_availability, params.w_qos, params.w_locality) == (0.0, 0.8, 0.2)
+    assert sc.scheduler.w_availability == 0.2  # original untouched
     # A variant passes the checks a scenario's `scheduler:` block does;
     # protocol timing is no setting.
     for overrides, problem in (
         ({"w_qos_": 3}, "variant v: unknown field w_qos_"),
         ({"probe_period": 2.0}, "variant v: unknown field probe_period"),
-        ({"top_k": "three"}, "variant v: top_k: expected a number, got 'three'"),
+        ({"w_qos": "three"}, "variant v: w_qos: expected a number, got 'three'"),
+        # Top-k, attempts and the locality scale are constants.
+        ({"top_k": 2}, "variant v: unknown field top_k"),
+        ({"max_attempts": 2}, "variant v: unknown field max_attempts"),
+        ({"locality_scale": 50.0}, "variant v: unknown field locality_scale"),
         ({"w_qos": 0.9}, "variant v: score weights must sum to 1"),
         (5, "variant v: expected a mapping, got 5"),
     ):
@@ -205,8 +212,9 @@ def test_malformed_items_and_settings_are_problems():
         data_sources=[{"id": 7, "owner": 1, "size": -1.0, "replica": [2]}],
         net={"loss_prob": "high", "jitter": 0.1},
         agent={"probe_period": 2.0},
-        scheduler={"top_k": "three", "w_qos": 0.9},
+        scheduler={"w_availability": "three", "w_qos": 0.9},
         sampel_period=2.0,
+        sample_period=2.0,
     )
     assert sc.validate() == [
         "data source 7: unknown field replica",
@@ -228,10 +236,11 @@ def test_malformed_items_and_settings_are_problems():
         "node 1: unknown field os_tag",
         "node 1: unknown field runtimes",
         "node 1: unknown field cpu_perf_idx",
-        "scheduler: top_k: expected a number, got 'three'",
+        "scheduler: w_availability: expected a number, got 'three'",
         "scheduler: score weights must sum to 1, got 1.5",
         "unknown field agent",
         "unknown field sampel_period",
+        "unknown field sample_period",
     ]
     assert len(sc.tasks) == 3 and not sc.events and not sc.partitions
     assert with_extras(nodes=5).validate() == ["nodes: expected a list, got 5"]
@@ -274,6 +283,21 @@ def test_malformed_items_and_settings_are_problems():
          ["node 1: position: expected [x, y] or {x: .., y: ..}, got '12'"]),
         ({"events": [{"type": "move", "node": 1, "at": 1.0, "to": "34"}]},
          ["event move: needs `to` as [x, y] or {x: .., y: ..}"]),
+        # A number that is read, but NaN or infinite where no run can use
+        # it: NaN never drains, a NaN start never joins and freezes the
+        # event loop, a move cannot leave the plane.
+        ({"nodes": [dict(node, drain_rate=math.nan), other]},
+         ["node 1: drain_rate must be finite and >= 0"]),
+        ({"nodes": [dict(node, drain_rate=math.inf), other]},
+         ["node 1: drain_rate must be finite and >= 0"]),
+        ({"nodes": [dict(node, start_time=math.nan), other]},
+         ["node 1: start_time outside run window"]),
+        ({"events": [{"type": "move", "node": 1, "at": 1.0, "to": [math.nan, 0]}]},
+         ["event move: to: not finite"]),
+        ({"events": [{"type": "move", "node": 1, "at": 1.0, "to": {"x": 0, "y": -math.inf}}]},
+         ["event move: to: not finite"]),
+        ({"partitions": [{"a": [1], "b": [2], "start": -5.0, "end": 2.0}]},
+         ["partition: start outside run window"]),
         ({"net": {"loss_prob": True}},
          ["net: loss_prob: expected a number, got True"]),
         ({"scheduler": {"w_availability": True, "w_qos": False, "w_locality": 0}},
@@ -292,3 +316,56 @@ def test_malformed_items_and_settings_are_problems():
     assert sc.validate() == []
     assert (sc.nodes[0].node, sc.nodes[0].memory) == (1, 512)
     assert type(sc.nodes[0].node) is int and type(sc.tasks[0][1].task_id) is int
+
+
+# A 2-node scenario that uses every numeric field the intake schedules or
+# places by; the property below replaces a few of them at a time.
+INTAKE = dict(
+    BASE,
+    nodes=[
+        dict(BASE["nodes"][0], battery=0.8, drain_rate=0.01, start_time=0.0),
+        dict(BASE["nodes"][1], start_time=1.0),
+    ],
+    tasks=[{"id": 1, "origin": 1, "at": 2.0, "typology": "generic", "work": 1.0,
+            "deadline": 10.0}],
+    events=[{"type": "crash", "node": 2, "at": 10.0},
+            {"type": "move", "node": 1, "at": 5.0, "to": [20.0, 0.0]}],
+    partitions=[{"a": [1], "b": [2], "start": 3.0, "end": 6.0}],
+    net={"base_latency": 0.01, "latency_per_meter": 0.0001, "radio_range": 500.0,
+         "loss_prob": 0.0},
+)
+INTAKE_FIELDS = [
+    ("duration",),
+    ("nodes", 0, "start_time"), ("nodes", 1, "start_time"), ("nodes", 0, "drain_rate"),
+    ("nodes", 0, "battery"), ("nodes", 0, "cpu_perf_index"), ("nodes", 0, "utilization"),
+    ("nodes", 0, "position", 0), ("nodes", 1, "position", 1),
+    ("tasks", 0, "at"), ("tasks", 0, "work"), ("tasks", 0, "deadline"),
+    ("events", 0, "at"), ("events", 1, "at"), ("events", 1, "to", 0), ("events", 1, "to", 1),
+    ("partitions", 0, "start"), ("partitions", 0, "end"),
+    ("net", "base_latency"), ("net", "latency_per_meter"), ("net", "radio_range"),
+    ("net", "loss_prob"),
+]
+NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0]),
+    st.floats(min_value=0.0, max_value=40.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(INTAKE_FIELDS), NUMBERS), min_size=1, max_size=3))
+def test_a_scenario_that_validates_builds_into_a_runnable_queue(changes):
+    raw = copy.deepcopy(INTAKE)
+    for path, value in changes:
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    sc = scen.parse_scenario(raw)
+    if sc.validate():
+        return
+    sim, _, _ = scen.build(sc)
+    for time, _, ev in sim._queue:
+        # NaN fails this too; an infinite partition end may stay queued.
+        assert time >= 0, (time, ev.kind)
+        if ev.kind == simlib.EV_MOVE:
+            assert math.isfinite(ev.data["x"]) and math.isfinite(ev.data["y"]), ev.data

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -171,6 +172,18 @@ def test_cannot_schedule_into_past():
     s.run_until(5.0)
     with pytest.raises(ValueError):
         s.schedule(1.0, simlib.EV_TIMER, {"node": 1, "timer": "x", "data": {}})
+
+
+def test_nan_time_is_refused_and_an_infinite_one_never_fires():
+    # A NaN event would sit at the top of the heap and stop every run_until
+    # at once, since `nan <= t_end` is False.
+    s, agents = two_node_sim()
+    with pytest.raises(ValueError):
+        s.schedule(math.nan, simlib.EV_TIMER, {"node": 1, "timer": "x", "data": {}})
+    s.set_timer(1, math.inf, "never")  # a partition may end at .inf
+    s.set_timer(1, 2.0, "a")
+    s.run_until(5.0)
+    assert [e[1] for e in agents[1].log if e[0] == "timer"] == ["a"]
 
 
 def test_handler_errors_carry_the_event():
