@@ -10,6 +10,7 @@ import sys
 import yaml
 
 from . import scenario as scen
+from .sim import SimFault
 
 
 def _cmd_validate(args) -> int:
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError, SimFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 from .model import NodeProfile, TaskSpec, is_mains
 
+#: Weight of the newest sample in the load forecast's EWMA.
+EWMA_ALPHA = 0.3
 #: Residual-capacity clamp for saturated nodes (keeps T_exec finite).
 MIN_CAPACITY_FRACTION = 0.05
 
@@ -32,7 +34,6 @@ class SessionHistory:
 @dataclass(frozen=True)
 class LoadForecast:
     ewma_utilization: float = 0.0
-    alpha: float = 0.3  # weight of the newest sample; outside [0, 1] it diverges
 
 
 def churn_survival(history: SessionHistory, horizon: float) -> float:
@@ -94,8 +95,8 @@ def predict_completion(
 
 
 def forecast_load(current_utilization: float, state: LoadForecast) -> LoadForecast:
-    """One EWMA step: ewma' = alpha * current + (1 - alpha) * ewma."""
+    """One EWMA step: ewma' = EWMA_ALPHA * current + (1 - EWMA_ALPHA) * ewma."""
     if not (0.0 <= current_utilization <= 1.0):
         raise ValueError("utilization must be in [0,1]")
-    new = state.alpha * current_utilization + (1.0 - state.alpha) * state.ewma_utilization
+    new = EWMA_ALPHA * current_utilization + (1.0 - EWMA_ALPHA) * state.ewma_utilization
     return replace(state, ewma_utilization=new)

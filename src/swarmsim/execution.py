@@ -199,8 +199,14 @@ class Execution:
     def on_completion(self, generation: int) -> None:
         if generation != self.engine.generation:
             return  # stale: the run set changed since this was scheduled
-        self.engine.integrate(self.sim.now)
+        now = self.sim.now
+        self.engine.integrate(now)
         self._process_finished()
+        # A run due at `now` finishes here: a completion timer at `now` would
+        # integrate over no time, and be re-armed at `now` forever.
+        while (nxt := self.engine.next_finish(now)) is not None and nxt[0] <= now:
+            self.engine.finish_first()
+            self._process_finished()
         self._schedule_completion()
 
     def _process_finished(self) -> None:

@@ -87,13 +87,16 @@ class ExecutorEngine:
         if dt > 0:
             running = self.running_runs()
             if running:
-                rate = self.perf / len(running)
-                for run in running:
-                    step = min(run.remaining_work, rate * dt)
-                    run.remaining_work -= step
-                    run.progressed += step
+                _progress(running, self.perf / len(running) * dt)
         self.last_time = now
         self.generation += 1
+
+    def finish_first(self) -> None:
+        """Advance every Running task by the work the first to finish has
+        left, without moving the clock: for a finish nearer to now than the
+        float resolution of now, which `integrate` cannot reach."""
+        running = self.running_runs()
+        _progress(running, min(r.remaining_work for r in running))
 
     def finished_runs(self) -> list:
         return [r for r in self.running_runs() if r.remaining_work <= FINISH_EPS]
@@ -112,3 +115,11 @@ class ExecutorEngine:
         running = self.running_runs()
         rate = self.perf / max(1, len(running))
         return now + run.remaining_work / rate
+
+
+def _progress(running: list, work: float) -> None:
+    """Each run does `work` more, or what it has left."""
+    for run in running:
+        step = min(run.remaining_work, work)
+        run.remaining_work -= step
+        run.progressed += step

@@ -176,10 +176,14 @@ def validate_profile(profile: NodeProfile) -> list:
     hw = profile.hw
     if not (hw.cpu_perf_index > 0):
         violations.append("hw.cpu_perf_index not positive")
+    elif hw.cpu_perf_index == math.inf:
+        violations.append("hw.cpu_perf_index not finite")
     if not (hw.memory > 0):
         violations.append("hw.memory not positive")
     if not (hw.link_bandwidth > 0):
         violations.append("hw.link_bandwidth not positive")
+    elif hw.link_bandwidth == math.inf:
+        violations.append("hw.link_bandwidth not finite")
 
     dyn = profile.dyn
     if not (0.0 <= dyn.utilization <= 1.0):
@@ -201,6 +205,8 @@ def validate_task(task: TaskSpec) -> list:
     violations: list = []
     if not (task.work > 0):
         violations.append("work not positive")
+    elif task.work == math.inf:
+        violations.append("work not finite")
     if task.memory_demand < 0:
         violations.append("memory_demand negative")
     if not task.typology:

@@ -536,12 +536,8 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(raw)
 
 
-_EVENT_KINDS = {
-    "join": simlib.EV_JOIN,
-    "leave": simlib.EV_LEAVE,
-    "crash": simlib.EV_CRASH,
-}
-_EVENT_TYPES = (*_EVENT_KINDS, "move")
+# Each event type names the `Simulator` method that applies it.
+_EVENT_TYPES = ("join", "leave", "crash", "move")
 
 
 def build(scenario: Scenario, seed: int = None):
@@ -567,25 +563,12 @@ def build(scenario: Scenario, seed: int = None):
         )
         sim.register_agent(spec.node, agent)
         agents[spec.node] = agent
-        sim.schedule(spec.start_time, simlib.EV_JOIN, {"node": spec.node})
+        sim.schedule(spec.start_time, sim.join, spec.node)
     for at, task in scenario.tasks:
-        sim.schedule(
-            at,
-            simlib.EV_TIMER,
-            {
-                "node": task.origin_node,
-                "timer": "task_arrival",
-                "data": {"task": task},
-            },
-        )
+        sim.schedule(at, sim.fire_timer, task.origin_node, "task_arrival", {"task": task})
     for ev in scenario.events:
-        if ev["type"] == "move":
-            to = _position(ev["to"])
-            sim.schedule(
-                ev["at"], simlib.EV_MOVE, {"node": ev["node"], "x": to.x, "y": to.y}
-            )
-        else:
-            sim.schedule(ev["at"], _EVENT_KINDS[ev["type"]], {"node": ev["node"]})
+        args = (_position(ev["to"]),) if ev["type"] == "move" else ()
+        sim.schedule(ev["at"], getattr(sim, ev["type"]), ev["node"], *args)
     for a, b, start, end in scenario.partitions:
         sim.inject_partition(a, b, start, end)
     return sim, agents, collector

@@ -5,6 +5,15 @@ agents are written as pure event handlers, so two runs with the same seed and
 scenario produce identical traces. Virtual time only; nothing here reads a
 wall clock.
 
+An event is a `(time, seq, action, args)` tuple on a heap, as in the
+stdlib `sched`: `schedule(time, action, *args)` queues one, and `run_until`
+calls `action(*args)` at its time. `seq` counts schedules, so events at one
+instant fire in the order they were scheduled. The actions are `Simulator`
+methods: `join`, `leave`, `crash`, `move`, a partition edge, `fire_timer`
+(to the agent's `on_timer`) and `_deliver` (to its `on_message`). Each looks
+the agent up when it fires. An action that raises becomes a `SimFault`
+naming the time and the action.
+
 Message transport is a disk model: a send is dropped when the receiver is out
 of radio range, an active partition window separates the pair, or the
 per-sender loss draw fires. Otherwise delivery happens after an affine
@@ -34,21 +43,10 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
 from .model import NodeId, Position, distance
-
-# Event kinds.
-EV_MESSAGE = "message"
-EV_JOIN = "join"
-EV_LEAVE = "leave"
-EV_CRASH = "crash"
-EV_TIMER = "timer"
-EV_PARTITION_START = "partition_start"
-EV_PARTITION_END = "partition_end"
-EV_MOVE = "move"
-
 
 @dataclass(frozen=True)
 class NetModel:
@@ -143,20 +141,13 @@ class PartitionWindow:
         )
 
 
-@dataclass
-class SimEvent:
-    time: float
-    seq: int
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
 class SimFault(Exception):
-    """An agent handler raised; the offending event is attached."""
+    """An event's action raised; `event` is its (time, action name)."""
 
-    def __init__(self, event: SimEvent, cause: BaseException):
-        super().__init__(f"handler fault at t={event.time} on {event.kind}: {cause!r}")
-        self.event = event
+    def __init__(self, time: float, action, cause: BaseException):
+        name = action.__name__
+        super().__init__(f"handler fault at t={time} on {name}: {cause!r}")
+        self.event = (time, name)
         self.cause = cause
 
 
@@ -215,17 +206,16 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, time: float, kind: str, data: dict = None) -> SimEvent:
+    def schedule(self, time: float, action, *args) -> None:
+        """Call `action(*args)` at `time`, after every event already queued
+        for that instant."""
         if not time >= self.now:  # NaN too
             raise ValueError("cannot schedule into the past")
-        ev = SimEvent(time=time, seq=self._seq, kind=kind, data=data or {})
+        heapq.heappush(self._queue, (time, self._seq, action, args))
         self._seq += 1
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
-        return ev
 
-    def set_timer(self, node: NodeId, delay: float, timer_kind: str, data: dict = None):
-        payload = {"node": node, "timer": timer_kind, "data": data or {}}
-        return self.schedule(self.now + delay, EV_TIMER, payload)
+    def set_timer(self, node: NodeId, delay: float, timer_kind: str, data: dict = None) -> None:
+        self.schedule(self.now + delay, self.fire_timer, node, timer_kind, data or {})
 
     # -- partitions ---------------------------------------------------------
 
@@ -236,8 +226,8 @@ class Simulator:
         if not start < end:
             raise ValueError("partition start must precede end")
         self.partitions.append(PartitionWindow(ga, gb, start, end))
-        self.schedule(start, EV_PARTITION_START, {"a": sorted(ga), "b": sorted(gb)})
-        self.schedule(end, EV_PARTITION_END, {"a": sorted(ga), "b": sorted(gb)})
+        self.schedule(start, self._partition_edge, "partition_start", sorted(ga), sorted(gb))
+        self.schedule(end, self._partition_edge, "partition_end", sorted(ga), sorted(gb))
 
     def partitioned(self, a: NodeId, b: NodeId, t: float = None) -> bool:
         t = self.now if t is None else t
@@ -299,102 +289,78 @@ class Simulator:
             return "dropped"
         dist = distance(self.position_of(frm), self.position_of(to))
         delivery = self.now + self.net.latency(dist)
-        self.schedule(
-            delivery,
-            EV_MESSAGE,
-            {"from": frm, "to": to, "msg_id": msg_id, "msg": msg},
-        )
+        self.schedule(delivery, self._deliver, frm, to, msg_id, msg)
         return "scheduled"
-
-    # -- node lifecycle -----------------------------------------------------
-
-    def crash_node(self, node: NodeId) -> None:
-        """Schedule an immediate crash (battery depletion path)."""
-        self.schedule(self.now, EV_CRASH, {"node": node})
 
     # -- main loop ----------------------------------------------------------
 
     def run_until(self, t_end: float) -> None:
         """Process all events with time <= t_end."""
-        while self._queue and self._queue[0][0] <= t_end:
-            _, _, ev = heapq.heappop(self._queue)
-            self.now = ev.time
+        queue = self._queue
+        while queue and queue[0][0] <= t_end:
+            time, _, action, args = heapq.heappop(queue)
+            self.now = time
             try:
-                self._dispatch(ev)
+                action(*args)
             except SimFault:
                 raise
             except Exception as exc:  # attach the offending event
-                raise SimFault(ev, exc) from exc
+                raise SimFault(time, action, exc) from exc
         self.now = max(self.now, t_end)
 
-    def _dispatch(self, ev: SimEvent) -> None:
-        kind = ev.kind
-        if kind == EV_MESSAGE:
-            self._deliver(ev)
-        elif kind == EV_TIMER:
-            node = ev.data["node"]
-            if self.node_up(node):
-                self.agents[node].on_timer(ev.data["timer"], ev.data["data"])
-        elif kind == EV_JOIN:
-            node = ev.data["node"]
-            rec = self.nodes[node]
-            if rec.up:
-                return
-            rec.up = True
-            self.record({"t": ev.time, "type": "join", "node": node})
-            self.agents[node].on_start()
-        elif kind == EV_LEAVE:
-            node = ev.data["node"]
-            rec = self.nodes[node]
-            if not rec.up:
-                return
-            self.record({"t": ev.time, "type": "leave", "node": node})
-            self.agents[node].on_leave()
-            rec.up = False
-        elif kind == EV_CRASH:
-            node = ev.data["node"]
-            rec = self.nodes[node]
-            if not rec.up:
-                return
-            rec.up = False
-            self.record({"t": ev.time, "type": "crash", "node": node})
-            self.agents[node].on_crash()
-        elif kind == EV_PARTITION_START:
-            self.record(
-                {"t": ev.time, "type": "partition_start", "a": ev.data["a"], "b": ev.data["b"]}
-            )
-        elif kind == EV_PARTITION_END:
-            self.record(
-                {"t": ev.time, "type": "partition_end", "a": ev.data["a"], "b": ev.data["b"]}
-            )
-        elif kind == EV_MOVE:
-            node = ev.data["node"]
-            pos = Position(ev.data["x"], ev.data["y"])
-            self.nodes[node].position = pos
-            self.record({"t": ev.time, "type": "move", "node": node, "x": pos.x, "y": pos.y})
-            if self.node_up(node):
-                self.agents[node].on_move(pos)
-        else:
-            raise ValueError(f"unknown event kind {kind}")
+    # -- event actions: each runs at `self.now`, the time it was queued for --
 
-    def _deliver(self, ev: SimEvent) -> None:
-        to = ev.data["to"]
-        msg_id = ev.data["msg_id"]
-        if not self.node_up(to):
-            self.record({"t": ev.time, "type": "drop", "msg_id": msg_id, "reason": "down"})
+    def join(self, node: NodeId) -> None:
+        rec = self.nodes[node]
+        if rec.up:
             return
-        msg = ev.data["msg"]
+        rec.up = True
+        self.record({"t": self.now, "type": "join", "node": node})
+        self.agents[node].on_start()
+
+    def leave(self, node: NodeId) -> None:
+        rec = self.nodes[node]
+        if not rec.up:
+            return
+        self.record({"t": self.now, "type": "leave", "node": node})
+        self.agents[node].on_leave()
+        rec.up = False
+
+    def crash(self, node: NodeId) -> None:
+        rec = self.nodes[node]
+        if not rec.up:
+            return
+        rec.up = False
+        self.record({"t": self.now, "type": "crash", "node": node})
+        self.agents[node].on_crash()
+
+    def crash_node(self, node: NodeId) -> None:
+        """Schedule an immediate crash (battery depletion path)."""
+        self.schedule(self.now, self.crash, node)
+
+    def move(self, node: NodeId, pos: Position) -> None:
+        self.nodes[node].position = pos
+        self.record({"t": self.now, "type": "move", "node": node, "x": pos.x, "y": pos.y})
+        if self.node_up(node):
+            self.agents[node].on_move(pos)
+
+    def _partition_edge(self, edge: str, a: list, b: list) -> None:
+        self.record({"t": self.now, "type": edge, "a": a, "b": b})
+
+    def fire_timer(self, node: NodeId, kind: str, data: dict) -> None:
+        # The handler is looked up now, not when the timer was set.
+        if self.node_up(node):
+            self.agents[node].on_timer(kind, data)
+
+    def _deliver(self, frm: NodeId, to: NodeId, msg_id: int, msg: wire.Message) -> None:
+        if not self.node_up(to):
+            self.record({"t": self.now, "type": "drop", "msg_id": msg_id, "reason": "down"})
+            return
         self.record(
-            {
-                "t": ev.time,
-                "type": "deliver",
-                "from": ev.data["from"],
-                "to": to,
-                "msg_id": msg_id,
-                "kind": msg.kind,
-            }
+            {"t": self.now, "type": "deliver", "from": frm, "to": to, "msg_id": msg_id,
+             "kind": msg.kind}
         )
-        self.agents[to].on_message(ev.data["from"], msg)
+        self.agents[to].on_message(frm, msg)
 
 
 def battery_step(battery: float, drain_rate: float, dt: float) -> float:

@@ -25,6 +25,7 @@ import pytest
 
 from swarmsim import agent, gossip, membership, scenario as scen
 from swarmsim.cognition import (
+    EWMA_ALPHA,
     LoadForecast,
     SessionHistory,
     churn_survival,
@@ -472,8 +473,8 @@ def test_a9_cognition_oracles():
         assert abs(got - expected) <= 1e-9
 
     # EWMA geometric-decay bound.
-    target, alpha = 0.9, 0.3
-    state = LoadForecast(ewma_utilization=0.1, alpha=alpha)
+    target, alpha = 0.9, EWMA_ALPHA
+    state = LoadForecast(ewma_utilization=0.1)
     steps = math.ceil(math.log(1e-6 / abs(target - 0.1)) / math.log(1 - alpha))
     for _ in range(steps):
         state = forecast_load(target, state)

@@ -367,3 +367,22 @@ def test_a_change_of_the_run_set_republishes_the_profile():
     state = bumped(state)
     executor_agent.antientropy.publish_profile()
     assert published() == state
+
+
+def test_a_run_due_at_now_finishes_in_its_completion_handler():
+    """At 1e17 work/s, work 0.5 takes 5e-18 s, below the float resolution of
+    t=2.5: the run is due at `now` itself. A completion timer re-armed at
+    `now` would integrate over no time and fire again forever."""
+    fast = dict(PAIR["nodes"][1], cpu_perf_index=1.0e17)
+    sim, agents, _ = scen.build(scen.parse_scenario(dict(PAIR, nodes=[PAIR["nodes"][0], fast],
+                                                         tasks=[])))
+    sim.run_until(2.5)
+    execution = agents[2].execution
+    execution.reserve(make_task(task_id=7, work=0.5), 1, sim.now, origin=1)
+    run = execution.engine.runs[7]
+    run.transition(executor.RUNNING)
+    assert execution.engine.next_finish(sim.now) == (sim.now, 7)
+    execution.on_completion(execution.engine.generation)
+    assert run.state == executor.DONE and 7 not in execution.engine.runs
+    assert run.progressed == 0.5
+    assert [r["task"] for r in sim.trace if r["type"] == "run_done"] == [7]

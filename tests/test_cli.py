@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from swarmsim import scenario as scen
+from swarmsim import agent, scenario as scen
 from swarmsim.cli import main
 
 SMALL = {
@@ -80,6 +80,11 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
         # names no item.
         (dict(SMALL, partitions=[{"a": [1], "b": [2], "start": -5.0, "end": 2.0}]),
          "partition: start outside run window"),
+        # Once `run` never returned here: the task's finish rounded to its
+        # start, and its completion timer was re-armed at that instant.
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], cpu_perf_index=float("inf")),
+                            SMALL["nodes"][1]]),
+         "node 1: hw.cpu_perf_index not finite"),
     ):
         cfg = write_config(tmp_path, bad)
         assert main(["validate", cfg]) == 1
@@ -107,6 +112,33 @@ def test_run_writes_trace_and_metrics(tmp_path, capsys):
     assert rows["tasks_submitted"] == "1"
     assert rows["tasks_done"] == "1"
     assert "tasks_done: 1" in capsys.readouterr().out
+
+
+def test_a_task_due_at_its_start_instant_runs_to_its_end(tmp_path, capsys):
+    # At 1e17 work/s the task's 0.5 work takes less than the float resolution
+    # of t=2.5; `run` used to re-arm its completion timer at t=2.5 forever.
+    fast = dict(SMALL["nodes"][0], cpu_perf_index=1.0e17)
+    raw = dict(SMALL, nodes=[fast, SMALL["nodes"][1]], tasks=[dict(SMALL["tasks"][0], at=2.5)])
+    cfg = write_config(tmp_path, raw)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "tasks_done: 1\n" in capsys.readouterr().out
+
+
+def test_a_handler_fault_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    def boom(a, data):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(agent._TIMER_HANDLERS, "task_arrival", boom)
+    cfg = write_config(tmp_path)
+    variants = tmp_path / "variants.yaml"
+    variants.write_text(yaml.safe_dump({"base": {}}))
+    for argv in (["run", cfg, "--out", str(tmp_path / "out")],
+                 ["compare", cfg, "--variants", str(variants)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: handler fault at t=2.0 on fire_timer: RuntimeError('boom')\n"
+        )
 
 
 def test_run_seed_override_changes_output(tmp_path):

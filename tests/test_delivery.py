@@ -79,14 +79,13 @@ def test_delivered_messages_and_adopted_records_match_decoding(path, monkeypatch
         encoded[self._msg_seq] = wire.encode(msg)
         return send(self, frm, to, msg)
 
-    def checked_deliver(self, ev):
-        data = encoded.pop(ev.data["msg_id"])
-        msg = ev.data["msg"]
+    def checked_deliver(self, frm, to, msg_id, msg):
+        data = encoded.pop(msg_id)
         reference = wire.decode(data)
         assert msg.kind == reference.kind
         assert_decoded_form(msg.body, reference.body, f"{msg.kind}.body")
         assert_decoded_form(msg.deltas, reference.deltas, f"{msg.kind}.deltas")
-        deliver(self, ev)
+        deliver(self, frm, to, msg_id, msg)
         # Nobody wrote to the message while handling it.
         assert wire.encode(msg) == data, f"{msg.kind} changed by its receiver"
         assert_decoded_form(msg.body, reference.body, f"{msg.kind}.body")

@@ -116,3 +116,18 @@ def test_projected_finish_uses_current_share():
     eng.runs[2] = run_of(2, 4.0)
     # two runners share perf 2 -> rate 1 each -> 4 seconds from now
     assert eng.projected_finish(eng.runs[1], 10.0) == pytest.approx(14.0)
+
+
+def test_finish_first_completes_the_run_due_at_now_at_the_fair_share():
+    # Share 5e16 each: 0.5 work is due within the resolution of t=2.5,
+    # 1000 work is not; both progress by 0.5.
+    eng = ExecutorEngine(1.0e17)
+    eng.integrate(2.5)
+    eng.runs[1] = run_of(1, 0.5)
+    eng.runs[2] = run_of(2, 1000.0)
+    assert eng.next_finish(2.5) == (2.5, 1)
+    eng.finish_first()
+    assert eng.finished_runs() == [eng.runs[1]]
+    assert (eng.runs[1].progressed, eng.runs[2].remaining_work) == (0.5, 999.5)
+    eng.runs[1].transition(executor.DONE)
+    assert eng.next_finish(2.5)[0] > 2.5

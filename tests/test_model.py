@@ -28,6 +28,10 @@ def test_profile_violations_are_collected_not_raised():
     assert "hw.cpu_perf_index not positive" in issues
     assert "dyn.utilization out of [0,1]" in issues
     assert "dyn.battery out of [0,1]" in issues
+    infinite = make_profile(perf=math.inf, bandwidth=math.inf)
+    assert validate_profile(infinite) == [
+        "hw.cpu_perf_index not finite", "hw.link_bandwidth not finite"
+    ]
 
 
 def test_mains_battery_is_always_valid():
@@ -43,6 +47,7 @@ def test_validate_task():
     assert "work not positive" in issues
     assert "deadline not positive" in issues
     assert "typology empty" in issues
+    assert validate_task(make_task(work=math.inf)) == ["work not finite"]
     with_bad_input = make_task(inputs=[DataInput(source=1, size=0.0)])
     assert "input_data size not positive" in validate_task(with_bad_input)
 

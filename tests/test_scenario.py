@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim import scenario as scen
-from swarmsim import sim as simlib
 
 
 BASE = {
@@ -298,6 +297,11 @@ def test_malformed_items_and_settings_are_problems():
          ["event move: to: not finite"]),
         ({"partitions": [{"a": [1], "b": [2], "start": -5.0, "end": 2.0}]},
          ["partition: start outside run window"]),
+        # An infinite speed finishes a run in no time, which once re-armed
+        # its completion timer at one instant forever.
+        ({"nodes": [dict(node, cpu_perf_index=math.inf, link_bandwidth=math.inf), other]},
+         ["node 1: hw.cpu_perf_index not finite", "node 1: hw.link_bandwidth not finite"]),
+        ({"tasks": [dict(task, work=math.inf)]}, ["task 1: work not finite"]),
         ({"net": {"loss_prob": True}},
          ["net: loss_prob: expected a number, got True"]),
         ({"scheduler": {"w_availability": True, "w_qos": False, "w_locality": 0}},
@@ -343,29 +347,53 @@ INTAKE_FIELDS = [
     ("events", 0, "at"), ("events", 1, "at"), ("events", 1, "to", 0), ("events", 1, "to", 1),
     ("partitions", 0, "start"), ("partitions", 0, "end"),
     ("net", "base_latency"), ("net", "latency_per_meter"), ("net", "radio_range"),
-    ("net", "loss_prob"),
+    ("net", "loss_prob"), ("nodes", 0, "link_bandwidth"),
 ]
 NUMBERS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0, 1e17, 5e-324]),
     st.floats(min_value=0.0, max_value=40.0),
 )
+INTAKE_CHANGES = st.lists(st.tuples(st.sampled_from(INTAKE_FIELDS), NUMBERS),
+                          min_size=1, max_size=3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(INTAKE_FIELDS), NUMBERS), min_size=1, max_size=3))
-def test_a_scenario_that_validates_builds_into_a_runnable_queue(changes):
+def intake_with(changes) -> scen.Scenario:
     raw = copy.deepcopy(INTAKE)
     for path, value in changes:
         target = raw
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-    sc = scen.parse_scenario(raw)
+    return scen.parse_scenario(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INTAKE_CHANGES)
+def test_a_scenario_that_validates_builds_into_a_runnable_queue(changes):
+    sc = intake_with(changes)
     if sc.validate():
         return
     sim, _, _ = scen.build(sc)
-    for time, _, ev in sim._queue:
+    for time, _, action, args in sim._queue:
         # NaN fails this too; an infinite partition end may stay queued.
-        assert time >= 0, (time, ev.kind)
-        if ev.kind == simlib.EV_MOVE:
-            assert math.isfinite(ev.data["x"]) and math.isfinite(ev.data["y"]), ev.data
+        assert time >= 0, (time, action.__name__)
+        if action == sim.move:
+            to = args[1]
+            assert math.isfinite(to.x) and math.isfinite(to.y), args
+
+
+# Simulated seconds each drawn scenario runs: past the task's arrival at
+# t=2 and its 1 s of work, not to a drawn duration of up to 1e17 s.
+RUN_HORIZON = 6.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(INTAKE_CHANGES)
+def test_a_scenario_that_validates_runs_and_accounts_for_its_tasks(changes):
+    sc = intake_with(changes)
+    if sc.validate():
+        return
+    sim, _, collector = scen.build(sc)
+    sim.run_until(min(sc.duration, RUN_HORIZON))
+    report = collector.report()
+    assert report.balance_holds() and report.tasks_in_flight >= 0, report

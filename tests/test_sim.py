@@ -40,7 +40,7 @@ def two_node_sim(seed=1, **net):
         s.add_node(node, pos)
         agents[node] = Recorder(s, node)
         s.register_agent(node, agents[node])
-        s.schedule(0.0, simlib.EV_JOIN, {"node": node})
+        s.schedule(0.0, s.join, node)
     return s, agents
 
 
@@ -59,6 +59,27 @@ def test_events_fire_in_time_then_insertion_order():
     s.run_until(10.0)
     timers = [e for e in agents[1].log if e[0] == "timer"]
     assert [t[1] for t in timers] == ["a", "b", "c"]
+
+
+def test_events_of_every_kind_at_one_instant_fire_in_schedule_order():
+    s = Simulator(seed=0, net=NetModel(base_latency=1.0, latency_per_meter=0.0))
+    agents = {}
+    for node in (1, 2, 3):
+        s.add_node(node, Position(0, 0))
+        agents[node] = Recorder(s, node)
+        s.register_agent(node, agents[node])
+    s.schedule(0.0, s.join, 1)
+    s.schedule(0.0, s.join, 2)
+    s.run_until(0.0)
+    s.set_timer(2, 1.0, "before")
+    s.send(1, 2, wire.Message(wire.PING, {}))  # delivered at t=1.0
+    s.schedule(1.0, s.join, 3)
+    s.set_timer(2, 1.0, "after")
+    order = []
+    s.listeners.append(lambda rec: order.append(rec["type"]))
+    agents[2].on_timer = lambda kind, data: order.append(kind)
+    s.run_until(1.0)
+    assert order == ["before", "deliver", "join", "after"]
 
 
 def test_latency_is_base_plus_distance_term():
@@ -82,7 +103,7 @@ def test_delivery_to_down_node_dropped():
     s, _ = two_node_sim()
     s.run_until(0.0)
     s.send(1, 2, wire.Message(wire.PING, {}))
-    s.schedule(s.now, simlib.EV_CRASH, {"node": 2})
+    s.schedule(s.now, s.crash, 2)
     s.run_until(1.0)
     drops = [r for r in s.trace if r["type"] == "drop"]
     assert [d["reason"] for d in drops] == ["down"]
@@ -125,7 +146,7 @@ def test_discover_respects_range_graph():
     for node, x in ((1, 0.0), (2, 60.0), (3, 120.0)):
         s.add_node(node, Position(x, 0))
         s.register_agent(node, Recorder(s, node))
-        s.schedule(0.0, simlib.EV_JOIN, {"node": node})
+        s.schedule(0.0, s.join, node)
     s.run_until(0.0)
     assert s.discover(1) == [2]
     assert s.discover(2) == [1, 3]
@@ -136,10 +157,10 @@ def test_discover_isolated_node_empty():
     s = Simulator(seed=0, net=NetModel(radio_range=10.0))
     s.add_node(1, Position(0, 0))
     s.register_agent(1, Recorder(s, 1))
-    s.schedule(0.0, simlib.EV_JOIN, {"node": 1})
+    s.schedule(0.0, s.join, 1)
     s.add_node(2, Position(1000, 0))
     s.register_agent(2, Recorder(s, 2))
-    s.schedule(0.0, simlib.EV_JOIN, {"node": 2})
+    s.schedule(0.0, s.join, 2)
     s.run_until(0.0)
     assert s.discover(1) == []
 
@@ -171,7 +192,7 @@ def test_cannot_schedule_into_past():
     s, _ = two_node_sim()
     s.run_until(5.0)
     with pytest.raises(ValueError):
-        s.schedule(1.0, simlib.EV_TIMER, {"node": 1, "timer": "x", "data": {}})
+        s.schedule(1.0, s.fire_timer, 1, "x", {})
 
 
 def test_nan_time_is_refused_and_an_infinite_one_never_fires():
@@ -179,7 +200,7 @@ def test_nan_time_is_refused_and_an_infinite_one_never_fires():
     # at once, since `nan <= t_end` is False.
     s, agents = two_node_sim()
     with pytest.raises(ValueError):
-        s.schedule(math.nan, simlib.EV_TIMER, {"node": 1, "timer": "x", "data": {}})
+        s.schedule(math.nan, s.fire_timer, 1, "x", {})
     s.set_timer(1, math.inf, "never")  # a partition may end at .inf
     s.set_timer(1, 2.0, "a")
     s.run_until(5.0)
@@ -194,8 +215,10 @@ def test_handler_errors_carry_the_event():
     s = Simulator(seed=0, net=NetModel())
     s.add_node(1, Position(0, 0))
     s.register_agent(1, Exploder(s, 1))
-    s.schedule(0.0, simlib.EV_JOIN, {"node": 1})
+    s.schedule(0.0, s.join, 1)
     s.set_timer(1, 1.0, "x")
     with pytest.raises(simlib.SimFault) as exc:
         s.run_until(2.0)
-    assert exc.value.event.kind == simlib.EV_TIMER
+    assert exc.value.event == (1.0, "fire_timer")
+    assert str(exc.value).startswith("handler fault at t=1.0 on fire_timer: ")
+    assert isinstance(exc.value.cause, RuntimeError)
