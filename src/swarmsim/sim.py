@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from . import wire
 from .model import NodeId, Position, distance
 
+
 @dataclass(frozen=True)
 class NetModel:
     base_latency: float = 0.01  # seconds
@@ -348,7 +349,8 @@ class Simulator:
         self.record({"t": self.now, "type": edge, "a": a, "b": b})
 
     def fire_timer(self, node: NodeId, kind: str, data: dict) -> None:
-        # The handler is looked up now, not when the timer was set.
+        # Looked up now, not when set: a handler patched on the agent's
+        # class in between still runs.
         if self.node_up(node):
             self.agents[node].on_timer(kind, data)
 
