@@ -6,10 +6,17 @@ refutation); HELLO/HELLO-ACK discovery on start and periodic re-discovery
 to heal partitions and merge swarms, each to at most JOIN_FANOUT peers drawn
 from a per-life random stream; LEAVE; GC of Dead and Left records; and the
 swarm id, the minimum Alive id.
+
+Tombstone GC is a timer facility in the sense of Varghese & Lauck (SOSP
+1987): each life keeps its tombstones' collection times in a heap, cheap
+per-record state, and queues one `member_gc` timer, at the earliest of them.
+A record replaced before its time leaves its entry stale, to be skipped when
+it reaches the head.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, insort
 from dataclasses import replace
 
@@ -50,6 +57,9 @@ class Gossip:
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{agent.epoch}")
         self.last_swarm_id = self.node
+        self._gc_heap = []  # (due, seq, MemberState): tombstones to collect
+        self._gc_seq = 0  # push order, the tie-break between equal dues
+        self._gc_armed = None  # due of the live member_gc timer: the earliest
 
     def join(self) -> None:
         """Declare ourselves Alive for this life, then HELLO a few
@@ -187,19 +197,11 @@ class Gossip:
                         max(0.0, after.last_update_time - started)
                     )
                 agent.on_member_unavailable(after.node)
-            # Re-armed on every record change: the declared timestamp can
-            # still drop (the merge order keeps the earliest), and GC must
-            # match the final record exactly so all holders collect
-            # simultaneously.
-            agent.set_timer(
-                max(0.0, after.last_update_time + membership.RETENTION - now),
-                "member_gc",
-                {
-                    "node": after.node,
-                    "incarnation": after.incarnation,
-                    "status": after.status,
-                    "since": after.last_update_time,
-                },
+            # Pushed on every record change: the declared timestamp can still
+            # drop (the merge order keeps the earliest), and GC must match the
+            # final record exactly so all holders collect simultaneously.
+            self._push_gc(
+                now + max(0.0, after.last_update_time + membership.RETENTION - now), after
             )
         if state.node <= self.last_swarm_id:
             self._check_swarm_change("merge")
@@ -331,16 +333,49 @@ class Gossip:
                 state, status=DEAD, last_update_time=data["since"] + T_DEAD
             ))
 
+    # ------------------------------------------------------------------
+    # tombstone GC
+    # ------------------------------------------------------------------
+
+    def _push_gc(self, due: float, state: MemberState) -> None:
+        """Collect tombstone `state` at `due` if it is still held then; the
+        timer moves only to an earlier time."""
+        heapq.heappush(self._gc_heap, (due, self._gc_seq, state))
+        self._gc_seq += 1
+        if self._gc_armed is None or due < self._gc_armed:
+            self._arm_gc(due)
+
+    def _arm_gc(self, due: float) -> None:
+        # At the absolute time: `now + (due - now)` from a later `now` can
+        # miss `due` by an ulp. A timer this supersedes fires as a no-op.
+        self._gc_armed = due
+        self.sim.schedule(
+            due, self.sim.fire_timer, self.node, "member_gc", {"epoch": self.agent.epoch}
+        )
+
     def gc_member(self, data: dict) -> None:
-        state = self.view.members.get(data["node"])
-        if (
-            state is not None
-            and state.status == data["status"]
-            and state.incarnation == data["incarnation"]
-            and state.last_update_time == data["since"]
-        ):
-            self.view.remove(data["node"])
-            slot = self._buffer.pop(data["node"], None)
-            if slot is not None:
-                self._untier(data["node"], slot[1])
-            self.agent.registry.evict(data["node"])
+        """The member_gc timer: collect every tombstone due by now that is
+        still the record held, then re-arm at the next such entry. A timer
+        superseded by an earlier due does nothing."""
+        now = self.sim.now
+        if now != self._gc_armed:
+            return
+        heap = self._gc_heap
+        members = self.view.members
+        while heap and heap[0][0] <= now:
+            state = heapq.heappop(heap)[2]
+            if members.get(state.node) is state:
+                self._collect(state.node)
+        while heap and members.get(heap[0][2].node) is not heap[0][2]:
+            heapq.heappop(heap)
+        self._gc_armed = None
+        if heap:
+            self._arm_gc(heap[0][0])
+
+    def _collect(self, node: NodeId) -> None:
+        """Drop a member: its record, its gossip slot, its registry entry."""
+        self.view.remove(node)
+        slot = self._buffer.pop(node, None)
+        if slot is not None:
+            self._untier(node, slot[1])
+        self.agent.registry.evict(node)

@@ -33,6 +33,9 @@ class MetricsReport:
     per_node_utilization: dict = field(default_factory=dict)
 
     def balance_holds(self) -> bool:
+        """Every submitted task is done, failed for good or still open, once.
+        `MetricsCollector` counts the open ones by task id, so a task closed
+        twice, or closed but never submitted, breaks the balance."""
         return (
             self.tasks_done + self.tasks_failed_permanent + self.tasks_in_flight
             == self.tasks_submitted
@@ -101,6 +104,7 @@ def p95(values: list) -> float:
 class MetricsCollector:
     def __init__(self):
         self.counts = {}
+        self.open_tasks = set()  # submitted, neither done nor failed for good
         self.messages = {}
         self.latencies = []
         self.transfer_times = []
@@ -122,10 +126,15 @@ class MetricsCollector:
         if kind == "send":
             msg = rec["kind"]
             self.messages[msg] = self.messages.get(msg, 0) + 1
+        elif kind == "task_submitted":
+            self.open_tasks.add(rec["task"])
         elif kind == "task_done":
+            self.open_tasks.discard(rec["task"])
             self.latencies.append(rec["latency"])
             if rec["deadline_violation"]:
                 self.deadline_violations += 1
+        elif kind == "task_failed_permanent":
+            self.open_tasks.discard(rec["task"])
         elif kind == "run_admitted":
             self.transfer_times.append(rec["transfer_time"])
         elif kind in ("local_admit", "sched_decision") and rec["attempt"] > 1:
@@ -182,7 +191,7 @@ class MetricsCollector:
             tasks_submitted=submitted,
             tasks_done=done,
             tasks_failed_permanent=failed,
-            tasks_in_flight=submitted - done - failed,
+            tasks_in_flight=len(self.open_tasks),
             deadline_violations=self.deadline_violations,
             reschedule_attempts=self.reschedule_attempts,
             mean_task_latency=mean_latency,

@@ -1,6 +1,9 @@
+import importlib.util
 import json
+import os
+import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unittest import mock
 
@@ -8,6 +11,7 @@ from conftest import reference_map_hash
 
 from swarmsim import gossip, membership
 from swarmsim import scenario as scen
+from swarmsim import sim as simlib
 from swarmsim.membership import (
     ALIVE,
     DEAD,
@@ -18,6 +22,7 @@ from swarmsim.membership import (
     merge_views,
     split_condition,
 )
+from swarmsim.model import Position
 
 
 def ms(node=1, status=ALIVE, inc=0, t=0.0):
@@ -300,14 +305,17 @@ def reference_pick_deltas(node, self_record, buffer, gossip_k, retransmit_limit)
     return picks
 
 
-def running_agent(node=1):
-    """A started agent of a one-node simulation (nothing else runs)."""
+def running_agent(node=1, absent=()):
+    """A started agent of a one-node simulation (nothing else runs). The
+    nodes in `absent` exist but never start: what is sent to them is
+    dropped as sent to a node that is down."""
     raw = {"name": "one", "duration": 1.0,
            "nodes": [{"id": node, "position": [0, 0], "typologies": ["generic"]}]}
-    _, agents, _ = scen.build(scen.parse_scenario(raw))
-    agent = agents[node]
-    agent.on_start()
-    return agent
+    sim, agents, _ = scen.build(scen.parse_scenario(raw))
+    for peer in absent:
+        sim.add_node(peer, Position(0.0, 0.0))
+    sim.run_until(0.0)  # the node joins at t=0
+    return agents[node]
 
 
 gossip_ops = st.lists(
@@ -342,9 +350,7 @@ def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
             elif op[0] == "gc":
                 state = agent.view.members.get(op[1])
                 if state is not None:
-                    agent.gossip.gc_member({"node": state.node, "status": state.status,
-                                            "incarnation": state.incarnation,
-                                            "since": state.last_update_time})
+                    agent.gossip._collect(state.node)
                     reference.pop(state.node, None)
             else:
                 picks = agent.gossip.pick_deltas()
@@ -377,3 +383,105 @@ def test_swarm_id_is_tracked_across_merges(records):
         node = max(1, agent.gossip.last_swarm_id + offset)
         agent.gossip._merge_member(ms(node=node, status=status, inc=inc, t=t))
         assert agent.gossip.last_swarm_id == agent.view.swarm_id
+
+
+# -- tombstone GC -------------------------------------------------------------
+
+tombstone_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("merge"),
+            st.integers(2, 5),
+            st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+            st.integers(0, 2),
+            st.one_of(st.sampled_from([0.0, 0.5, 10.0, 29.5, 30.0]),  # record age
+                      st.floats(0.0, 31.0)),
+        ),
+        st.tuples(
+            st.just("run"),
+            st.one_of(st.sampled_from([0.0, 0.25, 1.0, 10.0, 29.5, 30.0, 31.0]),
+                      st.floats(0.0, 31.0)),
+        ),
+    ),
+    max_size=25,
+)
+
+
+@settings(deadline=None)
+@given(tombstone_ops)
+# Installed at 9.22 with last_update_time 9.22 - 7.35, the record is due at
+# 31.869999999999997, an ulp before last_update_time + RETENTION: collected
+# then, though `membership.expired` does not hold yet.
+@example([("run", 9.22), ("merge", 2, DEAD, 0, 7.35), ("run", 30.0)])
+def test_tombstones_are_collected_at_their_reference_instants(ops):
+    """After every merge and every step of the simulation, the view holds
+    exactly the tombstones whose collection instant has not passed: the
+    install time plus `max(0, last_update_time + RETENTION - install time)`,
+    in floats, as each holder computes it. Records arrive, change and come
+    back in any order, several share a due time, and the agent's own probes
+    of its absent peers add Suspect and Dead records of their own."""
+    agent = running_agent(1, absent=range(2, 6))
+    sim, view = agent.sim, agent.view
+    installed = {}  # node -> (tombstone, collection instant), or None
+    apply = view.apply
+
+    def observed_apply(state):
+        changed = apply(state)
+        if changed and state.node != agent.node:
+            now = sim.now
+            installed[state.node] = (
+                (state, now + max(0.0, state.last_update_time + membership.RETENTION - now))
+                if state.status in (DEAD, LEFT) else None
+            )
+        return changed
+
+    view.apply = observed_apply
+    for op in ops:
+        if op[0] == "merge":
+            _, node, status, inc, age = op
+            agent.gossip._merge_member(
+                ms(node=node, status=status, inc=inc, t=max(0.0, sim.now - age))
+            )
+        else:
+            sim.run_until(sim.now + op[1])
+        held = {n: m for n, m in view.members.items() if m.status in (DEAD, LEFT)}
+        assert held == {n: entry[0] for n, entry in installed.items()
+                        if entry is not None and entry[1] > sim.now}, sim.now
+
+
+def _bench_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_member_gc_timers_are_few_beside_tombstone_changes():
+    """One member_gc timer per life waits at its earliest tombstone, so a
+    tombstone that changes or returns to Alive before its time queues
+    nothing. On A2's generator (`bench/workloads.py` `swarm64_churn`, seed
+    701) at N=16, the agents install 274 tombstones, and one timer per
+    tombstone change queued 274 timers; the heap queues 24."""
+    wl = _bench_workloads().swarm64_churn(701, n=16)
+    counts = {"member_gc": 0, "tombstones": 0}
+    schedule, apply = simlib.Simulator.schedule, SwarmView.apply
+
+    def counting_schedule(self, time, action, *args):
+        counts["member_gc"] += args[1:2] == ("member_gc",)
+        schedule(self, time, action, *args)
+
+    def counting_apply(self, state):
+        changed = apply(self, state)
+        counts["tombstones"] += (changed and state.node != self.self_node
+                                 and state.status in (DEAD, LEFT))
+        return changed
+
+    with (
+        mock.patch.object(simlib.Simulator, "schedule", counting_schedule),
+        mock.patch.object(SwarmView, "apply", counting_apply),
+    ):
+        scen.run(scen.parse_scenario(wl.raw))
+    assert counts["tombstones"] == 274
+    assert counts["member_gc"] <= counts["tombstones"] // 4, counts

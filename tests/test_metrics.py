@@ -12,11 +12,12 @@ def feed(collector, records):
 def test_task_accounting_and_balance():
     c = MetricsCollector()
     feed(c, [
-        {"type": "task_submitted", "t": 1.0},
-        {"type": "task_submitted", "t": 2.0},
-        {"type": "task_submitted", "t": 3.0},
-        {"type": "task_done", "t": 4.0, "latency": 3.0, "deadline_violation": False},
-        {"type": "task_failed_permanent", "t": 5.0},
+        {"type": "task_submitted", "t": 1.0, "task": 1},
+        {"type": "task_submitted", "t": 2.0, "task": 2},
+        {"type": "task_submitted", "t": 3.0, "task": 3},
+        {"type": "task_done", "t": 4.0, "task": 1, "latency": 3.0,
+         "deadline_violation": False},
+        {"type": "task_failed_permanent", "t": 5.0, "task": 2},
     ])
     r = c.report()
     assert (r.tasks_submitted, r.tasks_done, r.tasks_failed_permanent) == (3, 1, 1)
@@ -24,10 +25,29 @@ def test_task_accounting_and_balance():
     assert r.balance_holds()
 
 
+def test_balance_fails_on_a_task_closed_twice_or_never_submitted():
+    """`tasks_in_flight` counts open task ids, not a remainder, so the
+    balance is a check: a second DONE for one task breaks it, and so does a
+    DONE for a task never submitted."""
+    submitted = [{"type": "task_submitted", "t": 1.0, "task": n} for n in (1, 2)]
+    done = {"type": "task_done", "t": 2.0, "task": 1, "latency": 1.0,
+            "deadline_violation": False}
+    for closes in (
+        [done, done],
+        [done, {"type": "task_failed_permanent", "t": 3.0, "task": 1}],
+        [dict(done, task=7)],
+    ):
+        c = MetricsCollector()
+        feed(c, submitted + closes)
+        r = c.report()
+        assert r.tasks_in_flight >= 0
+        assert not r.balance_holds(), closes
+
+
 def test_latency_stats_and_violations():
     c = MetricsCollector()
     for i in range(1, 21):
-        c.on_record({"type": "task_done", "t": float(i), "latency": float(i),
+        c.on_record({"type": "task_done", "t": float(i), "task": i, "latency": float(i),
                      "deadline_violation": i > 18})
     r = c.report()
     assert r.mean_task_latency == 10.5

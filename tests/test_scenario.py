@@ -348,6 +348,7 @@ INTAKE_FIELDS = [
     ("partitions", 0, "start"), ("partitions", 0, "end"),
     ("net", "base_latency"), ("net", "latency_per_meter"), ("net", "radio_range"),
     ("net", "loss_prob"), ("nodes", 0, "link_bandwidth"),
+    ("nodes", 0, "memory"), ("tasks", 0, "memory"),
 ]
 NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0, 1e17, 5e-324]),
