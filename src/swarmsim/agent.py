@@ -13,7 +13,10 @@ The agent keeps the lifecycle, the probe round and the origin side of
 scheduling: local-first admission, then OFFER to the top-k scored
 candidates, origin-side arbitration (earliest ACCEPT, NodeId tie-break),
 CLAIM/CANCEL, NACK-driven retry, re-placement on executor death and
-speculative parallel attempts on QoS warnings.
+speculative parallel attempts on QoS warnings. The origin holds a task only
+while it is open and an offer round only until it is decided: a round that
+outlives its task cancels every acceptance, and a DONE for a closed task is
+dropped, so each completion is counted once.
 """
 
 from __future__ import annotations
@@ -40,15 +43,12 @@ MAX_ATTEMPTS = 5  # placement attempts before a task fails for good
 
 @dataclass
 class _OriginTask:
-    """Origin-side lifecycle record for one submitted task."""
+    """Origin-side record of one open task."""
 
     spec: TaskSpec
     submitted_at: float
     attempts: int = 0
-    done: bool = False
-    failed: bool = False
     executors: dict = field(default_factory=dict)  # attempt -> NodeId
-    offer: dict = None  # outstanding offer round, if any
 
 
 class NodeAgent:
@@ -90,8 +90,8 @@ class NodeAgent:
         self.registry = self.antientropy.registry
         self.catalog = self.antientropy.catalog
         self.engine = self.execution.engine
-        self.tasks = {}  # TaskId -> _OriginTask, kept once closed (late DONEs)
-        self.open_tasks = {}  # the subset of `tasks` neither done nor failed
+        self.tasks = {}  # TaskId -> _OriginTask, while neither done nor failed
+        self.offers = {}  # TaskId -> its undecided offer round
         self.round_no = 0
 
     def on_start(self) -> None:
@@ -205,7 +205,7 @@ class NodeAgent:
     def _ping_executors(self) -> None:
         gossip = self.gossip
         executors = set()
-        for ot in self.open_tasks.values():
+        for ot in self.tasks.values():
             for node in ot.executors.values():
                 if node != self.node and gossip.member_status(node) not in (
                     membership.DEAD, membership.LEFT, None
@@ -221,25 +221,24 @@ class NodeAgent:
 
     def submit_task(self, task: TaskSpec) -> None:
         ot = _OriginTask(spec=task, submitted_at=self.sim.now)
-        self.tasks[task.task_id] = self.open_tasks[task.task_id] = ot
+        self.tasks[task.task_id] = ot
         self.record("task_submitted", task=task.task_id, typology=task.typology)
         self._place(task.task_id)
 
     def _retry_place(self, task_id) -> None:
-        ot = self.open_tasks.get(task_id)
+        ot = self.tasks.get(task_id)
         if ot is not None and not ot.executors:
             self._place(task_id)
 
     def _place(self, task_id, exclude: frozenset = frozenset()) -> None:
         """One placement attempt: local-first, then offers to top-k."""
-        ot = self.open_tasks.get(task_id)
+        ot = self.tasks.get(task_id)
         if ot is None:
             return
         ot.attempts += 1
         attempt = ot.attempts
         if attempt > MAX_ATTEMPTS:
-            ot.failed = True
-            del self.open_tasks[task_id]
+            del self.tasks[task_id]
             self.record(
                 "task_failed_permanent",
                 task=task_id,
@@ -270,7 +269,7 @@ class NodeAgent:
                 RETRY_DELAY, "retry_place", {"task_id": task.task_id}
             )
             return
-        ot.offer = {
+        self.offers[task_id] = {
             "attempt": attempt,
             "sent": set(chosen),
             "responded": set(),
@@ -356,8 +355,7 @@ class NodeAgent:
 
     def _offer_round(self, task_id, attempt: int):
         """The task's offer round for `attempt` while undecided, else None."""
-        ot = self.tasks.get(task_id)
-        st = ot.offer if ot is not None else None
+        st = self.offers.get(task_id)
         if st is None or st["attempt"] != attempt:
             return None
         return st
@@ -368,10 +366,10 @@ class NodeAgent:
         st = self._offer_round(task_id, attempt)
         if st is None:
             return
-        ot = self.tasks[task_id]
-        ot.offer = None
+        del self.offers[task_id]
         accepts = sorted(st["accepts"])  # (time, node): earliest, then lowest id
-        if ot.done or ot.failed:
+        ot = self.tasks.get(task_id)
+        if ot is None:  # closed while the round was out
             losers = [n for _, n in accepts]
         elif accepts:
             winner = accepts[0][1]
@@ -403,7 +401,7 @@ class NodeAgent:
 
     def _handle_nack(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.open_tasks.get(task_id)
+        ot = self.tasks.get(task_id)
         if ot is None:
             return
         if ot.executors.get(attempt) == frm:
@@ -413,14 +411,9 @@ class NodeAgent:
 
     def _handle_done(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        if ot is None or ot.failed:
-            return
-        if ot.done:
-            ot.executors.pop(attempt, None)
-            return  # exactly-once completion accounting
-        ot.done = True
-        del self.open_tasks[task_id]
+        ot = self.tasks.pop(task_id, None)
+        if ot is None:
+            return  # closed: completion is counted exactly once
         latency = self.sim.now - ot.submitted_at
         self.record(
             "task_done",
@@ -436,11 +429,10 @@ class NodeAgent:
                 self.execution.cancel(task_id, other_attempt)
             else:
                 self.send_task(node, wire.CANCEL, task_id, other_attempt)
-        ot.executors.clear()
 
     def _handle_failed(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.open_tasks.get(task_id)
+        ot = self.tasks.get(task_id)
         if ot is None:
             return
         if ot.executors.get(attempt) == frm:
@@ -450,7 +442,7 @@ class NodeAgent:
 
     def _handle_qos_warn(self, frm: NodeId, body: dict) -> None:
         task_id = body["task_id"]
-        ot = self.open_tasks.get(task_id)
+        ot = self.tasks.get(task_id)
         if ot is None:
             return
         # A run warns once (`TaskRun.qos_warned`), and an attempt has one run.
@@ -462,7 +454,7 @@ class NodeAgent:
     def on_member_unavailable(self, peer: NodeId) -> None:
         """Membership reports Dead/Left: re-place our tasks that ran there."""
         # Re-placing a task changes no other task's record.
-        for task_id, ot in sorted(self.open_tasks.items()):
+        for task_id, ot in sorted(self.tasks.items()):
             dead_attempts = [a for a, n in ot.executors.items() if n == peer]
             if not dead_attempts:
                 continue

@@ -22,6 +22,7 @@ part is its merge rule: LWW static fields, grow-only replicas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -37,8 +38,10 @@ class DataSourceDescriptor:
     replicas: frozenset
 
     def __post_init__(self):
-        if self.size <= 0:
+        if not self.size > 0:
             raise ValueError("data source size must be positive")
+        if self.size == math.inf:
+            raise ValueError("data source size must be finite")
         if self.owner not in self.replicas:
             raise ValueError("owner must be among the replicas")
 

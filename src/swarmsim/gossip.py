@@ -8,15 +8,14 @@ from a per-life random stream; LEAVE; GC of Dead and Left records; and the
 swarm id, the minimum Alive id.
 
 Tombstone GC is a timer facility in the sense of Varghese & Lauck (SOSP
-1987): each life keeps its tombstones' collection times in a heap, cheap
-per-record state, and queues one `member_gc` timer, at the earliest of them.
-A record replaced before its time leaves its entry stale, to be skipped when
-it reaches the head.
+1987): each life keeps the collection time of each tombstone it holds in a
+dict, cheap per-record state, and queues one `member_gc` timer, at the
+earliest of them. A tombstone replaced before its time takes its entry with
+it: a new tombstone overwrites the due, an Alive or Suspect record drops it.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from dataclasses import replace
 
@@ -57,8 +56,7 @@ class Gossip:
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{agent.epoch}")
         self.last_swarm_id = self.node
-        self._gc_heap = []  # (due, seq, MemberState): tombstones to collect
-        self._gc_seq = 0  # push order, the tie-break between equal dues
+        self._gc_due = {}  # NodeId -> collection time of its held tombstone
         self._gc_armed = None  # due of the live member_gc timer: the earliest
 
     def join(self) -> None:
@@ -197,12 +195,15 @@ class Gossip:
                         max(0.0, after.last_update_time - started)
                     )
                 agent.on_member_unavailable(after.node)
-            # Pushed on every record change: the declared timestamp can still
+            # Set on every record change: the declared timestamp can still
             # drop (the merge order keeps the earliest), and GC must match the
             # final record exactly so all holders collect simultaneously.
-            self._push_gc(
-                now + max(0.0, after.last_update_time + membership.RETENTION - now), after
-            )
+            due = now + max(0.0, after.last_update_time + membership.RETENTION - now)
+            self._gc_due[state.node] = due
+            if self._gc_armed is None or due < self._gc_armed:
+                self._arm_gc(due)
+        else:
+            self._gc_due.pop(state.node, None)
         if state.node <= self.last_swarm_id:
             self._check_swarm_change("merge")
 
@@ -337,14 +338,6 @@ class Gossip:
     # tombstone GC
     # ------------------------------------------------------------------
 
-    def _push_gc(self, due: float, state: MemberState) -> None:
-        """Collect tombstone `state` at `due` if it is still held then; the
-        timer moves only to an earlier time."""
-        heapq.heappush(self._gc_heap, (due, self._gc_seq, state))
-        self._gc_seq += 1
-        if self._gc_armed is None or due < self._gc_armed:
-            self._arm_gc(due)
-
     def _arm_gc(self, due: float) -> None:
         # At the absolute time: `now + (due - now)` from a later `now` can
         # miss `due` by an ulp. A timer this supersedes fires as a no-op.
@@ -354,23 +347,18 @@ class Gossip:
         )
 
     def gc_member(self, data: dict) -> None:
-        """The member_gc timer: collect every tombstone due by now that is
-        still the record held, then re-arm at the next such entry. A timer
-        superseded by an earlier due does nothing."""
+        """The member_gc timer: collect every tombstone due by now, then
+        re-arm at the earliest due left. A timer superseded by an earlier due
+        does nothing."""
         now = self.sim.now
         if now != self._gc_armed:
             return
-        heap = self._gc_heap
-        members = self.view.members
-        while heap and heap[0][0] <= now:
-            state = heapq.heappop(heap)[2]
-            if members.get(state.node) is state:
-                self._collect(state.node)
-        while heap and members.get(heap[0][2].node) is not heap[0][2]:
-            heapq.heappop(heap)
+        for node in [n for n, due in self._gc_due.items() if due <= now]:
+            del self._gc_due[node]
+            self._collect(node)
         self._gc_armed = None
-        if heap:
-            self._arm_gc(heap[0][0])
+        if self._gc_due:
+            self._arm_gc(min(self._gc_due.values()))
 
     def _collect(self, node: NodeId) -> None:
         """Drop a member: its record, its gossip slot, its registry entry."""

@@ -103,7 +103,9 @@ def p95(values: list) -> float:
 
 class MetricsCollector:
     def __init__(self):
-        self.counts = {}
+        self.tasks_submitted = 0
+        self.tasks_done = 0
+        self.tasks_failed_permanent = 0
         self.open_tasks = set()  # submitted, neither done nor failed for good
         self.messages = {}
         self.latencies = []
@@ -122,18 +124,20 @@ class MetricsCollector:
 
     def on_record(self, rec: dict) -> None:
         kind = rec["type"]
-        self.counts[kind] = self.counts.get(kind, 0) + 1
         if kind == "send":
             msg = rec["kind"]
             self.messages[msg] = self.messages.get(msg, 0) + 1
         elif kind == "task_submitted":
+            self.tasks_submitted += 1
             self.open_tasks.add(rec["task"])
         elif kind == "task_done":
+            self.tasks_done += 1
             self.open_tasks.discard(rec["task"])
             self.latencies.append(rec["latency"])
             if rec["deadline_violation"]:
                 self.deadline_violations += 1
         elif kind == "task_failed_permanent":
+            self.tasks_failed_permanent += 1
             self.open_tasks.discard(rec["task"])
         elif kind == "run_admitted":
             self.transfer_times.append(rec["transfer_time"])
@@ -172,9 +176,6 @@ class MetricsCollector:
     # -- report -------------------------------------------------------------
 
     def report(self) -> MetricsReport:
-        submitted = self.counts.get("task_submitted", 0)
-        done = self.counts.get("task_done", 0)
-        failed = self.counts.get("task_failed_permanent", 0)
         mean_latency = (
             sum(self.latencies) / len(self.latencies) if self.latencies else math.nan
         )
@@ -188,9 +189,9 @@ class MetricsCollector:
             for node in self._util_sums
         }
         return MetricsReport(
-            tasks_submitted=submitted,
-            tasks_done=done,
-            tasks_failed_permanent=failed,
+            tasks_submitted=self.tasks_submitted,
+            tasks_done=self.tasks_done,
+            tasks_failed_permanent=self.tasks_failed_permanent,
             tasks_in_flight=len(self.open_tasks),
             deadline_violations=self.deadline_violations,
             reschedule_attempts=self.reschedule_attempts,

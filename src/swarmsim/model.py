@@ -213,8 +213,8 @@ def validate_task(task: TaskSpec) -> list:
         violations.append("typology empty")
     if not (task.deadline > 0):
         violations.append("deadline not positive")
-    for inp in task.input_data:
-        if not (inp.size > 0):
-            violations.append("input_data size not positive")
-            break
+    if not all(inp.size > 0 for inp in task.input_data):
+        violations.append("input_data size not positive")
+    elif any(inp.size == math.inf for inp in task.input_data):
+        violations.append("input_data size not finite")
     return violations

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +62,15 @@ def reference_map_hash(version_map) -> str:
     of the sha256 of the map dumped as compact, sorted JSON."""
     doc = json.dumps(version_map, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def bench_workloads():
+    """`bench/workloads.py`, the benchmark's scenario generators."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

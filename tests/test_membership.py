@@ -1,13 +1,10 @@
-import importlib.util
 import json
-import os
-import sys
 
 from hypothesis import example, given, settings, strategies as st
 
 from unittest import mock
 
-from conftest import reference_map_hash
+from conftest import bench_workloads, reference_map_hash
 
 from swarmsim import gossip, membership
 from swarmsim import scenario as scen
@@ -444,18 +441,12 @@ def test_tombstones_are_collected_at_their_reference_instants(ops):
             )
         else:
             sim.run_until(sim.now + op[1])
+        pending = {n: entry for n, entry in installed.items()
+                   if entry is not None and entry[1] > sim.now}
         held = {n: m for n, m in view.members.items() if m.status in (DEAD, LEFT)}
-        assert held == {n: entry[0] for n, entry in installed.items()
-                        if entry is not None and entry[1] > sim.now}, sim.now
-
-
-def _bench_workloads():
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+        assert held == {n: entry[0] for n, entry in pending.items()}, sim.now
+        # One collection time per held tombstone, and nothing stale.
+        assert agent.gossip._gc_due == {n: entry[1] for n, entry in pending.items()}, sim.now
 
 
 def test_member_gc_timers_are_few_beside_tombstone_changes():
@@ -463,8 +454,9 @@ def test_member_gc_timers_are_few_beside_tombstone_changes():
     tombstone that changes or returns to Alive before its time queues
     nothing. On A2's generator (`bench/workloads.py` `swarm64_churn`, seed
     701) at N=16, the agents install 274 tombstones, and one timer per
-    tombstone change queued 274 timers; the heap queues 24."""
-    wl = _bench_workloads().swarm64_churn(701, n=16)
+    tombstone change queued 274 timers; one timer per life, re-armed at the
+    earliest due, queues 24."""
+    wl = bench_workloads().swarm64_churn(701, n=16)
     counts = {"member_gc": 0, "tombstones": 0}
     schedule, apply = simlib.Simulator.schedule, SwarmView.apply
 

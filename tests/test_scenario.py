@@ -302,6 +302,17 @@ def test_malformed_items_and_settings_are_problems():
         ({"nodes": [dict(node, cpu_perf_index=math.inf, link_bandwidth=math.inf), other]},
          ["node 1: hw.cpu_perf_index not finite", "node 1: hw.link_bandwidth not finite"]),
         ({"tasks": [dict(task, work=math.inf)]}, ["task 1: work not finite"]),
+        # A size no transfer could take, on a source or on a task input.
+        ({"data_sources": [{"id": 7, "owner": 1, "size": math.inf}]},
+         ["data source 7: data source size must be finite"]),
+        ({"data_sources": [{"id": 7, "owner": 1, "size": math.nan}]},
+         ["data source 7: data source size must be positive"]),
+        ({"data_sources": [{"id": 7, "owner": 1, "size": 1.0}],
+          "tasks": [dict(task, inputs=[{"source": 7, "size": math.inf}])]},
+         ["task 1: input_data size not finite"]),
+        ({"data_sources": [{"id": 7, "owner": 1, "size": 1.0}],
+          "tasks": [dict(task, inputs=[{"source": 7, "size": math.nan}])]},
+         ["task 1: input_data size not positive"]),
         ({"net": {"loss_prob": True}},
          ["net: loss_prob: expected a number, got True"]),
         ({"scheduler": {"w_availability": True, "w_qos": False, "w_locality": 0}},
@@ -330,8 +341,9 @@ INTAKE = dict(
         dict(BASE["nodes"][0], battery=0.8, drain_rate=0.01, start_time=0.0),
         dict(BASE["nodes"][1], start_time=1.0),
     ],
+    data_sources=[{"id": 1, "owner": 2, "size": 4.0}],
     tasks=[{"id": 1, "origin": 1, "at": 2.0, "typology": "generic", "work": 1.0,
-            "deadline": 10.0}],
+            "deadline": 10.0, "inputs": [{"source": 1, "size": 2.0}]}],
     events=[{"type": "crash", "node": 2, "at": 10.0},
             {"type": "move", "node": 1, "at": 5.0, "to": [20.0, 0.0]}],
     partitions=[{"a": [1], "b": [2], "start": 3.0, "end": 6.0}],
@@ -349,6 +361,7 @@ INTAKE_FIELDS = [
     ("net", "base_latency"), ("net", "latency_per_meter"), ("net", "radio_range"),
     ("net", "loss_prob"), ("nodes", 0, "link_bandwidth"),
     ("nodes", 0, "memory"), ("tasks", 0, "memory"),
+    ("data_sources", 0, "size"), ("tasks", 0, "inputs", 0, "size"),
 ]
 NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0, 1e17, 5e-324]),
