@@ -102,6 +102,7 @@ def test_origin_holds_only_open_tasks_and_undecided_offers():
             submitted_by[rec["task"]] = (rec["node"], agents[rec["node"]].epoch)
 
     sim.listeners.append(on_record)
+    held = 0
     t = 0.0
     while t < sc.duration:
         t = min(sc.duration, t + 0.25)
@@ -112,7 +113,8 @@ def test_origin_holds_only_open_tasks_and_undecided_offers():
                     task_id for task_id in collector.open_tasks
                     if submitted_by[task_id] == (a.node, a.epoch)
                 }, (t, a.node)
-    assert len(submitted_by) > len(collector.open_tasks)
+                held += len(a.tasks)
+    assert held > 0 and len(submitted_by) > len(collector.open_tasks)
 
     wl = bench_workloads().tasks16_dense(7)
     result = scen.run(scen.parse_scenario(wl.raw))

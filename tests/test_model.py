@@ -50,11 +50,11 @@ def test_validate_task():
     assert validate_task(make_task(work=math.inf)) == ["work not finite"]
     with_bad_input = make_task(inputs=[DataInput(source=1, size=0.0)])
     assert "input_data size not positive" in validate_task(with_bad_input)
-    for size, issue in ((math.nan, "input_data size not positive"),
-                        (math.inf, "input_data size not finite")):
+    for size, problem in ((math.nan, "input_data size not positive"),
+                          (math.inf, "input_data size not finite")):
         with_bad_input = make_task(inputs=[DataInput(source=1, size=1.0),
                                            DataInput(source=2, size=size)])
-        assert validate_task(with_bad_input) == [issue], size
+        assert validate_task(with_bad_input) == [problem], size
 
 
 def test_distance():
