@@ -23,7 +23,7 @@ gossiped.
 from __future__ import annotations
 
 from . import dataplane, wire
-from .membership import ALIVE, RETENTION
+from .membership import ALIVE
 from .model import NodeId, Position, TaskSpec, distance, is_mains
 from .registry import Registry, RegistryEntry
 
@@ -66,7 +66,7 @@ class AntiEntropy:
         by a DELTA, never by another DIGEST."""
         view = self.agent.view
         parts = (
-            ("view", view, lambda m: view.diff(m, self.sim.now, RETENTION)),
+            ("view", view, lambda m: view.diff(m, self.sim.now)),
             ("catalog", self.catalog, self.catalog.diff),
             ("registry", self.registry, self.registry.diff),
         )

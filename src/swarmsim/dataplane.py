@@ -1,29 +1,25 @@
 """Distributed data catalog: descriptors, replica sets, nearest resolution.
 
 Catalog records ride the registry gossip channel (DIGEST/DELTA), so they get
-the same eventual-consistency class with no extra protocol. Static descriptor
-fields are LWW by the owner's announce sequence; the replica set merges as a
-grow-only union, with dead replicas filtered out at read time rather than
-removed from state.
+the same eventual-consistency class with no extra protocol. A record is
+written once, by the source's owner when it starts, and never changes: an
+id names one record, so merging installs a record not yet held and ignores
+the rest. Dead replicas are filtered out at read time.
 
-The catalog's version map has one `[id, announce_seq, replicas]` entry per
-record: the sequence stands for the static fields and the sorted replica
-list for the set, so two records with equal entries are equal. A record's
-wire form is that entry followed by the static fields,
-`[id, announce_seq, [replicas...], owner, size]`. A DIGEST
-carries the map's hash, and the map itself only to a peer whose hash
-differs.
+The catalog's version map has one `[id]` entry per record. A record's wire
+form is that entry followed by the descriptor's fields,
+`[id, [replicas...], owner, size]`. A DIGEST carries the map's hash, and
+the map itself only to a peer whose hash differs.
 
 Invariants of `Catalog`, a `wire.VersionedMap`: `records` is written only
-through `announce` and `merge`, each of which calls `changed()` when it
-changes a record, which drops the cached map and hash. The catalog's own
-part is its merge rule: LWW static fields, grow-only replicas.
+through `merge` (which `announce` calls), and it calls `changed()` when it
+adds a record, which drops the cached map and hash.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import wire
@@ -49,7 +45,6 @@ class DataSourceDescriptor:
 @dataclass(frozen=True)
 class CatalogRecord:
     descriptor: DataSourceDescriptor
-    announce_seq: int  # owner's announce counter, guards static fields
 
     def to_dict(self) -> wire.ListRecord:
         """The wire form, built once per record and shared: read-only."""
@@ -58,19 +53,17 @@ class CatalogRecord:
     @cached_property
     def _record(self) -> wire.ListRecord:
         d = self.descriptor
-        return wire.ListRecord([*self.version_entry, d.owner, d.size], self)
+        return wire.ListRecord([d.id, sorted(d.replicas), d.owner, d.size], self)
 
     @cached_property
     def version_entry(self) -> wire.ListRecord:
-        """[id, announce_seq, sorted replicas]: this record in a version map,
-        and the first elements of its wire form. Built once per record and
-        shared: read-only."""
-        d = self.descriptor
-        return wire.ListRecord([d.id, self.announce_seq, sorted(d.replicas)])
+        """[id]: this record in a version map, and the first element of its
+        wire form. Built once per record and shared: read-only."""
+        return wire.ListRecord([self.descriptor.id])
 
     @classmethod
     def from_dict(cls, d: list) -> "CatalogRecord":
-        data_id, announce_seq, replicas, owner, size = d
+        data_id, replicas, owner, size = d
         return cls(
             descriptor=DataSourceDescriptor(
                 id=int(data_id),
@@ -78,14 +71,7 @@ class CatalogRecord:
                 size=float(size),
                 replicas=frozenset(int(r) for r in replicas),
             ),
-            announce_seq=int(announce_seq),
         )
-
-
-def _entry_newer(a: list, b: list) -> bool:
-    """Version map entries of one source: True when merging `a` into a
-    holder of `b` would change it (a newer announce or a replica not held)."""
-    return a[1] > b[1] or not set(a[2]).issubset(b[2])
 
 
 class NotOwnerError(Exception):
@@ -101,47 +87,27 @@ class Catalog(wire.VersionedMap):
         self.owner = owner
 
     def announce(self, descriptor: DataSourceDescriptor, by: NodeId) -> CatalogRecord:
+        """Install the record of a source `by` owns; returns the record held."""
         if by != descriptor.owner:
             raise NotOwnerError(
                 f"node {by} cannot announce source {descriptor.id} owned by {descriptor.owner}"
             )
-        prev = self.records.get(descriptor.id)
-        seq = prev.announce_seq + 1 if prev is not None else 1
-        if prev is not None:
-            descriptor = replace(
-                descriptor, replicas=descriptor.replicas | prev.descriptor.replicas
-            )
-        rec = CatalogRecord(descriptor=descriptor, announce_seq=seq)
-        self.records[descriptor.id] = rec
-        self.changed()
-        return rec
+        self.merge(CatalogRecord(descriptor))
+        return self.records[descriptor.id]
 
     def merge(self, incoming: CatalogRecord) -> bool:
-        """Gossip install; returns True when local state changed."""
-        current = self.records.get(incoming.descriptor.id)
-        if current is None:
-            self.records[incoming.descriptor.id] = incoming
-            self.changed()
-            return True
-        union = current.descriptor.replicas | incoming.descriptor.replicas
-        if incoming.announce_seq > current.announce_seq:
-            base = incoming
-        else:
-            base = current
-        merged = CatalogRecord(
-            descriptor=replace(base.descriptor, replicas=union),
-            announce_seq=max(current.announce_seq, incoming.announce_seq),
-        )
-        if merged == current:
+        """Install a record of a source not held; returns True when it did."""
+        data_id = incoming.descriptor.id
+        if data_id in self.records:
             return False
-        self.records[merged.descriptor.id] = merged
+        self.records[data_id] = incoming
         self.changed()
         return True
 
     def diff(self, remote: list) -> tuple:
-        """(our records a peer's version map lacks, source ids whose record
-        there holds something ours lacks). One source can be in both."""
-        return self.diff_records(remote, _entry_newer)
+        """(our records a peer's version map lacks, source ids it holds and
+        we lack). An id names one record, so held ones never differ."""
+        return self.diff_records(remote, lambda a, b: False)
 
     def live_replicas(self, data_id: DataSourceId, is_alive) -> list:
         rec = self.records.get(data_id)

@@ -167,7 +167,7 @@ class Gossip:
                 # query reads liveness from the view). Republishing it would
                 # put one more change on the slower anti-entropy path.
             return
-        if membership.expired(state.status, state.last_update_time, now, membership.RETENTION):
+        if membership.expired(state.status, state.last_update_time, now):
             return
         before = self.view.members.get(state.node)
         if not self.view.apply(state):

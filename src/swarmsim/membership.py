@@ -79,11 +79,11 @@ def _entry_key(entry: list) -> tuple:
     return (entry[1], entry[2], -entry[3])
 
 
-def expired(status: str, last_update_time: float, now: float, retention: float) -> bool:
-    """True for a Dead or Left record past its retention: every holder
+def expired(status: str, last_update_time: float, now: float) -> bool:
+    """True for a Dead or Left record past its RETENTION: every holder
     collects it at that same declared time, so it is neither merged nor
     gossiped again (re-admitting a stale copy would restart its gossip)."""
-    return status in (DEAD, LEFT) and last_update_time + retention <= now
+    return status in (DEAD, LEFT) and last_update_time + RETENTION <= now
 
 
 def _entry_newer(a: list, b: list) -> bool:
@@ -154,7 +154,7 @@ class SwarmView(wire.VersionedMap):
             (m.node, m.status, m.incarnation) for m in self.members.values()
         )).encode()).hexdigest()[:16])
 
-    def diff(self, remote: list, now: float, retention: float) -> tuple:
+    def diff(self, remote: list, now: float) -> tuple:
         """(our records a peer's version map lacks, nodes whose record there
         we lack), against the peer's map.
 
@@ -163,7 +163,7 @@ class SwarmView(wire.VersionedMap):
         and refutation sees it once it arrives.
         """
         return self.diff_records(remote, _entry_newer, lambda e: not expired(
-            _STATUS_OF_RANK[e[2]], e[3], now, retention
+            _STATUS_OF_RANK[e[2]], e[3], now
         ))
 
     def probe_targets(self) -> list:

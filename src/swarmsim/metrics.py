@@ -1,10 +1,11 @@
 """Run metrics: task accounting, message counts, convergence measurements.
 
 The collector listens to trace records as the simulation emits them and is
-periodically given a chance to sample global state (utilization, membership
-and registry digests). Convergence times are measured from scenario start:
-the first sampling instant, after the last disturbance (churn, crash,
-partition edge), at which all running nodes agree.
+periodically given a chance to sample global state: utilization, each view's
+`member_set_digest` and each registry's `content_hash`, which is the hash of
+its version map (a registry version names one entry). Convergence times are
+measured from scenario start: the first sampling instant, after the last
+disturbance (churn, crash, partition edge), at which all running nodes agree.
 """
 
 from __future__ import annotations

@@ -19,11 +19,10 @@ profile's own form (`NodeProfile.to_dict`) after its node id.
 
 Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
 through `local_update`, `merge` and `evict`, and each of them calls
-`changed()` when it changes an entry, which drops the cached
-`content_hash`, `version_map` and `version_hash`. The content hash is
-rebuilt from every entry's wire JSON, which the entry's read-only
-`wire.ListRecord` encodes once. The registry adds to its base only the
-merge rule, last writer wins by version.
+`changed()` when it changes an entry, which drops the cached `version_map`
+and `version_hash`. The registry adds to its base only the merge rule, last
+writer wins by version. Since a version names one entry, the map's hash is
+also the registry's convergence hash (`content_hash`).
 """
 
 from __future__ import annotations
@@ -153,9 +152,8 @@ class Registry(wire.VersionedMap):
         return True
 
     def content_hash(self) -> str:
-        """Digest of the entries' compact wire JSON, as a list by NodeId:
-        `json.dumps(<entries' wire forms>, sort_keys=True, separators=(",", ":"))`.
-        Compared for equality only (convergence checks)."""
-        return self.cached("content", lambda: wire.short_hash(
-            wire.RecordList(e._record for _, e in sorted(self.entries.items()))
-        ))
+        """The registry's convergence hash: `version_hash()`. A version is
+        stamped once per node, its status_version rising within a life and
+        its incarnation on every restart and refutation, so it names one
+        entry, and equal version maps mean equal entries."""
+        return self.version_hash()

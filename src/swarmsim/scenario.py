@@ -378,9 +378,11 @@ def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list)
         )
     }
     get.finish()
-    if count is None or not origins:
-        if origins == []:
-            problems.append("workload: origins: empty")
+    if origins == []:
+        problems.append("workload: origins: empty")
+    if count is not None and count < 0:
+        problems.append("workload: count: must be >= 0")
+    if count is None or count < 0 or not origins:
         return []
     rng = simlib.substream(scenario_seed, "workload")
     out = []

@@ -230,9 +230,8 @@ class Simulator:
         self.schedule(start, self._partition_edge, "partition_start", sorted(ga), sorted(gb))
         self.schedule(end, self._partition_edge, "partition_end", sorted(ga), sorted(gb))
 
-    def partitioned(self, a: NodeId, b: NodeId, t: float = None) -> bool:
-        t = self.now if t is None else t
-        return any(w.separates(a, b, t) for w in self.partitions)
+    def partitioned(self, a: NodeId, b: NodeId) -> bool:
+        return any(w.separates(a, b, self.now) for w in self.partitions)
 
     def in_range(self, a: NodeId, b: NodeId) -> bool:
         dist = distance(self.position_of(a), self.position_of(b))

@@ -36,7 +36,9 @@ entries.
 
 The view, the registry and the catalog are each a `VersionedMap`, which
 owns the map, its hash, the cache they live in and the diff; an owner adds
-only its merge rule, the `newer` test it hands to `diff_records`.
+only its merge rule, the `newer` test it hands to `diff_records`. The registry's
+map hash is also its convergence hash (`Registry.content_hash`), since a
+registry version names one entry.
 
 Every gossiped record has one compact positional wire form, a list that
 begins with the record's version entry, so a map entry is a prefix of the
@@ -47,8 +49,8 @@ record it stands for:
 - registry entry: `[node, incarnation, status_version, stamped_time,
   cpu_perf_index, memory, link_bandwidth, utilization, battery, x, y,
   [typologies...]]` (`registry`);
-- catalog record: `[id, announce_seq, [replicas...], owner, size]`
-  (`dataplane`).
+- catalog record: `[id, [replicas...], owner, size]`, whose version entry
+  is `[id]` alone, since a source's record is written once (`dataplane`).
 
 Gossiped records are immutable and ride in many messages, so each is
 wrapped once in the read-only `ListRecord`, which encodes its compact JSON

@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "debe3f984105a1bfec4d986f25b44efc8f3ebbedf5a2117e1483752cd14e007e",
+    "data_locality": "b1720b0c0da000f958ed77946258f4d7d147e0a9813113e435f8bb56f2223b06",
     "heavy_churn": "4bb110d4993281cd40d395cbf052b0e9618c1dd7b3ce28ab30921c3e26d448e8",
     "partition_heal": "10ae4885a27bf0339c22e84688b6009a9c80ec10902017f3fc382b93256d6d11",
-    "steady_state": "3d8fa032dba7af0feb3a397c1d3d01fcda31bc4dc61d9b1be6f01da188a689c7",
+    "steady_state": "e7458af50dc7a63ef1f944b8b8b5fe46d2600e80ed3adf6bab528549de77c468",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

@@ -122,6 +122,82 @@ def test_origin_holds_only_open_tasks_and_undecided_offers():
     assert all(not a.offers for a in result.agents.values())
 
 
+# An origin that can run nothing itself, two executors. Task 1 cannot meet
+# its deadline behind tasks 2 and 3, so its executor warns; tasks 2 and 3 run
+# to the end; task 4 runs when both executors leave.
+FAILURE_PATHS = {
+    "name": "origin_failure_paths",
+    "duration": 40.0,
+    "nodes": [
+        {"id": 1, "position": [0, 0], "typologies": ["other"]},
+        {"id": 2, "position": [10, 0], "typologies": ["generic"]},
+        {"id": 3, "position": [0, 10], "typologies": ["generic"]},
+    ],
+    "tasks": [
+        {"id": 1, "origin": 1, "at": 5.0, "typology": "generic", "work": 4.0,
+         "memory": 64, "deadline": 6.0},
+        {"id": 2, "origin": 1, "at": 5.5, "typology": "generic", "work": 4.0,
+         "memory": 64, "deadline": 60.0},
+        {"id": 3, "origin": 1, "at": 5.6, "typology": "generic", "work": 4.0,
+         "memory": 64, "deadline": 60.0},
+        {"id": 4, "origin": 1, "at": 20.0, "typology": "generic", "work": 6.0,
+         "memory": 64, "deadline": 60.0},
+    ],
+    "events": [
+        {"type": "leave", "node": 2, "at": 22.0},
+        {"type": "leave", "node": 3, "at": 22.0},
+    ],
+}
+
+
+def _decision_after(trace, t: float, task: int) -> dict:
+    """The origin's first placement decision for `task` after time `t`."""
+    return next(r for r in trace if r["type"] == "sched_decision"
+                and r["task"] == task and r["t"] > t)
+
+
+def test_origin_replaces_away_from_a_warning_and_a_failed_executor():
+    """A QOS-WARN starts a second attempt on another node, and a FAILED run
+    (its executor left) is placed again without that executor."""
+    result = scen.run(scen.parse_scenario(FAILURE_PATHS))
+    trace = result.trace
+    warns = [r for r in trace if r["type"] == "qos_warn"]
+    assert [(r["node"], r["task"]) for r in warns] == [(2, 1)]
+    retry = _decision_after(trace, warns[0]["t"], task=1)
+    assert retry["attempt"] == 2
+    assert [c["node"] for c in retry["candidates"]] == retry["chosen"] == [3]
+
+    failed = [r for r in trace if r["type"] == "run_failed"]
+    assert [(r["node"], r["task"], r["cause"]) for r in failed] == [(2, 4, "leave")]
+    retry = _decision_after(trace, failed[0]["t"], task=4)
+    assert retry["attempt"] == 2
+    assert 2 not in [c["node"] for c in retry["candidates"]]
+
+    kinds = [r["kind"] for r in trace if r["type"] == "send" and r["to"] == 1]
+    assert kinds.count(wire.QOS_WARN) == kinds.count(wire.FAILED) == 1
+    done = [r["task"] for r in trace if r["type"] == "task_done"]
+    assert sorted(done) == [1, 2, 3]  # each once
+    report = result.report
+    assert (report.tasks_done, report.tasks_failed_permanent) == (3, 1)
+    assert report.balance_holds()
+
+
+def test_a_claim_without_a_reservation_is_nacked_and_placed_again():
+    sim, agents, _ = scen.build(scen.parse_scenario(FAILURE_PATHS))
+    sim.run_until(5.015)  # task 1 reserved on 2 and 3, its CLAIM not yet sent
+    assert agents[1].offers[1]["attempt"] == 1
+    agents[2].execution.cancel(1, 1)
+    mark = len(sim.trace)
+    sim.run_until(5.2)
+    trace = list(islice(sim.trace, mark, None))
+    claim = next(r for r in trace if r["type"] == "claim")
+    assert (claim["task"], claim["executor"]) == (1, 2)
+    nacks = [r for r in trace if r["type"] == "send" and r["kind"] == wire.NACK]
+    assert [(r["from"], r["to"]) for r in nacks] == [(2, 1)]
+    retry = _decision_after(trace, nacks[0]["t"], task=1)
+    assert retry["attempt"] == 2 and retry["node"] == 1
+
+
 def _grid(n: int, seed: int = 3) -> dict:
     """n nodes on a lossless 4-wide grid, all joining at t=0."""
     return {

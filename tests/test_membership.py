@@ -229,7 +229,7 @@ def test_dominates_the_held_records_own_dict():
 
 # -- digest-first exchange ---------------------------------------------------
 
-NOW, RETENTION = 31.0, 30.0  # Dead/Left records declared at t <= 1.0 expired
+NOW = membership.RETENTION + 1.0  # Dead/Left records declared at t <= 1.0 expired
 
 # Few distinct values, so equal keys and expired tombstones come up often.
 exchange_states = st.builds(
@@ -243,7 +243,7 @@ exchange_views = st.lists(exchange_states, max_size=8).map(view_from)
 
 
 def is_expired(state):
-    return membership.expired(state.status, state.last_update_time, NOW, RETENTION)
+    return membership.expired(state.status, state.last_update_time, NOW)
 
 
 def without_expired(view):
@@ -262,7 +262,7 @@ def test_digest_exchange_leaves_both_views_at_the_merge(a, b):
     exchange."""
     a_expected = canon(merge_views(a, without_expired(b)))
     b_expected = canon(merge_views(without_expired(a), b))
-    push, want = a.diff(json.loads(json.dumps(b.version_map())), NOW, RETENTION)
+    push, want = a.diff(json.loads(json.dumps(b.version_map())), NOW)
     assert not any(is_expired(m) for m in push)
     assert not any(is_expired(b.members[n]) for n in want)
     for state in push:
@@ -270,7 +270,7 @@ def test_digest_exchange_leaves_both_views_at_the_merge(a, b):
     for node in want:
         assert a.apply(b.members[node])
     assert canon(a) == a_expected and canon(b) == b_expected
-    assert a.diff(b.version_map(), NOW, RETENTION) == ([], [])
+    assert a.diff(b.version_map(), NOW) == ([], [])
 
 
 def test_version_map_entries_are_shared_per_record():
@@ -280,8 +280,8 @@ def test_version_map_entries_are_shared_per_record():
     assert held.version_entry is held.to_dict()  # the record's one wire form
     assert held.version_entry == [2, 1, 1, 2.0]  # Suspect goes as its rank
     # Shared entries are equal without a walk; our own newer record is pushed.
-    assert a.diff(a.version_map(), NOW, RETENTION) == ([], [])
-    assert a.diff(b.version_map(), NOW, RETENTION) == ([a.members[1]], [])
+    assert a.diff(a.version_map(), NOW) == ([], [])
+    assert a.diff(b.version_map(), NOW) == ([a.members[1]], [])
 
 
 # -- piggyback selection ----------------------------------------------------

@@ -1,11 +1,11 @@
-import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmsim import membership
+from swarmsim import membership, scenario as scen
 from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
 from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry
 
@@ -145,36 +145,6 @@ def test_merge_order_independent(vs):
     assert a.entries[2].version == b.entries[2].version == max(vs)
 
 
-def reference_hash(reg):
-    """content_hash as it reads without caching: the whole list dumped."""
-    doc = json.dumps(
-        [e.to_dict() for _, e in sorted(reg.entries.items())],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-
-def test_registry_mutators_refresh_content_hash():
-    reg = Registry(owner=1)
-    assert reg.content_hash() == reference_hash(reg)
-    steps = [
-        lambda: reg.merge(entry_for(2, sv=1)),
-        lambda: reg.merge(entry_for(2, sv=2, util=0.5)),
-        lambda: reg.local_update(make_profile(node=1, utilization=0.3), incarnation=0, now=1.0),
-        lambda: reg.local_update(make_profile(node=1, utilization=0.6), incarnation=0, now=2.0),
-        lambda: reg.evict(2),
-    ]
-    for mutate in steps:
-        before = reg.content_hash()
-        assert mutate()
-        assert reg.content_hash() == reference_hash(reg) != before
-    before = reg.content_hash()
-    assert not reg.merge(entry_for(1, sv=0))  # older: not applied
-    assert not reg.evict(2)
-    assert reg.content_hash() == before == reference_hash(reg)
-
-
 def test_registry_mutators_refresh_versions():
     """`version_map()` is every entry's `[node, *version]` in NodeId order
     and `version_hash()` its hash, both cached until entries change."""
@@ -196,11 +166,39 @@ def test_registry_mutators_refresh_versions():
         assert mutate()
         assert reg.version_map() == reference() != before
         assert reg.version_hash() == reference_map_hash(reference()) != before_hash
+        assert reg.content_hash() == reg.version_hash()
     before, before_hash = reg.version_map(), reg.version_hash()
     assert not reg.merge(entry_for(1, sv=0))  # older: not applied
     assert not reg.evict(2)
     assert reg.version_map() is before
     assert reg.version_hash() == before_hash
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["heavy_churn", "data_locality"])
+def test_a_version_names_one_entry_over_whole_runs(name, monkeypatch):
+    """`content_hash` is the version map's hash, which tells registries
+    apart only while no node stamps one version onto two different entries.
+    Every entry of a run is stamped by `local_update` (gossip installs the
+    stamped objects), so recording its results covers them all, across
+    restarts and refutations."""
+    stamped = {}
+    local_update = Registry.local_update
+
+    def recording(self, profile, incarnation, now):
+        entry = local_update(self, profile, incarnation, now)
+        assert stamped.setdefault((entry.node, entry.version), entry) == entry
+        return entry
+
+    monkeypatch.setattr(Registry, "local_update", recording)
+    sc = scen.load_scenario(SCENARIOS / f"{name}.yaml")
+    for seed in range(3):
+        stamped.clear()
+        scen.run(sc, seed=seed)
+        incarnations = {(node, version[0]) for node, version in stamped}
+        assert len(stamped) > len(incarnations) >= len(sc.nodes)
 
 
 def test_wire_schema_is_flat():
@@ -229,9 +227,9 @@ def test_wire_schema_is_flat():
     )
     assert member.to_dict().wire_json() == "[5,2,2,1.5]"
     catalog = CatalogRecord(
-        DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({5, 2})), 3
+        DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({5, 2}))
     )
-    assert catalog.to_dict().wire_json() == "[4,3,[2,5],2,1.0]"
+    assert catalog.to_dict().wire_json() == "[4,[2,5],2,1.0]"
     for obj in (entry, battery, member, catalog):
         rec = obj.to_dict()
         assert rec[:len(obj.version_entry)] == obj.version_entry

@@ -297,6 +297,9 @@ def test_malformed_items_and_settings_are_problems():
          ["event move: to: not finite"]),
         ({"partitions": [{"a": [1], "b": [2], "start": -5.0, "end": 2.0}]},
          ["partition: start outside run window"]),
+        # A negative count, which would generate no task without a word.
+        ({"workload": {"count": -5, "origins": [1]}},
+         ["workload: count: must be >= 0"]),
         # An infinite speed finishes a run in no time, which once re-armed
         # its completion timer at one instant forever.
         ({"nodes": [dict(node, cpu_perf_index=math.inf, link_bandwidth=math.inf), other]},

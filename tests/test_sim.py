@@ -121,7 +121,8 @@ def test_partition_interval_union_oracle():
 
     for i in range(0, 140):
         t = i * 0.1
-        assert s.partitioned(1, 2, t) == union_blocked(t), f"t={t}"
+        s.run_until(t)
+        assert s.partitioned(1, 2) == union_blocked(t), f"t={t}"
 
 
 def test_partition_groups_must_be_disjoint():

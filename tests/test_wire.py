@@ -219,15 +219,15 @@ LIST_MUTATORS = (
 
 
 def test_records_and_record_lists_are_read_only():
-    rec = wire.ListRecord([4, 1, [2, 5], 2, 1.0])
+    rec = wire.ListRecord([4, [2, 5], 2, 1.0])
     entry = wire.ListRecord([1, 0, 0, 0.0])
     batch = wire.RecordList([rec, entry])
     for target, item in ((batch, rec), (entry, 1), (rec, 4)):
         for mutate in LIST_MUTATORS:
             with pytest.raises(TypeError, match="read-only"):
                 mutate(target, item)
-    assert rec == [4, 1, [2, 5], 2, 1.0]
-    assert rec.wire_json() == "[4,1,[2,5],2,1.0]"
+    assert rec == [4, [2, 5], 2, 1.0]
+    assert rec.wire_json() == "[4,[2,5],2,1.0]"
     assert entry == [1, 0, 0, 0.0]
     assert entry.wire_json() == "[1,0,0,0.0]"
     assert batch == [rec, entry]
@@ -237,7 +237,7 @@ def test_gossiped_records_are_built_once_and_read_only():
     state = MemberState(node=2, status="alive", incarnation=1, last_update_time=0.5)
     entry = RegistryEntry(node=2, profile=make_profile(node=2), version=(1, 3), stamped_time=0.5)
     catalog = CatalogRecord(
-        DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({2, 5})), 1
+        DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({2, 5}))
     )
     for obj in (state, entry, catalog):
         rec = obj.to_dict()
@@ -310,13 +310,11 @@ registry_entries = st.builds(
     st.frozensets(st.text(max_size=6), max_size=3),
 )
 catalog_records = st.builds(
-    lambda data_id, seq, owner, others, size: CatalogRecord(
+    lambda data_id, owner, others, size: CatalogRecord(
         DataSourceDescriptor(
             id=data_id, owner=owner, size=size, replicas=frozenset({owner, *others})
         ),
-        seq,
     ),
-    st.integers(0, 2**31),
     st.integers(0, 2**31),
     st.integers(0, 64),
     st.frozensets(st.integers(0, 64), max_size=4),
@@ -448,7 +446,7 @@ descriptors = st.builds(
     few, few, st.frozensets(few, max_size=2),
 )
 catalog_steps = st.one_of(
-    st.tuples(st.just("merge"), st.builds(CatalogRecord, descriptors, st.integers(1, 3))),
+    st.tuples(st.just("merge"), st.builds(CatalogRecord, descriptors)),
     st.tuples(st.just("announce"), descriptors.map(
         lambda d: dataclasses.replace(d, owner=0, replicas=d.replicas | {0})
     ), st.just(0)),
