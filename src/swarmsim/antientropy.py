@@ -39,7 +39,7 @@ class AntiEntropy:
         self.sim = agent.sim
         self.node = agent.node
         self.registry = Registry(agent.node)
-        self.catalog = dataplane.Catalog(agent.node)
+        self.catalog = dataplane.Catalog()
         self._published_runs = frozenset()  # run keys at the last publish
 
     def send_digest(self, round_no: int) -> None:

@@ -12,8 +12,9 @@ form is that entry followed by the descriptor's fields,
 the map itself only to a peer whose hash differs.
 
 Invariants of `Catalog`, a `wire.VersionedMap`: `records` is written only
-through `merge` (which `announce` calls), and it calls `changed()` when it
-adds a record, which drops the cached map and hash.
+through `merge` (which `announce` calls), and it adds a record through the
+map's `put`, which keeps the version map sorted and drops the cached map
+and hash.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class Catalog(wire.VersionedMap):
     """One node's replica of the swarm-wide data index: `records` maps
     DataSourceId -> CatalogRecord."""
 
-    def __init__(self, owner: NodeId):
-        super().__init__()
-        self.owner = owner
-
     def announce(self, descriptor: DataSourceDescriptor, by: NodeId) -> CatalogRecord:
         """Install the record of a source `by` owns; returns the record held."""
         if by != descriptor.owner:
@@ -100,8 +97,7 @@ class Catalog(wire.VersionedMap):
         data_id = incoming.descriptor.id
         if data_id in self.records:
             return False
-        self.records[data_id] = incoming
-        self.changed()
+        self.put(data_id, incoming)
         return True
 
     def diff(self, remote: list) -> tuple:

@@ -141,8 +141,13 @@ class Execution:
     # ------------------------------------------------------------------
 
     def admit(self, frm: NodeId, task_id, attempt: int) -> None:
-        """Start the reserved run `frm` claimed (or this node admitted)."""
+        """Start the reserved run `frm` claimed (or this node admitted). A
+        CLAIM repeated for the attempt already admitted changes nothing;
+        one for a run not held, or not reserved for that attempt, is
+        NACKed."""
         run = self.engine.runs.get(task_id)
+        if run is not None and run.attempt == attempt and run.state != executor.RESERVED:
+            return
         if run is None or run.state != executor.RESERVED or run.attempt != attempt:
             self.agent.send_task(frm, wire.NACK, task_id, attempt)
             return

@@ -26,16 +26,23 @@ is decoded (the Scuttlebutt rule: compare versions before materialising
 state).
 
 Invariants of `SwarmView`, a `wire.VersionedMap`: `members` is written
-only through `apply` and `remove`, each of which calls `changed()` when the
-view changes. The version map and its hash, digest, alive list (whose first
-element is the swarm id) and probe targets are cached until then, and the
-values returned are shared with every message and trace record that carries
-them, so they are read-only; the map and its entries are `wire` record
-types, which enforce it. A view installs the very `MemberState` a peer
-gossiped (`wire.adopt`), so views that agree hold the same objects, and
-their version maps the same entries. What the view adds to the map it
-shares with the registry and the catalog is its merge rule (`merge_key`)
-and the tombstone filter of `diff`.
+only through `apply` and `remove`, which write through the map's `put` and
+`drop`, and those report each change, the record replaced and the record
+installed, to `changed(old, new)`. The view keeps its derived state by that
+delta, never by a scan: the alive list (whose first element is the swarm
+id) and the probe targets as sorted lists, the Dead and Suspect members'
+`(last_update_time, node)` as a sorted list that `split_condition` reads
+in O(1), and the member-set digest as a sum mod 2^64 of each record's
+`member_hash` (AdHash; Bellare & Micciancio, EUROCRYPT 1997), so equal
+member sets give equal digests whatever order built them. The version map,
+its hash and the digest's text are cached until the next change and shared
+with every message and trace record that carries them; the alive and
+probe lists are the kept lists themselves. All of them are read-only; the
+map and its entries are `wire` record types, which enforce it. A view
+installs the very `MemberState` a peer gossiped (`wire.adopt`), so views
+that agree hold the same objects, and their version maps the same entries.
+What the view adds to the map it shares with the registry and the catalog
+is its merge rule (`merge_key`) and the tombstone filter of `diff`.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -44,6 +51,7 @@ pure data logic so it can be property-tested in isolation.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +64,10 @@ DEAD = "dead"
 LEFT = "left"
 
 RETENTION = 30.0  # seconds a Dead or Left record is kept before GC
+
+_PROBED = (ALIVE, SUSPECT)  # statuses a probe round picks from
+_STALE = (DEAD, SUSPECT)  # statuses `split_condition` counts as unreachable
+_DIGEST_MASK = (1 << 64) - 1
 
 #: Precedence at equal incarnation; larger rank wins a merge. A member's
 #: wire form carries the rank in place of the status.
@@ -102,6 +114,13 @@ class MemberState:
     def key(self) -> tuple:
         return merge_key(self.status, self.incarnation, self.last_update_time)
 
+    @cached_property
+    def member_hash(self) -> int:
+        """64 bits of blake2b of (node, status, incarnation): this record's
+        term in its view's member-set digest."""
+        triple = repr((self.node, self.status, self.incarnation)).encode()
+        return int.from_bytes(hashlib.blake2b(triple, digest_size=8).digest(), "big")
+
     def to_dict(self) -> wire.ListRecord:
         """The wire form, `version_entry`: built once, shared, read-only."""
         return self.version_entry
@@ -135,24 +154,50 @@ class SwarmView(wire.VersionedMap):
         super().__init__()
         self.self_node = self_node
         self.members = self.records
+        self._alive: list = []  # Alive members, in NodeId order
+        self._probe: list = []  # Alive and Suspect members but us, in NodeId order
+        self._stale: list = []  # (last_update_time, node) of Dead and Suspect members
+        self._digest_sum = 0  # sum of `member_hash` over the members, mod 2^64
+
+    def changed(self, old, new) -> None:
+        """Keep the alive list, the probe list, the split list and the
+        digest sum by the delta of one member record: `old` replaced by
+        `new`, either of them None."""
+        super().changed(old, new)
+        node = (new or old).node
+        was = old.status if old is not None else None
+        now = new.status if new is not None else None
+        if (was == ALIVE) != (now == ALIVE):
+            _toggle(self._alive, node, now == ALIVE)
+        if node != self.self_node and (was in _PROBED) != (now in _PROBED):
+            _toggle(self._probe, node, now in _PROBED)
+        stale = self._stale
+        if was in _STALE:
+            del stale[bisect_left(stale, (old.last_update_time, node))]
+        if now in _STALE:
+            insort(stale, (new.last_update_time, node))
+        total = self._digest_sum
+        if old is not None:
+            total -= old.member_hash
+        if new is not None:
+            total += new.member_hash
+        self._digest_sum = total & _DIGEST_MASK
 
     def alive_nodes(self) -> list:
-        """Alive members in NodeId order; shared, read-only."""
-        return self.cached("alive", lambda: sorted(
-            n for n, m in self.members.items() if m.status == ALIVE
-        ))
+        """Alive members in NodeId order: the kept list itself, read-only,
+        and changed in place by the view's next change."""
+        return self._alive
 
     @property
     def swarm_id(self):
         """Deterministic swarm identity: minimum Alive NodeId in the view."""
-        alive = self.alive_nodes()
+        alive = self._alive
         return alive[0] if alive else self.self_node
 
     def member_set_digest(self) -> str:
-        """Stable digest over (node, status, incarnation) triples."""
-        return self.cached("digest", lambda: hashlib.sha256(repr(sorted(
-            (m.node, m.status, m.incarnation) for m in self.members.values()
-        )).encode()).hexdigest()[:16])
+        """Digest of the member set as (node, status, incarnation) triples:
+        the sum of their `member_hash`es mod 2^64 (AdHash), in hex."""
+        return self.cached("digest", lambda: format(self._digest_sum, "016x"))
 
     def diff(self, remote: list, now: float) -> tuple:
         """(our records a peer's version map lacks, nodes whose record there
@@ -167,13 +212,10 @@ class SwarmView(wire.VersionedMap):
         ))
 
     def probe_targets(self) -> list:
-        """Alive and Suspect members other than ourselves, in NodeId order;
-        shared, read-only."""
-        return self.cached("probe", lambda: sorted(
-            n
-            for n, m in self.members.items()
-            if n != self.self_node and m.status in (ALIVE, SUSPECT)
-        ))
+        """Alive and Suspect members other than ourselves, in NodeId order:
+        the kept list itself, read-only, and changed in place by the view's
+        next change."""
+        return self._probe
 
     def dominates(self, entry: list) -> bool:
         """True when `apply` of this version entry, decoded, would return
@@ -193,16 +235,20 @@ class SwarmView(wire.VersionedMap):
         current = self.members.get(incoming.node)
         if current is not None and current.key >= incoming.key:
             return False
-        self.members[incoming.node] = incoming
-        self.changed()
+        self.put(incoming.node, incoming)
         return True
 
     def remove(self, node: NodeId) -> bool:
         """Drop a member's record (tombstone GC); True when one was held."""
-        if self.members.pop(node, None) is None:
-            return False
-        self.changed()
-        return True
+        return self.drop(node)
+
+
+def _toggle(kept: list, node: NodeId, add: bool) -> None:
+    """Insert `node` into, or delete it from, the sorted list `kept`."""
+    if add:
+        insort(kept, node)
+    else:
+        del kept[bisect_left(kept, node)]
 
 
 def merge_views(a: SwarmView, b: SwarmView) -> SwarmView:
@@ -215,12 +261,12 @@ def merge_views(a: SwarmView, b: SwarmView) -> SwarmView:
 
 
 def split_condition(view: SwarmView, now: float, t_split: float) -> bool:
-    """True when at least half the members have been unreachable past t_split."""
-    if not view.members:
-        return False
-    stale = sum(
-        1
-        for m in view.members.values()
-        if m.status in (DEAD, SUSPECT) and now - m.last_update_time >= t_split
-    )
-    return stale * 2 >= len(view.members)
+    """True when at least half the members have been unreachable past t_split.
+
+    That is when the ceil(n/2)-th oldest Dead or Suspect record of the n
+    members is stale: `now - last_update_time` falls as the time rises, so
+    the records older than a stale one are stale too.
+    """
+    stale = view._stale
+    k = (len(view.members) + 1) // 2
+    return 0 < k <= len(stale) and now - stale[k - 1][0] >= t_split

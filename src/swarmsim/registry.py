@@ -18,9 +18,9 @@ the typologies sorted: the version entry and stamped time, then the
 profile's own form (`NodeProfile.to_dict`) after its node id.
 
 Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
-through `local_update`, `merge` and `evict`, and each of them calls
-`changed()` when it changes an entry, which drops the cached `version_map`
-and `version_hash`. The registry adds to its base only the merge rule, last
+through `local_update`, `merge` and `evict`, and each of them writes
+through the map's `put` or `drop`, which keep the version map sorted and
+drop the cached `version_map` and `version_hash`. The registry adds to its base only the merge rule, last
 writer wins by version. Since a version names one entry, the map's hash is
 also the registry's convergence hash (`content_hash`).
 """
@@ -106,8 +106,7 @@ class Registry(wire.VersionedMap):
             version=(incarnation, prev_sv + 1),
             stamped_time=now,
         )
-        self.entries[self.owner] = entry
-        self.changed()
+        self.put(self.owner, entry)
         return entry
 
     def merge(self, entry: RegistryEntry) -> bool:
@@ -115,8 +114,7 @@ class Registry(wire.VersionedMap):
         current = self.entries.get(entry.node)
         if current is not None and current.version >= entry.version:
             return False
-        self.entries[entry.node] = entry
-        self.changed()
+        self.put(entry.node, entry)
         return True
 
     def digest(self) -> dict:
@@ -146,10 +144,7 @@ class Registry(wire.VersionedMap):
         return out
 
     def evict(self, node: NodeId) -> bool:
-        if self.entries.pop(node, None) is None:
-            return False
-        self.changed()
-        return True
+        return self.drop(node)
 
     def content_hash(self) -> str:
         """The registry's convergence hash: `version_hash()`. A version is

@@ -19,6 +19,17 @@ of radio range, an active partition window separates the pair, or the
 per-sender loss draw fires. Otherwise delivery happens after an affine
 distance latency.
 
+Reachability is kept, not scanned per call. Per node the simulator keeps
+the set of nodes it reaches now: in range, and on its side of every active
+partition window. A set is filled lazily on its first read and kept until
+a node moves or the clock leaves the span between two partition edges; up
+or down does not count in it. `discover` is that set's up nodes, sorted; `send` tests
+membership in it, and only a miss tests range and partition again, to name
+the drop reason ("range" before "partition"). The span is checked against
+the clock on every read, not moved by the edge events, since an event at
+an edge's instant can run before that edge's own event. Every node is added
+before the first read.
+
 Each send is encoded once (`wire.encode`) for the byte count and digest the
 trace records; the receiver is handed the sent `wire.Message` itself, not a
 decode of those bytes. A message is a value once sent: neither the sender
@@ -32,7 +43,10 @@ each record is encoded to its trace line as it is recorded, and the lines
 are packed into zlib blocks. A record reads back as its JSON decodes, so a
 value JSON lacks (a frozenset, say) reads back as its `str`, a tuple as a
 list and an integer mapping key as a string. Listeners are handed the
-record itself.
+record itself. The transport records, `send` without a body, `deliver` and
+`drop`, make up most of a trace; their lines are formatted from fixed
+templates (`SEND_LINE`, `DELIVER_LINE`, `DROP_LINE`) byte for byte as the
+encoder would write them, and every other record goes through the encoder.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ import json
 import math
 import random
 import zlib
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from . import wire
@@ -82,6 +97,21 @@ def substream(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(h[:8], "big"))
 
 
+# The trace lines of the transport records, as `TraceLog`'s encoder writes
+# them (sorted keys, ", " and ": "), for `rec % template`. A node id, a
+# message id, a byte count and the clock are ints or finite floats, whose
+# `repr` is their JSON; a kind, a digest and a drop reason are ASCII with
+# nothing to escape.
+SEND_LINE = (
+    '{"bytes": %(bytes)r, "digest": "%(digest)s", "from": %(from)r, "kind": "%(kind)s", '
+    '"msg_id": %(msg_id)r, "t": %(t)r, "to": %(to)r, "type": "send"}'
+)
+DELIVER_LINE = (
+    '{"from": %(from)r, "kind": "%(kind)s", "msg_id": %(msg_id)r, "t": %(t)r, '
+    '"to": %(to)r, "type": "deliver"}'
+)
+DROP_LINE = '{"msg_id": %(msg_id)r, "reason": "%(reason)s", "t": %(t)r, "type": "drop"}'
+
 # A trace block is packed once its open bytes reach this size.
 TRACE_BLOCK_BYTES = 1 << 16
 TRACE_ZLIB_LEVEL = 1
@@ -102,9 +132,11 @@ class TraceLog:
         self._open = bytearray()
         self._count = 0
 
-    def append(self, rec: dict) -> None:
+    def append(self, rec: dict, template: str = None) -> None:
+        """Add `rec`'s line: `template % rec` when given, which must equal
+        the encoder's line for `rec`, else the encoder's."""
         block = self._open
-        block += self._dumps(rec).encode()
+        block += (self._dumps(rec) if template is None else template % rec).encode()
         block += b"\n"
         self._count += 1
         if len(block) >= TRACE_BLOCK_BYTES:
@@ -172,6 +204,9 @@ class Simulator:
         self.nodes: dict = {}  # NodeId -> SimNode
         self.agents: dict = {}  # NodeId -> agent (see agent.NodeAgent)
         self.partitions: list = []
+        self._edges: list = []  # every partition's start and end, sorted
+        self._reach: dict = {}  # NodeId -> reachable(node), for `_reach_span`
+        self._reach_span = (math.inf, -math.inf)  # [lo, hi): no partition edge inside
         self.trace = TraceLog()
         self.listeners: list = []  # callables invoked per trace record
         self._loss_rngs: dict = {}
@@ -200,8 +235,10 @@ class Simulator:
             self._loss_rngs[node] = rng
         return rng
 
-    def record(self, rec: dict) -> None:
-        self.trace.append(rec)
+    def record(self, rec: dict, template: str = None) -> None:
+        """Trace `rec` and hand it to the listeners. `template` (a `*_LINE`)
+        formats its line while the clock is finite: JSON has no `inf`."""
+        self.trace.append(rec, template if self.now < math.inf else None)
         for listener in self.listeners:
             listener(rec)
 
@@ -227,6 +264,9 @@ class Simulator:
         if not start < end:
             raise ValueError("partition start must precede end")
         self.partitions.append(PartitionWindow(ga, gb, start, end))
+        insort(self._edges, start)
+        insort(self._edges, end)
+        self._reach_span = (math.inf, -math.inf)
         self.schedule(start, self._partition_edge, "partition_start", sorted(ga), sorted(gb))
         self.schedule(end, self._partition_edge, "partition_end", sorted(ga), sorted(gb))
 
@@ -237,21 +277,45 @@ class Simulator:
         dist = distance(self.position_of(a), self.position_of(b))
         return dist <= self.net.radio_range
 
+    def reachable(self, node: NodeId) -> set:
+        """The nodes `node` reaches in one hop now, up or down, itself
+        included: in range, and on its side of every active partition.
+        Kept per node until a node moves or `now` leaves the span between
+        two partition edges; read-only."""
+        now = self.now
+        lo, hi = self._reach_span
+        if not lo <= now < hi:
+            self._reach.clear()
+            edges = self._edges
+            i = bisect_right(edges, now)
+            self._reach_span = (
+                edges[i - 1] if i else -math.inf, edges[i] if i < len(edges) else math.inf
+            )
+        reach = self._reach.get(node)
+        if reach is None:
+            pos, radio_range = self.nodes[node].position, self.net.radio_range
+            reach = self._reach[node] = {
+                other
+                for other, rec in self.nodes.items()
+                if distance(pos, rec.position) <= radio_range
+            }
+            for w in self.partitions:
+                if w.start <= now < w.end:
+                    if node in w.group_a:
+                        reach -= w.group_b
+                    elif node in w.group_b:
+                        reach -= w.group_a
+        return reach
+
     def discover(self, node: NodeId) -> list:
         """All live nodes reachable in one hop: in range, same partition side.
 
         Deterministic given sim state (no loss draw); sorted by NodeId.
         """
-        out = []
-        for other, rec in self.nodes.items():
-            if other == node or not rec.up:
-                continue
-            if not self.in_range(node, other):
-                continue
-            if self.partitioned(node, other):
-                continue
-            out.append(other)
-        return sorted(out)
+        nodes = self.nodes
+        return sorted(
+            other for other in self.reachable(node) if other != node and nodes[other].up
+        )
 
     # -- transport ----------------------------------------------------------
 
@@ -274,17 +338,21 @@ class Simulator:
         }
         if msg.kind == wire.OFFER:
             rec["body"] = msg.body
-        self.record(rec)
+            self.record(rec)
+        else:
+            self.record(rec, SEND_LINE)
         reason = None
-        if not self.in_range(frm, to):
+        if to in self.reachable(frm):
+            if self.net.loss_prob > 0 and self._loss_rng(frm).random() < self.net.loss_prob:
+                reason = "loss"
+        elif not self.in_range(frm, to):  # a miss names its reason as a scan does
             reason = "range"
         elif self.partitioned(frm, to):
             reason = "partition"
-        elif self.net.loss_prob > 0 and self._loss_rng(frm).random() < self.net.loss_prob:
-            reason = "loss"
         if reason is not None:
             self.record(
-                {"t": self.now, "type": "drop", "msg_id": msg_id, "reason": reason}
+                {"t": self.now, "type": "drop", "msg_id": msg_id, "reason": reason},
+                DROP_LINE,
             )
             return "dropped"
         dist = distance(self.position_of(frm), self.position_of(to))
@@ -340,6 +408,7 @@ class Simulator:
 
     def move(self, node: NodeId, pos: Position) -> None:
         self.nodes[node].position = pos
+        self._reach.clear()
         self.record({"t": self.now, "type": "move", "node": node, "x": pos.x, "y": pos.y})
         if self.node_up(node):
             self.agents[node].on_move(pos)
@@ -355,11 +424,14 @@ class Simulator:
 
     def _deliver(self, frm: NodeId, to: NodeId, msg_id: int, msg: wire.Message) -> None:
         if not self.node_up(to):
-            self.record({"t": self.now, "type": "drop", "msg_id": msg_id, "reason": "down"})
+            self.record(
+                {"t": self.now, "type": "drop", "msg_id": msg_id, "reason": "down"}, DROP_LINE
+            )
             return
         self.record(
             {"t": self.now, "type": "deliver", "from": frm, "to": to, "msg_id": msg_id,
-             "kind": msg.kind}
+             "kind": msg.kind},
+            DELIVER_LINE,
         )
         self.agents[to].on_message(frm, msg)
 

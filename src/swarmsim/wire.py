@@ -36,9 +36,13 @@ entries.
 
 The view, the registry and the catalog are each a `VersionedMap`, which
 owns the map, its hash, the cache they live in and the diff; an owner adds
-only its merge rule, the `newer` test it hands to `diff_records`. The registry's
-map hash is also its convergence hash (`Registry.content_hash`), since a
-registry version names one entry.
+only its merge rule, the `newer` test it hands to `diff_records`. The map
+is kept by delta, not rebuilt: every write goes through `put` or `drop`,
+which keep the version entries sorted by id with `bisect` and report the
+replaced and the installed record to `changed(old, new)`, so a read of the
+map is a copy of that list, made once per change. The registry's map hash
+is also its convergence hash (`Registry.content_hash`), since a registry
+version names one entry.
 
 Every gossiped record has one compact positional wire form, a list that
 begins with the record's version entry, so a map entry is a prefix of the
@@ -81,8 +85,10 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 # Membership / discovery
 HELLO = "HELLO"  # {view: version map}
@@ -218,6 +224,9 @@ def short_hash(value) -> str:
     return hashlib.sha256(_value_json(value).encode()).hexdigest()[:16]
 
 
+_entry_id = itemgetter(0)  # a version entry's id
+
+
 def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
     """Reconcile two version maps: (ids to push, ids to want).
 
@@ -259,19 +268,45 @@ class VersionedMap:
     """Records by id, reconciled digest first: the base of the view, the
     registry and the catalog.
 
-    `records` (id -> record, each with a `version_entry`) is written only by
-    the owner's mutators, and each calls `changed()` when it changed a
-    record. Until then the version map, its hash and whatever else the owner
-    builds through `cached` are kept, and shared with every message and
-    trace record that carries them, so they are read-only.
+    `records` (id -> record, each with a `version_entry` whose first element
+    is the id) is written only through `put` and `drop`. Each keeps the
+    version entries sorted by id, by `bisect`, and reports the record it
+    replaced and the one it installed to `changed(old, new)`, where an
+    owner keeps its own derived state by delta. Until the next change the
+    version map, its hash and whatever else the owner builds through
+    `cached` are kept, and shared with every message and trace record that
+    carries them, so they are read-only.
     """
 
     def __init__(self):
         self.records: dict = {}
+        self._entries: list = []  # every record's version entry, in id order
         self._cache: dict = {}
 
-    def changed(self) -> None:
-        """Forget every cached value: a record was added, replaced or dropped."""
+    def put(self, key, record) -> None:
+        """Install `record` under `key`, in place of any record held."""
+        old = self.records.get(key)
+        self.records[key] = record
+        entries = self._entries
+        if old is None:
+            insort(entries, record.version_entry, key=_entry_id)
+        else:
+            entries[bisect_left(entries, key, key=_entry_id)] = record.version_entry
+        self.changed(old, record)
+
+    def drop(self, key) -> bool:
+        """Drop the record under `key`; True when one was held."""
+        old = self.records.pop(key, None)
+        if old is None:
+            return False
+        entries = self._entries
+        del entries[bisect_left(entries, key, key=_entry_id)]
+        self.changed(old, None)
+        return True
+
+    def changed(self, old, new) -> None:
+        """Forget the cached values: `put` replaced `old` (None when it
+        added `new`), or `drop` dropped it (`new` is None)."""
         self._cache.clear()
 
     def cached(self, key: str, build):
@@ -283,10 +318,9 @@ class VersionedMap:
 
     def version_map(self) -> RecordList:
         """Every record's `version_entry` in id order, as HELLO (the view's)
-        and a DIGEST that answers a differing hash carry it."""
-        return self.cached("map", lambda: RecordList(
-            r.version_entry for _, r in sorted(self.records.items())
-        ))
+        and a DIGEST that answers a differing hash carry it: a copy of the
+        kept entries, since a sent map must not change under its message."""
+        return self.cached("map", lambda: RecordList(self._entries))
 
     def version_hash(self) -> str:
         """`short_hash` of `version_map()`, as a periodic DIGEST carries it."""

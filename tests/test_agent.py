@@ -476,3 +476,29 @@ def test_a_run_due_at_now_finishes_in_its_completion_handler():
     assert run.state == executor.DONE and 7 not in execution.engine.runs
     assert run.progressed == 0.5
     assert [r["task"] for r in sim.trace if r["type"] == "run_done"] == [7]
+
+
+@pytest.mark.parametrize("name", ["heavy_churn", "data_locality", "steady_state"])
+def test_a_repeated_claim_changes_no_task_outcome(monkeypatch, name):
+    """Every CLAIM delivered a second time 50 ms after the first: the
+    executor that admitted the attempt ignores the copy, so as many tasks
+    finish as without the copies, and none is NACKed into failure."""
+    sc = scen.load_scenario(ROOT / "scenarios" / f"{name}.yaml")
+    plain = scen.run(sc).report
+    deliver = Simulator._deliver
+    repeated = set()
+
+    def deliver_claims_twice(self, frm, to, msg_id, msg):
+        if msg.kind == wire.CLAIM and msg_id not in repeated:
+            repeated.add(msg_id)
+            self.schedule(self.now + 0.05, self._deliver, frm, to, msg_id, msg)
+        deliver(self, frm, to, msg_id, msg)
+
+    monkeypatch.setattr(Simulator, "_deliver", deliver_claims_twice)
+    doubled = scen.run(sc).report
+    assert repeated
+    assert (doubled.tasks_done, doubled.tasks_failed_permanent) == (
+        plain.tasks_done, plain.tasks_failed_permanent,
+    )
+    assert doubled.tasks_failed_permanent == 0
+    assert doubled.balance_holds()

@@ -31,7 +31,7 @@ def test_descriptor_invariants():
 
 
 def test_announce_owner_only():
-    cat = Catalog(owner=3)
+    cat = Catalog()
     rec = cat.announce(desc(), by=3)
     assert cat.records == {1: rec} and rec.descriptor == desc()
     with pytest.raises(NotOwnerError):
@@ -41,7 +41,7 @@ def test_announce_owner_only():
 def test_merge_installs_only_sources_not_held():
     """An id names one record: a record of a source already held changes
     nothing, whether merged or announced."""
-    cat = Catalog(owner=3)
+    cat = Catalog()
     held = cat.announce(desc(), by=3)
     assert not cat.merge(CatalogRecord(desc(replicas={3, 7})))
     assert cat.announce(desc(size=5.0), by=3) is held
@@ -52,14 +52,14 @@ def test_merge_installs_only_sources_not_held():
 
 
 def test_resolve_prefers_reader_itself():
-    cat = Catalog(owner=3)
+    cat = Catalog()
     cat.announce(desc(replicas={3, 5}), by=3)
     got = cat.resolve(1, reader=5, position_of=lambda n: Position(0, 0), is_alive=lambda n: True)
     assert got == 5  # reader holds a replica -> zero transfer
 
 
 def test_resolve_nearest_then_lowest_id():
-    cat = Catalog(owner=3)
+    cat = Catalog()
     cat.announce(desc(replicas={3, 5, 7}), by=3)
     pos = {1: Position(0, 0), 3: Position(10, 0), 5: Position(5, 0), 7: Position(5, 0)}
     got = cat.resolve(1, reader=1, position_of=pos.get, is_alive=lambda n: True)
@@ -67,7 +67,7 @@ def test_resolve_nearest_then_lowest_id():
 
 
 def test_resolve_skips_dead_replicas():
-    cat = Catalog(owner=3)
+    cat = Catalog()
     cat.announce(desc(replicas={3, 5}), by=3)
     pos = {1: Position(0, 0), 3: Position(1, 0), 5: Position(100, 0)}
     alive = {3: False, 5: True}
@@ -79,7 +79,7 @@ def test_resolve_skips_dead_replicas():
 
 
 def test_descriptor_survives_owner_death_via_replica():
-    cat = Catalog(owner=1)
+    cat = Catalog()
     cat.merge(CatalogRecord(desc(owner=3, replicas={3, 5})))
     alive = lambda n: n != 3
     assert cat.live_replicas(1, alive) == [5]
@@ -107,7 +107,7 @@ def test_digest_exchange_leaves_both_catalogs_at_the_union(xs, ys):
     what `a` pushes, then `a` merges `b`'s records for what it wants. Both
     end holding every source either held; then nothing is left to
     exchange."""
-    a, b, union = Catalog(1), Catalog(2), Catalog(0)
+    a, b, union = Catalog(), Catalog(), Catalog()
     for rec in xs:
         a.merge(rec)
     for rec in ys:
@@ -127,7 +127,7 @@ def test_digest_exchange_leaves_both_catalogs_at_the_union(xs, ys):
 def test_catalog_mutators_refresh_version_map_and_hash():
     """`version_map()` and its `version_hash()` are cached until a record
     is added, and the hash changes exactly when the map does."""
-    cat = Catalog(owner=3)
+    cat = Catalog()
 
     def reference():
         return [[i] for i in sorted(cat.records)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hypothesis import example, given, settings, strategies as st
@@ -217,6 +218,66 @@ def test_view_mutators_refresh_cached_values():
     assert not view.remove(3)
     assert view.alive_nodes() == [1]
     assert view.probe_targets() == [2]  # Suspect is probed; self never is
+
+
+# -- derived state kept by delta --------------------------------------------
+
+# Few distinct values, so ties in time and repeated records come up often.
+view_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("apply"), st.builds(
+            MemberState, node=st.integers(1, 6),
+            status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+            incarnation=st.integers(0, 2), last_update_time=st.sampled_from([0.0, 1.0, 2.5]),
+        )),
+        st.tuples(st.just("remove"), st.integers(1, 6)),
+    ),
+    max_size=30,
+)
+
+
+def scanned_split(view, now, t_split):
+    """`split_condition` as a scan of every member."""
+    if not view.members:
+        return False
+    stale = sum(
+        1 for m in view.members.values()
+        if m.status in (DEAD, SUSPECT) and now - m.last_update_time >= t_split
+    )
+    return stale * 2 >= len(view.members)
+
+
+@settings(max_examples=300)
+@given(view_steps, st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.5, 2.6, 4.0, 4.1, 9.0]), min_size=1))
+def test_split_condition_from_the_kept_list_equals_a_scan(steps, instants):
+    view = SwarmView(self_node=1)
+    for (name, arg), now in zip(steps, instants * len(steps)):
+        getattr(view, name)(arg)
+        for t_split in (0.0, 1.5):
+            assert split_condition(view, now, t_split) == scanned_split(view, now, t_split)
+
+
+def scratch_digest(members) -> str:
+    """The AdHash of (node, status, incarnation) triples, from scratch."""
+    total = sum(
+        int.from_bytes(hashlib.blake2b(
+            repr((m.node, m.status, m.incarnation)).encode(), digest_size=8
+        ).digest(), "big")
+        for m in members
+    )
+    return format(total % 2**64, "016x")
+
+
+@given(view_steps)
+def test_member_digest_is_the_sum_over_the_current_members(steps):
+    view = SwarmView(self_node=1)
+    for name, arg in steps:
+        getattr(view, name)(arg)
+        members = list(view.members.values())
+        assert view.member_set_digest() == scratch_digest(members)
+        # Equal member sets give equal digests, whatever built them.
+        other = view_from(reversed(members), self_node=2)
+        assert other.member_set_digest() == view.member_set_digest()
 
 
 def test_dominates_the_held_records_own_dict():

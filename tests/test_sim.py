@@ -2,11 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from swarmsim import sim as simlib
 from swarmsim import wire
-from swarmsim.model import Position
-from swarmsim.sim import NetModel, PartitionWindow, Simulator, battery_step, substream
+from swarmsim.model import Position, distance
+from swarmsim.sim import NetModel, PartitionWindow, Simulator, TraceLog, battery_step, substream
 
 
 class Recorder:
@@ -223,3 +224,117 @@ def test_handler_errors_carry_the_event():
     assert exc.value.event == (1.0, "fire_timer")
     assert str(exc.value).startswith("handler fault at t=1.0 on fire_timer: ")
     assert isinstance(exc.value.cause, RuntimeError)
+
+
+# -- cached reachability against a from-scratch scan --------------------------
+
+EDGES = [0.5, 1.0, 2.0, 3.0]  # every start and end a drawn window can have
+
+
+class Mover(Recorder):
+    def on_move(self, pos):
+        pass
+
+
+def scan_reason(s, a, b):
+    """Why a send from `a` to `b` is dropped before any loss draw, read from
+    the positions and the windows alone: "range", "partition" or None."""
+    if distance(s.nodes[a].position, s.nodes[b].position) > s.net.radio_range:
+        return "range"
+    for w in s.partitions:
+        if w.start <= s.now < w.end and (
+            (a in w.group_a and b in w.group_b) or (a in w.group_b and b in w.group_a)
+        ):
+            return "partition"
+    return None
+
+
+windows = st.lists(
+    st.tuples(
+        st.frozensets(st.integers(1, 5), max_size=4),
+        st.sampled_from(EDGES[:-1]),
+        st.sampled_from(EDGES[1:] + [math.inf]),
+    ).filter(lambda w: w[1] < w[2]),
+    max_size=3,
+)
+reach_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["join", "crash", "leave"]), st.integers(1, 5)),
+        st.tuples(
+            st.just("move"), st.integers(1, 5),
+            st.sampled_from([0.0, 30.0, 60.0, 100.0]), st.sampled_from([0.0, 40.0]),
+        ),
+        # Forwards and backwards, onto every partition edge and between.
+        st.tuples(st.just("clock"), st.sampled_from([0.0, 0.75, 1.5, 2.5, 4.0] + EDGES)),
+    ),
+    max_size=20,
+)
+
+
+@given(windows, reach_steps)
+def test_cached_reachability_matches_a_scan(partitions, steps):
+    """After any sequence of lifecycle events, moves and clock changes,
+    `discover` and the drop reason of a send are what a scan of the
+    positions, the windows and the up flags gives."""
+    s = Simulator(seed=0, net=NetModel(radio_range=50.0))
+    for node in range(1, 6):
+        s.add_node(node, Position(node * 20.0, 0.0))
+        s.register_agent(node, Mover(s, node))
+    for group, start, end in partitions:
+        s.inject_partition(group, set(range(1, 6)) - group, start, end)
+    drops = []
+    s.listeners.append(lambda rec: drops.append(rec["reason"]) if rec["type"] == "drop" else None)
+    for step, *args in steps:
+        if step == "move":
+            s.move(args[0], Position(args[1], args[2]))
+        elif step == "clock":
+            s.now = args[0]
+        else:
+            getattr(s, step)(*args)
+        for a in s.nodes:
+            assert s.discover(a) == sorted(
+                b for b in s.nodes
+                if b != a and s.nodes[b].up and scan_reason(s, a, b) is None
+            )
+            for b in s.nodes:
+                drops.clear()
+                s.send(a, b, wire.Message(wire.PING, {}))
+                assert drops == [r for r in [scan_reason(s, a, b)] if r is not None]
+
+
+# -- transport trace lines from templates ------------------------------------
+
+ints = st.integers()
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-300, 0.1, 1.0, 2.0**53, 1e16, 1e300, -0.0]),
+)
+
+
+@given(
+    st.one_of(ints, floats), ints, ints, ints, ints,
+    st.sampled_from(sorted(wire.ALL_KINDS)),
+    st.integers(0, 2**32 - 1).map(lambda crc: format(crc, "08x")),
+    st.sampled_from(["range", "partition", "loss", "down"]),
+)
+def test_transport_templates_write_the_encoders_line(t, frm, to, msg_id, size, kind, digest, reason):
+    send = {"t": t, "type": "send", "from": frm, "to": to, "msg_id": msg_id,
+            "kind": kind, "digest": digest, "bytes": size}
+    deliver = {"t": t, "type": "deliver", "from": frm, "to": to, "msg_id": msg_id, "kind": kind}
+    drop = {"t": t, "type": "drop", "msg_id": msg_id, "reason": reason}
+    log = TraceLog()
+    for rec, template in (
+        (send, simlib.SEND_LINE), (deliver, simlib.DELIVER_LINE), (drop, simlib.DROP_LINE),
+    ):
+        log.append(rec)
+        log.append(rec, template)
+    lines = b"".join(log.chunks()).splitlines()
+    assert lines[1::2] == lines[0::2]
+
+
+def test_a_send_at_an_infinite_clock_is_traced_by_the_encoder():
+    s, _ = two_node_sim(radio_range=50.0)
+    s.run_until(0.0)
+    s.now = math.inf  # JSON writes it as Infinity, which no template does
+    s.send(1, 2, wire.Message(wire.PING, {}))
+    assert [(r["type"], r["t"]) for r in s.trace][-2:] == [("send", math.inf), ("drop", math.inf)]

@@ -454,7 +454,7 @@ catalog_steps = st.one_of(
 
 
 @pytest.mark.parametrize("owner_type, steps", [
-    (SwarmView, view_steps), (Registry, registry_steps), (Catalog, catalog_steps),
+    (SwarmView, view_steps), (Registry, registry_steps), (lambda node: Catalog(), catalog_steps),
 ], ids=["view", "registry", "catalog"])
 @given(data=st.data())
 def test_versioned_maps_cache_what_a_rebuild_gives(owner_type, steps, data):
