@@ -20,8 +20,8 @@ profile's own form (`NodeProfile.to_dict`) after its node id.
 Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
 through `local_update`, `merge` and `evict`, and each of them writes
 through the map's `put` or `drop`, which keep the version map sorted and
-drop the cached `version_map` and `version_hash`. The registry adds to its base only the merge rule, last
-writer wins by version. Since a version names one entry, the map's hash is
+drop the cached `version_map` and `version_hash`. The registry adds to its
+base only the merge rule, last writer wins by version. Since a version names one entry, the map's hash is
 also the registry's convergence hash (`content_hash`).
 """
 

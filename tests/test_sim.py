@@ -317,7 +317,9 @@ floats = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda crc: format(crc, "08x")),
     st.sampled_from(["range", "partition", "loss", "down"]),
 )
-def test_transport_templates_write_the_encoders_line(t, frm, to, msg_id, size, kind, digest, reason):
+def test_transport_templates_write_the_encoders_line(
+    t, frm, to, msg_id, size, kind, digest, reason
+):
     send = {"t": t, "type": "send", "from": frm, "to": to, "msg_id": msg_id,
             "kind": kind, "digest": digest, "bytes": size}
     deliver = {"t": t, "type": "deliver", "from": frm, "to": to, "msg_id": msg_id, "kind": kind}
