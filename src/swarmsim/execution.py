@@ -146,10 +146,10 @@ class Execution:
         one for a run not held, or not reserved for that attempt, is
         NACKed."""
         run = self.engine.runs.get(task_id)
-        if run is not None and run.attempt == attempt and run.state != executor.RESERVED:
-            return
-        if run is None or run.state != executor.RESERVED or run.attempt != attempt:
+        if run is None or run.attempt != attempt:
             self.agent.send_task(frm, wire.NACK, task_id, attempt)
+            return
+        if run.state != executor.RESERVED:  # a repeated CLAIM
             return
         remote = self.agent.antientropy.remote_inputs_for(run.spec, self.node)
         if remote is None:

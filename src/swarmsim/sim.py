@@ -21,14 +21,15 @@ distance latency.
 
 Reachability is kept, not scanned per call. Per node the simulator keeps
 the set of nodes it reaches now: in range, and on its side of every active
-partition window. A set is filled lazily on its first read and kept until
-a node moves or the clock leaves the span between two partition edges; up
-or down does not count in it. `discover` is that set's up nodes, sorted; `send` tests
-membership in it, and only a miss tests range and partition again, to name
-the drop reason ("range" before "partition"). The span is checked against
-the clock on every read, not moved by the edge events, since an event at
-an edge's instant can run before that edge's own event. Every node is added
-before the first read.
+partition window; up or down does not count in it. A set is filled lazily
+on its first read and kept until the clock leaves the span between two
+partition edges. A move drops the mover's own set and adds the mover to,
+or takes it out of, each other kept set. `discover` is that set's up
+nodes, sorted; `send` tests membership in it, and only a miss tests range
+and partition again, to name the drop reason ("range" before
+"partition"). The span is checked against the clock on every read, not
+moved by the edge events, since an event at an edge's instant can run
+before that edge's own event. Every node is added before the first read.
 
 Each send is encoded once (`wire.encode`) for the byte count and digest the
 trace records; the receiver is handed the sent `wire.Message` itself, not a
@@ -236,9 +237,9 @@ class Simulator:
         return rng
 
     def record(self, rec: dict, template: str = None) -> None:
-        """Trace `rec` and hand it to the listeners. `template` (a `*_LINE`)
-        formats its line while the clock is finite: JSON has no `inf`."""
-        self.trace.append(rec, template if self.now < math.inf else None)
+        """Trace `rec` and hand it to the listeners; `template` (a `*_LINE`)
+        formats its line."""
+        self.trace.append(rec, template)
         for listener in self.listeners:
             listener(rec)
 
@@ -280,8 +281,8 @@ class Simulator:
     def reachable(self, node: NodeId) -> set:
         """The nodes `node` reaches in one hop now, up or down, itself
         included: in range, and on its side of every active partition.
-        Kept per node until a node moves or `now` leaves the span between
-        two partition edges; read-only."""
+        Kept per node until `now` leaves the span between two partition
+        edges, and corrected per move (see `move`); read-only."""
         now = self.now
         lo, hi = self._reach_span
         if not lo <= now < hi:
@@ -408,7 +409,15 @@ class Simulator:
 
     def move(self, node: NodeId, pos: Position) -> None:
         self.nodes[node].position = pos
-        self._reach.clear()
+        # Only the mover's pairs change: drop its set, and put it in or take
+        # it out of every other kept set.
+        reach = self._reach
+        reach.pop(node, None)
+        for other, others in reach.items():
+            if self.in_range(other, node) and not self.partitioned(other, node):
+                others.add(node)
+            else:
+                others.discard(node)
         self.record({"t": self.now, "type": "move", "node": node, "x": pos.x, "y": pos.y})
         if self.node_up(node):
             self.agents[node].on_move(pos)
