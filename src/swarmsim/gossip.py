@@ -261,11 +261,11 @@ class Gossip:
     def rediscover(self) -> None:
         """HELLO a few reachable peers the view lacks or does not hold Alive:
         heals partitions and merges swarms."""
-        self._hello_some([
-            peer
-            for peer in self.sim.discover(self.node)
-            if self.member_status(peer) != ALIVE
-        ])
+        # One set difference, not a status lookup per reachable peer: about
+        # a third of the time at N=256 (`BENCH_26.json` `rediscover_forms`).
+        self._hello_some(sorted(
+            set(self.sim.discover(self.node)).difference(self.view.alive_nodes())
+        ))
 
     # ------------------------------------------------------------------
     # probing and failure detection
