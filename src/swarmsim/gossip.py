@@ -262,7 +262,7 @@ class Gossip:
         """HELLO a few reachable peers the view lacks or does not hold Alive:
         heals partitions and merges swarms."""
         # One set difference, not a status lookup per reachable peer: about
-        # a third of the time at N=256 (`BENCH_26.json` `rediscover_forms`).
+        # a third of the time at N=256.
         self._hello_some(sorted(
             set(self.sim.discover(self.node)).difference(self.view.alive_nodes())
         ))
