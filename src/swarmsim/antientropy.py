@@ -40,7 +40,6 @@ class AntiEntropy:
         self.node = agent.node
         self.registry = Registry(agent.node)
         self.catalog = dataplane.Catalog()
-        self._published_runs = frozenset()  # run keys at the last publish
 
     def send_digest(self, round_no: int) -> None:
         """DIGEST this round's peer: the Alive peers taken in turn."""
@@ -111,10 +110,10 @@ class AntiEntropy:
             self.agent.send(frm, wire.DELTA, reply)
 
     def publish_profile(self, force: bool = False) -> None:
-        """Install our current profile in the registry when it changed, when
-        the set of runs we hold changed since the last publish (a reserve, a
-        release or a finished run), or when forced; otherwise our entry keeps
-        its version. The run set itself is not gossiped."""
+        """Install our current profile in the registry when it changed or
+        when forced; otherwise our entry keeps its version. Each change to
+        the set of runs we hold (a reserve, a release, a finished run)
+        forces one; the run set itself is not gossiped."""
         agent = self.agent
         current = self.registry.entries.get(self.node)
         dyn = agent.profile.dyn
@@ -122,11 +121,8 @@ class AntiEntropy:
             utilization=round(agent.execution.forecast.ewma_utilization, 6),
             battery=dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4),
         )
-        runs = frozenset(agent.engine.runs)
-        changed = current is None or candidate != current.profile
-        if force or changed or runs != self._published_runs:
+        if force or current is None or candidate != current.profile:
             self.registry.local_update(candidate, agent.incarnation, self.sim.now)
-            self._published_runs = runs
 
     # ------------------------------------------------------------------
     # lookups

@@ -110,7 +110,7 @@ class Execution:
                 "reservation_ttl",
                 {"task_id": task.task_id, "attempt": attempt},
             )
-        self.agent.antientropy.publish_profile()
+        self.agent.antientropy.publish_profile(force=True)
 
     def expire_reservation(self, task_id, attempt: int) -> None:
         run = self.engine.runs.get(task_id)
@@ -128,7 +128,7 @@ class Execution:
             reason=reason,
         )
         self._schedule_completion()
-        self.agent.antientropy.publish_profile()
+        self.agent.antientropy.publish_profile(force=True)
 
     def cancel(self, task_id, attempt: int) -> None:
         run = self.engine.runs.get(task_id)
@@ -227,7 +227,7 @@ class Execution:
             self.agent.report(
                 run.origin, wire.DONE, {"task_id": run.task_id, "attempt": run.attempt}
             )
-            self.agent.antientropy.publish_profile()
+            self.agent.antientropy.publish_profile(force=True)
 
     def on_monitor(self) -> None:
         if self.engine.active_count() == 0:

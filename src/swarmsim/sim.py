@@ -20,16 +20,18 @@ per-sender loss draw fires. Otherwise delivery happens after an affine
 distance latency.
 
 Reachability is kept, not scanned per call. Per node the simulator keeps
-the set of nodes it reaches now: in range, and on its side of every active
-partition window; up or down does not count in it. A set is filled lazily
-on its first read and kept until the clock leaves the span between two
-partition edges. A move drops the mover's own set and adds the mover to,
-or takes it out of, each other kept set. `discover` is that set's up
-nodes, sorted; `send` tests membership in it, and only a miss tests range
-and partition again, to name the drop reason ("range" before
-"partition"). The span is checked against the clock on every read, not
-moved by the edge events, since an event at an edge's instant can run
-before that edge's own event. Every node is added before the first read.
+the set of nodes it cannot reach now: out of radio range, or across an
+active partition window; up or down does not count in it. Where every node
+is in range of every other and no window is active, every set is empty. A
+set is filled lazily on its first read and kept until the clock leaves the
+span between two partition edges or a node is added. Reach is symmetric, so
+a move rebuilds the mover's set and puts the mover in, or takes it out of,
+each other kept set by whether that node is in the mover's. Liveness is the
+set of up nodes: `discover` is that set less the node's unreachable set and
+itself, sorted, and `send` drops a message to an unreachable node, naming
+"range" when it is out of range and "partition" when it is not. The span is
+checked against the clock on every read, not moved by the edge events,
+since an event at an edge's instant can run before that edge's own event.
 
 Each send is encoded once (`wire.encode`) for the byte count and digest the
 trace records; the receiver is handed the sent `wire.Message` itself, not a
@@ -167,13 +169,6 @@ class PartitionWindow:
     start: float
     end: float
 
-    def separates(self, a: NodeId, b: NodeId, t: float) -> bool:
-        if not (self.start <= t < self.end):
-            return False
-        return (a in self.group_a and b in self.group_b) or (
-            a in self.group_b and b in self.group_a
-        )
-
 
 class SimFault(Exception):
     """An event's action raised; `event` is its (time, action name)."""
@@ -183,13 +178,6 @@ class SimFault(Exception):
         super().__init__(f"handler fault at t={time} on {name}: {cause!r}")
         self.event = (time, name)
         self.cause = cause
-
-
-@dataclass
-class SimNode:
-    node: NodeId
-    position: Position
-    up: bool = False
 
 
 class Simulator:
@@ -202,12 +190,13 @@ class Simulator:
         self._queue: list = []
         self._seq = 0
         self._msg_seq = 0
-        self.nodes: dict = {}  # NodeId -> SimNode
+        self.nodes: dict = {}  # NodeId -> Position
+        self._up: set = set()  # the nodes up now
         self.agents: dict = {}  # NodeId -> agent (see agent.NodeAgent)
         self.partitions: list = []
         self._edges: list = []  # every partition's start and end, sorted
-        self._reach: dict = {}  # NodeId -> reachable(node), for `_reach_span`
-        self._reach_span = (math.inf, -math.inf)  # [lo, hi): no partition edge inside
+        self._unreach: dict = {}  # NodeId -> unreachable(node), for `_unreach_span`
+        self._unreach_span = (math.inf, -math.inf)  # [lo, hi): no partition edge inside
         self.trace = TraceLog()
         self.listeners: list = []  # callables invoked per trace record
         self._loss_rngs: dict = {}
@@ -217,17 +206,23 @@ class Simulator:
     def add_node(self, node: NodeId, position: Position) -> None:
         if node in self.nodes:
             raise ValueError(f"duplicate node {node}")
-        self.nodes[node] = SimNode(node=node, position=position)
+        self.nodes[node] = position
+        self._unreach_span = (math.inf, -math.inf)  # the kept sets lack `node`
 
     def register_agent(self, node: NodeId, agent) -> None:
         self.agents[node] = agent
 
     def node_up(self, node: NodeId) -> bool:
-        rec = self.nodes.get(node)
-        return rec is not None and rec.up
+        return node in self._up
+
+    def _is_up(self, node: NodeId) -> bool:
+        """`node_up`, but a node never added raises."""
+        if node not in self.nodes:
+            raise ValueError(f"unknown node {node}")
+        return node in self._up
 
     def position_of(self, node: NodeId) -> Position:
-        return self.nodes[node].position
+        return self.nodes[node]
 
     def _loss_rng(self, node: NodeId) -> random.Random:
         rng = self._loss_rngs.get(node)
@@ -267,56 +262,48 @@ class Simulator:
         self.partitions.append(PartitionWindow(ga, gb, start, end))
         insort(self._edges, start)
         insort(self._edges, end)
-        self._reach_span = (math.inf, -math.inf)
+        self._unreach_span = (math.inf, -math.inf)
         self.schedule(start, self._partition_edge, "partition_start", sorted(ga), sorted(gb))
         self.schedule(end, self._partition_edge, "partition_end", sorted(ga), sorted(gb))
 
-    def partitioned(self, a: NodeId, b: NodeId) -> bool:
-        return any(w.separates(a, b, self.now) for w in self.partitions)
-
-    def in_range(self, a: NodeId, b: NodeId) -> bool:
-        dist = distance(self.position_of(a), self.position_of(b))
-        return dist <= self.net.radio_range
-
-    def reachable(self, node: NodeId) -> set:
-        """The nodes `node` reaches in one hop now, up or down, itself
-        included: in range, and on its side of every active partition.
-        Kept per node until `now` leaves the span between two partition
-        edges, and corrected per move (see `move`); read-only."""
+    def unreachable(self, node: NodeId) -> set:
+        """The nodes `node` cannot reach in one hop now, up or down: out of
+        range, or across an active partition. Kept per node until `now`
+        leaves the span between two partition edges or a node is added, and
+        corrected per move (see `move`); read-only."""
         now = self.now
-        lo, hi = self._reach_span
+        lo, hi = self._unreach_span
         if not lo <= now < hi:
-            self._reach.clear()
+            self._unreach.clear()
             edges = self._edges
             i = bisect_right(edges, now)
-            self._reach_span = (
+            self._unreach_span = (
                 edges[i - 1] if i else -math.inf, edges[i] if i < len(edges) else math.inf
             )
-        reach = self._reach.get(node)
-        if reach is None:
-            pos, radio_range = self.nodes[node].position, self.net.radio_range
-            reach = self._reach[node] = {
+        cut = self._unreach.get(node)
+        if cut is None:
+            pos, radio_range = self.nodes[node], self.net.radio_range
+            cut = self._unreach[node] = {
                 other
-                for other, rec in self.nodes.items()
-                if distance(pos, rec.position) <= radio_range
+                for other, other_pos in self.nodes.items()
+                if not distance(pos, other_pos) <= radio_range  # NaN too
             }
             for w in self.partitions:
                 if w.start <= now < w.end:
                     if node in w.group_a:
-                        reach -= w.group_b
+                        cut |= w.group_b
                     elif node in w.group_b:
-                        reach -= w.group_a
-        return reach
+                        cut |= w.group_a
+        return cut
 
     def discover(self, node: NodeId) -> list:
         """All live nodes reachable in one hop: in range, same partition side.
 
         Deterministic given sim state (no loss draw); sorted by NodeId.
         """
-        nodes = self.nodes
-        return sorted(
-            other for other in self.reachable(node) if other != node and nodes[other].up
-        )
+        peers = self._up - self.unreachable(node)
+        peers.discard(node)
+        return sorted(peers)
 
     # -- transport ----------------------------------------------------------
 
@@ -342,21 +329,18 @@ class Simulator:
             self.record(rec)
         else:
             self.record(rec, SEND_LINE)
+        dist = distance(self.nodes[frm], self.nodes[to])
         reason = None
-        if to in self.reachable(frm):
-            if self.net.loss_prob > 0 and self._loss_rng(frm).random() < self.net.loss_prob:
-                reason = "loss"
-        elif not self.in_range(frm, to):  # a miss names its reason as a scan does
-            reason = "range"
-        elif self.partitioned(frm, to):
-            reason = "partition"
+        if to in self.unreachable(frm):
+            reason = "partition" if dist <= self.net.radio_range else "range"
+        elif self.net.loss_prob > 0 and self._loss_rng(frm).random() < self.net.loss_prob:
+            reason = "loss"
         if reason is not None:
             self.record(
                 {"t": self.now, "type": "drop", "msg_id": msg_id, "reason": reason},
                 DROP_LINE,
             )
             return "dropped"
-        dist = distance(self.position_of(frm), self.position_of(to))
         delivery = self.now + self.net.latency(dist)
         self.schedule(delivery, self._deliver, frm, to, msg_id, msg)
         return "scheduled"
@@ -380,26 +364,23 @@ class Simulator:
     # -- event actions: each runs at `self.now`, the time it was queued for --
 
     def join(self, node: NodeId) -> None:
-        rec = self.nodes[node]
-        if rec.up:
+        if self._is_up(node):
             return
-        rec.up = True
+        self._up.add(node)
         self.record({"t": self.now, "type": "join", "node": node})
         self.agents[node].on_start()
 
     def leave(self, node: NodeId) -> None:
-        rec = self.nodes[node]
-        if not rec.up:
+        if not self._is_up(node):
             return
         self.record({"t": self.now, "type": "leave", "node": node})
         self.agents[node].on_leave()
-        rec.up = False
+        self._up.discard(node)
 
     def crash(self, node: NodeId) -> None:
-        rec = self.nodes[node]
-        if not rec.up:
+        if not self._is_up(node):
             return
-        rec.up = False
+        self._up.discard(node)
         self.record({"t": self.now, "type": "crash", "node": node})
         self.agents[node].on_crash()
 
@@ -408,18 +389,19 @@ class Simulator:
         self.schedule(self.now, self.crash, node)
 
     def move(self, node: NodeId, pos: Position) -> None:
-        self.nodes[node].position = pos
-        # Only the mover's pairs change: drop its set, and put it in or take
-        # it out of every other kept set.
-        reach = self._reach
-        reach.pop(node, None)
-        for other, others in reach.items():
-            if self.in_range(other, node) and not self.partitioned(other, node):
+        up = self._is_up(node)
+        self.nodes[node] = pos
+        # Only the mover's pairs change: rebuild its set, and put it in or
+        # take it out of every other kept set, as reach is symmetric.
+        self._unreach.pop(node, None)
+        mine = self.unreachable(node)
+        for other, others in self._unreach.items():
+            if other in mine:
                 others.add(node)
             else:
                 others.discard(node)
         self.record({"t": self.now, "type": "move", "node": node, "x": pos.x, "y": pos.y})
-        if self.node_up(node):
+        if up:
             self.agents[node].on_move(pos)
 
     def _partition_edge(self, edge: str, a: list, b: list) -> None:

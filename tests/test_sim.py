@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from swarmsim import sim as simlib
 from swarmsim import wire
 from swarmsim.model import Position, distance
-from swarmsim.sim import NetModel, PartitionWindow, Simulator, TraceLog, battery_step, substream
+from swarmsim.sim import NetModel, Simulator, TraceLog, battery_step, substream
 
 
 class Recorder:
@@ -123,7 +123,7 @@ def test_partition_interval_union_oracle():
     for i in range(0, 140):
         t = i * 0.1
         s.run_until(t)
-        assert s.partitioned(1, 2) == union_blocked(t), f"t={t}"
+        assert (2 in s.unreachable(1)) == union_blocked(t), f"t={t}"
 
 
 def test_partition_groups_must_be_disjoint():
@@ -134,12 +134,70 @@ def test_partition_groups_must_be_disjoint():
         s.inject_partition([1], [2], 5.0, 5.0)
 
 
+def drop_reasons(s):
+    """The reasons of the drops `s` records from now on, as a list."""
+    reasons = []
+    s.listeners.append(lambda rec: rec["type"] == "drop" and reasons.append(rec["reason"]))
+    return reasons
+
+
 def test_partition_window_only_separates_across_groups():
-    w = PartitionWindow(frozenset({1, 2}), frozenset({3}), 0.0, 10.0)
-    assert w.separates(1, 3, 5.0)
-    assert w.separates(3, 2, 5.0)
-    assert not w.separates(1, 2, 5.0)
-    assert not w.separates(1, 3, 10.0)  # end exclusive
+    """Groups {1, 2} and {3}: node 4 is in neither, so it reaches all."""
+    s = Simulator(seed=0, net=NetModel())
+    for node in range(1, 5):
+        s.add_node(node, Position(node, 0))
+        s.register_agent(node, Recorder(s, node))
+        s.schedule(0.0, s.join, node)
+    s.inject_partition([1, 2], [3], 0.0, 10.0)
+    reasons = drop_reasons(s)
+    s.run_until(5.0)
+    assert [sorted(s.unreachable(n)) for n in range(1, 5)] == [[3], [3], [1, 2], []]
+    sent = {pair: s.send(*pair, wire.Message(wire.PING, {}))
+            for pair in ((1, 3), (3, 2), (1, 2), (4, 3), (3, 4), (4, 1))}
+    assert [pair for pair, outcome in sent.items() if outcome == "dropped"] == [(1, 3), (3, 2)]
+    assert reasons == ["partition", "partition"]
+    s.run_until(10.0)  # end exclusive
+    assert [s.unreachable(n) for n in range(1, 5)] == [set()] * 4
+    assert s.send(1, 3, wire.Message(wire.PING, {})) == "scheduled"
+    assert s.discover(3) == [1, 2, 4]
+
+
+def test_a_node_added_after_a_read_is_heard_where_in_range():
+    """Sets kept before an `add_node` are dropped: the new node is heard
+    where it is in range, and only there."""
+    s = Simulator(seed=0, net=NetModel(radio_range=50.0))
+
+    def add_and_join(node, x):
+        s.add_node(node, Position(x, 0))
+        s.register_agent(node, Recorder(s, node))
+        s.join(node)
+
+    add_and_join(1, 0.0)
+    add_and_join(2, 10.0)
+    assert s.discover(1) == [2]
+    add_and_join(3, 20.0)
+    add_and_join(4, 1000.0)
+    assert s.discover(1) == [2, 3]
+    assert s.discover(3) == [1, 2]
+    assert s.discover(4) == []
+    reasons = drop_reasons(s)
+    assert s.send(1, 3, wire.Message(wire.PING, {})) == "scheduled"
+    assert s.send(1, 4, wire.Message(wire.PING, {})) == "dropped"
+    assert reasons == ["range"]
+
+
+@pytest.mark.parametrize("action", ["move", "join", "leave", "crash"])
+def test_an_unknown_node_raises_and_changes_nothing(action):
+    s, _ = two_node_sim()
+    s.run_until(0.0)
+    assert s.discover(1) == [2]  # a kept set to spoil
+    nodes, trace = dict(s.nodes), b"".join(s.trace.chunks())
+    args = (Position(5.0, 0.0),) if action == "move" else ()
+    with pytest.raises(ValueError, match="unknown node 9"):
+        getattr(s, action)(9, *args)
+    assert s.nodes == nodes and b"".join(s.trace.chunks()) == trace
+    assert [n for n in (1, 2, 9) if s.node_up(n)] == [1, 2]
+    assert s.discover(1) == [2] and s.discover(2) == [1]
 
 
 def test_discover_respects_range_graph():
@@ -239,7 +297,7 @@ class Mover(Recorder):
 def scan_reason(s, a, b):
     """Why a send from `a` to `b` is dropped before any loss draw, read from
     the positions and the windows alone: "range", "partition" or None."""
-    if distance(s.nodes[a].position, s.nodes[b].position) > s.net.radio_range:
+    if distance(s.position_of(a), s.position_of(b)) > s.net.radio_range:
         return "range"
     for w in s.partitions:
         if w.start <= s.now < w.end and (
@@ -249,12 +307,15 @@ def scan_reason(s, a, b):
     return None
 
 
+# Two groups each; `group_b` loses what it shares with `group_a`, so a node
+# may be in neither.
 windows = st.lists(
     st.tuples(
         st.frozensets(st.integers(1, 5), max_size=4),
+        st.frozensets(st.integers(1, 5), max_size=4),
         st.sampled_from(EDGES[:-1]),
         st.sampled_from(EDGES[1:] + [math.inf]),
-    ).filter(lambda w: w[1] < w[2]),
+    ).filter(lambda w: w[2] < w[3]),
     max_size=3,
 )
 reach_steps = st.lists(
@@ -273,19 +334,19 @@ reach_steps = st.lists(
 
 @given(windows, reach_steps)
 # A move inside an active window: the mover stays in range but cut off.
-@example([(frozenset({1}), 0.5, 2.0)], [("clock", 1.0), ("move", 2, 30.0, 0.0)])
+@example([(frozenset({1}), frozenset({2, 3, 4, 5}), 0.5, 2.0)],
+         [("clock", 1.0), ("move", 2, 30.0, 0.0)])
 def test_cached_reachability_matches_a_scan(partitions, steps):
     """After any sequence of lifecycle events, moves and clock changes,
     `discover` and the drop reason of a send are what a scan of the
-    positions, the windows and the up flags gives."""
+    positions, the windows and the up nodes gives."""
     s = Simulator(seed=0, net=NetModel(radio_range=50.0))
     for node in range(1, 6):
         s.add_node(node, Position(node * 20.0, 0.0))
         s.register_agent(node, Mover(s, node))
-    for group, start, end in partitions:
-        s.inject_partition(group, set(range(1, 6)) - group, start, end)
-    drops = []
-    s.listeners.append(lambda rec: drops.append(rec["reason"]) if rec["type"] == "drop" else None)
+    for group_a, group_b, start, end in partitions:
+        s.inject_partition(group_a, group_b - group_a, start, end)
+    drops = drop_reasons(s)
     for step, *args in steps:
         if step == "move":
             s.move(args[0], Position(args[1], args[2]))
@@ -296,7 +357,7 @@ def test_cached_reachability_matches_a_scan(partitions, steps):
         for a in s.nodes:
             assert s.discover(a) == sorted(
                 b for b in s.nodes
-                if b != a and s.nodes[b].up and scan_reason(s, a, b) is None
+                if b != a and s.node_up(b) and scan_reason(s, a, b) is None
             )
             for b in s.nodes:
                 drops.clear()
