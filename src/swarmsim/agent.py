@@ -274,6 +274,7 @@ class NodeAgent:
             "sent": set(chosen),
             "responded": set(),
             "accepts": [],
+            "exclude": exclude,
         }
         body = {
             "task": task.to_dict(),
@@ -379,7 +380,7 @@ class NodeAgent:
             self.send_task(winner, wire.CLAIM, task_id, attempt)
         else:
             losers = []
-            self._place(task_id)
+            self._place(task_id, st["exclude"])
         for loser in losers:
             self.send_task(loser, wire.CANCEL, task_id, attempt)
 

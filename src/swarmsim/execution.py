@@ -68,7 +68,7 @@ class Execution:
     # ------------------------------------------------------------------
 
     def handle_offer(self, frm: NodeId, body: dict) -> None:
-        task = TaskSpec.from_dict(body["task"])
+        task = wire.adopt(body["task"], TaskSpec.from_dict)
         attempt = body["attempt"]
         submitted_at = body["submitted_at"]
         existing = self.engine.runs.get(task.task_id)

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Final, Union
+
+from . import wire
 
 NodeId = int
 TaskId = int
@@ -67,13 +70,6 @@ class DataInput:
     source: DataSourceId
     size: float
 
-    def to_dict(self) -> dict:
-        return {"source": self.source, "size": self.size}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataInput":
-        return cls(source=int(d["source"]), size=float(d["size"]))
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -85,27 +81,25 @@ class TaskSpec:
     deadline: float = 60.0  # seconds from submission
     origin_node: NodeId = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "typology": self.typology,
-            "work": self.work,
-            "memory_demand": self.memory_demand,
-            "input_data": [i.to_dict() for i in self.input_data],
-            "deadline": self.deadline,
-            "origin_node": self.origin_node,
-        }
+    def to_dict(self) -> wire.ListRecord:
+        """The positional wire form (see `wire`), built once per task and
+        shared by its OFFERs: read-only."""
+        return self._record
+
+    @cached_property
+    def _record(self) -> wire.ListRecord:
+        return wire.ListRecord([
+            self.task_id, self.typology, self.work, self.memory_demand, self.deadline,
+            self.origin_node, [[i.source, i.size] for i in self.input_data],
+        ], self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
+    def from_dict(cls, d: list) -> "TaskSpec":
+        task_id, typology, work, memory_demand, deadline, origin_node, inputs = d
         return cls(
-            task_id=int(d["task_id"]),
-            typology=str(d["typology"]),
-            work=float(d["work"]),
-            memory_demand=int(d["memory_demand"]),
-            input_data=tuple(DataInput.from_dict(i) for i in d.get("input_data", [])),
-            deadline=float(d["deadline"]),
-            origin_node=int(d["origin_node"]),
+            int(task_id), str(typology), float(work), int(memory_demand),
+            tuple(DataInput(int(s), float(size)) for s, size in inputs),
+            float(deadline), int(origin_node),
         )
 
 

@@ -1,12 +1,15 @@
 """Wire message kinds and the codec both ends of a link agree on.
 
-Messages are a kind tag plus a JSON-compatible body; every message also
-carries a (possibly empty) list of piggybacked membership deltas, which is
-how membership information disseminates with the regular traffic. A delta is
-a member's version entry `[node, incarnation, status rank,
-last_update_time]`, the one wire form of a member record (see
-`membership`). The codec is canonical JSON (sorted keys), so encoding is
-deterministic and a short digest of the bytes identifies a message.
+A message is a kind, a body and a (possibly empty) list of piggybacked
+membership deltas, each a member's version entry `[node, incarnation,
+status rank, last_update_time]` (see `membership`). This is the one module
+that knows each kind's body layout: in memory a body is a dict of named
+fields, and `encode` writes `[kind, [values in BODY_FIELDS order], deltas]`,
+an absent field (or one set to None) as null, with trailing nulls dropped;
+a field the kind lacks raises. A CLAIM reads `["CLAIM",[7,2],[...]]`.
+`decode` rebuilds the dict of the fields present. The bytes are compact
+`json.dumps` output with sorted keys, so encoding is deterministic and a
+short digest of the bytes identifies a message.
 
 A `Message` is a value once sent: neither its sender nor any receiver writes
 to it, its body or anything nested in them. The simulator encodes each sent
@@ -54,7 +57,10 @@ record it stands for:
   cpu_perf_index, memory, link_bandwidth, utilization, battery, x, y,
   [typologies...]]` (`registry`);
 - catalog record: `[id, [replicas...], owner, size]`, whose version entry
-  is `[id]` alone, since a source's record is written once (`dataplane`).
+  is `[id]` alone, since a source's record is written once (`dataplane`);
+- an OFFER's task, not gossiped but built once per task all the same:
+  `[task_id, typology, work, memory_demand, deadline, origin_node,
+  [[source, size]...]]` (`model`).
 
 Gossiped records are immutable and ride in many messages, so each is
 wrapped once in the read-only `ListRecord`, which encodes its compact JSON
@@ -66,18 +72,13 @@ so records are shared across agents, not only across the messages of one
 agent: a swarm that has converged holds one copy of each record and encodes
 its JSON once.
 
-`encode` splices those cached texts in at one place: a `RecordList` that is
-a top-level value of a body, or the message's deltas, is emitted as its
-records' cached texts joined by commas. That is where records occur in
-traffic: the records of a DELTA or HELLO-ACK under `view`, `catalog` and
-`registry`, the view's version map in a HELLO or a DIGEST that answers a
-hash, and the piggybacked deltas. Every other value goes to the C encoder
-with the same settings, and so does a body with a non-string key, whole;
-the encoder emits a record nested anywhere else as the list it is, only
-without the cache. The result is byte-identical to `json.dumps(...,
-sort_keys=True, separators=(",", ":"))` for every input. `encode` writes a
-message's three keys, and a spliced body's keys, in their sorted order
-itself.
+`encode` splices those cached texts in where records occur in traffic: a
+body field that is a `ListRecord` (an OFFER's task) is its text, and one
+that is a `RecordList` (the records of a DELTA or HELLO-ACK, a version map
+in a HELLO or a DIGEST), or the deltas, is its records' texts joined by
+commas. Every other value goes to the C encoder with the same settings,
+which emits a record nested anywhere else as the list it is, only without
+the cache.
 """
 
 from __future__ import annotations
@@ -91,15 +92,15 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
 # Membership / discovery
-HELLO = "HELLO"  # {view: version map}
-HELLO_ACK = "HELLO-ACK"  # as DELTA: records the HELLO's map lacks, want_view
+HELLO = "HELLO"
+HELLO_ACK = "HELLO-ACK"
 PING = "PING"
 ACK = "ACK"
 LEAVE = "LEAVE"
 
 # Anti-entropy of the view, the data catalog and the registry
-DIGEST = "DIGEST"  # {view, catalog, registry: map hashes}; or the maps that differ
-DELTA = "DELTA"  # records the maps lack, want_<key> ids; or wanted records
+DIGEST = "DIGEST"
+DELTA = "DELTA"
 
 # Scheduling / execution
 OFFER = "OFFER"
@@ -112,26 +113,26 @@ DONE = "DONE"
 FAILED = "FAILED"
 QOS_WARN = "QOS-WARN"
 
-ALL_KINDS = frozenset(
-    {
-        HELLO,
-        HELLO_ACK,
-        PING,
-        ACK,
-        LEAVE,
-        DIGEST,
-        DELTA,
-        OFFER,
-        ACCEPT,
-        REJECT,
-        CLAIM,
-        CANCEL,
-        NACK,
-        DONE,
-        FAILED,
-        QOS_WARN,
-    }
-)
+# Each kind's body fields, in the order they travel. The anti-entropy parts
+# go registry first, the one most often sent alone: trailing nulls are
+# dropped, so a field that is often absent costs least last.
+_PARTS = ("registry", "view", "catalog")
+_TASK = ("task_id", "attempt")
+BODY_FIELDS = {
+    HELLO: ("view",),  # the view's version map
+    HELLO_ACK: ("view", "want_view"),  # as DELTA, answering a HELLO's map
+    PING: ("token",),
+    ACK: ("token",),
+    LEAVE: (),
+    DIGEST: _PARTS,  # each part's map hash; or the maps whose hash differed
+    # The records a map lacks and the ids wanted back; or wanted records.
+    DELTA: tuple(f for part in _PARTS for f in (part, "want_" + part)),
+    OFFER: ("task", "attempt", "submitted_at"),
+    **dict.fromkeys((ACCEPT, REJECT, CLAIM, CANCEL, NACK, DONE), _TASK),
+    FAILED: _TASK + ("cause",),
+    QOS_WARN: _TASK + ("projected",),
+}
+ALL_KINDS = frozenset(BODY_FIELDS)
 
 
 def encode_fn(encoder: json.JSONEncoder):
@@ -202,19 +203,12 @@ def _records_json(records) -> str:
 
 
 def _value_json(value) -> str:
-    """A body value's wire JSON: a `RecordList` joined from its records'
-    cached texts, anything else from the C encoder."""
-    return _records_json(value) if type(value) is RecordList else _encode_wire(value)
-
-
-def _body_json(body: dict) -> str:
-    """A body's wire JSON, equal to `_encode_wire(body)`, each top-level
-    `RecordList` value spliced from its records' cached texts."""
-    if RecordList not in map(type, body.values()) or not all(type(k) is str for k in body):
-        return _encode_wire(body)
-    return "{" + ",".join([
-        encode_basestring_ascii(key) + ":" + _value_json(body[key]) for key in sorted(body)
-    ]) + "}"
+    """A value's wire JSON: a record's cached text, a `RecordList` joined
+    from its records' cached texts, anything else from the C encoder."""
+    kind = type(value)
+    if kind is RecordList:
+        return _records_json(value)
+    return value.wire_json() if kind is ListRecord else _encode_wire(value)
 
 
 def short_hash(value) -> str:
@@ -352,24 +346,35 @@ class Message:
 
 
 def encode(msg: Message) -> bytes:
-    """`{"body", "deltas", "kind"}` in that (sorted) key order, compact."""
+    """`[kind, [body fields in BODY_FIELDS order], deltas]`, compact: an
+    absent field is null, and trailing nulls are dropped."""
     if msg.kind not in ALL_KINDS:
         raise ValueError(f"unknown message kind: {msg.kind}")
+    fields = BODY_FIELDS[msg.kind]
+    body = msg.body
+    values = [body.get(name) for name in fields]
+    while values and values[-1] is None:
+        values.pop()
+    if len(body) > len(values) - values.count(None) and not body.keys() <= set(fields):
+        raise ValueError(f"{msg.kind} has no field {sorted(body.keys() - set(fields))}")
     return (
-        '{"body":' + _body_json(msg.body)
-        + ',"deltas":' + _value_json(msg.deltas)
-        + ',"kind":' + encode_basestring_ascii(msg.kind) + "}"
+        '["' + msg.kind + '",['
+        + ",".join(["null" if v is None else _value_json(v) for v in values])
+        + "]," + _value_json(msg.deltas) + "]"
     ).encode()
 
 
 def decode(data: bytes) -> Message:
     """The message `data` encodes. Not called on simulated delivery, which
     hands over the sent object; the reference that path is tested against."""
-    doc = json.loads(data.decode())
-    kind = doc["kind"]
+    kind, values, deltas = json.loads(data.decode())
     if kind not in ALL_KINDS:
         raise ValueError(f"unknown message kind: {kind}")
-    return Message(kind=kind, body=doc["body"], deltas=doc["deltas"])
+    fields = BODY_FIELDS[kind]
+    if len(values) > len(fields):
+        raise ValueError(f"{kind} has {len(fields)} fields, not {len(values)}")
+    body = {name: v for name, v in zip(fields, values) if v is not None}
+    return Message(kind=kind, body=body, deltas=deltas)
 
 
 def digest(data: bytes) -> str:

@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "b1720b0c0da000f958ed77946258f4d7d147e0a9813113e435f8bb56f2223b06",
-    "heavy_churn": "4bb110d4993281cd40d395cbf052b0e9618c1dd7b3ce28ab30921c3e26d448e8",
-    "partition_heal": "10ae4885a27bf0339c22e84688b6009a9c80ec10902017f3fc382b93256d6d11",
-    "steady_state": "e7458af50dc7a63ef1f944b8b8b5fe46d2600e80ed3adf6bab528549de77c468",
+    "data_locality": "cdec5b7f7e121be447e8ef2555d51d3e5cfe442238ff9449aabdfd7d72beb100",
+    "heavy_churn": "1993d6fbe40d3824ecf8c037a87d691d49a359be5eb28bef07a8730aa21074c1",
+    "partition_heal": "c1ed9feefe25a84722a684fc76de2b0119d2fb428919534103e5196fbafc3bf5",
+    "steady_state": "758ada6efdfab7142adc2a30d95f9dc78b49f5e86088989bb4e88a9643e7cea4",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.
@@ -225,7 +225,8 @@ def test_a4_scheduling_invariants(reference_runs):
         assert not (local & remote), f"{path}: attempt both local and offered"
         for r in trace:
             if r["type"] == "send" and r["kind"] == "OFFER":
-                key = (r["body"]["task"]["task_id"], r["body"]["attempt"])
+                # The task travels in its positional form, its id first.
+                key = (r["body"]["task"][0], r["body"]["attempt"])
                 assert key not in local, f"{path}: OFFER for locally-admitted {key}"
                 offers_checked += 1
 

@@ -112,7 +112,7 @@ def test_delivered_messages_and_adopted_records_match_decoding(path, monkeypatch
 
 def test_decoded_form_check_rejects_what_decoding_would_change():
     """The check above is not vacuous: a tuple or an int key fails it."""
-    for body in ({"k": (1, 2)}, {"k": {1: "a"}}):
+    for body in ({"token": (1, 2)}, {"token": {1: "a"}}):
         decoded = wire.decode(wire.encode(wire.Message(wire.PING, body)))
         with pytest.raises(AssertionError):
             assert_decoded_form(body, decoded.body)

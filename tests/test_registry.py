@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmsim import membership, scenario as scen
 from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
+from swarmsim.model import DataInput
 from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry
 
 from conftest import make_profile, make_task, reference_map_hash
@@ -233,8 +234,10 @@ def test_wire_schema_is_flat():
     for obj in (entry, battery, member, catalog):
         rec = obj.to_dict()
         assert rec[:len(obj.version_entry)] == obj.version_entry
-    task = make_task(deadline=12.5).to_dict()
-    assert task["deadline"] == 12.5 and "qos" not in task
+    # An OFFER's task: its seven fields and nothing more (no QoS field).
+    task = make_task(deadline=12.5, inputs=[DataInput(3, 2.5)])
+    assert task.to_dict().wire_json() == '[1,"generic",1.0,64,12.5,1,[[3,2.5]]]'
+    assert task.to_dict() is task.to_dict() and task.to_dict().source is task
 
 
 @pytest.mark.parametrize("entry", [

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmsim import membership, scenario as scen, wire
+from swarmsim import agent, membership, scenario as scen, wire
 from swarmsim.dataplane import Catalog, CatalogRecord, DataSourceDescriptor
 from swarmsim.membership import ALIVE, DEAD, LEFT, SUSPECT, MemberState, SwarmView
 from swarmsim.model import MAINS
@@ -15,46 +15,88 @@ from swarmsim.sim import TRACE_BLOCK_BYTES, TraceLog
 from conftest import make_profile, reference_map_hash
 
 
+def reference_bytes(msg) -> bytes:
+    """`json.dumps([kind, [field values in BODY_FIELDS order], deltas])`,
+    compact, an absent field null and trailing nulls dropped."""
+    values = [msg.body.get(name) for name in wire.BODY_FIELDS[msg.kind]]
+    while values and values[-1] is None:
+        values.pop()
+    return json.dumps(
+        [msg.kind, values, msg.deltas], sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
 def test_round_trip():
     msg = wire.Message(
         wire.OFFER,
-        {"task_id": 3, "attempt": 1, "deadline": 12.5},
+        {"task": [3, "generic", 1.0, 64, 12.5, 1, []], "attempt": 1},
         deltas=[[2, 0, 0, 1.0]],
     )
-    again = wire.decode(wire.encode(msg))
-    assert again == msg
+    data = wire.encode(msg)
+    assert data == b'["OFFER",[[3,"generic",1.0,64,12.5,1,[]],1],[[2,0,0,1.0]]]'
+    assert wire.decode(data) == msg
 
 
 def test_encoding_is_canonical():
-    a = wire.Message(wire.PING, {"b": 1, "a": 2})
-    b = wire.Message(wire.PING, {"a": 2, "b": 1})
-    assert wire.encode(a) == wire.encode(b)
+    a = wire.Message(wire.FAILED, {"task_id": 1, "attempt": 2, "cause": "leave"})
+    b = wire.Message(wire.FAILED, {"cause": "leave", "attempt": 2, "task_id": 1})
+    assert wire.encode(a) == wire.encode(b) == b'["FAILED",[1,2,"leave"],[]]'
     assert wire.digest(wire.encode(a)) == wire.digest(wire.encode(b))
 
 
+def test_an_absent_field_is_null_and_trailing_nulls_are_dropped():
+    parts = {"view": wire.RecordList([wire.ListRecord([1, 0, 0, 0.0])])}
+    delta = wire.encode(wire.Message(wire.DELTA, parts))
+    assert delta == b'["DELTA",[null,null,[[1,0,0,0.0]]],[]]'
+    assert wire.encode(wire.Message(wire.LEAVE)) == b'["LEAVE",[],[]]'
+    assert wire.encode(wire.Message(wire.PING, {"token": None})) == b'["PING",[],[]]'
+
+
+def test_every_kind_has_a_body_layout_and_a_handler():
+    assert set(wire.BODY_FIELDS) == wire.ALL_KINDS == set(agent._MESSAGE_HANDLERS)
+    for fields in wire.BODY_FIELDS.values():
+        assert len(set(fields)) == len(fields)
+
+
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        wire.decode(b'{"kind": "BOGUS", "body": {}, "deltas": []}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown message kind"):
+        wire.decode(b'["BOGUS",[],[]]')
+    with pytest.raises(ValueError, match="unknown message kind"):
         wire.encode(wire.Message("BOGUS", {}))
 
 
+def test_a_field_the_kind_lacks_is_rejected():
+    with pytest.raises(ValueError, match="no field"):
+        wire.encode(wire.Message(wire.PING, {"token": 1, "view": []}))
+    with pytest.raises(ValueError, match="no field"):
+        wire.encode(wire.Message(wire.LEAVE, {"token": None, "x": 1}))
+    with pytest.raises(ValueError, match="fields"):
+        wire.decode(b'["PING",[1,2],[]]')
+
+
 json_scalars = st.one_of(
-    st.none(),
     st.booleans(),
     st.integers(-(2**31), 2**31),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(max_size=20),
 )
-
-
-@given(
-    st.sampled_from(sorted(wire.ALL_KINDS)),
-    st.dictionaries(st.text(min_size=1, max_size=10), json_scalars, max_size=6),
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=6,
 )
-def test_round_trip_property(kind, body):
-    msg = wire.Message(kind, body)
-    assert wire.decode(wire.encode(msg)) == msg
+
+
+@st.composite
+def messages(draw, values, deltas=st.just([])):
+    """A message of any kind with a random subset of its fields, each set
+    to a drawn value."""
+    kind = draw(st.sampled_from(sorted(wire.BODY_FIELDS)))
+    fields = wire.BODY_FIELDS[kind]
+    present = draw(st.lists(st.sampled_from(fields), unique=True)) if fields else []
+    return wire.Message(kind, {name: draw(values) for name in present}, draw(deltas))
 
 
 # -- cached records spliced into messages; trace lines as json.dumps writes --
@@ -77,9 +119,9 @@ plain = st.recursive(
 )
 records = st.lists(plain, max_size=4).map(wire.ListRecord)
 record_lists = st.lists(records, max_size=4).map(wire.RecordList)
-# Bodies mix records, record lists and plain values, nested in plain dicts
-# and lists: a record list at the top level is spliced, the rest is left to
-# the encoder.
+# Field values mix records, record lists and plain values, nested in plain
+# dicts and lists: a record or a record list that is a field's value is
+# spliced, the rest is left to the encoder.
 values = st.recursive(
     st.one_of(plain, records, record_lists),
     lambda inner: st.one_of(
@@ -89,21 +131,20 @@ values = st.recursive(
     ),
     max_leaves=10,
 )
-bodies = st.dictionaries(st.text(max_size=6), values, max_size=5)
+json_records = st.lists(json_values, max_size=4).map(wire.ListRecord)
 
 
-@given(
-    st.sampled_from(sorted(wire.ALL_KINDS)),
-    bodies,
-    st.one_of(record_lists, st.lists(records, max_size=3)),
-)
-def test_encode_with_cached_records_is_byte_identical(kind, body, deltas):
-    msg = wire.Message(kind, body, deltas)
-    expected = json.dumps(
-        {"kind": kind, "body": body, "deltas": deltas},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
+@given(messages(
+    st.one_of(json_values, json_records, st.lists(json_records, max_size=3).map(wire.RecordList)),
+    st.lists(json_records, max_size=3).map(wire.RecordList),
+))
+def test_round_trip_property(msg):
+    assert wire.decode(wire.encode(msg)) == msg
+
+
+@given(messages(values, st.one_of(record_lists, st.lists(records, max_size=3))))
+def test_encode_with_cached_records_is_byte_identical(msg):
+    expected = reference_bytes(msg)
     assert wire.encode(msg) == expected
     assert wire.encode(msg) == expected  # again, from the filled caches
 
@@ -177,11 +218,11 @@ def _record_paths(value, path):
 
 
 def test_sent_records_sit_only_where_encode_splices_them(monkeypatch):
-    """`encode` reuses a record's cached text only inside a `RecordList`
-    that is a top-level body value or the deltas. On every shipped scenario,
-    every record sent sits there and nowhere else, so the cache covers all
-    record traffic."""
-    sent = {"lists": 0, "records": 0}
+    """`encode` reuses a record's cached text only for a field whose value
+    is a record (an OFFER's task) or a `RecordList`, and for the deltas. On
+    every shipped scenario, every record sent sits there and nowhere else,
+    so the cache covers all record traffic."""
+    sent = {"lists": 0, "records": 0, "tasks": 0}
     encode = wire.encode
 
     def checked(msg):
@@ -192,6 +233,9 @@ def test_sent_records_sit_only_where_encode_splices_them(monkeypatch):
                 sent["lists"] += 1
                 sent["records"] += len(value)
                 assert all(type(r) is wire.ListRecord for r in value), path
+            elif type(value) is wire.ListRecord:
+                assert path == "OFFER.body.task"
+                sent["tasks"] += 1
             else:
                 assert not list(_record_paths(value, path))
         return encode(msg)
@@ -199,7 +243,7 @@ def test_sent_records_sit_only_where_encode_splices_them(monkeypatch):
     monkeypatch.setattr(wire, "encode", checked)
     for path in SHIPPED:
         scen.run(scen.load_scenario(path))
-    assert sent["lists"] > 0 and sent["records"] > 0
+    assert sent["lists"] > 0 and sent["records"] > 0 and sent["tasks"] > 0
 
 
 LIST_MUTATORS = (
@@ -368,15 +412,10 @@ def test_version_map_encodes_as_json_dumps_would(states):
         view.apply(state)
     body = {"view": view.version_map()}
     plain = {"view": [list(entry) for entry in view.version_map()]}
-    expected = json.dumps(
-        {"body": plain, "deltas": [], "kind": wire.DIGEST},
-        sort_keys=True, separators=(",", ":"),
-    ).encode()
     assert type(view.version_map()) is wire.RecordList
-    assert wire.encode(wire.Message(wire.DIGEST, body)) == expected
-    assert wire.encode(wire.Message(wire.HELLO, body)) == expected.replace(
-        b'"kind":"DIGEST"', b'"kind":"HELLO"'
-    )
+    for kind in (wire.DIGEST, wire.HELLO):
+        expected = reference_bytes(wire.Message(kind, plain))
+        assert wire.encode(wire.Message(kind, body)) == expected
 
 
 entry_values = st.one_of(
