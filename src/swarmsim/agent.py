@@ -274,7 +274,6 @@ class NodeAgent:
             "sent": set(chosen),
             "responded": set(),
             "accepts": [],
-            "exclude": exclude,
         }
         body = {
             "task": task.to_dict(),
@@ -380,7 +379,8 @@ class NodeAgent:
             self.send_task(winner, wire.CLAIM, task_id, attempt)
         else:
             losers = []
-            self._place(task_id, st["exclude"])
+            if not ot.executors:  # a speculative round leaves its running attempt be
+                self._place(task_id)
         for loser in losers:
             self.send_task(loser, wire.CANCEL, task_id, attempt)
 

@@ -22,8 +22,6 @@ gossiped.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from . import dataplane, wire
 from .membership import ALIVE
 from .model import NodeId, Position, TaskSpec, distance, is_mains
@@ -31,18 +29,6 @@ from .registry import Registry, RegistryEntry
 
 ANTI_ENTROPY_EVERY = 2  # probe rounds between DIGESTs
 STATUS_REFRESH_EVERY = 2  # probe rounds between profile publish checks
-
-
-def round_robin_peer(alive: list, me: NodeId, turn: int):
-    """`[n for n in alive if n != me][turn % len(...)]`, or None when that
-    list is empty, read from the sorted list `alive` without building it."""
-    i = bisect_left(alive, me)
-    mine = i < len(alive) and alive[i] == me
-    others = len(alive) - mine
-    if not others:
-        return None
-    j = turn % others
-    return alive[j + 1] if mine and j >= i else alive[j]
 
 
 class AntiEntropy:
@@ -57,10 +43,10 @@ class AntiEntropy:
 
     def send_digest(self, round_no: int) -> None:
         """DIGEST this round's peer: the Alive peers taken in turn."""
-        turn = round_no // ANTI_ENTROPY_EVERY
-        peer = round_robin_peer(self.agent.view.alive_nodes(), self.node, turn)
-        if peer is None:
+        peers = [n for n in self.agent.view.alive_nodes() if n != self.node]
+        if not peers:
             return
+        peer = peers[(round_no // ANTI_ENTROPY_EVERY) % len(peers)]
         body = {
             "view": self.agent.view.version_hash(),
             "catalog": self.catalog.version_hash(),

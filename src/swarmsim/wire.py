@@ -133,6 +133,7 @@ BODY_FIELDS = {
     QOS_WARN: _TASK + ("projected",),
 }
 ALL_KINDS = frozenset(BODY_FIELDS)
+_FIELD_SETS = {kind: frozenset(fields) for kind, fields in BODY_FIELDS.items()}
 
 
 def encode_fn(encoder: json.JSONEncoder):
@@ -350,13 +351,12 @@ def encode(msg: Message) -> bytes:
     absent field is null, and trailing nulls are dropped."""
     if msg.kind not in ALL_KINDS:
         raise ValueError(f"unknown message kind: {msg.kind}")
-    fields = BODY_FIELDS[msg.kind]
-    body = msg.body
-    values = [body.get(name) for name in fields]
+    body, allowed = msg.body, _FIELD_SETS[msg.kind]
+    if not body.keys() <= allowed:
+        raise ValueError(f"{msg.kind} has no field {sorted(body.keys() - allowed)}")
+    values = [body.get(name) for name in BODY_FIELDS[msg.kind]]
     while values and values[-1] is None:
         values.pop()
-    if len(body) > len(values) - values.count(None) and not body.keys() <= set(fields):
-        raise ValueError(f"{msg.kind} has no field {sorted(body.keys() - set(fields))}")
     return (
         '["' + msg.kind + '",['
         + ",".join(["null" if v is None else _value_json(v) for v in values])

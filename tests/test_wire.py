@@ -80,8 +80,9 @@ json_scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(max_size=20),
 )
+# None is a leaf only inside lists and dicts: a top-level None field is absent.
 json_values = st.recursive(
-    json_scalars,
+    json_scalars | st.none(),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=3)
     ),
@@ -135,7 +136,7 @@ json_records = st.lists(json_values, max_size=4).map(wire.ListRecord)
 
 
 @given(messages(
-    st.one_of(json_values, json_records, st.lists(json_records, max_size=3).map(wire.RecordList)),
+    st.one_of(json_values.filter(lambda v: v is not None), json_records, st.lists(json_records, max_size=3).map(wire.RecordList)),
     st.lists(json_records, max_size=3).map(wire.RecordList),
 ))
 def test_round_trip_property(msg):
