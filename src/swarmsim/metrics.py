@@ -1,6 +1,7 @@
 """Run metrics: task accounting, message counts, convergence measurements.
 
-The collector listens to trace records as the simulation emits them and is
+The collector listens to trace records as the simulation emits them, reads
+its message counts from the simulator's per-kind send count, and is
 periodically given a chance to sample global state: utilization, each view's
 `member_set_digest` and each registry's `content_hash`, which is the hash of
 its version map (a registry version names one entry). Convergence times are
@@ -103,12 +104,12 @@ def p95(values: list) -> float:
 
 
 class MetricsCollector:
-    def __init__(self):
+    def __init__(self, sent: dict = None):
         self.tasks_submitted = 0
         self.tasks_done = 0
         self.tasks_failed_permanent = 0
         self.open_tasks = set()  # submitted, neither done nor failed for good
-        self.messages = {}
+        self.messages = {} if sent is None else sent  # wire kind -> sends, read-only
         self.latencies = []
         self.transfer_times = []
         self.deadline_violations = 0
@@ -125,10 +126,7 @@ class MetricsCollector:
 
     def on_record(self, rec: dict) -> None:
         kind = rec["type"]
-        if kind == "send":
-            msg = rec["kind"]
-            self.messages[msg] = self.messages.get(msg, 0) + 1
-        elif kind == "task_submitted":
+        if kind == "task_submitted":
             self.tasks_submitted += 1
             self.open_tasks.add(rec["task"])
         elif kind == "task_done":

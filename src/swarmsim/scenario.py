@@ -546,7 +546,7 @@ def build(scenario: Scenario, seed: int = None):
     """Wire up a Simulator and its agents; returns (sim, agents, collector)."""
     seed = scenario.seed if seed is None else seed
     sim = Simulator(seed=seed, net=scenario.net)
-    collector = MetricsCollector()
+    collector = MetricsCollector(sim.sent)
     sim.listeners.append(collector.on_record)
     drain_rates = {n.node: n.drain_rate for n in scenario.nodes}
     sources_by_owner = {}

@@ -37,19 +37,19 @@ Each send is encoded once (`wire.encode`) for the byte count and digest the
 trace records; the receiver is handed the sent `wire.Message` itself, not a
 decode of those bytes. A message is a value once sent: neither the sender
 nor any receiver writes to it, and the records in it are shared across
-agents (see `wire`). A `send` record keeps the body only for OFFER, whose
+agents (see `wire`). A `send` line keeps the body only for OFFER, whose
 task and attempt the trace-level scheduling checks read; any other body is
 known by its digest and byte size alone.
 
-The trace (`TraceLog`) is held as compressed JSONL, not as record objects:
-each record is encoded to its trace line as it is recorded, and the lines
-are packed into zlib blocks. A record reads back as its JSON decodes, so a
-value JSON lacks (a frozenset, say) reads back as its `str`, a tuple as a
-list and an integer mapping key as a string. Listeners are handed the
-record itself. The transport records, `send` without a body, `deliver` and
-`drop`, make up most of a trace; their lines are formatted from fixed
-templates (`SEND_LINE`, `DELIVER_LINE`, `DROP_LINE`) byte for byte as the
-encoder would write them, and every other record goes through the encoder.
+The trace (`TraceLog`) is held as JSONL bytes, not as record objects: each
+record is encoded to its trace line as it is recorded, and full blocks are
+spilled to an unlinked temporary file. A record reads back as its JSON
+decodes, so a value JSON lacks (a frozenset, say) reads back as its `str`, a
+tuple as a list and an integer mapping key as a string. `send` and
+`_deliver` format the transport lines (`send` without a body, `deliver` and
+`drop`: most of a trace) from fixed positional templates, byte for byte as
+the encoder would, and hand them to the trace alone: listeners hear only
+the other records (`record`), and `sent` counts the sends per kind.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ import hashlib
 import heapq
 import json
 import math
+import os
 import random
-import zlib
+import tempfile
+import weakref
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
@@ -101,49 +103,58 @@ def substream(seed: int, label: str) -> random.Random:
 
 
 # The trace lines of the transport records, as `TraceLog`'s encoder writes
-# them (sorted keys, ", " and ": "), for `rec % template`. A node id, a
-# message id, a byte count and the clock are ints or finite floats, whose
-# `repr` is their JSON; a kind, a digest and a drop reason are ASCII with
-# nothing to escape.
+# them (sorted keys, ", " and ": "), filled positionally in key order. A
+# node id, a message id, a byte count and the clock are ints or finite
+# floats, whose `repr` is their JSON; a kind, a digest and a drop reason are
+# ASCII with nothing to escape.
 SEND_LINE = (
-    '{"bytes": %(bytes)r, "digest": "%(digest)s", "from": %(from)r, "kind": "%(kind)s", '
-    '"msg_id": %(msg_id)r, "t": %(t)r, "to": %(to)r, "type": "send"}'
-)
+    '{"bytes": %r, "digest": "%s", "from": %r, "kind": "%s", '
+    '"msg_id": %r, "t": %r, "to": %r, "type": "send"}\n'
+)  # bytes, digest, from, kind, msg_id, t, to
 DELIVER_LINE = (
-    '{"from": %(from)r, "kind": "%(kind)s", "msg_id": %(msg_id)r, "t": %(t)r, '
-    '"to": %(to)r, "type": "deliver"}'
-)
-DROP_LINE = '{"msg_id": %(msg_id)r, "reason": "%(reason)s", "t": %(t)r, "type": "drop"}'
+    '{"from": %r, "kind": "%s", "msg_id": %r, "t": %r, "to": %r, "type": "deliver"}\n'
+)  # from, kind, msg_id, t, to
+DROP_LINE = '{"msg_id": %r, "reason": "%s", "t": %r, "type": "drop"}\n'  # msg_id, reason, t
 
-# A trace block is packed once its open bytes reach this size.
+# A trace block is spilled to the file once its open bytes reach this size.
 TRACE_BLOCK_BYTES = 1 << 16
-TRACE_ZLIB_LEVEL = 1
 
 
 class TraceLog:
-    """The run's trace records as JSONL bytes, in zlib-compressed blocks.
+    """The run's trace records as JSONL bytes, spilled to a file in blocks.
 
     `append` encodes a record to its line at once, so no record object
-    outlives the call. Iterating decodes block by block, yielding one dict
-    per line; `chunks` yields the JSONL bytes, which `write_trace_jsonl`
-    copies to the file.
+    outlives the call; `line` adds a line already formatted. A full block
+    is appended to an unlinked temporary file, opened at the first full
+    block and closed with the log. `chunks` yields the JSONL bytes block by
+    block, read back with `os.pread`, so a reader never moves the write
+    position; `write_trace_jsonl` copies them to the file. Iterating yields
+    one dict per line.
     """
 
     def __init__(self):
         self._dumps = wire.encode_fn(json.JSONEncoder(sort_keys=True, default=str))
-        self._packed: list = []  # compressed full blocks
+        self._file = None  # the spilled blocks, back to back
+        self._sizes: list = []  # bytes of each spilled block, in order
         self._open = bytearray()
         self._count = 0
 
-    def append(self, rec: dict, template: str = None) -> None:
-        """Add `rec`'s line: `template % rec` when given, which must equal
-        the encoder's line for `rec`, else the encoder's."""
+    def append(self, rec: dict) -> None:
+        """Add `rec`'s line, as the encoder writes it."""
+        self.line(self._dumps(rec) + "\n")
+
+    def line(self, text: str) -> None:
+        """Add one ASCII trace line, `text`, which ends in its newline."""
         block = self._open
-        block += (self._dumps(rec) if template is None else template % rec).encode()
-        block += b"\n"
+        block += text.encode()
         self._count += 1
         if len(block) >= TRACE_BLOCK_BYTES:
-            self._packed.append(zlib.compress(block, TRACE_ZLIB_LEVEL))
+            if self._file is None:
+                self._file = tempfile.TemporaryFile()
+                weakref.finalize(self, self._file.close)
+            self._file.write(block)
+            self._file.flush()
+            self._sizes.append(len(block))
             block.clear()
 
     def __len__(self) -> int:
@@ -151,8 +162,10 @@ class TraceLog:
 
     def chunks(self):
         """The JSONL bytes, one block at a time, in record order."""
-        for packed in self._packed:
-            yield zlib.decompress(packed)
+        offset = 0
+        for size in self._sizes:
+            yield os.pread(self._file.fileno(), size, offset)
+            offset += size
         yield bytes(self._open)
 
     def __iter__(self):
@@ -198,7 +211,8 @@ class Simulator:
         self._unreach: dict = {}  # NodeId -> unreachable(node), for `_unreach_span`
         self._unreach_span = (math.inf, -math.inf)  # [lo, hi): no partition edge inside
         self.trace = TraceLog()
-        self.listeners: list = []  # callables invoked per trace record
+        self.listeners: list = []  # callables invoked per non-transport record
+        self.sent: dict = {}  # wire kind -> messages sent
         self._loss_rngs: dict = {}
 
     # -- infrastructure -----------------------------------------------------
@@ -231,10 +245,9 @@ class Simulator:
             self._loss_rngs[node] = rng
         return rng
 
-    def record(self, rec: dict, template: str = None) -> None:
-        """Trace `rec` and hand it to the listeners; `template` (a `*_LINE`)
-        formats its line."""
-        self.trace.append(rec, template)
+    def record(self, rec: dict) -> None:
+        """Trace `rec` and hand it to the listeners."""
+        self.trace.append(rec)
         for listener in self.listeners:
             listener(rec)
 
@@ -314,21 +327,18 @@ class Simulator:
         encoded = wire.encode(msg)
         msg_id = self._msg_seq
         self._msg_seq = msg_id + 1
-        rec = {
-            "t": self.now,
-            "type": "send",
-            "from": frm,
-            "to": to,
-            "msg_id": msg_id,
-            "kind": msg.kind,
-            "digest": wire.digest(encoded),
-            "bytes": len(encoded),
-        }
-        if msg.kind == wire.OFFER:
-            rec["body"] = msg.body
-            self.record(rec)
+        kind = msg.kind
+        self.sent[kind] = self.sent.get(kind, 0) + 1
+        if kind == wire.OFFER:
+            self.trace.append({
+                "t": self.now, "type": "send", "from": frm, "to": to, "msg_id": msg_id,
+                "kind": kind, "digest": wire.digest(encoded), "bytes": len(encoded),
+                "body": msg.body,
+            })
         else:
-            self.record(rec, SEND_LINE)
+            self.trace.line(SEND_LINE % (
+                len(encoded), wire.digest(encoded), frm, kind, msg_id, self.now, to
+            ))
         dist = distance(self.nodes[frm], self.nodes[to])
         reason = None
         if to in self.unreachable(frm):
@@ -336,10 +346,7 @@ class Simulator:
         elif self.net.loss_prob > 0 and self._loss_rng(frm).random() < self.net.loss_prob:
             reason = "loss"
         if reason is not None:
-            self.record(
-                {"t": self.now, "type": "drop", "msg_id": msg_id, "reason": reason},
-                DROP_LINE,
-            )
+            self.trace.line(DROP_LINE % (msg_id, reason, self.now))
             return "dropped"
         delivery = self.now + self.net.latency(dist)
         self.schedule(delivery, self._deliver, frm, to, msg_id, msg)
@@ -414,16 +421,10 @@ class Simulator:
             self.agents[node].on_timer(kind, data)
 
     def _deliver(self, frm: NodeId, to: NodeId, msg_id: int, msg: wire.Message) -> None:
-        if not self.node_up(to):
-            self.record(
-                {"t": self.now, "type": "drop", "msg_id": msg_id, "reason": "down"}, DROP_LINE
-            )
+        if to not in self._up:
+            self.trace.line(DROP_LINE % (msg_id, "down", self.now))
             return
-        self.record(
-            {"t": self.now, "type": "deliver", "from": frm, "to": to, "msg_id": msg_id,
-             "kind": msg.kind},
-            DELIVER_LINE,
-        )
+        self.trace.line(DELIVER_LINE % (frm, msg.kind, msg_id, self.now, to))
         self.agents[to].on_message(frm, msg)
 
 

@@ -1,7 +1,10 @@
 import csv
 import math
 
+from swarmsim import wire
 from swarmsim.metrics import MetricsCollector, MetricsReport, p95
+from swarmsim.model import Position
+from swarmsim.sim import NetModel, Simulator
 
 
 def feed(collector, records):
@@ -62,11 +65,14 @@ def test_p95_edge_cases():
 
 
 def test_message_counts_and_reschedules():
-    c = MetricsCollector()
+    """Message counts are the simulator's per-kind send count."""
+    sim = Simulator(seed=0, net=NetModel())
+    for node in (1, 2):
+        sim.add_node(node, Position(0, 0))
+    c = MetricsCollector(sim.sent)
+    for kind in (wire.PING, wire.PING, wire.OFFER):
+        sim.send(1, 2, wire.Message(kind, {}))
     feed(c, [
-        {"type": "send", "t": 0.0, "kind": "PING"},
-        {"type": "send", "t": 0.1, "kind": "PING"},
-        {"type": "send", "t": 0.2, "kind": "OFFER"},
         {"type": "sched_decision", "t": 1.0, "attempt": 1},
         {"type": "sched_decision", "t": 2.0, "attempt": 2},
         {"type": "local_admit", "t": 3.0, "attempt": 3},

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -76,10 +77,10 @@ def test_events_of_every_kind_at_one_instant_fire_in_schedule_order():
     s.send(1, 2, wire.Message(wire.PING, {}))  # delivered at t=1.0
     s.schedule(1.0, s.join, 3)
     s.set_timer(2, 1.0, "after")
-    order = []
-    s.listeners.append(lambda rec: order.append(rec["type"]))
-    agents[2].on_timer = lambda kind, data: order.append(kind)
+    mark = len(s.trace)
+    agents[2].on_timer = lambda kind, data: s.record({"t": s.now, "type": kind})
     s.run_until(1.0)
+    order = [rec["type"] for rec in islice(s.trace, mark, None)]
     assert order == ["before", "deliver", "join", "after"]
 
 
@@ -135,9 +136,9 @@ def test_partition_groups_must_be_disjoint():
 
 
 def drop_reasons(s):
-    """The reasons of the drops `s` records from now on, as a list."""
-    reasons = []
-    s.listeners.append(lambda rec: rec["type"] == "drop" and reasons.append(rec["reason"]))
+    """The reasons of the drops in `s`'s trace, which then starts anew."""
+    reasons = [rec["reason"] for rec in s.trace if rec["type"] == "drop"]
+    s.trace = TraceLog()
     return reasons
 
 
@@ -149,13 +150,13 @@ def test_partition_window_only_separates_across_groups():
         s.register_agent(node, Recorder(s, node))
         s.schedule(0.0, s.join, node)
     s.inject_partition([1, 2], [3], 0.0, 10.0)
-    reasons = drop_reasons(s)
     s.run_until(5.0)
+    drop_reasons(s)
     assert [sorted(s.unreachable(n)) for n in range(1, 5)] == [[3], [3], [1, 2], []]
     sent = {pair: s.send(*pair, wire.Message(wire.PING, {}))
             for pair in ((1, 3), (3, 2), (1, 2), (4, 3), (3, 4), (4, 1))}
     assert [pair for pair, outcome in sent.items() if outcome == "dropped"] == [(1, 3), (3, 2)]
-    assert reasons == ["partition", "partition"]
+    assert drop_reasons(s) == ["partition", "partition"]
     s.run_until(10.0)  # end exclusive
     assert [s.unreachable(n) for n in range(1, 5)] == [set()] * 4
     assert s.send(1, 3, wire.Message(wire.PING, {})) == "scheduled"
@@ -180,10 +181,10 @@ def test_a_node_added_after_a_read_is_heard_where_in_range():
     assert s.discover(1) == [2, 3]
     assert s.discover(3) == [1, 2]
     assert s.discover(4) == []
-    reasons = drop_reasons(s)
+    drop_reasons(s)
     assert s.send(1, 3, wire.Message(wire.PING, {})) == "scheduled"
     assert s.send(1, 4, wire.Message(wire.PING, {})) == "dropped"
-    assert reasons == ["range"]
+    assert drop_reasons(s) == ["range"]
 
 
 @pytest.mark.parametrize("action", ["move", "join", "leave", "crash"])
@@ -346,7 +347,6 @@ def test_cached_reachability_matches_a_scan(partitions, steps):
         s.register_agent(node, Mover(s, node))
     for group_a, group_b, start, end in partitions:
         s.inject_partition(group_a, group_b - group_a, start, end)
-    drops = drop_reasons(s)
     for step, *args in steps:
         if step == "move":
             s.move(args[0], Position(args[1], args[2]))
@@ -360,9 +360,9 @@ def test_cached_reachability_matches_a_scan(partitions, steps):
                 if b != a and s.node_up(b) and scan_reason(s, a, b) is None
             )
             for b in s.nodes:
-                drops.clear()
+                drop_reasons(s)
                 s.send(a, b, wire.Message(wire.PING, {}))
-                assert drops == [r for r in [scan_reason(s, a, b)] if r is not None]
+                assert drop_reasons(s) == [r for r in [scan_reason(s, a, b)] if r is not None]
 
 
 # -- transport trace lines from templates ------------------------------------
@@ -388,11 +388,13 @@ def test_transport_templates_write_the_encoders_line(
     deliver = {"t": t, "type": "deliver", "from": frm, "to": to, "msg_id": msg_id, "kind": kind}
     drop = {"t": t, "type": "drop", "msg_id": msg_id, "reason": reason}
     log = TraceLog()
-    for rec, template in (
-        (send, simlib.SEND_LINE), (deliver, simlib.DELIVER_LINE), (drop, simlib.DROP_LINE),
+    for rec, line in (
+        (send, simlib.SEND_LINE % (size, digest, frm, kind, msg_id, t, to)),
+        (deliver, simlib.DELIVER_LINE % (frm, kind, msg_id, t, to)),
+        (drop, simlib.DROP_LINE % (msg_id, reason, t)),
     ):
         log.append(rec)
-        log.append(rec, template)
+        log.line(line)
     lines = b"".join(log.chunks()).splitlines()
     assert lines[1::2] == lines[0::2]
 

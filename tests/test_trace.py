@@ -9,7 +9,10 @@ shipped scenario decided apart from the bytes it sent.
 
 import glob
 import hashlib
+import json
 import os
+from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -94,3 +97,43 @@ def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
     name = os.path.basename(path)[: -len(".yaml")]
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PINNED_DECISION_SHA256[name], f"{path}: an event or decision moved"
+
+
+@pytest.mark.parametrize("path", SCENARIOS)
+def test_message_counts_are_the_send_lines_of_the_written_trace(path, tmp_path):
+    """The report's per-kind message counts, which the simulator keeps, are
+    the per-kind counts of `send` lines in the trace file."""
+    result = scen.run(scen.load_scenario(path))
+    out = tmp_path / "trace.jsonl"
+    scen.write_trace_jsonl(result.trace, out)
+    with open(out) as fh:
+        lines = [json.loads(line) for line in fh]
+    sends = Counter(rec["kind"] for rec in lines if rec["type"] == "send")
+    assert result.report.messages_by_type == dict(sends) and len(sends) > 5
+
+
+def test_reading_the_trace_mid_run_leaves_it_unchanged(tmp_path):
+    """Readers that stop part way through the trace at several instants of
+    a run, and stay suspended to its end, change no byte of it: a read never
+    moves where the next block is written."""
+    sc = scen.load_scenario("scenarios/heavy_churn.yaml")
+    whole = tmp_path / "whole.jsonl"
+    scen.write_trace_jsonl(scen.run(sc).trace, whole)
+    sim, agents, collector = scen.build(sc)
+    readers, blocks = [], set()
+    t = 0.0
+    while t < sc.duration:  # as `scenario.run` steps
+        t = min(sc.duration, t + sc.sample_period)
+        sim.run_until(t)
+        collector.sample(t, sim, agents)
+        if int(t) % 7 == 0:
+            blocks.add(len(list(sim.trace.chunks())))
+            for _ in sim.trace:
+                break
+            reader = iter(sim.trace)
+            assert len(list(islice(reader, len(sim.trace) // 2))) == len(sim.trace) // 2
+            readers.append(reader)
+    assert len(readers) > 3 and min(blocks) < max(blocks)  # reads across spills
+    mid = tmp_path / "read_mid_run.jsonl"
+    scen.write_trace_jsonl(sim.trace, mid)
+    assert mid.read_bytes() == whole.read_bytes()
