@@ -59,16 +59,12 @@ class NodeAgent:
         sim: Simulator,
         scheduler: SchedulerParams,
         profile: NodeProfile,
-        drain_rate: float = 0.0,
-        drain_rates: dict = None,
         owned_sources: list = None,
     ):
         self.sim = sim
         self.scheduler = scheduler
         self.node = profile.node
         self.base_profile = profile
-        self.drain_rate = drain_rate
-        self.drain_rates = drain_rates or {}
         self.owned_sources = list(owned_sources or [])
         self.incarnation = 0
         self.alive = False
@@ -113,7 +109,7 @@ class NodeAgent:
         # any record that peer wanted from an earlier one has arrived, and a
         # record then spreads by about one node per round.
         self.set_timer(PROBE_PERIOD * (1.0 - self.gossip.life_rng.random()), "round")
-        if not is_mains(self.profile.dyn.battery) and self.drain_rate > 0:
+        if not is_mains(self.profile.dyn.battery) and self.profile.hw.drain_rate > 0:
             self.set_timer(BATTERY_TICK, "battery", {"dt": BATTERY_TICK})
 
     def on_leave(self) -> None:
@@ -133,7 +129,7 @@ class NodeAgent:
         battery = self.profile.dyn.battery
         if is_mains(battery):
             return
-        new_level = battery_step(battery, self.drain_rate, dt)
+        new_level = battery_step(battery, self.profile.hw.drain_rate, dt)
         self.profile = self.profile.with_dyn(battery=new_level)
         if new_level <= 0.0:
             self.record("battery_dead")
@@ -323,12 +319,7 @@ class NodeAgent:
                     0.0, now - self.gossip.alive_since.get(entry.node, now)
                 ),
             )
-            availability = cognition.predict_availability(
-                entry.profile,
-                history,
-                horizon,
-                drain_rate=self.drain_rates.get(entry.node, 0.0),
-            )
+            availability = cognition.predict_availability(entry.profile, history, horizon)
             dist = distance(entry.profile.dyn.position, centroid)
             score = compute_score(
                 availability,

@@ -53,7 +53,6 @@ def predict_availability(
     profile: NodeProfile,
     history: SessionHistory,
     horizon: float,
-    drain_rate: float = 0.0,
 ) -> float:
     """P(node still up after `horizon` seconds) = P_battery * S_churn."""
     if horizon < 0:
@@ -62,7 +61,7 @@ def predict_availability(
     if is_mains(battery):
         p_battery = 1.0
     else:
-        p_battery = 1.0 if battery - drain_rate * horizon > 0 else 0.0
+        p_battery = 1.0 if battery - profile.hw.drain_rate * horizon > 0 else 0.0
     return p_battery * churn_survival(history, horizon)
 
 

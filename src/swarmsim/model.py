@@ -50,6 +50,7 @@ class StaticHardwareProfile:
     cpu_perf_index: float  # work-units per second
     memory: int  # MiB
     link_bandwidth: float  # MiB per second
+    drain_rate: float  # battery fraction per second, while on battery
 
 
 @dataclass(frozen=True)
@@ -115,18 +116,18 @@ class NodeProfile:
 
     def to_dict(self) -> list:
         """The positional wire form: `[node, cpu_perf_index, memory,
-        link_bandwidth, utilization, battery, x, y, [typologies...]]`, with
-        the typologies sorted."""
+        link_bandwidth, drain_rate, utilization, battery, x, y,
+        [typologies...]]`, with the typologies sorted."""
         hw, dyn = self.hw, self.dyn
         return [
-            self.node, hw.cpu_perf_index, hw.memory, hw.link_bandwidth,
+            self.node, hw.cpu_perf_index, hw.memory, hw.link_bandwidth, hw.drain_rate,
             dyn.utilization, dyn.battery, dyn.position.x, dyn.position.y,
             sorted(self.typologies),
         ]
 
     @classmethod
     def from_dict(cls, d: list) -> "NodeProfile":
-        (node, cpu_perf_index, memory, link_bandwidth,
+        (node, cpu_perf_index, memory, link_bandwidth, drain_rate,
          utilization, battery, x, y, typologies) = d
         return cls(
             node=int(node),
@@ -134,6 +135,7 @@ class NodeProfile:
                 cpu_perf_index=float(cpu_perf_index),
                 memory=int(memory),
                 link_bandwidth=float(link_bandwidth),
+                drain_rate=float(drain_rate),
             ),
             dyn=DynamicStatus(
                 utilization=float(utilization),
@@ -178,6 +180,8 @@ def validate_profile(profile: NodeProfile) -> list:
         violations.append("hw.link_bandwidth not positive")
     elif hw.link_bandwidth == math.inf:
         violations.append("hw.link_bandwidth not finite")
+    if not (0 <= hw.drain_rate < math.inf):
+        violations.append("hw.drain_rate not finite or negative")
 
     dyn = profile.dyn
     if not (0.0 <= dyn.utilization <= 1.0):

@@ -13,9 +13,11 @@ leaderless anti-entropy design.
 
 An entry travels in one positional wire form that begins with its version
 entry: `[node, incarnation, status_version, stamped_time, cpu_perf_index,
-memory, link_bandwidth, utilization, battery, x, y, [typologies...]]`, with
-the typologies sorted: the version entry and stamped time, then the
-profile's own form (`NodeProfile.to_dict`) after its node id.
+memory, link_bandwidth, drain_rate, utilization, battery, x, y,
+[typologies...]]`, with the typologies sorted: the version entry and stamped
+time, then the profile's own form (`NodeProfile.to_dict`) after its node id.
+An origin reads a peer's drain rate from the entry it scores, as it reads
+the rest of the peer's profile.
 
 Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
 through `local_update`, `merge` and `evict`, and each of them writes

@@ -39,32 +39,10 @@ from .sim import NetModel, Simulator
 
 @dataclass
 class NodeSpec:
-    node: int
-    position: Position
-    cpu_perf_index: float = 1.0
-    memory: int = 1024
-    link_bandwidth: float = 10.0
-    typologies: tuple = ()
-    battery: object = MAINS
-    drain_rate: float = 0.0
-    utilization: float = 0.0
-    start_time: float = 0.0
+    """A node of the scenario: its profile as it starts, and when it joins."""
 
-    def profile(self) -> NodeProfile:
-        return NodeProfile(
-            node=self.node,
-            hw=StaticHardwareProfile(
-                cpu_perf_index=self.cpu_perf_index,
-                memory=self.memory,
-                link_bandwidth=self.link_bandwidth,
-            ),
-            dyn=DynamicStatus(
-                utilization=self.utilization,
-                battery=self.battery,
-                position=self.position,
-            ),
-            typologies=frozenset(self.typologies),
-        )
+    profile: NodeProfile
+    start_time: float
 
 
 @dataclass
@@ -91,7 +69,7 @@ class Scenario:
     def validate(self) -> list:
         """Collect every problem as a human-readable string; [] means ok."""
         problems = list(self.parse_problems)
-        ids = [n.node for n in self.nodes]
+        ids = [n.profile.node for n in self.nodes]
         known = set(ids)
         if len(ids) != len(set(ids)):
             problems.append("nodes: duplicate node ids")
@@ -105,12 +83,10 @@ class Scenario:
             else:
                 problems.append("duration: must be positive and finite")
         for spec in self.nodes:
-            for issue in validate_profile(spec.profile()):
-                problems.append(f"node {spec.node}: {issue}")
-            if not 0 <= spec.drain_rate < math.inf:
-                problems.append(f"node {spec.node}: drain_rate must be finite and >= 0")
+            for issue in validate_profile(spec.profile):
+                problems.append(f"node {spec.profile.node}: {issue}")
             if not 0 <= spec.start_time < horizon:
-                problems.append(f"node {spec.node}: start_time outside run window")
+                problems.append(f"node {spec.profile.node}: start_time outside run window")
         owners = {}
         for desc in self.data_sources:
             if desc.owner not in known:
@@ -307,18 +283,22 @@ def _node_spec(raw, index: int, problems: list):
     node = get("id", _int)
     if node is not None:
         get.label = f"node {node}"
-    spec = NodeSpec(
+    profile = NodeProfile(
         node=node,
-        position=get("position", _position, [0.0, 0.0]),
-        cpu_perf_index=get("cpu_perf_index", _float, 1.0),
-        memory=get("memory", _int, 1024),
-        link_bandwidth=get("link_bandwidth", _float, 10.0),
-        typologies=get("typologies", _strs, ()),
-        battery=get("battery", _battery, MAINS),
-        drain_rate=get("drain_rate", _float, 0.0),
-        utilization=get("utilization", _float, 0.0),
-        start_time=get("start_time", _float, 0.0),
+        hw=StaticHardwareProfile(
+            cpu_perf_index=get("cpu_perf_index", _float, 1.0),
+            memory=get("memory", _int, 1024),
+            link_bandwidth=get("link_bandwidth", _float, 10.0),
+            drain_rate=get("drain_rate", _float, 0.0),
+        ),
+        dyn=DynamicStatus(
+            utilization=get("utilization", _float, 0.0),
+            battery=get("battery", _battery, MAINS),
+            position=get("position", _position, [0.0, 0.0]),
+        ),
+        typologies=frozenset(get("typologies", _strs, ())),
     )
+    spec = NodeSpec(profile, get("start_time", _float, 0.0))
     get.finish()
     return None if node is None else spec
 
@@ -548,24 +528,19 @@ def build(scenario: Scenario, seed: int = None):
     sim = Simulator(seed=seed, net=scenario.net)
     collector = MetricsCollector(sim.sent)
     sim.listeners.append(collector.on_record)
-    drain_rates = {n.node: n.drain_rate for n in scenario.nodes}
     sources_by_owner = {}
     for desc in scenario.data_sources:
         sources_by_owner.setdefault(desc.owner, []).append(desc)
     agents = {}
-    for spec in sorted(scenario.nodes, key=lambda n: n.node):
-        sim.add_node(spec.node, spec.position)
+    for spec in sorted(scenario.nodes, key=lambda n: n.profile.node):
+        node = spec.profile.node
+        sim.add_node(node, spec.profile.dyn.position)
         agent = NodeAgent(
-            sim,
-            scenario.scheduler,
-            spec.profile(),
-            drain_rate=spec.drain_rate,
-            drain_rates=drain_rates,
-            owned_sources=sources_by_owner.get(spec.node, []),
+            sim, scenario.scheduler, spec.profile, owned_sources=sources_by_owner.get(node, [])
         )
-        sim.register_agent(spec.node, agent)
-        agents[spec.node] = agent
-        sim.schedule(spec.start_time, sim.join, spec.node)
+        sim.register_agent(node, agent)
+        agents[node] = agent
+        sim.schedule(spec.start_time, sim.join, node)
     for at, task in scenario.tasks:
         sim.schedule(at, sim.fire_timer, task.origin_node, "task_arrival", {"task": task})
     for ev in scenario.events:

@@ -54,8 +54,8 @@ record it stands for:
 - member: `[node, incarnation, status rank, last_update_time]`, the version
   entry itself (`membership`);
 - registry entry: `[node, incarnation, status_version, stamped_time,
-  cpu_perf_index, memory, link_bandwidth, utilization, battery, x, y,
-  [typologies...]]` (`registry`);
+  cpu_perf_index, memory, link_bandwidth, drain_rate, utilization, battery,
+  x, y, [typologies...]]` (`registry`);
 - catalog record: `[id, [replicas...], owner, size]`, whose version entry
   is `[id]` alone, since a source's record is written once (`dataplane`);
 - an OFFER's task, not gossiped but built once per task all the same:

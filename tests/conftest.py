@@ -25,6 +25,7 @@ def make_profile(
     perf=1.0,
     memory=1024,
     bandwidth=10.0,
+    drain_rate=0.0,
     utilization=0.0,
     battery=MAINS,
     position=(0.0, 0.0),
@@ -33,7 +34,8 @@ def make_profile(
     return NodeProfile(
         node=node,
         hw=StaticHardwareProfile(
-            cpu_perf_index=perf, memory=memory, link_bandwidth=bandwidth
+            cpu_perf_index=perf, memory=memory, link_bandwidth=bandwidth,
+            drain_rate=drain_rate,
         ),
         dyn=DynamicStatus(
             utilization=utilization,

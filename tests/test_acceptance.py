@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "cdec5b7f7e121be447e8ef2555d51d3e5cfe442238ff9449aabdfd7d72beb100",
-    "heavy_churn": "1993d6fbe40d3824ecf8c037a87d691d49a359be5eb28bef07a8730aa21074c1",
-    "partition_heal": "c1ed9feefe25a84722a684fc76de2b0119d2fb428919534103e5196fbafc3bf5",
-    "steady_state": "758ada6efdfab7142adc2a30d95f9dc78b49f5e86088989bb4e88a9643e7cea4",
+    "data_locality": "ad5141f5a20d2a0b7e5eda48eb4053de89977d837909a8436622dda85289c45e",
+    "heavy_churn": "d29c69db7eadf1389b472ccbc4cd9950eb1595bd1581f167dedfe2f8326c9652",
+    "partition_heal": "3836950bda1886fc54ea49dfef2f2424bb8e1810c4e2193368293b41afcf3985",
+    "steady_state": "5ae65241d8cb0a1b9eff610d49cf4a6ba758c8c2f5426699e51da115743b22e6",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.
@@ -255,7 +255,7 @@ def test_a4_scheduling_invariants(reference_runs):
         assert all(v == 1 for v in done_counts.values()), f"{path}: double DONE"
 
         # Capacity safety: replay reservations against each node's memory.
-        memory_of = {n.node: n.memory for n in sc.nodes}
+        memory_of = {n.profile.node: n.profile.hw.memory for n in sc.nodes}
         held = {}  # node -> {(task, attempt): memory}
         for r in trace:
             node = r.get("node")

@@ -1,6 +1,7 @@
 """NodeAgent dispatch tables and the executor -> origin report."""
 
 import ast
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -226,6 +227,46 @@ def test_a_speculative_round_with_no_accept_leaves_the_running_attempt_be(candid
     assert [r["attempt"] for r in trace if r["type"] == "sched_decision"] == [2]
     assert not [r for r in trace if r["type"] == "task_failed_permanent"]
     assert [(r["task"], r["attempt"]) for r in trace if r["type"] == "task_done"] == [(1, 1)]
+
+
+# An origin that can run nothing itself, and one battery executor whose
+# charge does not last the 40 s of either task at its drain rate.
+DRAINING_PEER = {
+    "name": "draining_peer",
+    "duration": 6.0,
+    "nodes": [
+        {"id": 1, "position": [0, 0], "typologies": ["other"]},
+        {"id": 2, "position": [10, 0], "typologies": ["generic"],
+         "battery": 0.3, "drain_rate": 0.01},
+    ],
+    "tasks": [
+        {"id": task_id, "origin": 1, "at": at, "typology": "generic", "work": 40.0,
+         "memory": 64, "deadline": 120.0}
+        for task_id, at in ((1, 2.0), (2, 2.5))
+    ],
+}
+
+
+def test_an_origin_reads_a_peers_drain_rate_from_the_entry_it_scores():
+    """The origin gates a peer's availability on the drain rate published in
+    the peer's registry entry: once it holds a newer entry of the peer that
+    says 0, the same peer is available, whatever the peer's scenario says."""
+    sim, agents, _ = scen.build(scen.parse_scenario(DRAINING_PEER))
+    sim.run_until(2.49)
+    first = _decision_after(sim.trace, 0.0, task=1)
+    assert [(c["node"], c["availability"]) for c in first["candidates"]] == [(2, 0.0)]
+    registry = agents[1].registry
+    held = registry.entries[2]
+    assert held.profile.hw.drain_rate == 0.01
+    inc, sv = held.version
+    newer = replace(held, profile=replace(held.profile, hw=replace(held.profile.hw, drain_rate=0.0)),
+                    version=(inc, sv + 1))
+    assert registry.merge(newer)
+    sim.run_until(2.5)
+    second = _decision_after(sim.trace, 2.49, task=2)
+    assert registry.entries[2] is newer
+    assert [c["node"] for c in second["candidates"]] == [2]
+    assert second["candidates"][0]["availability"] > 0.0
 
 
 def _grid(n: int, seed: int = 3) -> dict:

@@ -52,10 +52,10 @@ def test_availability_mains_is_pure_survival():
 def test_availability_battery_gate():
     h = SessionHistory(durations=(100.0,) * 10, current_session_age=0.0)
     # battery 0.3, drain 0.01/s, horizon 50 -> 0.3 - 0.5 <= 0 -> gated to 0
-    low = make_profile(battery=0.3)
-    assert predict_availability(low, h, 50.0, drain_rate=0.01) == 0.0
+    low = make_profile(battery=0.3, drain_rate=0.01)
+    assert predict_availability(low, h, 50.0) == 0.0
     # horizon 20 -> 0.3 - 0.2 > 0 -> survival passes through
-    assert predict_availability(low, h, 20.0, drain_rate=0.01) > 0.0
+    assert predict_availability(low, h, 20.0) > 0.0
 
 
 def test_availability_rejects_negative_horizon():

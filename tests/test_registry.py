@@ -212,16 +212,17 @@ def test_wire_schema_is_flat():
         stamped_time=7.5,
     )
     held = entry.to_dict().wire_json()
-    assert held == '[2,1,3,7.5,1.0,1024,10.0,0.0,"MAINS",40.0,0.0,["generic"]]'
+    assert held == '[2,1,3,7.5,1.0,1024,10.0,0.0,0.0,"MAINS",40.0,0.0,["generic"]]'
     assert len(held) <= 64
     battery = RegistryEntry(
         node=3,
-        profile=make_profile(node=3, battery=0.5, typologies=("vision", "audio")),
+        profile=make_profile(node=3, battery=0.5, drain_rate=0.002,
+                             typologies=("vision", "audio")),
         version=(0, 1),
         stamped_time=0.0,
     )
     assert battery.to_dict().wire_json() == (
-        '[3,0,1,0.0,1.0,1024,10.0,0.0,0.5,0.0,0.0,["audio","vision"]]'
+        '[3,0,1,0.0,1.0,1024,10.0,0.002,0.0,0.5,0.0,0.0,["audio","vision"]]'
     )
     member = membership.MemberState(
         node=5, status=membership.DEAD, incarnation=2, last_update_time=1.5
@@ -247,6 +248,12 @@ def test_wire_schema_is_flat():
         profile=make_profile(node=3, battery=0.5, typologies=("vision", "audio")),
         version=(0, 1),
         stamped_time=0.0,
+    ),
+    RegistryEntry(
+        node=4,
+        profile=make_profile(node=4, battery=0.25, drain_rate=0.02),
+        version=(2, 7),
+        stamped_time=9.0,
     ),
 ])
 def test_entry_round_trips_through_its_wire_form(entry):

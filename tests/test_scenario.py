@@ -187,7 +187,7 @@ def test_node_without_id_and_wrong_field_types_are_problems():
         "node 2: battery: expected a number or MAINS, got 'full'",
         "duration: expected a number, got 'ten'",
     ]
-    assert [n.node for n in sc.nodes] == [2, 3]
+    assert [n.profile.node for n in sc.nodes] == [2, 3]
     with pytest.raises(ValueError, match="invalid scenario: nodes\\[0\\]: id: required"):
         scen.run(sc)
 
@@ -286,9 +286,9 @@ def test_malformed_items_and_settings_are_problems():
         # it: NaN never drains, a NaN start never joins and freezes the
         # event loop, a move cannot leave the plane.
         ({"nodes": [dict(node, drain_rate=math.nan), other]},
-         ["node 1: drain_rate must be finite and >= 0"]),
+         ["node 1: hw.drain_rate not finite or negative"]),
         ({"nodes": [dict(node, drain_rate=math.inf), other]},
-         ["node 1: drain_rate must be finite and >= 0"]),
+         ["node 1: hw.drain_rate not finite or negative"]),
         ({"nodes": [dict(node, start_time=math.nan), other]},
          ["node 1: start_time outside run window"]),
         ({"events": [{"type": "move", "node": 1, "at": 1.0, "to": [math.nan, 0]}]},
@@ -328,12 +328,14 @@ def test_malformed_items_and_settings_are_problems():
     sc = with_extras(nodes=[dict(node, cpu_perf_index="1.5", position={"x": "2", "y": 0}),
                             other])
     assert sc.validate() == []
-    assert (sc.nodes[0].cpu_perf_index, sc.nodes[0].position.x) == (1.5, 2.0)
+    profile = sc.nodes[0].profile
+    assert (profile.hw.cpu_perf_index, profile.dyn.position.x) == (1.5, 2.0)
     sc = with_extras(nodes=[dict(node, id=1.0, memory=512.0), other],
                      tasks=[dict(task, id=2.0, origin=1.0, memory=64.0)])
     assert sc.validate() == []
-    assert (sc.nodes[0].node, sc.nodes[0].memory) == (1, 512)
-    assert type(sc.nodes[0].node) is int and type(sc.tasks[0][1].task_id) is int
+    profile = sc.nodes[0].profile
+    assert (profile.node, profile.hw.memory) == (1, 512)
+    assert type(profile.node) is int and type(sc.tasks[0][1].task_id) is int
 
 
 # A 2-node scenario that uses every numeric field the intake schedules or
