@@ -19,6 +19,8 @@ import pytest
 from swarmsim import scenario as scen, wire
 from swarmsim.sim import Simulator, TraceLog
 
+from conftest import bench_workloads
+
 SCENARIOS = sorted(glob.glob("scenarios/*.yaml"))
 
 SEND_KEYS = {"t", "type", "from", "to", "msg_id", "kind", "digest", "bytes"}
@@ -84,9 +86,8 @@ def test_every_shipped_scenario_has_a_decision_pin():
     assert sorted(PINNED_DECISION_SHA256) == names
 
 
-@pytest.mark.parametrize("path", SCENARIOS)
-def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
-    result = scen.run(scen.load_scenario(path))
+def decision_sha256(result, tmp_path) -> str:
+    """sha256 of a run's written trace with the wire bytes taken out."""
     decisions = TraceLog()
     for rec in result.trace:
         if rec["type"] == "send":
@@ -94,9 +95,33 @@ def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
         decisions.append(rec)
     out = tmp_path / "decisions.jsonl"
     scen.write_trace_jsonl(decisions, out)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("path", SCENARIOS)
+def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
+    digest = decision_sha256(scen.run(scen.load_scenario(path)), tmp_path)
     name = os.path.basename(path)[: -len(".yaml")]
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PINNED_DECISION_SHA256[name], f"{path}: an event or decision moved"
+
+
+# The same pin on generated runs of `bench/workloads.py`, which re-declare
+# Alive records far more often than the shipped scenarios: rejoins bump a
+# node's incarnation, and refutations answer suspicions. At seed 5 the
+# `swarm64_churn` run has 7 rejoins and 16 refutations.
+PINNED_GENERATED_DECISION_SHA256 = {
+    ("swarm64_churn", 5, "n", 16): "6a9b660f7bd550945bbcef7b8f66b3029a97dc5ce8426d5ff7b7d2be3e1dc2d2",
+    ("tasks16_dense", 5, "tasks", 30): "d4befb9cd178376036e472c062d700702413f3e6b00897807e2bf0847be5dc5a",
+}
+
+
+@pytest.mark.parametrize("name, seed, size, value", sorted(PINNED_GENERATED_DECISION_SHA256))
+def test_generated_decisions_are_pinned_apart_from_wire_bytes(name, seed, size, value, tmp_path):
+    wl = bench_workloads().generate(name, seed, **{size: value})
+    digest = decision_sha256(scen.run(scen.parse_scenario(wl.raw)), tmp_path)
+    assert digest == PINNED_GENERATED_DECISION_SHA256[name, seed, size, value], (
+        f"{name} seed {seed}: an event or decision moved"
+    )
 
 
 @pytest.mark.parametrize("path", SCENARIOS)
