@@ -64,11 +64,15 @@ class Gossip:
         physically reachable peers."""
         # This life's own draws: HELLO picks and the phase of its rounds.
         self.life_rng = substream(self.sim.seed, f"life-{self.node}-{self.agent.epoch}")
+        # Without a time: the incarnation names an Alive record, since a
+        # life declares itself Alive once per incarnation (a restart and a
+        # refutation each raise it), and only the times of Suspect, Dead and
+        # Left records are read. So the record travels as [node, incarnation].
         self.view.apply(MemberState(
             node=self.node,
             status=ALIVE,
             incarnation=self.agent.incarnation,
-            last_update_time=self.sim.now,
+            last_update_time=0.0,
         ))
         self._hello_some(self.sim.discover(self.node))
 
@@ -161,7 +165,7 @@ class Gossip:
                 self.view.apply(replace(
                     self.view.members[self.node],
                     incarnation=agent.incarnation,
-                    last_update_time=now,
+                    last_update_time=0.0,  # Alive, without a time (see `join`)
                 ))
                 # The profile is unchanged, so the registry entry stands (a
                 # query reads liveness from the view). Republishing it would

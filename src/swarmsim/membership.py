@@ -9,7 +9,14 @@ a node declared Dead at incarnation k can only come back with incarnation
 A member record has one wire form, its version entry
 `[node, incarnation, status rank, last_update_time]` (SWIM's and
 Scuttlebutt's update tuple), where the status goes as its merge rank
-(`_STATUS_RANK`: alive 0, suspect 1, dead 2, left 3). A piggybacked delta,
+(`_STATUS_RANK`: alive 0, suspect 1, dead 2, left 3). Trailing defaults
+are dropped: a time of 0.0, then a rank of 0 that ends the entry. An
+Alive record has no time, as a SWIM alive message carries only its
+incarnation: a life declares itself Alive once per incarnation, and only
+the times of Suspect, Dead and Left records are read. So an Alive record
+travels as `[node, incarnation]`, and every reader of an entry
+(`from_dict`, `_entry_key`, the tombstone filter of `diff`) takes 2, 3 or
+4 elements. The rule is lossless for every record. A piggybacked delta,
 the `view` part of a DELTA or HELLO-ACK and an entry of a HELLO's or
 DIGEST's version map are all that entry; a map is just the entries of every
 member in NodeId order, and a periodic DIGEST carries only the map's hash.
@@ -73,6 +80,8 @@ _DIGEST_MASK = (1 << 64) - 1
 #: wire form carries the rank in place of the status.
 _STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 3}
 _STATUS_OF_RANK = {rank: status for status, rank in _STATUS_RANK.items()}
+#: Status rank and time where a version entry leaves them out: Alive, 0.0.
+_TRAILING_DEFAULTS = (0, 0.0)
 
 
 def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
@@ -87,8 +96,17 @@ def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
 
 def _entry_key(entry: list) -> tuple:
     """`merge_key` of the record a version entry stands for, read straight
-    from the entry."""
-    return (entry[1], entry[2], -entry[3])
+    from the entry, of 2, 3 or 4 elements (see `version_entry`)."""
+    size = len(entry)
+    if size == 4:
+        return (entry[1], entry[2], -entry[3])
+    return (entry[1], entry[2] if size == 3 else 0, -0.0)
+
+
+def _entry_fields(entry: list) -> list:
+    """[node, incarnation, status rank, last_update_time] of a version
+    entry, with the trailing defaults it leaves out put back."""
+    return [*entry, *_TRAILING_DEFAULTS[len(entry) - 2:]]
 
 
 def expired(status: str, last_update_time: float, now: float) -> bool:
@@ -108,7 +126,9 @@ class MemberState:
     node: NodeId
     status: str
     incarnation: int
-    last_update_time: float  # sim time the current status was declared
+    # The time a Suspect, Dead or Left status was declared; 0.0 for Alive,
+    # which its incarnation names.
+    last_update_time: float
 
     @cached_property
     def key(self) -> tuple:
@@ -129,15 +149,20 @@ class MemberState:
     def version_entry(self) -> wire.ListRecord:
         """[node, incarnation, status rank, last_update_time]: this record
         as every message carries it, piggybacked, in a DELTA or HELLO-ACK,
-        or in a version map."""
-        return wire.ListRecord(
-            [self.node, self.incarnation, _STATUS_RANK[self.status], self.last_update_time],
-            self,
-        )
+        or in a version map. Trailing defaults are dropped, as `wire.encode`
+        drops trailing nulls: a time of 0.0, then a rank of 0 (Alive) that
+        ends the entry. An Alive record, declared without a time, travels
+        as [node, incarnation]; the rule is lossless for every record."""
+        entry = [self.node, self.incarnation, _STATUS_RANK[self.status], self.last_update_time]
+        if not entry[3]:
+            del entry[3]
+            if not entry[2]:
+                del entry[2]
+        return wire.ListRecord(entry, self)
 
     @classmethod
     def from_dict(cls, entry: list) -> "MemberState":
-        node, incarnation, rank, last_update_time = entry
+        node, incarnation, rank, last_update_time = _entry_fields(entry)
         return cls(
             node=int(node),
             status=_STATUS_OF_RANK[rank],
@@ -207,9 +232,13 @@ class SwarmView(wire.VersionedMap):
         compared like any other, so a peer's newer record of us is wanted
         and refutation sees it once it arrives.
         """
-        return self.diff_records(remote, _entry_newer, lambda e: not expired(
-            _STATUS_OF_RANK[e[2]], e[3], now
-        ))
+        def live(entry: list) -> bool:
+            if len(entry) == 2:  # Alive, which never expires
+                return True
+            _, _, rank, last_update_time = _entry_fields(entry)
+            return not expired(_STATUS_OF_RANK[rank], last_update_time, now)
+
+        return self.diff_records(remote, _entry_newer, live)
 
     def probe_targets(self) -> list:
         """Alive and Suspect members other than ourselves, in NodeId order:

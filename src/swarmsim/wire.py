@@ -2,7 +2,8 @@
 
 A message is a kind, a body and a (possibly empty) list of piggybacked
 membership deltas, each a member's version entry `[node, incarnation,
-status rank, last_update_time]` (see `membership`). This is the one module
+status rank, last_update_time]` less its trailing defaults, so an Alive
+record is `[node, incarnation]` (see `membership`). This is the one module
 that knows each kind's body layout: in memory a body is a dict of named
 fields, and `encode` writes `[kind, [values in BODY_FIELDS order], deltas]`,
 an absent field (or one set to None) as null, with trailing nulls dropped;
@@ -52,7 +53,11 @@ begins with the record's version entry, so a map entry is a prefix of the
 record it stands for:
 
 - member: `[node, incarnation, status rank, last_update_time]`, the version
-  entry itself (`membership`);
+  entry itself, with a time of 0.0 and then an Alive rank (0) left out
+  where they end it, as `encode` drops trailing nulls. An Alive record is
+  declared without a time, since its incarnation names it, so it travels
+  as `[node, incarnation]`: 5 bytes for `[5,0]`, where the full form
+  `[5,0,0,0.0]` is 11 (`membership`);
 - registry entry: `[node, incarnation, status_version, stamped_time,
   cpu_perf_index, memory, link_bandwidth, drain_rate, utilization, battery,
   x, y, [typologies...]]` (`registry`);

@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "ad5141f5a20d2a0b7e5eda48eb4053de89977d837909a8436622dda85289c45e",
-    "heavy_churn": "d29c69db7eadf1389b472ccbc4cd9950eb1595bd1581f167dedfe2f8326c9652",
-    "partition_heal": "3836950bda1886fc54ea49dfef2f2424bb8e1810c4e2193368293b41afcf3985",
-    "steady_state": "5ae65241d8cb0a1b9eff610d49cf4a6ba758c8c2f5426699e51da115743b22e6",
+    "data_locality": "539c23725df8650770d27d97ae89f9c16499408c822f73db129278c630791676",
+    "heavy_churn": "f34f24381065f46a7f04caf8b4eb7325958bbfc8999951f73e3ab74beadda8f7",
+    "partition_heal": "c9572e967a3a004cff59ee2f05acae9555e705e42e19f988ba9a79c516d25946",
+    "steady_state": "256dfffda1c1f69c8526b6141d01c2c06a98ebec9b7a8e304ed7dee4993eeafb",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

@@ -1,3 +1,4 @@
+import glob
 import hashlib
 import json
 
@@ -538,3 +539,70 @@ def test_member_gc_timers_are_few_beside_tombstone_changes():
         scen.run(scen.parse_scenario(wl.raw))
     assert counts["tombstones"] == 274
     assert counts["member_gc"] <= counts["tombstones"] // 4, counts
+
+
+# -- the member wire form: trailing defaults dropped ---------------------------
+
+wire_states = st.builds(
+    MemberState,
+    node=st.integers(0, 2**31),
+    status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+    incarnation=st.integers(0, 2**31),
+    last_update_time=st.one_of(st.just(0.0), st.floats(0.0, 1e9, allow_nan=False)),
+)
+
+
+@settings(max_examples=300)
+@given(wire_states)
+def test_a_member_entry_drops_its_trailing_defaults_losslessly(state):
+    """An entry leaves out a time of 0.0, then an Alive rank that ends it,
+    and both readers of an entry put them back."""
+    entry = state.version_entry
+    if state.last_update_time:
+        assert len(entry) == 4
+    else:
+        assert len(entry) == (2 if state.status == ALIVE else 3)
+    assert MemberState.from_dict(json.loads(state.to_dict().wire_json())) == state
+    assert membership._entry_key(entry) == state.key
+
+
+@given(st.sampled_from([DEAD, LEFT]), st.integers(0, 2),
+       st.floats(membership.RETENTION, 1e6), st.sampled_from([None, ms(node=2)]))
+def test_a_tombstone_declared_at_zero_leaves_the_diff_once_expired(status, inc, now, other):
+    """A Dead or Left entry without a time (3 elements) is a tombstone
+    declared at 0.0: past RETENTION it is neither pushed nor wanted, against
+    a peer that holds no record of the node or an Alive one."""
+    tomb = ms(node=2, status=status, inc=inc)
+    assert len(tomb.version_entry) == 3
+    plain = json.loads(tomb.version_entry.wire_json())
+    others = [] if other is None else [other]
+    theirs = json.loads(json.dumps(view_from(others).version_map()))
+    assert view_from([tomb]).diff(theirs, now) == ([], [])
+    assert view_from(others).diff([plain], now) == ([], [])
+    # Before RETENTION has passed, the same tombstone is wanted.
+    assert view_from(others).diff([plain], membership.RETENTION / 2) == ([], [2])
+
+
+def test_alive_records_are_declared_without_a_time():
+    """The invariant the member wire form rests on, over the shipped
+    scenarios and a churn run of `bench/workloads.py` (7 rejoins and 16
+    refutations): every Alive record a view installs has time 0.0, so all
+    Alive records of one (node, incarnation) are equal, and one travels as
+    [node, incarnation]."""
+    alive = {}  # (node, incarnation) -> the first Alive record installed in a run
+    put = SwarmView.put
+
+    def checking_put(self, key, record):
+        if record.status == ALIVE:
+            assert record.last_update_time == 0.0, record
+            assert alive.setdefault((record.node, record.incarnation), record) == record
+        put(self, key, record)
+
+    runs = [scen.load_scenario(path) for path in sorted(glob.glob("scenarios/*.yaml"))]
+    runs.append(scen.parse_scenario(bench_workloads().swarm64_churn(5, n=16).raw))
+    with mock.patch.object(SwarmView, "put", checking_put):
+        for sc in runs:
+            alive.clear()
+            scen.run(sc)
+    # The churn run's 7 rejoins and 16 refutations each declare one record.
+    assert sum(inc > 0 for _, inc in alive) == 23

@@ -401,7 +401,12 @@ def test_a_members_map_entry_is_its_piggybacked_record():
         picked[1] = 5
     with pytest.raises(TypeError, match="read-only"):
         view.version_map().append(picked)
-    assert picked == [2, 0, 0, 0.0]
+    assert picked == [2, 0]
+    # Trailing defaults are dropped: a time of 0.0, then an Alive rank.
+    dead = MemberState(node=2, status=DEAD, incarnation=1, last_update_time=0.0)
+    assert dead.to_dict() == [2, 1, 2]
+    alive_at = MemberState(node=2, status=ALIVE, incarnation=1, last_update_time=0.5)
+    assert alive_at.to_dict() == [2, 1, 0, 0.5]
 
 
 @given(st.lists(member_states, max_size=8))
