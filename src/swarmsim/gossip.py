@@ -64,10 +64,9 @@ class Gossip:
         physically reachable peers."""
         # This life's own draws: HELLO picks and the phase of its rounds.
         self.life_rng = substream(self.sim.seed, f"life-{self.node}-{self.agent.epoch}")
-        # Without a time: the incarnation names an Alive record, since a
-        # life declares itself Alive once per incarnation (a restart and a
-        # refutation each raise it), and only the times of Suspect, Dead and
-        # Left records are read. So the record travels as [node, incarnation].
+        # Without a time: a life declares itself Alive once per incarnation
+        # (a restart and a refutation each raise it), so the incarnation
+        # names the record, and no Alive time is read (see `membership`).
         self.view.apply(MemberState(
             node=self.node,
             status=ALIVE,

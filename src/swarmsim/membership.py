@@ -151,8 +151,8 @@ class MemberState:
         as every message carries it, piggybacked, in a DELTA or HELLO-ACK,
         or in a version map. Trailing defaults are dropped, as `wire.encode`
         drops trailing nulls: a time of 0.0, then a rank of 0 (Alive) that
-        ends the entry. An Alive record, declared without a time, travels
-        as [node, incarnation]; the rule is lossless for every record."""
+        ends the entry, so an Alive record, declared without a time, travels
+        as [node, incarnation]."""
         entry = [self.node, self.incarnation, _STATUS_RANK[self.status], self.last_update_time]
         if not entry[3]:
             del entry[3]
