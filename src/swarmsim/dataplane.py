@@ -13,8 +13,7 @@ the map itself only to a peer whose hash differs.
 
 Invariants of `Catalog`, a `wire.VersionedMap`: `records` is written only
 through `merge` (which `announce` calls), and it adds a record through the
-map's `put`, which keeps the version map sorted and drops the cached map
-and hash.
+map's `put`, which keeps the version map sorted and its hash up to date.
 """
 
 from __future__ import annotations

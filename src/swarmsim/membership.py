@@ -37,17 +37,18 @@ only through `apply` and `remove`, which write through the map's `put` and
 `drop`, and those report each change, the record replaced and the record
 installed, to `changed(old, new)`. The view keeps its derived state by that
 delta, never by a scan: the alive list (whose first element is the swarm
-id) and the probe targets as sorted lists, the Dead and Suspect members'
-`(last_update_time, node)` as a sorted list that `split_condition` reads
-in O(1), and the member-set digest as a sum mod 2^64 of each record's
-`member_hash` (AdHash; Bellare & Micciancio, EUROCRYPT 1997), so equal
-member sets give equal digests whatever order built them. The version map,
-its hash and the digest's text are cached until the next change and shared
-with every message and trace record that carries them; the alive and
-probe lists are the kept lists themselves. All of them are read-only; the
-map and its entries are `wire` record types, which enforce it. A view
-installs the very `MemberState` a peer gossiped (`wire.adopt`), so views
-that agree hold the same objects, and their version maps the same entries.
+id) and the probe targets as sorted lists, and the Dead and Suspect
+members' `(last_update_time, node)` as a sorted list that `split_condition`
+reads in O(1). The map's hash, an AdHash sum its base keeps by the same
+delta, is also the view's convergence hash (`member_set_digest`): views
+agree when their version maps are equal, a tombstone's declaration time
+included, which the merge settles on the earliest. The version map is kept
+until the next change and shared with every message and trace record that
+carries it; the alive and probe lists are the kept lists themselves. All of
+them are read-only; the map and its entries are `wire` record types, which
+enforce it. A view installs the very `MemberState` a peer gossiped
+(`wire.adopt`), so views that agree hold the same objects, and their
+version maps the same entries.
 What the view adds to the map it shares with the registry and the catalog
 is its merge rule (`merge_key`) and the tombstone filter of `diff`.
 
@@ -57,7 +58,6 @@ pure data logic so it can be property-tested in isolation.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,7 +74,6 @@ RETENTION = 30.0  # seconds a Dead or Left record is kept before GC
 
 _PROBED = (ALIVE, SUSPECT)  # statuses a probe round picks from
 _STALE = (DEAD, SUSPECT)  # statuses `split_condition` counts as unreachable
-_DIGEST_MASK = (1 << 64) - 1
 
 #: Precedence at equal incarnation; larger rank wins a merge. A member's
 #: wire form carries the rank in place of the status.
@@ -134,13 +133,6 @@ class MemberState:
     def key(self) -> tuple:
         return merge_key(self.status, self.incarnation, self.last_update_time)
 
-    @cached_property
-    def member_hash(self) -> int:
-        """64 bits of blake2b of (node, status, incarnation): this record's
-        term in its view's member-set digest."""
-        triple = repr((self.node, self.status, self.incarnation)).encode()
-        return int.from_bytes(hashlib.blake2b(triple, digest_size=8).digest(), "big")
-
     def to_dict(self) -> wire.ListRecord:
         """The wire form, `version_entry`: built once, shared, read-only."""
         return self.version_entry
@@ -182,12 +174,11 @@ class SwarmView(wire.VersionedMap):
         self._alive: list = []  # Alive members, in NodeId order
         self._probe: list = []  # Alive and Suspect members but us, in NodeId order
         self._stale: list = []  # (last_update_time, node) of Dead and Suspect members
-        self._digest_sum = 0  # sum of `member_hash` over the members, mod 2^64
 
     def changed(self, old, new) -> None:
-        """Keep the alive list, the probe list, the split list and the
-        digest sum by the delta of one member record: `old` replaced by
-        `new`, either of them None."""
+        """Keep the map's hash, the alive list, the probe list and the split
+        list by the delta of one member record: `old` replaced by `new`,
+        either of them None."""
         super().changed(old, new)
         node = (new or old).node
         was = old.status if old is not None else None
@@ -201,12 +192,6 @@ class SwarmView(wire.VersionedMap):
             del stale[bisect_left(stale, (old.last_update_time, node))]
         if now in _STALE:
             insort(stale, (new.last_update_time, node))
-        total = self._digest_sum
-        if old is not None:
-            total -= old.member_hash
-        if new is not None:
-            total += new.member_hash
-        self._digest_sum = total & _DIGEST_MASK
 
     def alive_nodes(self) -> list:
         """Alive members in NodeId order: the kept list itself, read-only,
@@ -220,9 +205,9 @@ class SwarmView(wire.VersionedMap):
         return alive[0] if alive else self.self_node
 
     def member_set_digest(self) -> str:
-        """Digest of the member set as (node, status, incarnation) triples:
-        the sum of their `member_hash`es mod 2^64 (AdHash), in hex."""
-        return self.cached("digest", lambda: format(self._digest_sum, "016x"))
+        """The view's convergence hash: `version_hash()`. Views that agree
+        hold equal version maps, a tombstone's declaration time included."""
+        return self.version_hash()
 
     def diff(self, remote: list, now: float) -> tuple:
         """(our records a peer's version map lacks, nodes whose record there

@@ -3,8 +3,8 @@
 The collector listens to trace records as the simulation emits them, reads
 its message counts from the simulator's per-kind send count, and is
 periodically given a chance to sample global state: utilization, each view's
-`member_set_digest` and each registry's `content_hash`, which is the hash of
-its version map (a registry version names one entry). Convergence times are
+`member_set_digest` and each registry's `content_hash`, both the hash of its
+version map (tombstone times included). Convergence times are
 measured from scenario start: the first sampling instant, after the last
 disturbance (churn, crash, partition edge), at which all running nodes agree.
 """

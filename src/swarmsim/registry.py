@@ -22,9 +22,9 @@ the rest of the peer's profile.
 Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
 through `local_update`, `merge` and `evict`, and each of them writes
 through the map's `put` or `drop`, which keep the version map sorted and
-drop the cached `version_map` and `version_hash`. The registry adds to its
-base only the merge rule, last writer wins by version. Since a version names one entry, the map's hash is
-also the registry's convergence hash (`content_hash`).
+its hash up to date. The registry adds to its base only the merge rule,
+last writer wins by version. Since a version names one entry, the map's
+hash is also the registry's convergence hash (`content_hash`).
 """
 
 from __future__ import annotations

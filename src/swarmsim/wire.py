@@ -24,7 +24,7 @@ equivalence.
 Gossip is digest first (Scuttlebutt). A version map is a list of small
 entries sorted by id, one per record, enough to tell which side's record
 wins (`diff_versions`). HELLO carries the view's version map. A periodic
-DIGEST carries no map, only one `short_hash` of each part's map (`view`,
+DIGEST carries no map, only one hash of each part's map (`view`,
 `catalog`, `registry`): a peer whose hash of a part is the same needs
 nothing, and a peer whose hash differs answers with a DIGEST that holds its
 map of that part (the first level of Dynamo's Merkle exchange). A map is
@@ -39,14 +39,15 @@ are one object, so the view's map and the view's records are the same
 entries.
 
 The view, the registry and the catalog are each a `VersionedMap`, which
-owns the map, its hash, the cache they live in and the diff; an owner adds
-only its merge rule, the `newer` test it hands to `diff_records`. The map
-is kept by delta, not rebuilt: every write goes through `put` or `drop`,
-which keep the version entries sorted by id with `bisect` and report the
-replaced and the installed record to `changed(old, new)`, so a read of the
-map is a copy of that list, made once per change. The registry's map hash
-is also its convergence hash (`Registry.content_hash`), since a registry
-version names one entry.
+owns the map, its hash and the diff; an owner adds only its merge rule,
+the `newer` test it hands to `diff_records`. Map and hash are kept by
+delta, not rebuilt: every write goes through `put` or `drop`, which keep
+the version entries sorted by id with `bisect` and report the replaced and
+the installed record to `changed(old, new)`. A read of the map is a copy of
+that list, made once per change, and the hash, an AdHash sum of terms each
+shared entry caches, moves by one subtraction and one addition. It is each
+part's one hash: a DIGEST carries it and the convergence checks compare it
+(`SwarmView.member_set_digest`, `Registry.content_hash`).
 
 Every gossiped record has one compact positional wire form, a list that
 begins with the record's version entry, so a map entry is a prefix of the
@@ -88,11 +89,11 @@ the cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import zlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
@@ -177,11 +178,12 @@ class ListRecord(_ReadOnlyList):
     frozen record object (`source`) and shared by the version map (for a
     member) and every message that carries it."""
 
-    __slots__ = ("_wire", "source")
+    __slots__ = ("_wire", "_term", "source")
 
     def __init__(self, value, source=None):
         super().__init__(value)
         self._wire = None
+        self._term = None
         self.source = source
 
     def wire_json(self) -> str:
@@ -190,6 +192,15 @@ class ListRecord(_ReadOnlyList):
         if text is None:
             text = self._wire = _encode_wire(self)
         return text
+
+    def hash_term(self) -> int:
+        """64 bits of blake2b of `wire_json()`, cached: this entry's term in
+        the hash of a version map that holds it (`VersionedMap`)."""
+        term = self._term
+        if term is None:
+            digest = blake2b(self.wire_json().encode(), digest_size=8).digest()
+            term = self._term = int.from_bytes(digest, "big")
+        return term
 
 
 class RecordList(_ReadOnlyList):
@@ -215,13 +226,6 @@ def _value_json(value) -> str:
     if kind is RecordList:
         return _records_json(value)
     return value.wire_json() if kind is ListRecord else _encode_wire(value)
-
-
-def short_hash(value) -> str:
-    """16 hex characters of the sha256 of `value`'s wire JSON. Equal values
-    hash equal; compared for equality only (a DIGEST's map hashes, the
-    convergence checks)."""
-    return hashlib.sha256(_value_json(value).encode()).hexdigest()[:16]
 
 
 _entry_id = itemgetter(0)  # a version entry's id
@@ -268,20 +272,22 @@ class VersionedMap:
     """Records by id, reconciled digest first: the base of the view, the
     registry and the catalog.
 
-    `records` (id -> record, each with a `version_entry` whose first element
-    is the id) is written only through `put` and `drop`. Each keeps the
-    version entries sorted by id, by `bisect`, and reports the record it
-    replaced and the one it installed to `changed(old, new)`, where an
-    owner keeps its own derived state by delta. Until the next change the
-    version map, its hash and whatever else the owner builds through
-    `cached` are kept, and shared with every message and trace record that
-    carries them, so they are read-only.
+    `records` (id -> record, each with a `version_entry`, a `ListRecord`
+    whose first element is the id) is written only through `put` and
+    `drop`. Each keeps the version entries sorted by id, by `bisect`, and
+    reports the record it replaced and the one it installed to
+    `changed(old, new)`, which moves the hash, the sum mod 2^64 of the
+    entries' `hash_term`s (AdHash; Bellare & Micciancio, EUROCRYPT 1997),
+    and where an owner keeps its own derived state by delta. The version
+    map is kept until the next change and shared with every message that
+    carries it, so it is read-only.
     """
 
     def __init__(self):
         self.records: dict = {}
         self._entries: list = []  # every record's version entry, in id order
-        self._cache: dict = {}
+        self._map = None  # `version_map()`, until the next change
+        self._sum = 0  # sum of the entries' `hash_term`s, mod 2^64
 
     def put(self, key, record) -> None:
         """Install `record` under `key`, in place of any record held."""
@@ -305,26 +311,30 @@ class VersionedMap:
         return True
 
     def changed(self, old, new) -> None:
-        """Forget the cached values: `put` replaced `old` (None when it
-        added `new`), or `drop` dropped it (`new` is None)."""
-        self._cache.clear()
-
-    def cached(self, key: str, build):
-        """`build()`, kept under `key` until the records change."""
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = build()
-        return value
+        """Forget the kept map and move the hash sum by the delta: `put`
+        replaced `old` (None when it added `new`), or `drop` dropped it
+        (`new` is None)."""
+        self._map = None
+        total = self._sum
+        if old is not None:
+            total -= old.version_entry.hash_term()
+        if new is not None:
+            total += new.version_entry.hash_term()
+        self._sum = total % 2**64
 
     def version_map(self) -> RecordList:
         """Every record's `version_entry` in id order, as HELLO (the view's)
         and a DIGEST that answers a differing hash carry it: a copy of the
         kept entries, since a sent map must not change under its message."""
-        return self.cached("map", lambda: RecordList(self._entries))
+        kept = self._map
+        if kept is None:
+            kept = self._map = RecordList(self._entries)
+        return kept
 
     def version_hash(self) -> str:
-        """`short_hash` of `version_map()`, as a periodic DIGEST carries it."""
-        return self.cached("hash", lambda: short_hash(self.version_map()))
+        """The map's hash, as a periodic DIGEST carries it and the
+        convergence checks compare it: the AdHash sum in 16 hex characters."""
+        return format(self._sum, "016x")
 
     def diff_records(self, remote: list, newer, live=lambda entry: True) -> tuple:
         """(our records a peer's version map lacks, ids whose record there

@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "539c23725df8650770d27d97ae89f9c16499408c822f73db129278c630791676",
-    "heavy_churn": "f34f24381065f46a7f04caf8b4eb7325958bbfc8999951f73e3ab74beadda8f7",
-    "partition_heal": "c9572e967a3a004cff59ee2f05acae9555e705e42e19f988ba9a79c516d25946",
-    "steady_state": "256dfffda1c1f69c8526b6141d01c2c06a98ebec9b7a8e304ed7dee4993eeafb",
+    "data_locality": "8178dc9fcdf7442b9377e26fcd31220e5e59b2e63a6cab1ffa0c49e73fdde804",
+    "heavy_churn": "73e0f348fa3a93fdc2e21109584f8bcb5b6729534e274072e43f1cbb17f296f2",
+    "partition_heal": "02cc8dcac99c580899ddb13e22ba80caa1336bdc855e6481933d5d7756de7561",
+    "steady_state": "1868b346d8ba1140824e107e9292ce055c91627cdc6ded7c43af0c7748dd944d",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

@@ -1,6 +1,7 @@
-"""NodeAgent dispatch tables and the executor -> origin report."""
+"""NodeAgent dispatch tables, bench's patch points and the executor -> origin report."""
 
 import ast
+import importlib
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -44,14 +45,34 @@ def sent(monkeypatch) -> list:
     return sends
 
 
-def _bench_list(name: str) -> list:
-    """A list literal assigned at the top of `bench/run.py`, read unimported."""
-    for node in ast.parse((ROOT / "bench" / "run.py").read_text()).body:
+def _bench_value(name: str, script: str = "run.py") -> ast.expr:
+    """The expression assigned to `name` at the top of `bench/<script>`,
+    read unimported."""
+    for node in ast.parse((ROOT / "bench" / script).read_text()).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            return node.value
     raise KeyError(name)
+
+
+def _bench_list(name: str, script: str = "run.py") -> list:
+    """A list literal assigned at the top of `bench/<script>`."""
+    return ast.literal_eval(_bench_value(name, script))
+
+
+def _bench_targets() -> list:
+    """(owner, attribute name) for every name `bench/tracer.py` `TARGETS`
+    patches, its owner (`sim.Simulator`, `wire`) looked up in `swarmsim`."""
+    out = []
+    for row in _bench_value("TARGETS", "tracer.py").elts:
+        _, owner, names = row.elts
+        path = ast.unparse(owner).split(".")
+        obj = importlib.import_module(f"swarmsim.{path[0]}")
+        for attr in path[1:]:
+            obj = getattr(obj, attr)
+        out += [(obj, name) for name in ast.literal_eval(names)]
+    return out
 
 
 def test_message_table_covers_every_wire_kind():
@@ -60,6 +81,27 @@ def test_message_table_covers_every_wire_kind():
 
 def test_timer_table_covers_the_benchmarked_timer_kinds():
     assert sorted(agent._TIMER_HANDLERS) == sorted(_bench_list("TIMER_KINDS"))
+
+
+def test_bench_patch_points_exist():
+    """Every name `bench/tracer.py` patches is where it patches it: a
+    `TARGETS` name in its owner's own `__dict__` (a module's globals, a
+    class's own attributes, not inherited ones), an `AGENT_IMPORTS` name a
+    global of `agent`, and the two dispatch entry points `NodeAgent`'s own.
+    The traced smoke test finds the same, slower."""
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{name}"
+        for owner, name in _bench_targets() if name not in vars(owner)
+    ]
+    missing += [
+        f"agent.{name}" for name in _bench_list("AGENT_IMPORTS", "tracer.py")
+        if name not in vars(agent)
+    ]
+    missing += [
+        f"NodeAgent.{name}" for name in ("on_message", "on_timer")
+        if name not in vars(agent.NodeAgent)
+    ]
+    assert not missing, f"bench/tracer.py patches names that are gone: {missing}"
 
 
 def test_a_reservation_outlives_its_offer_round():

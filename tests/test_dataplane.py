@@ -125,8 +125,8 @@ def test_digest_exchange_leaves_both_catalogs_at_the_union(xs, ys):
 
 
 def test_catalog_mutators_refresh_version_map_and_hash():
-    """`version_map()` and its `version_hash()` are cached until a record
-    is added, and the hash changes exactly when the map does."""
+    """`version_map()` is kept until a record is added, and its
+    `version_hash()` changes exactly when the map does."""
     cat = Catalog()
 
     def reference():

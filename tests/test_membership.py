@@ -1,5 +1,4 @@
 import glob
-import hashlib
 import json
 
 from hypothesis import example, given, settings, strategies as st
@@ -81,13 +80,19 @@ def test_swarm_id_falls_back_to_self_when_view_empty():
     assert SwarmView(self_node=9).swarm_id == 9
 
 
-def test_digest_ignores_timestamps_but_not_status():
+def test_digest_tells_tombstone_times_apart_until_merged():
+    """The digest is the version map's hash, so two Suspect records that
+    differ only in time differ until both views hold the earliest; a status
+    change differs too. (An Alive record has no time to differ in.)"""
     a = SwarmView(self_node=1)
     b = SwarmView(self_node=2)
-    a.apply(ms(node=1, t=1.0))
-    b.apply(ms(node=1, t=9.0))
+    a.apply(ms(node=3, status=SUSPECT, t=1.0))
+    b.apply(ms(node=3, status=SUSPECT, t=9.0))
+    assert a.member_set_digest() != b.member_set_digest()
+    assert b.apply(a.members[3])  # the earliest time wins the merge
+    assert not a.apply(b.members[3])
     assert a.member_set_digest() == b.member_set_digest()
-    b.apply(ms(node=1, status=SUSPECT))
+    b.apply(ms(node=3, status=DEAD, t=9.0))
     assert a.member_set_digest() != b.member_set_digest()
 
 
@@ -182,40 +187,42 @@ def test_dominates_fires_exactly_when_apply_is_a_noop(current, incoming):
 
 
 def uncached(view):
-    """Digest, version map and probe targets of a fresh view with the same
-    records, the alive list as a scan of the view finds it, and the map's
-    hash as it reads without a cache."""
+    """Version map and probe targets of a fresh view with the same records,
+    the alive list as a scan of the view finds it, and the map's hash from
+    scratch."""
     fresh = view_from(view.members.values(), self_node=view.self_node)
     alive = sorted(n for n, m in view.members.items() if m.status == ALIVE)
-    return (fresh.member_set_digest(), fresh.version_map(), alive,
-            fresh.probe_targets(), reference_map_hash(fresh.version_map()))
+    return (fresh.version_map(), alive, fresh.probe_targets(),
+            reference_map_hash(fresh.version_map()))
 
 
 def cached(view):
-    return (view.member_set_digest(), view.version_map(), view.alive_nodes(),
-            view.probe_targets(), view.version_hash())
+    assert view.member_set_digest() == view.version_hash()
+    return (view.version_map(), view.alive_nodes(), view.probe_targets(),
+            view.version_hash())
 
 
 def test_view_mutators_refresh_cached_values():
     view = view_from([ms(node=1), ms(node=2)])
     before = cached(view)
     assert not view.apply(ms(node=2))  # no change keeps the shared values
-    assert all(a is b for a, b in zip(cached(view), before))
+    after = cached(view)
+    assert all(a is b for a, b in zip(after[:3], before[:3]))
+    assert after[3] == before[3]
     steps = [
-        (lambda: view.apply(ms(node=3)), "digest"),  # new member
-        (lambda: view.apply(ms(node=2, status=SUSPECT, t=4.0)), "digest"),
-        (lambda: view.apply(ms(node=2, status=SUSPECT, t=3.0)), "version map"),
-        (lambda: view.remove(3), "digest"),
+        lambda: view.apply(ms(node=3)),  # new member
+        lambda: view.apply(ms(node=2, status=SUSPECT, t=4.0)),
+        lambda: view.apply(ms(node=2, status=SUSPECT, t=3.0)),  # earlier time
+        lambda: view.remove(3),
     ]
-    for mutate, what in steps:
+    for mutate in steps:
         before = cached(view)
         assert mutate()
         after = cached(view)
         assert after == uncached(view)
-        changed = after[0] != before[0] if what == "digest" else after[1] != before[1]
-        assert changed, what
-        # The map's hash changes exactly when the map does.
-        assert (after[4] != before[4]) == (after[1] != before[1])
+        # Each change changes the map, and with it the map's hash.
+        assert after[0] != before[0]
+        assert after[3] != before[3]
     assert not view.remove(3)
     assert view.alive_nodes() == [1]
     assert view.probe_targets() == [2]  # Suspect is probed; self never is
@@ -258,24 +265,15 @@ def test_split_condition_from_the_kept_list_equals_a_scan(steps, instants):
             assert split_condition(view, now, t_split) == scanned_split(view, now, t_split)
 
 
-def scratch_digest(members) -> str:
-    """The AdHash of (node, status, incarnation) triples, from scratch."""
-    total = sum(
-        int.from_bytes(hashlib.blake2b(
-            repr((m.node, m.status, m.incarnation)).encode(), digest_size=8
-        ).digest(), "big")
-        for m in members
-    )
-    return format(total % 2**64, "016x")
-
-
 @given(view_steps)
 def test_member_digest_is_the_sum_over_the_current_members(steps):
     view = SwarmView(self_node=1)
     for name, arg in steps:
         getattr(view, name)(arg)
         members = list(view.members.values())
-        assert view.member_set_digest() == scratch_digest(members)
+        assert view.member_set_digest() == reference_map_hash(
+            m.version_entry for m in members
+        )
         # Equal member sets give equal digests, whatever built them.
         other = view_from(reversed(members), self_node=2)
         assert other.member_set_digest() == view.member_set_digest()

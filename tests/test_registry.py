@@ -147,8 +147,8 @@ def test_merge_order_independent(vs):
 
 
 def test_registry_mutators_refresh_versions():
-    """`version_map()` is every entry's `[node, *version]` in NodeId order
-    and `version_hash()` its hash, both cached until entries change."""
+    """`version_map()` is every entry's `[node, *version]` in NodeId order,
+    kept until entries change, and `version_hash()` its hash."""
     reg = Registry(owner=1)
 
     def reference():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -435,14 +436,41 @@ version_maps = st.dictionaries(
 ).map(lambda entries: [[i, *rest] for i, rest in sorted(entries.items())])
 
 
+def record_of(entry) -> SimpleNamespace:
+    """A record whose version entry is `entry`."""
+    return SimpleNamespace(version_entry=wire.ListRecord(entry))
+
+
+def map_of(entries) -> wire.VersionedMap:
+    """A version map holding a record of each of `entries`, put in the order
+    given."""
+    vmap = wire.VersionedMap()
+    for entry in entries:
+        vmap.put(entry[0], record_of(entry))
+    return vmap
+
+
 @given(version_maps, st.data())
-def test_short_hash_tells_version_maps_apart(vmap, data):
-    """Equal maps hash equal, whether plain lists off the wire or spliced
-    records; a map with any one entry changed hashes differently."""
-    digest = wire.short_hash(vmap)
+def test_version_hash_tells_version_maps_apart(vmap, data):
+    """A map's hash does not depend on the order its entries came in, nor on
+    whether they are shared records or plain lists decoded off the wire;
+    a put undone by a drop restores it, and any one changed entry changes it."""
+    digest = map_of(vmap).version_hash()
     assert len(digest) == 16
-    assert wire.short_hash(json.loads(json.dumps(vmap))) == digest
-    assert wire.short_hash(wire.RecordList(wire.ListRecord(e) for e in vmap)) == digest
+    assert digest == reference_map_hash(vmap)
+    shuffled = data.draw(st.permutations(vmap))
+    assert map_of(shuffled).version_hash() == digest
+    assert map_of(json.loads(json.dumps(vmap))).version_hash() == digest
+    shared = map_of(vmap)
+    other = wire.VersionedMap()
+    for key in reversed(sorted(shared.records)):
+        other.put(key, shared.records[key])
+    assert other.version_hash() == digest
+    extra = data.draw(st.integers(21, 30))
+    other.put(extra, record_of([extra, 0]))
+    assert other.version_hash() != digest
+    other.drop(extra)
+    assert other.version_hash() == digest
     if not vmap:
         return
     row = data.draw(st.integers(0, len(vmap) - 1))
@@ -453,7 +481,9 @@ def test_short_hash_tells_version_maps_apart(vmap, data):
     ))
     changed = [list(e) for e in vmap]
     changed[row][col] = new
-    assert wire.short_hash(changed) != digest
+    assert map_of(changed).version_hash() != digest
+    other.put(vmap[row][0], record_of(changed[row]))
+    assert other.version_hash() == map_of(changed).version_hash()
 
 
 # -- versioned maps: the view, the registry and the catalog ------------------
