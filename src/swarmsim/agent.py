@@ -67,7 +67,6 @@ class NodeAgent:
         self.base_profile = profile
         self.owned_sources = list(owned_sources or [])
         self.incarnation = 0
-        self.alive = False
         self.epoch = 0  # bumps per life; stale-life timers are ignored
         self._reset_state()
 
@@ -91,7 +90,6 @@ class NodeAgent:
         self.round_no = 0
 
     def on_start(self) -> None:
-        self.alive = True
         self.epoch += 1
         if self.epoch > 1:
             # Every restart is a new incarnation, so this life's records
@@ -116,10 +114,11 @@ class NodeAgent:
         """Graceful departure: fail running tasks, announce Left."""
         self.execution.leave()
         self.gossip.leave()
-        self.alive = False
 
     def on_crash(self) -> None:
-        self.alive = False
+        """A crash announces nothing: the volatile state is simply lost, and
+        `on_start` rebuilds it. The simulator dispatches no message or timer
+        to a node that is down."""
 
     def on_move(self, position: Position) -> None:
         self.profile = self.profile.with_dyn(position=position)
@@ -166,14 +165,10 @@ class NodeAgent:
             self.send(origin, kind, body)
 
     def on_message(self, frm: NodeId, msg: wire.Message) -> None:
-        if not self.alive:
-            return
         self.gossip.merge_deltas(msg.deltas)
         _MESSAGE_HANDLERS[msg.kind](self, frm, msg.body)
 
     def on_timer(self, timer_kind: str, data: dict) -> None:
-        if not self.alive:
-            return
         if data.get("epoch", self.epoch) != self.epoch:
             return  # timer from a previous life of this node
         handler = _TIMER_HANDLERS.get(timer_kind)
@@ -190,7 +185,6 @@ class NodeAgent:
             self.gossip.rediscover()
         if self.round_no % STATUS_REFRESH_EVERY == 0:
             self.antientropy.publish_profile()
-        self.gossip.detect_split()
         # Extra liveness probing of our remote executors at both round start
         # and mid-round, so the failure-detection path for active work beats
         # the round-robin cycle even with probe retries in the budget.

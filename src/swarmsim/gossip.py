@@ -34,7 +34,6 @@ REDISCOVER_EVERY = 5  # probe rounds between re-discovery rounds
 PROBE_TIMEOUT = 0.15  # ack wait per attempt (3x one-hop RTT)
 PROBE_RETRIES = 3  # consecutive misses before Suspect
 T_DEAD = 0.6  # Suspect -> Dead promotion delay (4x timeout)
-T_SPLIT = 1.5  # unreachable-majority age triggering split
 GOSSIP_K = 8  # piggybacked deltas per message
 RETRANSMIT_LIMIT = 12  # times a delta is piggybacked before retiring
 
@@ -48,8 +47,9 @@ class Gossip:
         self.node = agent.node
         self.view = membership.SwarmView(self_node=agent.node)
         self._buffer = {}  # NodeId -> [MemberState, transmit_count]
-        # Tier c: the sorted ids in `_buffer` sent c times so far.
-        self._tiers = [[] for _ in range(RETRANSMIT_LIMIT)]
+        # (transmit_count, NodeId) of every slot in `_buffer`, sorted: the
+        # order `pick_deltas` takes them in.
+        self._order = []
         self.alive_since = {}  # peer -> local time it became Alive in my view
         self.session_durations = {}  # peer -> list of completed durations
         self.pending_probes = {}  # target -> token
@@ -98,51 +98,34 @@ class Gossip:
         if slot is None:
             self._buffer[state.node] = [state, 0]
         else:
-            self._untier(state.node, slot[1])
+            del self._order[bisect_left(self._order, (slot[1], state.node))]
             slot[0], slot[1] = state, 0
-        insort(self._tiers[0], state.node)
-
-    def _untier(self, node: NodeId, sent: int) -> None:
-        tier = self._tiers[sent]
-        del tier[bisect_left(tier, node)]
+        insort(self._order, (0, state.node))
 
     def pick_deltas(self) -> wire.RecordList:
         """Our own record, then up to GOSSIP_K - 1 buffered deltas, least
         transmitted first (ties by NodeId); a delta retires once it has been
         sent RETRANSMIT_LIMIT times.
 
-        The picks are the front ids of the lowest non-empty tiers, so the
-        Python work is per picked slot, not a sort of the buffer. Only
-        picked slots are retired: every other slot is below the limit,
-        since slots start at 0 and only picks raise them.
+        The picks are the front of `_order`, so the Python work is per
+        picked slot, not a sort of the buffer. Each is re-inserted at its
+        new count only after all are taken, so no slot is picked twice in
+        one send. Only picked slots are retired: every other slot is below
+        the limit, since slots start at 0 and only picks raise them.
         """
         picks = [self.view.members[self.node].to_dict()]
-        buffer = self._buffer
-        tiers = self._tiers
-        want = GOSSIP_K - 1
-        if want > 0 and buffer:
-            moves = []  # (transmit count after this send, ids), in pick order
-            for sent, tier in enumerate(tiers):
-                if tier:
-                    chosen = tier[:want]
-                    del tier[:want]
-                    moves.append((sent + 1, chosen))
-                    want -= len(chosen)
-                    if not want:
-                        break
-            # Re-tiered only now, so no slot is picked twice in one send.
-            for sent, chosen in moves:
-                if sent < RETRANSMIT_LIMIT:
-                    for node in chosen:
-                        slot = buffer[node]
-                        picks.append(slot[0].to_dict())
-                        slot[1] = sent
-                    tier = tiers[sent]
-                    tier += chosen
-                    tier.sort()  # two sorted runs: one linear merge
-                else:
-                    for node in chosen:
-                        picks.append(buffer.pop(node)[0].to_dict())
+        buffer, order = self._buffer, self._order
+        chosen = order[:GOSSIP_K - 1]
+        del order[:GOSSIP_K - 1]
+        for sent, node in chosen:
+            sent += 1
+            if sent < RETRANSMIT_LIMIT:
+                slot = buffer[node]
+                picks.append(slot[0].to_dict())
+                slot[1] = sent
+                insort(order, (sent, node))
+            else:
+                picks.append(buffer.pop(node)[0].to_dict())
         return wire.RecordList(picks)
 
     # ------------------------------------------------------------------
@@ -155,11 +138,7 @@ class Gossip:
         if state.node == self.node:
             # Refutation: someone believes we are gone; reclaim with a higher
             # incarnation. Dead at incarnation k can only return as k+1.
-            if (
-                state.status != ALIVE
-                and state.incarnation >= agent.incarnation
-                and agent.alive
-            ):
+            if state.status != ALIVE and state.incarnation >= agent.incarnation:
                 agent.incarnation = state.incarnation + 1
                 self.view.apply(replace(
                     self.view.members[self.node],
@@ -208,7 +187,7 @@ class Gossip:
         else:
             self._gc_due.pop(state.node, None)
         if state.node <= self.last_swarm_id:
-            self._check_swarm_change("merge")
+            self._check_swarm_change()
 
     def merge_deltas(self, records: list) -> None:
         """Merge gossiped member records, each a version entry (piggybacked
@@ -225,13 +204,16 @@ class Gossip:
                 continue
             self._merge_member(wire.adopt(d, MemberState.from_dict))
 
-    def _check_swarm_change(self, reason: str) -> None:
+    def _check_swarm_change(self) -> None:
         """Trace a change of the swarm id (the minimum Alive id) and keep it
         in `last_swarm_id`. `_merge_member` calls this only for a member id
         up to `last_swarm_id`, which is exact: while we run, our own record
         is Alive (a claim otherwise is refuted, never applied), so the
         minimum exists and is at most our id, and no larger id can become it
-        or stop being it. GC removes only Dead and Left records.
+        or stop being it. GC removes only Dead and Left records. So this is
+        the one place a swarm change is found, a split (the id rising) as
+        well as a merge, and the record's `reason` is always "merge": a
+        member merge found it.
         """
         sid = self.view.swarm_id
         if sid != self.last_swarm_id:
@@ -241,13 +223,9 @@ class Gossip:
                 old=self.last_swarm_id,
                 new=sid,
                 kind=kind,
-                reason=reason,
+                reason="merge",
             )
             self.last_swarm_id = sid
-
-    def detect_split(self) -> None:
-        if membership.split_condition(self.view, self.sim.now, T_SPLIT):
-            self._check_swarm_change("split_detect")
 
     # ------------------------------------------------------------------
     # discovery
@@ -365,8 +343,8 @@ class Gossip:
 
     def _collect(self, node: NodeId) -> None:
         """Drop a member: its record, its gossip slot, its registry entry."""
-        self.view.remove(node)
+        self.view.drop(node)
         slot = self._buffer.pop(node, None)
         if slot is not None:
-            self._untier(node, slot[1])
+            del self._order[bisect_left(self._order, (slot[1], node))]
         self.agent.registry.evict(node)

@@ -33,22 +33,20 @@ is decoded (the Scuttlebutt rule: compare versions before materialising
 state).
 
 Invariants of `SwarmView`, a `wire.VersionedMap`: `members` is written
-only through `apply` and `remove`, which write through the map's `put` and
-`drop`, and those report each change, the record replaced and the record
+only through the map's `put` (by `apply`) and `drop` (by tombstone GC),
+and those report each change, the record replaced and the record
 installed, to `changed(old, new)`. The view keeps its derived state by that
 delta, never by a scan: the alive list (whose first element is the swarm
-id) and the probe targets as sorted lists, and the Dead and Suspect
-members' `(last_update_time, node)` as a sorted list that `split_condition`
-reads in O(1). The map's hash, an AdHash sum its base keeps by the same
-delta, is also the view's convergence hash (`member_set_digest`): views
-agree when their version maps are equal, a tombstone's declaration time
-included, which the merge settles on the earliest. The version map is kept
-until the next change and shared with every message and trace record that
-carries it; the alive and probe lists are the kept lists themselves. All of
-them are read-only; the map and its entries are `wire` record types, which
-enforce it. A view installs the very `MemberState` a peer gossiped
-(`wire.adopt`), so views that agree hold the same objects, and their
-version maps the same entries.
+id) and the probe targets as sorted lists. The map's hash, an AdHash sum
+its base keeps by the same delta, is also the view's convergence hash
+(`member_set_digest`): views agree when their version maps are equal, a
+tombstone's declaration time included, which the merge settles on the
+earliest. The version map is kept until the next change and shared with
+every message and trace record that carries it; the alive and probe lists
+are the kept lists themselves. All of them are read-only; the map and its
+entries are `wire` record types, which enforce it. A view installs the very
+`MemberState` a peer gossiped (`wire.adopt`), so views that agree hold the
+same objects, and their version maps the same entries.
 What the view adds to the map it shares with the registry and the catalog
 is its merge rule (`merge_key`) and the tombstone filter of `diff`.
 
@@ -73,7 +71,6 @@ LEFT = "left"
 RETENTION = 30.0  # seconds a Dead or Left record is kept before GC
 
 _PROBED = (ALIVE, SUSPECT)  # statuses a probe round picks from
-_STALE = (DEAD, SUSPECT)  # statuses `split_condition` counts as unreachable
 
 #: Precedence at equal incarnation; larger rank wins a merge. A member's
 #: wire form carries the rank in place of the status.
@@ -173,12 +170,11 @@ class SwarmView(wire.VersionedMap):
         self.members = self.records
         self._alive: list = []  # Alive members, in NodeId order
         self._probe: list = []  # Alive and Suspect members but us, in NodeId order
-        self._stale: list = []  # (last_update_time, node) of Dead and Suspect members
 
     def changed(self, old, new) -> None:
-        """Keep the map's hash, the alive list, the probe list and the split
-        list by the delta of one member record: `old` replaced by `new`,
-        either of them None."""
+        """Keep the map's hash, the alive list and the probe list by the
+        delta of one member record: `old` replaced by `new`, either of them
+        None."""
         super().changed(old, new)
         node = (new or old).node
         was = old.status if old is not None else None
@@ -187,11 +183,6 @@ class SwarmView(wire.VersionedMap):
             _toggle(self._alive, node, now == ALIVE)
         if node != self.self_node and (was in _PROBED) != (now in _PROBED):
             _toggle(self._probe, node, now in _PROBED)
-        stale = self._stale
-        if was in _STALE:
-            del stale[bisect_left(stale, (old.last_update_time, node))]
-        if now in _STALE:
-            insort(stale, (new.last_update_time, node))
 
     def alive_nodes(self) -> list:
         """Alive members in NodeId order: the kept list itself, read-only,
@@ -252,10 +243,6 @@ class SwarmView(wire.VersionedMap):
         self.put(incoming.node, incoming)
         return True
 
-    def remove(self, node: NodeId) -> bool:
-        """Drop a member's record (tombstone GC); True when one was held."""
-        return self.drop(node)
-
 
 def _toggle(kept: list, node: NodeId, add: bool) -> None:
     """Insert `node` into, or delete it from, the sorted list `kept`."""
@@ -275,12 +262,13 @@ def merge_views(a: SwarmView, b: SwarmView) -> SwarmView:
 
 
 def split_condition(view: SwarmView, now: float, t_split: float) -> bool:
-    """True when at least half the members have been unreachable past t_split.
-
-    That is when the ceil(n/2)-th oldest Dead or Suspect record of the n
-    members is stale: `now - last_update_time` falls as the time rises, so
-    the records older than a stale one are stale too.
-    """
-    stale = view._stale
-    k = (len(view.members) + 1) // 2
-    return 0 < k <= len(stale) and now - stale[k - 1][0] >= t_split
+    """True when at least half the members have been Dead or Suspect for
+    t_split or longer. A plain scan that no protocol path calls: the agent
+    traces a split as the swarm id rising (`gossip`), and `bench/tracer.py`
+    still names this function."""
+    members = view.members.values()
+    stale = sum(
+        1 for m in members
+        if m.status in (DEAD, SUSPECT) and now - m.last_update_time >= t_split
+    )
+    return bool(members) and 2 * stale >= len(members)

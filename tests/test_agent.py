@@ -151,7 +151,7 @@ def test_origin_holds_only_open_tasks_and_undecided_offers():
         t = min(sc.duration, t + 0.25)
         sim.run_until(t)
         for a in agents.values():
-            if a.alive:
+            if sim.node_up(a.node):
                 assert set(a.tasks) == {
                     task_id for task_id in collector.open_tasks
                     if submitted_by[task_id] == (a.node, a.epoch)

@@ -213,7 +213,7 @@ def test_view_mutators_refresh_cached_values():
         lambda: view.apply(ms(node=3)),  # new member
         lambda: view.apply(ms(node=2, status=SUSPECT, t=4.0)),
         lambda: view.apply(ms(node=2, status=SUSPECT, t=3.0)),  # earlier time
-        lambda: view.remove(3),
+        lambda: view.drop(3),
     ]
     for mutate in steps:
         before = cached(view)
@@ -223,7 +223,7 @@ def test_view_mutators_refresh_cached_values():
         # Each change changes the map, and with it the map's hash.
         assert after[0] != before[0]
         assert after[3] != before[3]
-    assert not view.remove(3)
+    assert not view.drop(3)
     assert view.alive_nodes() == [1]
     assert view.probe_targets() == [2]  # Suspect is probed; self never is
 
@@ -238,31 +238,10 @@ view_steps = st.lists(
             status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
             incarnation=st.integers(0, 2), last_update_time=st.sampled_from([0.0, 1.0, 2.5]),
         )),
-        st.tuples(st.just("remove"), st.integers(1, 6)),
+        st.tuples(st.just("drop"), st.integers(1, 6)),
     ),
     max_size=30,
 )
-
-
-def scanned_split(view, now, t_split):
-    """`split_condition` as a scan of every member."""
-    if not view.members:
-        return False
-    stale = sum(
-        1 for m in view.members.values()
-        if m.status in (DEAD, SUSPECT) and now - m.last_update_time >= t_split
-    )
-    return stale * 2 >= len(view.members)
-
-
-@settings(max_examples=300)
-@given(view_steps, st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.5, 2.6, 4.0, 4.1, 9.0]), min_size=1))
-def test_split_condition_from_the_kept_list_equals_a_scan(steps, instants):
-    view = SwarmView(self_node=1)
-    for (name, arg), now in zip(steps, instants * len(steps)):
-        getattr(view, name)(arg)
-        for t_split in (0.0, 1.5):
-            assert split_condition(view, now, t_split) == scanned_split(view, now, t_split)
 
 
 @given(view_steps)
@@ -415,8 +394,9 @@ def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
                     me, self_record, reference, gossip_k, retransmit_limit
                 )
             assert agent.gossip._buffer == reference
-            assert [sorted(n for n, slot in reference.items() if slot[1] == sent)
-                    for sent in range(len(agent.gossip._tiers))] == agent.gossip._tiers
+            assert agent.gossip._order == sorted(
+                (slot[1], n) for n, slot in reference.items()
+            )
 
 
 swarm_records = st.lists(
@@ -440,6 +420,29 @@ def test_swarm_id_is_tracked_across_merges(records):
         node = max(1, agent.gossip.last_swarm_id + offset)
         agent.gossip._merge_member(ms(node=node, status=status, inc=inc, t=t))
         assert agent.gossip.last_swarm_id == agent.view.swarm_id
+
+
+def test_swarm_id_is_tracked_in_runs_with_splits():
+    """Splits and merges are traced only where `_merge_member` finds the
+    swarm id changed. Stepped 0.25 s at a time through `partition_heal`,
+    `heavy_churn` and a churn run of `bench/workloads.py`, every up agent
+    remembers its view's swarm id, and `partition_heal` counts its 7
+    splits."""
+    runs = [scen.load_scenario(f"scenarios/{name}.yaml")
+            for name in ("partition_heal", "heavy_churn")]
+    runs.append(scen.parse_scenario(bench_workloads().swarm64_churn(5, n=16).raw))
+    splits = {}
+    for sc in runs:
+        sim, agents, collector = scen.build(sc)
+        t = 0.0
+        while t < sc.duration:
+            t = min(sc.duration, t + 0.25)
+            sim.run_until(t)
+            for a in agents.values():
+                if sim.node_up(a.node):
+                    assert a.gossip.last_swarm_id == a.view.swarm_id, (sc.name, t, a.node)
+        splits[sc.name] = collector.report().swarm_splits
+    assert splits["partition_heal"] == 7
 
 
 # -- tombstone GC -------------------------------------------------------------

@@ -496,7 +496,7 @@ view_steps = st.one_of(
         MemberState, node=few, status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
         incarnation=st.integers(0, 2), last_update_time=st.sampled_from([0.0, 1.5]),
     )),
-    st.tuples(st.just("remove"), few),
+    st.tuples(st.just("drop"), few),
 )
 registry_steps = st.one_of(
     st.tuples(st.just("merge"), st.builds(
