@@ -108,10 +108,12 @@ def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
 # The same pin on generated runs of `bench/workloads.py`, which re-declare
 # Alive records far more often than the shipped scenarios: rejoins bump a
 # node's incarnation, and refutations answer suspicions. At seed 5 the
-# `swarm64_churn` run has 7 rejoins and 16 refutations.
+# `swarm64_churn` run has 7 rejoins and 16 refutations. The `tasks16_dense`
+# run with 120 tasks sends 1 FAILED and 2 QOS-WARN.
 PINNED_GENERATED_DECISION_SHA256 = {
     ("swarm64_churn", 5, "n", 16): "6a9b660f7bd550945bbcef7b8f66b3029a97dc5ce8426d5ff7b7d2be3e1dc2d2",
     ("tasks16_dense", 5, "tasks", 30): "d4befb9cd178376036e472c062d700702413f3e6b00897807e2bf0847be5dc5a",
+    ("tasks16_dense", 5, "tasks", 120): "1674cb47b97c02077b0ad7eed8e4e8fdc675d0d925d958c42dc880a33dd4d221",
 }
 
 
