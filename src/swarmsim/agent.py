@@ -16,7 +16,9 @@ CLAIM/CANCEL, NACK-driven retry, re-placement on executor death and
 speculative parallel attempts on QoS warnings. The origin holds a task only
 while it is open and an offer round only until it is decided: a round that
 outlives its task cancels every acceptance, and a DONE for a closed task is
-dropped, so each completion is counted once.
+dropped, so each completion is counted once. A NACK, FAILED, QOS-WARN or
+late ACCEPT counts only from the node that holds the attempt it names, so a
+repeated or stale one changes nothing.
 """
 
 from __future__ import annotations
@@ -155,14 +157,13 @@ class NodeAgent:
         self.sim.send(self.node, to, wire.Message(kind, body, self.gossip.pick_deltas()))
 
     def send_task(self, to: NodeId, kind: str, task_id, attempt: int) -> None:
-        self.send(to, kind, {"task_id": task_id, "attempt": attempt})
-
-    def report(self, origin: NodeId, kind: str, body: dict) -> None:
-        """Executor -> origin: handled in place when this node is the origin."""
-        if origin == self.node:
+        """One message about a task attempt, handled in place when it is
+        addressed to this node (an origin that runs its own task)."""
+        body = {"task_id": task_id, "attempt": attempt}
+        if to == self.node:
             _MESSAGE_HANDLERS[kind](self, self.node, body)
         else:
-            self.send(origin, kind, body)
+            self.send(to, kind, body)
 
     def on_message(self, frm: NodeId, msg: wire.Message) -> None:
         self.gossip.merge_deltas(msg.deltas)
@@ -374,26 +375,36 @@ class NodeAgent:
         task_id, attempt = body["task_id"], body["attempt"]
         st = self._offer_round(task_id, attempt)
         if accepted and (st is None or frm not in st["sent"]):
-            # Late or stale acceptance: release the candidate's reservation.
-            self.send_task(frm, wire.CANCEL, task_id, attempt)
+            # Late or stale acceptance: release the candidate's reservation,
+            # unless it repeats the claimed executor's.
+            if self._holding(frm, body) is None:
+                self.send_task(frm, wire.CANCEL, task_id, attempt)
             return
-        if st is None:
-            return
+        if st is None or frm in st["responded"]:
+            return  # decided, or a repeated answer
         st["responded"].add(frm)
         if accepted:
             st["accepts"].append((self.sim.now, frm))
         if st["responded"] == st["sent"]:
             self._decide_offers(task_id, attempt)
 
-    def _handle_nack(self, frm: NodeId, body: dict) -> None:
-        task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
+    def _holding(self, frm: NodeId, body: dict):
+        """The open task whose attempt in `body` `frm` holds, else None: a
+        report from any other node changes nothing."""
+        ot = self.tasks.get(body["task_id"])
+        if ot is None or ot.executors.get(body["attempt"]) != frm:
+            return None
+        return ot
+
+    def _lose_attempt(self, frm: NodeId, body: dict, exclude: frozenset = frozenset()) -> None:
+        """A NACK or FAILED: `frm` no longer holds the attempt, and the task
+        is placed again once none of its attempts runs."""
+        ot = self._holding(frm, body)
         if ot is None:
             return
-        if ot.executors.get(attempt) == frm:
-            del ot.executors[attempt]
-            if not ot.executors:
-                self._place(task_id)
+        del ot.executors[body["attempt"]]
+        if not ot.executors:
+            self._place(body["task_id"], exclude)
 
     def _handle_done(self, frm: NodeId, body: dict) -> None:
         task_id, attempt = body["task_id"], body["attempt"]
@@ -411,31 +422,15 @@ class NodeAgent:
         )
         ot.executors.pop(attempt, None)
         for other_attempt, node in sorted(ot.executors.items()):
-            if node == self.node:
-                self.execution.cancel(task_id, other_attempt)
-            else:
-                self.send_task(node, wire.CANCEL, task_id, other_attempt)
-
-    def _handle_failed(self, frm: NodeId, body: dict) -> None:
-        task_id, attempt = body["task_id"], body["attempt"]
-        ot = self.tasks.get(task_id)
-        if ot is None:
-            return
-        if ot.executors.get(attempt) == frm:
-            del ot.executors[attempt]
-        if not ot.executors:
-            self._place(task_id, exclude=frozenset({frm}))
+            self.send_task(node, wire.CANCEL, task_id, other_attempt)
 
     def _handle_qos_warn(self, frm: NodeId, body: dict) -> None:
-        task_id = body["task_id"]
-        ot = self.tasks.get(task_id)
-        if ot is None:
-            return
+        ot = self._holding(frm, body)
         # A run warns once (`TaskRun.qos_warned`), and an attempt has one run.
-        if ot.attempts >= MAX_ATTEMPTS:
+        if ot is None or ot.attempts >= MAX_ATTEMPTS:
             return
         # Speculative parallel attempt on a different node; first DONE wins.
-        self._place(task_id, exclude=frozenset({frm}))
+        self._place(body["task_id"], exclude=frozenset({frm}))
 
     def on_member_unavailable(self, peer: NodeId) -> None:
         """Membership reports Dead/Left: re-place our tasks that ran there."""
@@ -468,9 +463,9 @@ _MESSAGE_HANDLERS = {
     wire.REJECT: lambda a, frm, body: a._answer_offer(frm, body, False),
     wire.CLAIM: lambda a, frm, body: a.execution.admit(frm, body["task_id"], body["attempt"]),
     wire.CANCEL: lambda a, frm, body: a.execution.cancel(body["task_id"], body["attempt"]),
-    wire.NACK: NodeAgent._handle_nack,
+    wire.NACK: lambda a, frm, body: a._lose_attempt(frm, body),
     wire.DONE: NodeAgent._handle_done,
-    wire.FAILED: NodeAgent._handle_failed,
+    wire.FAILED: lambda a, frm, body: a._lose_attempt(frm, body, frozenset({frm})),
     wire.QOS_WARN: NodeAgent._handle_qos_warn,
 }
 

@@ -57,11 +57,8 @@ class Execution:
                 attempt=run.attempt,
                 cause="leave",
             )
-            # Not `report`: this node's own tasks leave with it.
-            if run.origin != self.node:
-                self.agent.send(run.origin, wire.FAILED, {
-                    "task_id": run.task_id, "attempt": run.attempt, "cause": "leave",
-                })
+            if run.origin != self.node:  # this node's own tasks leave with it
+                self.agent.send_task(run.origin, wire.FAILED, run.task_id, run.attempt)
 
     # ------------------------------------------------------------------
     # reservations
@@ -156,8 +153,7 @@ class Execution:
             cause = "data_unavailable"
             self.agent.record("run_failed", task=task_id, attempt=attempt, cause=cause)
             self._release(run, cause, executor.FAILED)
-            body = {"task_id": task_id, "attempt": attempt, "cause": cause}
-            self.agent.report(run.origin, wire.FAILED, body)
+            self.agent.send_task(run.origin, wire.FAILED, task_id, attempt)
             return
         transfer_time = sum(
             size / self.agent.profile.hw.link_bandwidth + self.sim.net.latency(dist)
@@ -224,9 +220,7 @@ class Execution:
                 attempt=run.attempt,
                 progressed=run.progressed,
             )
-            self.agent.report(
-                run.origin, wire.DONE, {"task_id": run.task_id, "attempt": run.attempt}
-            )
+            self.agent.send_task(run.origin, wire.DONE, run.task_id, run.attempt)
             self.agent.antientropy.publish_profile(force=True)
 
     def on_monitor(self) -> None:
@@ -253,11 +247,7 @@ class Execution:
                     attempt=run.attempt,
                     projected=projected,
                 )
-                self.agent.report(
-                    run.origin,
-                    wire.QOS_WARN,
-                    {"task_id": run.task_id, "attempt": run.attempt, "projected": projected},
-                )
+                self.agent.send_task(run.origin, wire.QOS_WARN, run.task_id, run.attempt)
         self._schedule_completion()
         if self.engine.active_count() > 0:
             self.agent.set_timer(EXEC_TICK, "monitor")

@@ -134,9 +134,7 @@ BODY_FIELDS = {
     # The records a map lacks and the ids wanted back; or wanted records.
     DELTA: tuple(f for part in _PARTS for f in (part, "want_" + part)),
     OFFER: ("task", "attempt", "submitted_at"),
-    **dict.fromkeys((ACCEPT, REJECT, CLAIM, CANCEL, NACK, DONE), _TASK),
-    FAILED: _TASK + ("cause",),
-    QOS_WARN: _TASK + ("projected",),
+    **dict.fromkeys((ACCEPT, REJECT, CLAIM, CANCEL, NACK, DONE, FAILED, QOS_WARN), _TASK),
 }
 ALL_KINDS = frozenset(BODY_FIELDS)
 _FIELD_SETS = {kind: frozenset(fields) for kind, fields in BODY_FIELDS.items()}

@@ -18,6 +18,7 @@ from swarmsim.model import (
     StaticHardwareProfile,
     TaskSpec,
 )
+from swarmsim.sim import Simulator
 
 
 def make_profile(
@@ -78,6 +79,23 @@ def bench_workloads():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def deliver_twice(monkeypatch, kinds, delay: float) -> set:
+    """Deliver every message of `kinds` a second time, `delay` seconds after
+    the first, from here on. Returns the ids of the messages repeated, which
+    fill in as the run goes."""
+    deliver = Simulator._deliver
+    repeated = set()
+
+    def deliver_with_copies(self, frm, to, msg_id, msg):
+        if msg.kind in kinds and msg_id not in repeated:
+            repeated.add(msg_id)
+            self.schedule(self.now + delay, self._deliver, frm, to, msg_id, msg)
+        deliver(self, frm, to, msg_id, msg)
+
+    monkeypatch.setattr(Simulator, "_deliver", deliver_with_copies)
+    return repeated
 
 
 @pytest.fixture

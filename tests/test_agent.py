@@ -13,7 +13,7 @@ from swarmsim import scenario as scen
 from swarmsim.dataplane import DataSourceDescriptor
 from swarmsim.sim import SimFault, Simulator
 
-from conftest import bench_workloads, make_task
+from conftest import bench_workloads, deliver_twice, make_task
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -241,6 +241,30 @@ def test_a_claim_without_a_reservation_is_nacked_and_placed_again():
     assert retry["attempt"] == 2 and retry["node"] == 1
 
 
+@pytest.mark.parametrize("kind, frm, attempt", [
+    (wire.QOS_WARN, 3, 2),  # a candidate of the open round, not its executor
+    (wire.FAILED, 2, 1),  # the executor of the attempt already dropped
+    (wire.NACK, 3, 2),
+])
+def test_a_report_from_a_node_that_does_not_hold_the_attempt_changes_nothing(kind, frm, attempt):
+    """Task 1 runs on node 2 as attempt 1 until its origin takes node 2 for
+    dead and offers attempt 2 to node 3. A report about an attempt its
+    sender does not hold places nothing: no new decision, no attempt spent,
+    and the open round is kept."""
+    sim, agents, _ = scen.build(scen.parse_scenario(FAILURE_PATHS))
+    sim.run_until(5.1)
+    origin = agents[1]
+    assert origin.tasks[1].executors == {1: 2}
+    origin.on_member_unavailable(2)
+    ot, round_out = origin.tasks[1], origin.offers[1]
+    assert (ot.attempts, round_out["attempt"], round_out["sent"]) == (2, 2, {3})
+    mark = len(sim.trace)
+    origin.on_message(frm, wire.Message(kind, {"task_id": 1, "attempt": attempt}))
+    assert not [r for r in islice(sim.trace, mark, None) if r["type"] == "sched_decision"]
+    assert origin.tasks[1] is ot and ot.attempts == 2 and not ot.executors
+    assert origin.offers[1] is round_out
+
+
 @pytest.mark.parametrize("candidate_fails", ["leaves", "rejects"])
 def test_a_speculative_round_with_no_accept_leaves_the_running_attempt_be(candidate_fails):
     """The origin runs task 1 itself, and its run warns: the speculative
@@ -257,7 +281,7 @@ def test_a_speculative_round_with_no_accept_leaves_the_running_attempt_be(candid
     origin = agents[1]
     assert origin.engine.runs[1].attempt == 1
     # What the origin's own run reports in place when it warns.
-    origin._handle_qos_warn(1, {"task_id": 1, "attempt": 1, "projected": 99.0})
+    origin._handle_qos_warn(1, {"task_id": 1, "attempt": 1})
     assert origin.offers[1]["sent"] == {2}
     if candidate_fails == "leaves":
         sim.leave(2)
@@ -591,27 +615,42 @@ def test_a_run_due_at_now_finishes_in_its_completion_handler():
     assert [r["task"] for r in sim.trace if r["type"] == "run_done"] == [7]
 
 
-@pytest.mark.parametrize("name", ["heavy_churn", "data_locality", "steady_state"])
+SHIPPED_TASK_SCENARIOS = ["heavy_churn", "data_locality", "steady_state"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_TASK_SCENARIOS)
 def test_a_repeated_claim_changes_no_task_outcome(monkeypatch, name):
     """Every CLAIM delivered a second time 50 ms after the first: the
     executor that admitted the attempt ignores the copy, so as many tasks
     finish as without the copies, and none is NACKed into failure."""
     sc = scen.load_scenario(ROOT / "scenarios" / f"{name}.yaml")
     plain = scen.run(sc).report
-    deliver = Simulator._deliver
-    repeated = set()
-
-    def deliver_claims_twice(self, frm, to, msg_id, msg):
-        if msg.kind == wire.CLAIM and msg_id not in repeated:
-            repeated.add(msg_id)
-            self.schedule(self.now + 0.05, self._deliver, frm, to, msg_id, msg)
-        deliver(self, frm, to, msg_id, msg)
-
-    monkeypatch.setattr(Simulator, "_deliver", deliver_claims_twice)
+    repeated = deliver_twice(monkeypatch, {wire.CLAIM}, 0.05)
     doubled = scen.run(sc).report
     assert repeated
     assert (doubled.tasks_done, doubled.tasks_failed_permanent) == (
         plain.tasks_done, plain.tasks_failed_permanent,
     )
     assert doubled.tasks_failed_permanent == 0
+    assert doubled.balance_holds()
+
+
+@pytest.mark.parametrize("kind", [wire.ACCEPT, wire.OFFER])
+@pytest.mark.parametrize("name", SHIPPED_TASK_SCENARIOS)
+def test_a_repeated_answer_to_an_offer_changes_no_task_outcome(monkeypatch, name, kind):
+    """Every ACCEPT, or every OFFER (which its candidate answers again),
+    delivered a second time 10 ms after the first. A repeat inside the
+    undecided round counts once, and one after it from the claimed executor
+    is not CANCELled, so as many tasks finish as without the copies. Loss
+    is off: the second CANCEL a losing candidate gets is one more send, and
+    would move later loss draws."""
+    sc = scen.load_scenario(ROOT / "scenarios" / f"{name}.yaml")
+    sc.net = replace(sc.net, loss_prob=0.0)
+    plain = scen.run(sc).report
+    repeated = deliver_twice(monkeypatch, {kind}, 0.01)
+    doubled = scen.run(sc).report
+    assert repeated and plain.tasks_done > 0
+    assert (doubled.tasks_done, doubled.tasks_failed_permanent) == (
+        plain.tasks_done, plain.tasks_failed_permanent,
+    )
     assert doubled.balance_holds()
