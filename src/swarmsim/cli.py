@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import sys
@@ -60,7 +61,7 @@ def _cmd_compare(args) -> int:
         if not isinstance(name, str):
             raise ValueError(f"variant {name}: name must be a string")
         problems = []
-        params = scen.scheduler_params(sc.scheduler, settings, f"variant {name}", problems)
+        params = scen.override(sc.scheduler, settings, f"variant {name}", problems)
         if problems:
             raise ValueError("; ".join(problems))
         scenarios[name] = dataclasses.replace(sc, scheduler=params)
@@ -69,7 +70,7 @@ def _cmd_compare(args) -> int:
     rows = {}
     for name, variant in scenarios.items():
         for seed in seeds:
-            rows[(name, seed)] = scen.run(variant, seed=seed).report
+            rows[(name, seed)] = scen.run(variant, seed=seed).report.as_dict()
     metrics = [
         "tasks_done",
         "tasks_failed_permanent",
@@ -78,17 +79,14 @@ def _cmd_compare(args) -> int:
         "mean_task_latency",
         "mean_transfer_time",
     ]
-    header = ["variant", "seed"] + metrics
-    print(",".join(header))
-    out_lines = [",".join(header)]
-    for (name, seed), report in sorted(rows.items()):
-        vals = report.as_dict()
-        line = ",".join([name, str(seed)] + [str(vals.get(m, "")) for m in metrics])
-        print(line)
-        out_lines.append(line)
+    table = [["variant", "seed"] + metrics] + [
+        [name, seed] + [vals[m] for m in metrics] for (name, seed), vals in sorted(rows.items())
+    ]
+    # A csv writer quotes a variant name that holds a comma or a quote.
+    csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     if args.out:
-        with open(os.path.join(args.out, "compare.csv"), "w") as fh:
-            fh.write("\n".join(out_lines) + "\n")
+        with open(os.path.join(args.out, "compare.csv"), "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
     return 0
 
 

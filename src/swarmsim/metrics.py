@@ -12,6 +12,7 @@ disturbance (churn, crash, partition edge), at which all running nodes agree.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -103,19 +104,20 @@ def p95(values: list) -> float:
     return ordered[idx]
 
 
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else math.nan
+
+
 class MetricsCollector:
+    """Counts trace records into the `MetricsReport` it holds; `report`
+    returns a copy with the derived fields filled in."""
+
     def __init__(self, sent: dict = None):
-        self.tasks_submitted = 0
-        self.tasks_done = 0
-        self.tasks_failed_permanent = 0
+        # The message counts are the simulator's per-kind send count, read-only.
+        self.counts = MetricsReport(messages_by_type={} if sent is None else sent)
         self.open_tasks = set()  # submitted, neither done nor failed for good
-        self.messages = {} if sent is None else sent  # wire kind -> sends, read-only
         self.latencies = []
         self.transfer_times = []
-        self.deadline_violations = 0
-        self.reschedule_attempts = 0
-        self.swarm_splits = 0
-        self.swarm_merges = 0
         self.last_disturbance = 0.0
         self.membership_converged_at = math.nan
         self.registry_converged_at = math.nan
@@ -127,26 +129,26 @@ class MetricsCollector:
     def on_record(self, rec: dict) -> None:
         kind = rec["type"]
         if kind == "task_submitted":
-            self.tasks_submitted += 1
+            self.counts.tasks_submitted += 1
             self.open_tasks.add(rec["task"])
         elif kind == "task_done":
-            self.tasks_done += 1
+            self.counts.tasks_done += 1
             self.open_tasks.discard(rec["task"])
             self.latencies.append(rec["latency"])
             if rec["deadline_violation"]:
-                self.deadline_violations += 1
+                self.counts.deadline_violations += 1
         elif kind == "task_failed_permanent":
-            self.tasks_failed_permanent += 1
+            self.counts.tasks_failed_permanent += 1
             self.open_tasks.discard(rec["task"])
         elif kind == "run_admitted":
             self.transfer_times.append(rec["transfer_time"])
         elif kind in ("local_admit", "sched_decision") and rec["attempt"] > 1:
-            self.reschedule_attempts += 1
+            self.counts.reschedule_attempts += 1
         elif kind == "swarm_change":
             if rec["kind"] == "split":
-                self.swarm_splits += 1
+                self.counts.swarm_splits += 1
             else:
-                self.swarm_merges += 1
+                self.counts.swarm_merges += 1
         if kind in _DISTURBANCES:
             self.last_disturbance = rec["t"]
             self.membership_converged_at = math.nan
@@ -175,32 +177,16 @@ class MetricsCollector:
     # -- report -------------------------------------------------------------
 
     def report(self) -> MetricsReport:
-        mean_latency = (
-            sum(self.latencies) / len(self.latencies) if self.latencies else math.nan
-        )
-        mean_transfer = (
-            sum(self.transfer_times) / len(self.transfer_times)
-            if self.transfer_times
-            else math.nan
-        )
-        util = {
-            node: self._util_sums[node] / self._util_samples[node]
-            for node in self._util_sums
-        }
-        return MetricsReport(
-            tasks_submitted=self.tasks_submitted,
-            tasks_done=self.tasks_done,
-            tasks_failed_permanent=self.tasks_failed_permanent,
+        return dataclasses.replace(
+            self.counts,
             tasks_in_flight=len(self.open_tasks),
-            deadline_violations=self.deadline_violations,
-            reschedule_attempts=self.reschedule_attempts,
-            mean_task_latency=mean_latency,
+            mean_task_latency=_mean(self.latencies),
             p95_task_latency=p95(self.latencies),
-            mean_transfer_time=mean_transfer,
-            messages_by_type=dict(self.messages),
+            mean_transfer_time=_mean(self.transfer_times),
+            messages_by_type=dict(self.counts.messages_by_type),
             membership_convergence_time=self.membership_converged_at,
             registry_convergence_time=self.registry_converged_at,
-            swarm_splits=self.swarm_splits,
-            swarm_merges=self.swarm_merges,
-            per_node_utilization=util,
+            per_node_utilization={
+                node: total / self._util_samples[node] for node, total in self._util_sums.items()
+            },
         )

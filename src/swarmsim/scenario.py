@@ -2,10 +2,15 @@
 
 A scenario names the nodes (hardware, task typologies, energy, position), the
 network model, optional churn/mobility/partition events, data sources and a
-workload (explicit task list and/or a generated arrival stream). The builder
-turns it into a wired Simulator plus one NodeAgent per node; the runner
-drives it in sampling steps so the metrics collector can observe global
-state at a fixed cadence.
+workload (explicit task list and/or a generated arrival stream). The loader
+reads and checks a file in one walk, in the order the checks need: the
+duration first, which bounds every time, then the nodes, which data sources,
+tasks, events and partitions name, then the data sources, which task inputs
+name. Each item is checked where it is read, against what was read before
+it, so the walk's list of problems is the scenario's. The builder turns it
+into a wired Simulator plus one NodeAgent per node; the runner drives it in
+sampling steps so the metrics collector can observe global state at a fixed
+cadence.
 """
 
 from __future__ import annotations
@@ -55,10 +60,10 @@ class Scenario:
     nodes: list = field(default_factory=list)  # NodeSpec
     data_sources: list = field(default_factory=list)  # DataSourceDescriptor
     tasks: list = field(default_factory=list)  # (at, TaskSpec)
-    events: list = field(default_factory=list)  # raw event dicts
+    events: list = field(default_factory=list)  # (at, type, node, args), as `build` schedules them
     partitions: list = field(default_factory=list)  # (a, b, start, end)
     sample_period: ClassVar[float] = 1.0  # seconds between metrics samples
-    parse_problems: list = field(default_factory=list)  # from parse_scenario
+    problems: list = field(default_factory=list)  # found by parse_scenario
 
     def check(self) -> None:
         """Raise ValueError naming every problem `validate` finds."""
@@ -67,80 +72,9 @@ class Scenario:
             raise ValueError("invalid scenario: " + "; ".join(problems))
 
     def validate(self) -> list:
-        """Collect every problem as a human-readable string; [] means ok."""
-        problems = list(self.parse_problems)
-        ids = [n.profile.node for n in self.nodes]
-        known = set(ids)
-        if len(ids) != len(set(ids)):
-            problems.append("nodes: duplicate node ids")
-        # The run samples up to the duration, so it must be finite. Windows
-        # are checked against a usable duration only: a bad one is one
-        # problem, not one per node, task and event.
-        horizon = math.inf
-        if self.duration is not None:
-            if 0 < self.duration < math.inf:
-                horizon = self.duration
-            else:
-                problems.append("duration: must be positive and finite")
-        for spec in self.nodes:
-            for issue in validate_profile(spec.profile):
-                problems.append(f"node {spec.profile.node}: {issue}")
-            if not 0 <= spec.start_time < horizon:
-                problems.append(f"node {spec.profile.node}: start_time outside run window")
-        owners = {}
-        for desc in self.data_sources:
-            if desc.owner not in known:
-                problems.append(f"data source {desc.id}: unknown owner {desc.owner}")
-            if not desc.replicas <= known:
-                problems.append(
-                    f"data source {desc.id}: unknown replica nodes "
-                    f"{sorted(desc.replicas - known)}"
-                )
-            if desc.id in owners:
-                problems.append(f"data source {desc.id}: duplicate id")
-            owners[desc.id] = desc.owner
-        seen_tasks = set()
-        for at, task in self.tasks:
-            label = f"task {task.task_id}"
-            if task.task_id in seen_tasks:
-                problems.append(f"{label}: duplicate task id")
-            seen_tasks.add(task.task_id)
-            if task.origin_node not in known:
-                problems.append(f"{label}: unknown origin {task.origin_node}")
-            if not 0 <= at <= horizon:
-                problems.append(f"{label}: arrival {at} outside run window")
-            for issue in validate_task(task):
-                problems.append(f"{label}: {issue}")
-            for inp in task.input_data:
-                if inp.source not in owners:
-                    problems.append(f"{label}: unknown data source {inp.source}")
-        for ev in self.events:
-            label = f"event {ev['type']}"
-            if ev["type"] not in _EVENT_TYPES:
-                problems.append(
-                    f"{label}: unknown event type (expected one of "
-                    f"{', '.join(_EVENT_TYPES)})"
-                )
-            elif ev["type"] == "move":
-                to = _move_target(ev.get("to"))
-                if to is None:
-                    problems.append(f"{label}: needs `to` as [x, y] or {{x: .., y: ..}}")
-                elif not (math.isfinite(to.x) and math.isfinite(to.y)):
-                    problems.append(f"{label}: to: not finite")
-            if ev["node"] not in known:
-                problems.append(f"{label}: unknown node {ev['node']}")
-            if not 0 <= ev["at"] <= horizon:
-                problems.append(f"{label}: time outside run window")
-        for a, b, start, end in self.partitions:
-            if not set(a) <= known or not set(b) <= known:
-                problems.append("partition: unknown node ids")
-            if set(a) & set(b):
-                problems.append("partition: groups overlap")
-            if not 0 <= start <= horizon:
-                problems.append("partition: start outside run window")
-            if not start < end:
-                problems.append("partition: start must precede end")
-        return problems
+        """Every problem as a human-readable string, in the order
+        `parse_scenario` met them; [] means ok."""
+        return list(self.problems)
 
 
 def _position(raw) -> Position:
@@ -152,14 +86,6 @@ def _position(raw) -> Position:
     else:
         raise TypeError(f"not a position: {raw!r}")
     return Position(_float(x), _float(y))
-
-
-def _move_target(raw):
-    """A move event's `to` as a Position; None when it is malformed."""
-    try:
-        return _position(raw)
-    except (TypeError, ValueError, KeyError):
-        return None
 
 
 def _battery(raw):
@@ -229,9 +155,9 @@ class _Fields:
 
     A missing required field, or a value its cast rejects, becomes a problem
     naming the item and the field and reads as the cast default (None when
-    required), so parsing goes on and `Scenario.validate` lists every
-    problem at once. `finish`, called after the last read, makes every key
-    no read asked for a problem too.
+    required), so the walk goes on and lists every problem at once; this is
+    the one place a cast error becomes a problem. `finish`, called after the
+    last read, makes every key no read asked for a problem too.
     """
 
     def __init__(self, raw, label: str, problems: list):
@@ -257,7 +183,7 @@ class _Fields:
             return None
         try:
             return cast(value)
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, OverflowError):
             self._problem(key, f"expected {_EXPECTED[cast]}, got {value!r}")
             return None if default is _REQUIRED else cast(default)
 
@@ -277,8 +203,8 @@ class _Fields:
                 self.problems.append(f"{prefix}unknown field {key}")
 
 
-def _node_spec(raw, index: int, problems: list):
-    """The node's spec, or None when it has no usable id."""
+def _node_spec(raw, index: int, horizon: float, problems: list):
+    """The node's spec, checked, or None when it has no usable id."""
     get = _Fields(raw, f"nodes[{index}]", problems)
     node = get("id", _int)
     if node is not None:
@@ -298,9 +224,44 @@ def _node_spec(raw, index: int, problems: list):
         ),
         typologies=frozenset(get("typologies", _strs, ())),
     )
-    spec = NodeSpec(profile, get("start_time", _float, 0.0))
+    start_time = get("start_time", _float, 0.0)
     get.finish()
-    return None if node is None else spec
+    if node is None:
+        return None
+    problems.extend(f"{get.label}: {issue}" for issue in validate_profile(profile))
+    if not 0 <= start_time < horizon:
+        problems.append(f"{get.label}: start_time outside run window")
+    return NodeSpec(profile, start_time)
+
+
+def _data_source(raw, index: int, known: set, sizes: dict, problems: list):
+    """The source's descriptor, checked against the nodes, or None when it
+    cannot be made."""
+    get = _Fields(raw, f"data_sources[{index}]", problems)
+    source_id = get("id", _int)
+    if source_id is not None:
+        get.label = f"data source {source_id}"
+    owner, size = get("owner", _int), get("size", _float)
+    replicas = get("replicas", _ints, [])
+    get.finish()
+    if None in (source_id, owner, size):
+        return None
+    try:
+        desc = DataSourceDescriptor(
+            id=source_id, owner=owner, size=size, replicas=frozenset({owner, *replicas})
+        )
+    except ValueError as exc:
+        problems.append(f"{get.label}: {exc}")
+        return None
+    if owner not in known:
+        problems.append(f"{get.label}: unknown owner {owner}")
+    if not desc.replicas <= known:
+        problems.append(
+            f"{get.label}: unknown replica nodes {sorted(desc.replicas - known)}"
+        )
+    if source_id in sizes:
+        problems.append(f"{get.label}: duplicate id")
+    return desc
 
 
 def _task_spec(raw, source_sizes: dict, label: str, problems: list):
@@ -379,130 +340,138 @@ def _generate_tasks(raw, scenario_seed: int, source_sizes: dict, problems: list)
     return out
 
 
-def _settings(cls, raw, label: str, problems: list) -> dict:
-    """Keyword arguments for the dataclass `cls` from a mapping: an unknown
-    key, or a non-number (a bool included) for a numeric field, is a problem
-    and dropped."""
+def override(base, raw, label: str, problems: list):
+    """`base`, a settings dataclass of numbers, with the fields a mapping
+    sets: a scenario's `net:` or `scheduler:` block, or a compare variant.
+    A field the mapping cannot set keeps `base`'s value, and the whole
+    mapping is dropped when the dataclass's own checks refuse the result;
+    each is a problem in `problems`."""
     get = _Fields({} if raw is None else raw, label, problems)
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    out = {}
-    for key, value in get.raw.items():
-        if key not in defaults:
-            problems.append(f"{label}: unknown field {key}")
-        elif isinstance(defaults[key], (int, float)) and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            problems.append(f"{label}: {key}: expected a number, got {value!r}")
-        else:
-            out[key] = value
-    return out
-
-
-def _build_checked(base, kwargs: dict, label: str, problems: list):
-    """`base` with `kwargs` replaced, or `base` with a problem when the
-    dataclass's own checks fail."""
+    values = {
+        f.name: get(f.name, _float, getattr(base, f.name)) for f in dataclasses.fields(base)
+    }
+    get.finish()
     try:
-        return dataclasses.replace(base, **kwargs)
+        return dataclasses.replace(base, **values)
     except ValueError as exc:
         problems.append(f"{label}: {exc}")
         return base
 
 
-def scheduler_params(base: SchedulerParams, raw, label: str, problems: list) -> SchedulerParams:
-    """`base` with the fields a scheduler mapping sets: a scenario's
-    `scheduler:` block, or a compare variant. A problem with the mapping
-    goes to `problems`, like any settings block's."""
-    kwargs = _settings(SchedulerParams, raw, label, problems)
-    return _build_checked(base, kwargs, label, problems)
-
-
 def parse_scenario(raw: dict) -> Scenario:
-    """The scenario a raw mapping describes.
+    """The scenario a raw mapping describes, read and checked in one walk.
 
-    Problems with fields (missing, or of the wrong type) are collected in
-    `Scenario.parse_problems` and reported by `validate`; only a missing
-    `duration` raises here.
+    Problems (a missing field, a value of the wrong type, an item that
+    breaks a check against the run window or the items read before it) are
+    collected in `Scenario.problems` and reported by `validate`; only a
+    missing `duration` raises here.
     """
     if "duration" not in raw:
         raise ValueError("duration: required")
     problems = []
     get = _Fields(raw, "", problems)
-    sources = []
+    name, duration = get("name", _str, "scenario"), get("duration", _float)
+    # The run samples up to the duration, so it must be finite. Windows are
+    # checked against a usable duration only: a bad one is one problem, not
+    # one per node, task and event.
+    horizon = math.inf
+    if duration is not None:
+        if 0 < duration < math.inf:
+            horizon = duration
+        else:
+            problems.append("duration: must be positive and finite")
+    nodes, known = [], set()
+    for i, n in enumerate(get.list("nodes")):
+        spec = _node_spec(n, i, horizon, problems)
+        if spec is not None:
+            if spec.profile.node in known:
+                problems.append("nodes: duplicate node ids")
+            known.add(spec.profile.node)
+            nodes.append(spec)
+    sources, sizes = [], {}
     for i, d in enumerate(get.list("data_sources")):
-        get_source = _Fields(d, f"data_sources[{i}]", problems)
-        source_id = get_source("id", _int)
-        if source_id is not None:
-            get_source.label = f"data source {source_id}"
-        owner, size = get_source("owner", _int), get_source("size", _float)
-        replicas = get_source("replicas", _ints, [])
-        get_source.finish()
-        if None in (source_id, owner, size):
-            continue
-        try:
-            sources.append(
-                DataSourceDescriptor(
-                    id=source_id,
-                    owner=owner,
-                    size=size,
-                    replicas=frozenset({owner, *replicas}),
-                )
-            )
-        except ValueError as exc:
-            problems.append(f"{get_source.label}: {exc}")
-    source_sizes = {d.id: d.size for d in sources}
+        desc = _data_source(d, i, known, sizes, problems)
+        if desc is not None:
+            sources.append(desc)
+            sizes[desc.id] = desc.size
     seed = get("seed", _int, 0)
     tasks = []
     for i, t in enumerate(get.list("tasks")):
-        pair = _task_spec(t, source_sizes, f"tasks[{i}]", problems)
+        pair = _task_spec(t, sizes, f"tasks[{i}]", problems)
         if pair is not None:
             tasks.append(pair)
     workload = get.take("workload")
     if workload is not None:
-        tasks.extend(_generate_tasks(workload, seed, source_sizes, problems))
+        tasks.extend(_generate_tasks(workload, seed, sizes, problems))
+    task_ids = set()
+    for at, task in tasks:
+        label = f"task {task.task_id}"
+        if task.task_id in task_ids:
+            problems.append(f"{label}: duplicate task id")
+        task_ids.add(task.task_id)
+        if task.origin_node not in known:
+            problems.append(f"{label}: unknown origin {task.origin_node}")
+        if not 0 <= at <= horizon:
+            problems.append(f"{label}: arrival {at} outside run window")
+        problems.extend(f"{label}: {issue}" for issue in validate_task(task))
+        problems.extend(
+            f"{label}: unknown data source {inp.source}"
+            for inp in task.input_data if inp.source not in sizes
+        )
     tasks.sort(key=lambda pair: (pair[0], pair[1].task_id))
     events = []
     for i, e in enumerate(get.list("events")):
         get_event = _Fields(e, f"events[{i}]", problems)
-        event = {
-            "type": get_event("type", _str),
-            "node": get_event("node", _int),
-            "at": get_event("at", _float),
-        }
-        to = get_event.take("to") if event["type"] == "move" else None
+        kind, node, at = get_event("type", _str), get_event("node", _int), get_event("at", _float)
+        to = get_event("to", _position) if kind == "move" else None
         get_event.finish()
-        if None not in event.values():
-            if to is not None:
-                event["to"] = to
-            events.append(event)
+        if None in (kind, node, at):
+            continue
+        label = f"event {kind}"
+        if kind not in _EVENT_TYPES:
+            problems.append(
+                f"{label}: unknown event type (expected one of {', '.join(_EVENT_TYPES)})"
+            )
+        elif to is not None and not (math.isfinite(to.x) and math.isfinite(to.y)):
+            problems.append(f"{label}: to: not finite")
+        if node not in known:
+            problems.append(f"{label}: unknown node {node}")
+        if not 0 <= at <= horizon:
+            problems.append(f"{label}: time outside run window")
+        events.append((at, kind, node, () if to is None else (to,)))
     partitions = []
     for i, p in enumerate(get.list("partitions")):
         get_part = _Fields(p, f"partitions[{i}]", problems)
-        part = (
-            get_part("a", _ints), get_part("b", _ints),
-            get_part("start", _float), get_part("end", _float),
-        )
+        a, b = get_part("a", _ints), get_part("b", _ints)
+        start, end = get_part("start", _float), get_part("end", _float)
         get_part.finish()
-        if None not in part:
-            partitions.append(part)
-    net = _settings(NetModel, get.take("net"), "net", problems)
-    nodes = [_node_spec(n, i, problems) for i, n in enumerate(get.list("nodes"))]
-    scenario = Scenario(
-        name=get("name", _str, "scenario"),
-        duration=get("duration", _float),
+        if None in (a, b, start, end):
+            continue
+        if not set(a) | set(b) <= known:
+            problems.append("partition: unknown node ids")
+        if set(a) & set(b):
+            problems.append("partition: groups overlap")
+        if not 0 <= start <= horizon:
+            problems.append("partition: start outside run window")
+        if not start < end:
+            problems.append("partition: start must precede end")
+        partitions.append((a, b, start, end))
+    net = override(NetModel(), get.take("net"), "net", problems)
+    scheduler = override(SchedulerParams(), get.take("scheduler"), "scheduler", problems)
+    get.finish()
+    return Scenario(
+        name=name,
+        duration=duration,
         seed=seed,
-        net=_build_checked(NetModel(), net, "net", problems),
-        scheduler=scheduler_params(
-            SchedulerParams(), get.take("scheduler"), "scheduler", problems
-        ),
-        nodes=[n for n in nodes if n is not None],
+        net=net,
+        scheduler=scheduler,
+        nodes=nodes,
         data_sources=sources,
         tasks=tasks,
         events=events,
         partitions=partitions,
+        problems=list(dict.fromkeys(problems)),
     )
-    get.finish()
-    scenario.parse_problems = list(dict.fromkeys(problems))
-    return scenario
 
 
 # libyaml's safe loader where PyYAML was built with it: scanning YAML in
@@ -543,9 +512,8 @@ def build(scenario: Scenario, seed: int = None):
         sim.schedule(spec.start_time, sim.join, node)
     for at, task in scenario.tasks:
         sim.schedule(at, sim.fire_timer, task.origin_node, "task_arrival", {"task": task})
-    for ev in scenario.events:
-        args = (_position(ev["to"]),) if ev["type"] == "move" else ()
-        sim.schedule(ev["at"], getattr(sim, ev["type"]), ev["node"], *args)
+    for at, kind, node, args in scenario.events:
+        sim.schedule(at, getattr(sim, kind), node, *args)
     for a, b, start, end in scenario.partitions:
         sim.inject_partition(a, b, start, end)
     return sim, agents, collector

@@ -76,6 +76,9 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
          "nodes[0]: id: expected an integer, got True"),
         (dict(SMALL, nodes=[dict(SMALL["nodes"][0], cpu_perf_index=True)]),
          "node 1: cpu_perf_index: expected a number, got True"),
+        # Once a traceback: an OverflowError from an integer too large for a float.
+        (dict(SMALL, nodes=[dict(SMALL["nodes"][0], start_time=10**400)]),
+         f"node 1: start_time: expected a number, got {10**400}"),
         # Once `run` failed here with "cannot schedule into the past", which
         # names no item.
         (dict(SMALL, partitions=[{"a": [1], "b": [2], "start": -5.0, "end": 2.0}]),
@@ -158,18 +161,22 @@ def test_compare_identical_variants_zero_difference(tmp_path, capsys):
     variants = tmp_path / "variants.yaml"
     variants.write_text(yaml.safe_dump({
         "one": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2},
-        "two": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2},
+        # A comma in a name is quoted, not a field of its own.
+        "two, again": {"w_availability": 0.4, "w_qos": 0.4, "w_locality": 0.2},
     }))
     code = main(["compare", cfg, "--variants", str(variants),
                  "--seeds", "1,2", "--out", str(tmp_path / "cmp")])
     assert code == 0
-    with open(tmp_path / "cmp" / "compare.csv") as fh:
-        rows = list(csv.reader(fh))
+    with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+        text = fh.read()
+    assert capsys.readouterr().out == text
+    rows = list(csv.reader(text.splitlines()))
     header, data = rows[0], rows[1:]
     assert len(data) == 4  # 2 variants x 2 seeds
+    assert all(len(r) == len(header) for r in data)
     by_key = {(r[0], r[1]): r[2:] for r in data}
     for seed in ("1", "2"):
-        assert by_key[("one", seed)] == by_key[("two", seed)]
+        assert by_key[("one", seed)] == by_key[("two, again", seed)]
 
 
 def test_compare_single_seed_one_row_per_variant(tmp_path, capsys):

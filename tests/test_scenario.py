@@ -78,10 +78,11 @@ def test_unknown_event_type_and_move_without_target_rejected():
         {"type": "move", "node": 2, "at": 8.0, "to": [3.0, 4.0]},
         {"type": "move", "node": 2, "at": 9.0, "to": {"x": 3.0, "y": 4.0}},
     ])
-    problems = sc.validate()
-    assert len(problems) == 3, problems
-    assert "unknown event type" in problems[0]
-    assert all("needs `to`" in p for p in problems[1:])
+    assert sc.validate() == [
+        "event explode: unknown event type (expected one of join, leave, crash, move)",
+        "events[1]: to: required",
+        "events[2]: to: expected [x, y] or {x: .., y: ..}, got {'x': 3.0}",
+    ]
 
 
 def test_missing_duration_is_a_value_error():
@@ -125,7 +126,7 @@ def test_scheduler_override_replaces_weights():
     weights = (sc.scheduler.w_availability, sc.scheduler.w_qos, sc.scheduler.w_locality)
     assert weights == (0.2, 0.6, 0.2) and not sc.validate()
     problems = []
-    params = scen.scheduler_params(
+    params = scen.override(
         sc.scheduler, {"w_availability": 0.0, "w_qos": 0.8}, "variant v", problems,
     )
     assert problems == []
@@ -145,7 +146,7 @@ def test_scheduler_override_replaces_weights():
         (5, "variant v: expected a mapping, got 5"),
     ):
         problems = []
-        assert scen.scheduler_params(sc.scheduler, overrides, "variant v", problems) == sc.scheduler
+        assert scen.override(sc.scheduler, overrides, "variant v", problems) == sc.scheduler
         assert len(problems) == 1 and problems[0].startswith(problem)
 
 
@@ -182,13 +183,15 @@ def test_node_without_id_and_wrong_field_types_are_problems():
     ])
     sc = scen.parse_scenario(raw)
     assert sc.validate() == [
+        "duration: expected a number, got 'ten'",
         "nodes[0]: id: required",
         "node 2: cpu_perf_index: expected a number, got 'fast'",
         "node 2: battery: expected a number or MAINS, got 'full'",
-        "duration: expected a number, got 'ten'",
     ]
     assert [n.profile.node for n in sc.nodes] == [2, 3]
-    with pytest.raises(ValueError, match="invalid scenario: nodes\\[0\\]: id: required"):
+    with pytest.raises(
+        ValueError, match="invalid scenario: duration: expected a number, got 'ten'; nodes\\[0\\]"
+    ):
         scen.run(sc)
 
 
@@ -216,6 +219,9 @@ def test_malformed_items_and_settings_are_problems():
         sample_period=2.0,
     )
     assert sc.validate() == [
+        "node 1: unknown field os_tag",
+        "node 1: unknown field runtimes",
+        "node 1: unknown field cpu_perf_idx",
         "data source 7: unknown field replica",
         "data source 7: data source size must be positive",
         "tasks[0]: inputs[0]: unknown field sise",
@@ -232,9 +238,6 @@ def test_malformed_items_and_settings_are_problems():
         "partitions[0]: unknown field ends",
         "net: loss_prob: expected a number, got 'high'",
         "net: unknown field jitter",
-        "node 1: unknown field os_tag",
-        "node 1: unknown field runtimes",
-        "node 1: unknown field cpu_perf_idx",
         "scheduler: w_availability: expected a number, got 'three'",
         "scheduler: score weights must sum to 1, got 1.5",
         "unknown field agent",
@@ -281,7 +284,12 @@ def test_malformed_items_and_settings_are_problems():
         ({"nodes": [dict(node, position="12"), other]},
          ["node 1: position: expected [x, y] or {x: .., y: ..}, got '12'"]),
         ({"events": [{"type": "move", "node": 1, "at": 1.0, "to": "34"}]},
-         ["event move: needs `to` as [x, y] or {x: .., y: ..}"]),
+         ["events[0]: to: expected [x, y] or {x: .., y: ..}, got '34'"]),
+        # An integer too large for a float is a problem, not an OverflowError.
+        ({"nodes": [dict(node, start_time=10**400), other]},
+         [f"node 1: start_time: expected a number, got {10**400}"]),
+        ({"nodes": [dict(node, position=[10**400, 0]), other]},
+         [f"node 1: position: expected [x, y] or {{x: .., y: ..}}, got [{10**400}, 0]"]),
         # A number that is read, but NaN or infinite where no run can use
         # it: NaN never drains, a NaN start never joins and freezes the
         # event loop, a move cannot leave the plane.
@@ -330,6 +338,9 @@ def test_malformed_items_and_settings_are_problems():
     assert sc.validate() == []
     profile = sc.nodes[0].profile
     assert (profile.hw.cpu_perf_index, profile.dyn.position.x) == (1.5, 2.0)
+    # Settings blocks read their numbers the same way.
+    sc = with_extras(net={"loss_prob": "0.5"}, scheduler={"w_qos": "0.4"})
+    assert sc.validate() == [] and (sc.net.loss_prob, sc.scheduler.w_qos) == (0.5, 0.4)
     sc = with_extras(nodes=[dict(node, id=1.0, memory=512.0), other],
                      tasks=[dict(task, id=2.0, origin=1.0, memory=64.0)])
     assert sc.validate() == []
@@ -369,7 +380,7 @@ INTAKE_FIELDS = [
     ("data_sources", 0, "size"), ("tasks", 0, "inputs", 0, "size"),
 ]
 NUMBERS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0, 1e17, 5e-324]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -0.0, 1e17, 5e-324, 10**400]),
     st.floats(min_value=0.0, max_value=40.0),
 )
 INTAKE_CHANGES = st.lists(st.tuples(st.sampled_from(INTAKE_FIELDS), NUMBERS),
