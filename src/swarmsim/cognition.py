@@ -9,6 +9,7 @@ the same signatures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .model import NodeProfile, TaskSpec, is_mains
@@ -77,12 +78,13 @@ def predict_completion(
     remote_inputs: iterable of (size_mib, distance_m) pairs for every input
     whose nearest replica is not on the node itself; local inputs cost
     nothing. Execution time divides work by the node's residual capacity,
-    clamped at `MIN_CAPACITY_FRACTION` for saturated nodes.
+    clamped at `MIN_CAPACITY_FRACTION` for saturated nodes; a capacity that
+    underflows to 0 never finishes.
     """
     capacity = profile.hw.cpu_perf_index * max(
         MIN_CAPACITY_FRACTION, 1.0 - profile.dyn.utilization
     )
-    t_exec = task.work / capacity
+    t_exec = task.work / capacity if capacity > 0 else math.inf
     t_transfer = 0.0
     for size, dist in remote_inputs:
         t_transfer += (

@@ -47,7 +47,7 @@ class Execution:
         run.transition(state)
 
     def leave(self) -> None:
-        """Fail every run: this node is leaving."""
+        """Fail every run and drop it: this node is leaving."""
         self.engine.integrate(self.sim.now)
         for run in sorted(self.engine.runs.values(), key=lambda r: r.task_id):
             run.transition(executor.FAILED)
@@ -59,6 +59,7 @@ class Execution:
             )
             if run.origin != self.node:  # this node's own tasks leave with it
                 self.agent.send_task(run.origin, wire.FAILED, run.task_id, run.attempt)
+        self.engine.runs.clear()
 
     # ------------------------------------------------------------------
     # reservations

@@ -4,12 +4,13 @@ All Running tasks on a node split its cpu_perf_index equally. Integration is
 exact between change points (admissions, completions, evictions), so the
 integrated progress of a Done task equals its work up to float tolerance.
 Lifecycle edges: Reserved -> Transferring -> Running -> {Done, Failed,
-Evicted}; remaining work never increases while Running.
+Evicted}; remaining work never increases while Running. `runs` holds live
+runs only (a run leaves it as it ends), so load and memory count every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import NodeId, TaskId, TaskSpec
 
@@ -19,7 +20,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 EVICTED = "evicted"
-ACTIVE = (RESERVED, TRANSFERRING, RUNNING)  # a run in these holds its memory
 
 _EDGES = {
     RESERVED: {TRANSFERRING, RUNNING, FAILED, EVICTED},
@@ -59,11 +59,11 @@ class TaskRun:
 
 
 class ExecutorEngine:
-    """Owns the runs of one node and integrates their progress."""
+    """Owns the live runs of one node and integrates their progress."""
 
     def __init__(self, cpu_perf_index: float):
         self.perf = cpu_perf_index
-        self.runs: dict = {}  # TaskId -> TaskRun
+        self.runs: dict = {}  # TaskId -> TaskRun, live runs only
         self.last_time = 0.0
         self.generation = 0  # bumps on every change, invalidates stale timers
 
@@ -71,7 +71,7 @@ class ExecutorEngine:
         return [r for r in self.runs.values() if r.state == RUNNING]
 
     def active_count(self) -> int:
-        return sum(1 for r in self.runs.values() if r.state in ACTIVE)
+        return len(self.runs)
 
     def utilization(self) -> float:
         """Fraction of capacity a new arrival would not get: n/(n+1)."""
@@ -79,7 +79,7 @@ class ExecutorEngine:
         return n / (n + 1)
 
     def memory_in_use(self) -> int:
-        return sum(r.memory for r in self.runs.values() if r.state in ACTIVE)
+        return sum(r.memory for r in self.runs.values())
 
     def integrate(self, now: float) -> None:
         """Advance every Running task to `now` at the current fair share."""

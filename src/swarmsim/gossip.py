@@ -5,7 +5,8 @@ PING/ACK probing of a random member per round, with piggybacked deltas
 refutation); HELLO/HELLO-ACK discovery on start and periodic re-discovery
 to heal partitions and merge swarms, each to at most JOIN_FANOUT peers drawn
 from a per-life random stream; LEAVE; GC of Dead and Left records; and the
-swarm id, the minimum Alive id.
+swarm id, the minimum Alive id. The view is the one membership list: the
+piggyback queue holds transmit counts, and a pick reads the view's record.
 
 Tombstone GC is a timer facility in the sense of Varghese & Lauck (SOSP
 1987): each life keeps the collection time of each tombstone it holds in a
@@ -46,8 +47,8 @@ class Gossip:
         self.sim = agent.sim
         self.node = agent.node
         self.view = membership.SwarmView(self_node=agent.node)
-        self._buffer = {}  # NodeId -> [MemberState, transmit_count]
-        # (transmit_count, NodeId) of every slot in `_buffer`, sorted: the
+        self._buffer = {}  # NodeId -> times the view's record of it was sent
+        # (transmit count, NodeId) of every node in `_buffer`, sorted: the
         # order `pick_deltas` takes them in.
         self._order = []
         self.alive_since = {}  # peer -> local time it became Alive in my view
@@ -55,7 +56,6 @@ class Gossip:
         self.pending_probes = {}  # target -> token
         self._probe_token = 0
         self._probe_rng = substream(self.sim.seed, f"probe-{self.node}-{agent.epoch}")
-        self.last_swarm_id = self.node
         self._gc_due = {}  # NodeId -> collection time of its held tombstone
         self._gc_armed = None  # due of the live member_gc timer: the earliest
 
@@ -91,16 +91,14 @@ class Gossip:
     # piggybacked deltas
     # ------------------------------------------------------------------
 
-    def _queue_delta(self, state: MemberState) -> None:
+    def _queue_delta(self, node: NodeId) -> None:
         """(Re)start gossiping a peer's record, at transmit count 0. Our own
         record is never queued: it rides first in every message anyway."""
-        slot = self._buffer.get(state.node)
-        if slot is None:
-            self._buffer[state.node] = [state, 0]
-        else:
-            del self._order[bisect_left(self._order, (slot[1], state.node))]
-            slot[0], slot[1] = state, 0
-        insort(self._order, (0, state.node))
+        sent = self._buffer.get(node)
+        if sent is not None:
+            del self._order[bisect_left(self._order, (sent, node))]
+        self._buffer[node] = 0
+        insort(self._order, (0, node))
 
     def pick_deltas(self) -> wire.RecordList:
         """Our own record, then up to GOSSIP_K - 1 buffered deltas, least
@@ -108,24 +106,24 @@ class Gossip:
         sent RETRANSMIT_LIMIT times.
 
         The picks are the front of `_order`, so the Python work is per
-        picked slot, not a sort of the buffer. Each is re-inserted at its
-        new count only after all are taken, so no slot is picked twice in
-        one send. Only picked slots are retired: every other slot is below
-        the limit, since slots start at 0 and only picks raise them.
+        picked node, not a sort of the buffer. Each is re-inserted at its
+        new count only after all are taken, so no node is picked twice in
+        one send. Only picked nodes are retired: every other count is below
+        the limit, since counts start at 0 and only picks raise them.
         """
-        picks = [self.view.members[self.node].to_dict()]
+        members = self.view.members
+        picks = [members[self.node].to_dict()]
         buffer, order = self._buffer, self._order
         chosen = order[:GOSSIP_K - 1]
         del order[:GOSSIP_K - 1]
         for sent, node in chosen:
+            picks.append(members[node].to_dict())
             sent += 1
             if sent < RETRANSMIT_LIMIT:
-                slot = buffer[node]
-                picks.append(slot[0].to_dict())
-                slot[1] = sent
+                buffer[node] = sent
                 insort(order, (sent, node))
             else:
-                picks.append(buffer.pop(node)[0].to_dict())
+                del buffer[node]
         return wire.RecordList(picks)
 
     # ------------------------------------------------------------------
@@ -152,10 +150,11 @@ class Gossip:
         if membership.expired(state.status, state.last_update_time, now):
             return
         before = self.view.members.get(state.node)
+        old_swarm_id = self.view.swarm_id
         if not self.view.apply(state):
             return
         after = self.view.members[state.node]
-        self._queue_delta(after)
+        self._queue_delta(state.node)
         before_status = before.status if before is not None else None
         if after.status == ALIVE and before_status != ALIVE:
             self.alive_since[state.node] = now
@@ -186,8 +185,8 @@ class Gossip:
                 self._arm_gc(due)
         else:
             self._gc_due.pop(state.node, None)
-        if state.node <= self.last_swarm_id:
-            self._check_swarm_change()
+        if self.view.swarm_id != old_swarm_id:
+            self._trace_swarm_change(old_swarm_id)
 
     def merge_deltas(self, records: list) -> None:
         """Merge gossiped member records, each a version entry (piggybacked
@@ -204,28 +203,19 @@ class Gossip:
                 continue
             self._merge_member(wire.adopt(d, MemberState.from_dict))
 
-    def _check_swarm_change(self) -> None:
-        """Trace a change of the swarm id (the minimum Alive id) and keep it
-        in `last_swarm_id`. `_merge_member` calls this only for a member id
-        up to `last_swarm_id`, which is exact: while we run, our own record
-        is Alive (a claim otherwise is refuted, never applied), so the
-        minimum exists and is at most our id, and no larger id can become it
-        or stop being it. GC removes only Dead and Left records. So this is
-        the one place a swarm change is found, a split (the id rising) as
-        well as a merge, and the record's `reason` is always "merge": a
-        member merge found it.
-        """
-        sid = self.view.swarm_id
-        if sid != self.last_swarm_id:
-            kind = "merge" if sid < self.last_swarm_id else "split"
-            self.agent.record(
-                "swarm_change",
-                old=self.last_swarm_id,
-                new=sid,
-                kind=kind,
-                reason="merge",
-            )
-            self.last_swarm_id = sid
+    def _trace_swarm_change(self, old: NodeId) -> None:
+        """Trace the swarm id (the minimum Alive id) moving from `old`: down
+        is a merge, up a split. While we run, only a member merge moves it
+        (our own record stays Alive, and GC drops only tombstones), so the
+        record's `reason` is always "merge"."""
+        new = self.view.swarm_id
+        self.agent.record(
+            "swarm_change",
+            old=old,
+            new=new,
+            kind="merge" if new < old else "split",
+            reason="merge",
+        )
 
     # ------------------------------------------------------------------
     # discovery
@@ -342,9 +332,9 @@ class Gossip:
             self._arm_gc(min(self._gc_due.values()))
 
     def _collect(self, node: NodeId) -> None:
-        """Drop a member: its record, its gossip slot, its registry entry."""
+        """Drop a member: its record, its queue place, its registry entry."""
         self.view.drop(node)
-        slot = self._buffer.pop(node, None)
-        if slot is not None:
-            del self._order[bisect_left(self._order, (slot[1], node))]
+        sent = self._buffer.pop(node, None)
+        if sent is not None:
+            del self._order[bisect_left(self._order, (sent, node))]
         self.agent.registry.evict(node)

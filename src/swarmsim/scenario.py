@@ -363,11 +363,9 @@ def parse_scenario(raw: dict) -> Scenario:
 
     Problems (a missing field, a value of the wrong type, an item that
     breaks a check against the run window or the items read before it) are
-    collected in `Scenario.problems` and reported by `validate`; only a
-    missing `duration` raises here.
+    collected in `Scenario.problems` and reported by `validate`; nothing
+    raises here.
     """
-    if "duration" not in raw:
-        raise ValueError("duration: required")
     problems = []
     get = _Fields(raw, "", problems)
     name, duration = get("name", _str, "scenario"), get("duration", _float)

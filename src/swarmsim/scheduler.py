@@ -50,9 +50,12 @@ def compute_score(
     distance_to_centroid: float,
     params: SchedulerParams,
 ) -> PlacementScore:
-    """Weighted sum of the three criteria, each normalized into [0,1]."""
-    qos = min(1.0, deadline_remaining / predicted_completion)
-    qos = max(0.0, qos)
+    """Weighted sum of the three criteria, each normalized into [0,1]; a
+    completion predicted at 0 s meets every deadline not yet past."""
+    if predicted_completion == 0:
+        qos = 1.0 if deadline_remaining >= 0 else 0.0
+    else:
+        qos = max(0.0, min(1.0, deadline_remaining / predicted_completion))
     locality = 1.0 / (1.0 + distance_to_centroid / LOCALITY_SCALE)
     availability = min(1.0, max(0.0, availability))
     total = (

@@ -596,6 +596,30 @@ def test_a_change_of_the_run_set_republishes_the_profile():
     assert published() == state
 
 
+def test_leaving_fails_every_run_and_empties_the_run_table(sent):
+    """A graceful leave fails each run, Reserved, Transferring or Running,
+    reports it to its origin and drops it, so the run table holds live runs
+    only."""
+    sim, agents, _ = scen.build(scen.parse_scenario(dict(PAIR, tasks=[])))
+    sim.run_until(1.0)
+    engine = agents[2].engine
+    for task_id in (7, 8, 9):
+        agents[2].execution.reserve(make_task(task_id=task_id), 1, sim.now, origin=1)
+    engine.runs[8].transition(executor.TRANSFERRING)
+    engine.runs[9].transition(executor.TRANSFERRING)
+    engine.runs[9].transition(executor.RUNNING)
+    runs = list(engine.runs.values())
+    del sent[:]
+    sim.leave(2)
+    assert engine.runs == {}
+    assert (engine.active_count(), engine.memory_in_use()) == (0, 0)
+    assert [r.state for r in runs] == [executor.FAILED] * 3
+    assert [r["task"] for r in sim.trace if r["type"] == "run_failed"] == [7, 8, 9]
+    assert [(to, m.body["task_id"]) for frm, to, m in sent if m.kind == wire.FAILED] == [
+        (1, 7), (1, 8), (1, 9),
+    ]
+
+
 def test_a_run_due_at_now_finishes_in_its_completion_handler():
     """At 1e17 work/s, work 0.5 takes 5e-18 s, below the float resolution of
     t=2.5: the run is due at `now` itself. A completion timer re-armed at

@@ -58,6 +58,8 @@ def test_node_without_id_or_mistyped_field_fails_cleanly(tmp_path, capsys):
         (dict(SMALL, nodes=SMALL["nodes"] + nodes[:1]), "nodes[2]: id: required"),
         (dict(SMALL, nodes=nodes[1:]), "node 1: cpu_perf_index: expected a number"),
         (dict(SMALL, duration="ten"), "duration: expected a number, got 'ten'"),
+        # Once `validate` stopped here with "error: duration: required" and exit 2.
+        ({k: v for k, v in SMALL.items() if k != "duration"}, "duration: required"),
         (dict(SMALL, nodes=[dict(SMALL["nodes"][0], os_tag="linux")]),
          "node 1: unknown field os_tag"),
         (dict(SMALL, nodes=[dict(SMALL["nodes"][0], typologies=["generic", 3])]),
@@ -126,6 +128,30 @@ def test_a_task_due_at_its_start_instant_runs_to_its_end(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     assert "tasks_done: 1\n" in capsys.readouterr().out
+
+
+# Once `run` failed with a ZeroDivisionError at the task's arrival: a
+# completion predicted at 0 s divided the qos score, and a capacity that
+# underflows to 0 divided the predicted completion.
+@pytest.mark.parametrize("node_2, work, outcome", [
+    ({"cpu_perf_index": 2.0}, 5.0e-324, "tasks_done: 1\n"),
+    ({"cpu_perf_index": 5.0e-324, "utilization": 0.96}, 0.5, "tasks_failed_permanent: 1\n"),
+], ids=["zero_completion", "zero_capacity"])
+def test_a_completion_predicted_at_zero_or_never_runs_to_its_end(
+    tmp_path, capsys, node_2, work, outcome
+):
+    """Node 1 cannot run its task, so it scores node 2, which finishes it at
+    once or never."""
+    raw = dict(
+        SMALL,
+        nodes=[dict(SMALL["nodes"][0], typologies=["other"]), dict(SMALL["nodes"][1], **node_2)],
+        tasks=[dict(SMALL["tasks"][0], at=3.0, work=work)],
+    )
+    cfg = write_config(tmp_path, raw)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert outcome in capsys.readouterr().out
+    assert scen.run(scen.load_scenario(cfg)).report.balance_holds()
 
 
 def test_a_handler_fault_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):

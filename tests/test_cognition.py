@@ -99,6 +99,9 @@ def test_completion_saturated_node_clamped():
     assert predict_completion(make_task(work=1.0), p, []) == pytest.approx(
         1.0 / (2.0 * 0.05), abs=1e-9
     )
+    # A capacity that underflows to 0 never finishes.
+    tiny = make_profile(perf=5e-324, utilization=0.96)
+    assert predict_completion(make_task(work=1.0), tiny, []) == math.inf
 
 
 def test_ewma_convergence_bound():

@@ -74,22 +74,28 @@ def test_integration_never_overshoots():
 
 
 def test_utilization_counts_reserved_and_transferring():
+    """Every run held is live, Reserved and Transferring ones too; a run
+    that ends leaves the table."""
     eng = ExecutorEngine(1.0)
     assert eng.utilization() == 0.0
     eng.runs[1] = run_of(1, 1.0, state=executor.RESERVED)
     assert eng.utilization() == pytest.approx(0.5)
     eng.runs[2] = run_of(2, 1.0, state=executor.TRANSFERRING)
     assert eng.utilization() == pytest.approx(2 / 3)
-    eng.runs[1].transition(executor.EVICTED)
+    del eng.runs[1]
     assert eng.utilization() == pytest.approx(0.5)
 
 
 def test_memory_accounting():
+    """Every run held holds its memory, whatever its live state, until it
+    leaves the table."""
     eng = ExecutorEngine(1.0)
     eng.runs[1] = run_of(1, 1.0, memory=100)
     eng.runs[2] = run_of(2, 1.0, state=executor.RESERVED, memory=50)
-    eng.runs[3] = run_of(3, 1.0, state=executor.FAILED, memory=999)
-    assert eng.memory_in_use() == 150
+    eng.runs[3] = run_of(3, 1.0, state=executor.TRANSFERRING, memory=25)
+    assert eng.memory_in_use() == 175
+    del eng.runs[1]
+    assert (eng.memory_in_use(), eng.active_count()) == (75, 2)
 
 
 def test_illegal_transitions_raise():

@@ -366,9 +366,10 @@ gossip_ops = st.lists(
 
 @given(st.integers(1, 6), st.integers(1, 5), gossip_ops)
 def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
-    """Slots are queued and collected as a running agent does it: a merged
-    peer record is queued, and GC of its tombstone drops the slot. Our own
-    record is never queued (it rides first in every message)."""
+    """Nodes are queued and collected as a running agent does it: a peer
+    record the view takes is queued, and GC of its tombstone drops it from
+    the queue. Our own record is never queued (it rides first in every
+    message). The queue holds transmit counts only; picks read the view."""
     with (
         mock.patch.object(gossip, "GOSSIP_K", gossip_k),
         mock.patch.object(gossip, "RETRANSMIT_LIMIT", retransmit_limit),
@@ -380,9 +381,9 @@ def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
         for op in ops:
             if op[0] == "queue":
                 state = ms(node=op[1], status=DEAD, inc=op[2])
-                agent.view.apply(state)
-                agent.gossip._queue_delta(state)
-                reference[state.node] = [state, 0]
+                if agent.view.apply(state):
+                    agent.gossip._queue_delta(state.node)
+                    reference[state.node] = [state, 0]
             elif op[0] == "gc":
                 state = agent.view.members.get(op[1])
                 if state is not None:
@@ -393,7 +394,7 @@ def test_pick_deltas_matches_reference(gossip_k, retransmit_limit, ops):
                 assert picks == reference_pick_deltas(
                     me, self_record, reference, gossip_k, retransmit_limit
                 )
-            assert agent.gossip._buffer == reference
+            assert agent.gossip._buffer == {n: slot[1] for n, slot in reference.items()}
             assert agent.gossip._order == sorted(
                 (slot[1], n) for n, slot in reference.items()
             )
@@ -410,37 +411,59 @@ swarm_records = st.lists(
 )
 
 
+class SwarmChain:
+    """A trace listener that follows each node's swarm id through its
+    `swarm_change` records: a life starts at the node's own id (its `join`),
+    and each record must go on from the id the last one left."""
+
+    def __init__(self, traced=None):
+        self.traced = dict(traced or {})  # node -> `new` of its last record
+
+    def __call__(self, rec: dict) -> None:
+        if rec["type"] == "join":
+            self.traced[rec["node"]] = rec["node"]
+        elif rec["type"] == "swarm_change":
+            assert rec["old"] == self.traced[rec["node"]], rec
+            assert rec["kind"] == ("merge" if rec["new"] < rec["old"] else "split"), rec
+            self.traced[rec["node"]] = rec["new"]
+
+
 @given(swarm_records)
 def test_swarm_id_is_tracked_across_merges(records):
-    """`_merge_member` re-reads the swarm id only for ids up to the last
-    one; what it remembers is still the view's swarm id after every merge."""
+    """The traced swarm changes chain from the node's own id, and the last
+    one names the view's swarm id after every merge."""
     agent = running_agent(5)
-    assert agent.gossip.last_swarm_id == agent.view.swarm_id == 5
+    assert agent.view.swarm_id == 5
+    chain = SwarmChain({5: 5})
+    agent.sim.listeners.append(chain)
     for offset, status, inc, t in records:
-        node = max(1, agent.gossip.last_swarm_id + offset)
+        node = max(1, agent.view.swarm_id + offset)
         agent.gossip._merge_member(ms(node=node, status=status, inc=inc, t=t))
-        assert agent.gossip.last_swarm_id == agent.view.swarm_id
+        assert chain.traced[5] == agent.view.swarm_id
 
 
 def test_swarm_id_is_tracked_in_runs_with_splits():
-    """Splits and merges are traced only where `_merge_member` finds the
-    swarm id changed. Stepped 0.25 s at a time through `partition_heal`,
-    `heavy_churn` and a churn run of `bench/workloads.py`, every up agent
-    remembers its view's swarm id, and `partition_heal` counts its 7
-    splits."""
+    """Splits and merges are traced where `_merge_member` finds the swarm
+    id changed. Stepped 0.25 s at a time through `partition_heal`,
+    `heavy_churn` and a churn run of `bench/workloads.py`, each life's
+    traced swarm changes chain from its node's id, the last one names its
+    view's swarm id whenever the node is up, and `partition_heal` counts
+    its 7 splits."""
     runs = [scen.load_scenario(f"scenarios/{name}.yaml")
             for name in ("partition_heal", "heavy_churn")]
     runs.append(scen.parse_scenario(bench_workloads().swarm64_churn(5, n=16).raw))
     splits = {}
     for sc in runs:
         sim, agents, collector = scen.build(sc)
+        chain = SwarmChain()
+        sim.listeners.append(chain)
         t = 0.0
         while t < sc.duration:
             t = min(sc.duration, t + 0.25)
             sim.run_until(t)
             for a in agents.values():
                 if sim.node_up(a.node):
-                    assert a.gossip.last_swarm_id == a.view.swarm_id, (sc.name, t, a.node)
+                    assert chain.traced[a.node] == a.view.swarm_id, (sc.name, t, a.node)
         splits[sc.name] = collector.report().swarm_splits
     assert splits["partition_heal"] == 7
 

@@ -86,9 +86,16 @@ def test_unknown_event_type_and_move_without_target_rejected():
 
 
 def test_missing_duration_is_a_value_error():
+    """A missing duration is one listed problem, and the walk goes on to
+    the next; `run` refuses the scenario with the whole list."""
     raw = {k: v for k, v in BASE.items() if k != "duration"}
-    with pytest.raises(ValueError, match="duration"):
-        scen.parse_scenario(raw)
+    sc = scen.parse_scenario(dict(raw, events=[{"type": "crash", "node": 42, "at": 5.0}]))
+    assert sc.validate() == ["duration: required", "event crash: unknown node 42"]
+    with pytest.raises(
+        ValueError,
+        match="^invalid scenario: duration: required; event crash: unknown node 42$",
+    ):
+        scen.run(sc)
 
 
 def test_run_refuses_invalid_scenario():

@@ -51,6 +51,9 @@ def test_component_normalization():
     # past-deadline candidate: qos floor at 0
     late = compute_score(1.0, 10.0, -1.0, 0.0, p)
     assert late.qos == 0.0
+    # completion predicted at 0 s: qos 1 unless the deadline has passed
+    assert compute_score(1.0, 0.0, 0.0, 0.0, p).qos == 1.0
+    assert compute_score(1.0, 0.0, -1.0, 0.0, p).qos == 0.0
 
 
 def test_locality_half_at_scale_distance():
