@@ -11,6 +11,7 @@ import pytest
 from swarmsim import agent, execution, executor, gossip, membership, wire
 from swarmsim import scenario as scen
 from swarmsim.dataplane import DataSourceDescriptor
+from swarmsim.model import MAINS, Position, is_mains
 from swarmsim.sim import SimFault, Simulator
 
 from conftest import bench_workloads, deliver_twice, make_task
@@ -594,6 +595,61 @@ def test_a_change_of_the_run_set_republishes_the_profile():
     state = bumped(state)
     executor_agent.antientropy.publish_profile()
     assert published() == state
+
+
+def test_publish_profile_publishes_exactly_when_the_rounded_profile_differs():
+    """`publish_profile` installs a new entry exactly when forced, when it
+    holds none, or when the profile it would publish, built as
+    `profile.with_dyn` with the utilization rounded to 6 digits and a
+    battery level to 4, differs from the held one."""
+    sim, agents, _ = scen.build(scen.parse_scenario(dict(PAIR, tasks=[])))
+    sim.run_until(1.0)
+    a = agents[2]
+    registry, execution = a.registry, a.execution
+
+    def utilization(value):
+        def step():
+            execution.forecast = replace(execution.forecast, ewma_utilization=value)
+        return step
+
+    def battery(level):
+        def step():
+            a.profile = a.profile.with_dyn(battery=level)
+        return step
+
+    def move():
+        a.profile = a.profile.with_dyn(position=Position(3.0, 4.0))
+
+    steps = [
+        ("unchanged", lambda: None, False, False),
+        ("forced", lambda: None, True, True),
+        ("first publish", lambda: registry.evict(2), False, True),
+        ("utilization changed", utilization(0.25), False, True),
+        ("utilization within rounding", utilization(0.25 + 4e-7), False, False),
+        ("utilization past rounding", utilization(0.25 + 6e-7), False, True),
+        ("battery level", battery(0.5), False, True),
+        ("battery within rounding", battery(0.50004), False, False),
+        ("battery past rounding", battery(0.5001), False, True),
+        ("battery to mains", battery(MAINS), False, True),
+        ("mains again", battery(MAINS), False, False),
+        ("moved", move, False, True),
+        ("moved, forced", move, True, True),
+    ]
+    for label, step, force, expected in steps:
+        step()
+        held = registry.entries.get(2)
+        dyn = a.profile.dyn
+        candidate = a.profile.with_dyn(
+            utilization=round(execution.forecast.ewma_utilization, 6),
+            battery=dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4),
+        )
+        assert (force or held is None or candidate != held.profile) == expected, label
+        a.antientropy.publish_profile(force=force)
+        entry = registry.entries[2]
+        assert (entry is not held) == expected, label
+        assert entry.profile == (candidate if expected else held.profile), label
+        if expected and held is not None:
+            assert entry.version == (held.version[0], held.version[1] + 1), label
 
 
 def test_leaving_fails_every_run_and_empties_the_run_table(sent):

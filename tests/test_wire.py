@@ -548,6 +548,64 @@ def test_versioned_maps_cache_what_a_rebuild_gives(owner_type, steps, data):
             assert owner.version_map() is before
 
 
+# -- diff of two version maps ----------------------------------------------
+
+# How one id stands in two maps: the same entry object, equal entries,
+# a newer entry on one side, an entry on one side only, or none.
+_DIFF_CASES = ["shared", "equal", "mine_newer", "theirs_newer", "mine_only", "theirs_only", "none"]
+
+
+def reference_diff(mine, theirs, newer, live) -> tuple:
+    """`diff_versions` id by id: an id is pushed when our live entry wins
+    over the peer's or the peer has none, and wanted the other way."""
+    ours, their = {e[0]: e for e in mine}, {e[0]: e for e in theirs}
+    push = [i for i, a in sorted(ours.items())
+            if live(a) and (i not in their or newer(a, their[i]))]
+    want = [i for i, b in sorted(their.items())
+            if live(b) and (i not in ours or newer(b, ours[i]))]
+    return push, want
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_DIFF_CASES), st.integers(0, 3),
+                       st.booleans(), st.booleans()), max_size=24),
+    st.booleans(),
+)
+def test_diff_versions_matches_a_per_id_reference(cases, decoded):
+    """`diff_versions` of two maps whose entries are shared, equal but
+    distinct, newer on either side or on one side only gives the per-id
+    reference's ids in id order, with a `live` filter that rejects the
+    entries flagged dead; also when the peer's map is decoded lists."""
+    mine, theirs = [], []
+    for i, (case, version, dead, their_dead) in enumerate(cases):
+        entry = wire.ListRecord([i, version, dead])
+        if case in ("shared", "equal", "mine_newer", "mine_only"):
+            mine.append(entry)
+        if case == "shared":
+            theirs.append(entry)
+        elif case == "equal":
+            theirs.append(wire.ListRecord([i, version, dead]))
+        elif case == "mine_newer":
+            theirs.append(wire.ListRecord([i, version - 1, their_dead]))
+        elif case == "theirs_newer":
+            mine.append(entry)
+            theirs.append(wire.ListRecord([i, version + 1, their_dead]))
+        elif case == "theirs_only":
+            theirs.append(wire.ListRecord([i, version, their_dead]))
+    mine = wire.RecordList(mine)
+    theirs = [list(e) for e in theirs] if decoded else wire.RecordList(theirs)
+
+    def newer(a, b):
+        return a[1] > b[1]
+
+    def live(entry):
+        return not entry[2]
+
+    expected = reference_diff(mine, theirs, newer, live)
+    assert wire.diff_versions(mine, theirs, newer, live) == expected
+    assert wire.diff_versions(theirs, mine, newer, live) == expected[::-1]
+
+
 def test_messages_are_read_only_values():
     msg = wire.Message(wire.PING, {"token": 1})
     with pytest.raises(dataclasses.FrozenInstanceError):
