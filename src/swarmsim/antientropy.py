@@ -22,6 +22,8 @@ gossiped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import dataplane, wire
 from .membership import ALIVE
 from .model import NodeId, Position, TaskSpec, distance, is_mains
@@ -42,11 +44,17 @@ class AntiEntropy:
         self.catalog = dataplane.Catalog()
 
     def send_digest(self, round_no: int) -> None:
-        """DIGEST this round's peer: the Alive peers taken in turn."""
-        peers = [n for n in self.agent.view.alive_nodes() if n != self.node]
-        if not peers:
+        """DIGEST this round's peer: the Alive peers taken in turn. The
+        peer is picked by its index in the view's kept alive list, our own
+        position, found by `bisect`, skipped, so no peer list is built."""
+        alive = self.agent.view.alive_nodes()
+        me = bisect_left(alive, self.node)
+        listed = me < len(alive) and alive[me] == self.node
+        count = len(alive) - listed
+        if not count:
             return
-        peer = peers[(round_no // ANTI_ENTROPY_EVERY) % len(peers)]
+        turn = (round_no // ANTI_ENTROPY_EVERY) % count
+        peer = alive[turn + 1 if listed and turn >= me else turn]
         body = {
             "view": self.agent.view.version_hash(),
             "catalog": self.catalog.version_hash(),
@@ -113,16 +121,34 @@ class AntiEntropy:
         """Install our current profile in the registry when it changed or
         when forced; otherwise our entry keeps its version. Each change to
         the set of runs we hold (a reserve, a release, a finished run)
-        forces one; the run set itself is not gossiped."""
+        forces one; the run set itself is not gossiped.
+
+        The profile published has its utilization rounded to 6 digits and
+        a battery level to 4. "Unchanged" is read from the held entry's
+        fields, as equality of that profile with the held one would
+        decide it, so no profile is built unless it is installed."""
         agent = self.agent
         current = self.registry.entries.get(self.node)
-        dyn = agent.profile.dyn
-        candidate = agent.profile.with_dyn(
-            utilization=round(agent.execution.forecast.ewma_utilization, 6),
-            battery=dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4),
+        profile = agent.profile
+        dyn = profile.dyn
+        utilization = round(agent.execution.forecast.ewma_utilization, 6)
+        battery = dyn.battery if is_mains(dyn.battery) else round(dyn.battery, 4)
+        if not force and current is not None:
+            held = current.profile
+            kept = held.dyn
+            if (
+                held.node, held.hw, held.typologies,
+                kept.utilization, kept.battery, kept.position,
+            ) == (
+                profile.node, profile.hw, profile.typologies,
+                utilization, battery, dyn.position,
+            ):
+                return
+        self.registry.local_update(
+            profile.with_dyn(utilization=utilization, battery=battery),
+            agent.incarnation,
+            self.sim.now,
         )
-        if force or current is None or candidate != current.profile:
-            self.registry.local_update(candidate, agent.incarnation, self.sim.now)
 
     # ------------------------------------------------------------------
     # lookups

@@ -48,9 +48,9 @@ class Gossip:
         self.node = agent.node
         self.view = membership.SwarmView(self_node=agent.node)
         self._buffer = {}  # NodeId -> times the view's record of it was sent
-        # (transmit count, NodeId) of every node in `_buffer`, sorted: the
-        # order `pick_deltas` takes them in.
-        self._order = []
+        # Per transmit count, the sorted NodeIds in `_buffer` at that count:
+        # `pick_deltas` takes them count by count, each list in order.
+        self._order = [[] for _ in range(RETRANSMIT_LIMIT)]
         self.alive_since = {}  # peer -> local time it became Alive in my view
         self.session_durations = {}  # peer -> list of completed durations
         self.pending_probes = {}  # target -> token
@@ -96,34 +96,51 @@ class Gossip:
         record is never queued: it rides first in every message anyway."""
         sent = self._buffer.get(node)
         if sent is not None:
-            del self._order[bisect_left(self._order, (sent, node))]
+            queued = self._order[sent]
+            del queued[bisect_left(queued, node)]
         self._buffer[node] = 0
-        insort(self._order, (0, node))
+        insort(self._order[0], node)
 
     def pick_deltas(self) -> wire.RecordList:
         """Our own record, then up to GOSSIP_K - 1 buffered deltas, least
         transmitted first (ties by NodeId); a delta retires once it has been
         sent RETRANSMIT_LIMIT times.
 
-        The picks are the front of `_order`, so the Python work is per
-        picked node, not a sort of the buffer. Each is re-inserted at its
-        new count only after all are taken, so no node is picked twice in
-        one send. Only picked nodes are retired: every other count is below
-        the limit, since counts start at 0 and only picks raise them.
+        The picks are the fronts of the lists in `_order`, lowest count
+        first, so the Python work is per picked node, not a sort of the
+        buffer. Each is re-filed at its new count only after all are taken,
+        so no node is picked twice in one send. Only picked nodes are
+        retired: every other count is below the limit, since counts start
+        at 0 and only picks raise them.
         """
         members = self.view.members
-        picks = [members[self.node].to_dict()]
-        buffer, order = self._buffer, self._order
-        chosen = order[:GOSSIP_K - 1]
-        del order[:GOSSIP_K - 1]
-        for sent, node in chosen:
-            picks.append(members[node].to_dict())
+        picks = [members[self.node].version_entry]
+        buffer = self._buffer
+        room = min(GOSSIP_K - 1, len(buffer))
+        if not room:
+            return wire.RecordList(picks)
+        order = self._order
+        taken = []  # (new transmit count, the nodes picked at the old one)
+        sent = 0
+        while room:
+            nodes = order[sent]
             sent += 1
+            if nodes:
+                picked = nodes[:room]
+                del nodes[:room]
+                room -= len(picked)
+                taken.append((sent, picked))
+        for sent, picked in taken:
             if sent < RETRANSMIT_LIMIT:
-                buffer[node] = sent
-                insort(order, (sent, node))
+                nodes = order[sent]
+                for node in picked:
+                    picks.append(members[node].version_entry)
+                    buffer[node] = sent
+                    insort(nodes, node)
             else:
-                del buffer[node]
+                for node in picked:
+                    picks.append(members[node].version_entry)
+                    del buffer[node]
         return wire.RecordList(picks)
 
     # ------------------------------------------------------------------
@@ -192,15 +209,21 @@ class Gossip:
         """Merge gossiped member records, each a version entry (piggybacked
         deltas, or the records a DELTA or HELLO-ACK carries).
 
-        A record the view already dominates would be a no-op, so it is
-        skipped before decoding. Our own record always takes the slow path:
+        A record the view already holds would be a no-op, so it is skipped
+        before decoding: first by identity, the held record's own entry
+        (shared, see `wire`), which is the common case, and otherwise when
+        the view dominates it. Our own record always takes the slow path:
         refutation must see every claim that we are gone. A merged record is
         the sender's own `MemberState` (`wire.adopt`), not a copy.
         """
-        dominates = self.view.dominates
+        view, me = self.view, self.node
+        members, dominates = view.members, view.dominates
         for d in records:
-            if d[0] != self.node and dominates(d):
-                continue
+            node = d[0]
+            if node != me:
+                held = members.get(node)
+                if held is not None and (held.version_entry is d or dominates(d)):
+                    continue
             self._merge_member(wire.adopt(d, MemberState.from_dict))
 
     def _trace_swarm_change(self, old: NodeId) -> None:
@@ -336,5 +359,6 @@ class Gossip:
         self.view.drop(node)
         sent = self._buffer.pop(node, None)
         if sent is not None:
-            del self._order[bisect_left(self._order, (sent, node))]
+            queued = self._order[sent]
+            del queued[bisect_left(queued, node)]
         self.agent.registry.evict(node)

@@ -209,10 +209,11 @@ class SwarmView(wire.VersionedMap):
         and refutation sees it once it arrives.
         """
         def live(entry: list) -> bool:
-            if len(entry) == 2:  # Alive, which never expires
+            size = len(entry)
+            if size == 2:  # Alive, which never expires
                 return True
-            _, _, rank, last_update_time = _entry_fields(entry)
-            return not expired(_STATUS_OF_RANK[rank], last_update_time, now)
+            last_update_time = entry[3] if size == 4 else 0.0
+            return not expired(_STATUS_OF_RANK[entry[2]], last_update_time, now)
 
         return self.diff_records(remote, _entry_newer, live)
 
@@ -224,16 +225,14 @@ class SwarmView(wire.VersionedMap):
 
     def dominates(self, entry: list) -> bool:
         """True when `apply` of this version entry, decoded, would return
-        False.
+        False: the held record's merge key is at least the entry's.
 
         Lets gossip skip records the view already holds without decoding
-        them; an entry that is the held record's own (shared, see `wire`)
-        is skipped without comparing keys.
+        them; gossip tests an entry that is the held record's own (shared,
+        see `wire`) by identity before it asks.
         """
         current = self.members.get(entry[0])
-        if current is None:
-            return False
-        return current.version_entry is entry or current.key >= _entry_key(entry)
+        return current is not None and current.key >= _entry_key(entry)
 
     def apply(self, incoming: MemberState) -> bool:
         """Merge one member record; returns True when the view changed."""

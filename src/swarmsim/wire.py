@@ -69,22 +69,29 @@ record it stands for:
   [[source, size]...]]` (`model`).
 
 Gossiped records are immutable and ride in many messages, so each is
-wrapped once in the read-only `ListRecord`, which encodes its compact JSON
-at most once. Mutating a record or a `RecordList` raises, so the cached
-text can never go stale; values nested in a record are shared as well and
-must not be mutated either. A record keeps the frozen object it was built
-from, and a receiver that merges the record installs that object (`adopt`),
-so records are shared across agents, not only across the messages of one
-agent: a swarm that has converged holds one copy of each record and encodes
-its JSON once.
+wrapped once in the read-only `ListRecord`, whose compact JSON text
+(`wire_json`) is fixed when it is built: every record is encoded anyway,
+for the hash of a map that holds it or by a send. Mutating a record or a
+`RecordList` raises, so the text can never go stale; values nested in a
+record are shared as well and must not be mutated either. A record keeps
+the frozen object it was built from, and a receiver that merges the record
+installs that object (`adopt`), so records are shared across agents, not
+only across the messages of one agent: a swarm that has converged holds one
+copy of each record and encodes its JSON once.
 
-`encode` splices those cached texts in where records occur in traffic: a
-body field that is a `ListRecord` (an OFFER's task) is its text, and one
-that is a `RecordList` (the records of a DELTA or HELLO-ACK, a version map
-in a HELLO or a DIGEST), or the deltas, is its records' texts joined by
-commas. Every other value goes to the C encoder with the same settings,
-which emits a record nested anywhere else as the list it is, only without
-the cache.
+`encode` splices those texts in where records occur in traffic: a body
+field that is a `ListRecord` (an OFFER's task) is its text, and one that is
+a `RecordList` (the records of a DELTA or HELLO-ACK, a version map in a
+HELLO or a DIGEST), or the deltas, is its records' texts joined by commas.
+An int (a PING's or ACK's `token`, a `task_id`, an `attempt`) is its
+`repr` and a str is quoted by the C encoder's own string function, with no
+trip through the C encoder. Every other value goes to the C encoder with
+the same settings, which emits a record nested anywhere else as the list it
+is, only without the kept text.
+
+Each map's hash text is kept too: `VersionedMap.version_hash` formats the
+hash sum once per change and keeps the text beside the kept map, for every
+DIGEST, every reconcile and every convergence sample that reads it.
 """
 
 from __future__ import annotations
@@ -94,8 +101,9 @@ import zlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from itertools import compress, count
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, is_not, itemgetter
 
 # Membership / discovery
 HELLO = "HELLO"
@@ -172,31 +180,25 @@ class _ReadOnlyList(list):
 
 class ListRecord(_ReadOnlyList):
     """A gossiped record's wire form, a list that begins with the record's
-    version entry: read-only, its JSON encoded at most once, built once per
-    frozen record object (`source`) and shared by the version map (for a
-    member) and every message that carries it."""
+    version entry: read-only, its JSON encoded when it is built, built once
+    per frozen record object (`source`) and shared by the version map (for
+    a member) and every message that carries it."""
 
-    __slots__ = ("_wire", "_term", "source")
+    __slots__ = ("wire_json", "_term", "source")
 
     def __init__(self, value, source=None):
         super().__init__(value)
-        self._wire = None
+        # `json.dumps(self, sort_keys=True, separators=(",", ":"))`
+        self.wire_json = _encode_wire(self)
         self._term = None
         self.source = source
 
-    def wire_json(self) -> str:
-        """`json.dumps(self, sort_keys=True, separators=(",", ":"))`, cached."""
-        text = self._wire
-        if text is None:
-            text = self._wire = _encode_wire(self)
-        return text
-
     def hash_term(self) -> int:
-        """64 bits of blake2b of `wire_json()`, cached: this entry's term in
+        """64 bits of blake2b of `wire_json`, cached: this entry's term in
         the hash of a version map that holds it (`VersionedMap`)."""
         term = self._term
         if term is None:
-            digest = blake2b(self.wire_json().encode(), digest_size=8).digest()
+            digest = blake2b(self.wire_json.encode(), digest_size=8).digest()
             term = self._term = int.from_bytes(digest, "big")
         return term
 
@@ -205,25 +207,35 @@ class RecordList(_ReadOnlyList):
     """A read-only list of `ListRecord`s, e.g. the records of a DELTA or a
     member version map.
 
-    Its JSON is its members' cached texts joined on each use; the joined text
-    is not kept, since lists are rebuilt often and would hold it for the run.
+    Its JSON is its members' texts joined on each use; the joined text is
+    not kept, since lists are rebuilt often and would hold it for the run.
     """
 
     __slots__ = ()
 
 
+_wire_of = attrgetter("wire_json")  # a `ListRecord`'s text
+
+
 def _records_json(records) -> str:
-    """A `RecordList`'s wire JSON: its members' cached texts, joined."""
-    return "[" + ",".join([r.wire_json() for r in records]) + "]"
+    """A `RecordList`'s wire JSON: its members' texts, joined."""
+    return "[" + ",".join(map(_wire_of, records)) + "]"
+
+
+# A value's wire JSON by its exact type: an int's `repr`, a str quoted as
+# the C encoder quotes it, a record's text, a `RecordList` joined from its
+# records' texts; any other type goes to the C encoder (`_value_json`).
+_JSON_OF = {
+    int: repr,
+    str: encode_basestring_ascii,
+    ListRecord: _wire_of,
+    RecordList: _records_json,
+}
 
 
 def _value_json(value) -> str:
-    """A value's wire JSON: a record's cached text, a `RecordList` joined
-    from its records' cached texts, anything else from the C encoder."""
-    kind = type(value)
-    if kind is RecordList:
-        return _records_json(value)
-    return value.wire_json() if kind is ListRecord else _encode_wire(value)
+    """A value's wire JSON (`_JSON_OF`)."""
+    return _JSON_OF.get(type(value), _encode_wire)(value)
 
 
 _entry_id = itemgetter(0)  # a version entry's id
@@ -236,11 +248,32 @@ def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
     entry. An id is pushed when our entry holds something the peer's lacks
     (`newer(ours, theirs)`, or the peer has none), and wanted in the other
     direction; an entry for which `live(entry)` is False is neither pushed
-    nor wanted. An entry that is the peer's own (shared, as records are) is
-    equal without comparing, and so are two maps whose entries all are.
+    nor wanted.
+
+    An entry that is the peer's own (shared, as records are) is equal
+    without comparing, so entries are tested by identity first, position
+    by position, in C (`map(is_not, ...)`), before any is read: two maps
+    whose entries all are shared are equal at once; maps of the same ids
+    compare only the pairs at positions that differ; otherwise the shared
+    runs at both ends are cut off and what is left is walked in id order.
     """
     if mine == theirs:
         return [], []
+    n, m = len(mine), len(theirs)
+    if n == m:
+        pairs = [(mine[k], theirs[k]) for k in compress(range(n), map(is_not, mine, theirs))]
+        if all([a[0] == b[0] for a, b in pairs]):
+            push, want = [], []
+            for a, b in pairs:
+                if live(a) and newer(a, b):
+                    push.append(a[0])
+                if live(b) and newer(b, a):
+                    want.append(b[0])
+            return push, want
+    # Shared runs at the front and at the back.
+    lo = next(compress(count(), map(is_not, mine, theirs)), min(n, m))
+    hi = min(next(compress(count(), map(is_not, reversed(mine), reversed(theirs))), n), min(n, m) - lo)
+    mine, theirs = mine[lo:n - hi], theirs[lo:m - hi]
     push, want = [], []
     i = j = 0
     n, m = len(mine), len(theirs)
@@ -285,6 +318,7 @@ class VersionedMap:
         self.records: dict = {}
         self._entries: list = []  # every record's version entry, in id order
         self._map = None  # `version_map()`, until the next change
+        self._hash = None  # `version_hash()`, until the next change
         self._sum = 0  # sum of the entries' `hash_term`s, mod 2^64
 
     def put(self, key, record) -> None:
@@ -309,10 +343,10 @@ class VersionedMap:
         return True
 
     def changed(self, old, new) -> None:
-        """Forget the kept map and move the hash sum by the delta: `put`
-        replaced `old` (None when it added `new`), or `drop` dropped it
-        (`new` is None)."""
-        self._map = None
+        """Forget the kept map and hash text and move the hash sum by the
+        delta: `put` replaced `old` (None when it added `new`), or `drop`
+        dropped it (`new` is None)."""
+        self._map = self._hash = None
         total = self._sum
         if old is not None:
             total -= old.version_entry.hash_term()
@@ -331,8 +365,12 @@ class VersionedMap:
 
     def version_hash(self) -> str:
         """The map's hash, as a periodic DIGEST carries it and the
-        convergence checks compare it: the AdHash sum in 16 hex characters."""
-        return format(self._sum, "016x")
+        convergence checks compare it: the AdHash sum in 16 hex characters,
+        formatted once per change."""
+        text = self._hash
+        if text is None:
+            text = self._hash = format(self._sum, "016x")
+        return text
 
     def diff_records(self, remote: list, newer, live=lambda entry: True) -> tuple:
         """(our records a peer's version map lacks, ids whose record there
@@ -362,17 +400,19 @@ class Message:
 def encode(msg: Message) -> bytes:
     """`[kind, [body fields in BODY_FIELDS order], deltas]`, compact: an
     absent field is null, and trailing nulls are dropped."""
-    if msg.kind not in ALL_KINDS:
-        raise ValueError(f"unknown message kind: {msg.kind}")
-    body, allowed = msg.body, _FIELD_SETS[msg.kind]
+    kind, body = msg.kind, msg.body
+    if kind not in ALL_KINDS:
+        raise ValueError(f"unknown message kind: {kind}")
+    allowed = _FIELD_SETS[kind]
     if not body.keys() <= allowed:
-        raise ValueError(f"{msg.kind} has no field {sorted(body.keys() - allowed)}")
-    values = [body.get(name) for name in BODY_FIELDS[msg.kind]]
+        raise ValueError(f"{kind} has no field {sorted(body.keys() - allowed)}")
+    values = list(map(body.get, BODY_FIELDS[kind]))
     while values and values[-1] is None:
         values.pop()
+    json_of = _JSON_OF.get
     return (
-        '["' + msg.kind + '",['
-        + ",".join(["null" if v is None else _value_json(v) for v in values])
+        '["' + kind + '",['
+        + ",".join(["null" if v is None else json_of(type(v), _encode_wire)(v) for v in values])
         + "]," + _value_json(msg.deltas) + "]"
     ).encode()
 
@@ -392,4 +432,4 @@ def decode(data: bytes) -> Message:
 
 def digest(data: bytes) -> str:
     """Short stable content digest for trace records."""
-    return format(zlib.crc32(data), "08x")
+    return "%08x" % zlib.crc32(data)

@@ -211,7 +211,7 @@ def test_wire_schema_is_flat():
         version=(1, 3),
         stamped_time=7.5,
     )
-    held = entry.to_dict().wire_json()
+    held = entry.to_dict().wire_json
     assert held == '[2,1,3,7.5,1.0,1024,10.0,0.0,0.0,"MAINS",40.0,0.0,["generic"]]'
     assert len(held) <= 64
     battery = RegistryEntry(
@@ -221,23 +221,23 @@ def test_wire_schema_is_flat():
         version=(0, 1),
         stamped_time=0.0,
     )
-    assert battery.to_dict().wire_json() == (
+    assert battery.to_dict().wire_json == (
         '[3,0,1,0.0,1.0,1024,10.0,0.002,0.0,0.5,0.0,0.0,["audio","vision"]]'
     )
     member = membership.MemberState(
         node=5, status=membership.DEAD, incarnation=2, last_update_time=1.5
     )
-    assert member.to_dict().wire_json() == "[5,2,2,1.5]"
+    assert member.to_dict().wire_json == "[5,2,2,1.5]"
     catalog = CatalogRecord(
         DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({5, 2}))
     )
-    assert catalog.to_dict().wire_json() == "[4,[2,5],2,1.0]"
+    assert catalog.to_dict().wire_json == "[4,[2,5],2,1.0]"
     for obj in (entry, battery, member, catalog):
         rec = obj.to_dict()
         assert rec[:len(obj.version_entry)] == obj.version_entry
     # An OFFER's task: its seven fields and nothing more (no QoS field).
     task = make_task(deadline=12.5, inputs=[DataInput(3, 2.5)])
-    assert task.to_dict().wire_json() == '[1,"generic",1.0,64,12.5,1,[[3,2.5]]]'
+    assert task.to_dict().wire_json == '[1,"generic",1.0,64,12.5,1,[[3,2.5]]]'
     assert task.to_dict() is task.to_dict() and task.to_dict().source is task
 
 
@@ -258,4 +258,4 @@ def test_wire_schema_is_flat():
 ])
 def test_entry_round_trips_through_its_wire_form(entry):
     assert RegistryEntry.from_dict(entry.to_dict()) == entry
-    assert RegistryEntry.from_dict(json.loads(entry.to_dict().wire_json())) == entry
+    assert RegistryEntry.from_dict(json.loads(entry.to_dict().wire_json)) == entry

@@ -273,9 +273,9 @@ def test_records_and_record_lists_are_read_only():
             with pytest.raises(TypeError, match="read-only"):
                 mutate(target, item)
     assert rec == [4, [2, 5], 2, 1.0]
-    assert rec.wire_json() == "[4,[2,5],2,1.0]"
+    assert rec.wire_json == "[4,[2,5],2,1.0]"
     assert entry == [1, 0, 0, 0.0]
-    assert entry.wire_json() == "[1,0,0,0.0]"
+    assert entry.wire_json == "[1,0,0,0.0]"
     assert batch == [rec, entry]
 
 
@@ -288,12 +288,12 @@ def test_gossiped_records_are_built_once_and_read_only():
     for obj in (state, entry, catalog):
         rec = obj.to_dict()
         assert type(rec) is wire.ListRecord and obj.to_dict() is rec
-        assert type(obj).from_dict(json.loads(rec.wire_json())) == obj
+        assert type(obj).from_dict(json.loads(rec.wire_json)) == obj
         with pytest.raises(TypeError, match="read-only"):
             rec[0] = 9
     # A member record's one wire form is its version entry, 11 bytes here.
     assert state.to_dict() is state.version_entry
-    assert state.to_dict().wire_json() == "[2,1,0,0.5]"
+    assert state.to_dict().wire_json == "[2,1,0,0.5]"
 
 
 def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
@@ -301,7 +301,7 @@ def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
     rec = state.to_dict()
     assert rec.source is state
     assert wire.adopt(rec, MemberState.from_dict) is state
-    plain = json.loads(rec.wire_json())
+    plain = json.loads(rec.wire_json)
     assert type(plain) is list
     rebuilt = wire.adopt(plain, MemberState.from_dict)
     assert rebuilt == state and rebuilt is not state
@@ -382,10 +382,10 @@ def test_every_record_survives_the_wire(obj, a, b):
     its wire form begins with its version entry; and two members' encoded
     entries order as their states' merge keys do."""
     rec = obj.to_dict()
-    assert type(obj).from_dict(json.loads(rec.wire_json())) == obj
+    assert type(obj).from_dict(json.loads(rec.wire_json)) == obj
     entry = obj.version_entry
     assert rec[:len(entry)] == entry
-    wire_a, wire_b = json.loads(a.to_dict().wire_json()), json.loads(b.to_dict().wire_json())
+    wire_a, wire_b = json.loads(a.to_dict().wire_json), json.loads(b.to_dict().wire_json)
     assert membership._entry_newer(wire_a, wire_b) == (
         membership.merge_key(a.status, a.incarnation, a.last_update_time)
         > membership.merge_key(b.status, b.incarnation, b.last_update_time)
