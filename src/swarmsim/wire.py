@@ -261,7 +261,8 @@ def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
         return [], []
     n, m = len(mine), len(theirs)
     if n == m:
-        pairs = [(mine[k], theirs[k]) for k in compress(range(n), map(is_not, mine, theirs))]
+        differ = compress(range(n), map(is_not, mine, theirs))
+        pairs = [(mine[k], theirs[k]) for k in differ]
         if all([a[0] == b[0] for a, b in pairs]):
             push, want = [], []
             for a, b in pairs:
@@ -270,9 +271,11 @@ def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
                 if live(b) and newer(b, a):
                     want.append(b[0])
             return push, want
-    # Shared runs at the front and at the back.
-    lo = next(compress(count(), map(is_not, mine, theirs)), min(n, m))
-    hi = min(next(compress(count(), map(is_not, reversed(mine), reversed(theirs))), n), min(n, m) - lo)
+    # Cut the shared runs at the front and at the back.
+    short = min(n, m)
+    lo = next(compress(count(), map(is_not, mine, theirs)), short)
+    hi = next(compress(count(), map(is_not, reversed(mine), reversed(theirs))), short)
+    hi = min(hi, short - lo)
     mine, theirs = mine[lo:n - hi], theirs[lo:m - hi]
     push, want = [], []
     i = j = 0
@@ -410,11 +413,10 @@ def encode(msg: Message) -> bytes:
     while values and values[-1] is None:
         values.pop()
     json_of = _JSON_OF.get
-    return (
-        '["' + kind + '",['
-        + ",".join(["null" if v is None else json_of(type(v), _encode_wire)(v) for v in values])
-        + "]," + _value_json(msg.deltas) + "]"
-    ).encode()
+    fields = ",".join(
+        ["null" if v is None else json_of(type(v), _encode_wire)(v) for v in values]
+    )
+    return ('["' + kind + '",[' + fields + "]," + _value_json(msg.deltas) + "]").encode()
 
 
 def decode(data: bytes) -> Message:
