@@ -131,14 +131,15 @@ class Gossip:
                 room -= len(picked)
                 taken.append((sent, picked))
         for sent, picked in taken:
-            picks.extend([members[node].version_entry for node in picked])
             if sent < RETRANSMIT_LIMIT:
                 nodes = order[sent]
                 for node in picked:
+                    picks.append(members[node].version_entry)
                     buffer[node] = sent
                     insort(nodes, node)
             else:
                 for node in picked:
+                    picks.append(members[node].version_entry)
                     del buffer[node]
         return wire.RecordList(picks)
 
