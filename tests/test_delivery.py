@@ -6,7 +6,8 @@ record installs the sender's frozen object (`wire.adopt`), not a `from_dict`
 rebuild. Both are sound only while every message is a value of JSON-native
 types that nobody writes to, and every gossiped record is exactly what
 `from_dict` would rebuild. These tests check both on every delivery and every
-adoption of the shipped scenarios.
+adoption of the shipped scenarios and of two small generated runs of
+`bench/workloads.py`, which churn and rejoin far more than the shipped ones.
 """
 
 import dataclasses
@@ -17,7 +18,24 @@ import pytest
 from swarmsim import scenario as scen, wire
 from swarmsim.sim import Simulator
 
+from conftest import bench_workloads
+
 SCENARIOS = sorted(glob.glob("scenarios/*.yaml"))
+# Generated runs small enough for a per-message check: (workload, seed,
+# size, value), as the generated pins of `test_trace` name them.
+GENERATED = [("swarm64_churn", 1, "n", 16), ("tasks16_dense", 1, "tasks", 40)]
+
+
+def load(case):
+    """A shipped scenario by path, or a generated run by its `GENERATED` tuple."""
+    if isinstance(case, str):
+        return scen.load_scenario(case)
+    name, seed, size, value = case
+    return scen.parse_scenario(bench_workloads().generate(name, seed, **{size: value}).raw)
+
+
+def case_id(case) -> str:
+    return case if isinstance(case, str) else "-".join(map(str, case))
 
 # The containers a delivered value may use where `decode` gives dict or list.
 LISTS = (list, wire.ListRecord, wire.RecordList)
@@ -68,8 +86,8 @@ def assert_same_fields(obj, rebuilt, path):
         assert obj == rebuilt, path
 
 
-@pytest.mark.parametrize("path", SCENARIOS)
-def test_delivered_messages_and_adopted_records_match_decoding(path, monkeypatch):
+@pytest.mark.parametrize("case", SCENARIOS + GENERATED, ids=case_id)
+def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch):
     encoded = {}  # msg_id -> bytes as sent
     counts = {"deliveries": 0, "adopted": 0, "shared": 0}
     send, deliver, adopt = Simulator.send, Simulator._deliver, wire.adopt
@@ -103,7 +121,7 @@ def test_delivered_messages_and_adopted_records_match_decoding(path, monkeypatch
     monkeypatch.setattr(Simulator, "send", recording_send)
     monkeypatch.setattr(Simulator, "_deliver", checked_deliver)
     monkeypatch.setattr(wire, "adopt", checked_adopt)
-    result = scen.run(scen.load_scenario(path))
+    result = scen.run(load(case))
     assert result.report.balance_holds()
     assert counts["deliveries"] > 100
     # Every merged record came from a peer's message and is the peer's object.
