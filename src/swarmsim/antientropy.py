@@ -8,7 +8,11 @@ SOSP 2007). Where the peer's hash of a part is the same, nothing more is
 sent; where it differs, the peer answers with one DIGEST holding its maps of
 those parts. A map is answered with one DELTA holding the records the map
 lacks and `want_*` lists of what the answering side lacks, and the wanted
-records follow in one more DELTA. So two sides that agree exchange one
+records follow in one more DELTA. A registry entry goes in its dynamic
+form, without the node's hardware and typologies, to a peer that keeps
+them: one whose map lists the node, or one whose `want_registry` list
+names the id plainly rather than in its trailing list of ids whose static
+part it lacks (see `registry`). So two sides that agree exchange one
 message, and a map travels only for a part that differs. HELLO carries the
 view's map and HELLO-ACK answers it the same way. Each life starts its
 rounds at a random phase, so a peer answers DIGESTs spread over the period
@@ -27,7 +31,7 @@ from bisect import bisect_left
 from . import dataplane, wire
 from .membership import ALIVE
 from .model import NodeId, Position, TaskSpec, distance, is_mains
-from .registry import Registry, RegistryEntry
+from .registry import Registry
 
 ANTI_ENTROPY_EVERY = 2  # probe rounds between DIGESTs
 STATUS_REFRESH_EVERY = 2  # probe rounds between profile publish checks
@@ -68,8 +72,9 @@ class AntiEntropy:
         differs puts our version map under its key in one DIGEST back. A
         part's version map is answered with a `reply_kind` message: under
         the map's key our records it lacks, under `want_<key>` the ids whose
-        record there holds something ours lacks. Empty parts are left out,
-        and an empty answer is not sent. A DIGEST of maps is thus answered
+        record there holds something ours lacks, each part's owner choosing
+        the forms (`wire_forms`) and the marking (`mark_wanted`). Empty
+        parts are left out, and an empty answer is not sent. A DIGEST of maps is thus answered
         by a DELTA, never by another DIGEST."""
         view = self.agent.view
         parts = (
@@ -88,9 +93,9 @@ class AntiEntropy:
                 continue
             push, want = diff(theirs)
             if push:
-                reply[key] = wire.RecordList(r.to_dict() for r in push)
+                reply[key] = owner.wire_forms(push, theirs)
             if want:
-                reply["want_" + key] = want
+                reply["want_" + key] = owner.mark_wanted(want)
         if maps:
             self.agent.send(frm, wire.DIGEST, maps)
         if reply:
@@ -98,22 +103,22 @@ class AntiEntropy:
 
     def handle_delta(self, frm: NodeId, body: dict) -> None:
         """Merge the records of a DELTA or HELLO-ACK, then send the records
-        its `want_*` lists ask for in one more DELTA. A wanted tombstone that
+        its `want_*` lists ask for in one more DELTA (`answer_wanted`). A wanted tombstone that
         expired in between is dropped by the receiver's merge."""
         self.agent.gossip.merge_deltas(body.get("view", ()))
         for doc in body.get("catalog", ()):
             self.catalog.merge(wire.adopt(doc, dataplane.CatalogRecord.from_dict))
         for doc in body.get("registry", ()):
-            self.registry.merge(wire.adopt(doc, RegistryEntry.from_dict))
+            self.registry.merge_wire(doc)
         reply = {}
-        for key, held in (
-            ("view", self.agent.view.members),
-            ("catalog", self.catalog.records),
-            ("registry", self.registry.entries),
+        for key, owner in (
+            ("view", self.agent.view), ("catalog", self.catalog), ("registry", self.registry),
         ):
-            wanted = [held[i].to_dict() for i in body.get("want_" + key, ()) if i in held]
-            if wanted:
-                reply[key] = wire.RecordList(wanted)
+            want = body.get("want_" + key)
+            if want:
+                wanted = owner.answer_wanted(want)
+                if wanted:
+                    reply[key] = wire.RecordList(wanted)
         if reply:
             self.agent.send(frm, wire.DELTA, reply)
 

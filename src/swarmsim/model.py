@@ -63,6 +63,16 @@ class DynamicStatus:
     battery: BatteryLevel  # [0, 1] or MAINS
     position: Position
 
+    @classmethod
+    def from_dict(cls, d: list) -> "DynamicStatus":
+        """The status `[utilization, battery, x, y]` stands for."""
+        utilization, battery, x, y = d
+        return cls(
+            utilization=float(utilization),
+            battery=battery if is_mains(battery) else float(battery),
+            position=Position(float(x), float(y)),
+        )
+
 
 @dataclass(frozen=True)
 class DataInput:
@@ -127,8 +137,7 @@ class NodeProfile:
 
     @classmethod
     def from_dict(cls, d: list) -> "NodeProfile":
-        (node, cpu_perf_index, memory, link_bandwidth, drain_rate,
-         utilization, battery, x, y, typologies) = d
+        node, cpu_perf_index, memory, link_bandwidth, drain_rate, *dyn, typologies = d
         return cls(
             node=int(node),
             hw=StaticHardwareProfile(
@@ -137,11 +146,7 @@ class NodeProfile:
                 link_bandwidth=float(link_bandwidth),
                 drain_rate=float(drain_rate),
             ),
-            dyn=DynamicStatus(
-                utilization=float(utilization),
-                battery=battery if is_mains(battery) else float(battery),
-                position=Position(float(x), float(y)),
-            ),
+            dyn=DynamicStatus.from_dict(dyn),
             typologies=frozenset(typologies),
         )
 

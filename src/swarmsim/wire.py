@@ -31,8 +31,11 @@ map of that part (the first level of Dynamo's Merkle exchange). A map is
 answered, as a HELLO's is, by a HELLO-ACK or DELTA that carries only the
 records the map lacks, under the map's key, and the ids whose record the
 answering side lacks, under `want_<key>`; the wanted records follow in one
-more DELTA. A part with nothing in it is left out, and an answer with no
-parts is not sent. Like records, each entry is a `ListRecord` built once per
+more DELTA. A `want_registry` list marks which ids the asker already holds
+the static part of: those ids plainly, then the others as one trailing
+list, so `[3,5,[7]]` is answered with the dynamic forms of 3 and 5 and the
+full form of 7 (`registry`). A part with nothing in it is left out, and an
+answer with no parts is not sent. Like records, each entry is a `ListRecord` built once per
 record and shared by every map that holds it, so maps of agents that agree
 compare equal entry by entry without a walk. A member's entry and its record
 are one object, so the view's map and the view's records are the same
@@ -61,7 +64,10 @@ record it stands for:
   `[5,0,0,0.0]` is 11 (`membership`);
 - registry entry: `[node, incarnation, status_version, stamped_time,
   cpu_perf_index, memory, link_bandwidth, drain_rate, utilization, battery,
-  x, y, [typologies...]]` (`registry`);
+  x, y, [typologies...]]`, or, to a peer that keeps the node's static part
+  (hardware and typologies, which never change), the dynamic form
+  `[node, incarnation, status_version, stamped_time, utilization, battery,
+  x, y]` (`registry`);
 - catalog record: `[id, [replicas...], owner, size]`, whose version entry
   is `[id]` alone, since a source's record is written once (`dataplane`);
 - an OFFER's task, not gossiped but built once per task all the same:
@@ -381,6 +387,22 @@ class VersionedMap:
         `remote`, the pushed ids looked up. One id can be in both."""
         push, want = diff_versions(self.version_map(), remote, newer, live)
         return [self.records[i] for i in push], want
+
+    def wire_forms(self, records: list, remote: list) -> RecordList:
+        """`records`, pushed to a peer whose version map is `remote`, as
+        they travel: each record's wire form (`to_dict`)."""
+        return RecordList(r.to_dict() for r in records)
+
+    def mark_wanted(self, want: list) -> list:
+        """`want`, ids whose record we lack, as the `want_<part>` list that
+        asks for them: the ids themselves."""
+        return want
+
+    def answer_wanted(self, want: list) -> list:
+        """The wire forms of the records a `want_<part>` list
+        (`mark_wanted`) asks for that we hold."""
+        records = self.records
+        return [records[i].to_dict() for i in want if i in records]
 
 
 def adopt(record, from_dict):

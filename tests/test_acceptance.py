@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "8178dc9fcdf7442b9377e26fcd31220e5e59b2e63a6cab1ffa0c49e73fdde804",
-    "heavy_churn": "73e0f348fa3a93fdc2e21109584f8bcb5b6729534e274072e43f1cbb17f296f2",
-    "partition_heal": "02cc8dcac99c580899ddb13e22ba80caa1336bdc855e6481933d5d7756de7561",
-    "steady_state": "1868b346d8ba1140824e107e9292ce055c91627cdc6ded7c43af0c7748dd944d",
+    "data_locality": "1a78b43383e37a3485dd352af8c3defad2ad46c3f4f8c2d97030d43a918aa84f",
+    "heavy_churn": "504dffcb0040a9b5fc70784e93d756c3e87bfdf77f964f436e4d9776058454f3",
+    "partition_heal": "e17125809433ac8de2ccd06d9a080bf365970b11577c122b2167365c3cdb9a92",
+    "steady_state": "35befd85ddde48ea11953f699d45cb75f275eeea69eabe5c1655e58df71f667c",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

@@ -16,6 +16,7 @@ import glob
 import pytest
 
 from swarmsim import scenario as scen, wire
+from swarmsim.registry import RegistryEntry
 from swarmsim.sim import Simulator
 
 from conftest import bench_workloads
@@ -89,7 +90,7 @@ def assert_same_fields(obj, rebuilt, path):
 @pytest.mark.parametrize("case", SCENARIOS + GENERATED, ids=case_id)
 def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch):
     encoded = {}  # msg_id -> bytes as sent
-    counts = {"deliveries": 0, "adopted": 0, "shared": 0}
+    counts = {"deliveries": 0, "adopted": 0, "shared": 0, "dynamic": 0}
     send, deliver, adopt = Simulator.send, Simulator._deliver, wire.adopt
 
     def recording_send(self, frm, to, msg):
@@ -116,6 +117,9 @@ def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch
         assert_same_fields(obj, rebuilt, type(obj).__name__)
         counts["adopted"] += 1
         counts["shared"] += obj is record.source
+        # A registry entry's dynamic form, completed from the receiver's
+        # own kept static part by the `from_dict` it was handed.
+        counts["dynamic"] += type(obj) is RegistryEntry and record is obj.dynamic_record
         return obj
 
     monkeypatch.setattr(Simulator, "send", recording_send)
@@ -126,6 +130,8 @@ def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch
     assert counts["deliveries"] > 100
     # Every merged record came from a peer's message and is the peer's object.
     assert counts["adopted"] > 0 and counts["shared"] == counts["adopted"]
+    # Every run gossips registry entries to peers that hold their node's.
+    assert counts["dynamic"] > 0
 
 
 def test_decoded_form_check_rejects_what_decoding_would_change():

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmsim import membership, scenario as scen
+from dataclasses import replace
+
+from swarmsim import membership, scenario as scen, wire
 from swarmsim.dataplane import CatalogRecord, DataSourceDescriptor
 from swarmsim.model import DataInput
-from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry
+from swarmsim.registry import ForeignUpdateError, Registry, RegistryEntry, StaticProfileError
 
 from conftest import make_profile, make_task, reference_map_hash
 
@@ -259,3 +261,100 @@ def test_wire_schema_is_flat():
 def test_entry_round_trips_through_its_wire_form(entry):
     assert RegistryEntry.from_dict(entry.to_dict()) == entry
     assert RegistryEntry.from_dict(json.loads(entry.to_dict().wire_json)) == entry
+
+
+def test_dynamic_form_is_the_full_form_less_the_static_part():
+    entry = RegistryEntry(
+        node=3,
+        profile=make_profile(node=3, battery=0.5, drain_rate=0.002, position=(4.0, 2.5),
+                             typologies=("vision", "audio")),
+        version=(0, 1),
+        stamped_time=7.25,
+    )
+    assert entry.dynamic_record.wire_json == '[3,0,1,7.25,0.0,0.5,4.0,2.5]'
+    full = entry.to_dict()
+    assert entry.dynamic_record == [*full[:4], *full[8:12]]
+    assert entry.dynamic_record is entry.dynamic_record
+    assert entry.dynamic_record.source is entry
+
+
+def test_static_part_survives_evict_and_completes_a_dynamic_form():
+    """A registry keeps a node's static part across `evict`, so a dynamic
+    form of an evicted node still decodes, into the entry it stands for."""
+    reg = Registry(owner=1)
+    old = RegistryEntry(
+        node=2, profile=make_profile(node=2, battery=0.5, drain_rate=0.01,
+                                     typologies=("vision",)),
+        version=(0, 3), stamped_time=1.0,
+    )
+    assert reg.merge(old)
+    assert reg.evict(2) and 2 not in reg.entries
+    new = replace(old, profile=old.profile.with_dyn(utilization=0.25, battery=0.4),
+                  version=(1, 1), stamped_time=9.5)
+    for form in (new.dynamic_record, json.loads(new.dynamic_record.wire_json)):
+        decoded = reg.entry_from_dict(form)
+        assert decoded == new
+        assert decoded.profile.hw is old.profile.hw  # completed from the kept part
+    # A full form decodes as `RegistryEntry.from_dict` reads it.
+    assert reg.entry_from_dict(json.loads(new.to_dict().wire_json)) == new
+    # A dynamic form of a node never held cannot be completed.
+    with pytest.raises(StaticProfileError):
+        reg.entry_from_dict(entry_for(7).dynamic_record)
+
+
+def test_a_full_form_with_other_hardware_raises():
+    reg = Registry(owner=1)
+    held = entry_for(2, sv=1)
+    assert reg.merge_wire(held.to_dict())
+    same = entry_for(2, sv=2)  # an equal static part, not the same objects
+    assert reg.merge_wire(json.loads(same.to_dict().wire_json))
+    for static in ({"drain_rate": 0.01}, {"memory": 2048}, {"typologies": ("vision",)}):
+        other = RegistryEntry(node=2, profile=make_profile(node=2, **static),
+                              version=(0, 3), stamped_time=0.0)
+        with pytest.raises(StaticProfileError):
+            reg.merge_wire(other.to_dict())
+        assert reg.entries[2].version == (0, 2)
+    # Its dynamic form, which carries no static part, merges.
+    assert reg.merge_wire(other.dynamic_record)
+
+
+@pytest.mark.parametrize("kept, want", [
+    ((), [3, 5]),
+    ((3, 5), [3, 5]),
+    ((5,), [3, 5, 9]),
+])
+def test_want_marking_round_trips_through_the_codec(kept, want):
+    """The asker lists the wanted ids whose static part it keeps, then the
+    others in one trailing list; the answerer sends the dynamic form of the
+    first and the full form of the others, from the decoded message too."""
+    asker, answerer = Registry(owner=1), Registry(owner=2)
+    for node in kept:
+        asker.merge(entry_for(node, sv=1))
+    for node in want:
+        answerer.merge(entry_for(node, sv=2, t=float(node)))
+    marked = asker.mark_wanted(want)
+    msg = wire.Message(wire.DELTA, {"want_registry": marked})
+    decoded = wire.decode(wire.encode(msg)).body["want_registry"]
+    assert decoded == marked
+    for body in (marked, decoded):
+        records = answerer.answer_wanted(body)
+        assert sorted(r[0] for r in records) == sorted(want)
+        for r in records:
+            entry = answerer.entries[r[0]]
+            assert r is (entry.dynamic_record if r[0] in kept else entry.to_dict())
+            assert asker.entry_from_dict(json.loads(r.wire_json)) == entry
+    if set(kept) == set(want):
+        assert marked is want  # nothing marked: the list as it was
+
+
+def test_pushed_entries_go_dynamic_to_a_peer_whose_map_lists_their_node():
+    reg, peer = Registry(owner=1), Registry(owner=9)
+    for node in (2, 3, 4, 6):
+        reg.merge(entry_for(node, sv=2))
+    for node in (2, 4, 5):
+        peer.merge(entry_for(node, sv=1))
+    push, _ = reg.diff(peer.version_map())
+    forms = reg.wire_forms(push, peer.version_map())
+    assert type(forms) is wire.RecordList
+    assert [(r[0], len(r)) for r in forms] == [(2, 8), (3, 13), (4, 8), (6, 13)]
+    assert all(r.source is reg.entries[r[0]] for r in forms)
