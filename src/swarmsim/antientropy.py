@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from . import dataplane, wire
-from .membership import ALIVE
+from .membership import ALIVE, declared_time
 from .model import NodeId, Position, TaskSpec, distance, is_mains
 from .registry import Registry
 
@@ -129,7 +129,8 @@ class AntiEntropy:
         forces one; the run set itself is not gossiped.
 
         The profile published has its utilization rounded to 6 digits and
-        a battery level to 4. "Unchanged" is read from the held entry's
+        a battery level to 4, and the entry's `stamped_time` is the
+        declared time of now (`membership.declared_time`). "Unchanged" is read from the held entry's
         fields, as equality of that profile with the held one would
         decide it, so no profile is built unless it is installed."""
         agent = self.agent
@@ -152,7 +153,7 @@ class AntiEntropy:
         self.registry.local_update(
             profile.with_dyn(utilization=utilization, battery=battery),
             agent.incarnation,
-            self.sim.now,
+            declared_time(self.sim.now),
         )
 
     # ------------------------------------------------------------------

@@ -78,7 +78,8 @@ class Gossip:
     def leave(self) -> None:
         """Announce our Left record to a few Alive peers."""
         self.view.apply(replace(
-            self.view.members[self.node], status=LEFT, last_update_time=self.sim.now
+            self.view.members[self.node], status=LEFT,
+            last_update_time=membership.declared_time(self.sim.now),
         ))
         for peer in self.view.alive_nodes()[:LEAVE_FANOUT]:
             self.agent.send(peer, wire.LEAVE, {})
@@ -307,7 +308,9 @@ class Gossip:
             and current.status == ALIVE
             and current.incarnation == data["incarnation"]
         ):
-            self._merge_member(replace(current, status=SUSPECT, last_update_time=self.sim.now))
+            self._merge_member(replace(
+                current, status=SUSPECT, last_update_time=membership.declared_time(self.sim.now)
+            ))
 
     def handle_ping(self, frm: NodeId, body: dict) -> None:
         self.agent.send(frm, wire.ACK, {"token": body["token"]})
@@ -325,7 +328,8 @@ class Gossip:
             and state.last_update_time == data["since"]
         ):
             self._merge_member(replace(
-                state, status=DEAD, last_update_time=data["since"] + T_DEAD
+                state, status=DEAD,
+                last_update_time=membership.declared_time(data["since"] + T_DEAD),
             ))
 
     # ------------------------------------------------------------------

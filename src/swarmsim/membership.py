@@ -50,6 +50,14 @@ same objects, and their version maps the same entries.
 What the view adds to the map it shares with the registry and the catalog
 is its merge rule (`merge_key`) and the tombstone filter of `diff`.
 
+A time an agent declares is rounded to the millisecond when it is
+declared (`declared_time`): the Suspect time a probe timeout stamps, the
+Dead time of a promotion (the Suspect time plus `T_DEAD`, rounded as a
+sum), the Left time of a leave, and a registry entry's `stamped_time`. The
+record carries the rounded value and every reader sees that value, so a
+time travels as `53.924` rather than `53.924184390114846`, and the Dead
+timer a Suspect record arms fires at its rounded time plus `T_DEAD`.
+
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
 """
@@ -103,6 +111,11 @@ def _entry_fields(entry: list) -> list:
     """[node, incarnation, status rank, last_update_time] of a version
     entry, with the trailing defaults it leaves out put back."""
     return [*entry, *_TRAILING_DEFAULTS[len(entry) - 2:]]
+
+
+def declared_time(t: float) -> float:
+    """`t` as a record declares it: rounded to the millisecond."""
+    return round(t, 3)
 
 
 def expired(status: str, last_update_time: float, now: float) -> bool:

@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "1a78b43383e37a3485dd352af8c3defad2ad46c3f4f8c2d97030d43a918aa84f",
-    "heavy_churn": "504dffcb0040a9b5fc70784e93d756c3e87bfdf77f964f436e4d9776058454f3",
-    "partition_heal": "e17125809433ac8de2ccd06d9a080bf365970b11577c122b2167365c3cdb9a92",
-    "steady_state": "35befd85ddde48ea11953f699d45cb75f275eeea69eabe5c1655e58df71f667c",
+    "data_locality": "3a0c464248eed5ed01adebc60ca423822e2c01a192c6eedc190d992893a7acd0",
+    "heavy_churn": "974565316b7ea218fda02fc2b84b6d5d18f44bff267d6e814be26f7d6c322f59",
+    "partition_heal": "5d08c6d859b77711d0ce69ec36fb3a9d69274495af07801f26db5bc1f21c0bc1",
+    "steady_state": "9d3c301f6fa28166e886097e5ce5c7a64d1bd4876592fd3809292f2b9898266f",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

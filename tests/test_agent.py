@@ -1,6 +1,7 @@
 """NodeAgent dispatch tables, bench's patch points and the executor -> origin report."""
 
 import ast
+import json
 import importlib
 from dataclasses import replace
 from itertools import islice
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmsim import agent, execution, executor, gossip, membership, wire
+from swarmsim import agent, execution, executor, gossip, membership, registry, wire
 from swarmsim import scenario as scen
 from swarmsim.dataplane import DataSourceDescriptor
 from swarmsim.model import MAINS, Position, is_mains
@@ -734,3 +735,52 @@ def test_a_repeated_answer_to_an_offer_changes_no_task_outcome(monkeypatch, name
         plain.tasks_done, plain.tasks_failed_permanent,
     )
     assert doubled.balance_holds()
+
+
+@pytest.mark.parametrize("name, size, value", [("swarm64_churn", "n", 16), ("tasks16_dense", "tasks", 40)])
+def test_declared_times_have_millisecond_resolution(name, size, value, monkeypatch):
+    """Every Suspect, Dead and Left time and every registry `stamped_time`
+    a run installs is a whole number of milliseconds, as it travels; and a
+    Suspect record's Dead timer still finds the record it was armed for:
+    `promote_dead` matches its `since` and declares the sum, rounded."""
+    times = {membership.SUSPECT: [], membership.DEAD: [], membership.LEFT: [], "stamped": []}
+    promoted = []
+    apply, put = membership.SwarmView.apply, registry.Registry.put
+    promote_dead = gossip.Gossip.promote_dead
+
+    def recording_apply(self, incoming):
+        if incoming.status != membership.ALIVE:
+            times[incoming.status].append(incoming.last_update_time)
+        return apply(self, incoming)
+
+    def recording_put(self, key, entry):
+        times["stamped"].append(entry.stamped_time)
+        return put(self, key, entry)
+
+    def checked_promote_dead(self, data):
+        state = self.view.members.get(data["node"])
+        matched = (
+            state is not None and state.status == membership.SUSPECT
+            and state.incarnation == data["incarnation"]
+            and state.last_update_time == data["since"]
+        )
+        promote_dead(self, data)
+        if matched:
+            dead = self.view.members[data["node"]]
+            assert dead.status == membership.DEAD
+            assert dead.last_update_time == round(data["since"] + gossip.T_DEAD, 3)
+            promoted.append(dead)
+
+    monkeypatch.setattr(membership.SwarmView, "apply", recording_apply)
+    monkeypatch.setattr(registry.Registry, "put", recording_put)
+    monkeypatch.setattr(gossip.Gossip, "promote_dead", checked_promote_dead)
+    wl = bench_workloads().generate(name, 1, **{size: value})
+    scen.run(scen.parse_scenario(wl.raw))
+    assert promoted
+    for kind, seen in times.items():
+        if name == "tasks16_dense" and kind == membership.LEFT:
+            continue  # nodes crash there, none leaves
+        assert seen, kind
+        for t in seen:
+            fraction = json.dumps(t).partition(".")[2]
+            assert len(fraction) <= 3, f"{kind} time {t}"

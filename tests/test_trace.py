@@ -112,8 +112,8 @@ def test_decisions_are_pinned_apart_from_wire_bytes(path, tmp_path):
 # run with 120 tasks sends 1 FAILED and 2 QOS-WARN.
 PINNED_GENERATED_DECISION_SHA256 = {
     ("swarm64_churn", 5, "n", 16): "6a9b660f7bd550945bbcef7b8f66b3029a97dc5ce8426d5ff7b7d2be3e1dc2d2",
-    ("tasks16_dense", 5, "tasks", 30): "d4befb9cd178376036e472c062d700702413f3e6b00897807e2bf0847be5dc5a",
-    ("tasks16_dense", 5, "tasks", 120): "1674cb47b97c02077b0ad7eed8e4e8fdc675d0d925d958c42dc880a33dd4d221",
+    ("tasks16_dense", 5, "tasks", 30): "6f861826e5bf8cf941ad983359dba2fc3a43d5293a642a84ead5883c3b97b868",
+    ("tasks16_dense", 5, "tasks", 120): "b9e031bd3ca8b2250c33fd877efcc242a33299e5bbe98e27cc17a2f6b8c949af",
 }
 
 
