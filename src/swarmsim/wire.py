@@ -261,7 +261,8 @@ def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
     by position, in C (`map(is_not, ...)`), before any is read: two maps
     whose entries all are shared are equal at once; maps of the same ids
     compare only the pairs at positions that differ; otherwise the shared
-    runs at both ends are cut off and what is left is walked in id order.
+    runs at both ends are cut off and what is left is walked in id order,
+    each step testing identity before it reads an id.
     """
     if mine == theirs:
         return [], []
@@ -282,29 +283,35 @@ def diff_versions(mine: list, theirs: list, newer, live) -> tuple:
     lo = next(compress(count(), map(is_not, mine, theirs)), short)
     hi = next(compress(count(), map(is_not, reversed(mine), reversed(theirs))), short)
     hi = min(hi, short - lo)
-    mine, theirs = mine[lo:n - hi], theirs[lo:m - hi]
+    # Walk the middles in id order while both have entries, an entry shared
+    # by identity skipped before its id is read; then the rest of either.
+    n, m = n - hi, m - hi
     push, want = [], []
-    i = j = 0
-    n, m = len(mine), len(theirs)
-    while i < n or j < m:
-        a = mine[i] if i < n else None
-        b = theirs[j] if j < m else None
-        if b is None or (a is not None and a[0] < b[0]):
-            if live(a):
-                push.append(a[0])
+    i = j = lo
+    while i < n and j < m:
+        a, b = mine[i], theirs[j]
+        if a is b:
             i += 1
-        elif a is None or b[0] < a[0]:
+            j += 1
+            continue
+        key_a, key_b = a[0], b[0]
+        if key_a < key_b:
+            if live(a):
+                push.append(key_a)
+            i += 1
+        elif key_b < key_a:
             if live(b):
-                want.append(b[0])
+                want.append(key_b)
             j += 1
         else:
-            if a is not b:
-                if live(a) and newer(a, b):
-                    push.append(a[0])
-                if live(b) and newer(b, a):
-                    want.append(b[0])
+            if live(a) and newer(a, b):
+                push.append(key_a)
+            if live(b) and newer(b, a):
+                want.append(key_b)
             i += 1
             j += 1
+    push += [a[0] for a in mine[i:n] if live(a)]
+    want += [b[0] for b in theirs[j:m] if live(b)]
     return push, want
 
 
