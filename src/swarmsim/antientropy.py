@@ -74,8 +74,8 @@ class AntiEntropy:
         the map's key our records it lacks, under `want_<key>` the ids whose
         record there holds something ours lacks, each part's owner choosing
         the forms (`wire_forms`) and the marking (`mark_wanted`). Empty
-        parts are left out, and an empty answer is not sent. A DIGEST of maps is thus answered
-        by a DELTA, never by another DIGEST."""
+        parts are left out, and an empty answer is not sent. A DIGEST of
+        maps is thus answered by a DELTA, never by another DIGEST."""
         view = self.agent.view
         parts = (
             ("view", view, lambda m: view.diff(m, self.sim.now)),
@@ -103,8 +103,9 @@ class AntiEntropy:
 
     def handle_delta(self, frm: NodeId, body: dict) -> None:
         """Merge the records of a DELTA or HELLO-ACK, then send the records
-        its `want_*` lists ask for in one more DELTA (`answer_wanted`). A wanted tombstone that
-        expired in between is dropped by the receiver's merge."""
+        its `want_*` lists ask for in one more DELTA (`answer_wanted`). A
+        wanted tombstone that expired in between is dropped by the
+        receiver's merge."""
         self.agent.gossip.merge_deltas(body.get("view", ()))
         for doc in body.get("catalog", ()):
             self.catalog.merge(wire.adopt(doc, dataplane.CatalogRecord.from_dict))
@@ -130,9 +131,10 @@ class AntiEntropy:
 
         The profile published has its utilization rounded to 6 digits and
         a battery level to 4, and the entry's `stamped_time` is the
-        declared time of now (`membership.declared_time`). "Unchanged" is read from the held entry's
-        fields, as equality of that profile with the held one would
-        decide it, so no profile is built unless it is installed."""
+        declared time of now (`membership.declared_time`). "Unchanged" is
+        read from the held entry's fields, as equality of that profile with
+        the held one would decide it, so no profile is built unless it is
+        installed."""
         agent = self.agent
         current = self.registry.entries.get(self.node)
         profile = agent.profile

@@ -35,11 +35,11 @@ more DELTA. A `want_registry` list marks which ids the asker already holds
 the static part of: those ids plainly, then the others as one trailing
 list, so `[3,5,[7]]` is answered with the dynamic forms of 3 and 5 and the
 full form of 7 (`registry`). A part with nothing in it is left out, and an
-answer with no parts is not sent. Like records, each entry is a `ListRecord` built once per
-record and shared by every map that holds it, so maps of agents that agree
-compare equal entry by entry without a walk. A member's entry and its record
-are one object, so the view's map and the view's records are the same
-entries.
+answer with no parts is not sent. Like records, each entry is a
+`ListRecord` built once per record and shared by every map that holds it,
+so maps of agents that agree compare equal entry by entry without a walk.
+A member's entry and its record are one object, so the view's map and the
+view's records are the same entries.
 
 The view, the registry and the catalog are each a `VersionedMap`, which
 owns the map, its hash and the diff; an owner adds only its merge rule,
