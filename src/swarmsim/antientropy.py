@@ -109,8 +109,7 @@ class AntiEntropy:
         self.agent.gossip.merge_deltas(body.get("view", ()))
         for doc in body.get("catalog", ()):
             self.catalog.merge(wire.adopt(doc, dataplane.CatalogRecord.from_dict))
-        for doc in body.get("registry", ()):
-            self.registry.merge_wire(doc)
+        self.registry.merge_wire(body.get("registry", ()))
         reply = {}
         for key, owner in (
             ("view", self.agent.view), ("catalog", self.catalog), ("registry", self.registry),

@@ -37,10 +37,10 @@ profile.
 Invariants of `Registry`, a `wire.VersionedMap`: `entries` is written only
 through `local_update`, `merge` and `evict`, and each of them writes
 through the map's `put` or `drop`, which keep the version map sorted and
-its hash up to date; `put` also keeps a node's static part, the first
-one put, and nothing drops it, so it holds at most one per node. The
-registry adds to its base only the merge rule, last writer wins by
-version. Since a version names one entry, the map's hash is also the
+its hash up to date; an install where no entry of the node is held also
+keeps the node's static part, unless one is kept, and nothing drops it, so
+`_static` holds at most one per node. The registry adds to its base only
+the merge rule, last writer wins by version. Since a version names one entry, the map's hash is also the
 registry's convergence hash (`content_hash`).
 """
 
@@ -133,32 +133,32 @@ class Registry(wire.VersionedMap):
         super().__init__()
         self.owner = owner
         self.entries = self.records
-        # NodeId -> (hw, typologies) of every node an entry was put for.
+        # NodeId -> (hw, typologies) of every node an entry was installed for.
         self._static: dict = {}
 
-    def put(self, key, entry) -> None:
-        """Install `entry`; the first entry put for a node keeps its
-        node's static part."""
-        static = self._static
-        if key not in static:
-            profile = entry.profile
-            static[key] = (profile.hw, profile.typologies)
-        super().put(key, entry)
+    def _keep_static(self, entry: RegistryEntry) -> None:
+        """Keep the static part of `entry`'s node, unless one is kept: called
+        for each entry installed where none of its node is held."""
+        profile = entry.profile
+        self._static.setdefault(entry.node, (profile.hw, profile.typologies))
 
-    def merge_wire(self, doc: list) -> bool:
-        """`merge` of a gossiped entry in either wire form: the sender's
-        entry (`wire.adopt`), or `entry_from_dict` of the form. A full form
-        whose static part differs from the one kept for its node raises."""
-        entry = wire.adopt(doc, self.entry_from_dict)
-        if len(doc) != _DYNAMIC_SIZE:
-            kept = self._static.get(entry.node)
-            profile = entry.profile
-            if kept is not None and kept != (profile.hw, profile.typologies):
-                raise StaticProfileError(
-                    f"node {entry.node}: static profile {profile.hw}, "
-                    f"{sorted(profile.typologies)} differs from the kept {kept}"
-                )
-        return self.merge(entry)
+    def merge_wire(self, docs: list) -> None:
+        """`merge` of each gossiped entry in `docs`, in either wire form: the
+        sender's entry (`wire.adopt`), or `entry_from_dict` of the form. A
+        full form whose static part differs from the one kept for its node
+        raises."""
+        static, decode = self._static, self.entry_from_dict
+        for doc in docs:
+            entry = wire.adopt(doc, decode)
+            if len(doc) != _DYNAMIC_SIZE:
+                kept = static.get(entry.node)
+                profile = entry.profile
+                if kept is not None and kept != (profile.hw, profile.typologies):
+                    raise StaticProfileError(
+                        f"node {entry.node}: static profile {profile.hw}, "
+                        f"{sorted(profile.typologies)} differs from the kept {kept}"
+                    )
+            self.merge(entry)
 
     def entry_from_dict(self, d: list) -> RegistryEntry:
         """The entry either wire form stands for: the full form as
@@ -228,6 +228,8 @@ class Registry(wire.VersionedMap):
             version=(incarnation, prev_sv + 1),
             stamped_time=now,
         )
+        if prev is None:
+            self._keep_static(entry)
         self.put(self.owner, entry)
         return entry
 
@@ -236,6 +238,8 @@ class Registry(wire.VersionedMap):
         current = self.entries.get(entry.node)
         if current is not None and current.version >= entry.version:
             return False
+        if current is None:
+            self._keep_static(entry)
         self.put(entry.node, entry)
         return True
 

@@ -305,17 +305,19 @@ def test_static_part_survives_evict_and_completes_a_dynamic_form():
 def test_a_full_form_with_other_hardware_raises():
     reg = Registry(owner=1)
     held = entry_for(2, sv=1)
-    assert reg.merge_wire(held.to_dict())
+    reg.merge_wire([held.to_dict()])
     same = entry_for(2, sv=2)  # an equal static part, not the same objects
-    assert reg.merge_wire(json.loads(same.to_dict().wire_json))
+    reg.merge_wire([json.loads(same.to_dict().wire_json)])
+    assert reg.entries[2] == same
     for static in ({"drain_rate": 0.01}, {"memory": 2048}, {"typologies": ("vision",)}):
         other = RegistryEntry(node=2, profile=make_profile(node=2, **static),
                               version=(0, 3), stamped_time=0.0)
         with pytest.raises(StaticProfileError):
-            reg.merge_wire(other.to_dict())
-        assert reg.entries[2].version == (0, 2)
+            reg.merge_wire([other.to_dict()])
+        assert reg.entries[2] == same
     # Its dynamic form, which carries no static part, merges.
-    assert reg.merge_wire(other.dynamic_record)
+    reg.merge_wire([other.dynamic_record])
+    assert reg.entries[2] is other
 
 
 @pytest.mark.parametrize("kept, want", [
