@@ -10,13 +10,15 @@ A member record has one wire form, its version entry
 `[node, incarnation, status rank, last_update_time]` (SWIM's and
 Scuttlebutt's update tuple), where the status goes as its merge rank
 (`_STATUS_RANK`: alive 0, suspect 1, dead 2, left 3). Trailing defaults
-are dropped: a time of 0.0, then a rank of 0 that ends the entry. An
-Alive record has no time, as a SWIM alive message carries only its
-incarnation: a life declares itself Alive once per incarnation, and only
-the times of Suspect, Dead and Left records are read. So an Alive record
-travels as `[node, incarnation]`, and every reader of an entry
-(`from_dict`, `_entry_key`, the tombstone filter of `diff`) takes 2, 3 or
-4 elements. The rule is lossless for every record. A piggybacked delta,
+are dropped: a time of 0.0, then a rank of 0, then an incarnation of 0
+that ends the entry. An Alive record has no time, as a SWIM alive message
+carries only its incarnation: a life declares itself Alive once per
+incarnation, and only the times of Suspect, Dead and Left records are
+read. So an Alive record travels as `[node, incarnation]`, and as
+`[node]` at incarnation 0, which is nearly every record a settled swarm
+gossips; every reader of an entry (`from_dict`, `_entry_key`, the
+tombstone filter of `diff`, `dominates`) takes 1 to 4 elements. The rule
+is lossless for every record. A piggybacked delta,
 the `view` part of a DELTA or HELLO-ACK and an entry of a HELLO's or
 DIGEST's version map are all that entry; a map is just the entries of every
 member in NodeId order, and a periodic DIGEST carries only the map's hash.
@@ -55,8 +57,9 @@ declared (`declared_time`): the Suspect time a probe timeout stamps, the
 Dead time of a promotion (the Suspect time plus `T_DEAD`, rounded as a
 sum), the Left time of a leave, and a registry entry's `stamped_time`. The
 record carries the rounded value and every reader sees that value, so a
-time travels as `53.924` rather than `53.924184390114846`, and the Dead
-timer a Suspect record arms fires at its rounded time plus `T_DEAD`.
+time travels as `53.924` rather than `53.924184390114846` (and a whole
+second as `60`, see `wire.shortest`), and the Dead timer a Suspect record
+arms fires at its rounded time plus `T_DEAD`.
 
 Protocol timing (probe rounds, timeouts) lives in the agent; this module is
 pure data logic so it can be property-tested in isolation.
@@ -84,8 +87,9 @@ _PROBED = (ALIVE, SUSPECT)  # statuses a probe round picks from
 #: wire form carries the rank in place of the status.
 _STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 3}
 _STATUS_OF_RANK = {rank: status for status, rank in _STATUS_RANK.items()}
-#: Status rank and time where a version entry leaves them out: Alive, 0.0.
-_TRAILING_DEFAULTS = (0, 0.0)
+#: Incarnation, status rank and time where a version entry leaves them out:
+#: 0, Alive, 0.0.
+_TRAILING_DEFAULTS = (0, 0, 0.0)
 
 
 def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
@@ -100,17 +104,17 @@ def merge_key(status: str, incarnation: int, last_update_time: float) -> tuple:
 
 def _entry_key(entry: list) -> tuple:
     """`merge_key` of the record a version entry stands for, read straight
-    from the entry, of 2, 3 or 4 elements (see `version_entry`)."""
+    from the entry, of 1 to 4 elements (see `version_entry`)."""
     size = len(entry)
     if size == 4:
         return (entry[1], entry[2], -entry[3])
-    return (entry[1], entry[2] if size == 3 else 0, -0.0)
+    return (entry[1] if size > 1 else 0, entry[2] if size == 3 else 0, -0.0)
 
 
 def _entry_fields(entry: list) -> list:
     """[node, incarnation, status rank, last_update_time] of a version
     entry, with the trailing defaults it leaves out put back."""
-    return [*entry, *_TRAILING_DEFAULTS[len(entry) - 2:]]
+    return [*entry, *_TRAILING_DEFAULTS[len(entry) - 1:]]
 
 
 def declared_time(t: float) -> float:
@@ -152,14 +156,13 @@ class MemberState:
         """[node, incarnation, status rank, last_update_time]: this record
         as every message carries it, piggybacked, in a DELTA or HELLO-ACK,
         or in a version map. Trailing defaults are dropped, as `wire.encode`
-        drops trailing nulls: a time of 0.0, then a rank of 0 (Alive) that
-        ends the entry, so an Alive record, declared without a time, travels
-        as [node, incarnation]."""
+        drops trailing nulls: a time of 0.0, then a rank of 0 (Alive), then
+        an incarnation of 0 that ends the entry, so an Alive record, declared
+        without a time, travels as [node, incarnation], and as [node] at
+        incarnation 0."""
         entry = [self.node, self.incarnation, _STATUS_RANK[self.status], self.last_update_time]
-        if not entry[3]:
-            del entry[3]
-            if not entry[2]:
-                del entry[2]
+        while len(entry) > 1 and not entry[-1]:
+            entry.pop()
         return wire.ListRecord(entry, self)
 
     @classmethod
@@ -223,7 +226,7 @@ class SwarmView(wire.VersionedMap):
         """
         def live(entry: list) -> bool:
             size = len(entry)
-            if size == 2:  # Alive, which never expires
+            if size < 3:  # Alive, which never expires
                 return True
             last_update_time = entry[3] if size == 4 else 0.0
             return not expired(_STATUS_OF_RANK[entry[2]], last_update_time, now)

@@ -23,6 +23,11 @@ its version entry `[node, incarnation, status_version]` and stamped time:
   battery, x, y]`, the full form less the node's static part, its hardware
   and typologies, which never change.
 
+Every whole-number float goes as its int (`wire.shortest`), so an idle
+mains node at (40, 0) travels as
+`[2,1,3,7.5,1,1024,10,0,0,"MAINS",40,0,["generic"]]` in full and as
+`[2,1,3,7.5,0,"MAINS",40,0]` in its dynamic form.
+
 A registry keeps each node's static part once it has held an entry of the
 node (`_static`), across `evict` too, so a peer that holds the node's
 static part is sent the dynamic form: a node that the peer's version map

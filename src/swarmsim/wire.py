@@ -3,7 +3,8 @@
 A message is a kind, a body and a (possibly empty) list of piggybacked
 membership deltas, each a member's version entry `[node, incarnation,
 status rank, last_update_time]` less its trailing defaults, so an Alive
-record is `[node, incarnation]` (see `membership`). This is the one module
+record is `[node, incarnation]`, and `[node]` at incarnation 0 (see
+`membership`). This is the one module
 that knows each kind's body layout: in memory a body is a dict of named
 fields, and `encode` writes `[kind, [values in BODY_FIELDS order], deltas]`,
 an absent field (or one set to None) as null, with trailing nulls dropped;
@@ -57,11 +58,12 @@ begins with the record's version entry, so a map entry is a prefix of the
 record it stands for:
 
 - member: `[node, incarnation, status rank, last_update_time]`, the version
-  entry itself, with a time of 0.0 and then an Alive rank (0) left out
-  where they end it, as `encode` drops trailing nulls. An Alive record is
-  declared without a time, since its incarnation names it, so it travels
-  as `[node, incarnation]`: 5 bytes for `[5,0]`, where the full form
-  `[5,0,0,0.0]` is 11 (`membership`);
+  entry itself, with a time of 0.0, then an Alive rank (0), then an
+  incarnation of 0 left out where they end it, as `encode` drops trailing
+  nulls. An Alive record is declared without a time, since its incarnation
+  names it, so it travels as `[node, incarnation]`, and as `[node]` at
+  incarnation 0: 3 bytes for `[5]`, where the full form `[5,0,0,0.0]` is
+  11 (`membership`);
 - registry entry: `[node, incarnation, status_version, stamped_time,
   cpu_perf_index, memory, link_bandwidth, drain_rate, utilization, battery,
   x, y, [typologies...]]`, or, to a peer that keeps the node's static part
@@ -73,6 +75,16 @@ record it stands for:
 - an OFFER's task, not gossiped but built once per task all the same:
   `[task_id, typology, work, memory_demand, deadline, origin_node,
   [[source, size]...]]` (`model`).
+
+A record holds every number at its shortest text (`shortest`): a float
+that is a whole number under 1e16 in magnitude is held as its int, in
+nested lists too, so a position travels as `70` rather than `70.0` and a
+utilization of `0.0` as `0`. From 1e16 on a float keeps its exponent form
+(`1e+17`), and `inf` stays a float. The record itself holds the int, not
+only its text, so `decode` of a message gives what was sent, type for type;
+the frozen object the record was built from keeps its floats, and every
+`from_dict` reads a number with `float()` or `int()`. Floats in a body
+outside a record (an OFFER's `submitted_at`) travel as they are.
 
 Gossiped records are immutable and ride in many messages, so each is
 wrapped once in the read-only `ListRecord`, whose compact JSON text
@@ -184,16 +196,37 @@ class _ReadOnlyList(list):
     append = clear = extend = insert = pop = remove = reverse = sort = _read_only
 
 
+# Floats of smaller magnitude that are integral travel as ints: from 1e16 on,
+# `repr` writes a float in exponent form, shorter than its int.
+_INT_TEXT_BELOW = 1e16
+
+
+def shortest(value):
+    """`value` as a record holds it, every number at its shortest text: an
+    integral float under 1e16 in magnitude as its int (`70.0` as `70`,
+    `-0.0` as `0`), inside nested lists too. Any other value is itself: a
+    larger float keeps its exponent form, and `inf` and `nan` stay floats."""
+    kind = type(value)
+    if kind is float:
+        if value.is_integer() and -_INT_TEXT_BELOW < value < _INT_TEXT_BELOW:
+            return int(value)
+    elif kind is list:
+        return list(map(shortest, value))
+    return value
+
+
 class ListRecord(_ReadOnlyList):
     """A gossiped record's wire form, a list that begins with the record's
-    version entry: read-only, its JSON encoded when it is built, built once
-    per frozen record object (`source`) and shared by the version map (for
-    a member) and every message that carries it."""
+    version entry: read-only, its numbers at their shortest (`shortest`),
+    its JSON encoded when it is built, built once per frozen record object
+    (`source`) and shared by the version map (for a member) and every
+    message that carries it."""
 
     __slots__ = ("wire_json", "_term", "source")
 
     def __init__(self, value, source=None):
-        super().__init__(value)
+        # A nested record is one already built, so its numbers are short.
+        super().__init__(map(shortest, value))
         # `json.dumps(self, sort_keys=True, separators=(",", ":"))`
         self.wire_json = _encode_wire(self)
         self._term = None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,13 +61,25 @@ def make_task(task_id=1, typology="generic", work=1.0, memory=64, deadline=60.0,
     )
 
 
+def short_numbers(value):
+    """`value` with the records' number rule applied, written out apart from
+    `wire`: a finite float equal to its floor and under 1e16 in magnitude
+    becomes that int, in nested lists too; anything else is kept."""
+    if isinstance(value, list):
+        return [short_numbers(v) for v in value]
+    if (type(value) is float and math.isfinite(value)
+            and math.floor(value) == value and abs(value) < 1e16):
+        return int(value)
+    return value
+
+
 def reference_map_hash(version_map) -> str:
     """A version map's hash from scratch: the sum mod 2^64 of 64 bits of
-    blake2b of each entry dumped as compact, sorted JSON (AdHash), as 16
-    hex characters."""
+    blake2b of each entry, its numbers at their shortest, dumped as
+    compact, sorted JSON (AdHash), as 16 hex characters."""
     total = 0
     for entry in version_map:
-        doc = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        doc = json.dumps(short_numbers(entry), sort_keys=True, separators=(",", ":"))
         digest = hashlib.blake2b(doc.encode(), digest_size=8).digest()
         total += int.from_bytes(digest, "big")
     return format(total % 2**64, "016x")

@@ -67,10 +67,10 @@ def reference_runs():
 # seed. A change that claims to keep behaviour must leave these unchanged; a
 # change that alters traces on purpose re-pins them and says why.
 PINNED_TRACE_SHA256 = {
-    "data_locality": "3a0c464248eed5ed01adebc60ca423822e2c01a192c6eedc190d992893a7acd0",
-    "heavy_churn": "974565316b7ea218fda02fc2b84b6d5d18f44bff267d6e814be26f7d6c322f59",
-    "partition_heal": "5d08c6d859b77711d0ce69ec36fb3a9d69274495af07801f26db5bc1f21c0bc1",
-    "steady_state": "9d3c301f6fa28166e886097e5ce5c7a64d1bd4876592fd3809292f2b9898266f",
+    "data_locality": "23be5075345aef76df6d93e46ed138fb930660b6394d28cee86f821e2eba0716",
+    "heavy_churn": "8a6760ebc8485cb5c749c6ba4c4f033b4cc6ff39bf0a96d5a5b29a68e636d796",
+    "partition_heal": "7ca2dc1853b770b114ab94183678c95a63d686961f51c3d4536782f0aa800322",
+    "steady_state": "8ddc35bf4c971e152ba7f65c4ab20db37b778a0668473cddd9f01038e1c4439d",
 }
 
 # sha256 of `MetricsReport.write_csv` output, pinned on the same terms.

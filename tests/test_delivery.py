@@ -99,7 +99,7 @@ def assert_same_fields(obj, rebuilt, path):
 @pytest.mark.parametrize("case", SCENARIOS + GENERATED, ids=case_id)
 def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch):
     encoded = {}  # msg_id -> bytes as sent
-    counts = {"deliveries": 0, "adopted": 0, "shared": 0, "dynamic": 0}
+    counts = {"deliveries": 0, "adopted": 0, "shared": 0, "dynamic": 0, "bare": 0}
     send, deliver, adopt = Simulator.send, Simulator._deliver, wire.adopt
 
     def recording_send(self, frm, to, msg):
@@ -119,6 +119,10 @@ def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch
         assert_decoded_form(msg.body, reference.body, f"{msg.kind}.body")
         assert_decoded_form(msg.deltas, reference.deltas, f"{msg.kind}.deltas")
         counts["deliveries"] += 1
+        # Member entries of an Alive member at incarnation 0: [node].
+        view = msg.body.get("view")
+        entries = [*msg.deltas, *(view if type(view) is wire.RecordList else ())]
+        counts["bare"] += sum(len(entry) == 1 for entry in entries)
 
     def checked_adopt(record, from_dict):
         obj = adopt(record, from_dict)
@@ -142,6 +146,8 @@ def test_delivered_messages_and_adopted_records_match_decoding(case, monkeypatch
     # Every run in which profiles change gossips registry entries to peers
     # that hold their node's; a run in which none changes sends none.
     assert (counts["dynamic"] > 0) == (case not in UNCHANGED_REGISTRY)
+    # Every run gossips Alive members at incarnation 0, each as [node].
+    assert counts["bare"] > 0
 
 
 def test_decoded_form_check_rejects_what_decoding_would_change():

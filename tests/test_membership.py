@@ -7,7 +7,7 @@ from unittest import mock
 
 from conftest import bench_workloads, reference_map_hash
 
-from swarmsim import gossip, membership
+from swarmsim import gossip, membership, wire
 from swarmsim import scenario as scen
 from swarmsim import sim as simlib
 from swarmsim.membership import (
@@ -580,15 +580,78 @@ wire_states = st.builds(
 @settings(max_examples=300)
 @given(wire_states)
 def test_a_member_entry_drops_its_trailing_defaults_losslessly(state):
-    """An entry leaves out a time of 0.0, then an Alive rank that ends it,
-    and both readers of an entry put them back."""
+    """An entry leaves out a time of 0.0, then an Alive rank, then an
+    incarnation of 0 that ends it, and both readers of an entry put them
+    back."""
     entry = state.version_entry
     if state.last_update_time:
         assert len(entry) == 4
+    elif state.status != ALIVE:
+        assert len(entry) == 3
     else:
-        assert len(entry) == (2 if state.status == ALIVE else 3)
+        assert len(entry) == (2 if state.incarnation else 1)
     assert MemberState.from_dict(json.loads(state.to_dict().wire_json)) == state
     assert membership._entry_key(entry) == state.key
+
+
+# Scenario validation accepts any int node id, 0 and negative ones too.
+node_ids = st.one_of(st.integers(-3, 3), st.integers(-(2**31), 2**31))
+
+
+@given(node_ids)
+def test_an_alive_member_at_incarnation_zero_travels_as_its_node_id(node):
+    state = ms(node=node)
+    assert state.version_entry == [node]
+    assert state.version_entry.wire_json == f"[{node}]"
+    msg = wire.Message(wire.PING, {"token": 1}, wire.RecordList([state.to_dict()]))
+    (decoded,) = wire.decode(wire.encode(msg)).deltas
+    assert decoded == [node] and MemberState.from_dict(decoded) == state
+    assert membership._entry_key(decoded) == state.key
+    assert view_from([state]).version_map() == [[node]]
+
+
+# Entries of 1 to 4 elements, canonical or not ([n, 0] and a time written as
+# an int included): a full entry cut after a random number of elements.
+member_entries = st.builds(
+    lambda node, inc, rank, t, size: [node, inc, rank, t][:size],
+    node_ids, st.integers(0, 3), st.integers(0, 3),
+    st.one_of(st.just(0.0), st.integers(0, 100), st.floats(0.0, 100.0)),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=300)
+@given(member_entries, member_entries, st.floats(0.0, 3 * membership.RETENTION))
+def test_every_reader_of_an_entry_agrees_with_merge_key(entry, held_entry, now):
+    """`_entry_fields` puts back what an entry leaves out; `_entry_key`,
+    the tombstone filter of `diff` and `dominates` read the entry as the
+    record those fields stand for, whatever its length."""
+    fields = membership._entry_fields(entry)
+    assert len(fields) == 4 and fields[:len(entry)] == entry
+    assert fields[len(entry):] == [0, 0, 0.0][len(entry) - 1:]
+    node, inc, rank, t = fields
+    status = membership._STATUS_OF_RANK[rank]
+    key = membership.merge_key(status, inc, t)
+    assert membership._entry_key(entry) == key
+    assert MemberState.from_dict(entry).key == key
+    # The filter: an empty view wants the entry unless it is expired.
+    wanted = [] if membership.expired(status, t, now) else [node]
+    assert SwarmView(self_node=node).diff([entry], now) == ([], wanted)
+    held = MemberState.from_dict([node, *held_entry[1:]])
+    assert view_from([held]).dominates(entry) == (held.key >= key)
+
+
+def test_a_held_bare_entry_loses_to_a_later_incarnation_and_to_a_suspicion():
+    for node in (0, -2, 5):
+        bare = ms(node=node)
+        for newer in ([node, 1], [node, 0, 1, 2.5]):
+            view = view_from([bare])
+            assert not view.dominates(newer)
+            assert view.diff([newer], 0.0) == ([], [node])
+            assert view.apply(MemberState.from_dict(newer))
+            assert view.members[node].version_entry == newer
+            assert view.dominates([node]) and not view.apply(bare)
+            assert view.diff([[node]], 0.0) == ([view.members[node]], [])
 
 
 @given(st.sampled_from([DEAD, LEFT]), st.integers(0, 2),

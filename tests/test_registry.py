@@ -206,7 +206,8 @@ def test_a_version_names_one_entry_over_whole_runs(name, monkeypatch):
 
 def test_wire_schema_is_flat():
     """Each gossiped record goes as one flat list that begins with its
-    version entry; an idle MAINS node's registry entry fits in 64 bytes."""
+    version entry, its integral floats written as ints; an idle MAINS
+    node's registry entry fits in 50 bytes."""
     entry = RegistryEntry(
         node=2,
         profile=make_profile(node=2, position=(40.0, 0.0)),
@@ -214,8 +215,8 @@ def test_wire_schema_is_flat():
         stamped_time=7.5,
     )
     held = entry.to_dict().wire_json
-    assert held == '[2,1,3,7.5,1.0,1024,10.0,0.0,0.0,"MAINS",40.0,0.0,["generic"]]'
-    assert len(held) <= 64
+    assert held == '[2,1,3,7.5,1,1024,10,0,0,"MAINS",40,0,["generic"]]'
+    assert len(held) <= 50
     battery = RegistryEntry(
         node=3,
         profile=make_profile(node=3, battery=0.5, drain_rate=0.002,
@@ -224,7 +225,7 @@ def test_wire_schema_is_flat():
         stamped_time=0.0,
     )
     assert battery.to_dict().wire_json == (
-        '[3,0,1,0.0,1.0,1024,10.0,0.002,0.0,0.5,0.0,0.0,["audio","vision"]]'
+        '[3,0,1,0,1,1024,10,0.002,0,0.5,0,0,["audio","vision"]]'
     )
     member = membership.MemberState(
         node=5, status=membership.DEAD, incarnation=2, last_update_time=1.5
@@ -233,13 +234,13 @@ def test_wire_schema_is_flat():
     catalog = CatalogRecord(
         DataSourceDescriptor(id=4, owner=2, size=1.0, replicas=frozenset({5, 2}))
     )
-    assert catalog.to_dict().wire_json == "[4,[2,5],2,1.0]"
+    assert catalog.to_dict().wire_json == "[4,[2,5],2,1]"
     for obj in (entry, battery, member, catalog):
         rec = obj.to_dict()
         assert rec[:len(obj.version_entry)] == obj.version_entry
     # An OFFER's task: its seven fields and nothing more (no QoS field).
     task = make_task(deadline=12.5, inputs=[DataInput(3, 2.5)])
-    assert task.to_dict().wire_json == '[1,"generic",1.0,64,12.5,1,[[3,2.5]]]'
+    assert task.to_dict().wire_json == '[1,"generic",1,64,12.5,1,[[3,2.5]]]'
     assert task.to_dict() is task.to_dict() and task.to_dict().source is task
 
 
@@ -271,7 +272,7 @@ def test_dynamic_form_is_the_full_form_less_the_static_part():
         version=(0, 1),
         stamped_time=7.25,
     )
-    assert entry.dynamic_record.wire_json == '[3,0,1,7.25,0.0,0.5,4.0,2.5]'
+    assert entry.dynamic_record.wire_json == '[3,0,1,7.25,0,0.5,4,2.5]'
     full = entry.to_dict()
     assert entry.dynamic_record == [*full[:4], *full[8:12]]
     assert entry.dynamic_record is entry.dynamic_record

@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 from swarmsim import agent, membership, scenario as scen, wire
 from swarmsim.dataplane import Catalog, CatalogRecord, DataSourceDescriptor
 from swarmsim.membership import ALIVE, DEAD, LEFT, SUSPECT, MemberState, SwarmView
-from swarmsim.model import MAINS
+from swarmsim.model import MAINS, DataInput, TaskSpec
 from swarmsim.registry import Registry, RegistryEntry
 from swarmsim.sim import TRACE_BLOCK_BYTES, TraceLog
 
-from conftest import make_profile, reference_map_hash
+from conftest import make_profile, make_task, reference_map_hash, short_numbers
 
 
 def reference_bytes(msg) -> bytes:
@@ -48,7 +48,7 @@ def test_encoding_is_canonical():
 def test_an_absent_field_is_null_and_trailing_nulls_are_dropped():
     parts = {"view": wire.RecordList([wire.ListRecord([1, 0, 0, 0.0])])}
     delta = wire.encode(wire.Message(wire.DELTA, parts))
-    assert delta == b'["DELTA",[null,null,[[1,0,0,0.0]]],[]]'
+    assert delta == b'["DELTA",[null,null,[[1,0,0,0]]],[]]'
     assert wire.encode(wire.Message(wire.LEAVE)) == b'["LEAVE",[],[]]'
     assert wire.encode(wire.Message(wire.PING, {"token": None})) == b'["PING",[],[]]'
 
@@ -272,10 +272,10 @@ def test_records_and_record_lists_are_read_only():
         for mutate in LIST_MUTATORS:
             with pytest.raises(TypeError, match="read-only"):
                 mutate(target, item)
-    assert rec == [4, [2, 5], 2, 1.0]
-    assert rec.wire_json == "[4,[2,5],2,1.0]"
-    assert entry == [1, 0, 0, 0.0]
-    assert entry.wire_json == "[1,0,0,0.0]"
+    assert rec == [4, [2, 5], 2, 1] and type(rec[3]) is int
+    assert rec.wire_json == "[4,[2,5],2,1]"
+    assert entry == [1, 0, 0, 0] and type(entry[3]) is int
+    assert entry.wire_json == "[1,0,0,0]"
     assert batch == [rec, entry]
 
 
@@ -305,6 +305,158 @@ def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
     assert type(plain) is list
     rebuilt = wire.adopt(plain, MemberState.from_dict)
     assert rebuilt == state and rebuilt is not state
+
+
+# -- the number rule: every number in a record at its shortest -------------
+
+# Floats that are whole numbers below 1e16 in magnitude, as records hold
+# positions, hardware and times: exactly the floats the rule makes ints.
+integral_floats = st.integers(-(10**16), 10**16).map(float).filter(lambda v: abs(v) < 1e16)
+# Floats the rule leaves as they are: whole numbers from 1e16 on, written in
+# exponent form (`1e+17`), the infinities, and fractions.
+large_floats = st.floats(min_value=1e16).flatmap(lambda v: st.sampled_from([v, -v]))
+fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
+
+
+def assert_same_typed(value, expected, path="value"):
+    """`value == expected`, with the same type at every level (so no int
+    where a float is expected, nor a float where an int is)."""
+    assert type(value) is type(expected) or (
+        isinstance(value, list) and type(expected) is list
+    ), f"{path}: {type(value).__name__}, not {type(expected).__name__}"
+    if isinstance(expected, list):
+        assert len(value) == len(expected), path
+        for i, (v, e) in enumerate(zip(value, expected)):
+            assert_same_typed(v, e, f"{path}[{i}]")
+    else:
+        assert value == expected, path
+
+
+@given(integral_floats)
+def test_an_integral_float_in_a_record_is_its_int(v):
+    rec = wire.ListRecord([v, [v, [v]]])
+    n = int(v)
+    assert_same_typed(rec, [n, [n, [n]]])
+    assert rec.wire_json == f"[{n},[{n},[{n}]]]"
+    assert json.loads(rec.wire_json) == rec
+
+
+def test_negative_zero_in_a_record_is_zero():
+    rec = wire.ListRecord([-0.0, [-0.0]])
+    assert_same_typed(rec, [0, [0]])
+    assert rec.wire_json == "[0,[0]]"
+
+
+def test_a_float_from_1e16_on_keeps_its_exponent_form():
+    """A scenario may set `cpu_perf_index: 1.0e17`: `1e+17` is shorter than
+    its int, and `inf` has no int."""
+    rec = wire.ListRecord([1e17, float("inf"), 9e15])
+    assert rec.wire_json == "[1e+17,Infinity,9000000000000000]"
+    assert [type(v) for v in rec] == [float, float, int]
+
+
+@given(st.one_of(large_floats, fractions, st.just(float("nan"))))
+def test_other_floats_in_a_record_stay_floats_and_no_longer(v):
+    """Their text is the one they had before the rule: `json.dumps`'s."""
+    rec = wire.ListRecord([v, [v]])
+    assert type(rec[0]) is float and type(rec[1][0]) is float
+    assert rec.wire_json == json.dumps([v, [v]], separators=(",", ":"))
+
+
+json_values = st.recursive(
+    st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.integers(),
+              integral_floats, large_floats, fractions),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.lists(json_values, max_size=5))
+def test_a_record_holds_its_value_with_the_number_rule_applied(value):
+    """Bools, None, strings and ints are kept as they are, and nested lists
+    are converted like the record itself, as the rule written out apart
+    from `wire` (`conftest.short_numbers`) converts them."""
+    rec = wire.ListRecord(value)
+    assert_same_typed(rec, short_numbers(value))
+    assert rec.wire_json == json.dumps(short_numbers(value), separators=(",", ":"))
+    assert_same_typed(json.loads(rec.wire_json), short_numbers(value))
+
+
+def assert_float_fields_typed(obj, rebuilt, path):
+    """The frozen records `obj` and `rebuilt` are equal, and each float field
+    of `obj`, however deep, is a float in `rebuilt` too."""
+    assert obj == rebuilt, path
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            assert_float_fields_typed(getattr(obj, f.name), getattr(rebuilt, f.name),
+                                      f"{path}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, (a, b) in enumerate(zip(obj, rebuilt)):
+            assert_float_fields_typed(a, b, f"{path}[{i}]")
+    elif type(obj) is float:
+        assert type(rebuilt) is float, f"{path}: {type(rebuilt).__name__}"
+
+
+# Floats as records hold them, often whole numbers.
+amounts = st.one_of(st.integers(1, 10**6).map(float), st.floats(0.001, 1e6))
+coordinates = st.one_of(st.integers(-1000, 1000).map(float), st.floats(-1e3, 1e3))
+times = st.one_of(st.just(0.0), st.integers(0, 10**4).map(float), st.floats(0.0, 1e4))
+
+
+@given(
+    node=st.integers(-3, 50), inc=st.integers(0, 3), sv=st.integers(0, 3),
+    stamped=times, perf=amounts, bandwidth=amounts,
+    drain=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    utilization=st.sampled_from([0.0, 0.25, 1.0]),
+    battery=st.sampled_from([MAINS, 0.0, 0.5, 1.0]), x=coordinates, y=coordinates,
+)
+def test_a_registry_entry_decodes_to_its_source_in_either_form(
+    node, inc, sv, stamped, perf, bandwidth, drain, utilization, battery, x, y
+):
+    entry = RegistryEntry(
+        node=node, version=(inc, sv), stamped_time=stamped,
+        profile=make_profile(node=node, perf=perf, bandwidth=bandwidth, drain_rate=drain,
+                             utilization=utilization, battery=battery, position=(x, y)),
+    )
+    full = json.loads(entry.to_dict().wire_json)
+    assert_float_fields_typed(entry, RegistryEntry.from_dict(full), "full")
+    keeper = Registry(owner=node + 1)
+    assert keeper.merge(RegistryEntry.from_dict(full))
+    dynamic = json.loads(entry.dynamic_record.wire_json)
+    assert_float_fields_typed(entry, keeper.entry_from_dict(dynamic), "dynamic")
+
+
+@given(st.integers(-3, 50), st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
+       st.integers(0, 3), times)
+def test_a_member_record_decodes_to_its_source(node, status, inc, t):
+    state = MemberState(node=node, status=status, incarnation=inc, last_update_time=t)
+    decoded = json.loads(state.to_dict().wire_json)
+    assert_float_fields_typed(state, MemberState.from_dict(decoded), "member")
+
+
+@given(st.integers(0, 50), st.sets(st.integers(0, 9), min_size=1), amounts)
+def test_a_catalog_record_decodes_to_its_source(data_id, replicas, size):
+    record = CatalogRecord(DataSourceDescriptor(
+        id=data_id, owner=min(replicas), size=size, replicas=frozenset(replicas),
+    ))
+    decoded = json.loads(record.to_dict().wire_json)
+    assert_float_fields_typed(record, CatalogRecord.from_dict(decoded), "catalog")
+
+
+@given(amounts, amounts, st.lists(st.tuples(st.integers(0, 9), amounts), max_size=3),
+       times)
+def test_an_offers_task_decodes_to_its_source(work, deadline, inputs, submitted_at):
+    """The task's floats travel at their shortest; the OFFER's own
+    `submitted_at`, a body field and not a record, is written as it is."""
+    task = make_task(work=work, deadline=deadline,
+                     inputs=[DataInput(source, size) for source, size in inputs])
+    msg = wire.Message(wire.OFFER, {"task": task.to_dict(), "attempt": 1,
+                                    "submitted_at": submitted_at})
+    data = wire.encode(msg)
+    assert data.endswith(b"," + json.dumps(submitted_at).encode() + b"],[]]")
+    body = wire.decode(data).body
+    assert_float_fields_typed(task, TaskSpec.from_dict(body["task"]), "task")
+    assert type(body["submitted_at"]) is float
 
 
 # -- member records: the version entry is the one wire form -----------------
@@ -399,11 +551,13 @@ def test_a_members_map_entry_is_its_piggybacked_record():
     picked = view.members[2].to_dict()
     assert view.version_map()[1] is picked
     with pytest.raises(TypeError, match="read-only"):
-        picked[1] = 5
+        picked[0] = 5
     with pytest.raises(TypeError, match="read-only"):
         view.version_map().append(picked)
-    assert picked == [2, 0]
-    # Trailing defaults are dropped: a time of 0.0, then an Alive rank.
+    assert picked == [2]
+    # Trailing defaults are dropped: a time of 0.0, then an Alive rank, then
+    # an incarnation of 0.
+    assert MemberState(node=2, status=ALIVE, incarnation=3, last_update_time=0.0).to_dict() == [2, 3]
     dead = MemberState(node=2, status=DEAD, incarnation=1, last_update_time=0.0)
     assert dead.to_dict() == [2, 1, 2]
     alive_at = MemberState(node=2, status=ALIVE, incarnation=1, last_update_time=0.5)
@@ -477,7 +631,7 @@ def test_version_hash_tells_version_maps_apart(vmap, data):
     col = data.draw(st.integers(1, len(vmap[row]) - 1))
     old = vmap[row][col]
     new = data.draw(entry_values.filter(
-        lambda v: json.dumps(v) != json.dumps(old)
+        lambda v: json.dumps(short_numbers(v)) != json.dumps(short_numbers(old))
     ))
     changed = [list(e) for e in vmap]
     changed[row][col] = new
