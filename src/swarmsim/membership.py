@@ -18,10 +18,10 @@ read. So an Alive record travels as `[node, incarnation]`, and as
 `[node]` at incarnation 0, which is nearly every record a settled swarm
 gossips; every reader of an entry (`from_dict`, `_entry_key`, the
 tombstone filter of `diff`, `dominates`) takes 1 to 4 elements. The rule
-is lossless for every record. A piggybacked delta,
-the `view` part of a DELTA or HELLO-ACK and an entry of a HELLO's or
-DIGEST's version map are all that entry; a map is just the entries of every
-member in NodeId order, and a periodic DIGEST carries only the map's hash.
+is lossless for every record. A piggybacked delta, the `view` part of a
+DELTA or HELLO-ACK and an entry of a HELLO's or DIGEST's version map are
+all that entry; a map is just the entries of every member in NodeId order,
+and a periodic DIGEST carries only the map's hash.
 Each `MemberState` builds its entry once (`version_entry`, which `to_dict`
 returns), as a read-only `wire.ListRecord` that encodes its JSON once and
 remembers the state it stands for; `from_dict` maps the rank back to the

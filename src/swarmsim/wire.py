@@ -4,14 +4,14 @@ A message is a kind, a body and a (possibly empty) list of piggybacked
 membership deltas, each a member's version entry `[node, incarnation,
 status rank, last_update_time]` less its trailing defaults, so an Alive
 record is `[node, incarnation]`, and `[node]` at incarnation 0 (see
-`membership`). This is the one module
-that knows each kind's body layout: in memory a body is a dict of named
-fields, and `encode` writes `[kind, [values in BODY_FIELDS order], deltas]`,
-an absent field (or one set to None) as null, with trailing nulls dropped;
-a field the kind lacks raises. A CLAIM reads `["CLAIM",[7,2],[...]]`.
-`decode` rebuilds the dict of the fields present. The bytes are compact
-`json.dumps` output with sorted keys, so encoding is deterministic and a
-short digest of the bytes identifies a message.
+`membership`). This is the one module that knows each kind's body layout:
+in memory a body is a dict of named fields, and `encode` writes `[kind,
+[values in BODY_FIELDS order], deltas]`, an absent field (or one set to
+None) as null, with trailing nulls dropped; a field the kind lacks raises.
+A CLAIM reads `["CLAIM",[7,2],[...]]`. `decode` rebuilds the dict of the
+fields present. The bytes are compact `json.dumps` output with sorted keys,
+so encoding is deterministic and a short digest of the bytes identifies a
+message.
 
 A `Message` is a value once sent: neither its sender nor any receiver writes
 to it, its body or anything nested in them. The simulator encodes each sent
@@ -76,8 +76,8 @@ record it stands for:
   `[task_id, typology, work, memory_demand, deadline, origin_node,
   [[source, size]...]]` (`model`).
 
-A record holds every number at its shortest text (`shortest`): a float
-that is a whole number under 1e16 in magnitude is held as its int, in
+A record holds its numbers at their shortest (`shortest`): a float that
+is a whole number under 1e16 in magnitude is held as its int, in
 nested lists too, so a position travels as `70` rather than `70.0` and a
 utilization of `0.0` as `0`. From 1e16 on a float keeps its exponent form
 (`1e+17`), and `inf` stays a float. The record itself holds the int, not
@@ -196,16 +196,17 @@ class _ReadOnlyList(list):
     append = clear = extend = insert = pop = remove = reverse = sort = _read_only
 
 
-# Floats of smaller magnitude that are integral travel as ints: from 1e16 on,
-# `repr` writes a float in exponent form, shorter than its int.
+# Whole-number floats of smaller magnitude are held as ints. From 1e16 on,
+# `repr` writes a float in exponent form, which for the round values a
+# scenario sets (`1e+17`) is shorter than the int.
 _INT_TEXT_BELOW = 1e16
 
 
 def shortest(value):
-    """`value` as a record holds it, every number at its shortest text: an
-    integral float under 1e16 in magnitude as its int (`70.0` as `70`,
-    `-0.0` as `0`), inside nested lists too. Any other value is itself: a
-    larger float keeps its exponent form, and `inf` and `nan` stay floats."""
+    """`value` as a record holds it: a whole-number float under 1e16 in
+    magnitude as its int (`70.0` as `70`, `-0.0` as `0`), inside nested
+    lists too. Any other value is itself: a larger float keeps its exponent
+    form, and `inf` and `nan` stay floats."""
     kind = type(value)
     if kind is float:
         if value.is_integer() and -_INT_TEXT_BELOW < value < _INT_TEXT_BELOW:
@@ -217,10 +218,10 @@ def shortest(value):
 
 class ListRecord(_ReadOnlyList):
     """A gossiped record's wire form, a list that begins with the record's
-    version entry: read-only, its numbers at their shortest (`shortest`),
-    its JSON encoded when it is built, built once per frozen record object
-    (`source`) and shared by the version map (for a member) and every
-    message that carries it."""
+    version entry: read-only, its whole-number floats held as ints
+    (`shortest`), its JSON encoded when it is built, built once per frozen
+    record object (`source`) and shared by the version map (for a member)
+    and every message that carries it."""
 
     __slots__ = ("wire_json", "_term", "source")
 

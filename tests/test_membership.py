@@ -676,7 +676,7 @@ def test_alive_records_are_declared_without_a_time():
     scenarios and a churn run of `bench/workloads.py` (7 rejoins and 16
     refutations): every Alive record a view installs has time 0.0, so all
     Alive records of one (node, incarnation) are equal, and one travels as
-    [node, incarnation]."""
+    [node, incarnation], or [node] at incarnation 0."""
     alive = {}  # (node, incarnation) -> the first Alive record installed in a run
     put = SwarmView.put
 

@@ -307,7 +307,7 @@ def test_adopt_shares_a_records_source_and_rebuilds_a_plain_dict():
     assert rebuilt == state and rebuilt is not state
 
 
-# -- the number rule: every number in a record at its shortest -------------
+# -- the number rule: a record's whole-number floats are ints ----------------
 
 # Floats that are whole numbers below 1e16 in magnitude, as records hold
 # positions, hardware and times: exactly the floats the rule makes ints.
@@ -356,14 +356,14 @@ def test_a_float_from_1e16_on_keeps_its_exponent_form():
 
 
 @given(st.one_of(large_floats, fractions, st.just(float("nan"))))
-def test_other_floats_in_a_record_stay_floats_and_no_longer(v):
+def test_other_floats_in_a_record_stay_floats_with_their_text(v):
     """Their text is the one they had before the rule: `json.dumps`'s."""
     rec = wire.ListRecord([v, [v]])
     assert type(rec[0]) is float and type(rec[1][0]) is float
     assert rec.wire_json == json.dumps([v, [v]], separators=(",", ":"))
 
 
-json_values = st.recursive(
+record_values = st.recursive(
     st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.integers(),
               integral_floats, large_floats, fractions),
     lambda inner: st.lists(inner, max_size=3),
@@ -371,7 +371,7 @@ json_values = st.recursive(
 )
 
 
-@given(st.lists(json_values, max_size=5))
+@given(st.lists(record_values, max_size=5))
 def test_a_record_holds_its_value_with_the_number_rule_applied(value):
     """Bools, None, strings and ints are kept as they are, and nested lists
     are converted like the record itself, as the rule written out apart
@@ -382,81 +382,11 @@ def test_a_record_holds_its_value_with_the_number_rule_applied(value):
     assert_same_typed(json.loads(rec.wire_json), short_numbers(value))
 
 
-def assert_float_fields_typed(obj, rebuilt, path):
-    """The frozen records `obj` and `rebuilt` are equal, and each float field
-    of `obj`, however deep, is a float in `rebuilt` too."""
-    assert obj == rebuilt, path
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            assert_float_fields_typed(getattr(obj, f.name), getattr(rebuilt, f.name),
-                                      f"{path}.{f.name}")
-    elif isinstance(obj, tuple):
-        for i, (a, b) in enumerate(zip(obj, rebuilt)):
-            assert_float_fields_typed(a, b, f"{path}[{i}]")
-    elif type(obj) is float:
-        assert type(rebuilt) is float, f"{path}: {type(rebuilt).__name__}"
-
-
-# Floats as records hold them, often whole numbers.
-amounts = st.one_of(st.integers(1, 10**6).map(float), st.floats(0.001, 1e6))
-coordinates = st.one_of(st.integers(-1000, 1000).map(float), st.floats(-1e3, 1e3))
-times = st.one_of(st.just(0.0), st.integers(0, 10**4).map(float), st.floats(0.0, 1e4))
-
-
-@given(
-    node=st.integers(-3, 50), inc=st.integers(0, 3), sv=st.integers(0, 3),
-    stamped=times, perf=amounts, bandwidth=amounts,
-    drain=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
-    utilization=st.sampled_from([0.0, 0.25, 1.0]),
-    battery=st.sampled_from([MAINS, 0.0, 0.5, 1.0]), x=coordinates, y=coordinates,
-)
-def test_a_registry_entry_decodes_to_its_source_in_either_form(
-    node, inc, sv, stamped, perf, bandwidth, drain, utilization, battery, x, y
-):
-    entry = RegistryEntry(
-        node=node, version=(inc, sv), stamped_time=stamped,
-        profile=make_profile(node=node, perf=perf, bandwidth=bandwidth, drain_rate=drain,
-                             utilization=utilization, battery=battery, position=(x, y)),
-    )
-    full = json.loads(entry.to_dict().wire_json)
-    assert_float_fields_typed(entry, RegistryEntry.from_dict(full), "full")
-    keeper = Registry(owner=node + 1)
-    assert keeper.merge(RegistryEntry.from_dict(full))
-    dynamic = json.loads(entry.dynamic_record.wire_json)
-    assert_float_fields_typed(entry, keeper.entry_from_dict(dynamic), "dynamic")
-
-
-@given(st.integers(-3, 50), st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
-       st.integers(0, 3), times)
-def test_a_member_record_decodes_to_its_source(node, status, inc, t):
-    state = MemberState(node=node, status=status, incarnation=inc, last_update_time=t)
-    decoded = json.loads(state.to_dict().wire_json)
-    assert_float_fields_typed(state, MemberState.from_dict(decoded), "member")
-
-
-@given(st.integers(0, 50), st.sets(st.integers(0, 9), min_size=1), amounts)
-def test_a_catalog_record_decodes_to_its_source(data_id, replicas, size):
-    record = CatalogRecord(DataSourceDescriptor(
-        id=data_id, owner=min(replicas), size=size, replicas=frozenset(replicas),
-    ))
-    decoded = json.loads(record.to_dict().wire_json)
-    assert_float_fields_typed(record, CatalogRecord.from_dict(decoded), "catalog")
-
-
-@given(amounts, amounts, st.lists(st.tuples(st.integers(0, 9), amounts), max_size=3),
-       times)
-def test_an_offers_task_decodes_to_its_source(work, deadline, inputs, submitted_at):
-    """The task's floats travel at their shortest; the OFFER's own
-    `submitted_at`, a body field and not a record, is written as it is."""
-    task = make_task(work=work, deadline=deadline,
-                     inputs=[DataInput(source, size) for source, size in inputs])
-    msg = wire.Message(wire.OFFER, {"task": task.to_dict(), "attempt": 1,
-                                    "submitted_at": submitted_at})
-    data = wire.encode(msg)
-    assert data.endswith(b"," + json.dumps(submitted_at).encode() + b"],[]]")
-    body = wire.decode(data).body
-    assert_float_fields_typed(task, TaskSpec.from_dict(body["task"]), "task")
-    assert type(body["submitted_at"]) is float
+def floats_or_whole(lo, hi):
+    """Floats in [lo, hi], a whole number half the time, as records often
+    hold them (positions, hardware, whole-second times)."""
+    return st.one_of(st.integers(int(lo), int(hi)).map(float),
+                     st.floats(lo, hi, allow_nan=False))
 
 
 # -- member records: the version entry is the one wire form -----------------
@@ -466,7 +396,7 @@ member_states = st.builds(
     node=st.integers(0, 2**31),
     status=st.sampled_from([ALIVE, SUSPECT, DEAD, LEFT]),
     incarnation=st.integers(0, 2**31),
-    last_update_time=st.floats(0.0, 1e9, allow_nan=False),
+    last_update_time=floats_or_whole(0.0, 1e9),
 )
 
 
@@ -487,7 +417,7 @@ def test_member_records_survive_the_wire(sent, held):
         assert view.dominates(state.to_dict()) == view.dominates(plain)
 
 
-finite = st.floats(-1e9, 1e9, allow_nan=False)
+finite = floats_or_whole(-1e9, 1e9)
 registry_entries = st.builds(
     lambda node, version, stamped, hw, util, battery, pos, typologies: RegistryEntry(
         node=node,
@@ -500,10 +430,10 @@ registry_entries = st.builds(
     ),
     st.integers(0, 2**31),
     st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
-    st.floats(0.0, 1e9, allow_nan=False),
+    floats_or_whole(0.0, 1e9),
     st.tuples(finite, st.integers(0, 2**40), finite),
-    st.floats(0.0, 1.0),
-    st.one_of(st.just(MAINS), st.floats(0.0, 1.0)),
+    floats_or_whole(0.0, 1.0),
+    st.one_of(st.just(MAINS), floats_or_whole(0.0, 1.0)),
     st.tuples(finite, finite),
     st.frozensets(st.text(max_size=6), max_size=3),
 )
@@ -516,7 +446,7 @@ catalog_records = st.builds(
     st.integers(0, 2**31),
     st.integers(0, 64),
     st.frozensets(st.integers(0, 64), max_size=4),
-    st.floats(1e-3, 1e6),
+    st.one_of(st.integers(1, 10**6).map(float), st.floats(1e-3, 1e6)),
 )
 # One member with few distinct values, so equal keys come up often.
 one_members = st.builds(
@@ -530,11 +460,18 @@ one_members = st.builds(
 
 @given(st.one_of(member_states, registry_entries, catalog_records), one_members, one_members)
 def test_every_record_survives_the_wire(obj, a, b):
-    """Every gossiped record decodes, off its wire JSON, to an equal object;
-    its wire form begins with its version entry; and two members' encoded
-    entries order as their states' merge keys do."""
+    """Every gossiped record decodes, off its wire JSON, to an equal object
+    whose float fields are floats, though whole ones travel as ints; a
+    registry entry does so in its dynamic form too; its wire form begins
+    with its version entry; and two members' encoded entries order as their
+    states' merge keys do."""
     rec = obj.to_dict()
-    assert type(obj).from_dict(json.loads(rec.wire_json)) == obj
+    assert_float_fields_typed(obj, type(obj).from_dict(json.loads(rec.wire_json)), "full")
+    if type(obj) is RegistryEntry:
+        keeper = Registry(owner=obj.node + 1)
+        assert keeper.merge(RegistryEntry.from_dict(json.loads(rec.wire_json)))
+        dynamic = json.loads(obj.dynamic_record.wire_json)
+        assert_float_fields_typed(obj, keeper.entry_from_dict(dynamic), "dynamic")
     entry = obj.version_entry
     assert rec[:len(entry)] == entry
     wire_a, wire_b = json.loads(a.to_dict().wire_json), json.loads(b.to_dict().wire_json)
@@ -542,6 +479,38 @@ def test_every_record_survives_the_wire(obj, a, b):
         membership.merge_key(a.status, a.incarnation, a.last_update_time)
         > membership.merge_key(b.status, b.incarnation, b.last_update_time)
     )
+
+
+def assert_float_fields_typed(obj, rebuilt, path):
+    """The frozen records `obj` and `rebuilt` are equal, and each float field
+    of `obj`, however deep, is a float in `rebuilt` too."""
+    assert obj == rebuilt, path
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            assert_float_fields_typed(getattr(obj, f.name), getattr(rebuilt, f.name),
+                                      f"{path}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, (a, b) in enumerate(zip(obj, rebuilt)):
+            assert_float_fields_typed(a, b, f"{path}[{i}]")
+    elif type(obj) is float:
+        assert type(rebuilt) is float, f"{path}: {type(rebuilt).__name__}"
+
+
+@given(floats_or_whole(1e-3, 1e6), floats_or_whole(1e-3, 1e6),
+       st.lists(st.tuples(st.integers(0, 9), floats_or_whole(1e-3, 1e6)), max_size=3),
+       floats_or_whole(0.0, 1e4))
+def test_an_offers_task_decodes_to_its_source(work, deadline, inputs, submitted_at):
+    """The task's floats travel at their shortest; the OFFER's own
+    `submitted_at`, a body field and not a record, is written as it is."""
+    task = make_task(work=work, deadline=deadline,
+                     inputs=[DataInput(source, size) for source, size in inputs])
+    msg = wire.Message(wire.OFFER, {"task": task.to_dict(), "attempt": 1,
+                                    "submitted_at": submitted_at})
+    data = wire.encode(msg)
+    assert data.endswith(b"," + json.dumps(submitted_at).encode() + b"],[]]")
+    body = wire.decode(data).body
+    assert_float_fields_typed(task, TaskSpec.from_dict(body["task"]), "task")
+    assert type(body["submitted_at"]) is float
 
 
 def test_a_members_map_entry_is_its_piggybacked_record():
@@ -557,7 +526,8 @@ def test_a_members_map_entry_is_its_piggybacked_record():
     assert picked == [2]
     # Trailing defaults are dropped: a time of 0.0, then an Alive rank, then
     # an incarnation of 0.
-    assert MemberState(node=2, status=ALIVE, incarnation=3, last_update_time=0.0).to_dict() == [2, 3]
+    alive = MemberState(node=2, status=ALIVE, incarnation=3, last_update_time=0.0)
+    assert alive.to_dict() == [2, 3]
     dead = MemberState(node=2, status=DEAD, incarnation=1, last_update_time=0.0)
     assert dead.to_dict() == [2, 1, 2]
     alive_at = MemberState(node=2, status=ALIVE, incarnation=1, last_update_time=0.5)
